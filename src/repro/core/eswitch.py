@@ -571,10 +571,11 @@ class ESwitch:
     def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
         """Transactional batch: either every mod applies or none does."""
         affected = {mod.table_id for mod in mods}
-        snapshots: dict[int, "list | None"] = {}
+        # ``entries`` is an immutable tuple: the snapshot needs no copy.
+        snapshots: dict[int, "tuple | None"] = {}
         for tid in affected:
             try:
-                snapshots[tid] = list(self.pipeline.table(tid).entries)
+                snapshots[tid] = self.pipeline.table(tid).entries
             except Exception:
                 snapshots[tid] = None  # table does not exist yet
         cycles_before = self.update_stats.cycles
@@ -625,7 +626,8 @@ class ESwitch:
         itself creates, and per-table ``max_entries`` capacity — simulated
         over ``(match, priority)`` rule keys so ADD-replaces, MODIFYs and
         interleaved DELETEs count exactly as :meth:`apply_flow_mods`
-        would apply them.
+        would apply them, at a cost that follows the batch and not the
+        tables it addresses.
         """
         errors: list[ErrorMsg] = []
         statically_ok: list[FlowMod] = []
@@ -636,25 +638,16 @@ class ESwitch:
             else:
                 statically_ok.append(mod)
 
-        existing = set(self.pipeline._tables)
+        existing = self.pipeline._tables
         # Any mod addressing a table creates it (get_or_create semantics),
         # so goto targets may resolve to tables minted later in the batch.
-        will_exist = existing | {mod.table_id for mod in statically_ok}
-        occupancy: dict[int, set[tuple[Match, int]]] = {}
-        capacity: dict[int, "int | None"] = {}
-
-        def _table_state(tid: int) -> tuple[set, "int | None"]:
-            if tid not in occupancy:
-                if tid in existing:
-                    table = self.pipeline.table(tid)
-                    occupancy[tid] = {
-                        (e.match, e.priority) for e in table.entries
-                    }
-                    capacity[tid] = table.max_entries
-                else:
-                    occupancy[tid] = set()
-                    capacity[tid] = None  # batch-created: unbounded
-            return occupancy[tid], capacity[tid]
+        will_exist = existing.keys() | {mod.table_id for mod in statically_ok}
+        # Occupancy is an overlay on each table's own rule index: the live
+        # priorities of just the matches this batch names, copied out on
+        # first touch, beside a running entry count. O(batch), whatever
+        # the table holds.
+        live: dict[tuple[int, Match], set[int]] = {}
+        count: dict[int, int] = {}
 
         for mod in statically_ok:
             for instr in mod.instructions:
@@ -671,28 +664,37 @@ class ESwitch:
                             data=mod,
                         )
                     )
-            rules, cap = _table_state(mod.table_id)
-            key = (mod.match, mod.priority)
+            tid = mod.table_id
+            table = existing.get(tid)  # None: batch-created, unbounded
+            if tid not in count:
+                count[tid] = len(table) if table is not None else 0
+            prios = live.get((tid, mod.match))
+            if prios is None:
+                prios = live[tid, mod.match] = set(
+                    table.rule_priorities(mod.match) if table is not None else ()
+                )
+            cap = table.max_entries if table is not None else None
             if mod.command is FlowModCommand.DELETE:
-                if mod.strict:
-                    rules.discard(key)
-                else:
-                    rules.difference_update(
-                        {k for k in rules if k[0] == mod.match}
-                    )
-            elif key in rules:
+                if not mod.strict:
+                    count[tid] -= len(prios)
+                    prios.clear()
+                elif mod.priority in prios:
+                    prios.remove(mod.priority)
+                    count[tid] -= 1
+            elif mod.priority in prios:
                 pass  # replaces in place: no growth, always admissible
-            elif cap is not None and len(rules) >= cap:
+            elif cap is not None and count[tid] >= cap:
                 errors.append(
                     ErrorMsg(
                         ErrorType.FLOW_MOD_FAILED,
                         FlowModFailedCode.TABLE_FULL,
-                        f"table {mod.table_id} at capacity ({cap} entries)",
+                        f"table {tid} at capacity ({cap} entries)",
                         data=mod,
                     )
                 )
             else:
-                rules.add(key)
+                prios.add(mod.priority)
+                count[tid] += 1
         return errors
 
     def submit_flow_mods(self, mods: Sequence[FlowMod]) -> FlowModReply:

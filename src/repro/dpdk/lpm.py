@@ -22,14 +22,23 @@ long-running churn does not fragment the pool.
 
 Entry encoding (numpy ``int32``): ``0`` invalid, ``> 0`` next hop + 1,
 ``< 0`` extended — ``-(tbl8 group + 1)``.
+
+``tbl24`` spans the whole 2^24 key space (80 MB with its depth shadow) but
+a FIB writes a sliver of it, so it lives in zero-filled anonymous memory
+whose residency follows the 4 KB pages actually written — see
+:func:`_sparse_zeros`. The table pays for prefixes, not address space;
+one that goes on to fill most of that space moves to an ordinary dense
+array (:meth:`Dir24_8Lpm._mark_written`).
 """
 
 from __future__ import annotations
 
 import heapq
+import mmap
 
 import numpy as np
 
+TBL24_ENTRIES = 1 << 24
 TBL8_GROUP_SIZE = 256
 #: 4-byte entries per 64-byte cache line — for cache-simulator line ids.
 ENTRIES_PER_LINE = 16
@@ -37,6 +46,29 @@ ENTRIES_PER_LINE = 16
 DEFAULT_TBL8_GROUPS = 256
 #: Keep vectorized index batches under this many entries (memory bound).
 _BULK_CHUNK = 1 << 22
+#: Residency is accounted in the host's small pages (4 KB on x86): this
+#: many int32 tbl24 entries each, and a quarter as many pages again for
+#: the one-byte depth shadow.
+_PAGE_BYTES = mmap.PAGESIZE
+_PAGE_ENTRIES = _PAGE_BYTES // 4
+
+
+def _sparse_zeros(n: int, dtype) -> np.ndarray:
+    """``np.zeros(n, dtype)`` over private anonymous memory that stays
+    non-resident until written, one small page at a time.
+
+    ``np.zeros`` gives zero pages too, but numpy advises ``MADV_HUGEPAGE``
+    on every allocation of 4 MB and up; where the host honours it
+    (``transparent_hugepage=madvise`` or ``always``) one written entry
+    faults in a whole 2 MB page, and a 200-prefix FIB scattered over the
+    address space ends up holding all 80 MB resident after paying for 40
+    huge-page faults. The mapping is released when the array (and every
+    view of it) is collected.
+    """
+    buf = mmap.mmap(-1, n * np.dtype(dtype).itemsize, access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # Linux; harmless to skip elsewhere
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype)
 
 
 class LpmFullError(RuntimeError):
@@ -58,8 +90,12 @@ class Dir24_8Lpm:
             raise ValueError("max_tbl8_groups must be >= 1")
         self._max_tbl8_groups = max_tbl8_groups
         cap = max_tbl8_groups if max_tbl8_groups is not None else DEFAULT_TBL8_GROUPS
-        self._tbl24 = np.zeros(1 << 24, dtype=np.int32)
-        self._tbl24_depth = np.zeros(1 << 24, dtype=np.uint8)
+        self._tbl24 = _sparse_zeros(TBL24_ENTRIES, np.int32)
+        self._tbl24_depth = _sparse_zeros(TBL24_ENTRIES, np.uint8)
+        # Which tbl24 pages hold a written entry. Only the add paths grow
+        # it: a delete or compaction rewrites entries an add wrote before.
+        self._tbl24_pages = np.zeros(TBL24_ENTRIES // _PAGE_ENTRIES, dtype=bool)
+        self._tbl24_sparse = True
         self._tbl8 = np.zeros(cap * TBL8_GROUP_SIZE, dtype=np.int32)
         self._tbl8_depth = np.zeros(cap * TBL8_GROUP_SIZE, dtype=np.uint8)
         self._tbl8_used = [False] * cap
@@ -186,14 +222,24 @@ class Dir24_8Lpm:
         return sum(self._tbl8_used)
 
     def footprint(self) -> dict:
-        """Resident bytes of the lookup structure (numpy arrays are exact;
-        the rule dict is estimated at ~100 bytes/rule)."""
-        tbl24_bytes = self._tbl24.nbytes + self._tbl24_depth.nbytes
+        """Resident bytes of the lookup structure: ``tbl24`` counts the
+        small pages that hold a written entry (its full span is reported
+        apart as ``tbl24_virtual_bytes``), the tbl8 pool is dense and
+        exact, the rule dict is estimated at ~100 bytes/rule."""
+        pages = self._tbl24_pages
+        tbl24_bytes = (
+            int(np.count_nonzero(pages)) * _PAGE_BYTES
+            if self._tbl24_sparse
+            else self._tbl24.nbytes
+        )
+        # One depth page shadows four tbl24 pages: four flags to a word.
+        tbl24_bytes += int(np.count_nonzero(pages.view(np.uint32))) * _PAGE_BYTES
         tbl8_bytes = self._tbl8.nbytes + self._tbl8_depth.nbytes
         return {
             "kind": "lpm",
             "rules": len(self._rules),
             "tbl24_bytes": tbl24_bytes,
+            "tbl24_virtual_bytes": self._tbl24.nbytes + self._tbl24_depth.nbytes,
             "tbl8_bytes": tbl8_bytes,
             "tbl8_groups": self.tbl8_groups_used,
             "tbl8_capacity": self.tbl8_capacity,
@@ -240,6 +286,28 @@ class Dir24_8Lpm:
         heapq.heapify(self._tbl8_free)
         return cap - new_cap
 
+    # -- pickling --------------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        """Ship tbl24 as its written pages only (pickle and ``deepcopy``):
+        the copy comes back on fresh sparse memory, bit-identical, instead
+        of as 80 MB of dense array."""
+        state = self.__dict__.copy()
+        pages = self._tbl24_pages
+        state["_tbl24"] = self._tbl24.reshape(-1, _PAGE_ENTRIES)[pages]
+        state["_tbl24_depth"] = self._tbl24_depth.reshape(-1, _PAGE_ENTRIES)[pages]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        pages = self._tbl24_pages
+        for name, dtype in (("_tbl24", np.int32), ("_tbl24_depth", np.uint8)):
+            table = _sparse_zeros(TBL24_ENTRIES, dtype)
+            table.reshape(-1, _PAGE_ENTRIES)[pages] = state[name]
+            setattr(self, name, table)
+        if not self._tbl24_sparse:
+            self._tbl24 = np.array(self._tbl24)
+
     # -- lookup ---------------------------------------------------------------
 
     def lookup(self, ip: int) -> "int | None":
@@ -269,7 +337,7 @@ class Dir24_8Lpm:
             return None, (lines[0],)
         group = -entry - 1
         idx8 = group * TBL8_GROUP_SIZE + (ip & 0xFF)
-        tbl8_line = (1 << 24) // ENTRIES_PER_LINE + idx8 // ENTRIES_PER_LINE
+        tbl8_line = TBL24_ENTRIES // ENTRIES_PER_LINE + idx8 // ENTRIES_PER_LINE
         sub = int(self._tbl8[idx8])
         return (sub - 1 if sub > 0 else None), (lines[0], tbl8_line)
 
@@ -296,6 +364,23 @@ class Dir24_8Lpm:
                 return (candidate, d), hop
         return None
 
+    def _mark_written(self, pages) -> None:
+        """Record tbl24 pages (an index, slice or index array) as written.
+
+        Past half of them the sparse backing saves under 2x and costs a
+        TLB miss per lookup that huge pages would not (2 % of the
+        megascale LPM rung's pps at 1e5 prefixes): the table then moves,
+        once, to an ordinary numpy array, whose huge-page advice is the
+        right call for a dense one.
+        """
+        self._tbl24_pages[pages] = True
+        if (
+            self._tbl24_sparse
+            and np.count_nonzero(self._tbl24_pages) * 2 > len(self._tbl24_pages)
+        ):
+            self._tbl24 = np.array(self._tbl24)
+            self._tbl24_sparse = False
+
     def _add_depth_small(self, prefix: int, depth: int, next_hop: int) -> None:
         start = prefix >> 8
         count = 1 << (24 - depth)
@@ -311,6 +396,10 @@ class Dir24_8Lpm:
         sel24 = (t24 >= 0) & (d24 <= depth)
         t24[sel24] = next_hop + 1
         d24[sel24] = depth
+        # Every entry of the range is written now or was by a deeper add.
+        self._mark_written(
+            slice(start // _PAGE_ENTRIES, (start + count - 1) // _PAGE_ENTRIES + 1)
+        )
 
     def _add_small_batch(self, pairs: "list[tuple[int, int]]", depth: int) -> None:
         """Vectorized same-depth (≤ /24) insertion across disjoint ranges."""
@@ -336,6 +425,8 @@ class Dir24_8Lpm:
             tgt = idx[sel]
             self._tbl24[tgt] = rep[sel]
             self._tbl24_depth[tgt] = depth
+            # Ranges are count-aligned: one sample per page they span.
+            self._mark_written(idx[:: min(count, _PAGE_ENTRIES)] // _PAGE_ENTRIES)
 
     def _add_depth_big(self, prefix: int, depth: int, next_hop: int) -> None:
         idx24 = prefix >> 8
@@ -350,6 +441,7 @@ class Dir24_8Lpm:
             )
             self._tbl24[idx24] = -(group + 1)
             self._tbl24_depth[idx24] = 0
+            self._mark_written(idx24 // _PAGE_ENTRIES)
         else:
             group = -entry - 1
             base = group * TBL8_GROUP_SIZE

@@ -681,6 +681,12 @@ class FlowTable:
         self._guard()
         return (priority, match) in self._indexes()[0]
 
+    def rule_priorities(self, match: Match) -> "tuple[int, ...]":
+        """Priorities of the live entries whose match *equals* ``match``,
+        highest first — what a non-strict DELETE of it would remove."""
+        self._guard()
+        return tuple(e.priority for e in self._indexes()[1].get(match, ()))
+
     def last_entry(self) -> "FlowEntry | None":
         """The lowest-priority live entry (the catch-all seat, when one
         exists) without materializing the live tuple — O(1) when the tail

@@ -157,6 +157,105 @@ class TestCapacity:
         assert sw.update_stats.cycles == cycles_before
 
 
+def delete(strict, priority=5, **match):
+    return FlowMod(FlowModCommand.DELETE, 0, Match(**match),
+                   priority=priority, strict=strict)
+
+
+FULL = (ErrorType.FLOW_MOD_FAILED, FlowModFailedCode.TABLE_FULL)
+DANGLING = (ErrorType.BAD_INSTRUCTION, "OFPBIC_BAD_TABLE_ID")
+
+#: Batches against a table 0 that is exactly full and holds 0xA1 at
+#: priorities 5, 6 and 7 -> the (position in batch, type, code) of every
+#: error, in order. Recorded from the set-of-all-rules simulation this
+#: overlay replaced; the two must never differ.
+AT_CAPACITY = {
+    "add": ([mod(eth_dst=0xB1)], [(0, *FULL)]),
+    "add-replace": ([mod(eth_dst=0xA1, priority=6, port=9)], []),
+    "strict-delete-frees-one": (
+        [delete(True, eth_dst=0xA1), mod(eth_dst=0xB1), mod(eth_dst=0xB2)],
+        [(2, *FULL)],
+    ),
+    "strict-delete-of-absent-priority-frees-none": (
+        [delete(True, priority=9, eth_dst=0xA1), mod(eth_dst=0xB1)],
+        [(1, *FULL)],
+    ),
+    "strict-delete-twice-frees-one": (
+        [delete(True, eth_dst=0xA1), delete(True, eth_dst=0xA1),
+         mod(eth_dst=0xB1), mod(eth_dst=0xB2)],
+        [(3, *FULL)],
+    ),
+    "delete-then-re-add-same-rule": (
+        [delete(True, eth_dst=0xA1), mod(eth_dst=0xA1), mod(eth_dst=0xB1)],
+        [(2, *FULL)],
+    ),
+    "non-strict-delete-frees-every-priority": (
+        [delete(False, priority=99, eth_dst=0xA1), mod(eth_dst=0xB1),
+         mod(eth_dst=0xB2), mod(eth_dst=0xA1, priority=7), mod(eth_dst=0xB3)],
+        [(4, *FULL)],
+    ),
+    "non-strict-delete-takes-rules-the-batch-added": (
+        [delete(True, eth_dst=0xA1), mod(eth_dst=0xA1, priority=8),
+         delete(False, eth_dst=0xA1), mod(eth_dst=0xB1), mod(eth_dst=0xB2),
+         mod(eth_dst=0xB3), mod(eth_dst=0xB4)],
+        [(6, *FULL)],
+    ),
+    "rejected-add-holds-no-seat": (
+        [mod(eth_dst=0xB1), delete(True, eth_dst=0xA1), mod(eth_dst=0xB1)],
+        [(0, *FULL)],
+    ),
+    "batch-created-table-is-unbounded": (
+        [mod(table_id=7, eth_dst=i) for i in range(20)] + [mod(eth_dst=0xB1)],
+        [(20, *FULL)],
+    ),
+    "dangling-goto": (
+        [mod(eth_dst=0xA1, instructions=(GotoTable(9),))], [(0, *DANGLING)],
+    ),
+    "dangling-goto-on-an-overflowing-add": (
+        [mod(eth_dst=0xB1, instructions=(GotoTable(9),))],
+        [(0, *DANGLING), (0, *FULL)],
+    ),
+    "dangling-goto-and-overflow": (
+        [mod(eth_dst=0xB1, instructions=(GotoTable(9),)),
+         mod(table_id=9, eth_dst=0xB2, instructions=(GotoTable(11),))],
+        [(0, *FULL), (1, *DANGLING)],
+    ),
+}
+
+
+class TestAdmissionAtCapacity:
+    @pytest.mark.parametrize("case", sorted(AT_CAPACITY))
+    def test_errors_and_invisibility(self, case):
+        batch, expected = AT_CAPACITY[case]
+        sw, _ = capped_switch(cap=3)
+        assert sw.submit_flow_mods(
+            [mod(eth_dst=0xA1, priority=p) for p in (5, 6, 7)]).accepted
+        table = sw.pipeline.table(0)
+        assert table.full
+        sw.warm()
+        before = fingerprint(sw), table.version, vars(sw.update_stats).copy()
+
+        errors = sw.admit_flow_mods(batch)
+        position = {id(m): i for i, m in enumerate(batch)}
+        assert [
+            (position[id(e.data)], e.etype, e.code) for e in errors
+        ] == expected
+        for err in errors:
+            if err.code is FlowModFailedCode.TABLE_FULL:
+                assert err.message == (
+                    f"table 0 at capacity ({table.max_entries} entries)")
+        assert (fingerprint(sw), table.version, vars(sw.update_stats)) == before
+
+        reply = sw.submit_flow_mods(batch)
+        assert reply.accepted == (not expected)
+        assert list(reply.errors) == errors
+        if expected:
+            assert (fingerprint(sw), table.version,
+                    vars(sw.update_stats)) == before
+        else:
+            assert len(table) <= table.max_entries
+
+
 def fingerprint(sw):
     """Everything a rejected batch must leave untouched, by value."""
     return (
