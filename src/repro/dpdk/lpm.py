@@ -26,9 +26,7 @@ Entry encoding (numpy ``int32``): ``0`` invalid, ``> 0`` next hop + 1,
 ``tbl24`` spans the whole 2^24 key space (80 MB with its depth shadow) but
 a FIB writes a sliver of it, so it lives in zero-filled anonymous memory
 whose residency follows the 4 KB pages actually written — see
-:func:`_sparse_zeros`. The table pays for prefixes, not address space;
-one that goes on to fill most of that space moves to an ordinary dense
-array (:meth:`Dir24_8Lpm._mark_written`).
+:func:`_sparse_zeros`. The table pays for prefixes, not address space.
 """
 
 from __future__ import annotations
@@ -95,7 +93,6 @@ class Dir24_8Lpm:
         # Which tbl24 pages hold a written entry. Only the add paths grow
         # it: a delete or compaction rewrites entries an add wrote before.
         self._tbl24_pages = np.zeros(TBL24_ENTRIES // _PAGE_ENTRIES, dtype=bool)
-        self._tbl24_sparse = True
         self._tbl8 = np.zeros(cap * TBL8_GROUP_SIZE, dtype=np.int32)
         self._tbl8_depth = np.zeros(cap * TBL8_GROUP_SIZE, dtype=np.uint8)
         self._tbl8_used = [False] * cap
@@ -227,13 +224,10 @@ class Dir24_8Lpm:
         apart as ``tbl24_virtual_bytes``), the tbl8 pool is dense and
         exact, the rule dict is estimated at ~100 bytes/rule."""
         pages = self._tbl24_pages
-        tbl24_bytes = (
-            int(np.count_nonzero(pages)) * _PAGE_BYTES
-            if self._tbl24_sparse
-            else self._tbl24.nbytes
-        )
         # One depth page shadows four tbl24 pages: four flags to a word.
-        tbl24_bytes += int(np.count_nonzero(pages.view(np.uint32))) * _PAGE_BYTES
+        tbl24_bytes = _PAGE_BYTES * int(
+            np.count_nonzero(pages) + np.count_nonzero(pages.view(np.uint32))
+        )
         tbl8_bytes = self._tbl8.nbytes + self._tbl8_depth.nbytes
         return {
             "kind": "lpm",
@@ -305,8 +299,6 @@ class Dir24_8Lpm:
             table = _sparse_zeros(TBL24_ENTRIES, dtype)
             table.reshape(-1, _PAGE_ENTRIES)[pages] = state[name]
             setattr(self, name, table)
-        if not self._tbl24_sparse:
-            self._tbl24 = np.array(self._tbl24)
 
     # -- lookup ---------------------------------------------------------------
 
@@ -364,23 +356,6 @@ class Dir24_8Lpm:
                 return (candidate, d), hop
         return None
 
-    def _mark_written(self, pages) -> None:
-        """Record tbl24 pages (an index, slice or index array) as written.
-
-        Past half of them the sparse backing saves under 2x and costs a
-        TLB miss per lookup that huge pages would not (2 % of the
-        megascale LPM rung's pps at 1e5 prefixes): the table then moves,
-        once, to an ordinary numpy array, whose huge-page advice is the
-        right call for a dense one.
-        """
-        self._tbl24_pages[pages] = True
-        if (
-            self._tbl24_sparse
-            and np.count_nonzero(self._tbl24_pages) * 2 > len(self._tbl24_pages)
-        ):
-            self._tbl24 = np.array(self._tbl24)
-            self._tbl24_sparse = False
-
     def _add_depth_small(self, prefix: int, depth: int, next_hop: int) -> None:
         start = prefix >> 8
         count = 1 << (24 - depth)
@@ -397,9 +372,9 @@ class Dir24_8Lpm:
         t24[sel24] = next_hop + 1
         d24[sel24] = depth
         # Every entry of the range is written now or was by a deeper add.
-        self._mark_written(
-            slice(start // _PAGE_ENTRIES, (start + count - 1) // _PAGE_ENTRIES + 1)
-        )
+        self._tbl24_pages[
+            start // _PAGE_ENTRIES : (start + count - 1) // _PAGE_ENTRIES + 1
+        ] = True
 
     def _add_small_batch(self, pairs: "list[tuple[int, int]]", depth: int) -> None:
         """Vectorized same-depth (≤ /24) insertion across disjoint ranges."""
@@ -426,7 +401,7 @@ class Dir24_8Lpm:
             self._tbl24[tgt] = rep[sel]
             self._tbl24_depth[tgt] = depth
             # Ranges are count-aligned: one sample per page they span.
-            self._mark_written(idx[:: min(count, _PAGE_ENTRIES)] // _PAGE_ENTRIES)
+            self._tbl24_pages[idx[:: min(count, _PAGE_ENTRIES)] // _PAGE_ENTRIES] = True
 
     def _add_depth_big(self, prefix: int, depth: int, next_hop: int) -> None:
         idx24 = prefix >> 8
@@ -441,7 +416,7 @@ class Dir24_8Lpm:
             )
             self._tbl24[idx24] = -(group + 1)
             self._tbl24_depth[idx24] = 0
-            self._mark_written(idx24 // _PAGE_ENTRIES)
+            self._tbl24_pages[idx24 // _PAGE_ENTRIES] = True
         else:
             group = -entry - 1
             base = group * TBL8_GROUP_SIZE

@@ -211,28 +211,6 @@ class TestResidency:
         assert fp["bytes"] == fp["tbl24_bytes"] + fp["tbl8_bytes"] + 100
         assert json.loads(json.dumps(fp)) == fp  # bench documents carry it
 
-    def test_mostly_written_table_moves_to_a_dense_array(self):
-        """Past half its pages the sparse backing only costs TLB misses."""
-        lpm = Dir24_8Lpm()
-        rules = {(0x80000000, 2): 1, (0xC0000000, 2): 1, (0x8A010180, 25): 2}
-        for (prefix, depth), hop in rules.items():
-            lpm.add(prefix, depth, hop)
-        assert lpm._tbl24_sparse  # exactly half the pages is not past half
-        assert lpm.footprint()["tbl24_bytes"] == TBL24_ENTRIES * 5 // 2
-        probes = [0x8A0101C0, 0x8A010101, 0x0A010101, 0xFFFFFFFF, 0x14000001]
-        traced = _assert_matches_oracle(lpm, rules, probes[:4])
-        lpm.add(0x14000000, 8, 3)
-        rules[(0x14000000, 8)] = 3
-        assert not lpm._tbl24_sparse
-        assert _assert_matches_oracle(lpm, rules, probes)[:4] == traced
-        fp = lpm.footprint()
-        assert fp["tbl24_bytes"] > TBL24_ENTRIES * 4
-        assert fp["tbl24_bytes"] < fp["tbl24_virtual_bytes"]  # depth stays sparse
-        clone = pickle.loads(pickle.dumps(lpm))
-        assert not clone._tbl24_sparse and clone.footprint() == fp
-        assert np.array_equal(clone._tbl24, lpm._tbl24)
-        assert lpm.delete(0x14000000, 8) and lpm.lookup(0x14000001) is None
-
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"),
         reason="ru_maxrss units and huge-page advice are Linux's",
