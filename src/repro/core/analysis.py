@@ -29,6 +29,7 @@ from typing import Sequence
 
 from repro.openflow.fields import field_by_name
 from repro.openflow.flow_entry import FlowEntry
+from repro.openflow.flow_table import FlowTable
 
 
 class TemplateKind(enum.Enum):
@@ -137,22 +138,44 @@ def hash_applicable(entries: Sequence[FlowEntry]) -> bool:
     if not fields:
         return False
     masks = {name: first.mask_of(name) for name in fields}
-    seen_keys: dict[tuple, int] = {}
+    # Duplicate masked keys are allowed: they are shadowed (dead) rules,
+    # the hash keeps the highest-priority one, which is semantically
+    # equivalent because same-mask duplicates fully overlap.
     for entry in rules:
         match = entry.match
         if match.fields != fields:
             return False
-        key = []
         for name in fields:
             if match.mask_of(name) != masks[name]:
                 return False
-            key.append(match.value_of(name))
-        tkey = tuple(key)
-        # Duplicate masked keys are allowed only as shadowed (dead) rules;
-        # the hash keeps the highest-priority one, which is semantically
-        # equivalent because same-mask duplicates fully overlap.
-        seen_keys.setdefault(tkey, entry.priority)
     return True
+
+
+def hash_shape(table: FlowTable) -> "tuple[tuple[str, int], ...] | None":
+    """The one ``((field, mask), ...)`` signature every keyed entry of
+    ``table`` shares, or None when :func:`hash_applicable` would refuse.
+
+    The global-mask prerequisite is shape-only, so the table's
+    :meth:`~repro.openflow.flow_table.FlowTable.feature_counts` multiset
+    answers it in O(shapes): exactly one keyed signature, and at most one
+    catch-all, which must be the last entry (anywhere else — or a second
+    one — it stays among the rules, where its empty mask breaks the
+    global mask).
+    """
+    keyed = None
+    catch_alls = 0
+    for (_prio, sig, _set_names, _depth), count in table.feature_counts().items():
+        if not sig:
+            catch_alls += count
+        elif keyed is None:
+            keyed = sig
+        elif sig != keyed:
+            return None
+    if catch_alls > 1:
+        return None
+    if catch_alls and not table.last_entry().match.is_catch_all:
+        return None
+    return keyed
 
 
 def lpm_applicable(entries: Sequence[FlowEntry]) -> bool:
@@ -261,18 +284,34 @@ def range_applicable(
 
 
 def select_template(
-    entries: Sequence[FlowEntry], config: CompileConfig = DEFAULT_CONFIG
+    entries: "Sequence[FlowEntry] | FlowTable",
+    config: CompileConfig = DEFAULT_CONFIG,
 ) -> TemplateKind:
     """First applicable template in the efficiency order of Fig. 4
     (plus the optional range extension, slotted before the hash when its
-    compression prerequisite holds)."""
+    compression prerequisite holds).
+
+    Given the :class:`FlowTable` itself rather than its entries, the hash
+    prerequisite is answered from the shape multiset (:func:`hash_shape`)
+    when the table has it built — ``required_layer`` builds it for every
+    pipeline table — instead of a walk over every entry; the verdict is
+    the same. A table without it (a decomposed sub-table) keeps the
+    walk, which stops at the first mismatch.
+    """
     if config.force_linked_list:
         return TemplateKind.LINKED_LIST
     if len(entries) <= config.direct_threshold:
         return TemplateKind.DIRECT
+    table = entries if isinstance(entries, FlowTable) else None
+    if table is not None:
+        entries = table.entries
     if range_applicable(entries, config):
         return TemplateKind.RANGE
-    if hash_applicable(entries):
+    if table is not None and table.feature_counts_if_built() is not None:
+        hashable = hash_shape(table) is not None
+    else:
+        hashable = hash_applicable(entries)
+    if hashable:
         return TemplateKind.HASH
     if lpm_applicable(entries):
         return TemplateKind.LPM

@@ -34,6 +34,7 @@ from repro.core.analysis import (
     CompileConfig,
     DEFAULT_CONFIG,
     TemplateKind,
+    hash_shape,
     port_map,
     port_runs,
     select_template,
@@ -310,19 +311,23 @@ def compile_hash(
     costs: CostBook = DEFAULT_COSTS,
 ) -> CompiledTable:
     """The compound hash template: global mask + collision-free hash."""
-    rules, catch_all = split_catch_all(table.entries)
+    rules = table.entries
+    catch_all = None
+    if rules and rules[-1].match.is_catch_all:
+        rules, catch_all = rules[:-1], rules[-1]
     if not rules:
         raise CompileError("hash template needs at least one keyed entry")
+    # One O(shapes) answer for every entry; a second catch-all among the
+    # rules fails it like any other mask mismatch.
+    shape = hash_shape(table)
+    if shape is None:
+        raise CompileError("hash template prerequisite (global mask) violated")
     first = rules[0].match
-    fields = first.fields
-    masks = tuple(first.mask_of(name) for name in fields)
+    fields = tuple(name for name, _mask in shape)
+    masks = tuple(mask for _name, mask in shape)
 
     items: dict = {}
     for entry in rules:
-        if entry.match.fields != fields or tuple(
-            entry.match.mask_of(name) for name in fields
-        ) != masks:
-            raise CompileError("hash template prerequisite (global mask) violated")
         key = _hash_key_of(entry.match, fields)
         if key not in items:  # first occurrence = highest priority wins
             items[key] = outcome_of(entry)
@@ -624,5 +629,5 @@ def compile_table(
 ) -> CompiledTable:
     """Analyze (unless ``kind`` forces a template) and compile one table."""
     if kind is None:
-        kind = select_template(table.entries, config)
+        kind = select_template(table, config)
     return _EMITTERS[kind](table, config, costs)

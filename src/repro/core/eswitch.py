@@ -446,7 +446,7 @@ class ESwitch:
                     self.datapath.uninstall(tid)
 
     def _compile_group_preferred(self, table: FlowTable) -> _Group:
-        kind = select_template(table.entries, self.config)
+        kind = select_template(table, self.config)
         if (
             kind is TemplateKind.LINKED_LIST
             and self.config.decompose
@@ -826,7 +826,7 @@ class ESwitch:
             new_kind = compiled.kind
             stats.kind_stable_skips += 1
         else:
-            new_kind = select_template(table.entries, self.config)
+            new_kind = select_template(table, self.config)
         if new_kind is not compiled.kind:
             # Prerequisite changed: fall back (or upgrade) with a rebuild.
             stats.fallbacks += 1

@@ -9,8 +9,6 @@ outcomes one object).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.openflow.actions import Action
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable, TableMissPolicy
@@ -21,9 +19,7 @@ from repro.openflow.instructions import (
     WriteActions,
     WriteMetadata,
 )
-
-if TYPE_CHECKING:
-    pass
+from repro.openflow.meters import MeterInstruction
 
 
 class Outcome:
@@ -79,8 +75,6 @@ class Outcome:
 
 def outcome_of(entry: FlowEntry) -> Outcome:
     """Compile one flow entry's instruction list into an outcome."""
-    from repro.openflow.meters import MeterInstruction
-
     apply_actions: tuple[Action, ...] = ()
     write_actions: tuple[Action, ...] = ()
     clear = False

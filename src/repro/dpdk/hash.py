@@ -25,15 +25,25 @@ entries.
 Keys are integers or tuples of integers (compound keys: the template "runs
 together relevant header fields into a single key").
 
+Key components are header-field values and therefore naturals: a negative
+component is rejected with a typed :class:`HashKeyError` when the key is
+stored (construction, ``insert``); a *lookup* of one terminates and misses.
+
 Adversarial key sets (distinct keys whose mix collides under every seed,
 e.g. ``0`` and ``(0,)``) are detected and rejected with a typed
 :class:`HashBuildError` after a bounded number of seed attempts instead of
 looping forever.
+
+A full build computes the mix and the bucket grouping of every key at once
+(numpy columns), then runs the sequential displacement search over plain
+int lists; see DESIGN.md §10 for why the resulting layout is pinned.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
+
+import numpy as np
 
 Key = "int | tuple[int, ...]"
 
@@ -45,6 +55,12 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 #: Fibonacci multiplier for the multiply-shift slot hash (odd, well mixed).
 _GOLD = 0x9E3779B97F4A7C15
+#: "no previous value" in :meth:`CollisionFreeHash.insert` (None is a value).
+_ABSENT = object()
+
+
+class HashKeyError(ValueError):
+    """A key with a negative component was offered for storage."""
 
 
 def _mix(key: "int | tuple[int, ...]", seed: int) -> int:
@@ -56,13 +72,53 @@ def _mix(key: "int | tuple[int, ...]", seed: int) -> int:
         components = key
     for part in components:
         if part < 0:
-            part = -2 * part - 1  # fold into the naturals; >>= below terminates
+            raise HashKeyError(f"negative key component in {key!r}")
         while True:
             h = ((h ^ (part & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
             part >>= 32
             if not part:
                 break
     h ^= h >> 33
+    return h
+
+
+_U32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_S33 = np.uint64(33)
+_NP_PRIME = np.uint64(_FNV_PRIME)
+_NP_GOLD = np.uint64(_GOLD)
+
+
+def _mix_all(keys: list, seed: int) -> "np.ndarray":
+    """:func:`_mix` of every key, as one ``uint64`` column.
+
+    Keys whose components all fit a signed 64-bit column are mixed
+    columnwise (``uint64`` arithmetic wraps exactly like ``& _MASK64``;
+    such a component has at most two 32-bit chunks, the second skipped
+    where it is zero). Anything numpy cannot hold that way — wider
+    components, ragged or mixed int/tuple key sets — and any negative
+    component goes through the scalar :func:`_mix`, which is the spec.
+    """
+    try:
+        columns = np.array(keys, dtype=np.int64)
+    except (OverflowError, ValueError, TypeError):
+        columns = None
+    if (
+        columns is None
+        or columns.ndim != (1 if isinstance(keys[0], int) else 2)
+        or not columns.size  # the lone key ``()``: no column to mix
+        or columns.min() < 0
+    ):
+        return np.array([_mix(key, seed) for key in keys], dtype=np.uint64)
+    columns = columns.view(np.uint64)
+    h = np.uint64((_FNV_OFFSET ^ seed) & _MASK64)  # broadcasts over the column
+    for part in (columns,) if columns.ndim == 1 else columns.T:
+        h = (h ^ (part & _U32)) * _NP_PRIME
+        high = part >> _S32
+        wide = high != 0
+        if wide.any():
+            h = np.where(wide, (h ^ high) * _NP_PRIME, h)
+    h ^= h >> _S33
     return h
 
 
@@ -118,7 +174,7 @@ class CollisionFreeHash:
             while True:
                 h = ((h ^ (part & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
                 part >>= 32
-                if not part:
+                if part <= 0:  # <= : a negative (never stored) key ends too
                     break
         h ^= h >> 33
         index = ((h ^ self._disp[h & self._bmask]) * _GOLD & _MASK64) >> self._shift
@@ -134,7 +190,7 @@ class CollisionFreeHash:
             while True:
                 h = ((h ^ (part & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
                 part >>= 32
-                if not part:
+                if part <= 0:  # <= : a negative (never stored) key ends too
                     break
         h ^= h >> 33
         index = ((h ^ self._disp[h & self._bmask]) * _GOLD & _MASK64) >> self._shift
@@ -194,25 +250,48 @@ class CollisionFreeHash:
     def insert(self, key: Key, value: object) -> None:
         """Insert or update. Amortized O(1): in-slot place on the fast path,
         a bucket-local reseed on collision, a full (geometric) rebuild only
-        when the load factor crosses 1/OVERSIZE_FACTOR."""
-        is_new = key not in self._items
-        self._items[key] = value
-        if is_new and len(self._items) * self.OVERSIZE_FACTOR > self._nslots:
-            self._build()
-            return
-        h = _mix(key, self._seed)
-        bucket = h & self._bmask
-        index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
-        slot = self._slots[index]
-        if slot is None or slot[0] == key:
-            self._slots[index] = (key, value)
+        when the load factor crosses 1/OVERSIZE_FACTOR.
+
+        Atomic: when no layout is found (:class:`HashBuildError`) or the
+        key is rejected (:class:`HashKeyError`), the table is exactly what
+        it was before the call.
+        """
+        items = self._items
+        previous = items.get(key, _ABSENT)
+        is_new = previous is _ABSENT
+        items[key] = value
+        bucket = None
+        try:
+            if is_new and len(items) * self.OVERSIZE_FACTOR > self._nslots:
+                self._build()
+                return
+            h = _mix(key, self._seed)
+            bucket = h & self._bmask
+            index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
+            slot = self._slots[index]
+            if slot is None or slot[0] == key:
+                self._slots[index] = (key, value)
+                if is_new:
+                    self._bucket_keys.setdefault(bucket, []).append(key)
+                return
             if is_new:
                 self._bucket_keys.setdefault(bucket, []).append(key)
-            return
-        if is_new:
-            self._bucket_keys.setdefault(bucket, []).append(key)
-        if not self._reseed_bucket(bucket):
-            self._build()
+            if not self._reseed_bucket(bucket):
+                self._build()
+        except (HashBuildError, HashKeyError):
+            # Every failing step leaves the old layout standing (a failed
+            # reseed puts the bucket's keys back, a failed build assigns
+            # nothing): only the newcomer's bookkeeping is left to undo.
+            if is_new:
+                del items[key]
+                if bucket is not None:
+                    keys = self._bucket_keys[bucket]
+                    keys.remove(key)
+                    if not keys:
+                        del self._bucket_keys[bucket]
+            else:
+                items[key] = previous
+            raise
 
     def remove(self, key: Key) -> bool:
         """Remove a key; no rebuild needed (the slot just empties)."""
@@ -316,40 +395,91 @@ class CollisionFreeHash:
     def _try_build(self, slot_bits: int, seed: int) -> None:
         nslots = 1 << slot_bits
         nbuckets = max(2, nslots // self.OVERSIZE_FACTOR)
-        bmask = nbuckets - 1
         shift = 64 - slot_bits
-        buckets: dict[int, list] = {}
-        for key in self._items:
-            h = _mix(key, seed)
-            buckets.setdefault(h & bmask, []).append((h, key))
-        slots: list = [None] * nslots
-        disp = [0] * nbuckets
-        items = self._items
-        # Largest buckets first (classic CHD): they need the most freedom.
-        for bucket, members in sorted(
-            buckets.items(), key=lambda kv: -len(kv[1])
-        ):
-            hashes = [h for h, _ in members]
-            if len(set(hashes)) != len(hashes):
-                raise RebuildRequired("dup")  # same hash: reseed, don't grow
-            for d in range(self.MAX_DISP_TRIES):
-                self.reseed_probes += 1
-                indexes = [((h ^ d) * _GOLD & _MASK64) >> shift for h in hashes]
-                if len(set(indexes)) == len(indexes) and all(
-                    slots[i] is None for i in indexes
-                ):
-                    for (_, k), i in zip(members, indexes):
-                        slots[i] = (k, items[k])
-                    disp[bucket] = d
-                    break
-            else:
-                raise RebuildRequired("grow")
+        slots, disp, bucket_keys = self._place_all(seed, nslots, nbuckets, shift)
         self._seed = seed
         self._slots = slots
         self._nslots = nslots
         self._shift = shift
-        self._bmask = bmask
+        self._bmask = nbuckets - 1
         self._disp = disp
-        self._bucket_keys = {
-            b: [k for _, k in members] for b, members in buckets.items()
-        }
+        self._bucket_keys = bucket_keys
+
+    def _place_all(
+        self, seed: int, nslots: int, nbuckets: int, shift: int
+    ) -> "tuple[list, list, dict[int, list]]":
+        """``(slots, disp, bucket_keys)`` holding every key, or raise
+        :class:`RebuildRequired`.
+
+        Mix, bucket grouping and the bucket order are computed columnwise;
+        the displacement search stays sequential because each bucket's
+        choice depends on the slots every earlier bucket took. Buckets go
+        largest first (classic CHD: they need the most freedom), ties in
+        order of first appearance among the keys, and a bucket's keys keep
+        their insertion order.
+        """
+        slots: list = [None] * nslots
+        disp = [0] * nbuckets
+        bucket_keys: dict[int, list] = {}
+        keys = list(self._items)
+        if not keys:
+            return slots, disp, bucket_keys
+        # ndarray methods and in-place ufuncs rather than the np.diff /
+        # np.append / np.flatnonzero wrappers: a 16-key table pays every
+        # call's fixed cost, and gateway builds six of those in 8 ms.
+        n = len(keys)
+        hashes = _mix_all(keys, seed)
+        buckets = hashes & np.uint64(nbuckets - 1)
+        by_bucket = buckets.argsort(kind="stable")
+        grouped = buckets[by_bucket]
+        is_start = np.empty(n, dtype=bool)
+        is_start[0] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=is_start[1:])
+        starts = is_start.nonzero()[0]
+        sizes = np.empty_like(starts)
+        sizes[:-1] = starts[1:]
+        sizes[-1] = n
+        sizes -= starts
+        # Stable grouping: a bucket's first member is its first appearance.
+        ranked = np.lexsort((by_bucket[starts], -sizes))
+        starts, sizes = starts[ranked], sizes[ranked]
+        ends = sizes.cumsum()
+        # Key indexes laid out bucket after bucket, in processing order.
+        layout = by_bucket[(starts - (ends - sizes)).repeat(sizes) + np.arange(n)]
+        hashes = hashes[layout]
+        first_try = ((hashes * _NP_GOLD) >> np.uint64(shift)).tolist()  # d = 0
+        hashes = hashes.tolist()
+        layout = layout.tolist()
+        laid_keys = [keys[i] for i in layout]
+        pairs = list(self._items.items())  # the (key, value) slot contents
+        pairs = [pairs[i] for i in layout]
+        max_tries = self.MAX_DISP_TRIES
+        probes = 0
+        lo = 0
+        try:
+            for bucket, hi in zip(grouped[starts].tolist(), ends.tolist()):
+                size = hi - lo
+                mine = hashes[lo:hi]
+                if size > 1 and len(set(mine)) != size:
+                    raise RebuildRequired("dup")  # same hash: reseed, don't grow
+                indexes = first_try[lo:hi]
+                for d in range(max_tries):
+                    probes += 1
+                    if d:
+                        indexes = [((h ^ d) * _GOLD & _MASK64) >> shift for h in mine]
+                    if size == 1 or len(set(indexes)) == size:
+                        for i in indexes:
+                            if slots[i] is not None:
+                                break
+                        else:
+                            break  # every candidate slot is free: take them
+                else:
+                    raise RebuildRequired("grow")
+                for i, pair in zip(indexes, pairs[lo:hi]):
+                    slots[i] = pair
+                disp[bucket] = d
+                bucket_keys[bucket] = laid_keys[lo:hi]
+                lo = hi
+        finally:
+            self.reseed_probes += probes
+        return slots, disp, bucket_keys

@@ -19,7 +19,7 @@ priority bisection stays valid between compactions, which is also what
 lets a fresh ADD reuse a tombstone adjacent to its insertion point (the
 steady-state churn pattern) without any memmove at all.
 
-Every derived structure — the rule indexes, the feature multiset, the
+Every derived structure — the rule index, the feature multiset, the
 live-entries tuple, the slot map — obeys one staleness contract,
 :meth:`FlowTable._guard`: it is trusted only while ``version``, the
 identity of the ``_entries`` list, and the slot count all still agree
@@ -42,6 +42,18 @@ from repro.packet.parser import ParsedPacket
 def _sort_key(entry: "FlowEntry") -> int:
     """Priority-descending sort/bisect key for the entry store."""
     return -entry.priority
+
+
+def _at_priority(
+    same_match: "list[FlowEntry] | None", priority: int
+) -> "FlowEntry | None":
+    """The entry with ``priority`` among one match's entries (a rule is
+    match + priority, so at most one; the list is almost always length 1)."""
+    if same_match is not None:
+        for entry in same_match:
+            if entry.priority == priority:
+                return entry
+    return None
 
 
 #: Action types entry_features dispatches on, resolved once on first use
@@ -158,22 +170,21 @@ class FlowTable:
         # Lazy id(entry) -> slot map: O(1) strict delete and replace.
         # Dropped (rebuilt on demand) when a mid-list insert shifts slots.
         self._slots: "dict[int, int] | None" = None
-        # Lazy rule indexes. ``add``/strict ``remove``/``has_rule``/
+        # The lazy rule index. ``add``/strict ``remove``/``has_rule``/
         # ``find`` would otherwise scan the whole store per call — an O(n)
         # wall that turns million-entry churn into a benchmark of this
-        # list instead of the datapath updates. ``_rules`` maps
-        # ``(priority, match) -> entry`` (unique: ``add`` replaces
-        # same-rule entries); ``_by_match`` maps ``match -> entries`` in
-        # priority-descending order (``find``'s duplicate-shadowing
-        # answer is the head); ``_timed`` maps ``entry_id -> entry`` for
-        # entries carrying a timeout (the expiry manager's rescan set).
-        # All three are only trusted while ``_rules_version == version``
-        # and are maintained incrementally by every mutation path —
-        # including non-strict remove and remove_if.
-        self._rules: "dict[tuple, FlowEntry] | None" = None
+        # list instead of the datapath updates. ``_by_match`` maps
+        # ``match -> entries`` in priority-descending order: ``find``'s
+        # duplicate-shadowing answer is the head, and a rule (match +
+        # priority; unique, ``add`` replaces same-rule entries) is the
+        # list member at that priority. ``_timed`` maps ``entry_id ->
+        # entry`` for entries carrying a timeout (the expiry manager's
+        # rescan set). Both are only trusted while ``_index_version ==
+        # version`` and are maintained incrementally by every mutation
+        # path — including non-strict remove and remove_if.
         self._by_match: "dict[Match, list[FlowEntry]] | None" = None
         self._timed: "dict[int, FlowEntry] | None" = None
-        self._rules_version = -1
+        self._index_version = -1
         # Lazy multiset of :func:`entry_features` fingerprints, same
         # staleness contract. Template re-selection and parser planning
         # read this instead of walking the entries.
@@ -194,9 +205,9 @@ class FlowTable:
         list object they describe, and (c) the slot counts agree. A
         snapshot restore that assigns ``_entries`` wholesale — with or
         without a version bump — trips (b) and resyncs *everything*
-        together: ``_feats`` and ``_by_match`` must never outlive
-        ``_rules`` (the pre-tombstone code invalidated only ``_rules`` on
-        the stale-index retry, leaving a trusted-but-wrong ``_feats``).
+        together: ``_feats`` must never outlive ``_by_match`` (the
+        pre-tombstone code invalidated only the rule index on the
+        stale-index retry, leaving a trusted-but-wrong ``_feats``).
         """
         if (
             self._store_src is not self._entries
@@ -222,8 +233,8 @@ class FlowTable:
         self._slots = None
         self._store_src = self._entries
         self._store_version = self.version
-        self._rules = self._by_match = self._timed = None
-        self._rules_version = -1
+        self._by_match = self._timed = None
+        self._index_version = -1
         self._feats = None
         self._feats_version = -1
         self._live = None
@@ -234,27 +245,30 @@ class FlowTable:
     def _mark_mutated(self) -> None:
         """Version bump + bookkeeping common to every logical mutation."""
         self.version += 1
-        self._rules_version = self.version
+        self._index_version = self.version
         self._store_version = self.version
         self._live = None
 
     # -- indexes --------------------------------------------------------------
 
-    def _indexes(self) -> "tuple[dict, dict]":
-        if self._rules is None or self._rules_version != self.version:
-            rules: dict = {}
-            by_match: dict = {}
+    def _index(self) -> "dict[Match, list[FlowEntry]]":
+        by_match = self._by_match
+        if by_match is None or self._index_version != self.version:
+            by_match = {}
             timed: dict = {}
             for e in self._entries:  # priority-desc ⇒ per-match lists too
                 if e is None:
                     continue
-                rules[(e.priority, e.match)] = e
-                by_match.setdefault(e.match, []).append(e)
+                same_match = by_match.get(e.match)
+                if same_match is None:
+                    by_match[e.match] = [e]
+                else:
+                    same_match.append(e)
                 if e.idle_timeout or e.hard_timeout:
                     timed[e.entry_id] = e
-            self._rules, self._by_match, self._timed = rules, by_match, timed
-            self._rules_version = self.version
-        return self._rules, self._by_match
+            self._by_match, self._timed = by_match, timed
+            self._index_version = self.version
+        return by_match
 
     def _slot_index(self) -> "dict[int, int]":
         slots = self._slots
@@ -289,14 +303,30 @@ class FlowTable:
             self._resync()
         if self._feats is None or self._feats_version != self.version:
             feats: "dict[tuple, int]" = {}
+            # Equal fingerprints collapse onto one tuple, which the
+            # entries then memoize: a 1e5-entry table of one shape keeps
+            # one fingerprint alive, not 1e5 equal ones.
+            shared: "dict[tuple, tuple]" = {}
             for e in self._entries:
                 if e is None:
                     continue
                 f = entry_features(e)
+                f = e._features = shared.setdefault(f, f)
                 feats[f] = feats.get(f, 0) + 1
             self._feats = feats
             self._feats_version = self.version
         return self._feats
+
+    def feature_counts_if_built(self) -> "dict[tuple, int] | None":
+        """:meth:`feature_counts` when reading it is O(shapes) — the
+        multiset is built and current — else None. For callers with an
+        early-exit walk of their own, which an O(entries) rebuild of the
+        multiset (never otherwise needed for, say, a decomposed
+        sub-table) would only slow down."""
+        self._guard()
+        if self._feats is not None and self._feats_version == self.version:
+            return self._feats
+        return None
 
     def _feats_update(
         self,
@@ -370,16 +400,17 @@ class FlowTable:
 
     def add(self, entry: FlowEntry) -> FlowEntry:
         """Insert an entry; replaces an existing entry with the same rule."""
-        key = (entry.priority, entry.match)
         self._guard()
         for _ in range(2):
-            rules, by_match = self._indexes()
-            existing = rules.get(key)
+            by_match = self._index()
+            same_match = by_match.get(entry.match)
+            existing = _at_priority(same_match, entry.priority)
             if existing is None:
                 self._insert_fresh(entry)
-                bisect.insort_right(
-                    by_match.setdefault(entry.match, []), entry, key=_sort_key
-                )
+                if same_match is None:
+                    by_match[entry.match] = [entry]
+                else:
+                    bisect.insort_right(same_match, entry, key=_sort_key)
             else:
                 slot = self._slot_of(existing)
                 if slot is None:
@@ -394,9 +425,7 @@ class FlowTable:
                 if slots is not None:
                     slots.pop(id(existing), None)
                     slots[id(entry)] = slot
-                lst = by_match[entry.match]
-                lst[lst.index(existing)] = entry
-            rules[key] = entry
+                same_match[same_match.index(existing)] = entry
             timed = self._timed
             if timed is not None:
                 if existing is not None:
@@ -442,15 +471,15 @@ class FlowTable:
         self._dead = 0
         self._slots = None
         self._store_src = self._entries
-        self._rules = self._by_match = self._timed = None
-        self._rules_version = -1
+        self._by_match = self._timed = None
+        self._index_version = -1
         self._feats = None
         self._feats_version = -1
         self.shapes_version += 1
         self._mark_mutated()
         return len(entries)
 
-    def _tombstone_all(self, victims: "list[FlowEntry]", rules, by_match) -> bool:
+    def _tombstone_all(self, victims: "list[FlowEntry]") -> bool:
         """Tombstone the given live entries under one version bump,
         maintaining every index incrementally. False = a victim failed
         identity verification (store swapped out-of-band): nothing was
@@ -466,13 +495,13 @@ class FlowTable:
         feats = self._feats if feats_fresh else None
         ents = self._entries
         slots = self._slots
+        by_match = self._index()
         timed = self._timed
         shapes_changed = feats is None  # unknown multiset: conservative
         for entry, slot in zip(victims, slots_of):
             ents[slot] = None  # the key stays: bisection remains valid
             if slots is not None:
                 slots.pop(id(entry), None)
-            del rules[(entry.priority, entry.match)]
             lst = by_match.get(entry.match)
             if lst is not None:
                 lst.remove(entry)
@@ -509,24 +538,16 @@ class FlowTable:
         so no spurious re-fuse or template re-selection follows.
         """
         self._guard()
-        if priority is not None:
-            key = (priority, match)
-            for _ in range(2):
-                rules, by_match = self._indexes()
-                entry = rules.get(key)
-                if entry is None:
-                    return 0
-                if self._tombstone_all([entry], rules, by_match):
-                    return 1
-                self._resync()
-            raise AssertionError("rule index stale after rebuild")
         for _ in range(2):
-            rules, by_match = self._indexes()
-            victims = by_match.get(match)
+            same_match = self._index().get(match)
+            if priority is None:
+                victims = list(same_match or ())
+            else:
+                entry = _at_priority(same_match, priority)
+                victims = [] if entry is None else [entry]
             if not victims:
                 return 0
-            victims = list(victims)
-            if self._tombstone_all(victims, rules, by_match):
+            if self._tombstone_all(victims):
                 return len(victims)
             self._resync()
         raise AssertionError("rule index stale after rebuild")
@@ -546,8 +567,7 @@ class FlowTable:
             ]
             if not victims:
                 return 0
-            rules, by_match = self._indexes()
-            if self._tombstone_all(victims, rules, by_match):
+            if self._tombstone_all(victims):
                 return len(victims)
             self._resync()
         raise AssertionError("rule index stale after rebuild")
@@ -563,8 +583,8 @@ class FlowTable:
         self._slots = None
         self._store_src = self._entries
         self._store_version = self.version
-        self._rules = self._by_match = self._timed = None
-        self._rules_version = -1
+        self._by_match = self._timed = None
+        self._index_version = -1
         self._feats = None
         self._feats_version = -1
         self._live = None
@@ -575,7 +595,7 @@ class FlowTable:
 
         ``entries`` must already be priority-descending — a snapshot of
         :attr:`entries` is. Bumps ``version`` exactly once: every cached
-        consumer (rule indexes, feature multiset, fused drivers, wire
+        consumer (rule index, feature multiset, fused drivers, wire
         position maps) re-derives from the restored state. Raw
         ``table._entries = ...`` assignment still works — :meth:`_guard`
         resynchronizes on the next access — but this is the supported
@@ -587,8 +607,8 @@ class FlowTable:
         self._dead = 0
         self._slots = None
         self._store_src = self._entries
-        self._rules = self._by_match = self._timed = None
-        self._rules_version = -1
+        self._by_match = self._timed = None
+        self._index_version = -1
         self._feats = None
         self._feats_version = -1
         self.shapes_version += 1
@@ -608,7 +628,7 @@ class FlowTable:
 
         Invisible to every consumer: the live sequence is unchanged, so
         ``version`` does not move — fused drivers, wire position maps
-        (positions index the *live* order) and the rule indexes all stay
+        (positions index the *live* order) and the rule index all stay
         valid. Only the slot map is positional and is rebuilt lazily.
         Amortized O(live) per O(n) deletes via the trigger threshold.
         """
@@ -631,7 +651,7 @@ class FlowTable:
     def prime(self) -> None:
         """Build every lazy structure now, off the critical path.
 
-        The rule indexes, slot map and feature multiset are all built on
+        The rule index, slot map and feature multiset are all built on
         first use and maintained incrementally after — which puts one
         O(entries) rebuild inside whatever window issues the first
         mutation. ``ESwitch.warm()`` calls this so a freshly-loaded
@@ -639,7 +659,7 @@ class FlowTable:
         same contract warm() already gives compilation and fusing.
         """
         self._guard()
-        self._indexes()
+        self._index()
         self._slot_index()
         self.feature_counts()
 
@@ -652,8 +672,7 @@ class FlowTable:
         lookup would prefer among same-match duplicates.
         """
         self._guard()
-        _rules, by_match = self._indexes()
-        lst = by_match.get(match)
+        lst = self._index().get(match)
         return lst[0] if lst else None
 
     def find_rule(self, match: Match, priority: int) -> "FlowEntry | None":
@@ -666,8 +685,7 @@ class FlowTable:
         """
         self._guard()
         for _ in range(2):
-            rules, _by_match = self._indexes()
-            entry = rules.get((priority, match))
+            entry = _at_priority(self._index().get(match), priority)
             if entry is None:
                 return None
             if self._slot_of(entry) is not None:
@@ -679,13 +697,13 @@ class FlowTable:
         """True when an entry with exactly this rule (match + priority)
         exists — the ADD-replaces case capacity checks must not count."""
         self._guard()
-        return (priority, match) in self._indexes()[0]
+        return _at_priority(self._index().get(match), priority) is not None
 
     def rule_priorities(self, match: Match) -> "tuple[int, ...]":
         """Priorities of the live entries whose match *equals* ``match``,
         highest first — what a non-strict DELETE of it would remove."""
         self._guard()
-        return tuple(e.priority for e in self._indexes()[1].get(match, ()))
+        return tuple(e.priority for e in self._index().get(match, ()))
 
     def last_entry(self) -> "FlowEntry | None":
         """The lowest-priority live entry (the catch-all seat, when one
@@ -703,7 +721,7 @@ class FlowTable:
         """Live entries carrying an idle or hard timeout — O(timed), not
         O(entries): the expiry manager's rescan set."""
         self._guard()
-        self._indexes()
+        self._index()
         assert self._timed is not None
         return list(self._timed.values())
 
@@ -816,8 +834,8 @@ class FlowTable:
         state["_slots"] = None
         state["_store_src"] = None  # re-anchored in __setstate__
         state["_store_version"] = state["version"]
-        state["_rules"] = state["_by_match"] = state["_timed"] = None
-        state["_rules_version"] = -1
+        state["_by_match"] = state["_timed"] = None
+        state["_index_version"] = -1
         state["_feats"] = None
         state["_feats_version"] = -1
         state["_live"] = None

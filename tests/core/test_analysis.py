@@ -1,16 +1,24 @@
 """Tests for template selection (Fig. 4 prerequisites and fallbacks)."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.analysis import (
     CompileConfig,
     TemplateKind,
     hash_applicable,
+    hash_shape,
     lpm_applicable,
     select_template,
     split_catch_all,
 )
+from repro.core.codegen import CompileError, compile_hash
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
+from repro.openflow.flow_table import FlowTable
 from repro.openflow.match import Match
+from strategies import masked_matches, tied_tables
 
 
 def e(prio, **match):
@@ -148,3 +156,140 @@ class TestFallbackChain:
         # compile to the *hash* template (more efficient).
         entries = [e(32, ipv4_dst=f"10.0.0.{i}/32") for i in range(8)]
         assert select_template(entries) is TemplateKind.HASH
+
+
+def table_of(*entries):
+    table = FlowTable(0)
+    for entry in entries:
+        table.add(entry)
+    return table
+
+
+@st.composite
+def near_hash_tables(draw):
+    """Mostly one shape — so the hash prerequisite often holds — with the
+    ways it breaks mixed in: catch-alls at any priority (last, tied with
+    the rules, on top, twice) and entries of a second shape."""
+    shape = draw(masked_matches())
+    table = FlowTable(0)
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            match = Match()
+        elif kind == 1:
+            match = draw(masked_matches())
+        else:  # the shared shape, a different value
+            match = Match.from_pairs({
+                name: (draw(st.integers(0, mask)) & mask, mask)
+                for name, (_value, mask) in shape.items()
+            })
+        table.add(FlowEntry(match, priority=draw(st.integers(0, 3)),
+                            actions=[Output(i + 1)]))
+    return table
+
+
+CONFIGS = [
+    CompileConfig(direct_threshold=0),
+    CompileConfig(),
+    CompileConfig(direct_threshold=0, enable_range=True),
+    CompileConfig(force_linked_list=True),
+]
+
+
+class TestTableFormAgrees:
+    """``select_template(table)`` answers the hash prerequisite from the
+    shape multiset; the walk over ``table.entries`` is the oracle."""
+
+    def check(self, table):
+        # Before the multiset is built the table form walks (a decomposed
+        # sub-table never needs one); once built it reads the shapes.
+        for build_first in (False, True):
+            if build_first:
+                table.feature_counts()
+                assert table.feature_counts_if_built() is not None
+            for config in CONFIGS:
+                assert select_template(table, config) is select_template(
+                    table.entries, config
+                )
+        assert (hash_shape(table) is not None) == hash_applicable(table.entries)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_tables(max_entries=9))
+    def test_tied_tables(self, table):
+        self.check(table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_hash_tables())
+    def test_near_hash_tables(self, table):
+        self.check(table)
+
+    @settings(max_examples=50, deadline=None)
+    @given(near_hash_tables(), st.data())
+    def test_stays_equal_under_churn(self, table, data):
+        """The multiset is maintained incrementally; the verdict read
+        from it must track deletes and re-adds, not the first build."""
+        self.check(table)
+        for _ in range(4):
+            entries = table.entries
+            if entries and data.draw(st.booleans()):
+                victim = data.draw(st.sampled_from(entries))
+                table.remove(victim.match, priority=victim.priority)
+            else:
+                table.add(FlowEntry(data.draw(masked_matches()),
+                                    priority=data.draw(st.integers(0, 3)),
+                                    actions=[Output(1)]))
+            self.check(table)
+
+    def test_catch_all_last_is_the_miss_arm(self):
+        table = table_of(*[e(5, eth_dst=i) for i in range(6)], e(0))
+        assert hash_shape(table) == (("eth_dst", (1 << 48) - 1),)
+        self.check(table)
+        assert select_template(table) is TemplateKind.HASH
+
+    def test_catch_all_tied_but_last_still_splits(self):
+        # Same priority as the rules, inserted last: insertion-stable
+        # order seats it last, where split_catch_all takes it.
+        table = table_of(*[e(5, eth_dst=i) for i in range(6)], e(5))
+        self.check(table)
+        assert select_template(table) is TemplateKind.HASH
+
+    def test_catch_all_not_last_breaks_the_global_mask(self):
+        table = table_of(e(9), *[e(5, eth_dst=i) for i in range(6)])
+        assert hash_shape(table) is None
+        self.check(table)
+        assert select_template(table) is not TemplateKind.HASH
+
+    def test_two_catch_alls_break_it_even_with_one_last(self):
+        table = table_of(e(9), *[e(5, eth_dst=i) for i in range(6)], e(0))
+        assert hash_shape(table) is None
+        self.check(table)
+        assert select_template(table) is not TemplateKind.HASH
+
+    def test_unbuilt_multiset_is_not_forced(self):
+        """Template selection must not make a table fingerprint every
+        entry just to learn what the first mismatch already says."""
+        table = table_of(*[e(9 - i, eth_dst=i) for i in range(5)],
+                         e(3, tcp_dst=80))
+        assert table.feature_counts_if_built() is None
+        assert select_template(table) is TemplateKind.LINKED_LIST
+        assert table.feature_counts_if_built() is None
+        assert all(entry._features is None for entry in table.entries)
+
+    def test_only_catch_alls_or_nothing(self):
+        for table in (table_of(), table_of(e(0)), table_of(e(1), e(0))):
+            assert hash_shape(table) is None
+            self.check(table)
+
+    def test_compile_hash_refuses_from_the_same_check(self):
+        good = table_of(*[e(5, eth_dst=i) for i in range(6)], e(0))
+        assert compile_hash(good).kind is TemplateKind.HASH
+        for bad in (
+            table_of(e(9), *[e(5, eth_dst=i) for i in range(6)]),
+            table_of(e(9), *[e(5, eth_dst=i) for i in range(6)], e(0)),
+            table_of(e(5, eth_dst=1), e(5, eth_dst=(2, 0xFF))),
+            table_of(e(5, eth_dst=1), e(5, tcp_dst=80)),
+        ):
+            with pytest.raises(CompileError, match="global mask"):
+                compile_hash(bad)
+        with pytest.raises(CompileError, match="at least one keyed"):
+            compile_hash(table_of(e(0)))

@@ -1,0 +1,307 @@
+"""The full build against its spec, the key rule, and insert atomicity.
+
+``CollisionFreeHash._try_build`` computes mix and bucket grouping
+columnwise; the layout it must produce is *defined* by the scalar
+algorithm it replaced, kept here as :class:`ScalarReference` — one
+``_mix`` call and one ``(h, key)`` tuple per key, ``sorted`` by bucket
+size. Every modeled cycle depends on the layout (slot index → cache-line
+id), so parity is bit-for-bit: seed, displacements, slots, per-bucket
+keys and telemetry, at build time and through any insert/remove program
+that follows.
+
+Lookups of keys the table can never hold (negative components) used to
+spin forever; those regressions run the lookup in a subprocess under a
+timeout, so a reintroduced hang fails instead of hanging the suite.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.dpdk.hash import (
+    CollisionFreeHash,
+    HashBuildError,
+    HashKeyError,
+    RebuildRequired,
+    _GOLD,
+    _MASK64,
+    _mix,
+)
+
+
+class ScalarReference(CollisionFreeHash):
+    """The build as specified: per-key scalar mix, dict-of-lists buckets."""
+
+    def _try_build(self, slot_bits: int, seed: int) -> None:
+        nslots = 1 << slot_bits
+        nbuckets = max(2, nslots // self.OVERSIZE_FACTOR)
+        bmask = nbuckets - 1
+        shift = 64 - slot_bits
+        buckets: dict = {}
+        for key in self._items:
+            h = _mix(key, seed)
+            buckets.setdefault(h & bmask, []).append((h, key))
+        slots: list = [None] * nslots
+        disp = [0] * nbuckets
+        items = self._items
+        for bucket, members in sorted(buckets.items(), key=lambda kv: -len(kv[1])):
+            hashes = [h for h, _ in members]
+            if len(set(hashes)) != len(hashes):
+                raise RebuildRequired("dup")
+            for d in range(self.MAX_DISP_TRIES):
+                self.reseed_probes += 1
+                indexes = [((h ^ d) * _GOLD & _MASK64) >> shift for h in hashes]
+                if len(set(indexes)) == len(indexes) and all(
+                    slots[i] is None for i in indexes
+                ):
+                    for (_, k), i in zip(members, indexes):
+                        slots[i] = (k, items[k])
+                    disp[bucket] = d
+                    break
+            else:
+                raise RebuildRequired("grow")
+        self._seed = seed
+        self._slots = slots
+        self._nslots = nslots
+        self._shift = shift
+        self._bmask = bmask
+        self._disp = disp
+        self._bucket_keys = {
+            b: [k for _, k in members] for b, members in buckets.items()
+        }
+
+
+def layout(h: CollisionFreeHash) -> tuple:
+    return (
+        h._seed, h._nslots, h._shift, h._bmask, h._disp, h._slots,
+        {b: set(keys) for b, keys in h._bucket_keys.items()},
+        list(h._items.items()),
+        h.telemetry,
+    )
+
+
+def assert_same(fast: CollisionFreeHash, spec: CollisionFreeHash) -> None:
+    assert layout(fast) == layout(spec)
+    for key in spec:
+        assert fast.get_traced(key) == spec.get_traced(key)
+
+
+small = st.integers(0, (1 << 32) - 1)
+medium = st.integers(1 << 32, (1 << 64) - 1)
+wide = st.integers(1 << 64, (1 << 130))
+any_width = st.one_of(small, medium, wide)
+
+key_sets = st.one_of(
+    st.sets(small, max_size=300),
+    st.sets(medium, max_size=300),
+    st.sets(wide, max_size=100),
+    st.sets(any_width, max_size=200),
+    # Dense small ranges: many keys per bucket, displacement retries.
+    st.sets(st.integers(0, 400), max_size=300),
+    # Compound keys: one arity, components of every width class.
+    st.sets(st.tuples(small, st.one_of(small, medium)), max_size=200),
+    st.sets(st.tuples(small, medium, small), max_size=200),
+    st.sets(st.tuples(st.integers(0, 3), wide), max_size=100),
+    st.sets(st.tuples(any_width), max_size=100),
+    # Ragged arity and ints beside tuples: numpy cannot column these.
+    st.sets(
+        st.one_of(st.tuples(small), st.tuples(small, small), st.integers(1, 1 << 40)),
+        max_size=100,
+    ),
+)
+
+programs = st.lists(
+    st.tuples(st.sampled_from(["insert", "remove", "rebuild"]), st.integers(0, 1 << 16)),
+    max_size=60,
+)
+
+
+def on_both(fast, spec, call):
+    """Apply ``call`` to both tables; they must answer — or refuse — alike."""
+    results = []
+    for h in (fast, spec):
+        try:
+            results.append(("ok", call(h)))
+        except HashBuildError:
+            results.append(("no layout", None))
+    assert results[0] == results[1]
+    return results[0][0] == "ok"
+
+
+class TestBuilderParity:
+    @settings(max_examples=200, deadline=None)
+    @given(key_sets, programs)
+    def test_layout_equals_the_scalar_spec(self, keys, program):
+        keys = sorted(keys, key=repr)  # any fixed order; both sides share it
+        items = {k: ("v", i) for i, k in enumerate(keys)}
+        built = []
+        # A ragged set may hold ``5`` beside ``(5,)``: then neither builds.
+        if not on_both(CollisionFreeHash, ScalarReference,
+                       lambda cls: built.append(cls(items))):
+            return
+        fast, spec = built
+        assert_same(fast, spec)
+        # … and they stay equal: growth rebuilds and bucket reseeds along
+        # the way start from the same state on both sides.
+        pool = keys or [0]
+        sample = pool[0]
+        for op, n in program:
+            # Resident keys and fresh ones of the key set's own form.
+            key = pool[n % len(pool)]
+            if n & 1:
+                key = (
+                    tuple(c + n for c in sample) if isinstance(sample, tuple)
+                    else sample + n
+                )
+            if op == "rebuild":
+                on_both(fast, spec, lambda h: h.rebuild())
+            elif op == "insert":
+                on_both(fast, spec, lambda h: h.insert(key, n))
+            else:
+                on_both(fast, spec, lambda h: h.remove(key))
+            assert_same(fast, spec)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33])
+    def test_min_slots_and_doubling_boundaries(self, n):
+        items = {(i * 2654435761) % (1 << 48): i for i in range(n)}
+        fast, spec = CollisionFreeHash(items), ScalarReference(items)
+        assert_same(fast, spec)
+        assert fast.slot_count >= max(CollisionFreeHash.MIN_SLOTS, 4 * n)
+
+    @pytest.mark.parametrize("items", [
+        {(): "lone empty key"},  # a key with no column to mix
+        {(): "a", (0,): "b", (0, 0): "c"},
+        {(1 << 63) - 1: "a", 1 << 63: "b"},  # either side of the int64 column
+        {((1 << 63) - 1, 5): "a", (1 << 63, 5): "b"},
+        {True: "a", 2: "b"},
+    ])
+    def test_corner_key_sets(self, items):
+        assert_same(CollisionFreeHash(items), ScalarReference(items))
+
+    @pytest.mark.parametrize("cls", [CollisionFreeHash, ScalarReference])
+    def test_duplicate_mix_set_still_gives_up(self, cls):
+        """``0`` and ``(0,)`` mix alike under every seed: a typed error
+        after exactly MAX_SEED_TRIES, never a loop — and the same
+        telemetry as the spec on the way there."""
+        h = cls({5: "a"})
+        before = h.telemetry
+        with pytest.raises(HashBuildError):
+            h.insert((5,), "b")
+        after = h.telemetry
+        assert after["seed_attempts"] - before["seed_attempts"] == cls.MAX_SEED_TRIES
+        with pytest.raises(HashBuildError):
+            cls({0: "a", (0,): "b"})
+
+    def test_duplicate_mix_telemetry_matches(self):
+        fast, spec = CollisionFreeHash({5: "a"}), ScalarReference({5: "a"})
+        for h in (fast, spec):
+            with pytest.raises(HashBuildError):
+                h.insert((5,), "b")
+        assert_same(fast, spec)
+
+    def test_large_mac_table(self):
+        import random
+
+        rng = random.Random(1)
+        items = {rng.getrandbits(48): i for i in range(20_000)}
+        assert_same(CollisionFreeHash(items), ScalarReference(items))
+
+
+def run_isolated(body: str, timeout: float = 30.0) -> str:
+    """Run ``body`` in a fresh interpreter that dies at ``timeout``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", "from repro.dpdk.hash import *\n" + body],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+class TestNegativeKeys:
+    """Header fields are naturals. Storing a negative component is a typed
+    error; looking one up terminates and misses."""
+
+    def test_lookups_of_negative_keys_return(self):
+        out = run_isolated(
+            "h = CollisionFreeHash({1: 'x', (2, 3): 'y'})\n"
+            "print(h.get(-5), h.get_traced(-5)[0], -1 in h,\n"
+            "      h.get((2, -3)), h.get(-(1 << 70), 'dflt'), h.get(1))\n"
+        )
+        assert out == "None None False None dflt x"
+
+    def test_lookup_on_an_empty_table_returns(self):
+        assert run_isolated("print(CollisionFreeHash().get(-1))") == "None"
+
+    def test_construction_rejects_negative_components(self):
+        for items in ({-5: "x"}, {1: "a", -1: "b"}, {(1, -2): "x"},
+                      {-(1 << 70): "x"}, {(1 << 70, -1): "x"}):
+            with pytest.raises(HashKeyError):
+                CollisionFreeHash(items)
+
+    def test_minus_one_and_one_no_longer_collide_silently(self):
+        # The old fold mapped -1 onto 1 under every seed: two distinct
+        # keys, HashBuildError after 64 seeds. Now it is the key's fault,
+        # said so at once.
+        with pytest.raises(HashKeyError):
+            CollisionFreeHash({-1: "a", 1: "b"})
+
+    def test_insert_rejects_and_leaves_the_table_alone(self):
+        h = CollisionFreeHash({1: "a", 2: "b"})
+        before = layout(h)[:-1]  # telemetry counts attempts, failed ones too
+        for key in (-1, (3, -4), -(1 << 80)):
+            with pytest.raises(HashKeyError):
+                h.insert(key, "x")
+        assert layout(h)[:-1] == before
+        assert len(h) == 2 and list(h) == [1, 2]
+
+    def test_key_error_is_a_value_error(self):
+        assert issubclass(HashKeyError, ValueError)
+
+
+class TestInsertIsAtomic:
+    """A failed insert leaves exactly the table that was there."""
+
+    @staticmethod
+    def structure(h):
+        return (dict(h._items), list(h._slots), list(h._disp),
+                {b: list(k) for b, k in h._bucket_keys.items()})
+
+    def test_growth_rebuild_failure_restores_absence(self):
+        class Hostile(CollisionFreeHash):
+            MAX_SEED_TRIES = 0
+
+        h = CollisionFreeHash({1: "a", 2: "b"})  # 8 slots: a third key grows
+        before = self.structure(h)
+        h.__class__ = Hostile
+        with pytest.raises(HashBuildError):
+            h.insert(3, "c")
+        assert len(h) == 2
+        assert list(h) == [1, 2]
+        assert 3 not in h and h.get(3) is None
+        assert self.structure(h) == before
+        assert h.get(1) == "a" and h.get(2) == "b"
+
+    def test_collision_path_failure_restores_bucket_membership(self):
+        class Hostile(CollisionFreeHash):
+            MAX_SEED_TRIES = 0
+            MAX_DISP_TRIES = 0  # every bucket reseed escalates to a build
+
+        h = CollisionFreeHash({i: i for i in range(100)})
+        # A fresh key whose slot another key already holds.
+        for key in range(1_000, 100_000):
+            m = _mix(key, h._seed)
+            index = ((m ^ h._disp[m & h._bmask]) * _GOLD & _MASK64) >> h._shift
+            if h._slots[index] is not None:
+                break
+        before = self.structure(h)
+        h.__class__ = Hostile
+        with pytest.raises(HashBuildError):
+            h.insert(key, "x")
+        assert self.structure(h) == before
+        assert len(h) == 100 and key not in h
+        assert all(h.get(i) == i for i in range(100))

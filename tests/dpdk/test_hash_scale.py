@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dpdk.hash import CollisionFreeHash, HashBuildError
+from repro.dpdk import hash as hash_mod
+from repro.dpdk.hash import CollisionFreeHash, HashBuildError, _mix
 
 
 class TestAmortizedGrowth:
@@ -84,12 +85,34 @@ class TestChurnStability:
         slots = h.slot_count
         base = h.telemetry["rebuild_count"]
         for i in range(8_192):
-            h.insert(-i - 1, i)
+            h.insert((1 << 40) + i, i)  # fresh keys, not the drained ones
         # Refilling to the old size fits the existing slot array: growth
         # rebuilds can't fire (collision reseeds may, rebuilds should not
         # exceed a trivial few).
         assert h.slot_count == slots
         assert h.telemetry["rebuild_count"] - base <= 3
+
+
+class TestBuildDoesNoPerKeyWork:
+    def test_1e5_keys_never_call_the_scalar_mix(self, monkeypatch):
+        """Counts work, not seconds: the build of 1e5 MAC-sized keys mixes
+        them as one column. The scalar ``_mix`` (one interpreted call and,
+        in the old builder, one ``(h, key)`` tuple per key) stays for
+        single-key updates and for keys numpy cannot hold."""
+        calls = 0
+
+        def counting(key, seed):
+            nonlocal calls
+            calls += 1
+            return _mix(key, seed)
+
+        monkeypatch.setattr(hash_mod, "_mix", counting)
+        n = 100_000
+        h = CollisionFreeHash({(i * 0x9E3779B1) % (1 << 48): i for i in range(n)})
+        assert len(h) == n
+        assert calls == 0
+        h.insert(1 << 50, "one more")
+        assert 0 < calls <= 8  # the update path: this key, maybe its bucket
 
 
 class TestBuildFailure:

@@ -7,7 +7,7 @@ Three contracts pinned here:
   reordering live entries or bumping ``version``.
 * **Staleness** — wholesale ``_entries`` swaps (snapshot restores, with or
   without a version bump) resynchronize *every* derived structure
-  together; ``_feats`` must never outlive ``_rules``.
+  together; ``_feats`` must never outlive the rule index.
 * **No-op mods** — a delete that matches nothing live (including
   predicates that would only have hit tombstoned slots) bumps nothing:
   no version move, no re-fuse, no template re-selection downstream.
@@ -145,8 +145,8 @@ class TestStalenessContract:
         assert t.find(Match(udp_dst=53)) is replacement[0]
         assert t.has_rule(Match(udp_dst=67), 3)
         assert not t.has_rule(Match(tcp_dst=80), 10)
-        # The regression this pins: _feats must resync with _rules, not
-        # stay trusted at its pre-swap contents.
+        # The regression this pins: _feats must resync with the rule
+        # index, not stay trusted at its pre-swap contents.
         assert t.feature_counts() == fresh_feature_counts(t)
 
     def test_restore_entries_mid_churn(self):

@@ -11,6 +11,13 @@ deletes, predicate removals, forced compactions):
   semantics the previous implementation had: live order (which is also
   lookup probe order), lengths, finds, and version-bump behavior (a
   mutation that changes nothing bumps nothing).
+
+The pools are small on purpose: the same match recurs at several
+priorities, so every rule-level answer (``find_rule``/``has_rule``/
+``rule_priorities``, strict and non-strict ``remove``, ADD-replace) is
+checked against the model where the single per-match index has more than
+one entry to tell apart — including after a wholesale ``_entries`` swap
+that skipped the version bump.
 """
 
 import bisect
@@ -77,6 +84,27 @@ class ListModel:
                 return e
         return None
 
+    def find_rule(self, match: Match, priority: int) -> "FlowEntry | None":
+        for e in self.entries:
+            if e.priority == priority and e.match == match:
+                return e
+        return None
+
+    def rule_priorities(self, match: Match) -> "tuple[int, ...]":
+        return tuple(e.priority for e in self.entries if e.match == match)
+
+
+def assert_rule_answers(store: FlowTable, model: ListModel) -> None:
+    """Every rule-level query, over the whole (priority, match) pool."""
+    for port in PORTS:
+        match = Match(tcp_dst=port)
+        assert store.find(match) is model.find(match)
+        assert store.rule_priorities(match) == model.rule_priorities(match)
+        for prio in PRIOS:
+            want = model.find_rule(match, prio)
+            assert store.find_rule(match, prio) is want
+            assert store.has_rule(match, prio) == (want is not None)
+
 
 class TestAddBulkParity:
     @given(batch=entries_st, pre=entries_st)
@@ -116,6 +144,7 @@ ops_st = st.lists(
         st.tuples(st.just("remove"), st.just(0), st.sampled_from(PORTS)),
         st.tuples(st.just("remove_if"), st.sampled_from(PRIOS), st.just(0)),
         st.tuples(st.just("compact"), st.just(0), st.just(0)),
+        st.tuples(st.just("swap"), st.just(0), st.just(0)),
     ),
     min_size=0,
     max_size=60,
@@ -150,6 +179,16 @@ class TestStoreParity:
                 want = model.remove_if(lambda e: e.priority == prio)
                 assert got == want
                 changed = want > 0
+            elif op == "swap":
+                # Snapshot-restore idiom: equal rules, fresh objects, the
+                # slot list assigned wholesale with no version bump. Every
+                # answer below must come from the new objects.
+                model.entries = [
+                    FlowEntry(e.match, priority=e.priority, actions=[Output(2)])
+                    for e in model.entries
+                ]
+                store._entries = list(model.entries)
+                changed = False
             else:  # compact: invisible, never a version bump
                 store.compact()
                 changed = False
@@ -159,7 +198,27 @@ class TestStoreParity:
             # insort-list reference, object for object.
             assert store.entries == tuple(model.entries)
             assert len(store) == len(model.entries)
-        for port in PORTS:
-            assert store.find(Match(tcp_dst=port)) is model.find(
-                Match(tcp_dst=port)
-            )
+            assert_rule_answers(store, model)
+
+    def test_same_match_at_three_priorities(self):
+        """The spelled-out case: one match, three priorities, one index."""
+        store, model = FlowTable(0), ListModel()
+        match = Match(tcp_dst=1)
+        for prio in (1, 3, 2):
+            e = mk_entry(prio, 1)
+            store.add(e)
+            model.add(e)
+        assert store.rule_priorities(match) == (3, 2, 1)
+        assert_rule_answers(store, model)
+        replacement = mk_entry(2, 1)  # ADD-replace of the middle one
+        store.add(replacement)
+        model.add(replacement)
+        assert store.find_rule(match, 2) is replacement
+        assert len(store) == 3
+        assert_rule_answers(store, model)
+        assert store.remove(match, priority=3) == model.remove(match, 3) == 1
+        assert store.find(match) is replacement  # the new head
+        assert_rule_answers(store, model)
+        assert store.remove(match) == model.remove(match, None) == 2
+        assert not store.has_rule(match, 1)
+        assert_rule_answers(store, model)
