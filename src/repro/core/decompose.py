@@ -4,7 +4,7 @@ Rewrites one "difficult" flow table into a semantically equivalent
 multi-table pipeline in which every table matches on a single column, so
 each lands a fast template (typically the compound hash) instead of the
 linked list. The algorithm greedily decomposes along the column of minimal
-diversity — the column producing the fewest subtables — and recurses.
+diversity (fewest subtables) and recurses on the rows still reachable.
 
 The exact problem (minimal number of regular tables) is coNP-hard
 (Appendix; see :mod:`repro.theory.regdecomp`), hence the heuristic
@@ -24,6 +24,8 @@ matching order" (Section 3.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, count
+from typing import Iterator
 
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable, TableMissPolicy
@@ -37,19 +39,6 @@ class _Row:
 
     constraints: dict[str, tuple[int, int]]  # field -> (value, mask)
     original: FlowEntry
-
-
-class _IdAllocator:
-    """Fresh internal table ids; decomposition is not bound by OpenFlow's
-    255-table limit (Section 3.2)."""
-
-    def __init__(self, start: int):
-        self._next = start
-
-    def take(self) -> int:
-        value = self._next
-        self._next += 1
-        return value
 
 
 def decomposable(table: FlowTable) -> bool:
@@ -87,7 +76,8 @@ def decompose_table(
     rows = [
         _Row(constraints=dict(entry.match.items()), original=entry) for entry in table
     ]
-    ids = _IdAllocator(fresh_ids_from)
+    # Fresh internal ids: not bound by OpenFlow's 255-table limit (Sec. 3.2).
+    ids = count(fresh_ids_from)
     out: list[FlowTable] = []
     cache: dict[tuple, int] = {}
     _decompose(
@@ -113,12 +103,13 @@ def _decompose(
     rows: list[_Row],
     table_id: int,
     miss_policy: TableMissPolicy,
-    ids: _IdAllocator,
+    ids: Iterator[int],
     out: list[FlowTable],
     cache: "dict[tuple, int] | None",
     force_column: "str | None" = None,
 ) -> int:
     """Emit tables for ``rows``; returns the id of the emitted root table."""
+    rows = _reachable(rows)
     if cache is not None:
         sig = _signature(rows)
         hit = cache.get(sig)
@@ -167,7 +158,7 @@ def _decompose(
     for i, key in enumerate(keys):
         value, key_mask = key
         child_rows = partitions[key]
-        child_id = ids.take()
+        child_id = next(ids)
         actual_child = _decompose(child_rows, child_id, miss_policy, ids, out, cache)
         dispatch.add(
             FlowEntry(
@@ -177,7 +168,7 @@ def _decompose(
             )
         )
     if wildcard_rows:
-        child_id = ids.take()
+        child_id = next(ids)
         stripped = [_strip(w, p) for w in wildcard_rows]
         actual_child = _decompose(stripped, child_id, miss_policy, ids, out, cache)
         dispatch.add(
@@ -185,6 +176,30 @@ def _decompose(
         )
     out.append(dispatch)
     return table_id
+
+
+def _reachable(rows: list[_Row]) -> list[_Row]:
+    """Set pruning: drop the rows no packet of this subproblem can reach.
+
+    Keys within a column are disjoint (uniform mask), so a row whose
+    constraints include an earlier row's whole set matches only packets
+    that row already took: dead under first-match. Each row probes the
+    kept sets with its own subsets, of the kept sizes only: at most
+    2^columns lookups a row, one when every row constrains the same
+    columns, and never a scan of the rows kept so far.
+    """
+    kept: set[tuple] = set()
+    sizes: set[int] = set()
+    live = []
+    for row in rows:
+        items = tuple(sorted(row.constraints.items()))
+        if kept.isdisjoint(
+            s for n in sizes if n <= len(items) for s in combinations(items, n)
+        ):
+            live.append(row)
+            kept.add(items)
+            sizes.add(len(items))
+    return live
 
 
 def _strip(row: _Row, column: str) -> _Row:

@@ -52,7 +52,7 @@ from repro.core.analysis import (
 )
 from repro.core.codegen import CompiledTable, compile_table, _build_sig_matcher
 from repro.core.datapath import CompiledDatapath, required_layer
-from repro.core.decompose import decomposable, decompose_table
+from repro.core.decompose import decompose_table
 from repro.core.outcome import miss_outcome, outcome_of
 from repro.dpdk.lpm import LpmFullError
 from repro.openflow.flow_table import FlowTable
@@ -179,6 +179,7 @@ class _Group:
     logical_id: int
     compiled_ids: list[int]
     decomposed: bool = False
+    live_rules: int = 0  #: decomposed: rules on a leaf (the rest are shadowed)
 
 
 class ESwitch:
@@ -321,13 +322,18 @@ class ESwitch:
     # -- inspection -----------------------------------------------------------
 
     def table_kinds(self) -> dict[int, str]:
-        """Logical table id -> template kind (or 'decomposed[n]')."""
+        """Logical table id -> template kind (or 'decomposed[n tables,
+        live/total rules]'; a rule is live when a packet can reach it)."""
         if self._dirty_groups:
             self._flush_rebuilds()
         out: dict[int, str] = {}
         for logical_id, group in self._groups.items():
             if group.decomposed:
-                out[logical_id] = f"decomposed[{len(group.compiled_ids)}]"
+                total = len(self.pipeline.table(logical_id))
+                out[logical_id] = (
+                    f"decomposed[{len(group.compiled_ids)} tables, "
+                    f"{group.live_rules}/{total} rules]"
+                )
             else:
                 out[logical_id] = self.datapath.table(logical_id).kind.value
         return out
@@ -447,13 +453,10 @@ class ESwitch:
 
     def _compile_group_preferred(self, table: FlowTable) -> _Group:
         kind = select_template(table, self.config)
-        if (
-            kind is TemplateKind.LINKED_LIST
-            and self.config.decompose
-            and decomposable(table)
-        ):
+        tables = None
+        if kind is TemplateKind.LINKED_LIST and self.config.decompose:
             tables = decompose_table(table, self._next_internal_id)
-            assert tables is not None
+        if tables is not None:
             self._next_internal_id = max(
                 self._next_internal_id, max(t.table_id for t in tables) + 1
             )
@@ -470,6 +473,9 @@ class ESwitch:
                 logical_id=table.table_id,
                 compiled_ids=[t.table_id for t in tables],
                 decomposed=True,
+                live_rules=len(
+                    {id(e.origin) for sub in tables for e in sub} - {id(None)}
+                ),
             )
         self._batch_compiles += 1
         self.datapath.install(

@@ -30,28 +30,31 @@ _KIND_OF = {
 }
 
 
-def _compiled_kinds(scenario: Scenario) -> set:
+def _warm_switch(scenario: Scenario) -> ESwitch:
     switch = ESwitch(
         scenario.build_pipeline(),
         config=CompileConfig(enable_range=scenario.enable_range),
     )
     switch.warm()
-    return {c.kind for c in switch.datapath.trampoline.values()}
+    return switch
 
 
 def _rung_hit(scenario: Scenario, rung: str) -> bool:
-    kinds = _compiled_kinds(scenario)
+    switch = _warm_switch(scenario)
     if rung == "decompose":
         # Decomposition compiles *into* dispatch+leaf tables; success
         # shows up as extra compiled tables, all non-linked-list.
-        n_logical = len(scenario.build_pipeline().tables)
-        switch = ESwitch(
-            scenario.build_pipeline(),
-            config=CompileConfig(enable_range=scenario.enable_range),
-        )
-        switch.warm()
-        return len(switch.datapath.trampoline) > n_logical
-    return _KIND_OF[rung] in kinds
+        return len(switch.datapath.trampoline) > len(switch.pipeline.tables)
+    return _KIND_OF[rung] in {c.kind for c in switch.datapath.trampoline.values()}
+
+
+def _prunes_rules(scenario: Scenario) -> bool:
+    """Every table decomposes, each around rules set pruning found dead."""
+    switch = _warm_switch(scenario)
+    return all(
+        group.decomposed and group.live_rules < len(switch.pipeline.table(tid))
+        for tid, group in switch._groups.items()
+    )
 
 
 def _find(requirement, *, max_seed: int = 2000, **gen_kwargs) -> Scenario:
@@ -119,6 +122,11 @@ def curate(corpus_dir: str) -> list[str]:
         _find(lambda s: s.tight_meter, allow_quarantine=False,
               allow_degrade=False),
         "meters tight enough to fire (sharded@4 excluded by design)",
+    )
+    save(
+        "traffic-decompose-shadowed",
+        _find(_prunes_rules, force_rungs=("decompose", "decompose"), **quiet),
+        "two decomposed tables, each holding rules an earlier rule shadows",
     )
     save(
         "traffic-malformed",

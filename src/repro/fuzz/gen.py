@@ -201,15 +201,24 @@ def _build_decompose(rng, tid, later, groups, meters):
             n: (domain.domain_value(rng, n) & mask_of[n], mask_of[n])
             for n in chosen
         }
+        priority = rng.randint(0, 7)
+        if profiles and rng.random() < 0.4:
+            # Shadowed row: an earlier match repeated or narrowed, at or
+            # below its priority. Set pruning must find it unreachable.
+            above = rng.randrange(len(profiles))
+            fields.update(profiles[above])
+            priority = rng.randint(0, entries[above]["priority"])
         if "ip_proto" in fields:
             if any(f.startswith("tcp_") for f in fields):
                 fields["ip_proto"] = (6, domain.full_mask("ip_proto"))
             elif any(f.startswith("udp_") for f in fields):
                 fields["ip_proto"] = (17, domain.full_mask("ip_proto"))
-        entries.append(
-            _entry_obj(rng, fields, rng.randint(0, 7), later, groups, meters)
-        )
+        entries.append(_entry_obj(rng, fields, priority, later, groups, meters))
         profiles.append(fields)
+    if rng.random() < 0.3:  # a catch-all mid-table: rules under it are dead
+        entries.append(
+            _entry_obj(rng, {}, rng.randint(0, 4), later, groups, meters)
+        )
     return entries, profiles
 
 

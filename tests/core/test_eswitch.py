@@ -36,6 +36,13 @@ class TestCompilation:
         assert kinds[0].startswith("decomposed[")
         assert sw.compiled_table_count > 1
 
+    def test_decomposed_kind_reports_live_rules(self):
+        """Rules shadowed by an earlier rule show up in table_kinds()."""
+        from repro.usecases import acl
+
+        kinds = ESwitch.from_pipeline(acl.build(369)).table_kinds()
+        assert kinds == {0: "decomposed[16 tables, 12/370 rules]"}
+
     def test_decomposition_can_be_disabled(self):
         sw = ESwitch.from_pipeline(
             loadbalancer.build_single_table(10), config=CompileConfig(decompose=False)
