@@ -197,8 +197,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     args.flows = parse_flow_count(args.flows)
     if args.burst < 0:
         raise SystemExit(f"error: --burst must be >= 0, got {args.burst}")
-    if args.wire_micro:
-        return cmd_bench_wire_micro(args)
     if args.megascale:
         return cmd_bench_megascale(args)
     if args.fabric_soak:
@@ -259,47 +257,6 @@ def parse_cores(spec: str) -> tuple[int, ...]:
     return cores
 
 
-def cmd_bench_wire_micro(args: argparse.Namespace) -> int:
-    """The shard-wire serialization microbench (``--wire-micro``).
-
-    Packed binary frames over a shared-memory ring vs pickled tuples
-    over a Pipe, on the canonical 32-packet burst — and a smoke check:
-    the zero-copy channel must beat the fd round-trip, and the full
-    frame transport must at least match the pickle stack it replaced.
-    """
-    import json
-
-    from repro.parallel.wire_micro import run_wire_micro
-
-    doc = run_wire_micro(repeats=args.repeats * 50)
-    print(f"canonical burst: {doc['burst']} pkts x {doc['payload']}B  "
-          f"(frame {doc['frame_bytes']}B, pickle {doc['pickle_bytes']}B)")
-    for section in ("codec", "transport", "channel"):
-        s = doc[section]
-        ratio = s["ring_vs_pipe"] if "ring_vs_pipe" in s else s["frame_vs_pickle"]
-        ring_key = "ring_us" if "ring_us" in s else "frame_us"
-        pipe_key = "pipe_us" if "pipe_us" in s else "pickle_us"
-        ring = s[ring_key]
-        print(f"{section:10} pickle/pipe {s[pipe_key]:8.2f} us   "
-              f"frames/ring {ring if ring is not None else float('nan'):8.2f} us   "
-              f"ratio {ratio if ratio is not None else float('nan'):.2f}x")
-    out = args.out if args.out != "BENCH_wallclock.json" else "BENCH_wire_micro.json"
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    print(f"wrote {out}")
-    if doc["channel"]["ring_vs_pipe"] is None:
-        print("shared memory unavailable: ring legs skipped, smoke not asserted")
-        return 0
-    ok = (doc["channel"]["ring_vs_pipe"] > 1.0
-          and doc["transport"]["ring_vs_pipe"] > 0.9)
-    if not ok:
-        print("FAIL: the packed-frame transport did not beat the pickle stack")
-        return 1
-    print(f"OK: channel {doc['channel']['ring_vs_pipe']:.2f}x, "
-          f"transport {doc['transport']['ring_vs_pipe']:.2f}x vs pickle/pipe")
-    return 0
-
-
 def cmd_bench_wallclock(args: argparse.Namespace) -> int:
     """Wall-clock pkts/sec of the simulator itself (fused vs trampoline
     vs OVS, plus real-parallel sharded scaling with ``--cores``), written
@@ -317,7 +274,6 @@ def cmd_bench_wallclock(args: argparse.Namespace) -> int:
         repeats=args.repeats,
         cores=cores,
         control_faults=args.control_faults,
-        transport=args.transport,
     )
     print(f"{'case':8} {'variant':11} {'mode':6} {'wall pps':>12} {'us/pkt':>8}")
     for point in doc["points"]:
@@ -606,16 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="with --wallclock: also measure ShardedESwitch "
                               "real-parallel scaling at these worker counts "
                               "(e.g. 1,2,4)")
-    p_bench.add_argument("--wire-micro", action="store_true",
-                         help="serialization microbench: packed frames over "
-                              "a shared-memory ring vs pickle over a Pipe on "
-                              "the canonical burst (writes "
-                              "BENCH_wire_micro.json; exits 1 if the packed "
-                              "transport loses)")
-    p_bench.add_argument("--transport", default="auto",
-                         choices=("auto", "ring", "pipe"),
-                         help="with --wallclock --cores: shard burst "
-                              "transport for ShardedESwitch points")
     p_bench.add_argument("--control-faults", action="store_true",
                          help="with --wallclock: add the control-plane fault "
                               "leg — wall-clock forwarding through a "

@@ -159,11 +159,11 @@ class _ShardedBackend:
     compares_bytes = False  # the engine never mutates caller packets
 
     def __init__(self, name: str, scenario: Scenario, workers: int,
-                 config: CompileConfig, transport: str = "auto"):
+                 config: CompileConfig, backend: str = "thread"):
         self.name = name
         self.engine = ShardedESwitch(
-            scenario.build_pipeline(), workers=workers, backend="thread",
-            config=config, transport=transport,
+            scenario.build_pipeline(), workers=workers, backend=backend,
+            config=config,
         )
         self.switch = self.engine  # uniform expiry-manager target
         self.meter = CycleMeter(XEON_E5_2620)
@@ -239,12 +239,13 @@ def run_scenario(
         if n > 1 and scenario.tight_meter:
             continue  # replica-local token buckets legitimately diverge
         backends.append(_ShardedBackend(f"sharded{n}", scenario, n, base))
-    # The zero-copy transport as its own oracle: the same sharded engine
-    # with bursts crossing as packed frames over shared-memory rings —
-    # any codec bit-rot shows up as a verdict/counters/cycles divergence.
+    # The shipped transport as its own oracle: a real worker process
+    # behind shared-memory rings (the thread shards above carry the same
+    # frames over a queue) — a carrier or supervision bug shows up as a
+    # verdict/counters/cycles divergence.
     if rings.shared_memory_available():
         backends.append(_ShardedBackend(
-            "sharded1_rings", scenario, 1, base, transport="ring"
+            "sharded1_rings", scenario, 1, base, backend="process"
         ))
 
     dead: set = set()

@@ -13,16 +13,18 @@ per-core datapath (and of OVS's per-PMD-thread datapaths, NSDI'15).
   packets to shards, flow-sticky like a NIC's receive-side scaling,
   plus the NIC-style indirection table the engine remaps to degrade
   around a dead shard;
-* :mod:`repro.parallel.wire` — the compact picklable forms packets,
-  verdicts, and flow-counter deltas take across the shard boundary;
-* :mod:`repro.parallel.frames` — the same wire dialect struct-packed
-  into versioned binary frames (columnar, one struct call per section):
-  the zero-pickle per-burst codec;
-* :mod:`repro.parallel.rings` — persistent shared-memory SPSC ring
-  pairs the frames travel through (sequence-number cursors, batched
-  acks): the zero-syscall per-burst transport;
+* :mod:`repro.parallel.wire` — the position-addressed forms verdicts
+  and flow-counter deltas take so they mean the same on any replica;
+* :mod:`repro.parallel.frames` — the packed binary frame (columnar, one
+  struct call per section): the only form a burst or its reply takes;
+* :mod:`repro.parallel.rings` — persistent shared-memory SPSC rings
+  (sequence-number cursors, batched acks): the zero-syscall carrier;
+* :mod:`repro.parallel.channel` — the one wire both ends speak: frames
+  on the ring where the platform has one and on the shard's connection
+  where it does not, in order, with backpressure, one wait loop, and
+  every failure typed ``WorkerDied`` / ``WorkerTimeout``;
 * :mod:`repro.parallel.worker` — the shard worker loop (one replica,
-  one command channel, one per-core cycle meter);
+  one channel, one per-core cycle meter);
 * :mod:`repro.parallel.faults` — deterministic worker fault injection
   (kill / hang / delay at precise command occurrences), the test
   instrument behind the supervision layer;

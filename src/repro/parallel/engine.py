@@ -25,8 +25,8 @@ The engine owns:
 
 Supervision (what makes the facade *fault-tolerant*):
 
-* every pipe round-trip — burst, flow-mod broadcast, liveness ping,
-  stats pull — is **deadline-bounded** (``rpc_deadline`` seconds);
+* every round-trip — burst, flow-mod broadcast, liveness ping — is
+  **deadline-bounded** (``rpc_deadline`` seconds);
   a worker that neither answers nor dies within the deadline is
   treated exactly like a dead one: reaped and never spoken to again
   (a late reply from a zombie must never poison the stream);
@@ -73,6 +73,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -92,24 +93,19 @@ from repro.openflow.pipeline import Pipeline, Verdict
 from repro.openflow.stats import BurstStats
 from repro.packet.packet import Packet
 from repro.parallel import frames, rings
+from repro.parallel.channel import (
+    Busy,
+    Channel,
+    ShardWorkerError,
+    WorkerDied,
+    WorkerTimeout,
+)
 from repro.parallel.rss import RssIndirection
-from repro.parallel.wire import EntryIndexCache, decode_verdicts, encode_packets
-from repro.parallel.worker import shard_worker_main, thread_channel_pair
+from repro.parallel.wire import EntryIndexCache, decode_verdicts
+from repro.parallel.worker import shard_worker_main
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
 from repro.simcpu.platform import Platform, XEON_E5_2620
 from repro.simcpu.recorder import Meter, NULL_METER, NullMeter
-
-
-class ShardWorkerError(RuntimeError):
-    """A shard worker reported an exception (its traceback is attached)."""
-
-
-class WorkerDied(ShardWorkerError):
-    """A worker's channel went dead mid-RPC (crash, OOM kill, exit)."""
-
-
-class WorkerTimeout(ShardWorkerError):
-    """A worker blew the RPC deadline (hang, livelock, swap storm)."""
 
 
 class EpochSyncError(RuntimeError):
@@ -136,8 +132,8 @@ class EngineHealth:
     #: contained compile/fuse failures) — the control-plane half of the
     #: engine's health.
     switch_health: "SwitchHealth | None" = None
-    #: resolved burst transport: ``ring`` (shared-memory frames) or
-    #: ``pipe`` (pickled tuples over the control channel).
+    #: what carries burst frames: ``ring`` (shared memory) or ``pipe``
+    #: (the control connection) — an observation, not a setting.
     transport: str = "pipe"
 
     @property
@@ -169,118 +165,65 @@ class EngineHealth:
         }
 
 
-class _ProcessShard:
-    """One worker process plus its engine-side pipe end (and rings)."""
+class _Shard:
+    """One worker — a process, or a thread where processes cannot start —
+    plus the engine's end of its channel. The two kinds differ only in
+    how the worker is started and in how it is put down."""
 
-    def __init__(self, index, blob, config, costs, platform,
-                 start_epoch=0, injector=None, generation=0, ring_pair=None):
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-        self.rings = ring_pair
-        ring_names = ring_pair.names if ring_pair is not None else None
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=shard_worker_main,
-            args=(child_conn, blob, config, costs, platform,
-                  index, start_epoch, injector, generation, ring_names),
-            name=f"repro-shard-{index}",
-            daemon=True,
+    def __init__(self, kind, index, blob, config, costs, platform,
+                 start_epoch, injector, generation):
+        self.chan, handle = Channel.open(
+            kind == "process", peer=f"shard {index}"
         )
-        self.proc.start()
-        child_conn.close()
+        args = (handle, blob, config, costs, platform,
+                index, start_epoch, injector, generation)
+        how = dict(target=shard_worker_main, args=args,
+                   name=f"repro-shard-{index}", daemon=True)
+        try:
+            if kind == "process":
+                import multiprocessing as mp
 
-    def poll(self, timeout: float) -> bool:
-        return self.conn.poll(timeout)
+                ctx = mp.get_context("fork" if hasattr(os, "fork") else None)
+                self.proc = ctx.Process(**how)
+            else:
+                self.proc = threading.Thread(**how)
+            self.proc.start()
+        except BaseException:
+            self.chan.close()
+            raise
+        if kind == "process":
+            handle[0].close()  # the worker's end lives in the worker now
 
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def _destroy_rings(self) -> None:
-        # The engine owns the segments: unlink here so a stopped *or
-        # reaped* worker never leaks /dev/shm names (teardown hygiene).
-        if self.rings is not None:
-            try:
-                self.rings.destroy()
-            except Exception:  # pragma: no cover - defensive
-                pass
-            self.rings = None
+    @property
+    def rings(self):
+        return self.chan.rings
 
     def stop(self) -> None:
         try:
-            self.conn.send(("stop",))
-            self.conn.recv()
-        except (OSError, EOFError, BrokenPipeError):
+            self.chan.send(("stop",))
+            self.chan.recv(5.0)
+        except ShardWorkerError:
             pass
-        self.conn.close()
+        self.chan.close()
         self.proc.join(timeout=5)
-        if self.proc.is_alive():  # pragma: no cover - defensive
-            self.proc.terminate()
-            self.proc.join(timeout=5)
-        self._destroy_rings()
+        self._kill()
 
     def reap(self) -> None:
         """Put down a dead or unresponsive worker, no questions asked."""
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - defensive
-            pass
-        self.proc.terminate()
-        self.proc.join(timeout=5)
-        if self.proc.is_alive():  # pragma: no cover - defensive
-            self.proc.kill()
-            self.proc.join(timeout=5)
-        self._destroy_rings()
+        self.chan.close()
+        self._kill()
 
-
-class _ThreadShard:
-    """One worker thread plus its engine-side channel end (fallback)."""
-
-    def __init__(self, index, blob, config, costs, platform,
-                 start_epoch=0, injector=None, generation=0, ring_pair=None):
-        import threading
-
-        # Threads share the address space: the worker maps the same
-        # RingPair object directly (SPSC roles touch disjoint cursors).
-        self.rings = ring_pair
-        self.conn, child_conn = thread_channel_pair()
-        self.proc = threading.Thread(
-            target=shard_worker_main,
-            args=(child_conn, blob, config, costs, platform,
-                  index, start_epoch, injector, generation, ring_pair),
-            name=f"repro-shard-{index}",
-            daemon=True,
-        )
-        self.proc.start()
-
-    def poll(self, timeout: float) -> bool:
-        return self.conn.poll(timeout)
-
-    def alive(self) -> bool:
-        return self.proc.is_alive()
-
-    def _destroy_rings(self) -> None:
-        if self.rings is not None:
-            try:
-                self.rings.destroy()
-            except Exception:  # pragma: no cover - defensive
-                pass
-            self.rings = None
-
-    def stop(self) -> None:
-        try:
-            self.conn.send(("stop",))
-            self.conn.recv()
-        except (OSError, EOFError):
-            pass
-        self.proc.join(timeout=5)
-        self._destroy_rings()
-
-    def reap(self) -> None:
-        # A hung thread cannot be killed; closing the channel makes its
-        # next recv raise EOFError and the (daemon) thread wind down.
-        self.conn.close()
-        self._destroy_rings()
+    def _kill(self) -> None:
+        # A thread cannot be killed: its closed channel makes the next
+        # recv raise and the (daemon) thread wind down on its own.
+        proc = self.proc
+        if isinstance(proc, threading.Thread) or not proc.is_alive():
+            return
+        proc.terminate()
+        proc.join(timeout=5)
+        if proc.is_alive():  # pragma: no cover - defensive
+            proc.kill()
+            proc.join(timeout=5)
 
 
 class _PendingBurst:
@@ -356,16 +299,10 @@ class ShardedESwitch:
     * ``fault_injector`` — a :class:`~repro.parallel.faults.
       FaultInjector` test hook wired into every worker.
 
-    Transport (see :mod:`repro.parallel.frames` / ``rings``):
-
-    * ``transport="auto"`` (default) puts bursts on shared-memory ring
-      pairs as packed binary frames for the process backend (falling
-      back to the pickled pipe when shared memory is unavailable) and
-      on the pipe for the thread backend; ``"ring"``/``"pipe"`` force a
-      transport (``"ring"`` raises if shared memory cannot be mapped).
-      Control traffic (mods, pings, stats, errors) always rides the
-      pipe — pickle survives only off the per-burst path.
-    * ``ring_capacity`` — bytes per ring buffer direction.
+    Bursts cross to the workers as packed frames
+    (:mod:`repro.parallel.frames`) over a :class:`~repro.parallel.
+    channel.Channel`, which picks the carrier from the platform;
+    ``transport`` reports which one it was (``"ring"`` or ``"pipe"``).
     """
 
     def __init__(
@@ -377,8 +314,6 @@ class ShardedESwitch:
         costs: CostBook = DEFAULT_COSTS,
         platform: Platform = XEON_E5_2620,
         backend: str = "auto",
-        transport: str = "auto",
-        ring_capacity: int = rings.DEFAULT_CAPACITY,
         rss_seed: int = 0,
         rpc_deadline: "float | None" = 30.0,
         max_retries: int = 3,
@@ -392,8 +327,6 @@ class ShardedESwitch:
             raise ValueError("need at least one shard worker")
         if backend not in ("auto", "process", "thread"):
             raise ValueError(f"unknown backend {backend!r}")
-        if transport not in ("auto", "ring", "pipe"):
-            raise ValueError(f"unknown transport {transport!r}")
         if rpc_deadline is not None and rpc_deadline <= 0:
             raise ValueError("rpc_deadline must be positive (or None)")
         if max_retries < 0 or max_respawns < 0 or retry_backoff < 0:
@@ -434,79 +367,52 @@ class ShardedESwitch:
             if entry.counters.packets or entry.counters.bytes
         }
         self._slots: list[_ShardSlot] = []
-        self._ring_capacity = ring_capacity
-        #: double-buffering state: bursts submitted but not yet collected,
+        #: double-buffering state: bursts scattered but not yet gathered,
         #: in submission order, plus the engine-global sequence counter
-        #: that pairs ring/pipe replies with their submissions.
+        #: that pairs replies with their submissions.
         self._inflight: "deque[_PendingBurst]" = deque()
         self._seq = 0
-        self.backend, self.transport = self._spawn(backend, transport, blob)
+        self._spawn(backend, blob)
+        #: what carries burst frames (observed, see EngineHealth)
+        rings_up = self._slots[0].shard.rings is not None
+        self.transport = "ring" if rings_up else "pipe"
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _make_shard(self, index, blob, start_epoch, generation):
-        """Spawn one shard on the resolved backend/transport combo.
+    def _make_shard(self, index, blob, start_epoch, generation) -> _Shard:
+        """Spawn one shard on the resolved backend. Its channel — rings
+        included — is fresh: a replacement never reuses a dead worker's
+        segments, whose cursors are in an unknown state."""
+        return _Shard(self.backend, index, blob, self._config, self._costs,
+                      self._platform, start_epoch, self.fault_injector,
+                      generation)
 
-        Creates a fresh ring pair per worker when the transport is
-        ``ring`` — respawned replacements never reuse a dead worker's
-        segments (whose cursors are in an unknown state)."""
-        ring_pair = None
-        if self._use_rings:
-            ring_pair = rings.RingPair.create(self._ring_capacity)
-        cls = _ProcessShard if self._backend_kind == "process" else _ThreadShard
-        try:
-            return cls(index, blob, self._config, self._costs, self._platform,
-                       start_epoch, self.fault_injector, generation, ring_pair)
-        except BaseException:
-            if ring_pair is not None:
-                ring_pair.destroy()
-            raise
-
-    def _spawn(self, backend, transport, blob) -> "tuple[str, str]":
+    def _spawn(self, backend, blob) -> None:
+        """Start every shard on the first backend the platform can run;
+        sets ``self.backend`` and ``self._slots``."""
         kinds = ["process", "thread"] if backend == "auto" else [backend]
-        combos: list[tuple[str, bool]] = []
-        for kind in kinds:
-            if transport == "ring":
-                wants = [True]
-            elif transport == "pipe":
-                wants = [False]
-            else:  # auto: rings for processes, pipe for threads
-                wants = [True, False] if kind == "process" else [False]
-            combos.extend((kind, w) for w in wants)
-        shm_ok = rings.shared_memory_available() if any(
-            w for _k, w in combos
-        ) else False
-        combos = [(k, w) for k, w in combos if not w or shm_ok]
-        if not combos:
-            raise ShardWorkerError(
-                "ring transport requested but shared memory is unavailable"
-            )
         last_error: "Exception | None" = None
-        for kind, use_rings in combos:
-            self._backend_kind = kind
-            self._use_rings = use_rings
+        for kind in kinds:
+            self.backend = kind
             shards: list = []
             try:
                 for i in range(self.workers):
                     shards.append(self._make_shard(i, blob, 0, 0))
                 for shard in shards:
-                    reply = shard.conn.recv()
-                    if reply[0] != "ready":
-                        raise ShardWorkerError(f"{reply[1]}\n{reply[2]}")
+                    shard.chan.recv(None)  # the ready handshake
                 self._slots = [_ShardSlot(i, s) for i, s in enumerate(shards)]
-                return kind, ("ring" if use_rings else "pipe")
-            except ShardWorkerError:
+                return
+            except Exception as exc:
                 for shard in shards:
                     shard.reap()
-                raise  # the replica itself failed to build: not a backend issue
-            except Exception as exc:  # pragma: no cover - platform dependent
-                last_error = exc
-                for shard in shards:
-                    shard.stop()
+                if (isinstance(exc, ShardWorkerError)
+                        and not isinstance(exc, WorkerDied)):
+                    raise  # the replica failed to build: not a backend issue
+                last_error = exc  # this platform cannot run this backend
         raise ShardWorkerError(
             f"could not start any shard backend: {last_error!r}"
-        )  # pragma: no cover
+        )
 
     def close(self) -> None:
         """Stop all shard workers (idempotent)."""
@@ -566,34 +472,16 @@ class ShardedESwitch:
         self._drain_inflight()
         out: dict[int, int] = {}
         for slot in self._live_slots():
+            chan = slot.shard.chan
             try:
-                slot.shard.conn.send(("ping",))
-                reply = self._rpc_recv(slot)
-                out[slot.index] = reply[1]
+                chan.send(("ping",))
+                out[slot.index] = chan.recv(self.rpc_deadline)[1]
             except (WorkerDied, WorkerTimeout):
                 self._handle_fault(slot, self.epoch)
         return out
 
     def _live_slots(self) -> list[_ShardSlot]:
         return [slot for slot in self._slots if slot.shard is not None]
-
-    def _rpc_recv(self, slot: _ShardSlot):
-        """One deadline-bounded receive; raises typed supervision errors."""
-        shard = slot.shard
-        deadline = self.rpc_deadline
-        if deadline is not None and not shard.poll(deadline):
-            raise WorkerTimeout(
-                f"shard {slot.index} blew the {deadline}s RPC deadline"
-            )
-        try:
-            reply = shard.conn.recv()
-        except (EOFError, OSError, BrokenPipeError) as exc:
-            raise WorkerDied(f"shard {slot.index} died mid-RPC: {exc!r}")
-        if reply[0] == "error":
-            # The worker is alive and reported a logic error: that is an
-            # invariant violation to raise, not a fault to supervise.
-            raise ShardWorkerError(f"{reply[1]}\n{reply[2]}")
-        return reply
 
     def _respawn_blob(self) -> bytes:
         """The shadow pipeline, counters zeroed: what a replacement runs.
@@ -626,22 +514,18 @@ class ShardedESwitch:
             self.respawns += 1
             if blob is None:
                 blob = self._respawn_blob()
+            shard = None
             try:
-                shard = self._make_shard(
-                    slot.index, blob, epoch, slot.respawns
+                shard = self._make_shard(slot.index, blob, epoch, slot.respawns)
+                shard.chan.recv(  # the ready handshake
+                    self.rpc_deadline if self.rpc_deadline is not None else 30.0
                 )
-                deadline = self.rpc_deadline if self.rpc_deadline is not None else 30.0
-                if not shard.poll(deadline):
+            except Exception as exc:
+                if shard is not None:
                     shard.reap()
-                    raise WorkerTimeout(
-                        f"shard {slot.index} replacement missed the ready handshake"
-                    )
-                reply = shard.conn.recv()
-                if reply[0] != "ready":
-                    shard.reap()
-                    raise ShardWorkerError(f"{reply[1]}\n{reply[2]}")
-            except (WorkerDied, WorkerTimeout, EOFError, OSError,
-                    rings.RingError):
+                if not isinstance(exc, (WorkerDied, WorkerTimeout, OSError,
+                                        rings.RingError)):
+                    raise
                 # The replacement itself failed to come up: count it and
                 # spend another respawn (or fall through to degradation).
                 self.faults_detected += 1
@@ -690,8 +574,8 @@ class ShardedESwitch:
         the gather. Pass the handle to :meth:`collect` for the verdicts;
         handles must be collected in submission order (``collect``
         drains any earlier handle first). Control-plane calls
-        (flow-mods, pings, stats pulls) drain all in-flight bursts
-        before touching the workers, preserving the epoch barrier.
+        (flow-mods, pings) drain all in-flight bursts before touching
+        the workers, preserving the epoch barrier.
         """
         if self._closed:
             raise RuntimeError("ShardedESwitch is closed")
@@ -715,12 +599,8 @@ class ShardedESwitch:
         """
         if p.result is not None:
             return p.result
-        while self._inflight and self._inflight[0] is not p:
+        while not p.gathered:  # p is in flight: gather up to and including it
             self._gather(self._inflight.popleft())
-        if self._inflight and self._inflight[0] is p:
-            self._inflight.popleft()
-        if not p.gathered:
-            self._gather(p)
         return self._finalize(p)
 
     def _finalize(self, p: "_PendingBurst") -> list[Verdict]:
@@ -770,7 +650,7 @@ class ShardedESwitch:
     def _drain_inflight(self) -> None:
         """Gather every in-flight burst (without finalizing it).
 
-        Runs before control-plane RPCs (the pipe must hold no pending
+        Runs before control-plane RPCs (the channels must hold no pending
         burst replies), before retry rounds, and on close. A drained
         burst finalizes — retries, meter absorb — when its handle is
         eventually collected.
@@ -795,48 +675,35 @@ class ShardedESwitch:
             slot = self._slots[sidx]
             seq = self._seq
             self._seq += 1
-            shard = slot.shard
+            frame = frames.request_from_packets(
+                epoch, seq, p.mode, [pkts[i] for i in lane]
+            )
             try:
-                self._send_burst(slot, epoch, seq, p.mode,
-                                 [pkts[i] for i in lane])
-            except (OSError, BrokenPipeError, ValueError, rings.RingError):
+                shard = self._send_frame(slot, frame)
+            except (WorkerDied, WorkerTimeout):
                 self._handle_fault(slot, epoch)
+                shard = None
+            if shard is None:
                 p.failed.extend(lane)
-                continue
-            p.active.append((slot, shard, lane, seq))
+            else:
+                p.active.append((slot, shard, lane, seq))
         p.gathered = False
 
-    def _send_burst(self, slot, epoch, seq, mode, lane_pkts) -> None:
-        """Ship one sub-burst over the slot's transport.
+    def _send_frame(self, slot: _ShardSlot, frame: bytes) -> "_Shard | None":
+        """Ship one sub-burst; returns the shard that took it (None when
+        the slot lost its worker for good while waiting).
 
-        Ring path: pack a binary frame and push it — zero pickle, zero
-        syscalls. A frame the codec cannot express or that exceeds the
-        ring's safe margin degrades to the pipe for that burst only —
-        after draining the slot's in-flight lanes, so the worker never
-        sees the pipe burst ahead of an earlier ring burst.
+        A channel that cannot take the frame yet is backpressure, not a
+        fault: the worker's replies are waiting on this end, so the
+        oldest in-flight burst is gathered and the send retried.
         """
-        shard = slot.shard
-        pair = shard.rings
-        if pair is not None:
-            frame = None
+        while slot.shard is not None:
             try:
-                frame = frames.request_from_packets(epoch, seq, mode, lane_pkts)
-            except frames.FrameError:
-                pass  # unpackable (oversized field): pipe fallback below
-            if frame is not None and pair.req.fits(len(frame)):
-                pair.req.push(frame)
-                return
-            self._drain_slot(slot)
-        shard.conn.send(
-            ("burst", epoch, mode, encode_packets(lane_pkts), seq)
-        )
-
-    def _drain_slot(self, slot) -> None:
-        """Gather until ``slot`` has no in-flight lane (ordering guard)."""
-        while self._inflight and any(
-            s is slot for s, _sh, _l, _q in self._inflight[0].active
-        ):
-            self._gather(self._inflight.popleft())
+                slot.shard.chan.send_frame(frame)
+                return slot.shard
+            except Busy:
+                self._gather(self._inflight.popleft())
+        return None
 
     def _gather(self, p: "_PendingBurst") -> None:
         """Receive every active lane of one burst; faults feed ``p.failed``."""
@@ -849,94 +716,43 @@ class ShardedESwitch:
                 p.failed.extend(lane)
                 continue
             try:
-                (shard_epoch, wire_verdicts, cycles, packets, shard_llc,
-                 counter_deltas) = self._recv_burst(slot, shard, seq)
+                rep = self._recv_reply(slot, seq)
             except (WorkerDied, WorkerTimeout):
                 self._handle_fault(slot, epoch)
                 p.failed.extend(lane)
                 continue
-            p.epochs.append(shard_epoch)
-            for i, verdict in zip(lane, decode_verdicts(wire_verdicts, cache)):
+            p.epochs.append(rep.epoch)
+            for i, verdict in zip(lane, decode_verdicts(rep.verdicts, cache)):
                 p.verdicts[i] = verdict
-            self._absorb_counters(counter_deltas)
+            self._absorb_counters(rep.deltas)
+            cycles = rep.cycles
             slot.stats.record(len(lane), cycles if cycles is not None else 0.0)
             if cycles is not None:
-                p.deltas.append((cycles, packets, shard_llc))
+                p.deltas.append((cycles, rep.packets, rep.llc))
         p.active = []
         p.gathered = True
 
-    def _recv_burst(self, slot, shard, seq):
-        """One deadline-bounded burst receive on the slot's transport.
+    def _recv_reply(self, slot: _ShardSlot, seq: int) -> frames.BurstReply:
+        """One deadline-bounded burst reply, paired to ``seq``.
 
-        Returns ``(epoch, verdict_wires, cycles, packets, llc, deltas)``
-        from either a ring frame or a pipe tuple, paired to ``seq``.
-        Raises the same typed supervision errors as :meth:`_rpc_recv`;
-        a desynchronized sequence number or corrupt frame is treated as
-        a worker fault (the replica's stream can no longer be trusted).
+        A desynchronized sequence number or a corrupt frame is treated
+        as a worker fault: the replica's stream can no longer be trusted.
         """
-        pair = shard.rings
-        if pair is None:
-            reply = self._rpc_recv(slot)
-            if reply[0] != "burst" or reply[7] != seq:
-                raise WorkerDied(
-                    f"shard {slot.index} desynchronized: got "
-                    f"{reply[0]!r}/seq {reply[7] if len(reply) > 7 else '?'}, "
-                    f"expected burst/seq {seq}"
-                )
-            return reply[1:7]
-        deadline = self.rpc_deadline
-        end = None if deadline is None else time.monotonic() + deadline
-        delays = (0.0, 0.0, 0.0001, 0.0005, 0.002)
-        spin = 0
-        while True:
-            try:
-                if pair.rep.readable():
-                    frame = pair.rep.pop()
-                    pair.rep.commit_reads()
-                    if frame is not None:
-                        return self._decode_rep_frame(slot, frame, seq)
-            except rings.RingError as exc:
-                raise WorkerDied(
-                    f"shard {slot.index} reply ring failed: {exc!r}"
-                )
-            # Error replies (and per-burst pipe degradation) arrive on
-            # the control pipe even under ring transport.
-            if shard.conn.poll(0):
-                reply = self._rpc_recv(slot)
-                if reply[0] != "burst" or reply[7] != seq:
-                    raise WorkerDied(
-                        f"shard {slot.index} desynchronized on the pipe: "
-                        f"got {reply[0]!r}, expected burst/seq {seq}"
-                    )
-                return reply[1:7]
-            if not shard.alive():
-                # One last look: the worker may have pushed its reply
-                # and exited between our ring check and the liveness
-                # probe (a drain race, not a death).
-                if not pair.rep.readable() and not shard.conn.poll(0):
-                    raise WorkerDied(f"shard {slot.index} died mid-burst")
-                continue
-            if end is not None and time.monotonic() > end:
-                raise WorkerTimeout(
-                    f"shard {slot.index} blew the {deadline}s RPC deadline"
-                )
-            time.sleep(delays[spin] if spin < len(delays) else delays[-1])
-            spin += 1
-
-    def _decode_rep_frame(self, slot, frame, seq):
+        msg = slot.shard.chan.recv(self.rpc_deadline)
         try:
-            rep, _ = frames.unpack_reply(frame)
+            if not isinstance(msg, bytes):
+                raise frames.FrameCorrupt(f"control message {msg[0]!r}")
+            rep, _ = frames.unpack_reply(msg)
         except frames.FrameError as exc:
             raise WorkerDied(
-                f"shard {slot.index} sent a corrupt reply frame: {exc!r}"
+                f"shard {slot.index} sent no valid reply frame: {exc!r}"
             )
         if rep.seq != seq:
             raise WorkerDied(
                 f"shard {slot.index} desynchronized: reply seq {rep.seq}, "
                 f"expected {seq}"
             )
-        return (rep.epoch, rep.verdicts, rep.cycles, rep.packets,
-                rep.llc, rep.deltas)
+        return rep
 
     def _absorb_counters(self, wire_deltas) -> None:
         """Fold one acked sub-burst's counter deltas into the ledger."""
@@ -993,8 +809,8 @@ class ShardedESwitch:
         waiting: list[_ShardSlot] = []
         for slot in self._live_slots():
             try:
-                slot.shard.conn.send(("mods", new_epoch, mods))
-            except (OSError, BrokenPipeError, ValueError):
+                slot.shard.chan.send(("mods", new_epoch, mods))
+            except WorkerDied:
                 # Died before the batch even arrived: the replacement is
                 # born from the shadow at the new epoch, nothing to ack.
                 self._handle_fault(slot, new_epoch)
@@ -1002,7 +818,7 @@ class ShardedESwitch:
             waiting.append(slot)
         for slot in waiting:
             try:
-                reply = self._rpc_recv(slot)
+                reply = slot.shard.chan.recv(self.rpc_deadline)
             except (WorkerDied, WorkerTimeout):
                 self._handle_fault(slot, new_epoch)
                 continue
@@ -1077,25 +893,6 @@ class ShardedESwitch:
     def merged_burst_stats(self) -> BurstStats:
         """All shards' burst telemetry, merged order-independently."""
         return BurstStats.merged(self.shard_burst_stats())
-
-    def pull_worker_stats(self) -> list["BurstStats | None"]:
-        """Debug pull of each live worker's *own* telemetry over the pipe.
-
-        Deadline-bounded like every RPC; a faulted worker yields None
-        (and is respawned or degraded). The engine-side ledgers are the
-        authoritative numbers — this exists to cross-check them.
-        """
-        self._drain_inflight()
-        out: list = [None] * len(self._slots)
-        for slot in self._live_slots():
-            try:
-                slot.shard.conn.send(("stats",))
-                reply = self._rpc_recv(slot)
-            except (WorkerDied, WorkerTimeout, OSError, BrokenPipeError):
-                self._handle_fault(slot, self.epoch)
-                continue
-            out[slot.index] = reply[1]
-        return out
 
     def sync_flow_stats(self) -> None:
         """Write the counter ledger onto the shadow pipeline's entries.

@@ -25,8 +25,8 @@ plan decides whether this worker, on this command occurrence, suffers a
   a fault.
 
 Placement is fully deterministic: a spec names the shard index, the
-command kind (``"burst"``, ``"mods"``, ``"stats"``, ``"ping"``,
-``"spawn"``, or ``"any"``), the 1-based occurrence of that command on
+command kind (``"burst"``, ``"mods"``, ``"ping"``, ``"spawn"``, or
+``"any"``), the 1-based occurrence of that command on
 that shard, the hook stage, and which worker *generation* it applies to
 (``0`` = the originally spawned worker — the default, so respawned
 replacements come up clean; ``"respawn"`` = every replacement, which
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 _KINDS = ("kill", "hang", "delay")
 _STAGES = ("before", "after")
-_CMDS = ("burst", "mods", "stats", "ping", "spawn", "any")
+_CMDS = ("burst", "mods", "ping", "spawn", "any")
 
 
 class WorkerKilled(BaseException):

@@ -1,17 +1,13 @@
-"""Packed binary frames: the shard wire dialect without pickle.
+"""Packed binary frames: the one form a burst or its reply takes.
 
-PR 3's wire dialect (:mod:`repro.parallel.wire`) made the shard boundary
-*semantically* cheap — packets as ``(bytes, in_port, metadata,
-tunnel_id)`` tuples, verdict path hops as logical ``(ltid, idx)``
-positions, flow counters as deltas — but it still crossed the boundary
-as ``pickle.dumps`` of a Python object graph, once per worker per burst.
 A DPDK datapath ships *descriptors* between cores — fixed-layout arrays
 in preallocated rings — never serialized object graphs.  This module is
-that descriptor layout for the repro: the exact wire dialect, packed
-**columnar** (struct-of-arrays, the DPDK ``rte_mbuf`` bulk idiom) into
-flat buffers with a versioned header, written into a shared-memory ring
-(:mod:`repro.parallel.rings`) and decoded without ever touching
-``pickle`` on the per-burst path.
+that descriptor layout for the repro: a burst's packets, and a reply's
+position-addressed verdicts and counter deltas
+(:mod:`repro.parallel.wire`), packed **columnar** (struct-of-arrays,
+the DPDK ``rte_mbuf`` bulk idiom) into flat buffers with a versioned
+header, carried by the shard channel (:mod:`repro.parallel.channel`)
+and decoded without ever touching ``pickle`` on the per-burst path.
 
 Frame layout (version 1; little-endian, no padding)::
 
@@ -43,17 +39,16 @@ a single cached :class:`struct.Struct` with repeat-count formats
 ``bytes`` in one C call through a format built from the length column
 (``"<64s64s…"``, cached by shape).  Decoding a burst is four struct
 calls regardless of burst size; there is no per-packet Python loop
-until real ``Packet`` objects are materialized — a cost the pickled
-path paid too.
+until real ``Packet`` objects are materialized.
 
 Decoding rejects damage with **typed errors** — :class:`FrameTruncated`
 for any short buffer, :class:`FrameCorrupt` for bad magic / counts /
 section sizes / checksum, :class:`FrameVersionMismatch` for a frame
 from a different protocol generation — never a bare ``struct.error``.
 
-Pickle's role shrinks to what the ISSUE allows: the one-time pipeline
-snapshot a worker boots from, and rare control messages (flow-mod
-broadcasts, stats pulls, error reports) that stay on the pipe.
+Pickle's role shrinks to the one-time pipeline snapshot a worker boots
+from and the rare control messages (flow-mod broadcasts, pings, error
+reports) on the channel's connection.
 """
 
 from __future__ import annotations
@@ -76,11 +71,9 @@ __all__ = [
     "BurstRequest",
     "BurstReply",
     "request_from_packets",
-    "request_from_wires",
     "unpack_request",
     "reply_from_wires",
     "unpack_reply",
-    "unpack_frame",
 ]
 
 
@@ -191,19 +184,6 @@ def request_from_packets(
     )
 
 
-def request_from_wires(
-    epoch: int, seq: int, mode: str, wires: Sequence[tuple],
-    *, checksum: bool = False,
-) -> bytes:
-    """Pack wire-dialect packet tuples (``encode_packets`` output)."""
-    if not wires:
-        return _pack_request(epoch, seq, mode, (), (), (), (), checksum)
-    datas, in_ports, metadata, tunnel = zip(*wires)
-    return _pack_request(
-        epoch, seq, mode, datas, in_ports, metadata, tunnel, checksum
-    )
-
-
 class BurstRequest:
     """A decoded burst request, still columnar (struct-of-arrays)."""
 
@@ -219,10 +199,6 @@ class BurstRequest:
 
     def __len__(self) -> int:
         return len(self.datas)
-
-    def wires(self) -> list:
-        """Materialize the classic wire tuples (tests, pipe fallback)."""
-        return list(zip(self.datas, self.in_ports, self.metadata, self.tunnel))
 
     def packets(self) -> list:
         """Materialize real :class:`Packet` objects (the worker path).
@@ -246,7 +222,7 @@ class BurstRequest:
         return out
 
 
-def _check_header(buf, offset: int, want_type: "int | None" = None):
+def _check_header(buf, offset: int, want_type: int):
     """Validate the frame header; returns (msgtype, payload bytes, end)."""
     view = memoryview(buf)
     if len(view) - offset < _HEADER.size:
@@ -263,7 +239,7 @@ def _check_header(buf, offset: int, want_type: "int | None" = None):
     kind = mtype & _TYPE_MASK
     if kind not in (MSG_BURST_REQ, MSG_BURST_REP):
         raise FrameCorrupt(f"unknown frame type 0x{kind:02x}")
-    if want_type is not None and kind != want_type:
+    if kind != want_type:
         raise FrameCorrupt(
             f"expected frame type 0x{want_type:02x}, got 0x{kind:02x}"
         )
@@ -411,16 +387,3 @@ def unpack_reply(buf, offset: int = 0) -> "tuple[BurstReply, int]":
         list(zip(port_groups, flags, hop_groups)),
         list(zip(d_ltids, d_idxs, d_pk, d_by)),
     ), end
-
-
-def unpack_frame(buf, offset: int = 0):
-    """Decode whichever frame sits at ``buf[offset:]``.
-
-    Returns ``(obj, end)`` where ``obj`` is a :class:`BurstRequest` or
-    :class:`BurstReply` — the generic entry point for transports that
-    multiplex both directions over one buffer.
-    """
-    kind, _payload, _end = _check_header(buf, offset)
-    if kind == MSG_BURST_REQ:
-        return unpack_request(buf, offset)
-    return unpack_reply(buf, offset)

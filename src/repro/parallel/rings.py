@@ -1,9 +1,8 @@
 """SPSC shared-memory rings: the shard boundary without syscalls.
 
-The pickled wire crossed the shard boundary through a
-``multiprocessing.Pipe`` — two kernel round-trips (write + read) per
-message, each copying the whole buffer through the kernel, plus a
-wakeup.  DPDK's answer is the ``rte_ring``: a preallocated
+A ``multiprocessing.Pipe`` crossing costs two kernel round-trips (write
++ read) per message, each copying the whole buffer through the kernel,
+plus a wakeup.  DPDK's answer is the ``rte_ring``: a preallocated
 single-producer / single-consumer ring in shared memory, where
 enqueue/dequeue are a memcpy and two cursor stores, and the consumer
 acknowledges a whole *burst* with one cursor write.  This module is
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import secrets
 import struct
-import time
 
 try:  # pragma: no cover - exercised only where shm is unavailable
     from multiprocessing import shared_memory as _shm
@@ -343,26 +341,3 @@ def attach_pair(names: "tuple[str, str]", *, untrack: bool = True) -> RingPair:
                 pass
         raise RingError(f"cannot attach ring segments: {exc}") from None
     return RingPair(Ring(segs[0]), Ring(segs[1]))
-
-
-def wait_readable(ring: Ring, deadline: float, *, also=None) -> bool:
-    """Poll until ``ring`` has a record, ``also()`` is true, or timeout.
-
-    Escalating backoff: spin a few times (the common case — the peer is
-    mid-burst), then sleep in growing slices so an idle wait costs no
-    meaningful CPU.  Returns True when ``ring`` is readable; False on
-    deadline or when ``also()`` fired first.
-    """
-    delays = (0.0, 0.0, 0.0001, 0.0005, 0.002)
-    i = 0
-    while True:
-        if ring.readable():
-            return True
-        if also is not None and also():
-            return False
-        if time.monotonic() >= deadline:
-            return False
-        delay = delays[i] if i < len(delays) else 0.002
-        i += 1
-        if delay:
-            time.sleep(delay)

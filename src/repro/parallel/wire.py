@@ -1,12 +1,12 @@
-"""Wire forms: what packets and verdicts look like crossing a shard pipe.
+"""Wire forms: what verdicts and counters mean on the far side of a shard.
 
-:class:`~repro.packet.packet.Packet` and
-:class:`~repro.openflow.pipeline.Verdict` are runtime objects —
-verdicts in particular hold live :class:`FlowEntry` references that
-mean nothing in another process. The shard boundary therefore speaks a
-compact, picklable wire dialect:
+A :class:`~repro.openflow.pipeline.Verdict` is a runtime object: it
+holds live :class:`FlowEntry` references that mean nothing in another
+replica. Before :mod:`repro.parallel.frames` packs a reply, the worker
+therefore reduces it to position-addressed tuples, and the engine
+re-binds them after unpacking (packets need no such step: a request
+frame packs straight from :class:`~repro.packet.packet.Packet`):
 
-* a packet is ``(bytes, in_port, metadata, tunnel_id)``;
 * a verdict is ``(ports, flags, path)`` where every path hop keeps its
   table id verbatim (hop ids through decomposition-internal tables
   included — the last hop's id is what packet-ins report) and replaces
@@ -33,26 +33,16 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.openflow.pipeline import Verdict
-from repro.packet.packet import Packet
 
 _DROPPED = 1
 _TO_CONTROLLER = 2
 _TABLE_MISS = 4
 
 
-def encode_packets(pkts: Sequence[Packet]) -> list[tuple]:
-    return [(bytes(p.data), p.in_port, p.metadata, p.tunnel_id) for p in pkts]
-
-
-def decode_packets(wires: Sequence[tuple]) -> list[Packet]:
-    return [Packet(data, in_port, metadata, tunnel_id)
-            for data, in_port, metadata, tunnel_id in wires]
-
-
 class EntryIndexCache:
     """Logical entry ↔ position maps, invalidated by table versions.
 
-    Both sides of the pipe keep one over *their* pipeline: the worker to
+    Both sides of the channel keep one over *their* pipeline: the worker to
     *encode* the entries its replica's verdicts reference, the engine to
     *decode* positions back into its shadow pipeline's entries. The maps
     rebuild lazily whenever any table's ``version`` moves (every
@@ -61,7 +51,7 @@ class EntryIndexCache:
     Positions index the table's **live** entry order (``table.entries``
     skips tombstones), and the tombstone store's compaction neither
     reorders live entries nor bumps ``version`` — so a cached position
-    map stays correct across a compaction on either side of the pipe,
+    map stays correct across a compaction on either side of the channel,
     even when worker and engine compact at different times.
     """
 
@@ -180,13 +170,3 @@ def counter_deltas(
             shipped[eid] = (c.packets, c.bytes)
             out.append((pos[0], pos[1], d_packets, d_bytes))
     return out
-
-
-def encode_verdict(verdict: Verdict, cache: EntryIndexCache) -> tuple:
-    """Scalar convenience over :func:`encode_verdicts`."""
-    return encode_verdicts([verdict], cache)[0]
-
-
-def decode_verdict(wire: tuple, cache: EntryIndexCache) -> Verdict:
-    """Scalar convenience over :func:`decode_verdicts`."""
-    return decode_verdicts([wire], cache)[0]

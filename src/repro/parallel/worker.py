@@ -1,30 +1,22 @@
-"""The shard worker: one datapath replica, one command channel.
+"""The shard worker: one datapath replica, one channel.
 
 Each worker owns a **private** fused :class:`ESwitch` replica built from
 a pickled pipeline snapshot — shared-nothing by construction, whether
 the worker is a forked process or (fallback) a thread. The loop serves
-the engine's commands:
+what arrives on its :class:`~repro.parallel.channel.Channel`:
 
-``("burst", epoch, mode, wires, seq)``
+a burst request **frame** (:mod:`repro.parallel.frames`)
     Run one RSS sub-burst through the replica. ``mode`` is ``"null"``
     (functional, :data:`NULL_METER`) or ``"cycle"`` (the worker's
     persistent per-core :class:`CycleMeter` — private caches, exactly
     the per-core meters :func:`repro.traffic.measure_multicore` models).
-    Replies ``("burst", epoch, verdicts, cycles, packets, llc, deltas,
-    seq)`` with the meter deltas (``cycles`` is None in null mode) and
-    the flow-counter deltas of every logical entry the burst touched
-    (see :func:`repro.parallel.wire.counter_deltas` — what makes
-    engine-side flow stats exact across worker deaths). The reply
-    echoes the worker's *applied* epoch so the engine can prove no
+    The reply frame carries the verdicts, the meter deltas (no cycles
+    in null mode) and the flow-counter deltas of every logical entry
+    the burst touched (see :func:`repro.parallel.wire.counter_deltas`
+    — what makes engine-side flow stats exact across worker deaths).
+    It echoes the worker's *applied* epoch so the engine can prove no
     gathered burst mixed pipeline generations, and the engine's ``seq``
     tag so a double-buffered gather can pair replies with submissions.
-
-    With the **ring transport** (:mod:`repro.parallel.rings`) the same
-    burst crosses as a packed binary frame (:mod:`repro.parallel.
-    frames`) over a shared-memory ring pair instead — zero pickle, zero
-    syscalls — and the pipe carries only control traffic. A frame too
-    large for the ring (or unencodable) degrades to the pipe tuple
-    above, per message; replies pick their channel the same way.
 
 ``("mods", epoch, flow_mods)``
     Apply a flow-mod batch transactionally, then **stand the new
@@ -33,13 +25,7 @@ the engine's commands:
     the engine releases the next burst every replica is already serving
     the new fused datapath.
 
-``("stats",)``
-    Ship the replica's :class:`BurstStats` and its per-entry flow
-    counters (addressed by logical table position, see
-    :mod:`repro.parallel.wire`). The engine keeps its own fault-proof
-    ledgers and uses this only as a cross-check / debug pull.
-
-``("reset_stats",)`` / ``("ping",)`` / ``("stop",)``
+``("ping",)`` / ``("stop",)``
     Housekeeping; ``ping`` echoes the applied epoch (the engine's
     deadline-bounded liveness probe).
 
@@ -60,57 +46,28 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 import traceback
 
 from repro.core.analysis import CompileConfig
 from repro.core.eswitch import ESwitch
-from repro.openflow.stats import BurstStats
-from repro.parallel import frames, rings
+from repro.parallel import frames
+from repro.parallel.channel import Channel, ShardWorkerError
 from repro.parallel.faults import NO_FAULTS, WorkerKilled
-from repro.parallel.wire import (
-    EntryIndexCache,
-    counter_deltas,
-    decode_packets,
-    encode_verdicts,
-)
+from repro.parallel.wire import EntryIndexCache, counter_deltas, encode_verdicts
 from repro.simcpu.recorder import CycleMeter, NULL_METER
 
 
-def _die(conn) -> None:
+def _die(chan: Channel) -> None:
     """End this worker the way a crash would (no reply, dead channel)."""
-    if isinstance(conn, ThreadChannel):
-        conn.close()  # the engine's next recv on its end raises EOFError
+    if chan.in_process:
+        chan.close()  # the engine's next recv on its end sees EOF
         return
     os._exit(13)  # a process worker dies for real: no atexit, no flush
 
 
-def _wait_for_work(ring_pair, conn):
-    """Block until a burst frame or a pipe message is ready.
-
-    Returns ``("frame", bytes)`` or ``("msg", obj)``; raises EOFError
-    when the pipe dies (the worker's signal to wind down). The ring is
-    always drained first — the engine guarantees it never queues a pipe
-    burst behind an outstanding ring burst, so ring-before-pipe keeps
-    sub-burst order exact.
-    """
-    delays = (0.0, 0.0, 0.0001, 0.0005, 0.002)
-    i = 0
-    while True:
-        frame = ring_pair.req.pop()
-        if frame is not None:
-            ring_pair.req.commit_reads()  # one ack per drained burst
-            return ("frame", frame)
-        if conn.poll(0):
-            return ("msg", conn.recv())
-        delay = delays[i] if i < len(delays) else 0.002
-        i += 1
-        if delay:
-            time.sleep(delay)
-
-
 def _run_burst(switch, meter, cache, shipped, pkts, mode):
-    """Execute one sub-burst; returns the reply body (minus epoch/seq)."""
+    """Execute one sub-burst; returns the reply frame's body (the
+    arguments of :func:`frames.reply_from_wires` after epoch and seq)."""
     if mode == "null":
         verdicts = switch.process_burst(pkts, NULL_METER)
         cycles = None
@@ -122,16 +79,16 @@ def _run_burst(switch, meter, cache, shipped, pkts, mode):
         cycles = meter.total_cycles - cycles0
         llc = meter.cache.stats.llc_misses - llc0
     return (
-        encode_verdicts(verdicts, cache),
         cycles,
         len(pkts),
         llc,
+        encode_verdicts(verdicts, cache),
         counter_deltas(verdicts, cache, shipped),
     )
 
 
 def shard_worker_main(
-    conn,
+    handle: tuple,
     pipeline_blob: bytes,
     config: CompileConfig,
     costs,
@@ -140,35 +97,15 @@ def shard_worker_main(
     start_epoch: int = 0,
     injector=None,
     generation: int = 0,
-    ring_names=None,
 ) -> None:
     """Entry point of one shard worker (process target or thread body).
 
-    ``ring_names`` selects the ring transport: a ``(req, rep)`` name
-    tuple makes a process worker attach the engine's shared-memory pair
-    (untracked — the engine owns the segments); a ready
-    :class:`~repro.parallel.rings.RingPair` object is used directly
-    (thread backend, same address space). ``None`` means pipe-only.
+    ``handle`` is what :meth:`Channel.open` made for this worker.
     """
     faults = injector.arm(index, generation) if injector is not None else NO_FAULTS
-    ring_pair = None
-    owns_mapping = False
+    chan = Channel.attach(handle)
     try:
         faults.fire("spawn", "before")
-        if ring_names is not None:
-            if isinstance(ring_names, rings.RingPair):
-                ring_pair = ring_names  # thread backend: shared object
-            else:
-                # Forked workers share the engine's resource tracker, so
-                # un-registering here would strip the engine's own claim
-                # (its unlink would then double-unregister); only spawn
-                # platforms — separate per-process trackers whose exit
-                # cleanup would unlink the engine's live segments —
-                # need the untrack workaround.
-                ring_pair = rings.attach_pair(
-                    ring_names, untrack=not hasattr(os, "fork")
-                )
-                owns_mapping = True
         pipeline = pickle.loads(pipeline_blob)
         switch = ESwitch(pipeline, config=config, costs=costs)
         switch.warm()  # replica construction includes the fused driver
@@ -185,66 +122,33 @@ def shard_worker_main(
             if entry.counters.packets or entry.counters.bytes
         }
         faults.fire("spawn", "after")
-        conn.send(("ready", epoch))
+        chan.send(("ready", epoch))
     except WorkerKilled:
-        _die(conn)
+        _die(chan)
         return
     except Exception as exc:  # pragma: no cover - construction failures
-        conn.send(("error", repr(exc), traceback.format_exc()))
+        chan.send(("error", repr(exc), traceback.format_exc()))
         return
 
     try:
-        _serve(conn, ring_pair, faults, switch, meter, cache, shipped, epoch)
+        _serve(chan, faults, switch, meter, cache, shipped, epoch)
     finally:
-        if owns_mapping and ring_pair is not None:
-            ring_pair.close()
+        chan.close()
 
 
-def _send_reply(conn, ring_pair, via_ring, epoch, seq, body) -> None:
-    """Ship one burst reply, preferring the channel the request used.
-
-    A reply that will not fit its ring (or will not encode) degrades to
-    the pipe tuple — the engine's gather accepts either channel and
-    pairs by seq.
-    """
-    verdict_wires, cycles, packets, llc, deltas = body
-    if via_ring:
-        try:
-            frame = frames.reply_from_wires(
-                epoch, seq, cycles, packets, llc, verdict_wires, deltas
-            )
-            if ring_pair.rep.fits(len(frame)):
-                ring_pair.rep.push(frame)
-                return
-        except (frames.FrameError, rings.RingFull):
-            pass  # degrade this one message to the pipe
-    conn.send(
-        ("burst", epoch, verdict_wires, cycles, packets, llc, deltas, seq)
-    )
-
-
-def _serve(conn, ring_pair, faults, switch, meter, cache, shipped, epoch):
-    """The worker's command loop (both transports)."""
+def _serve(chan, faults, switch, meter, cache, shipped, epoch):
+    """The worker's command loop."""
     while True:
-        frame = None
         try:
-            if ring_pair is not None:
-                kind, payload = _wait_for_work(ring_pair, conn)
-                if kind == "frame":
-                    frame = payload
-                    msg = None
-                else:
-                    msg = payload
-            else:
-                msg = conn.recv()
-        except (EOFError, OSError, rings.RingError):
-            return
+            msg = chan.recv(None)
+        except ShardWorkerError:
+            return  # the engine is gone (or reaped this worker)
         try:
-            if frame is not None:
+            if isinstance(msg, bytes):
                 faults.fire("burst", "before")
-                req, _ = frames.unpack_request(frame)
+                req, _ = frames.unpack_request(msg)
                 if req.epoch != epoch:
-                    conn.send((
+                    chan.send((
                         "error",
                         f"epoch desync: burst tagged {req.epoch}, "
                         f"replica at {epoch}",
@@ -255,26 +159,13 @@ def _serve(conn, ring_pair, faults, switch, meter, cache, shipped, epoch):
                     switch, meter, cache, shipped, req.packets(), req.mode
                 )
                 faults.fire("burst", "after")
-                _send_reply(conn, ring_pair, True, epoch, req.seq, body)
+                chan.send_frame(
+                    frames.reply_from_wires(epoch, req.seq, *body), block=True
+                )
                 continue
             cmd = msg[0]
             faults.fire(cmd, "before")
-            if cmd == "burst":
-                _, burst_epoch, mode, wires, seq = msg
-                if burst_epoch != epoch:
-                    conn.send((
-                        "error",
-                        f"epoch desync: burst tagged {burst_epoch}, "
-                        f"replica at {epoch}",
-                        "",
-                    ))
-                    continue
-                body = _run_burst(
-                    switch, meter, cache, shipped, decode_packets(wires), mode
-                )
-                faults.fire(cmd, "after")
-                _send_reply(conn, ring_pair, False, epoch, seq, body)
-            elif cmd == "mods":
+            if cmd == "mods":
                 _, new_epoch, mods = msg
                 cycles = switch.apply_flow_mods(mods)
                 # Swap in the new generation *inside* the barrier: the
@@ -288,109 +179,22 @@ def _serve(conn, ring_pair, faults, switch, meter, cache, shipped, epoch):
                     eid: val for eid, val in shipped.items() if eid in live_index
                 }
                 faults.fire(cmd, "after")
-                conn.send(("mods", epoch, cycles))
-            elif cmd == "stats":
-                counters = []
-                for table in switch.pipeline:
-                    for idx, entry in enumerate(table.entries):
-                        c = entry.counters
-                        if c.packets or c.bytes:
-                            counters.append(
-                                (table.table_id, idx, c.packets, c.bytes)
-                            )
-                faults.fire(cmd, "after")
-                # Ship a merged copy, not the live ledger: the thread
-                # backend passes objects by reference, and the worker
-                # keeps mutating its own BurstStats after the send.
-                conn.send(
-                    ("stats", BurstStats.merged([switch.burst_stats]), counters)
-                )
-            elif cmd == "reset_stats":
-                switch.burst_stats.reset()
-                meter.reset()
-                shipped = {}
-                for table in switch.pipeline:
-                    for entry in table.entries:
-                        entry.counters.packets = 0
-                        entry.counters.bytes = 0
-                conn.send(("ok",))
+                chan.send(("mods", epoch, cycles))
             elif cmd == "ping":
                 faults.fire(cmd, "after")
-                conn.send(("pong", epoch))
+                chan.send(("pong", epoch))
             elif cmd == "stop":
-                conn.send(("ok",))
+                chan.send(("ok",))
                 return
             else:
-                conn.send(("error", f"unknown command {cmd!r}", ""))
+                chan.send(("error", f"unknown command {cmd!r}", ""))
         except WorkerKilled:
-            _die(conn)
+            _die(chan)
             return
         except Exception as exc:
             # A hung worker may wake after the engine reaped its channel;
             # reporting then fails too, and the worker just winds down.
             try:
-                conn.send(("error", repr(exc), traceback.format_exc()))
-            except (OSError, BrokenPipeError):
+                chan.send(("error", repr(exc), traceback.format_exc()))
+            except ShardWorkerError:
                 return
-
-
-_NOTHING = object()
-
-
-class ThreadChannel:
-    """A duplex, Connection-shaped channel over two queues (thread mode).
-
-    Messages cross **by reference** — no pickle round-trip. That is
-    safe because the wire dialect is immutable by construction (packet
-    and verdict wires are tuples of ``bytes``/ints, acks are tuples),
-    the pipeline replica still boots from its own pickled snapshot, and
-    the one mutable reply (the ``stats`` pull's :class:`BurstStats`) is
-    copied by the worker before sending. Thread workers thus stay
-    observably shared-nothing while skipping the serialization tax the
-    transport exists to remove. Like ``multiprocessing.Connection`` it
-    supports ``poll(timeout)``, which the engine's RPC deadlines bound.
-    """
-
-    def __init__(self, inbox, outbox):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._peeked = _NOTHING
-
-    def send(self, obj) -> None:
-        self._outbox.put(obj)
-
-    def poll(self, timeout: "float | None" = None) -> bool:
-        """True when a message (or EOF) is ready within ``timeout``."""
-        import queue
-
-        if self._peeked is not _NOTHING:
-            return True
-        try:
-            self._peeked = (
-                self._inbox.get(timeout=timeout)
-                if timeout is not None
-                else self._inbox.get_nowait()
-            )
-        except queue.Empty:
-            return False
-        return True
-
-    def recv(self):
-        if self._peeked is not _NOTHING:
-            obj, self._peeked = self._peeked, _NOTHING
-        else:
-            obj = self._inbox.get()
-        if obj is None:
-            raise EOFError
-        return obj
-
-    def close(self) -> None:
-        self._outbox.put(None)
-
-
-def thread_channel_pair() -> tuple[ThreadChannel, ThreadChannel]:
-    """(engine side, worker side) of one duplex thread channel."""
-    import queue
-
-    a, b = queue.Queue(), queue.Queue()
-    return ThreadChannel(a, b), ThreadChannel(b, a)

@@ -162,7 +162,6 @@ def run_wallclock(
     platform: Platform = XEON_E5_2620,
     cores: Sequence[int] = (),
     control_faults: bool = False,
-    transport: str = "auto",
     traffic_flows: "int | None" = None,
 ) -> dict:
     """The full sweep; returns the ``BENCH_wallclock.json`` document.
@@ -252,7 +251,7 @@ def run_wallclock(
     if cores:
         multicore = _run_multicore(
             cases, builders, cores, n_packets, burst, repeats, warmup,
-            speedups, transport,
+            speedups,
         )
     control_plane: list[dict] = []
     if control_faults:
@@ -270,7 +269,6 @@ def run_wallclock(
             "platform": platform.name,
             "cpu_count": os.cpu_count(),
             "cores_axis": list(cores),
-            "transport": transport,
             "note": (
                 "wall_pps is simulator wall-clock throughput (real pkts/sec "
                 "of the Python datapath); modeled_pps is the cycle model's "
@@ -376,7 +374,6 @@ def _run_multicore(
     repeats: int,
     warmup: int,
     speedups: dict,
-    transport: str = "auto",
 ) -> list[dict]:
     """The real-parallel scaling sweep (the ``cores`` axis).
 
@@ -413,9 +410,7 @@ def _run_multicore(
                 )
             )
             for workers in cores:
-                engine = ShardedESwitch(
-                    builders[case]()[0], workers=workers, transport=transport
-                )
+                engine = ShardedESwitch(builders[case]()[0], workers=workers)
                 engines.append(engine)
                 combos.append(
                     (

@@ -11,7 +11,9 @@ code path); one integration test exercises real forked processes.
 """
 
 import math
+import os
 import pickle
+import signal
 
 import pytest
 
@@ -287,6 +289,22 @@ class TestProcessBackend:
             assert health.faults_detected == 2
             assert health.respawns == 2
             assert health.live_workers == 2
+
+    def test_ping_survives_the_death_it_probes_for(self):
+        """SIGKILL a worker behind the engine's back: the probe's *send*
+        is the first thing to fail, and must be supervised like any
+        other fault — not escape as a BrokenPipeError."""
+        pipeline, _flows = l2_setup(16, 32)
+        with ShardedESwitch(pipeline, workers=2, backend="process",
+                            retry_backoff=0.001) as eng:
+            victim = eng._slots[1].shard.proc
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5)
+            assert eng.ping() == {0: 0}  # proven live right now
+            health = eng.health()
+            assert health.faults_detected == 1
+            assert health.respawns == 1
+            assert eng.ping() == {0: 0, 1: 0}  # the replacement serves
 
 
 class TestFaultSpecValidation:

@@ -171,8 +171,7 @@ class TestTeardownHygiene:
 
     def test_close_unlinks_all_segments(self):
         pipeline, pkts = self._scenario()
-        eng = ShardedESwitch(pipeline, workers=2, backend="process",
-                             transport="ring")
+        eng = ShardedESwitch(pipeline, workers=2, backend="process")
         names = _shard_ring_names(eng)
         assert len(names) == 4  # two segments per worker
         eng.process_burst(pkts)
@@ -189,8 +188,7 @@ class TestTeardownHygiene:
             FaultSpec(shard=0, cmd="burst", when="before", generation=1),
         )
         eng = ShardedESwitch(pipeline, workers=2, backend="process",
-                             transport="ring", fault_injector=inj,
-                             retry_backoff=0.001)
+                             fault_injector=inj, retry_backoff=0.001)
         try:
             generations = [set(_shard_ring_names(eng))]
             for i in range(4):

@@ -1,16 +1,17 @@
-"""The transport contract: zero pickle per burst, parity across wires.
+"""The transport contract: one wire, zero pickle per burst, any carrier.
 
-ISSUE 7's acceptance bar, as executable checks:
-
-* with ring transport, a storm of bursts crosses the shard boundary
-  with **zero** pickle calls on the datapath (pickle remains only for
-  the one-time snapshot at spawn and rare control messages);
-* ring and pipe transports are bit-identical in verdicts, counters,
-  and modeled cycles — the codec is a re-encoding, not a re-semantics;
+* a storm of bursts crosses the shard boundary with **zero** pickle
+  calls on the datapath, on every backend and every carrier (pickle
+  remains only for the one-time snapshot at spawn and rare control
+  messages);
+* the carrier is the platform's business: with shared memory taken
+  away the same engine runs over its connection, bit-identical in
+  verdicts, counters, and modeled cycles;
 * the double-buffered path (``submit_burst``/``collect``) returns
-  exactly what the sequential path returns, in order;
-* the thread backend's by-reference channel is unobservable: caller
-  packets are never mutated, replies never alias worker state.
+  exactly what the sequential path returns, in order — through an
+  oversize frame that cannot ride the ring, and through a full ring;
+* shards are shared-nothing whatever carries the frames: caller packets
+  are never mutated.
 """
 
 import pickle
@@ -18,12 +19,12 @@ import pickle
 import pytest
 
 from repro.core import ESwitch
-from repro.parallel import ShardedESwitch, rings
+from repro.parallel import ShardedESwitch, frames, rings
 from repro.simcpu.platform import XEON_E5_2620
 from repro.simcpu.recorder import CycleMeter
 from repro.usecases import gateway
 
-from test_sharded import add_mod, summarize
+from test_sharded import add_mod, flow_counts, summarize
 
 needs_shm = pytest.mark.skipif(
     not rings.shared_memory_available(),
@@ -39,6 +40,10 @@ def scenario():
 
 def bursts_of(pkts, size=16):
     return [pkts[i:i + size] for i in range(0, len(pkts), size)]
+
+
+def frame_bytes(pkts):
+    return len(frames.request_from_packets(0, 0, "null", pkts))
 
 
 class _PickleTap:
@@ -71,16 +76,31 @@ class _PickleTap:
         )
 
 
-@needs_shm
+def no_shared_memory(monkeypatch):
+    monkeypatch.setattr(rings, "shared_memory_available", lambda: False)
+
+
+def drive(eng, pkts, meter=None):
+    """Bursts, a flow-mod, more bursts; everything a carrier could skew."""
+    sums = []
+    args = () if meter is None else (meter,)
+    for burst in bursts_of(pkts):
+        verdicts = eng.process_burst([p.copy() for p in burst], *args)
+        sums.append(summarize(verdicts, eng.pipeline))
+    # An epoch barrier mid-run: access-port traffic now leaves on port 9.
+    eng.apply_flow_mod(add_mod(0, priority=99, port=9, in_port=1))
+    for burst in bursts_of(pkts, 24):
+        verdicts = eng.process_burst([p.copy() for p in burst], *args)
+        sums.append(summarize(verdicts, eng.pipeline))
+    eng.sync_flow_stats()
+    return sums, flow_counts(eng.pipeline)
+
+
 class TestZeroPickleDatapath:
-    def test_burst_storm_never_pickles(self, monkeypatch):
-        """Thread backend + ring transport puts both halves of the
-        conversation in this process: if either the scatter or the
-        gather side touched pickle, the tap would see it."""
+    def _storm(self, monkeypatch, backend, transport):
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="thread",
-                            transport="ring") as eng:
-            assert eng.transport == "ring"
+        with ShardedESwitch(pipeline, workers=2, backend=backend) as eng:
+            assert eng.transport == transport
             eng.process_burst([p.copy() for p in pkts[:16]])  # warm lanes
             tap = _PickleTap(monkeypatch)
             for burst in bursts_of(pkts):
@@ -88,67 +108,48 @@ class TestZeroPickleDatapath:
             assert tap.calls == 0, (
                 f"{tap.calls} pickle call(s) on the per-burst datapath"
             )
+            eng.ping()
+            assert tap.calls > 0  # the tap itself works: control pickles
 
-    def test_pipe_transport_does_pickle(self, monkeypatch):
-        """The tap itself works: the process+pipe wire visibly pickles
-        (engine side of every burst), so zero on rings is meaningful."""
-        pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="process",
-                            transport="pipe") as eng:
-            eng.process_burst([p.copy() for p in pkts[:16]])
-            tap = _PickleTap(monkeypatch)
-            eng.process_burst([p.copy() for p in pkts[:16]])
-            assert tap.calls > 0
+    def test_burst_storm_never_pickles(self, monkeypatch):
+        """The thread backend puts both halves of the conversation in
+        this process: if either the scatter or the gather side touched
+        pickle, the tap would see it."""
+        self._storm(monkeypatch, "thread", "pipe")
 
+    @needs_shm
     def test_process_engine_side_never_pickles(self, monkeypatch):
         """Process backend: the engine half of the ring conversation
         (this process) stays pickle-free per burst too."""
-        pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="process",
-                            transport="ring") as eng:
-            assert eng.transport == "ring"
-            eng.process_burst([p.copy() for p in pkts[:16]])
-            tap = _PickleTap(monkeypatch)
-            for burst in bursts_of(pkts):
-                eng.process_burst([p.copy() for p in burst])
-            assert tap.calls == 0
+        self._storm(monkeypatch, "process", "ring")
+
+    def test_frames_on_the_connection_never_pickle(self, monkeypatch):
+        """Without shared memory a process shard's frames ride its pipe
+        — as bytes, not as pickled objects."""
+        no_shared_memory(monkeypatch)
+        self._storm(monkeypatch, "process", "pipe")
 
 
 class TestTransportParity:
     @needs_shm
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_ring_equals_pipe(self, backend):
+    def test_ring_equals_pipe(self, monkeypatch, backend):
+        """Carrier parity without a knob: take shared memory away and
+        the engine runs over its connection, same answers."""
         pipeline, pkts = scenario()
         results = {}
-        for transport in ("ring", "pipe"):
-            eng = ShardedESwitch(
-                pickle.loads(pickle.dumps(pipeline)), workers=2,
-                backend=backend, transport=transport,
-            )
-            try:
-                assert eng.transport == transport
-                meter = CycleMeter(XEON_E5_2620)
-                sums = []
-                for burst in bursts_of(pkts):
-                    verdicts = eng.process_burst(
-                        [p.copy() for p in burst], meter
-                    )
-                    sums.append(summarize(verdicts, eng.pipeline))
-                add_mod(eng)
-                for burst in bursts_of(pkts, 24):
-                    verdicts = eng.process_burst(
-                        [p.copy() for p in burst], meter
-                    )
-                    sums.append(summarize(verdicts, eng.pipeline))
-                eng.sync_flow_stats()
-                counts = {
-                    (t.table_id, i): (e.counters.packets, e.counters.bytes)
-                    for t in eng.pipeline for i, e in enumerate(t.entries)
-                }
-                results[transport] = (sums, counts, meter.total_cycles)
-            finally:
-                eng.close()
-        assert results["ring"] == results["pipe"]
+        for shm in (True, False):
+            if not shm:
+                no_shared_memory(monkeypatch)
+            meter = CycleMeter(XEON_E5_2620)
+            with ShardedESwitch(pickle.loads(pickle.dumps(pipeline)),
+                                workers=2, backend=backend) as eng:
+                if not shm:
+                    assert eng.transport == "pipe"
+                elif backend == "process":
+                    assert eng.transport == "ring"
+                results[shm] = (drive(eng, pkts, meter), meter.total_cycles)
+        assert results[True] == results[False]
 
     @needs_shm
     def test_workers1_ring_matches_sequential(self):
@@ -156,8 +157,8 @@ class TestTransportParity:
         seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
         sm = CycleMeter(XEON_E5_2620)
         em = CycleMeter(XEON_E5_2620)
-        with ShardedESwitch(pipeline, workers=1, backend="process",
-                            transport="ring") as eng:
+        with ShardedESwitch(pipeline, workers=1, backend="process") as eng:
+            assert eng.transport == "ring"
             for burst in bursts_of(pkts):
                 sv = seq.process_burst([p.copy() for p in burst], sm)
                 ev = eng.process_burst([p.copy() for p in burst], em)
@@ -177,8 +178,7 @@ class TestDoubleBuffer:
             summarize(seq.process_burst([p.copy() for p in b]), seq.pipeline)
             for b in bursts_of(pkts)
         ]
-        with ShardedESwitch(pipeline, workers=2, backend=backend,
-                            transport="ring") as eng:
+        with ShardedESwitch(pipeline, workers=2, backend=backend) as eng:
             handles = []
             got = []
             for burst in bursts_of(pkts):
@@ -192,18 +192,56 @@ class TestDoubleBuffer:
                 got.append(summarize(eng.collect(handles.pop(0)), eng.pipeline))
             assert got == want
             eng.sync_flow_stats()
-        assert (
-            {(t.table_id, i): (e.counters.packets, e.counters.bytes)
-             for t in eng.pipeline for i, e in enumerate(t.entries)}
-            == {(t.table_id, i): (e.counters.packets, e.counters.bytes)
-                for t in seq.pipeline for i, e in enumerate(t.entries)}
-        )
+        assert flow_counts(eng.pipeline) == flow_counts(seq.pipeline)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_oversize_burst_keeps_its_place(self, backend):
+        """A frame past the ring's margin rides the connection, between
+        two ordinary bursts that ride the ring — and still arrives
+        second."""
+        pipeline, pkts = scenario()
+        big = []
+        for i in range(200):
+            pkt = pkts[i % len(pkts)].copy()
+            pkt.data.extend(bytes(1500 - len(pkt.data)))
+            big.append(pkt)
+        bursts = [pkts[:16], big, pkts[16:32]]
+        assert frame_bytes(big) > rings.DEFAULT_CAPACITY // 4
+        seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
+        want = [
+            summarize(seq.process_burst([p.copy() for p in b]), seq.pipeline)
+            for b in bursts
+        ]
+        with ShardedESwitch(pipeline, workers=1, backend=backend) as eng:
+            handles = [eng.submit_burst([p.copy() for p in b]) for b in bursts]
+            got = [summarize(eng.collect(h), eng.pipeline) for h in handles]
+            assert got == want
+            assert eng.health().faults_detected == 0
 
     @needs_shm
+    def test_full_ring_is_backpressure_not_a_fault(self):
+        """1 500 submits, no collect: the request ring fills long before
+        the last one. The engine takes its oldest reply and carries on —
+        the healthy worker is not reaped, nothing re-executes."""
+        pipeline, pkts = scenario()
+        seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
+        bursts = [pkts[(i * 16) % 96:(i * 16) % 96 + 16] for i in range(1500)]
+        with ShardedESwitch(pipeline, workers=1, backend="process") as eng:
+            assert eng.transport == "ring"
+            handles = [eng.submit_burst([p.copy() for p in b]) for b in bursts]
+            for handle, burst in zip(handles, bursts):
+                want = seq.process_burst([p.copy() for p in burst])
+                assert (summarize(eng.collect(handle), eng.pipeline)
+                        == summarize(want, seq.pipeline))
+            health = eng.health()
+            assert (health.faults_detected, health.respawns, health.retries) \
+                == (0, 0, 0)
+            eng.sync_flow_stats()
+        assert flow_counts(eng.pipeline) == flow_counts(seq.pipeline)
+
     def test_collect_is_idempotent_and_out_of_order(self):
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="thread",
-                            transport="ring") as eng:
+        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
             h1 = eng.submit_burst([p.copy() for p in pkts[:16]])
             h2 = eng.submit_burst([p.copy() for p in pkts[16:32]])
             v2 = eng.collect(h2)      # out of order: forces FIFO drain of h1
@@ -215,12 +253,11 @@ class TestDoubleBuffer:
 
 class TestThreadByReference:
     def test_caller_packets_never_mutated(self):
-        """The thread channel hands packet objects across by reference;
-        the worker runs them through replicas that rewrite headers — the
-        caller's own packets must come back byte-identical anyway."""
+        """A thread worker shares the caller's address space and runs
+        packets through replicas that rewrite headers — the caller's own
+        packets must come back byte-identical anyway."""
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="thread",
-                            transport="pipe") as eng:
+        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
             originals = [bytes(p.data) for p in pkts]
             for burst in bursts_of(pkts):
                 eng.process_burst(burst)   # no defensive copies by caller
