@@ -8,9 +8,8 @@ runs the same rig interactively.
 
 Assertions here are *mechanism* checks, not absolute-speed checks — the
 wall-clock numbers vary with the host, but the shape of the result must
-not: every rung completes inside its time box, the direct rung degrades
-to data-driven code instead of failing, churn on the hash/LPM rungs is
-absorbed incrementally (no rebuild storm), and the OVS collapse leg
+not: every rung completes inside its time box, churn on the hash/LPM
+rungs is absorbed incrementally (no rebuild storm), and the OVS collapse leg
 shows the microflow cache saturating once the axis passes its capacity.
 """
 
@@ -48,8 +47,7 @@ def test_megascale():
             f"{p['wall_pps']:,.0f}",
             str(p["packets"]),
             f"{p['footprint_bytes'] / 1e6:.1f}",
-            ",".join(sorted(set(p["table_kinds"].values())))
-            + (" (data-driven)" if p["data_driven"] else ""),
+            ",".join(sorted(set(p["table_kinds"].values()))),
         )
         for p in doc["rungs"]
     ]
@@ -66,7 +64,7 @@ def test_megascale():
         json.dump(doc, fh, indent=2)
 
     by_rung = {p["rung"]: p for p in doc["rungs"]}
-    assert set(by_rung) == {"hash", "lpm", "direct"}
+    assert set(by_rung) == {"hash", "lpm"}
 
     # Every rung completed: measured at least one burst inside the box.
     for p in doc["rungs"]:
@@ -74,14 +72,9 @@ def test_megascale():
         assert p["wall_pps"] > 0, p["rung"]
         assert p["footprint_bytes"] > 0, p["rung"]
 
-    # The rungs landed on their intended templates, and the direct rung
-    # degraded to the data-driven variant instead of inlining FLOWS keys.
+    # The rungs landed on their intended templates.
     assert "hash" in by_rung["hash"]["table_kinds"].values()
     assert "lpm" in by_rung["lpm"]["table_kinds"].values()
-    assert "direct" in by_rung["direct"]["table_kinds"].values()
-    assert by_rung["direct"]["data_driven"], (
-        "the direct rung at scale must take the source-budget fallback"
-    )
 
     # Churn mechanism: hash and LPM absorb every mod incrementally —
     # zero rebuilds, and the shape-stability proof skipped every O(n)

@@ -351,7 +351,7 @@ def cmd_bench_wallclock(args: argparse.Namespace) -> int:
 
 
 def cmd_bench_megascale(args: argparse.Namespace) -> int:
-    """The million-flow rig (``--megascale``): every template rung at
+    """The million-flow rig (``--megascale``): the hash and LPM rungs at
     ``--flows`` entries (wall pps + footprint), the Fig. 3 OVS cache
     collapse across a distinct-flow axis, and sustained flow-mod churn —
     written to ``BENCH_megascale.json``. All legs are time-boxed at
@@ -371,8 +371,6 @@ def cmd_bench_megascale(args: argparse.Namespace) -> int:
           f"{'compile s':>9} {'MB':>8}  templates")
     for p in doc["rungs"]:
         kinds = ",".join(sorted(set(p["table_kinds"].values())))
-        if p["data_driven"]:
-            kinds += " (data-driven)"
         print(f"{p['rung']:8} {p['wall_pps']:12,.0f} {p['packets']:8} "
               f"{p['build_table_s']:8.1f} {p['compile_s']:9.1f} "
               f"{p['footprint_bytes'] / 1e6:8.1f}  {kinds}")
@@ -568,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "controller outage in both OpenFlow 1.3 §6.4 "
                               "fail modes, with session health telemetry")
     p_bench.add_argument("--megascale", action="store_true",
-                         help="the million-flow rig: every template rung at "
+                         help="the million-flow rig: the hash and LPM rungs at "
                               "--flows entries, the Fig. 3 OVS cache "
                               "collapse, and sustained flow-mod churn "
                               "(writes BENCH_megascale.json; all legs "

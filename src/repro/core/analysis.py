@@ -53,7 +53,8 @@ class CompileConfig:
     Attributes:
         direct_threshold: "The maximum number of flow entries under which a
             table is directly compiled" — the paper fixes 4 after the
-            Fig. 9 calibration.
+            Fig. 9 calibration. The template itself refuses tables above
+            ``codegen.MAX_DIRECT_ENTRIES``, whatever this says.
         decompose: rewrite linked-list-bound tables via flow table
             decomposition before template selection (Section 3.2 presents
             it as an optional feature).
@@ -71,28 +72,6 @@ class CompileConfig:
             degenerate bottom of the Fig. 4 lattice. Semantically every
             template must agree with it, which is exactly what the
             differential fuzzer (:mod:`repro.fuzz`) uses it for.
-        compile_budget: maximum table compilations (codegen + exec) one
-            flow-mod batch may spend on its critical path; None =
-            unbounded. A batch that blows the budget does not fail —
-            further rebuilds are deferred to the side-by-side path
-            (Section 3.4's "constructed side by side with the running
-            datapath"), the old compiled tables serving until the next
-            packet flushes the rebuild. This bounds control-plane
-            latency under update storms without ever rejecting a mod.
-        source_budget: maximum generated source size (characters) one
-            table may occupy. The direct-code template patches every key
-            into the instruction stream, so its source grows O(entries);
-            past the budget ``compile_direct`` emits the *data-driven*
-            variant instead — same guards and matchers, same cost atoms,
-            bit-identical cycles, but the keys live in a closure array
-            rather than source text, so ``compile()`` stays bounded at
-            any table size. None = unbounded (the pre-budget behavior).
-        fuse_source_budget: maximum characters of table bodies the fused
-            driver may textually inline, cumulatively. Tables past the
-            budget are linked by closure-bound call (exactly how linked
-            lists always link) instead of being inlined — the driver
-            stays one bounded ``compile()`` even when individual tables
-            are huge. None = unbounded.
     """
 
     direct_threshold: int = 4
@@ -101,9 +80,6 @@ class CompileConfig:
     enable_range: bool = False
     fuse: bool = True
     force_linked_list: bool = False
-    compile_budget: "int | None" = None
-    source_budget: "int | None" = 1 << 16
-    fuse_source_budget: "int | None" = 1 << 20
 
     def with_(self, **kwargs: object) -> "CompileConfig":
         return replace(self, **kwargs)

@@ -8,19 +8,18 @@ datapaths — the extension the paper sketches in Section 5:
   datapaths in real time."
 
 :func:`derive_model` walks a compiled switch's trampoline along a given
-table path (or the longest goto chain when none is given) and composes the
-per-template cost atoms into an :class:`~repro.simcpu.model.AnalyticModel`,
-exactly the way Section 4.4 builds the gateway model by hand. The switch
-can thus quote model-lb/model-ub packet-rate promises for its *current*
-configuration, and re-quote after every update.
+table path (or the longest goto chain when none is given) and composes
+each rung's own cost atom (``CompiledTable.stage``) into an
+:class:`~repro.simcpu.model.AnalyticModel`, exactly the way Section 4.4
+builds the gateway model by hand. The switch can thus quote
+model-lb/model-ub packet-rate promises for its *current* configuration,
+and re-quote after every update.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-from repro.core.analysis import TemplateKind
 from repro.core.eswitch import ESwitch
 from repro.simcpu.model import AnalyticModel, StageCost
 from repro.simcpu.platform import Platform, XEON_E5_2620
@@ -28,17 +27,10 @@ from repro.simcpu.platform import Platform, XEON_E5_2620
 
 def _longest_goto_chain(switch: ESwitch) -> list[int]:
     """The deepest table path a packet can take, by goto-DAG DFS."""
-    trampoline = switch.datapath.trampoline
-    successors: dict[int, set[int]] = {tid: set() for tid in trampoline}
-    for tid, compiled in trampoline.items():
-        targets: set[int] = set()
-        if compiled.kind is TemplateKind.DIRECT or compiled.kind is None:
-            pass
-        for out in _outcomes_of(compiled):
-            if out is not None and out.goto is not None:
-                targets.add(out.goto)
-        successors[tid] = targets
-
+    successors = {
+        tid: {out.goto for out in compiled.outcomes() if out.goto is not None}
+        for tid, compiled in switch.datapath.trampoline.items()
+    }
     first = switch.datapath.first_table
     best: list[int] = []
     stack: list[tuple[int, list[int]]] = [(first, [first])]
@@ -50,30 +42,6 @@ def _longest_goto_chain(switch: ESwitch) -> list[int]:
             if nxt not in path and nxt in successors:  # goto DAG: no cycles
                 stack.append((nxt, path + [nxt]))
     return best
-
-
-def _outcomes_of(compiled) -> list:
-    """All outcomes a compiled table can return (template-specific)."""
-    import re
-
-    out = [compiled.miss]
-    if compiled.kind is TemplateKind.HASH:
-        assert compiled.hash_store is not None
-        out.extend(v for _k, v in compiled.hash_store.items())
-    elif compiled.kind is TemplateKind.LPM:
-        out.extend(compiled.namespace.get("_OUT", ()))
-    elif compiled.kind is TemplateKind.RANGE:
-        for run in compiled.namespace.get("_OUTS", ()):
-            out.extend(run)  # _OUTS is per-run lists of per-port outcomes
-    elif compiled.kind is TemplateKind.LINKED_LIST:
-        out.extend(entry[3] for entry in compiled.ll_entries or ())
-    else:  # direct code: outcomes live as _O<i> constants
-        out.extend(
-            v
-            for k, v in compiled.namespace.items()
-            if re.fullmatch(r"_O\d+", k)
-        )
-    return out
 
 
 def derive_model(
@@ -106,49 +74,7 @@ def derive_model(
     stages.append(StageCost("parser template", parser, 0, f"L2–L{layer} parse"))
 
     for hop, tid in enumerate(path):
-        compiled = switch.datapath.table(tid)
-        n = max(compiled.entry_count, 1)
-        if compiled.kind is TemplateKind.DIRECT:
-            # Expected entries examined: half the table on average.
-            examined = (n + 1) / 2
-            stages.append(
-                StageCost(
-                    f"direct code [{tid}]",
-                    costs.direct_base + costs.direct_per_entry * examined,
-                    0,
-                    f"{n} entries, keys in code",
-                )
-            )
-        elif compiled.kind is TemplateKind.HASH:
-            stages.append(
-                StageCost(f"hash template [{tid}]", costs.hash_base, 1,
-                          f"{n} entries, collision-free hash")
-            )
-        elif compiled.kind is TemplateKind.LPM:
-            stages.append(
-                StageCost(f"LPM template [{tid}]", costs.lpm_base, 2,
-                          f"{n} prefixes, DIR-24-8")
-            )
-        elif compiled.kind is TemplateKind.RANGE:
-            levels = max(1, math.ceil(math.log2(n + 1)))
-            stages.append(
-                StageCost(
-                    f"range template [{tid}]",
-                    costs.range_base + costs.range_per_level * levels,
-                    1,
-                    f"{n} entries, interval binary search",
-                )
-            )
-        else:
-            examined = (n + 1) / 2
-            stages.append(
-                StageCost(
-                    f"linked list [{tid}]",
-                    costs.linked_list_base + costs.linked_list_per_entry * examined,
-                    max(1, math.ceil(examined / 4)),
-                    f"{n} entries, tuple space search",
-                )
-            )
+        stages.append(switch.datapath.table(tid).stage(costs))
         if hop + 1 < len(path):
             stages.append(
                 StageCost("goto trampoline", costs.goto_trampoline, 0, "")

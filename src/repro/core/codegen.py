@@ -22,13 +22,17 @@ byte is dereferenced.
 
 Cost atoms are baked into the emitted source as literals, so the generated
 code *is* the performance model of its table (Section 4.4).
+
+A template rung is one :class:`CompiledTable` subclass. Its layout — which
+names the generated code binds, where the outcomes live, what an update
+may touch — is known to that class and to nobody else; the switch, the
+fuser and the model deriver go through the contract on the base class.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 
 from repro.core.analysis import (
     CompileConfig,
@@ -42,82 +46,143 @@ from repro.core.analysis import (
 )
 from repro.core.outcome import Outcome, miss_outcome, outcome_of
 from repro.dpdk.hash import CollisionFreeHash
-from repro.dpdk.lpm import Dir24_8Lpm
+from repro.dpdk.lpm import Dir24_8Lpm, LpmFullError
 from repro.openflow.fields import field_by_name
+from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
 from repro.openflow.match import Match
+from repro.openflow.messages import FlowMod
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
+from repro.simcpu.model import StageCost
 
 
 class CompileError(Exception):
     """Raised when a table cannot be compiled with the requested template."""
 
 
-@dataclass
-class CompiledTable:
-    """One table's compiled artifact plus its update hooks."""
+#: Largest table the direct code template accepts. It patches every key
+#: into the instruction stream, so its source grows with the table; Fig. 9
+#: calibrates the rung's useful range at a handful of entries (the sweep
+#: tops out at 64). A ``direct_threshold`` that steers a bigger table here
+#: is a misconfiguration, and it lands where every compile failure lands:
+#: quarantine onto the linked list, reported by ``ESwitch.health()``.
+MAX_DIRECT_ENTRIES = 1024
 
-    table_id: int
+_SIGNATURE = "def _match(data, pkt, l3, l4, proto, etype, nxt, m):"
+
+
+class CompiledTable:
+    """One table compiled onto one template rung.
+
+    The paper's flow table template is a prerequisite, a code template
+    and an update rule (Sections 3.1, 3.4). The prerequisite is checked by
+    the rung's ``compile_*`` emitter; the rest is this contract:
+
+    * :meth:`update` — absorb one applied flow-mod in place, or decline;
+    * :meth:`outcomes` — every :class:`Outcome` a lookup can return now;
+    * :meth:`footprint` — estimated resident bytes;
+    * :meth:`stage` — the analytic-model atom of one lookup, kept beside
+      the emitter that bakes the same atoms into ``source``;
+    * :attr:`inlinable` / :meth:`body` — what a linker needs to splice the
+      lookup into a larger code object.
+
+    ``namespace`` is the generated function's globals: ``_MISS`` plus
+    whatever the rung's body names.
+    """
+
     kind: TemplateKind
-    fn: object  # the generated callable
-    source: str
-    namespace: dict
-    miss: Outcome
-    #: hash template: the backing store and its key layout.
+    #: the generated body is straight-line code with no ``return`` inside
+    #: a loop, so ``return X`` rewrites mechanically to ``out = X; break``.
+    inlinable = True
+    #: backing stores, for the rungs that have one.
     hash_store: "CollisionFreeHash | None" = None
-    hash_fields: tuple[str, ...] = ()
-    hash_masks: tuple[int, ...] = ()
-    #: LPM template: the DIR-24-8 table, its field, and the outcome list.
     lpm_store: "Dir24_8Lpm | None" = None
-    lpm_field: str = ""
-    #: recycled slots of the LPM outcome list (freed by incremental DELETE).
-    lpm_free: list = field(default_factory=list)
-    #: linked list template: the mutable entry list and matcher registry.
-    ll_entries: "list | None" = None
-    ll_matchers: dict = field(default_factory=dict)
-    #: how many flow entries are compiled in (for stats/inspection).
-    entry_count: int = 0
-    #: the source-budget fallback fired: keys live in closure arrays, not
-    #: source text. Data-driven bodies return from inside a loop and must
-    #: be linked by closure call, never textually inlined (see fuse.py).
-    data_driven: bool = False
+
+    def __init__(self, table: FlowTable, costs: CostBook, namespace: dict):
+        self.table_id = table.table_id
+        #: how many flow entries are compiled in (for stats/inspection).
+        self.entry_count = len(table)
+        self.namespace = namespace
+        self.source = "\n".join([_SIGNATURE] + self._emit(costs)) + "\n"
+        code = compile(
+            self.source, f"<eswitch:table{self.table_id}:{self.kind.value}>", "exec"
+        )
+        exec(code, namespace)
+        self.fn = namespace["_match"]
+
+    @property
+    def miss(self) -> Outcome:
+        return self.namespace["_MISS"]
+
+    def _emit(self, costs: "CostBook | None") -> list[str]:
+        """The lookup body. ``costs=None`` emits the NullMeter
+        specialization: no cost atoms, and store probes that skip the
+        cache-line trace that only feeds them."""
+        raise NotImplementedError
+
+    def update(self, table: FlowTable, mod: FlowMod) -> bool:
+        """Absorb ``mod`` (already applied to ``table``) without
+        recompiling; False asks the caller for a side-by-side rebuild."""
+        if not self._absorb(table, mod):
+            return False
+        self.entry_count = len(table)
+        return True
+
+    def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:
+        return False  # "Complete rebuilding happens … unconditionally"
+
+    def _rebind_miss(self, table: FlowTable) -> None:
+        """A catch-all was added or removed: it *is* the miss arm."""
+        last = table.last_entry()  # O(1): no live-tuple rebuild
+        catch_all = last if last is not None and last.match.is_catch_all else None
+        self.namespace["_MISS"] = _miss_of(table, catch_all)
+
+    def outcomes(self) -> list[Outcome]:
+        """Every Outcome a lookup can return, the miss arm first."""
+        return [self.miss, *self._hits()]
+
+    def _hits(self):
+        raise NotImplementedError
+
+    def _list_bytes(self) -> int:
+        """Estimated bytes of entry/outcome lists outside the backing
+        store (~56 per list slot, ~120 per Outcome, ~64 per key tuple)."""
+        return 0
 
     def footprint(self) -> dict:
         """Estimated resident bytes of this compiled table.
 
         Backing stores (hash, LPM) report exactly; generated source and
-        entry/outcome lists are estimated (~56 bytes per list slot plus
-        ~120 bytes per Outcome). This is the per-rung memory telemetry of
-        the million-flow bench — relative magnitudes matter, not malloc
-        truth.
+        entry/outcome lists are estimated. This is the per-rung memory
+        telemetry of the million-flow bench — relative magnitudes matter,
+        not malloc truth.
         """
-        detail: dict = {}
-        total = len(self.source)
-        if self.hash_store is not None:
-            detail = self.hash_store.footprint()
-            total += detail["bytes"]
-        elif self.lpm_store is not None:
-            detail = self.lpm_store.footprint()
-            total += detail["bytes"]
-            total += len(self.namespace.get("_OUT", ())) * (56 + 120)
-        elif self.ll_entries is not None:
-            total += len(self.ll_entries) * (56 + 120 + 64)
-        elif self.data_driven:
-            total += len(self.namespace.get("_ENTRIES", ())) * (56 + 120 + 64)
-        else:
-            # Direct/range: outcomes live as namespace constants.
-            total += sum(
-                120 for k in self.namespace if k.startswith("_O")
-            ) + len(self.namespace.get("_OUTS", ())) * (56 + 120)
+        store = self.hash_store if self.hash_store is not None else self.lpm_store
+        detail = store.footprint() if store is not None else {}
         return {
             "table_id": self.table_id,
             "kind": self.kind.value,
             "entries": self.entry_count,
             "source_bytes": len(self.source),
-            "data_driven": self.data_driven,
-            "bytes": total,
+            "bytes": len(self.source) + detail.get("bytes", 0) + self._list_bytes(),
             **{k: v for k, v in detail.items() if k not in ("kind", "bytes")},
         }
+
+    def stage(self, costs: CostBook) -> StageCost:
+        """One lookup as a Section 4.4 performance atom."""
+        raise NotImplementedError
+
+    def body(self, null: bool) -> tuple[list[str], dict]:
+        """``(lines, names)`` of an :attr:`inlinable` lookup: the body
+        under ``_match``'s signature (``null`` selects the NullMeter
+        specialization) and the namespace constants it refers to."""
+        lines = self._emit(None) if null else self.source.split("\n")[1:-1]
+        names = {
+            key: value
+            for key, value in self.namespace.items()
+            if key.startswith("_") and key not in ("_match", "__builtins__")
+        }
+        return lines, names
 
 
 # -- match-condition expression builders ----------------------------------------
@@ -132,24 +197,30 @@ def _field_expr(name: str) -> str:
     return fdef.expr
 
 
+def _guard_masks(match: Match) -> tuple[int, ...]:
+    """Any-of protocol guard masks for a match's constrained fields."""
+    return tuple(
+        sorted(
+            {
+                field_by_name(name).proto_required
+                for name in match.fields
+                if field_by_name(name).proto_required
+            }
+        )
+    )
+
+
 def _guards(match: Match) -> list[str]:
     """Protocol-presence guard expressions (the ``bt r15d, IP`` analogue).
 
     Each constrained field contributes an any-of bitmask test; guards
     always run before the field's bytes are dereferenced.
     """
-    masks = sorted(
-        {
-            field_by_name(name).proto_required
-            for name in match.fields
-            if field_by_name(name).proto_required
-        }
-    )
-    return [f"proto & {g:#x}" for g in masks]
+    return [f"proto & {g:#x}" for g in _guard_masks(match)]
 
 
-def _conditions(match: Match) -> tuple[list[str], list[str]]:
-    """(protocol guard expressions, per-field comparison expressions)."""
+def _conditions(match: Match) -> list[str]:
+    """Per-field comparison expressions with the keys patched in."""
     conds = []
     for name, (value, mask) in match.items():
         fdef = field_by_name(name)
@@ -158,7 +229,7 @@ def _conditions(match: Match) -> tuple[list[str], list[str]]:
             conds.append(f"({expr}) == {value:#x}")
         else:
             conds.append(f"(({expr}) & {mask:#x}) == {value:#x}")
-    return _guards(match), conds
+    return conds
 
 
 def _key_exprs(fields: tuple[str, ...], masks: tuple[int, ...]) -> str:
@@ -176,13 +247,73 @@ def _key_exprs(fields: tuple[str, ...], masks: tuple[int, ...]) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
-def _compile(source: str, namespace: dict, table_id: int, kind: TemplateKind):
-    code = compile(source, f"<eswitch:table{table_id}:{kind.value}>", "exec")
-    exec(code, namespace)
-    return namespace["_match"]
+def _guard_lines(guards: list[str]) -> list[str]:
+    """Whole-table protocol guard: without the headers, straight to miss."""
+    if not guards:
+        return []
+    return [f"    if not ({' and '.join(guards)}):", "        return _MISS"]
 
 
-# -- template emitters -------------------------------------------------------------
+def _miss_of(table: FlowTable, catch_all: "FlowEntry | None") -> Outcome:
+    return outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
+
+
+# -- the template rungs ------------------------------------------------------------
+
+
+class DirectTable(CompiledTable):
+    """Direct code: the keys are the instruction stream; any change to
+    them is a rebuild."""
+
+    kind = TemplateKind.DIRECT
+
+    def __init__(self, table: FlowTable, config: CompileConfig, costs: CostBook):
+        self._outs = [outcome_of(entry) for entry in table.entries]
+        #: per entry, its guards and matchers as one condition ("" = none).
+        self._checks = [
+            " and ".join(_guards(entry.match) + _conditions(entry.match))
+            for entry in table.entries
+        ]
+        self._keys_in_code = config.keys_in_code
+        namespace: dict = {"_MISS": miss_outcome(table)}
+        namespace.update((f"_O{i}", out) for i, out in enumerate(self._outs))
+        super().__init__(table, costs, namespace)
+
+    def _emit(self, costs: "CostBook | None") -> list[str]:
+        lines = [] if costs is None else [f"    m.charge({costs.direct_base!r})"]
+        for i, check in enumerate(self._checks):
+            if costs is not None:
+                lines.append(
+                    f"    m.charge({costs.direct_per_entry!r})  # FLOW_{i + 1}"
+                )
+                if not self._keys_in_code:
+                    # Ablation: keys fetched from a key table in data memory.
+                    lines.append(
+                        f"    m.touch(('es_keys', {self.table_id}, {i // 4}))"
+                    )
+            if check:
+                lines.append(f"    if {check}:")
+                lines.append(f"        return _O{i}")
+            else:
+                lines.append(f"    return _O{i}")
+        lines.append("    return _MISS")
+        return lines
+
+    def _hits(self):
+        return self._outs
+
+    def _list_bytes(self) -> int:
+        return 120 * len(self._outs)
+
+    def stage(self, costs: CostBook) -> StageCost:
+        n = max(self.entry_count, 1)
+        examined = (n + 1) / 2  # half the table on average
+        return StageCost(
+            f"direct code [{self.table_id}]",
+            costs.direct_base + costs.direct_per_entry * examined,
+            0,
+            f"{n} entries, keys in code",
+        )
 
 
 def compile_direct(
@@ -195,114 +326,93 @@ def compile_direct(
     A faithful transcription of the paper's example in Section 3.1: each
     flow entry becomes a protocol-bitmask guard followed by inlined matcher
     templates with the keys patched in, ending in a jump to its outcome;
-    fall-through is the next entry ("ADDR_NEXT_FLOW").
-
-    Tables whose generated source would exceed ``config.source_budget``
-    compile to the *data-driven* variant instead
-    (:func:`_compile_direct_data`): same guards, matchers, and cost atoms
-    — bit-identical verdicts and modeled cycles — with the keys held in a
-    closure array rather than patched into a multi-megabyte source
-    string, so ``compile()`` stays bounded at million-entry tables.
+    fall-through is the next entry ("ADDR_NEXT_FLOW"). Bounded by
+    :data:`MAX_DIRECT_ENTRIES`.
     """
-    budget = config.source_budget
-    # ~24 chars is a hard floor per emitted entry; skip generating source
-    # that is certain to blow the budget (the point of having one).
-    if budget is not None and len(table.entries) * 24 > budget:
-        return _compile_direct_data(table, config, costs)
-    namespace: dict = {"_MISS": miss_outcome(table)}
-    lines = [
-        "def _match(data, pkt, l3, l4, proto, etype, nxt, m):",
-        f"    m.charge({costs.direct_base!r})",
-    ]
-    total = sum(len(line) + 1 for line in lines)
-    for i, entry in enumerate(table.entries):
-        namespace[f"_O{i}"] = outcome_of(entry)
-        guards, conds = _conditions(entry.match)
-        lines.append(f"    m.charge({costs.direct_per_entry!r})  # FLOW_{i + 1}")
-        if not config.keys_in_code:
-            # Ablation: keys fetched from a key table in data memory.
-            lines.append(f"    m.touch(('es_keys', {table.table_id}, {i // 4}))")
-        checks = guards + conds
-        if checks:
-            lines.append(f"    if {' and '.join(checks)}:")
-            lines.append(f"        return _O{i}")
+    if len(table) > MAX_DIRECT_ENTRIES:
+        raise CompileError(
+            f"direct template bound exceeded: {len(table)} entries "
+            f"> {MAX_DIRECT_ENTRIES}"
+        )
+    return DirectTable(table, config, costs)
+
+
+class HashTable(CompiledTable):
+    """Compound hash: one masked key, one collision-free probe. Keyed
+    entries update the store in place; a catch-all rebinds the miss arm."""
+
+    kind = TemplateKind.HASH
+
+    def __init__(
+        self,
+        table: FlowTable,
+        costs: CostBook,
+        store: CollisionFreeHash,
+        shape: tuple[tuple[str, int], ...],
+        guards: list[str],
+        miss: Outcome,
+    ):
+        self.hash_store = store
+        self.fields = tuple(name for name, _mask in shape)
+        self.masks = tuple(mask for _name, mask in shape)
+        self._guards = guards
+        super().__init__(
+            table, costs, {"_MISS": miss, "_H": store, "_Hget": store.get}
+        )
+
+    def _emit(self, costs: "CostBook | None") -> list[str]:
+        key = _key_exprs(self.fields, self.masks)
+        if costs is None:
+            probe = [f"    v = _Hget({key})"]
         else:
-            lines.append(f"    return _O{i}")
-        total += sum(len(line) + 1 for line in lines[-3:])
-        if budget is not None and total > budget:
-            return _compile_direct_data(table, config, costs)
-    lines.append("    return _MISS")
-    source = "\n".join(lines) + "\n"
-    fn = _compile(source, namespace, table.table_id, TemplateKind.DIRECT)
-    return CompiledTable(
-        table_id=table.table_id,
-        kind=TemplateKind.DIRECT,
-        fn=fn,
-        source=source,
-        namespace=namespace,
-        miss=namespace["_MISS"],
-        entry_count=len(table),
-    )
+            probe = [
+                f"    v, _ln = _H.get_traced({key})",
+                f"    m.touch(('es_hash', {self.table_id}, _ln))",
+            ]
+        return (
+            ([] if costs is None else [f"    m.charge({costs.hash_base!r})"])
+            + _guard_lines(self._guards)
+            + probe
+            + ["    if v is None:", "        return _MISS", "    return v"]
+        )
+
+    def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:
+        match = mod.match
+        if match.is_catch_all:
+            self._rebind_miss(table)
+            return True
+        if match.fields != self.fields or any(
+            match.mask_of(name) != mask
+            for name, mask in zip(self.fields, self.masks)
+        ):
+            return False
+        key = _hash_key_of(match, self.fields)
+        # Same-match duplicates at different priorities are legal (the
+        # lower one is shadowed): the slot always holds the outcome of
+        # the highest-priority entry that *remains* in the table, so a
+        # strict delete of one duplicate reinstates the survivor.
+        best = table.find(match)
+        if best is None:
+            self.hash_store.remove(key)
+        else:
+            self.hash_store.insert(key, outcome_of(best))
+        return True
+
+    def _hits(self):
+        return (value for _key, value in self.hash_store.items())
+
+    def stage(self, costs: CostBook) -> StageCost:
+        return StageCost(
+            f"hash template [{self.table_id}]",
+            costs.hash_base,
+            1,
+            f"{max(self.entry_count, 1)} entries, collision-free hash",
+        )
 
 
-def _compile_direct_data(
-    table: FlowTable,
-    config: CompileConfig = DEFAULT_CONFIG,
-    costs: CostBook = DEFAULT_COSTS,
-) -> CompiledTable:
-    """The data-driven direct variant: the source-budget fallback rung.
-
-    Entry order, guard evaluation, charge atoms, and (in the
-    ``keys_in_code=False`` ablation) key-table touches mirror the in-code
-    template line for line, so modeled cycles are bit-identical — the
-    fallback is a *planned degradation* of code size, not of semantics or
-    of the performance model. The per-entry matchers are the same shared
-    generated functions the linked-list template uses; what changes is
-    only where the keys live (closure array vs instruction stream).
-    """
-    namespace: dict = {"_MISS": miss_outcome(table)}
-    matchers: dict[tuple, object] = {}
-    entries: list[tuple[tuple, object, tuple, Outcome]] = []
-    for entry in table.entries:
-        sig = tuple((name, mask) for name, (_v, mask) in entry.match.items())
-        fn = matchers.get(sig)
-        if fn is None:
-            fn = _build_sig_matcher(sig, len(matchers))
-            matchers[sig] = fn
-        values = tuple(v for _name, (v, _m) in entry.match.items())
-        entries.append((_guard_masks(entry.match), fn, values, outcome_of(entry)))
-    namespace["_ENTRIES"] = entries
-    touch = (
-        []
-        if config.keys_in_code
-        else [f"        m.touch(('es_keys', {table.table_id}, _i >> 2))"]
-    )
-    lines = (
-        [
-            "def _match(data, pkt, l3, l4, proto, etype, nxt, m):",
-            f"    m.charge({costs.direct_base!r})",
-            "    for _i, (_req, _fn, _vals, _out) in enumerate(_ENTRIES):",
-            f"        m.charge({costs.direct_per_entry!r})",
-        ]
-        + touch
-        + [
-            "        if all(proto & _g for _g in _req) and _fn(data, pkt, l3, l4, proto, etype, nxt, _vals):",
-            "            return _out",
-            "    return _MISS",
-        ]
-    )
-    source = "\n".join(lines) + "\n"
-    fn = _compile(source, namespace, table.table_id, TemplateKind.DIRECT)
-    return CompiledTable(
-        table_id=table.table_id,
-        kind=TemplateKind.DIRECT,
-        fn=fn,
-        source=source,
-        namespace=namespace,
-        miss=namespace["_MISS"],
-        entry_count=len(table),
-        data_driven=True,
-    )
+def _hash_key_of(match: Match, fields: tuple[str, ...]):
+    values = tuple(match.value_of(name) for name in fields)
+    return values[0] if len(values) == 1 else values
 
 
 def compile_hash(
@@ -322,9 +432,7 @@ def compile_hash(
     shape = hash_shape(table)
     if shape is None:
         raise CompileError("hash template prerequisite (global mask) violated")
-    first = rules[0].match
     fields = tuple(name for name, _mask in shape)
-    masks = tuple(mask for _name, mask in shape)
 
     items: dict = {}
     for entry in rules:
@@ -334,49 +442,109 @@ def compile_hash(
     # One bulk build instead of insert-at-a-time: a million-entry table
     # pays a single layout search, not an incremental growth sequence.
     store = CollisionFreeHash(items)
-
-    miss = outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
-    guards = _guards(first)
-    namespace: dict = {"_MISS": miss, "_H": store}
-    key_expr = _key_exprs(fields, masks)
-    guard = (
-        [f"    if not ({' and '.join(guards)}):", "        return _MISS"]
-        if guards
-        else []
-    )
-    lines = (
-        [
-            "def _match(data, pkt, l3, l4, proto, etype, nxt, m):",
-            f"    m.charge({costs.hash_base!r})",
-        ]
-        + guard
-        + [
-            f"    v, _ln = _H.get_traced({key_expr})",
-            f"    m.touch(('es_hash', {table.table_id}, _ln))",
-            "    if v is None:",
-            "        return _MISS",
-            "    return v",
-        ]
-    )
-    source = "\n".join(lines) + "\n"
-    fn = _compile(source, namespace, table.table_id, TemplateKind.HASH)
-    return CompiledTable(
-        table_id=table.table_id,
-        kind=TemplateKind.HASH,
-        fn=fn,
-        source=source,
-        namespace=namespace,
-        miss=miss,
-        hash_store=store,
-        hash_fields=fields,
-        hash_masks=masks,
-        entry_count=len(table),
+    return HashTable(
+        table, costs, store, shape, _guards(rules[0].match),
+        _miss_of(table, catch_all),
     )
 
 
-def _hash_key_of(match: Match, fields: tuple[str, ...]):
-    values = tuple(match.value_of(name) for name in fields)
-    return values[0] if len(values) == 1 else values
+class LpmTable(CompiledTable):
+    """LPM over DIR-24-8: the store maps a prefix to a slot of the outcome
+    list; prefixes add, rebind and delete in place."""
+
+    kind = TemplateKind.LPM
+
+    def __init__(
+        self,
+        table: FlowTable,
+        costs: CostBook,
+        store: Dir24_8Lpm,
+        name: str,
+        outcomes: list,
+        miss: Outcome,
+    ):
+        self.lpm_store = store
+        self.field = name
+        #: slot-addressed by the store's next hop; freed slots hold None.
+        self._out = outcomes
+        #: recycled slots of the outcome list (freed by incremental DELETE).
+        self._free: list[int] = []
+        super().__init__(
+            table,
+            costs,
+            {"_MISS": miss, "_LPM": store, "_LPMlookup": store.lookup,
+             "_OUT": outcomes},
+        )
+
+    def _emit(self, costs: "CostBook | None") -> list[str]:
+        req = field_by_name(self.field).proto_required
+        expr = _field_expr(self.field)
+        if costs is None:
+            probe = [f"    nh = _LPMlookup({expr})"]
+        else:
+            probe = [
+                f"    nh, _lines = _LPM.lookup_traced({expr})",
+                "    for _ln in _lines:",
+                f"        m.touch(('es_lpm', {self.table_id}, _ln))",
+            ]
+        return (
+            ([] if costs is None else [f"    m.charge({costs.lpm_base!r})"])
+            + _guard_lines([f"proto & {req:#x}"] if req else [])
+            + probe
+            + ["    if nh is None:", "        return _MISS", "    return _OUT[nh]"]
+        )
+
+    def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:
+        match = mod.match
+        if match.is_catch_all:
+            self._rebind_miss(table)
+            return True
+        if match.fields != (self.field,) or not match.is_prefix(self.field):
+            return False
+        value = match.value_of(self.field)
+        depth = match.prefix_len(self.field)
+        # Slots are recycled through a free list so that add/delete churn
+        # (the Fig. 18 route-flap workload) keeps the outcome list bounded
+        # by the live rule count instead of growing forever.
+        store, outcomes = self.lpm_store, self._out
+        slot = store.get_rule(value, depth)
+        best = table.find(match)
+        if best is None:
+            if slot is not None:
+                store.delete(value, depth)
+                outcomes[slot] = None
+                self._free.append(slot)
+        elif slot is not None:
+            # Rule replaced (or one duplicate deleted): rebind in place.
+            outcomes[slot] = outcome_of(best)
+        else:
+            if self._free:
+                slot = self._free.pop()
+                outcomes[slot] = outcome_of(best)
+            else:
+                slot = len(outcomes)
+                outcomes.append(outcome_of(best))
+            try:
+                store.add(value, depth, slot)
+            except LpmFullError:
+                outcomes[slot] = None
+                self._free.append(slot)
+                return False  # fall back to a (larger) rebuild
+        return True
+
+    def _hits(self):
+        return (out for out in self._out if out is not None)
+
+    def _list_bytes(self) -> int:
+        return len(self._out) * (56 + 120)
+
+    def stage(self, costs: CostBook) -> StageCost:
+        return StageCost(
+            f"LPM template [{self.table_id}]",
+            costs.lpm_base,
+            2,
+            f"{max(self.entry_count, 1)} prefixes, DIR-24-8",
+        )
 
 
 def compile_lpm(
@@ -392,7 +560,7 @@ def compile_lpm(
     # Growable tbl8 pool: a million-prefix FIB allocates whatever /25+
     # groups it needs instead of tripping a fixed ceiling.
     store = Dir24_8Lpm()
-    outcomes: list[Outcome] = []
+    outcomes: list = []
     adds: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int]] = set()
     for entry in rules:
@@ -409,110 +577,8 @@ def compile_lpm(
         adds.append((value, depth, len(outcomes)))
         outcomes.append(outcome_of(entry))
     store.add_bulk(adds)
-
-    miss = outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
-    fdef = field_by_name(name)
-    req = fdef.proto_required
-    namespace: dict = {"_MISS": miss, "_LPM": store, "_OUT": outcomes}
-    guard = (
-        [f"    if not (proto & {req:#x}):", "        return _MISS"]
-        if req
-        else []
-    )
-    lines = (
-        [
-            "def _match(data, pkt, l3, l4, proto, etype, nxt, m):",
-            f"    m.charge({costs.lpm_base!r})",
-        ]
-        + guard
-        + [
-            f"    nh, _lines = _LPM.lookup_traced({_field_expr(name)})",
-            "    for _ln in _lines:",
-            f"        m.touch(('es_lpm', {table.table_id}, _ln))",
-            "    if nh is None:",
-            "        return _MISS",
-            "    return _OUT[nh]",
-        ]
-    )
-    source = "\n".join(lines) + "\n"
-    fn = _compile(source, namespace, table.table_id, TemplateKind.LPM)
-    return CompiledTable(
-        table_id=table.table_id,
-        kind=TemplateKind.LPM,
-        fn=fn,
-        source=source,
-        namespace=namespace,
-        miss=miss,
-        lpm_store=store,
-        lpm_field=name,
-        entry_count=len(table),
-    )
-
-
-def compile_linked_list(
-    table: FlowTable,
-    config: CompileConfig = DEFAULT_CONFIG,
-    costs: CostBook = DEFAULT_COSTS,
-) -> CompiledTable:
-    """The linked list template: tuple space search with shared matchers.
-
-    "For every relevant combination of fields a separate matcher function
-    is constructed … and these matchers are called iteratively with
-    subsequent flow entry keys as input" (Section 3.1). The matcher
-    functions are themselves generated code, one per mask signature, shared
-    across all entries with that signature.
-    """
-    rules, catch_all = split_catch_all(table.entries)
-    miss = outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
-
-    matchers: dict[tuple, object] = {}
-    entries: list[tuple[tuple, object, tuple, Outcome]] = []
-    namespace: dict = {"_MISS": miss}
-    for entry in rules:
-        sig = tuple((name, mask) for name, (_v, mask) in entry.match.items())
-        fn = matchers.get(sig)
-        if fn is None:
-            fn = _build_sig_matcher(sig, len(matchers))
-            matchers[sig] = fn
-        values = tuple(v for _name, (v, _m) in entry.match.items())
-        entries.append((_guard_masks(entry.match), fn, values, outcome_of(entry)))
-    namespace["_ENTRIES"] = entries
-
-    lines = [
-        "def _match(data, pkt, l3, l4, proto, etype, nxt, m):",
-        f"    m.charge({costs.linked_list_base!r})",
-        "    for _i, (_req, _fn, _vals, _out) in enumerate(_ENTRIES):",
-        f"        m.charge({costs.linked_list_per_entry!r})",
-        f"        m.touch(('es_ll', {table.table_id}, _i >> 2))",
-        "        if all(proto & _g for _g in _req) and _fn(data, pkt, l3, l4, proto, etype, nxt, _vals):",
-        "            return _out",
-        "    return _MISS",
-    ]
-    source = "\n".join(lines) + "\n"
-    fn = _compile(source, namespace, table.table_id, TemplateKind.LINKED_LIST)
-    return CompiledTable(
-        table_id=table.table_id,
-        kind=TemplateKind.LINKED_LIST,
-        fn=fn,
-        source=source,
-        namespace=namespace,
-        miss=miss,
-        ll_entries=entries,
-        ll_matchers=matchers,
-        entry_count=len(table),
-    )
-
-
-def _guard_masks(match: Match) -> tuple[int, ...]:
-    """Any-of protocol guard masks for a match's constrained fields."""
-    return tuple(
-        sorted(
-            {
-                field_by_name(name).proto_required
-                for name in match.fields
-                if field_by_name(name).proto_required
-            }
-        )
+    return LpmTable(
+        table, costs, store, name, outcomes, _miss_of(table, catch_all)
     )
 
 
@@ -537,6 +603,148 @@ def _build_sig_matcher(sig: tuple, index: int):
     return fn
 
 
+class LinkedListTable(CompiledTable):
+    """Linked list (tuple space search): the code walks a mutable entry
+    list, so any mod is absorbed by rewriting the list; the generated
+    code object never changes."""
+
+    kind = TemplateKind.LINKED_LIST
+    inlinable = False  # returns from inside its entry loop
+
+    def __init__(self, table: FlowTable, costs: CostBook):
+        #: generated matcher functions by mask signature, shared by every
+        #: entry with that signature and kept across updates.
+        self.ll_matchers: dict[tuple, object] = {}
+        #: ``(guard masks, matcher, key values, outcome)`` per rule.
+        self.ll_entries: list[tuple] = []
+        super().__init__(
+            table, costs, {"_MISS": None, "_ENTRIES": self.ll_entries}
+        )
+        self._load(table)
+
+    def _emit(self, costs: CostBook) -> list[str]:
+        return [
+            f"    m.charge({costs.linked_list_base!r})",
+            "    for _i, (_req, _fn, _vals, _out) in enumerate(_ENTRIES):",
+            f"        m.charge({costs.linked_list_per_entry!r})",
+            f"        m.touch(('es_ll', {self.table_id}, _i >> 2))",
+            "        if all(proto & _g for _g in _req) and _fn(data, pkt, l3, l4, proto, etype, nxt, _vals):",
+            "            return _out",
+            "    return _MISS",
+        ]
+
+    def _load(self, table: FlowTable) -> None:
+        """(Re)fill the entry list and the miss arm from ``table``: the
+        one entry builder compile and update share."""
+        rules, catch_all = split_catch_all(table.entries)
+        entries = []
+        for entry in rules:
+            sig = tuple((name, mask) for name, (_v, mask) in entry.match.items())
+            fn = self.ll_matchers.get(sig)
+            if fn is None:
+                fn = _build_sig_matcher(sig, len(self.ll_matchers))
+                self.ll_matchers[sig] = fn
+            values = tuple(v for _name, (v, _m) in entry.match.items())
+            entries.append((_guard_masks(entry.match), fn, values, outcome_of(entry)))
+        self.ll_entries[:] = entries
+        self.namespace["_MISS"] = _miss_of(table, catch_all)
+
+    def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:
+        self._load(table)
+        return True
+
+    def _hits(self):
+        return (entry[3] for entry in self.ll_entries)
+
+    def _list_bytes(self) -> int:
+        return len(self.ll_entries) * (56 + 120 + 64)
+
+    def stage(self, costs: CostBook) -> StageCost:
+        n = max(self.entry_count, 1)
+        examined = (n + 1) / 2
+        return StageCost(
+            f"linked list [{self.table_id}]",
+            costs.linked_list_base + costs.linked_list_per_entry * examined,
+            max(1, math.ceil(examined / 4)),
+            f"{n} entries, tuple space search",
+        )
+
+
+def compile_linked_list(
+    table: FlowTable,
+    config: CompileConfig = DEFAULT_CONFIG,
+    costs: CostBook = DEFAULT_COSTS,
+) -> CompiledTable:
+    """The linked list template: tuple space search with shared matchers.
+
+    "For every relevant combination of fields a separate matcher function
+    is constructed … and these matchers are called iteratively with
+    subsequent flow entry keys as input" (Section 3.1). The matcher
+    functions are themselves generated code, one per mask signature, shared
+    across all entries with that signature. No prerequisite.
+    """
+    return LinkedListTable(table, costs)
+
+
+class RangeTable(CompiledTable):
+    """Range search: sorted port intervals, one binary search; the
+    interval arrays are rebuilt, never patched."""
+
+    kind = TemplateKind.RANGE
+
+    def __init__(
+        self,
+        table: FlowTable,
+        costs: CostBook,
+        name: str,
+        starts: list[int],
+        ends: list[int],
+        outs: list[list[Outcome]],
+        miss: Outcome,
+    ):
+        self.field = name
+        self._outs = outs
+        self._levels = max(1, math.ceil(math.log2(len(starts) + 1)))
+        super().__init__(
+            table,
+            costs,
+            {"_MISS": miss, "_STARTS": starts, "_ENDS": ends, "_OUTS": outs,
+             "_bisect": bisect.bisect_right},
+        )
+
+    def _charge(self, costs: CostBook) -> float:
+        return costs.range_base + costs.range_per_level * self._levels
+
+    def _emit(self, costs: "CostBook | None") -> list[str]:
+        req = field_by_name(self.field).proto_required
+        metered = costs is not None
+        return (
+            ([f"    m.charge({self._charge(costs)!r})"] if metered else [])
+            + _guard_lines([f"proto & {req:#x}"] if req else [])
+            + [f"    _p = {_field_expr(self.field)}",
+               "    _i = _bisect(_STARTS, _p) - 1"]
+            + ([f"    m.touch(('es_range', {self.table_id}, _i >> 3))"]
+               if metered else [])
+            + ["    if _i >= 0 and _p <= _ENDS[_i]:",
+               "        return _OUTS[_i][_p - _STARTS[_i]]",
+               "    return _MISS"]
+        )
+
+    def _hits(self):
+        return (out for run in self._outs for out in run)
+
+    def _list_bytes(self) -> int:
+        return len(self._outs) * (56 + 120)
+
+    def stage(self, costs: CostBook) -> StageCost:
+        return StageCost(
+            f"range template [{self.table_id}]",
+            self._charge(costs),
+            1,
+            f"{max(self.entry_count, 1)} entries, interval binary search",
+        )
+
+
 def compile_range(
     table: FlowTable,
     config: CompileConfig = DEFAULT_CONFIG,
@@ -554,14 +762,8 @@ def compile_range(
     mapped = port_map(table.entries)
     if runs is None or mapped is None:
         raise CompileError("range template prerequisite (exact port runs) violated")
-    rules, catch_all = split_catch_all(table.entries)
-    miss = outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
+    _rules, catch_all = split_catch_all(table.entries)
     name, by_port = mapped
-    fdef = field_by_name(name)
-    req = fdef.proto_required
-
-    starts = [lo for lo, _hi, _e in runs]
-    ends = [hi for _lo, hi, _e in runs]
     # One outcome per PORT, grouped by run: rules merged into a run share
     # behavior but keep distinct identity (flow counters, verdict paths),
     # so the hit must resolve to the exact port's entry — the same entry
@@ -570,45 +772,14 @@ def compile_range(
         [outcome_of(by_port[port]) for port in range(lo, hi + 1)]
         for lo, hi, _e in runs
     ]
-    levels = max(1, math.ceil(math.log2(len(runs) + 1)))
-
-    namespace: dict = {
-        "_MISS": miss,
-        "_STARTS": starts,
-        "_ENDS": ends,
-        "_OUTS": outs,
-        "_bisect": bisect.bisect_right,
-    }
-    guard = (
-        [f"    if not (proto & {req:#x}):", "        return _MISS"]
-        if req
-        else []
-    )
-    lines = (
-        [
-            "def _match(data, pkt, l3, l4, proto, etype, nxt, m):",
-            f"    m.charge({costs.range_base + costs.range_per_level * levels!r})",
-        ]
-        + guard
-        + [
-            f"    _p = {_field_expr(name)}",
-            "    _i = _bisect(_STARTS, _p) - 1",
-            f"    m.touch(('es_range', {table.table_id}, _i >> 3))",
-            "    if _i >= 0 and _p <= _ENDS[_i]:",
-            "        return _OUTS[_i][_p - _STARTS[_i]]",
-            "    return _MISS",
-        ]
-    )
-    source = "\n".join(lines) + "\n"
-    fn = _compile(source, namespace, table.table_id, TemplateKind.RANGE)
-    return CompiledTable(
-        table_id=table.table_id,
-        kind=TemplateKind.RANGE,
-        fn=fn,
-        source=source,
-        namespace=namespace,
-        miss=miss,
-        entry_count=len(table),
+    return RangeTable(
+        table,
+        costs,
+        name,
+        [lo for lo, _hi, _e in runs],
+        [hi for _lo, hi, _e in runs],
+        outs,
+        _miss_of(table, catch_all),
     )
 
 

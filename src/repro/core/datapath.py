@@ -53,10 +53,6 @@ def required_layer(pipeline: Pipeline) -> int:
     return deepest
 
 
-def needs_etype(pipeline: Pipeline) -> bool:
-    return "eth_type" in pipeline.matched_fields()
-
-
 _PARSERS = {2: pp.parse_l2, 3: pp.parse_l3, 4: pp.parse}
 
 
@@ -73,8 +69,8 @@ class CompiledDatapath:
       :attr:`generation`.
 
     ``generation`` is the invalidation contract: every ``install``/
-    ``uninstall``/``set_parser_layer`` bumps it (callers that mutate a
-    compiled table's namespace in place must call :meth:`bump_generation`
+    ``uninstall``/``set_parser_layer`` bumps it (callers that ``update()``
+    a compiled table in place must call :meth:`bump_generation`
     themselves — :class:`~repro.core.eswitch.ESwitch` does). ``process``/
     ``process_burst`` run the fused driver while it matches the current
     generation and lazily re-fuse on the first packet after a change —
@@ -86,22 +82,16 @@ class CompiledDatapath:
         self,
         first_table: int,
         parser_layer: int = 4,
-        use_etype: bool = True,
         costs: CostBook = DEFAULT_COSTS,
         enable_fusion: bool = True,
-        fuse_source_budget: "int | None" = None,
     ):
         if parser_layer not in _PARSERS:
             raise ValueError(f"parser layer must be 2, 3, or 4, not {parser_layer}")
         self.trampoline: dict[int, CompiledTable] = {}
         self.first_table = first_table
         self.parser_layer = parser_layer
-        self.use_etype = use_etype
         self.costs = costs
         self.enable_fusion = enable_fusion
-        #: cumulative chars of table bodies the fuser may textually inline;
-        #: tables past it are linked by closure call (None = unbounded).
-        self.fuse_source_budget = fuse_source_budget
         self.generation = 0
         self._fused = None
         self._fuse_failed_gen = -1
@@ -308,7 +298,7 @@ class CompiledDatapath:
         data = pkt.data
         l3, l4, proto = view.l3, view.l4, view.proto
         nxt = view.l4_proto
-        etype = (self._extract_etype(view) or 0) if self.use_etype else 0
+        etype = self._extract_etype(view) or 0
 
         verdict = Verdict()
         write_set: list[Action] = []
@@ -348,8 +338,7 @@ class CompiledDatapath:
                         data = pkt.data
                         l3, l4, proto = view.l3, view.l4, view.proto
                         nxt = view.l4_proto
-                        if self.use_etype:
-                            etype = self._extract_etype(view) or 0
+                        etype = self._extract_etype(view) or 0
                         verdict.reparse_needed = False
             if out.clear_actions:
                 write_set.clear()

@@ -32,11 +32,9 @@ Fail-static guardrails (ISSUE 5) sit on top of the update semantics:
   prerequisite, Fig. 4's bottom rung) and the degradation is reported
   through :meth:`ESwitch.health`; whole-pipeline fusion failures already
   degrade to the trampoline (:mod:`repro.core.datapath`), completing the
-  paper's fallback chain fused → trampoline → linked list;
-* a **per-batch compile budget** (``CompileConfig.compile_budget``)
-  bounds how many table compilations one batch may spend on its critical
-  path; past it, rebuilds defer to the side-by-side path and the old
-  compiled tables keep serving until the next packet's flush.
+  paper's fallback chain fused → trampoline → linked list. A table too
+  big for the template it was steered to (``codegen.MAX_DIRECT_ENTRIES``)
+  is one such failure.
 """
 
 from __future__ import annotations
@@ -50,11 +48,9 @@ from repro.core.analysis import (
     TemplateKind,
     select_template,
 )
-from repro.core.codegen import CompiledTable, compile_table, _build_sig_matcher
+from repro.core.codegen import CompiledTable, compile_table
 from repro.core.datapath import CompiledDatapath, required_layer
 from repro.core.decompose import decompose_table
-from repro.core.outcome import miss_outcome, outcome_of
-from repro.dpdk.lpm import LpmFullError
 from repro.openflow.flow_table import FlowTable
 from repro.openflow.instructions import GotoTable
 from repro.openflow.match import Match
@@ -66,6 +62,7 @@ from repro.openflow.messages import (
     FlowModFailed,
     FlowModFailedCode,
     FlowModReply,
+    PacketIn,
     validate_flow_mod,
 )
 from repro.openflow.pipeline import MAX_TABLES, Pipeline, Verdict
@@ -124,29 +121,22 @@ class SwitchHealth:
             linked-list universal template after a compile failure; healed
             (removed) by the next clean rebuild of that table.
         compile_failures: total template-compile failures contained so far.
-        budget_deferrals: rebuilds pushed off a batch's critical path by
-            ``CompileConfig.compile_budget``.
         fuse_failures: whole-pipeline fusion attempts that degraded to the
             trampoline.
         last_fuse_error: message of the most recent fusion failure, or "".
         fused_active: the current generation is served by a fused driver
             (False = trampoline dispatch, the middle rung of the chain).
         generation: the datapath's update generation counter.
-        data_driven: compiled table ids on the source-budget fallback rung
-            (keys in closure arrays instead of generated source) — planned
-            degradation of code size, bit-identical semantics and cycles.
         footprint_bytes: estimated resident bytes across every compiled
             table (stores, generated source, outcome lists).
     """
 
     quarantined: tuple[tuple[int, str], ...] = ()
     compile_failures: int = 0
-    budget_deferrals: int = 0
     fuse_failures: int = 0
     last_fuse_error: str = ""
     fused_active: bool = False
     generation: int = 0
-    data_driven: tuple[int, ...] = ()
     footprint_bytes: int = 0
 
     @property
@@ -162,12 +152,10 @@ class SwitchHealth:
         return {
             "quarantined": {tid: reason for tid, reason in self.quarantined},
             "compile_failures": self.compile_failures,
-            "budget_deferrals": self.budget_deferrals,
             "fuse_failures": self.fuse_failures,
             "last_fuse_error": self.last_fuse_error,
             "fused_active": self.fused_active,
             "generation": self.generation,
-            "data_driven": list(self.data_driven),
             "footprint_bytes": self.footprint_bytes,
         }
 
@@ -212,11 +200,6 @@ class ESwitch:
         #: to the linked-list universal representation: id -> reason.
         self.quarantined: dict[int, str] = {}
         self.compile_failures = 0
-        self.budget_deferrals = 0
-        #: table compilations spent by the current flow-mod batch; compared
-        #: against ``config.compile_budget`` to defer over-budget rebuilds.
-        self._batch_compiles = 0
-        self._in_batch = False
         #: memoized LPM hazard verdicts: table id -> (shapes_version,
         #: hazard-free). The hazard scan is O(classes²) over the shape
         #: set alone, and ``shapes_version`` moves whenever that set may
@@ -226,10 +209,8 @@ class ESwitch:
         self.datapath = CompiledDatapath(
             first_table=pipeline.first_table.table_id,
             parser_layer=required_layer(pipeline),
-            use_etype=True,
             costs=costs,
             enable_fusion=config.fuse,
-            fuse_source_budget=config.fuse_source_budget,
         )
         for table in pipeline.tables:
             self._compile_group(table)
@@ -252,8 +233,6 @@ class ESwitch:
             self._flush_rebuilds()
         verdict = self.datapath.process(pkt, meter)
         if verdict.to_controller and self.packet_in_handler is not None:
-            from repro.openflow.messages import PacketIn
-
             table_id = verdict.path[-1][0] if verdict.path else 0
             self.packet_in_handler(PacketIn(pkt=pkt, table_id=table_id))
         return verdict
@@ -291,8 +270,6 @@ class ESwitch:
         """Between-packet control work inside a burst; True = state mutated."""
         mutated = False
         if verdict.to_controller and self.packet_in_handler is not None:
-            from repro.openflow.messages import PacketIn
-
             table_id = verdict.path[-1][0] if verdict.path else 0
             self.packet_in_handler(PacketIn(pkt=pkt, table_id=table_id))
             mutated = True
@@ -358,19 +335,16 @@ class ESwitch:
         state. Read-only — computing it never triggers a rebuild or fuse."""
         dp = self.datapath
         fused = dp._fused
-        footprints = [ct.footprint() for ct in dp.trampoline.values()]
         return SwitchHealth(
             quarantined=tuple(sorted(self.quarantined.items())),
             compile_failures=self.compile_failures,
-            budget_deferrals=self.budget_deferrals,
             fuse_failures=dp.fuse_failures,
             last_fuse_error=dp.last_fuse_error,
             fused_active=fused is not None and fused.generation == dp.generation,
             generation=dp.generation,
-            data_driven=tuple(
-                sorted(fp["table_id"] for fp in footprints if fp["data_driven"])
+            footprint_bytes=sum(
+                ct.footprint()["bytes"] for ct in dp.trampoline.values()
             ),
-            footprint_bytes=sum(fp["bytes"] for fp in footprints),
         )
 
     def footprint(self) -> dict:
@@ -407,19 +381,21 @@ class ESwitch:
         try:
             group = self._compile_group_preferred(table)
         except Exception as exc:  # containment boundary, deliberately broad
-            self.compile_failures += 1
-            self.quarantined[table.table_id] = f"{type(exc).__name__}: {exc}"
-            self._batch_compiles += 1
-            self.datapath.install(
-                compile_table(
-                    table, self.config, self.costs, kind=TemplateKind.LINKED_LIST
-                )
+            return self._quarantine(table, f"{type(exc).__name__}: {exc}")
+        self.quarantined.pop(table.table_id, None)
+        self._groups[table.table_id] = group
+        return group
+
+    def _quarantine(self, table: FlowTable, reason: str) -> _Group:
+        """Pin ``table`` to the linked-list template and book the failure."""
+        self.compile_failures += 1
+        self.quarantined[table.table_id] = reason
+        self.datapath.install(
+            compile_table(
+                table, self.config, self.costs, kind=TemplateKind.LINKED_LIST
             )
-            group = _Group(
-                logical_id=table.table_id, compiled_ids=[table.table_id]
-            )
-        else:
-            self.quarantined.pop(table.table_id, None)
+        )
+        group = _Group(logical_id=table.table_id, compiled_ids=[table.table_id])
         self._groups[table.table_id] = group
         return group
 
@@ -434,17 +410,8 @@ class ESwitch:
         uses this to hold backends in the degraded state and assert they
         still agree packet-for-packet.
         """
-        table = self.pipeline.table(table_id)
         old = self._groups.get(table_id)
-        self.compile_failures += 1
-        self.quarantined[table_id] = reason
-        self.datapath.install(
-            compile_table(table, self.config, self.costs,
-                          kind=TemplateKind.LINKED_LIST)
-        )
-        self._groups[table_id] = _Group(
-            logical_id=table_id, compiled_ids=[table_id]
-        )
+        self._quarantine(self.pipeline.table(table_id), reason)
         self._dirty_groups.discard(table_id)
         if old is not None:
             for tid in old.compiled_ids:
@@ -463,7 +430,6 @@ class ESwitch:
             # Compile every sub-table *before* installing any, so a failure
             # partway through leaks no trampoline entries for the
             # containment path to clean up.
-            self._batch_compiles += len(tables)
             compiled = [
                 compile_table(sub, self.config, self.costs) for sub in tables
             ]
@@ -477,7 +443,6 @@ class ESwitch:
                     {id(e.origin) for sub in tables for e in sub} - {id(None)}
                 ),
             )
-        self._batch_compiles += 1
         self.datapath.install(
             compile_table(table, self.config, self.costs, kind=kind)
         )
@@ -511,8 +476,6 @@ class ESwitch:
         :meth:`submit_flow_mods`, which answers with error replies instead
         of raising and never mutates on reject.
         """
-        if not self._in_batch:
-            self._batch_compiles = 0
         table = self.pipeline.get_or_create(mod.table_id)
         new_table = mod.table_id not in self._groups
         len_before = len(table)
@@ -565,11 +528,10 @@ class ESwitch:
                 self.datapath.set_parser_layer(layer)
         kind_stable = self._kind_stable(table, mod, len_before, pre_class_exists)
         cycles = self._recompile_after_update(table, mod, new_table, kind_stable)
-        # Incremental updates mutate compiled-table namespaces in place
-        # (hash store, LPM slots, linked list entries, _MISS rebinds)
-        # without touching the trampoline — invalidate the fused driver
-        # explicitly; rebuilds already did via install(). The re-fuse
-        # itself is lazy: it runs on the next packet, not here.
+        # An in-place ``CompiledTable.update`` never touches the
+        # trampoline — invalidate the fused driver explicitly; rebuilds
+        # already did via install(). The re-fuse itself is lazy: it runs
+        # on the next packet, not here.
         self.datapath.bump_generation()
         self.update_stats.cycles += cycles
         return cycles
@@ -586,8 +548,6 @@ class ESwitch:
                 snapshots[tid] = None  # table does not exist yet
         cycles_before = self.update_stats.cycles
         total = 0.0
-        self._in_batch = True
-        self._batch_compiles = 0
         try:
             for mod in mods:
                 total += self.apply_flow_mod(mod)
@@ -616,8 +576,6 @@ class ESwitch:
             # mechanism counters stand — they record work that really ran.
             self.update_stats.cycles = cycles_before
             raise
-        finally:
-            self._in_batch = False
         return total
 
     # -- admission control ------------------------------------------------------
@@ -836,156 +794,20 @@ class ESwitch:
         if new_kind is not compiled.kind:
             # Prerequisite changed: fall back (or upgrade) with a rebuild.
             stats.fallbacks += 1
-            if self._budget_spent():
-                return self._defer_rebuild(table.table_id)
             self._rebuild_group(table.table_id)
             return costs.es_update_rebuild_base + costs.es_update_rebuild_per_entry * len(
                 table
             )
 
-        if self._try_incremental(compiled, table, mod):
+        if compiled.update(table, mod):
             stats.incremental += 1
             return costs.es_update_incremental
 
         stats.rebuilds += 1
-        if self._budget_spent():
-            return self._defer_rebuild(table.table_id)
         self._rebuild_group(table.table_id)
         return costs.es_update_rebuild_base + costs.es_update_rebuild_per_entry * len(
             table
         )
-
-    def _budget_spent(self) -> bool:
-        budget = self.config.compile_budget
-        return budget is not None and self._batch_compiles >= budget
-
-    def _defer_rebuild(self, table_id: int) -> float:
-        """The batch blew its compile budget: push this rebuild to the
-        side-by-side path (the next packet's flush) instead of paying the
-        compile on the control path's critical path. New tables are exempt
-        (goto targets need them installed immediately); only rebuilds of
-        already-compiled tables defer, so the old compiled table keeps
-        serving — and the pre-packet flush guarantees no lookup ever sees
-        the stale build."""
-        self.budget_deferrals += 1
-        self._dirty_groups.add(table_id)
-        return self.costs.es_update_incremental
-
-    def _try_incremental(
-        self, compiled: CompiledTable, table: FlowTable, mod: FlowMod
-    ) -> bool:
-        """Non-destructive in-place update where the template allows it."""
-        if compiled.kind is TemplateKind.DIRECT:
-            return False  # "Complete rebuilding happens … unconditionally"
-
-        if compiled.kind is TemplateKind.HASH:
-            match = mod.match
-            if match.is_catch_all:
-                last = table.last_entry()  # O(1): no live-tuple rebuild
-                compiled.namespace["_MISS"] = (
-                    outcome_of(last)
-                    if last is not None and last.match.is_catch_all
-                    else miss_outcome(table)
-                )
-                return True
-            if match.fields != compiled.hash_fields or any(
-                match.mask_of(name) != mask
-                for name, mask in zip(compiled.hash_fields, compiled.hash_masks)
-            ):
-                return False
-            values = tuple(match.value_of(name) for name in compiled.hash_fields)
-            key = values[0] if len(values) == 1 else values
-            assert compiled.hash_store is not None
-            # Same-match duplicates at different priorities are legal (the
-            # lower one is shadowed): the slot always holds the outcome of
-            # the highest-priority entry that *remains* in the table, so a
-            # strict delete of one duplicate reinstates the survivor.
-            best = table.find(match)
-            if best is None:
-                compiled.hash_store.remove(key)
-            else:
-                compiled.hash_store.insert(key, outcome_of(best))
-            compiled.entry_count = len(table)
-            return True
-
-        if compiled.kind is TemplateKind.LPM:
-            match = mod.match
-            assert compiled.lpm_store is not None
-            if match.is_catch_all:
-                last = table.last_entry()  # O(1): no live-tuple rebuild
-                compiled.namespace["_MISS"] = (
-                    outcome_of(last)
-                    if last is not None and last.match.is_catch_all
-                    else miss_outcome(table)
-                )
-                return True
-            if match.fields != (compiled.lpm_field,) or not match.is_prefix(
-                compiled.lpm_field
-            ):
-                return False
-            value = match.value_of(compiled.lpm_field)
-            depth = match.prefix_len(compiled.lpm_field)
-            assert value is not None
-            # The outcome list is slot-addressed by the LPM's stored next
-            # hop. Slots are recycled through a free list so that add/
-            # delete churn (the Fig. 18 route-flap workload) keeps _OUT
-            # bounded by the live rule count instead of growing forever.
-            store = compiled.lpm_store
-            outcomes = compiled.namespace["_OUT"]
-            slot = store.get_rule(value, depth)
-            best = table.find(match)
-            if best is None:
-                if slot is not None:
-                    store.delete(value, depth)
-                    outcomes[slot] = None
-                    compiled.lpm_free.append(slot)
-            elif slot is not None:
-                # Rule replaced (or one duplicate deleted): rebind in place.
-                outcomes[slot] = outcome_of(best)
-            else:
-                if compiled.lpm_free:
-                    slot = compiled.lpm_free.pop()
-                    outcomes[slot] = outcome_of(best)
-                else:
-                    slot = len(outcomes)
-                    outcomes.append(outcome_of(best))
-                try:
-                    store.add(value, depth, slot)
-                except LpmFullError:
-                    outcomes[slot] = None
-                    compiled.lpm_free.append(slot)
-                    return False  # fall back to a (larger) rebuild
-            compiled.entry_count = len(table)
-            return True
-
-        if compiled.kind is TemplateKind.LINKED_LIST:
-            # Rebuild the entry list in place, reusing the shared matcher
-            # functions; the generated code object never changes.
-            from repro.core.analysis import split_catch_all
-
-            rules, catch_all = split_catch_all(table.entries)
-            compiled.namespace["_MISS"] = (
-                outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
-            )
-            from repro.core.codegen import _guard_masks
-
-            new_entries = []
-            for entry in rules:
-                sig = tuple((n, m) for n, (_v, m) in entry.match.items())
-                fn = compiled.ll_matchers.get(sig)
-                if fn is None:
-                    fn = _build_sig_matcher(sig, len(compiled.ll_matchers))
-                    compiled.ll_matchers[sig] = fn
-                values = tuple(v for _n, (v, _m) in entry.match.items())
-                new_entries.append(
-                    (_guard_masks(entry.match), fn, values, outcome_of(entry))
-                )
-            assert compiled.ll_entries is not None
-            compiled.ll_entries[:] = new_entries
-            compiled.entry_count = len(table)
-            return True
-
-        return False
 
     def __repr__(self) -> str:
         return (

@@ -14,9 +14,9 @@ per-table generated sources into **one** ``compile()``\\ d driver:
 
 * ``goto_table`` becomes a local jump — an ``if tid == N`` dispatch over
   compile-time-known table ids, with the table bodies **textually
-  inlined** where the emitter allows (direct, hash, LPM, range) and a
-  closure-bound direct call otherwise (linked list, whose generated body
-  returns from inside a loop);
+  inlined** where the rung says it is ``inlinable`` (direct, hash, LPM,
+  range) and a closure-bound direct call otherwise (linked list, whose
+  generated body returns from inside a loop);
 * parser dispatch, ethertype extraction, the first-table id, and every
   cost-book constant are baked in as literals;
 * every ``m.charge``/``m.touch`` atom of the trampoline path is preserved
@@ -40,8 +40,6 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.analysis import TemplateKind
-from repro.core.outcome import Outcome
 from repro.openflow.actions import Output
 from repro.openflow.fields import field_by_name
 from repro.openflow.pipeline import MAX_TABLE_HOPS, PipelineError, Verdict
@@ -54,18 +52,6 @@ if TYPE_CHECKING:
 class FuseError(Exception):
     """Raised when a datapath cannot be fused (the trampoline still runs)."""
 
-
-#: Templates whose generated bodies can be textually inlined: straight-line
-#: code whose ``return`` statements never sit inside a loop, so they rewrite
-#: mechanically to ``out = ...; break`` under a one-shot ``while True``.
-#: The linked list template returns from inside its entry loop and is
-#: linked by closure-bound direct call instead — as is any *data-driven*
-#: direct table (the source-budget fallback loops over a closure array,
-#: so the same inside-a-loop caveat applies) and any body that would push
-#: the cumulative inlined source past ``fuse_source_budget``.
-INLINABLE = frozenset(
-    {TemplateKind.DIRECT, TemplateKind.HASH, TemplateKind.LPM, TemplateKind.RANGE}
-)
 
 _IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
 _RETURN = re.compile(r"^(\s*)return\s+(.+)$")
@@ -105,39 +91,8 @@ class FusedPipeline:
         return self.generation == datapath.generation
 
 
-def _table_outcomes(compiled) -> "list[Outcome] | None":
-    """Every Outcome a table lookup can return, or None if unknowable.
-
-    Outcomes are compile-time constants: they live in the generated
-    namespace (``_O*``, ``_MISS``, the LPM ``_OUT`` list, the linked-list
-    ``_ENTRIES`` tuples) or inside the hash store. Incremental updates
-    mutate those same containers and bump the generation, so a re-fuse
-    always re-reads the current set.
-    """
-    namespace = getattr(compiled, "namespace", None)
-    if not isinstance(namespace, dict):
-        return None
-    found: list[Outcome] = []
-
-    def visit(value: object, depth: int = 0) -> None:
-        if isinstance(value, Outcome):
-            found.append(value)
-        elif depth < 2 and isinstance(value, (list, tuple)):
-            for item in value:
-                visit(item, depth + 1)
-
-    for value in namespace.values():
-        visit(value)
-    visit(getattr(compiled, "miss", None))
-    store = getattr(compiled, "hash_store", None)
-    if store is not None:
-        for value in store._items.values():
-            visit(value)
-    return found
-
-
-def _pipeline_facts(dp: "CompiledDatapath") -> "tuple[bool, dict | None]":
-    """Whole-datapath facts proven from the enumerated outcome set.
+def _pipeline_facts(dp: "CompiledDatapath") -> tuple[bool, dict]:
+    """Whole-datapath facts proven from every table's ``outcomes()``.
 
     Returns ``(acyclic, flags)``:
 
@@ -150,15 +105,10 @@ def _pipeline_facts(dp: "CompiledDatapath") -> "tuple[bool, dict | None]":
       checks); the emitter elides what no outcome can trigger — the
       specialization move of the paper, applied to our own driver.
 
-    Any table whose outcomes cannot be enumerated makes both answers
-    conservative: ``(False, None)`` keeps the fully generic driver.
+    Incremental updates change what ``outcomes()`` returns and bump the
+    generation, so a re-fuse always reads the current set.
     """
-    tables: dict[int, list[Outcome]] = {}
-    for tid, compiled in dp.trampoline.items():
-        outcomes = _table_outcomes(compiled)
-        if outcomes is None:
-            return False, None
-        tables[tid] = outcomes
+    tables = {tid: compiled.outcomes() for tid, compiled in dp.trampoline.items()}
     edges = {
         tid: {o.goto for o in outcomes if o.goto is not None}
         for tid, outcomes in tables.items()
@@ -202,49 +152,17 @@ def _inline_body(compiled, prefix: str, namespace: dict, null: bool) -> list[str
     """One table's generated body, rewritten for inlining.
 
     ``return X`` becomes ``out = X`` + ``break`` (the caller wraps the body
-    in a one-iteration ``while True``), the table's namespace constants are
+    in a one-iteration ``while True``), the constants the body names are
     re-bound under ``prefix`` into the fused namespace, and ``m`` becomes
-    the driver's ``meter``. With ``null=True`` the metering atoms (and the
-    LPM trace loop that exists only to feed them) are dropped — they are
-    no-ops on a NullMeter.
+    the driver's ``meter``. The rung itself emits the ``null`` body.
     """
-    lines = compiled.source.rstrip("\n").split("\n")
-    if not lines or not lines[0].startswith("def _match("):
-        raise FuseError(
-            f"table {compiled.table_id}: unexpected generated source shape"
-        )
-    body = lines[1:]
-    if null:
-        kept = []
-        for line in body:
-            stripped = line.strip()
-            if stripped.startswith(("m.charge(", "m.touch(")):
-                continue
-            if stripped == "for _ln in _lines:":
-                continue  # its whole suite is the touch just dropped
-            # The traced store lookups exist only to feed the cache model:
-            # on a NullMeter the trace is dead, so specialize down to the
-            # single-result lookups (bound methods, no tuple boxing).
-            matched = re.match(r"^(\s*)v, _ln = _H\.get_traced\((.*)\)$", line)
-            if matched and getattr(compiled, "hash_store", None) is not None:
-                namespace[prefix + "_Hget"] = compiled.hash_store.get
-                kept.append(f"{matched.group(1)}v = _Hget({matched.group(2)})")
-                continue
-            matched = re.match(r"^(\s*)nh, _lines = _LPM\.lookup_traced\((.*)\)$", line)
-            if matched and getattr(compiled, "lpm_store", None) is not None:
-                namespace[prefix + "_LPMlookup"] = compiled.lpm_store.lookup
-                kept.append(f"{matched.group(1)}nh = _LPMlookup({matched.group(2)})")
-                continue
-            kept.append(line)
-        body = kept
-    mapping = {"m": "meter", "_Hget": prefix + "_Hget", "_LPMlookup": prefix + "_LPMlookup"}
-    for key, value in compiled.namespace.items():
-        if key.startswith("_") and key not in ("_match", "__builtins__"):
-            mapping[key] = prefix + key
-            namespace[prefix + key] = value
-    body = _rename_body(body, mapping)
+    lines, names = compiled.body(null)
+    mapping = {"m": "meter"}
+    for key, value in names.items():
+        mapping[key] = prefix + key
+        namespace[prefix + key] = value
     out = []
-    for line in body:
+    for line in _rename_body(lines, mapping):
         matched = _RETURN.match(line)
         if matched:
             indent, expr = matched.groups()
@@ -258,44 +176,26 @@ def _inline_body(compiled, prefix: str, namespace: dict, null: bool) -> list[str
 def _emit_dispatch(dp: "CompiledDatapath", namespace: dict, null: bool) -> tuple[
     list[str], tuple[int, ...]
 ]:
-    """The ``if tid == N`` chain replacing the trampoline dict lookup."""
+    """The ``if tid == N`` chain replacing the trampoline dict lookup:
+    inlinable rungs are spliced in textually, the rest (the linked list,
+    whose body returns from inside a loop) are linked by direct call."""
     order = [dp.first_table] if dp.first_table in dp.trampoline else []
     order += [tid for tid in sorted(dp.trampoline) if tid not in order]
     lines: list[str] = []
     inlined: list[int] = []
-    budget = getattr(dp, "fuse_source_budget", None)
-    inlined_chars = 0
     variant = "n" if null else "m"
     for pos, tid in enumerate(order):
         compiled = dp.trampoline[tid]
-        if not isinstance(tid, int):
-            raise FuseError(f"non-integer table id {tid!r}")
-        fn = getattr(compiled, "fn", None)
-        if fn is None or not callable(fn):
-            raise FuseError(f"table {tid!r} has no callable fast path")
         head = "if" if pos == 0 else "elif"
         lines.append(f"        {head} tid == {tid}:")
-        kind = getattr(compiled, "kind", None)
-        source = getattr(compiled, "source", "")
-        can_inline = (
-            kind in INLINABLE
-            and source.startswith("def _match(")
-            # Data-driven bodies return from inside their entry loop; the
-            # return→break rewrite would exit that loop, not the table.
-            and not getattr(compiled, "data_driven", False)
-        )
-        if can_inline and budget is not None and inlined_chars + len(source) > budget:
-            can_inline = False  # over the fused-source budget: link by call
-        if can_inline:
-            inlined_chars += len(source)
-            prefix = f"_t{tid}_{variant}"
+        if compiled.inlinable:
             lines.append("            while True:")
-            body = _inline_body(compiled, prefix, namespace, null)
+            body = _inline_body(compiled, f"_t{tid}_{variant}", namespace, null)
             lines.extend("            " + line for line in body)
             inlined.append(tid)
         else:
             name = f"_t{tid}_fn"
-            namespace[name] = fn
+            namespace[name] = compiled.fn
             arg = "_NULL" if null else "meter"
             lines.append(
                 f"            out = {name}(data, pkt, l3, l4, proto, etype, nxt, {arg})"
@@ -324,8 +224,8 @@ def _emit_run(
     dp: "CompiledDatapath",
     namespace: dict,
     null: bool,
-    acyclic: bool = False,
-    flags: "dict | None" = None,
+    acyclic: bool,
+    flags: dict,
 ) -> tuple[list[str], tuple[int, ...]]:
     """The fused forward core: CompiledDatapath._forward, specialized.
 
@@ -334,12 +234,10 @@ def _emit_run(
     parser/etype/cost loads baked in, the loop-detection guard elided
     when the static goto graph is proven acyclic, and the write-set /
     metadata / flow-meter machinery elided when no enumerated outcome can
-    trigger it (``flags``; None keeps everything). Elided branches charge
-    no atoms and can never fire, so verdicts and cycles are unchanged.
+    trigger it (``flags``). Elided branches charge no atoms and can never
+    fire, so verdicts and cycles are unchanged.
     """
     costs = dp.costs
-    if flags is None:
-        flags = {"write": True, "meta": True, "meter": True}
     # did_work only feeds the action_set charge: dead in the null variant.
     track_work = not null
     name = "_run_n" if null else "_run_m"
@@ -354,10 +252,7 @@ def _emit_run(
     lines.append("    l4 = view.l4")
     lines.append("    proto = view.proto")
     lines.append("    nxt = view.l4_proto")
-    if dp.use_etype:
-        lines.extend(_etype_lines(dp, "    "))
-    else:
-        lines.append("    etype = 0")
+    lines.extend(_etype_lines(dp, "    "))
     lines.append("    verdict = _Verdict()")
     lines.append("    path = verdict.path")
     if flags["write"]:
@@ -409,8 +304,7 @@ def _emit_run(
     lines.append("                    l4 = view.l4")
     lines.append("                    proto = view.proto")
     lines.append("                    nxt = view.l4_proto")
-    if dp.use_etype:
-        lines.extend(_etype_lines(dp, "                    "))
+    lines.extend(_etype_lines(dp, "                    "))
     lines.append("                    verdict.reparse_needed = False")
     if flags["write"]:
         lines.append("        if out.clear_actions:")
@@ -512,10 +406,9 @@ def _emit_entrypoints(dp: "CompiledDatapath") -> list[str]:
 def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
     """Stitch every linked table into one compiled driver object.
 
-    Raises :class:`FuseError` for shapes the fuser does not handle (empty
-    trampoline, duck-typed tables without a callable fast path, generated
-    sources it cannot inline safely); the caller falls back to the
-    trampoline, which handles everything.
+    Raises :class:`FuseError` when nothing is linked or the generated
+    driver does not load; the caller falls back to the trampoline, which
+    handles everything.
     """
     from repro.core.datapath import _PARSERS
 

@@ -224,8 +224,6 @@ def run_scenario(
     base = CompileConfig(enable_range=scenario.enable_range)
     if scenario.direct_threshold is not None:
         base = base.with_(direct_threshold=scenario.direct_threshold)
-    if scenario.source_budget is not None:
-        base = base.with_(source_budget=scenario.source_budget)
     backends: list = [
         _EswitchBackend("fused", scenario, base),
         _EswitchBackend("trampoline", scenario, base.with_(fuse=False)),

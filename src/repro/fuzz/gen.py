@@ -425,10 +425,8 @@ def generate_large(seed: int, n_entries: int = 96) -> Scenario:
       store, grown further by the churn schedule);
     * **LPM** — nested /16 + /24 ``ipv4_dst`` prefixes (tbl8 allocation
       and the depth-consistency prerequisite);
-    * **direct, over budget** — ``direct_threshold`` pins the last table
-      onto the direct-code rung while a deliberately small
-      ``source_budget`` forces its data-driven fallback, so the fallback
-      executes against every other backend.
+    * **direct** — a raised ``direct_threshold`` pins the last,
+      half-sized table onto the direct-code rung, keys in code.
 
     Between bursts, ADD/strict-DELETE batches churn the hash and LPM
     tables — the incremental update paths (hash-store inserts, slot
@@ -543,16 +541,15 @@ def generate_large(seed: int, n_entries: int = 96) -> Scenario:
              "entries": hash_entries},
             {"id": 1, "name": "t1-lpm-large", "miss": "drop",
              "entries": lpm_entries},
-            {"id": 2, "name": "t2-direct-budget", "miss": "drop",
+            {"id": 2, "name": "t2-direct", "miss": "drop",
              "entries": direct_entries},
         ]},
         events=events,
         seed=seed,
         name=f"large-{n_entries}",
         note="large-cardinality class: hash growth, LPM growth, "
-             "data-driven direct rung",
+             "direct rung under a raised threshold",
         direct_threshold=n_direct + 8,
-        source_budget=2_048,
     )
 
 

@@ -50,12 +50,10 @@ class Scenario:
     #: state across replica token buckets, so rate-limit verdicts are
     #: only comparable at workers=1; the executor skips workers>1.
     tight_meter: bool = False
-    #: CompileConfig overrides (None = defaults). ``direct_threshold``
-    #: pins big tables onto the direct-code rung; a small
-    #: ``source_budget`` then forces its data-driven fallback — the
-    #: large-cardinality scenario class covers that rung differentially.
+    #: CompileConfig override (None = default): a raised threshold pins
+    #: a mid-sized table onto the direct-code rung beside bigger hash and
+    #: LPM tables (the large-cardinality scenario class).
     direct_threshold: "int | None" = None
-    source_budget: "int | None" = None
     #: ``(begin, end)`` mod-batch indices (half-open, counting only
     #: ``{"mods": ...}`` events) during which the control session is
     #: dark in the outage-parity harness (:func:`repro.fuzz.outage.
@@ -122,9 +120,8 @@ class Scenario:
                 out[flag] = True
         if self.quarantine:
             out["quarantine"] = list(self.quarantine)
-        for knob in ("direct_threshold", "source_budget"):
-            if getattr(self, knob) is not None:
-                out[knob] = getattr(self, knob)
+        if self.direct_threshold is not None:
+            out["direct_threshold"] = self.direct_threshold
         if self.outage:
             out["outage"] = list(self.outage)
         out["pipeline"] = self.pipeline_obj
@@ -148,7 +145,6 @@ class Scenario:
             degrade_fuse=bool(obj.get("degrade_fuse", False)),
             tight_meter=bool(obj.get("tight_meter", False)),
             direct_threshold=obj.get("direct_threshold"),
-            source_budget=obj.get("source_budget"),
             outage=tuple(obj.get("outage", ())),
         )
 

@@ -1,15 +1,14 @@
-"""The million-flow regime: every template rung at production cardinality.
+"""The million-flow regime: the hash and LPM rungs at production cardinality.
 
 The paper's evaluation runs to 10⁶ active flows (Figs. 3, 10, 11, 18);
 the rest of this repo's benches stop at 10⁵ because their structures —
-full-rebuild perfect hashing, a fixed tbl8 pool, direct code that inlines
-every key — fell over one decade earlier. This rig drives the grown
-structures to the paper's axis and records three things per rung:
+full-rebuild perfect hashing, a fixed tbl8 pool — fell over one decade
+earlier. This rig drives the grown structures to the paper's axis and
+records three things per rung:
 
 * **wallclock** — real pkts/sec of the fused datapath over a table of
-  ``n_flows`` entries, one point per template rung (hash, LPM, and the
-  direct rung, which at this size degrades into its data-driven variant
-  via the generated-source budget instead of OOMing the compiler);
+  ``n_flows`` entries, one point per template rung that scales (hash and
+  LPM; direct code is bounded by ``codegen.MAX_DIRECT_ENTRIES``);
 * **collapse** — the Fig. 3 mechanism at production cardinality: OVS's
   modeled Mpps across a distinct-flow axis that marches through the EMC
   (8K) and megaflow (64K) capacities while the fused ESwitch point stays
@@ -22,10 +21,9 @@ structures to the paper's axis and records three things per rung:
 Every rung also reports its memory footprint (``ESwitch.footprint()``),
 the axis that decides whether 10⁶ entries fit at all.
 
-All timed legs are **time-boxed**: a rung that is inherently slow at this
-scale (the data-driven direct rung is a linear scan per packet) measures
-fewer packets inside the same budget instead of hanging the run — the
-point records how many packets it actually measured.
+All timed legs are **time-boxed**: a slow host measures fewer packets
+inside the same budget instead of hanging the run — the point records how
+many packets it actually measured.
 """
 
 from __future__ import annotations
@@ -43,14 +41,11 @@ from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.ovs.switch import OvsSwitch
 from repro.simcpu.platform import Platform, XEON_E5_2620
 from repro.simcpu.recorder import CycleMeter, NULL_METER
-from repro.traffic.flows import FlowSet
 from repro.traffic.wallclock import _stride_sample
 from repro.usecases import l2, l3
 
-#: The template rungs the wallclock and churn legs sweep. ``direct``
-#: forces the direct-code template at full cardinality — the rung that
-#: exists to prove the source-budget degradation path, not to win.
-RUNGS = ("hash", "lpm", "direct")
+#: The template rungs the wallclock and churn legs sweep.
+RUNGS = ("hash", "lpm")
 
 #: Distinct-flow axis for the OVS collapse leg, clipped to ``n_flows``.
 #: 1K sits inside the EMC, 32K inside the megaflow cache, 131K+ beyond
@@ -72,17 +67,7 @@ def _rung_factories(n_flows: int, traffic_flows: int) -> dict[str, Callable]:
         flows = l3.traffic(_stride_sample(fib, n_traffic), n_traffic)
         return pipeline, flows, CompileConfig(fuse=True)
 
-    def build_direct():
-        pipeline, macs = l2.build(n_flows)
-        flows = l2.traffic(_stride_sample(macs, n_traffic), n_traffic)
-        # direct_threshold above the table size pins the DIRECT template;
-        # past the source budget it self-degrades to the data-driven
-        # variant — the point of this rung is that it *completes*.
-        return pipeline, flows, CompileConfig(
-            fuse=True, direct_threshold=n_flows + 1
-        )
-
-    return {"hash": build_hash, "lpm": build_lpm, "direct": build_direct}
+    return {"hash": build_hash, "lpm": build_lpm}
 
 
 def _timeboxed_pps(
@@ -143,7 +128,6 @@ def _run_rungs(
         wall_pps, done, elapsed = _timeboxed_pps(
             switch, templates, burst, budget_s, n_packets
         )
-        health = switch.health()
         fp = switch.footprint()
         points.append(
             {
@@ -151,7 +135,6 @@ def _run_rungs(
                 "table_kinds": {
                     str(tid): kind for tid, kind in switch.table_kinds().items()
                 },
-                "data_driven": list(health.data_driven),
                 "entries": n_flows,
                 "wall_pps": wall_pps,
                 "usec_per_pkt": 1e6 / wall_pps if wall_pps else float("inf"),
@@ -261,7 +244,7 @@ def _run_churn(
         pipeline, _flows, config = factories[rung]()
         switch = ESwitch(pipeline, config=config)
         switch.warm()
-        make = _churn_mods("lpm" if rung == "lpm" else "hash")
+        make = _churn_mods(rung)
         # Pre-materialize the mod pairs: the leg measures the switch's
         # update path, not FlowMod/Match construction.
         pairs = [make(i) for i in range(0, churn_mods, 2)]
@@ -325,9 +308,7 @@ def _run_churn(
             "tombstones": table.tombstones,
         }
         if rung == "hash":
-            store = getattr(switch.compiled_table(0), "hash_store", None)
-            if store is not None and hasattr(store, "telemetry"):
-                point["hash_telemetry"] = store.telemetry
+            point["hash_telemetry"] = switch.compiled_table(0).hash_store.telemetry
         points.append(point)
 
     # OVS baseline: each flow-mod wholesale-invalidates the flow caches —

@@ -81,3 +81,53 @@ class TestDeriveModel:
         assert any(s.name.startswith("direct code") for s in model.stages)
         lb, ub = model.bounds()
         assert 0 < lb <= ub
+
+
+class TestModelFollowsInPlaceUpdates:
+    """An in-place catch-all ADD rebinds a table's miss arm; the model
+    must see the goto edge it carries, and stop seeing it once deleted."""
+
+    @staticmethod
+    def _two_stage(build):
+        from repro.openflow.actions import Output
+        from repro.openflow.flow_entry import FlowEntry
+        from repro.openflow.flow_table import FlowTable
+        from repro.openflow.instructions import ApplyActions
+        from repro.openflow.match import Match
+        from repro.openflow.pipeline import Pipeline
+
+        first = build(100)[0].table(0)
+        second = FlowTable(1)
+        second.add(FlowEntry(Match(in_port=1), priority=1,
+                             instructions=(ApplyActions([Output(2)]),)))
+        return ESwitch.from_pipeline(Pipeline([first, second]))
+
+    @pytest.mark.parametrize("build, kind", [(l2.build, "hash"), (l3.build, "lpm")])
+    def test_catch_all_goto_add_then_strict_delete(self, build, kind):
+        from repro.core.autoderive import _longest_goto_chain
+        from repro.openflow.instructions import GotoTable
+        from repro.openflow.match import Match
+        from repro.openflow.messages import FlowMod, FlowModCommand
+
+        sw = self._two_stage(build)
+        compiled = sw.compiled_table(0)
+        assert compiled.kind.value == kind
+        assert _longest_goto_chain(sw) == [0]
+        before = derive_model(sw).cycles(1)
+
+        sw.apply_flow_mod(FlowMod(FlowModCommand.ADD, 0, Match(), priority=0,
+                                  instructions=(GotoTable(1),)))
+        assert sw.update_stats.incremental == 1  # absorbed in place
+        assert sw.compiled_table(0) is compiled
+        assert compiled.miss is compiled.namespace["_MISS"]
+        assert compiled.miss.goto == 1
+        assert _longest_goto_chain(sw) == [0, 1]
+        assert derive_model(sw).cycles(1) > before
+
+        sw.apply_flow_mod(FlowMod(FlowModCommand.DELETE, 0, Match(), priority=0,
+                                  strict=True))
+        assert sw.update_stats.incremental == 2
+        assert compiled.miss is compiled.namespace["_MISS"]
+        assert compiled.miss.goto is None
+        assert _longest_goto_chain(sw) == [0]
+        assert derive_model(sw).cycles(1) == before

@@ -4,8 +4,6 @@ Template selection or codegen raising must never crash the control path
 or the datapath: the offending table is quarantined onto the linked-list
 universal template, reported through health(), and healed by the next
 clean rebuild. Whole-pipeline fusion failures degrade to the trampoline.
-The per-batch compile budget defers over-budget rebuilds to the
-side-by-side path without ever serving a stale lookup.
 """
 
 import pickle
@@ -13,7 +11,7 @@ import pickle
 import repro.core.eswitch as eswitch_mod
 import repro.core.fuse as fuse_mod
 from repro.core import ESwitch
-from repro.core.analysis import CompileConfig, TemplateKind
+from repro.core.analysis import TemplateKind
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
@@ -184,78 +182,6 @@ class TestFuseContainment:
         monkeypatch.setattr(fuse_mod, "compile", bad_compile, raising=False)
         assert sw.warm() is False
         assert "synthetic codegen corruption" in sw.health().last_fuse_error
-
-
-class TestCompileBudget:
-    def two_direct_tables(self):
-        # Two tiny tables, both under direct_threshold -> DIRECT kind,
-        # whose every update is an unconditional rebuild — the costliest
-        # control-path shape, exactly what the budget bounds.
-        t0 = FlowTable(0)
-        t0.add(FlowEntry(Match(in_port=1), priority=5,
-                         instructions=(ApplyActions([Output(2)]),)))
-        t0.add(FlowEntry(Match(), priority=0,
-                         instructions=(ApplyActions([Output(3)]),)))
-        t1 = FlowTable(5)
-        t1.add(FlowEntry(Match(in_port=2), priority=5,
-                         instructions=(ApplyActions([Output(4)]),)))
-        t1.add(FlowEntry(Match(), priority=0,
-                         instructions=(ApplyActions([Output(5)]),)))
-        return Pipeline([t0, t1])
-
-    def test_over_budget_rebuilds_defer_not_reject(self):
-        sw = ESwitch(self.two_direct_tables(),
-                     config=CompileConfig(compile_budget=1))
-        assert sw.table_kinds() == {0: "direct", 5: "direct"}
-        reply = sw.submit_flow_mods([
-            add_mod(0, port=8, in_port=3),
-            add_mod(5, port=9, in_port=4),
-        ])
-        assert reply.accepted  # the budget defers, it never refuses
-        assert sw.budget_deferrals >= 1
-        assert sw._dirty_groups  # the deferred rebuild is queued
-
-    def test_deferred_rebuild_is_flushed_before_any_lookup(self):
-        from repro.packet import PacketBuilder
-
-        sw = ESwitch(self.two_direct_tables(),
-                     config=CompileConfig(compile_budget=1))
-        sw.submit_flow_mods([
-            add_mod(0, port=8, in_port=3),
-            add_mod(5, port=9, in_port=4),
-        ])
-        assert sw.budget_deferrals >= 1
-        # The very next packet must see the new rule: the pre-packet
-        # flush ran before the lookup, so deferral is invisible in the
-        # answers.
-        verdict = sw.process(PacketBuilder(in_port=3).eth().ipv4().udp()
-                             .build())
-        assert verdict.output_ports == [8]
-        assert not sw._dirty_groups
-        assert sw.health().budget_deferrals >= 1
-
-    def test_no_budget_means_no_deferrals(self):
-        sw = ESwitch(self.two_direct_tables(),
-                     config=CompileConfig(compile_budget=None))
-        sw.submit_flow_mods([
-            add_mod(0, port=8, in_port=3),
-            add_mod(5, port=9, in_port=4),
-        ])
-        assert sw.budget_deferrals == 0
-        assert not sw._dirty_groups
-
-    def test_budget_exempts_new_tables(self):
-        # A batch minting a table its goto needs cannot defer the new
-        # table's compile — goto resolution needs it installed now.
-        sw = ESwitch(self.two_direct_tables(),
-                     config=CompileConfig(compile_budget=1))
-        reply = sw.submit_flow_mods(
-            [add_mod(9, port=2, in_port=6) for _ in range(1)]
-            + [add_mod(10, port=3, in_port=7)]
-        )
-        assert reply.accepted
-        assert sw.table_kinds()[9] == "direct"
-        assert sw.table_kinds()[10] == "direct"
 
 
 class TestShardedContainment:

@@ -122,16 +122,12 @@ class TestLargeCardinality:
         scenario = generate_large(5, n_entries=48)
         obj = scenario.to_obj()
         assert obj["direct_threshold"] == scenario.direct_threshold
-        assert obj["source_budget"] == scenario.source_budget
 
     def test_pins_every_rung_and_degrades_direct(self):
         scenario = generate_large(1, n_entries=48)
         switch = ESwitch(
             scenario.build_pipeline(),
-            config=CompileConfig(
-                direct_threshold=scenario.direct_threshold,
-                source_budget=scenario.source_budget,
-            ),
+            config=CompileConfig(direct_threshold=scenario.direct_threshold),
         )
         switch.warm()
         kinds = {
@@ -139,7 +135,7 @@ class TestLargeCardinality:
             for tid in (0, 1, 2)
         }
         assert kinds == {0: "hash", 1: "lpm", 2: "direct"}
-        assert switch.health().data_driven  # budget forced the fallback
+        assert not switch.health().quarantined  # direct, not contained
 
     def test_matrix_clean_under_churn(self):
         scenario = generate_large(2, n_entries=48)
