@@ -188,26 +188,32 @@ class CompiledTable:
 # -- match-condition expression builders ----------------------------------------
 
 
-def _field_expr(name: str) -> str:
+def _masked(name: str, mask: int) -> str:
+    """The field's read under ``mask``, parenthesised."""
     fdef = field_by_name(name)
-    if fdef.expr is None:
-        raise CompileError(
-            f"field {name!r} has no fast-path expression (unsupported header)"
-        )
-    return fdef.expr
+    if mask == fdef.max_value:
+        return f"({fdef.expr})"
+    return f"(({fdef.expr}) & {mask:#x})"
 
 
 def _guard_masks(match: Match) -> tuple[int, ...]:
-    """Any-of protocol guard masks for a match's constrained fields."""
-    return tuple(
-        sorted(
-            {
-                field_by_name(name).proto_required
-                for name in match.fields
-                if field_by_name(name).proto_required
-            }
-        )
-    )
+    """Any-of protocol guard masks for a match's constrained fields.
+
+    A field without a position (a header no parser here recognises)
+    contributes the empty mask: any of no protocols, which no packet
+    carries. Every rung tests its guards before it reads a field, so a
+    rule constraining such a field is never taken and the field's read
+    (``None``) never evaluated — as in the reference, where the field
+    extracts to ``None``.
+    """
+    masks = set()
+    for name in match.fields:
+        fdef = field_by_name(name)
+        if fdef.expr is None:
+            masks.add(0)
+        elif fdef.proto_required:
+            masks.add(fdef.proto_required)
+    return tuple(sorted(masks))
 
 
 def _guards(match: Match) -> list[str]:
@@ -221,27 +227,15 @@ def _guards(match: Match) -> list[str]:
 
 def _conditions(match: Match) -> list[str]:
     """Per-field comparison expressions with the keys patched in."""
-    conds = []
-    for name, (value, mask) in match.items():
-        fdef = field_by_name(name)
-        expr = _field_expr(name)
-        if mask == fdef.max_value:
-            conds.append(f"({expr}) == {value:#x}")
-        else:
-            conds.append(f"(({expr}) & {mask:#x}) == {value:#x}")
-    return conds
+    return [
+        f"{_masked(name, mask)} == {value:#x}"
+        for name, (value, mask) in match.items()
+    ]
 
 
 def _key_exprs(fields: tuple[str, ...], masks: tuple[int, ...]) -> str:
     """The compound-hash key expression: fields run together and masked."""
-    parts = []
-    for name, mask in zip(fields, masks):
-        fdef = field_by_name(name)
-        expr = _field_expr(name)
-        if mask == fdef.max_value:
-            parts.append(f"({expr})")
-        else:
-            parts.append(f"(({expr}) & {mask:#x})")
+    parts = [_masked(name, mask) for name, mask in zip(fields, masks)]
     if len(parts) == 1:
         return parts[0]
     return "(" + ", ".join(parts) + ")"
@@ -477,8 +471,8 @@ class LpmTable(CompiledTable):
         )
 
     def _emit(self, costs: "CostBook | None") -> list[str]:
-        req = field_by_name(self.field).proto_required
-        expr = _field_expr(self.field)
+        fdef = field_by_name(self.field)
+        req, expr = fdef.proto_required, fdef.expr
         if costs is None:
             probe = [f"    nh = _LPMlookup({expr})"]
         else:
@@ -584,14 +578,9 @@ def compile_lpm(
 
 def _build_sig_matcher(sig: tuple, index: int):
     """Generate the shared matcher function for one field combination."""
-    conds = []
-    for i, (name, mask) in enumerate(sig):
-        fdef = field_by_name(name)
-        expr = _field_expr(name)
-        if mask == fdef.max_value:
-            conds.append(f"({expr}) == vals[{i}]")
-        else:
-            conds.append(f"(({expr}) & {mask:#x}) == vals[{i}]")
+    conds = [
+        f"{_masked(name, mask)} == vals[{i}]" for i, (name, mask) in enumerate(sig)
+    ]
     body = " and ".join(conds) if conds else "True"
     source = (
         f"def _sig(data, pkt, l3, l4, proto, etype, nxt, vals):\n    return {body}\n"
@@ -716,12 +705,13 @@ class RangeTable(CompiledTable):
         return costs.range_base + costs.range_per_level * self._levels
 
     def _emit(self, costs: "CostBook | None") -> list[str]:
-        req = field_by_name(self.field).proto_required
+        fdef = field_by_name(self.field)
+        req = fdef.proto_required
         metered = costs is not None
         return (
             ([f"    m.charge({self._charge(costs)!r})"] if metered else [])
             + _guard_lines([f"proto & {req:#x}"] if req else [])
-            + [f"    _p = {_field_expr(self.field)}",
+            + [f"    _p = {fdef.expr}",
                "    _i = _bisect(_STARTS, _p) - 1"]
             + ([f"    m.touch(('es_range', {self.table_id}, _i >> 3))"]
                if metered else [])

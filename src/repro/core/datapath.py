@@ -23,7 +23,7 @@ from typing import Sequence
 from repro.core.codegen import CompiledTable
 from repro.core.outcome import Outcome
 from repro.openflow.actions import Action, Output
-from repro.openflow.fields import field_by_name, max_layer
+from repro.openflow.fields import max_layer
 from repro.openflow.pipeline import MAX_TABLE_HOPS, Pipeline, PipelineError, Verdict
 from repro.packet import parser as pp
 from repro.packet.packet import Packet
@@ -99,7 +99,6 @@ class CompiledDatapath:
         #: accounting: a fuse failure is a health event, never a crash).
         self.fuse_failures = 0
         self.last_fuse_error = ""
-        self._extract_etype = field_by_name("eth_type").extract
         self.set_parser_layer(parser_layer)
 
     def set_parser_layer(self, parser_layer: int) -> None:
@@ -298,7 +297,7 @@ class CompiledDatapath:
         data = pkt.data
         l3, l4, proto = view.l3, view.l4, view.proto
         nxt = view.l4_proto
-        etype = self._extract_etype(view) or 0
+        etype = view.eth_type
 
         verdict = Verdict()
         write_set: list[Action] = []
@@ -338,7 +337,7 @@ class CompiledDatapath:
                         data = pkt.data
                         l3, l4, proto = view.l3, view.l4, view.proto
                         nxt = view.l4_proto
-                        etype = self._extract_etype(view) or 0
+                        etype = view.eth_type
                         verdict.reparse_needed = False
             if out.clear_actions:
                 write_set.clear()

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.openflow.actions import Output
-from repro.openflow.fields import field_by_name
 from repro.openflow.pipeline import MAX_TABLE_HOPS, PipelineError, Verdict
 from repro.simcpu.recorder import NULL_METER
 
@@ -207,19 +206,6 @@ def _emit_dispatch(dp: "CompiledDatapath", namespace: dict, null: bool) -> tuple
     return lines, tuple(inlined)
 
 
-def _etype_lines(dp: "CompiledDatapath", indent: str) -> list[str]:
-    """Ethertype extraction, specialized when the extractor is the stock one.
-
-    The L2 parser already resolves the effective (post-VLAN) ethertype and
-    caches it on the view (:attr:`ParsedPacket.eth_type`, maintained to
-    equal ``_x_eth_type(view) or 0``), so the stock extraction collapses
-    to one attribute load. A non-standard extractor keeps the call.
-    """
-    if dp._extract_etype is not field_by_name("eth_type").extract:
-        return [f"{indent}etype = _ext(view) or 0"]
-    return [f"{indent}etype = view.eth_type"]
-
-
 def _emit_run(
     dp: "CompiledDatapath",
     namespace: dict,
@@ -252,7 +238,7 @@ def _emit_run(
     lines.append("    l4 = view.l4")
     lines.append("    proto = view.proto")
     lines.append("    nxt = view.l4_proto")
-    lines.extend(_etype_lines(dp, "    "))
+    lines.append("    etype = view.eth_type")
     lines.append("    verdict = _Verdict()")
     lines.append("    path = verdict.path")
     if flags["write"]:
@@ -304,7 +290,7 @@ def _emit_run(
     lines.append("                    l4 = view.l4")
     lines.append("                    proto = view.proto")
     lines.append("                    nxt = view.l4_proto")
-    lines.extend(_etype_lines(dp, "                    "))
+    lines.append("                    etype = view.eth_type")
     lines.append("                    verdict.reparse_needed = False")
     if flags["write"]:
         lines.append("        if out.clear_actions:")
@@ -416,7 +402,6 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
         raise FuseError("nothing linked: trampoline is empty")
     namespace: dict = {
         "_parse": _PARSERS[dp.parser_layer],
-        "_ext": dp._extract_etype,
         "_Verdict": Verdict,
         "_PipelineError": PipelineError,
         "_Output": Output,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 
+from repro.openflow.fields import field_by_name
 from repro.packet.builder import PacketBuilder
 from repro.packet.packet import Packet
 
@@ -45,28 +46,6 @@ MASKS = {
     "eth_dst": [0xFFFFFFFFFFFF],
 }
 
-#: Bit widths, for arbitrary-mask generation and off-mask randomization.
-FIELD_WIDTHS: dict[str, int] = {
-    "in_port": 32,
-    "eth_src": 48,
-    "eth_dst": 48,
-    "vlan_vid": 12,
-    "ipv4_src": 32,
-    "ipv4_dst": 32,
-    "ipv6_dst": 128,
-    "ip_proto": 8,
-    "tcp_src": 16,
-    "tcp_dst": 16,
-    "udp_src": 16,
-    "udp_dst": 16,
-}
-
-#: Fields the OXM model declares non-maskable (Match rejects masks on
-#: them): ports and protocol numbers match exactly or not at all.
-EXACT_ONLY = frozenset(
-    {"in_port", "ip_proto", "tcp_src", "tcp_dst", "udp_src", "udp_dst"}
-)
-
 #: Extra source-port pools the fuzzer (but not the curated strategies)
 #: uses to exercise the range template on both port columns.
 PORT_SRC_DOMAINS: dict[str, list[int]] = {
@@ -86,7 +65,7 @@ PROFILES: dict[str, tuple[str, ...]] = {
 
 
 def full_mask(name: str) -> int:
-    return (1 << FIELD_WIDTHS[name]) - 1
+    return field_by_name(name).max_value
 
 
 def domain_value(rng: random.Random, name: str) -> int:
@@ -95,14 +74,14 @@ def domain_value(rng: random.Random, name: str) -> int:
     pool = FIELD_DOMAINS.get(name) or PORT_SRC_DOMAINS.get(name)
     if pool is not None and rng.random() < 0.7:
         return rng.choice(pool)
-    return rng.getrandbits(FIELD_WIDTHS[name])
+    return rng.getrandbits(field_by_name(name).width)
 
 
 def random_mask(rng: random.Random, name: str) -> int:
     """Full, curated, prefix, or fully arbitrary mask for ``name``."""
-    width = FIELD_WIDTHS[name]
-    full = (1 << width) - 1
-    if name in EXACT_ONLY:
+    fdef = field_by_name(name)
+    width, full = fdef.width, fdef.max_value
+    if not fdef.maskable:  # Match rejects a mask: exactly or not at all
         return full
     roll = rng.random()
     if roll < 0.55:
@@ -154,8 +133,7 @@ def perturb_fields(
     out = dict(fields)
     name = rng.choice(sorted(out))
     value, mask = out[name]
-    width = FIELD_WIDTHS[name]
-    full = (1 << width) - 1
+    full = full_mask(name)
     roll = rng.randrange(4)
     if roll == 0:
         value = (value + 1) & full
@@ -184,7 +162,7 @@ def packet_for_fields(
     """
 
     def fill(name: str) -> int:
-        width = FIELD_WIDTHS[name]
+        width = field_by_name(name).width
         constraint = fields.get(name)
         if constraint is None:
             return domain_value(rng, name)

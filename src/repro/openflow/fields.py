@@ -1,29 +1,41 @@
 """The OXM match-field registry (OpenFlow 1.3, 40 fields).
 
-Every field the switch can match on is described once, here, by a
-:class:`FieldDef` carrying everything the rest of the system needs:
+A field *is* its position: each row of :data:`FIELDS` says where the value
+sits, and everything that touches packet bytes is emitted from that row,
+the way the paper specialises one matcher macro per field by an offset
+(``IP_DST_ADDR_MATCHER`` is ``mov eax,[r13+0x10]`` behind a ``bt r15d, IP``
+guard). A :class:`FieldDef` carries:
 
-* ``extract`` — pull the integer field value out of a parsed packet
-  (used by the reference interpreter and the OVS flow-key extractor);
-* ``expr`` — a Python expression template over the fast-path locals
-  (``data``, ``l3``, ``l4``, ``pkt``) that reads the field straight from
-  packet bytes.  The ESWITCH matcher templates are built from these, the
-  exact analogue of the paper's per-field assembly matcher macros
-  (``IP_DST_ADDR_MATCHER`` et al.);
+* ``expr`` — a Python expression over the fast-path locals (``data``,
+  ``l3``, ``l4``, ``pkt``, ``proto``, ``etype``, ``nxt``) reading the field
+  straight from packet bytes; the ESWITCH matcher templates are built from it;
+* ``extract`` — the same expression as a function of a parsed packet, behind
+  the protocol prerequisite (the reference interpreter and the OVS flow-key
+  extractor call it);
 * ``proto_required`` — protocol bitmask prerequisite, checked by the
   generated code just like the paper's ``bt r15d, IP`` guard;
-* ``store`` — optional writer enabling the set-field action template.
+* ``store`` — the writer behind the set-field action template, emitted from
+  the same position for the fields marked settable.
 
-Fields the wire formats here don't carry (IPv6, MPLS, SCTP, PBB) are
-registered — the registry is complete per the spec's 40 OXM basic fields —
-but extract to ``None``, so matches on them simply never hit, as on a
-switch whose parser does not recognize the header.
+A position is a :class:`_Slice`: ``(anchor, byte offset, byte count, right
+shift)``, cut to the field's bit width. Seven fields are not one fixed slice
+and are written out instead: the packet attributes (``in_port``,
+``in_phy_port``, ``metadata``, ``tunnel_id``), the two the parser resolves
+into preamble locals (``eth_type`` is ``etype``, ``ip_proto`` is ``nxt``),
+and ``ip_dscp`` / ``ip_ecn``, which have one slice per IP family.
+
+Fields the wire formats here don't carry (MPLS, SCTP, PBB, IPv6 ND and
+extension-header flags) are registered — the spec's 40 OXM basic fields are
+all here — but have no position: ``expr`` is ``None`` and they extract to
+``None``, so matches on them never hit, as on a switch whose parser does
+not recognize the header.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from repro.packet import parser as pp
 from repro.packet.parser import ParsedPacket
@@ -48,7 +60,7 @@ class FieldDef:
     proto_required: int  # any-of protocol bitmask prerequisite (0 = none)
     maskable: bool
     extract: Callable[[ParsedPacket], "int | None"]
-    expr: str | None = None  # fast-path read expression, None = unsupported
+    expr: str | None = None  # fast-path read expression, None = no position
     store: Callable[[ParsedPacket, int], None] | None = None
 
     @property
@@ -59,407 +71,168 @@ class FieldDef:
         return f"FieldDef({self.name!r})"
 
 
-def _unsupported(_view: ParsedPacket) -> "int | None":
+# -- the emitter ---------------------------------------------------------------
+
+
+class _Slice(NamedTuple):
+    """``nbytes`` big-endian bytes at ``anchor + offset``, shifted right by
+    ``shift`` and cut to the field's width."""
+
+    anchor: str  # "" = start of frame, else the parser-resolved "l3" / "l4"
+    offset: int
+    nbytes: int
+    shift: int = 0
+
+    def _pos(self, i: int) -> str:
+        i += self.offset
+        if not self.anchor:
+            return str(i)
+        return f"{self.anchor}+{i}" if i else self.anchor
+
+    def _span(self) -> str:
+        return f"data[{self._pos(0)}:{self._pos(self.nbytes)}]"
+
+    def read(self, width: int) -> str:
+        n = self.nbytes
+        if n > 8:
+            word = f"int.from_bytes({self._span()},'big')"
+        else:
+            word = "|".join(
+                [f"(data[{self._pos(i)}]<<{8 * (n - 1 - i)})" for i in range(n - 1)]
+                + [f"data[{self._pos(n - 1)}]"]
+            )
+        if self.shift:
+            word = f"({word})>>{self.shift}" if n > 1 else f"{word}>>{self.shift}"
+        if 8 * n - self.shift > width:
+            inner = f"({word})" if n > 1 or self.shift else word
+            word = f"{inner}&0x{(1 << width) - 1:X}"
+        return word
+
+    def write(self, width: int) -> list[str]:
+        n = self.nbytes
+        if not self.shift and width == 8 * n:
+            return [f"{self._span()} = value.to_bytes({n},'big')"]
+        # Shares a byte with a neighbour: splice bytewise, keeping its bits.
+        mask, lines = ((1 << width) - 1) << self.shift, []
+        for i in range(n):
+            down = 8 * (n - 1 - i)  # this byte's place in the n-byte word
+            bits, up = (mask >> down) & 0xFF, self.shift - down
+            part = f"value<<{up}" if up >= 0 else f"value>>{-up}"
+            if bits:
+                byte = f"data[{self._pos(i)}]"
+                lines.append(f"{byte} = ({byte}&{0xFF ^ bits:#x})|(({part})&{bits:#x})")
+        return lines
+
+
+#: How a function of a parsed view loads each fast-path local.
+_LOADS = {
+    "pkt": "view.pkt", "data": "view.pkt.data", "l3": "view.l3", "l4": "view.l4",
+    "proto": "view.proto", "etype": "view.eth_type", "nxt": "view.l4_proto",
+}
+
+
+def _over_view(name: str, params: str, proto: int, body: list[str]) -> Callable:
+    """Compile ``body`` (statements over the fast-path locals) into a
+    module-level function of a parsed view, loading only the locals it
+    names; a non-zero ``proto`` guards it: header absent, ``None``."""
+    code = "".join(f"    {line}\n" for line in body)
+    guard = f"    if not view.proto & {proto:#x}:\n        return None\n" if proto else ""
+    loads = "".join(
+        f"    {n} = {src}\n" for n, src in _LOADS.items() if re.search(rf"\b{n}\b", code)
+    )
+    source = f"def {name}({params}):\n{guard}{loads}{code}"
+    # Defined in this module's globals so pipelines holding a writer
+    # (SetField) still pickle by reference.
+    exec(compile(source, f"<fields:{name}>", "exec"), globals())
+    return globals()[name]
+
+
+def _absent(_view: ParsedPacket) -> None:
     return None
 
 
-# -- extractors ------------------------------------------------------------
-
-
-def _x_in_port(view: ParsedPacket) -> int:
-    return view.pkt.in_port
-
-
-def _x_metadata(view: ParsedPacket) -> int:
-    return view.pkt.metadata
-
-
-def _x_tunnel_id(view: ParsedPacket) -> int:
-    return view.pkt.tunnel_id
-
-
-def _x_eth_dst(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ETH:
-        return None
-    d = view.pkt.data
-    return int.from_bytes(d[0:6], "big")
-
-
-def _x_eth_src(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ETH:
-        return None
-    d = view.pkt.data
-    return int.from_bytes(d[6:12], "big")
-
-
-def _x_eth_type(view: ParsedPacket) -> "int | None":
-    """The *effective* ethertype: the one after any VLAN tags (per OF spec)."""
-    if not view.proto & pp.PROTO_ETH:
-        return None
-    d = view.pkt.data
-    offset = 12
-    ethertype = (d[offset] << 8) | d[offset + 1]
-    while ethertype == 0x8100 and len(d) >= offset + 6:
-        offset += 4
-        ethertype = (d[offset] << 8) | d[offset + 1]
-    return ethertype
-
-
-def _x_vlan_vid(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_VLAN:
-        return None
-    d = view.pkt.data
-    return ((d[14] << 8) | d[15]) & 0xFFF
-
-
-def _x_vlan_pcp(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_VLAN:
-        return None
-    return view.pkt.data[14] >> 5
-
-
-def _x_ip_dscp(view: ParsedPacket) -> "int | None":
-    if view.proto & pp.PROTO_IPV4:
-        return view.pkt.data[view.l3 + 1] >> 2
-    if view.proto & pp.PROTO_IPV6:
-        return _ipv6_traffic_class(view) >> 2
-    return None
-
-
-def _x_ip_ecn(view: ParsedPacket) -> "int | None":
-    if view.proto & pp.PROTO_IPV4:
-        return view.pkt.data[view.l3 + 1] & 0x3
-    if view.proto & pp.PROTO_IPV6:
-        return _ipv6_traffic_class(view) & 0x3
-    return None
-
-
-def _ipv6_traffic_class(view: ParsedPacket) -> int:
-    d, o = view.pkt.data, view.l3
-    return ((d[o] & 0x0F) << 4) | (d[o + 1] >> 4)
-
-
-def _x_ip_proto(view: ParsedPacket) -> "int | None":
-    if not view.proto & (pp.PROTO_IPV4 | pp.PROTO_IPV6):
-        return None
-    return view.l4_proto if view.l4_proto >= 0 else None
-
-
-def _x_ipv4_src(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_IPV4:
-        return None
-    d, o = view.pkt.data, view.l3
-    return int.from_bytes(d[o + 12 : o + 16], "big")
-
-
-def _x_ipv4_dst(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_IPV4:
-        return None
-    d, o = view.pkt.data, view.l3
-    return int.from_bytes(d[o + 16 : o + 20], "big")
-
-
-def _x_tcp_src(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_TCP:
-        return None
-    d, o = view.pkt.data, view.l4
-    return (d[o] << 8) | d[o + 1]
-
-
-def _x_tcp_dst(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_TCP:
-        return None
-    d, o = view.pkt.data, view.l4
-    return (d[o + 2] << 8) | d[o + 3]
-
-
-def _x_udp_src(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_UDP:
-        return None
-    d, o = view.pkt.data, view.l4
-    return (d[o] << 8) | d[o + 1]
-
-
-def _x_udp_dst(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_UDP:
-        return None
-    d, o = view.pkt.data, view.l4
-    return (d[o + 2] << 8) | d[o + 3]
-
-
-def _x_icmpv4_type(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ICMP:
-        return None
-    return view.pkt.data[view.l4]
-
-
-def _x_icmpv4_code(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ICMP:
-        return None
-    return view.pkt.data[view.l4 + 1]
-
-
-def _x_ipv6_src(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_IPV6:
-        return None
-    d, o = view.pkt.data, view.l3
-    return int.from_bytes(d[o + 8 : o + 24], "big")
-
-
-def _x_ipv6_dst(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_IPV6:
-        return None
-    d, o = view.pkt.data, view.l3
-    return int.from_bytes(d[o + 24 : o + 40], "big")
-
-
-def _x_ipv6_flabel(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_IPV6:
-        return None
-    d, o = view.pkt.data, view.l3
-    return ((d[o + 1] & 0x0F) << 16) | (d[o + 2] << 8) | d[o + 3]
-
-
-def _x_icmpv6_type(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ICMP6:
-        return None
-    return view.pkt.data[view.l4]
-
-
-def _x_icmpv6_code(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ICMP6:
-        return None
-    return view.pkt.data[view.l4 + 1]
-
-
-def _x_arp_op(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ARP:
-        return None
-    d, o = view.pkt.data, view.l3
-    return (d[o + 6] << 8) | d[o + 7]
-
-
-def _x_arp_spa(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ARP:
-        return None
-    d, o = view.pkt.data, view.l3
-    return int.from_bytes(d[o + 14 : o + 18], "big")
-
-
-def _x_arp_tpa(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ARP:
-        return None
-    d, o = view.pkt.data, view.l3
-    return int.from_bytes(d[o + 24 : o + 28], "big")
-
-
-def _x_arp_sha(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ARP:
-        return None
-    d, o = view.pkt.data, view.l3
-    return int.from_bytes(d[o + 8 : o + 14], "big")
-
-
-def _x_arp_tha(view: ParsedPacket) -> "int | None":
-    if not view.proto & pp.PROTO_ARP:
-        return None
-    d, o = view.pkt.data, view.l3
-    return int.from_bytes(d[o + 18 : o + 24], "big")
-
-
-# -- writers (set-field action support) --------------------------------------
-
-
-def _w_eth_dst(view: ParsedPacket, value: int) -> None:
-    view.pkt.data[0:6] = value.to_bytes(6, "big")
-
-
-def _w_eth_src(view: ParsedPacket, value: int) -> None:
-    view.pkt.data[6:12] = value.to_bytes(6, "big")
-
-
-def _w_vlan_vid(view: ParsedPacket, value: int) -> None:
-    d = view.pkt.data
-    d[14] = (d[14] & 0xF0) | ((value >> 8) & 0x0F)
-    d[15] = value & 0xFF
-
-
-def _w_vlan_pcp(view: ParsedPacket, value: int) -> None:
-    d = view.pkt.data
-    d[14] = ((value & 0x7) << 5) | (d[14] & 0x1F)
-
-
-def _w_ip_dscp(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l3
-    if view.proto & pp.PROTO_IPV4:
-        d[o + 1] = ((value & 0x3F) << 2) | (d[o + 1] & 0x3)
-    else:  # IPv6: dscp = top 6 bits of the traffic class
-        tc = (_ipv6_traffic_class(view) & 0x3) | ((value & 0x3F) << 2)
-        d[o] = (d[o] & 0xF0) | (tc >> 4)
-        d[o + 1] = ((tc & 0x0F) << 4) | (d[o + 1] & 0x0F)
-
-
-def _w_ip_ecn(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l3
-    if view.proto & pp.PROTO_IPV4:
-        d[o + 1] = (d[o + 1] & 0xFC) | (value & 0x3)
+_V4, _IP = pp.PROTO_IPV4, pp.PROTO_IPV4 | pp.PROTO_IPV6
+
+
+def _f(
+    name: str, oxm_id: int, width: int, layer: int, proto: int, maskable: bool,
+    where: "_Slice | tuple[_Slice, _Slice] | str | None" = None,
+    settable: bool = False,
+) -> FieldDef:
+    """One registry row. ``where`` is the field's position: a slice, an
+    (IPv4, IPv6) pair of slices, a hand-written expression over the
+    fast-path locals, or ``None`` for a header no parser here recognises."""
+    if where is None:
+        return FieldDef(name, oxm_id, width, layer, proto, maskable, _absent)
+    if isinstance(where, str):
+        expr, write = where, [f"{where} = value"]
+    elif isinstance(where, _Slice):
+        expr, write = where.read(width), where.write(width)
     else:
-        tc = (_ipv6_traffic_class(view) & 0xFC) | (value & 0x3)
-        d[o] = (d[o] & 0xF0) | (tc >> 4)
-        d[o + 1] = ((tc & 0x0F) << 4) | (d[o + 1] & 0x0F)
-
-
-def _w_ipv4_src(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l3
-    d[o + 12 : o + 16] = value.to_bytes(4, "big")
-
-
-def _w_ipv4_dst(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l3
-    d[o + 16 : o + 20] = value.to_bytes(4, "big")
-
-
-def _w_tcp_src(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l4
-    d[o : o + 2] = value.to_bytes(2, "big")
-
-
-def _w_tcp_dst(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l4
-    d[o + 2 : o + 4] = value.to_bytes(2, "big")
-
-
-def _w_udp_src(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l4
-    d[o : o + 2] = value.to_bytes(2, "big")
-
-
-def _w_udp_dst(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l4
-    d[o + 2 : o + 4] = value.to_bytes(2, "big")
-
-
-def _w_ipv6_src(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l3
-    d[o + 8 : o + 24] = value.to_bytes(16, "big")
-
-
-def _w_ipv6_dst(view: ParsedPacket, value: int) -> None:
-    d, o = view.pkt.data, view.l3
-    d[o + 24 : o + 40] = value.to_bytes(16, "big")
-
-
-def _w_metadata(view: ParsedPacket, value: int) -> None:
-    view.pkt.metadata = value
+        v4, v6 = where
+        expr = f"(({v4.read(width)}) if proto & {_V4:#x} else ({v6.read(width)}))"
+        write = [f"if proto & {_V4:#x}:", *(f"    {w}" for w in v4.write(width)),
+                 "else:", *(f"    {w}" for w in v6.write(width))]
+    return FieldDef(
+        name, oxm_id, width, layer, proto, maskable,
+        extract=_over_view(f"extract_{name}", "view", proto, [f"return {expr}"]),
+        expr=expr,
+        store=_over_view(f"store_{name}", "view, value", 0, write) if settable else None,
+    )
 
 
 # -- the registry -------------------------------------------------------------
 
-# Fast-path read expressions over locals (data, l3, l4, pkt). These are the
-# Python counterparts of the paper's matcher-template memory loads, e.g.
-# IP_DST_ADDR_MATCHER's `mov eax,[r13+0x10]` becomes the ipv4_dst expression.
-_E = {
-    "in_port": "pkt.in_port",
-    "metadata": "pkt.metadata",
-    "tunnel_id": "pkt.tunnel_id",
-    "eth_dst": "(data[0]<<40)|(data[1]<<32)|(data[2]<<24)|(data[3]<<16)|(data[4]<<8)|data[5]",
-    "eth_src": "(data[6]<<40)|(data[7]<<32)|(data[8]<<24)|(data[9]<<16)|(data[10]<<8)|data[11]",
-    # `etype` is a preamble local: the effective (post-VLAN) ethertype.
-    "eth_type": "etype",
-    "vlan_vid": "((data[14]<<8)|data[15])&0xFFF",
-    "vlan_pcp": "data[14]>>5",
-    # dscp/ecn live in different bits per IP family; `proto` decides.
-    "ip_dscp": "((data[l3+1]>>2) if proto & 0x4 else ((((data[l3]&0xF)<<4)|(data[l3+1]>>4))>>2))",
-    "ip_ecn": "((data[l3+1]&0x3) if proto & 0x4 else ((data[l3+1]>>4)&0x3))",
-    # `nxt` is a preamble local: the resolved IP protocol / next header.
-    "ip_proto": "nxt",
-    "ipv4_src": "(data[l3+12]<<24)|(data[l3+13]<<16)|(data[l3+14]<<8)|data[l3+15]",
-    "ipv4_dst": "(data[l3+16]<<24)|(data[l3+17]<<16)|(data[l3+18]<<8)|data[l3+19]",
-    "tcp_src": "(data[l4]<<8)|data[l4+1]",
-    "tcp_dst": "(data[l4+2]<<8)|data[l4+3]",
-    "udp_src": "(data[l4]<<8)|data[l4+1]",
-    "udp_dst": "(data[l4+2]<<8)|data[l4+3]",
-    "icmpv4_type": "data[l4]",
-    "icmpv4_code": "data[l4+1]",
-    "ipv6_src": "int.from_bytes(data[l3+8:l3+24],'big')",
-    "ipv6_dst": "int.from_bytes(data[l3+24:l3+40],'big')",
-    "ipv6_flabel": "(((data[l3+1]&0xF)<<16)|(data[l3+2]<<8)|data[l3+3])",
-    "icmpv6_type": "data[l4]",
-    "icmpv6_code": "data[l4+1]",
-    "arp_op": "(data[l3+6]<<8)|data[l3+7]",
-    "arp_spa": "(data[l3+14]<<24)|(data[l3+15]<<16)|(data[l3+16]<<8)|data[l3+17]",
-    "arp_tpa": "(data[l3+24]<<24)|(data[l3+25]<<16)|(data[l3+26]<<8)|data[l3+27]",
-    "arp_sha": "(data[l3+8]<<40)|(data[l3+9]<<32)|(data[l3+10]<<24)|(data[l3+11]<<16)|(data[l3+12]<<8)|data[l3+13]",
-    "arp_tha": "(data[l3+18]<<40)|(data[l3+19]<<32)|(data[l3+20]<<24)|(data[l3+21]<<16)|(data[l3+22]<<8)|data[l3+23]",
-}
-
-
-def _f(
-    name: str,
-    oxm_id: int,
-    width: int,
-    layer: int,
-    proto: int,
-    maskable: bool,
-    extract: Callable[[ParsedPacket], "int | None"],
-    store: Callable[[ParsedPacket, int], None] | None = None,
-) -> FieldDef:
-    return FieldDef(
-        name=name,
-        oxm_id=oxm_id,
-        width=width,
-        layer=layer,
-        proto_required=proto,
-        maskable=maskable,
-        extract=extract,
-        expr=_E.get(name),
-        store=store,
-    )
-
+_S = _Slice
 
 FIELDS: tuple[FieldDef, ...] = (
-    _f("in_port", 0, 32, L_META, 0, False, _x_in_port),
-    _f("in_phy_port", 1, 32, L_META, 0, False, _x_in_port),
-    _f("metadata", 2, 64, L_META, 0, True, _x_metadata, _w_metadata),
-    _f("eth_dst", 3, 48, L2, pp.PROTO_ETH, True, _x_eth_dst, _w_eth_dst),
-    _f("eth_src", 4, 48, L2, pp.PROTO_ETH, True, _x_eth_src, _w_eth_src),
-    _f("eth_type", 5, 16, L2, pp.PROTO_ETH, False, _x_eth_type),
-    _f("vlan_vid", 6, 12, L2, pp.PROTO_VLAN, True, _x_vlan_vid, _w_vlan_vid),
-    _f("vlan_pcp", 7, 3, L2, pp.PROTO_VLAN, False, _x_vlan_pcp, _w_vlan_pcp),
-    _f("ip_dscp", 8, 6, L3, pp.PROTO_IPV4 | pp.PROTO_IPV6, False, _x_ip_dscp, _w_ip_dscp),
-    _f("ip_ecn", 9, 2, L3, pp.PROTO_IPV4 | pp.PROTO_IPV6, False, _x_ip_ecn, _w_ip_ecn),
+    _f("in_port", 0, 32, L_META, 0, False, "pkt.in_port"),
+    _f("in_phy_port", 1, 32, L_META, 0, False, "pkt.in_port"),
+    _f("metadata", 2, 64, L_META, 0, True, "pkt.metadata", settable=True),
+    _f("eth_dst", 3, 48, L2, pp.PROTO_ETH, True, _S("", 0, 6), settable=True),
+    _f("eth_src", 4, 48, L2, pp.PROTO_ETH, True, _S("", 6, 6), settable=True),
+    # `etype` is a preamble local: the effective (post-VLAN) ethertype the
+    # L2 parser resolves.
+    _f("eth_type", 5, 16, L2, pp.PROTO_ETH, False, "etype"),
+    _f("vlan_vid", 6, 12, L2, pp.PROTO_VLAN, True, _S("", 14, 2), settable=True),
+    _f("vlan_pcp", 7, 3, L2, pp.PROTO_VLAN, False, _S("", 14, 1, 5), settable=True),
+    # dscp/ecn are the IPv4 ToS byte or the IPv6 traffic class, which
+    # straddles the header's first two bytes; `proto` decides.
+    _f("ip_dscp", 8, 6, L3, _IP, False, (_S("l3", 1, 1, 2), _S("l3", 0, 2, 6)), settable=True),
+    _f("ip_ecn", 9, 2, L3, _IP, False, (_S("l3", 1, 1), _S("l3", 1, 1, 4)), settable=True),
     # ip_proto is semantically L3, but resolving IPv6 extension-header
-    # chains is L4 parser work, so it requires the full parse.
-    _f("ip_proto", 10, 8, L4, pp.PROTO_IPV4 | pp.PROTO_IPV6, False, _x_ip_proto),
-    _f("ipv4_src", 11, 32, L3, pp.PROTO_IPV4, True, _x_ipv4_src, _w_ipv4_src),
-    _f("ipv4_dst", 12, 32, L3, pp.PROTO_IPV4, True, _x_ipv4_dst, _w_ipv4_dst),
-    _f("tcp_src", 13, 16, L4, pp.PROTO_TCP, False, _x_tcp_src, _w_tcp_src),
-    _f("tcp_dst", 14, 16, L4, pp.PROTO_TCP, False, _x_tcp_dst, _w_tcp_dst),
-    _f("udp_src", 15, 16, L4, pp.PROTO_UDP, False, _x_udp_src, _w_udp_src),
-    _f("udp_dst", 16, 16, L4, pp.PROTO_UDP, False, _x_udp_dst, _w_udp_dst),
-    _f("sctp_src", 17, 16, L4, pp.PROTO_SCTP, False, _unsupported),
-    _f("sctp_dst", 18, 16, L4, pp.PROTO_SCTP, False, _unsupported),
-    _f("icmpv4_type", 19, 8, L4, pp.PROTO_ICMP, False, _x_icmpv4_type),
-    _f("icmpv4_code", 20, 8, L4, pp.PROTO_ICMP, False, _x_icmpv4_code),
-    _f("arp_op", 21, 16, L3, pp.PROTO_ARP, False, _x_arp_op),
-    _f("arp_spa", 22, 32, L3, pp.PROTO_ARP, True, _x_arp_spa),
-    _f("arp_tpa", 23, 32, L3, pp.PROTO_ARP, True, _x_arp_tpa),
-    _f("arp_sha", 24, 48, L3, pp.PROTO_ARP, True, _x_arp_sha),
-    _f("arp_tha", 25, 48, L3, pp.PROTO_ARP, True, _x_arp_tha),
-    _f("ipv6_src", 26, 128, L3, pp.PROTO_IPV6, True, _x_ipv6_src, _w_ipv6_src),
-    _f("ipv6_dst", 27, 128, L3, pp.PROTO_IPV6, True, _x_ipv6_dst, _w_ipv6_dst),
-    _f("ipv6_flabel", 28, 20, L3, pp.PROTO_IPV6, True, _x_ipv6_flabel),
-    _f("icmpv6_type", 29, 8, L4, pp.PROTO_ICMP6, False, _x_icmpv6_type),
-    _f("icmpv6_code", 30, 8, L4, pp.PROTO_ICMP6, False, _x_icmpv6_code),
-    _f("ipv6_nd_target", 31, 128, L3, pp.PROTO_IPV6, False, _unsupported),
-    _f("ipv6_nd_sll", 32, 48, L3, pp.PROTO_IPV6, False, _unsupported),
-    _f("ipv6_nd_tll", 33, 48, L3, pp.PROTO_IPV6, False, _unsupported),
-    _f("mpls_label", 34, 20, L2, pp.PROTO_MPLS, False, _unsupported),
-    _f("mpls_tc", 35, 3, L2, pp.PROTO_MPLS, False, _unsupported),
-    _f("mpls_bos", 36, 1, L2, pp.PROTO_MPLS, False, _unsupported),
-    _f("pbb_isid", 37, 24, L2, 0, True, _unsupported),
-    _f("tunnel_id", 38, 64, L_META, 0, True, _x_tunnel_id),
-    _f("ipv6_exthdr", 39, 9, L3, pp.PROTO_IPV6, True, _unsupported),
+    # chains is L4 parser work, so it requires the full parse. `nxt` is a
+    # preamble local: the resolved IP protocol / final next header.
+    _f("ip_proto", 10, 8, L4, _IP, False, "nxt"),
+    _f("ipv4_src", 11, 32, L3, pp.PROTO_IPV4, True, _S("l3", 12, 4), settable=True),
+    _f("ipv4_dst", 12, 32, L3, pp.PROTO_IPV4, True, _S("l3", 16, 4), settable=True),
+    _f("tcp_src", 13, 16, L4, pp.PROTO_TCP, False, _S("l4", 0, 2), settable=True),
+    _f("tcp_dst", 14, 16, L4, pp.PROTO_TCP, False, _S("l4", 2, 2), settable=True),
+    _f("udp_src", 15, 16, L4, pp.PROTO_UDP, False, _S("l4", 0, 2), settable=True),
+    _f("udp_dst", 16, 16, L4, pp.PROTO_UDP, False, _S("l4", 2, 2), settable=True),
+    _f("sctp_src", 17, 16, L4, pp.PROTO_SCTP, False),
+    _f("sctp_dst", 18, 16, L4, pp.PROTO_SCTP, False),
+    _f("icmpv4_type", 19, 8, L4, pp.PROTO_ICMP, False, _S("l4", 0, 1)),
+    _f("icmpv4_code", 20, 8, L4, pp.PROTO_ICMP, False, _S("l4", 1, 1)),
+    _f("arp_op", 21, 16, L3, pp.PROTO_ARP, False, _S("l3", 6, 2)),
+    _f("arp_spa", 22, 32, L3, pp.PROTO_ARP, True, _S("l3", 14, 4)),
+    _f("arp_tpa", 23, 32, L3, pp.PROTO_ARP, True, _S("l3", 24, 4)),
+    _f("arp_sha", 24, 48, L3, pp.PROTO_ARP, True, _S("l3", 8, 6)),
+    _f("arp_tha", 25, 48, L3, pp.PROTO_ARP, True, _S("l3", 18, 6)),
+    _f("ipv6_src", 26, 128, L3, pp.PROTO_IPV6, True, _S("l3", 8, 16), settable=True),
+    _f("ipv6_dst", 27, 128, L3, pp.PROTO_IPV6, True, _S("l3", 24, 16), settable=True),
+    _f("ipv6_flabel", 28, 20, L3, pp.PROTO_IPV6, True, _S("l3", 1, 3)),
+    _f("icmpv6_type", 29, 8, L4, pp.PROTO_ICMP6, False, _S("l4", 0, 1)),
+    _f("icmpv6_code", 30, 8, L4, pp.PROTO_ICMP6, False, _S("l4", 1, 1)),
+    _f("ipv6_nd_target", 31, 128, L3, pp.PROTO_IPV6, False),
+    _f("ipv6_nd_sll", 32, 48, L3, pp.PROTO_IPV6, False),
+    _f("ipv6_nd_tll", 33, 48, L3, pp.PROTO_IPV6, False),
+    _f("mpls_label", 34, 20, L2, pp.PROTO_MPLS, False),
+    _f("mpls_tc", 35, 3, L2, pp.PROTO_MPLS, False),
+    _f("mpls_bos", 36, 1, L2, pp.PROTO_MPLS, False),
+    _f("pbb_isid", 37, 24, L2, 0, True),
+    _f("tunnel_id", 38, 64, L_META, 0, True, "pkt.tunnel_id"),
+    _f("ipv6_exthdr", 39, 9, L3, pp.PROTO_IPV6, True),
 )
 
 _BY_NAME: dict[str, FieldDef] = {f.name: f for f in FIELDS}

@@ -16,45 +16,11 @@ from repro.packet.packet import Packet
 from repro.packet.parser import ParsedPacket
 from repro.openflow.fields import FIELDS
 
-#: Fields with wire support, in registry order — the columns of a flow key.
-KEY_FIELDS: tuple[str, ...] = tuple(
-    f.name
-    for f in FIELDS
-    if f.name
-    in {
-        "in_port",
-        "metadata",
-        "eth_dst",
-        "eth_src",
-        "eth_type",
-        "vlan_vid",
-        "vlan_pcp",
-        "ip_dscp",
-        "ip_ecn",
-        "ip_proto",
-        "ipv4_src",
-        "ipv4_dst",
-        "tcp_src",
-        "tcp_dst",
-        "udp_src",
-        "udp_dst",
-        "icmpv4_type",
-        "icmpv4_code",
-        "arp_op",
-        "arp_spa",
-        "arp_tpa",
-        "arp_sha",
-        "arp_tha",
-        "ipv6_src",
-        "ipv6_dst",
-        "ipv6_flabel",
-        "icmpv6_type",
-        "icmpv6_code",
-        "tunnel_id",
-    }
-)
-
-_EXTRACTORS = [(f.name, f.extract) for f in FIELDS if f.name in set(KEY_FIELDS)]
+#: The columns of a flow key, in registry order: every field with a
+#: position in the frame or on the packet. A field without one has no
+#: column, so a rule on it never matches — as in the reference.
+_EXTRACTORS = [(f.name, f.extract) for f in FIELDS if f.expr is not None]
+KEY_FIELDS: tuple[str, ...] = tuple(name for name, _ in _EXTRACTORS)
 
 #: Microflow keys additionally cover volatile non-OXM header state.
 EMC_KEY_FIELDS: tuple[str, ...] = KEY_FIELDS + ("ip_ttl",)

@@ -204,5 +204,6 @@ class Vswitchd:
             view.l3 = new_view.l3
             view.l4 = new_view.l4
             view.l4_proto = new_view.l4_proto
+            view.eth_type = new_view.eth_type
             key.update(extract_key(view))
             verdict.reparse_needed = False

@@ -178,7 +178,7 @@ def shadowed_tables(draw) -> FlowTable:
     repeated at lower priority, matches that add constraints to an earlier
     one (dominated), and rules below a catch-all. One mask per column."""
     mask_of = {
-        name: draw(st.sampled_from(sts.MASKS.get(name, [(1 << sts.FIELD_WIDTHS[name]) - 1])))
+        name: draw(st.sampled_from(sts.MASKS.get(name, [sts.domain.full_mask(name)])))
         for name in _COLUMNS
     }
 

@@ -8,9 +8,12 @@ import strategies as sts
 from repro.core import CompileConfig, ESwitch
 from repro.core.datapath import required_layer
 from repro.openflow.actions import DecTtl, Output, SetField
+from repro.openflow.fields import FIELDS, field_by_name
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
+from repro.openflow.instructions import ApplyActions
 from repro.openflow.match import Match
+from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline, PipelineError
 from repro.packet import PacketBuilder
 from repro.usecases import firewall, gateway, l2, l3, loadbalancer
@@ -146,3 +149,80 @@ class TestProcessing:
             assert src == gateway.public_ip(0, 0)
             # The VLAN tag was popped on the way out.
             assert (pkt.data[12] << 8) | pkt.data[13] != 0x8100
+
+
+def _probes():
+    return [
+        b.build()
+        for port in (1, 3, 7)
+        for b in (
+            PacketBuilder(in_port=port).eth().ipv4().tcp(),
+            PacketBuilder(in_port=port).eth().ipv6().icmpv6(type=135),
+            PacketBuilder(in_port=port).eth(ethertype=0x8847),
+        )
+    ]
+
+
+def _rules(name, shape):
+    """Rule sets on field ``name`` that land on each rung of the chain."""
+    fdef = field_by_name(name)
+    mask = 0xFF if fdef.maskable else fdef.max_value
+    on = lambda value, **more: Match(**{name: (value & mask, mask)}, **more)  # noqa: E731
+    if shape == "direct":
+        return [on(3), on(1)]
+    if shape == "hash":
+        return [on(v) for v in range(1, 8)]
+    if shape == "compound_hash":
+        return [on(v, eth_type=0x0800) for v in range(1, 8)]
+    # mixed shapes: decomposed when allowed, one linked list otherwise
+    return [on(3, in_port=3), on(1), Match(in_port=3), on(3, eth_type=0x86DD),
+            Match(in_port=7, eth_type=0x0800), on(7, in_port=1)]
+
+
+def _pipeline(matches):
+    table = FlowTable(0)
+    for i, match in enumerate(matches):
+        table.add(FlowEntry(match, priority=100 - i, actions=[Output(10 + i)]))
+    return Pipeline([table])
+
+
+class TestEveryFieldOnEveryRung:
+    """A field the parsers here carry no header for never matches — it
+    does not fail to compile — and ``in_phy_port`` reads ``in_port``:
+    on every rung the switch answers as ``Pipeline.process`` does."""
+
+    FIELDS = ["in_phy_port"] + [f.name for f in FIELDS if f.expr is None]
+
+    @pytest.mark.parametrize("name", FIELDS)
+    @pytest.mark.parametrize(
+        "shape,config,kind",
+        [
+            ("direct", CompileConfig(), "direct"),
+            ("hash", CompileConfig(), "hash"),
+            ("compound_hash", CompileConfig(), "hash"),
+            ("mixed", CompileConfig(), "decomposed["),
+            ("mixed", CompileConfig(decompose=False), "linked_list"),
+            ("hash", CompileConfig(fuse=False), "hash"),
+        ],
+    )
+    def test_compiles_and_agrees(self, name, shape, config, kind):
+        matches = _rules(name, shape)
+        sw = ESwitch(_pipeline(matches), config=config)
+        assert sw.table_kinds()[0].startswith(kind)
+        assert not sw.health().quarantined
+        reference = _pipeline(matches)
+        for pkt in _probes():
+            assert sw.process(pkt.copy()).summary() == reference.process(pkt.copy()).summary()
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_flow_mods_are_accepted(self, name):
+        matches = _rules(name, "hash")
+        sw, reference = ESwitch(_pipeline(matches)), _pipeline(matches)
+        for match in (_rules(name, "hash")[0], _rules(name, "mixed")[0]):
+            mod = FlowMod(FlowModCommand.ADD, 0, match, priority=200,
+                          instructions=(ApplyActions([Output(9)]),))
+            reply = sw.submit_flow_mods([mod])
+            assert reply.accepted, reply.errors
+            reference.table(0).add(mod.to_entry())
+            for pkt in _probes():
+                assert sw.process(pkt.copy()).summary() == reference.process(pkt.copy()).summary()

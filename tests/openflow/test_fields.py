@@ -52,33 +52,6 @@ class TestExtractors:
         assert field_by_name("tcp_dst").extract(view) is None
         assert field_by_name("udp_dst").extract(view) == 53
 
-    def test_writers_roundtrip(self):
-        pkt = PacketBuilder().eth().vlan(vid=9).ipv4().tcp().build()
-        view = parse(pkt)
-        cases = {
-            "eth_dst": 0x020000000042,
-            "eth_src": 0x020000000043,
-            "vlan_vid": 777,
-            "vlan_pcp": 5,
-            "ip_dscp": 21,
-            "ip_ecn": 2,
-            "ipv4_src": 0x01020304,
-            "ipv4_dst": 0x05060708,
-            "tcp_src": 1111,
-            "tcp_dst": 2222,
-        }
-        for name, value in cases.items():
-            fdef = field_by_name(name)
-            assert fdef.store is not None, name
-            fdef.store(view, value)
-            assert fdef.extract(view) == value, name
-
-    def test_udp_port_writers(self):
-        pkt = PacketBuilder().eth().ipv4().udp().build()
-        view = parse(pkt)
-        field_by_name("udp_dst").store(view, 4242)
-        assert field_by_name("udp_dst").extract(view) == 4242
-
     def test_fields_have_sane_widths(self):
         assert field_by_name("eth_dst").width == 48
         assert field_by_name("ipv4_dst").width == 32

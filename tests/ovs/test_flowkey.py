@@ -1,5 +1,6 @@
 """Tests for flow-key and EMC-key extraction."""
 
+from repro.openflow.fields import FIELDS
 from repro.ovs.flowkey import EMC_KEY_FIELDS, KEY_FIELDS, emc_key, extract_key
 from repro.packet import PacketBuilder
 from repro.packet.parser import parse
@@ -10,6 +11,17 @@ class TestExtractKey:
         view = parse(PacketBuilder().eth().ipv4().tcp().build())
         key = extract_key(view)
         assert set(key) == set(KEY_FIELDS)
+
+    def test_columns_are_the_registry_fields_with_a_position(self):
+        # Derived, not listed: a column per field that can be read at all,
+        # in registry order — in_phy_port included, layout-less ones not.
+        assert KEY_FIELDS == tuple(f.name for f in FIELDS if f.expr is not None)
+        assert "in_phy_port" in KEY_FIELDS
+        assert not {"sctp_dst", "mpls_label", "pbb_isid"} & set(KEY_FIELDS)
+
+    def test_in_phy_port_is_the_ingress_port(self):
+        key = extract_key(parse(PacketBuilder(in_port=4).eth().build()))
+        assert key["in_phy_port"] == key["in_port"] == 4
 
     def test_absent_layers_are_none(self):
         view = parse(PacketBuilder().eth().build())

@@ -1,5 +1,7 @@
 """Tests for the assembled OVS switch: hierarchy, stats, invalidation."""
 
+from repro.openflow.actions import Output
+from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable, TableMissPolicy
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
@@ -109,6 +111,24 @@ class TestInvalidation:
             FlowMod(FlowModCommand.DELETE, 0, Match(in_port=firewall.INTERNAL))
         )
         assert len(sw.pipeline.table(0)) == before - 1
+
+
+class TestInPhyPort:
+    """``in_phy_port`` has a flow-key column, so a rule on it forwards as
+    the reference does — from the slow path and from both caches."""
+
+    def pipeline(self):
+        table = FlowTable(0)
+        table.add(FlowEntry(Match(in_phy_port=3), priority=5, actions=[Output(2)]))
+        return Pipeline([table])
+
+    def test_verdicts_match_the_reference(self):
+        sw, reference = OvsSwitch(self.pipeline()), self.pipeline()
+        for port in (3, 3, 4, 3):  # upcall, EMC hit, a miss, EMC hit again
+            pkt = PacketBuilder(in_port=port).eth().ipv4().tcp().build()
+            want = reference.process(pkt.copy())
+            assert sw.process(pkt).summary() == want.summary()
+            assert want.forwarded == (port == 3)
 
 
 class TestStats:

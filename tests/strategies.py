@@ -12,8 +12,9 @@ import random
 from hypothesis import strategies as st
 
 from repro.fuzz import domain
-from repro.fuzz.domain import FIELD_DOMAINS, FIELD_WIDTHS, MASKS, V6_A, V6_B
+from repro.fuzz.domain import FIELD_DOMAINS, MASKS, V6_A, V6_B
 from repro.openflow.actions import Controller, Drop, Output, SetField
+from repro.openflow.fields import field_by_name
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable, TableMissPolicy
 from repro.openflow.instructions import ApplyActions, GotoTable
@@ -24,7 +25,7 @@ from repro.packet.builder import PacketBuilder
 from repro.packet.packet import Packet
 
 __all__ = [
-    "FIELD_DOMAINS", "FIELD_WIDTHS", "MASKS", "V6_A", "V6_B",
+    "FIELD_DOMAINS", "MASKS", "V6_A", "V6_B",
     "matches", "masked_matches", "actions", "flow_tables", "tied_tables",
     "pipelines", "goto_dag_pipelines", "flow_mod_batches", "packets",
     "random_packet",
@@ -63,10 +64,10 @@ def masked_matches(draw) -> Match:
     )
     pairs = {}
     for name in names:
-        width = FIELD_WIDTHS[name]
-        full = (1 << width) - 1
+        fdef = field_by_name(name)
+        width, full = fdef.width, fdef.max_value
         value = draw(st.sampled_from(FIELD_DOMAINS[name] + [draw(st.integers(0, full))]))
-        if name in domain.EXACT_ONLY:
+        if not fdef.maskable:
             pairs[name] = value & full
             continue
         kind = draw(st.integers(0, 2))
