@@ -20,8 +20,7 @@ absolute-speed checks:
   deadlocks.
 
 CI's fabric-soak smoke leg runs this file small (``FABRIC_SOAK_TICKS``)
-and uploads ``BENCH_fabric_soak.json``; ``repro bench --fabric-soak``
-runs the same soak interactively.
+and uploads ``BENCH_fabric_soak.json``.
 """
 
 import json

@@ -3,8 +3,7 @@
 Default sizes are smoke-level so the benchmark suite stays fast; CI's
 scale-smoke leg sets ``MEGASCALE_FLOWS=100000`` (and a full 10⁶ run sets
 ``MEGASCALE_FLOWS=1000000``) to exercise the production-cardinality
-regime the paper's Figs. 3/10/18 report. ``repro bench --megascale``
-runs the same rig interactively.
+regime the paper's Figs. 3/10/18 report.
 
 Assertions here are *mechanism* checks, not absolute-speed checks — the
 wall-clock numbers vary with the host, but the shape of the result must

@@ -8,7 +8,7 @@ by ``GATEWAY_SPEEDUP_FLOOR`` on the multi-table gateway in NullMeter
 (functional) mode.
 
 Sizes are smoke-level so the full benchmark suite (and CI) stays fast;
-``repro bench --wallclock`` runs the same rig at configurable sizes.
+:func:`repro.traffic.wallclock.run_wallclock` takes any.
 """
 
 import json

@@ -126,6 +126,13 @@ def test_wallclock_multicore():
         # Every multicore point must carry the host-class annotations.
         assert point["oversubscribed"] == (cpu_count < cores + 1)
         assert point["transport"] in ("ring", "pipe")
+        # Real forked workers, no injector armed: a clean run detects no
+        # fault at all. A "recovered" point (respawn + retry) is a
+        # transport bug the supervisor papered over, not health.
+        health = point["health"]
+        assert health["live_workers"] == health["workers"] == cores, point
+        assert not health["degraded_shards"], point
+        assert health["faults_detected"] == 0, point
     assert f"{CASE}/multicore" in doc["speedups"]
     # The modeled axis scales near-linearly regardless of the host — it is
     # the simulated hardware's number, not the simulator's.

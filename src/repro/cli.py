@@ -7,7 +7,6 @@ Usage (also via ``python -m repro``)::
     repro run      pipeline.json --pkt in_port=1,ipv4_dst=192.0.2.1,tcp_dst=80 ...
     repro model    pipeline.json
     repro bench    pipeline.json [--flows N] [--packets M] [--seed S] [--burst B]
-    repro bench    --wallclock [--cores 1,2,4] [--out BENCH_wallclock.json] ...
     repro fuzz     --seed N [--count K] [--minimize] [--out FILE]
     repro fuzz     --replay tests/fuzz_corpus/case.json
 
@@ -197,14 +196,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     args.flows = parse_flow_count(args.flows)
     if args.burst < 0:
         raise SystemExit(f"error: --burst must be >= 0, got {args.burst}")
-    if args.megascale:
-        return cmd_bench_megascale(args)
-    if args.fabric_soak:
-        return cmd_bench_fabric_soak(args)
-    if args.wallclock:
-        return cmd_bench_wallclock(args)
-    if args.pipeline is None:
-        raise SystemExit("error: a pipeline file is required (or use --wallclock)")
     rng = random.Random(args.seed)
     pipeline = _load(args.pipeline)
     fields = pipeline.matched_fields()
@@ -244,215 +235,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                      f"{burst['cycles_per_burst']:.0f} cyc/burst)")
         print(line)
     return 0
-
-
-def parse_cores(spec: str) -> tuple[int, ...]:
-    """``--cores 1,2,4`` -> (1, 2, 4); validated, order-preserving."""
-    try:
-        cores = tuple(int(part) for part in spec.split(",") if part.strip())
-    except ValueError:
-        raise SystemExit(f"error: malformed --cores spec {spec!r}")
-    if not cores or any(c < 1 for c in cores):
-        raise SystemExit(f"error: --cores needs positive worker counts, got {spec!r}")
-    return cores
-
-
-def cmd_bench_wallclock(args: argparse.Namespace) -> int:
-    """Wall-clock pkts/sec of the simulator itself (fused vs trampoline
-    vs OVS, plus real-parallel sharded scaling with ``--cores``), written
-    to ``BENCH_wallclock.json`` — the axes EXPERIMENTS.md keeps separate
-    from the cycle model's Mpps."""
-    import json
-
-    from repro.traffic.wallclock import run_wallclock
-
-    cores = parse_cores(args.cores) if args.cores else ()
-    doc = run_wallclock(
-        n_flows=args.flows,
-        n_packets=args.packets,
-        burst=args.burst or 32,
-        repeats=args.repeats,
-        cores=cores,
-        control_faults=args.control_faults,
-    )
-    print(f"{'case':8} {'variant':11} {'mode':6} {'wall pps':>12} {'us/pkt':>8}")
-    for point in doc["points"]:
-        modeled = (
-            f"   modeled {point['modeled_pps'] / 1e6:.2f} Mpps"
-            if "modeled_pps" in point
-            else ""
-        )
-        print(
-            f"{point['case']:8} {point['variant']:11} {point['mode']:6} "
-            f"{point['wall_pps']:12,.0f} {point['usec_per_pkt']:8.2f}{modeled}"
-        )
-    if doc["multicore"]:
-        print(f"\n{'case':8} {'variant':11} {'workers':>7} {'backend':8} "
-              f"{'wire':6} {'wall pps':>12} {'us/pkt':>8}  health")
-        for point in doc["multicore"]:
-            health = point.get("health")
-            if health is None:
-                status = "-"
-            elif health["degraded_shards"]:
-                status = (
-                    f"DEGRADED shards={health['degraded_shards']} "
-                    f"live={health['live_workers']}/{health['workers']} "
-                    f"faults={health['faults_detected']}"
-                )
-            elif health["faults_detected"]:
-                status = (
-                    f"recovered faults={health['faults_detected']} "
-                    f"respawns={health['respawns']} "
-                    f"retries={health['retries']}"
-                )
-            else:
-                status = f"ok live={health['live_workers']}/{health['workers']}"
-            if point.get("oversubscribed"):
-                status += " (oversubscribed host)"
-            print(
-                f"{point['case']:8} {point['variant']:11} {point['workers']:7} "
-                f"{point['backend']:8} {point.get('transport', '-'):6} "
-                f"{point['wall_pps']:12,.0f} "
-                f"{point['usec_per_pkt']:8.2f}  {status}"
-            )
-        degraded = [
-            p for p in doc["multicore"]
-            if p.get("health", {}).get("degraded_shards")
-        ]
-        if degraded:
-            print(
-                "\nWARNING: sharded points above ran DEGRADED (dead shards "
-                "remapped onto survivors); their pps undercounts a healthy "
-                "engine of the same worker count."
-            )
-    if doc.get("control_plane"):
-        print(f"\n{'fail mode':16} {'phase':10} {'wall pps':>12}  session")
-        for point in doc["control_plane"]:
-            session = point["session"]
-            status = (
-                f"outages={session['outages']} resyncs={session['resyncs']} "
-                f"suppressed={session['punts_suppressed']} "
-                f"secure_drops={session['secure_drops']} "
-                f"queue_drops={session['punt_queue_drops']}"
-            )
-            for i, phase in enumerate(point["phases"]):
-                print(
-                    f"{point['fail_mode']:16} {phase['phase']:10} "
-                    f"{phase['wall_pps']:12,.0f}  {status if i == 0 else ''}"
-                )
-    print()
-    for key, ratios in doc["speedups"].items():
-        pairs = "  ".join(f"{k}={v:.2f}x" for k, v in ratios.items())
-        print(f"{key:14} {pairs}")
-    with open(args.out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    print(f"\nwrote {args.out}")
-    return 0
-
-
-def cmd_bench_megascale(args: argparse.Namespace) -> int:
-    """The million-flow rig (``--megascale``): the hash and LPM rungs at
-    ``--flows`` entries (wall pps + footprint), the Fig. 3 OVS cache
-    collapse across a distinct-flow axis, and sustained flow-mod churn —
-    written to ``BENCH_megascale.json``. All legs are time-boxed at
-    ``--rung-seconds``."""
-    import json
-
-    from repro.traffic.megascale import run_megascale
-
-    doc = run_megascale(
-        n_flows=args.flows,
-        n_packets=args.packets,
-        burst=args.burst or 32,
-        churn_mods=args.churn_mods,
-        rung_seconds=args.rung_seconds,
-    )
-    print(f"{'rung':8} {'wall pps':>12} {'pkts':>8} {'build s':>8} "
-          f"{'compile s':>9} {'MB':>8}  templates")
-    for p in doc["rungs"]:
-        kinds = ",".join(sorted(set(p["table_kinds"].values())))
-        print(f"{p['rung']:8} {p['wall_pps']:12,.0f} {p['packets']:8} "
-              f"{p['build_table_s']:8.1f} {p['compile_s']:9.1f} "
-              f"{p['footprint_bytes'] / 1e6:8.1f}  {kinds}")
-    print(f"\n{'flows':>9} {'variant':8} {'modeled Mpps':>12} "
-          f"{'wall pps':>12}  cache hit rates")
-    for p in doc["collapse"]:
-        rates = p.get("cache_rates")
-        cache = (
-            "  ".join(f"{k}={v:.2f}" for k, v in rates.items()) if rates else "-"
-        )
-        print(f"{p['flows']:9} {p['variant']:8} {p['modeled_pps'] / 1e6:12.2f} "
-              f"{p['wall_pps']:12,.0f}  {cache}")
-    print(f"\n{'rung':8} {'mods':>8} {'wall mods/s':>12} "
-          f"{'modeled mods/s':>14}  mechanism")
-    for p in doc["churn"]:
-        modeled = p.get("modeled_entries_per_sec")
-        modeled_s = f"{modeled:,.0f}" if modeled else "-"
-        mech = ""
-        if "incremental" in p:
-            mech = (f"incr={p['incremental']} rebuilds={p['rebuilds']} "
-                    f"skips={p['kind_stable_skips']}")
-        print(f"{p['rung']:8} {p['mods_applied']:8} "
-              f"{p['entries_per_sec']:12,.0f} {modeled_s:>14}  "
-              f"{mech or p.get('note', '')}")
-    out = args.out if args.out != "BENCH_wallclock.json" else "BENCH_megascale.json"
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    print(f"\nwrote {out}")
-    return 0
-
-
-def cmd_bench_fabric_soak(args: argparse.Namespace) -> int:
-    """The fabric soak (``--fabric-soak``): a leaf–spine fabric under one
-    control plane, soaked with tenant churn while a scripted blackout
-    takes one leaf dark, then the rolling-upgrade and aborted-upgrade
-    legs — SLO telemetry written to ``BENCH_fabric_soak.json``."""
-    import json
-
-    from repro.traffic.fabric_soak import SoakConfig, run_fabric_soak
-
-    cfg = SoakConfig(
-        ticks=args.soak_ticks,
-        arrival_ticks=max(2, args.soak_ticks // 2),
-        lifetime_ticks=max(3, (3 * args.soak_ticks) // 4),
-        outage_at_s=0.125 * args.soak_ticks,
-        outage_duration_s=0.125 * args.soak_ticks,
-        seed=args.seed or 42,
-    )
-    doc = run_fabric_soak(cfg)
-    totals, outage, slo = doc["totals"], doc["outage"], doc["slo"]
-    fw = outage["fault_window"]
-    print(f"soak: {totals['injected']} pkts over {cfg.ticks} ticks, "
-          f"served {totals['served_fraction']:.3f} "
-          f"(fault window {fw['served_fraction']:.3f}, "
-          f"floor {cfg.served_floor})")
-    print(f"punt latency p50/p99 {slo['p50_punt_latency_s'] * 1e3:.3f}/"
-          f"{slo['p99_punt_latency_s'] * 1e3:.3f} ms over "
-          f"{slo['punt_samples']} samples; "
-          f"drops {slo['drop_fraction']:.4f} (budget {slo['drop_budget']})")
-    for name, leaf in doc["supervisor"]["leaves"].items():
-        line = (f"{name:8} score {leaf['score']:.2f}  "
-                f"outages {leaf['outages']}  resyncs {leaf['resyncs']}  "
-                f"degraded {leaf['degraded_time_s']:.1f}s")
-        if leaf["convergence_s"] is not None:
-            line += f"  converged in {leaf['convergence_s']:.2f}s"
-        print(line)
-    up = doc["upgrade"]
-    print(f"rolling upgrade: "
-          f"{'ok' if up['rolling']['completed'] else 'FAILED'} "
-          f"(epoch {up['rolling']['epoch']}, divergence "
-          f"{up['rolling']['verdict_divergence']}); aborted leg: "
-          f"{'rolled back' if up['aborted']['all_on_old_epoch'] else 'STRADDLED'}"
-          f" ({', '.join(up['aborted']['rolled_back'])}); "
-          f"deadlocks {up['deadlocks']}")
-    out = args.out if args.out != "BENCH_wallclock.json" else (
-        "BENCH_fabric_soak.json"
-    )
-    with open(out, "w") as fh:
-        json.dump(doc, fh, indent=2)
-    print(f"wrote {out}")
-    floor_ok = fw["served_fraction"] >= cfg.served_floor
-    return 0 if (floor_ok and up["deadlocks"] == 0) else 1
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -547,47 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_model.set_defaults(fn=cmd_model)
 
     p_bench = sub.add_parser("bench", help="quick simulated measurement")
-    p_bench.add_argument("pipeline", nargs="?", default=None)
-    p_bench.add_argument("--wallclock", action="store_true",
-                         help="measure the simulator's own wall-clock pkts/sec "
-                              "(fused vs trampoline vs OVS) over the built-in "
-                              "use cases instead of a pipeline file")
-    p_bench.add_argument("--out", default="BENCH_wallclock.json",
-                         help="output JSON for --wallclock")
-    p_bench.add_argument("--repeats", type=int, default=3,
-                         help="best-of repeats per --wallclock point")
-    p_bench.add_argument("--cores", default="", metavar="N,N,...",
-                         help="with --wallclock: also measure ShardedESwitch "
-                              "real-parallel scaling at these worker counts "
-                              "(e.g. 1,2,4)")
-    p_bench.add_argument("--control-faults", action="store_true",
-                         help="with --wallclock: add the control-plane fault "
-                              "leg — wall-clock forwarding through a "
-                              "controller outage in both OpenFlow 1.3 §6.4 "
-                              "fail modes, with session health telemetry")
-    p_bench.add_argument("--megascale", action="store_true",
-                         help="the million-flow rig: the hash and LPM rungs at "
-                              "--flows entries, the Fig. 3 OVS cache "
-                              "collapse, and sustained flow-mod churn "
-                              "(writes BENCH_megascale.json; all legs "
-                              "time-boxed at --rung-seconds)")
-    p_bench.add_argument("--rung-seconds", type=float, default=30.0,
-                         help="with --megascale: time budget per measured "
-                              "leg — slow rungs measure fewer packets "
-                              "instead of hanging")
-    p_bench.add_argument("--churn-mods", type=int, default=2_000,
-                         help="with --megascale: flow-mods per churn rung")
-    p_bench.add_argument("--fabric-soak", action="store_true",
-                         help="soak a 4-leaf/2-spine fabric under one "
-                              "control plane: tenant churn, a scripted "
-                              "leaf blackout, SLO telemetry, and the "
-                              "rolling/aborted upgrade legs (writes "
-                              "BENCH_fabric_soak.json; exits 1 if the "
-                              "served-fraction floor is broken or the "
-                              "supervisor deadlocks)")
-    p_bench.add_argument("--soak-ticks", type=int, default=48,
-                         help="with --fabric-soak: soak length in "
-                              "0.5 s virtual-time ticks")
+    p_bench.add_argument("pipeline")
     p_bench.add_argument("--flows", default="1000", metavar="N",
                          help="flow count; scientific notation accepted "
                               "(1e6 = a million flows)")

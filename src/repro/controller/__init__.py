@@ -7,7 +7,6 @@ from repro.controller.channels import (
     LossyChannel,
     RELIABLE_CHANNEL,
     UpdateChannel,
-    apply_and_cost_cycles,
     setup_time,
 )
 from repro.controller.gateway_controller import GatewayController
@@ -25,7 +24,6 @@ __all__ = [
     "CLI_CHANNEL",
     "CONTROLLER_CHANNEL",
     "RELIABLE_CHANNEL",
-    "apply_and_cost_cycles",
     "setup_time",
     "GatewayController",
     "LearningSwitch",

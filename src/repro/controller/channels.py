@@ -10,13 +10,13 @@ Two ways to feed flow-mods to a switch, as in the paper:
   latency that dwarfs either switch's processing — "it is the OpenFlow
   controller, rather than ESWITCH itself, that bottlenecks update rates".
 
-Switch-side cost comes from the switch object itself:
-:func:`apply_and_cost_cycles` returns a typed
-:class:`~repro.openflow.messages.FlowModReply` on **every** branch —
-accepted mods carry their modeled switch cycles, rejected mods carry the
-switch's error list and zero cycles. :func:`setup_time` therefore counts a
-rejected mod's channel latency (the message still traveled the wire) but
-none of the switch-side processing it never received.
+Switch-side cost comes from the switch object itself: every switch
+answers ``submit_flow_mods`` with a typed
+:class:`~repro.openflow.messages.FlowModReply` — accepted mods carry their
+modeled switch cycles, rejected mods carry the switch's error list and
+zero cycles. :func:`setup_time` therefore counts a rejected mod's channel
+latency (the message still traveled the wire) but none of the switch-side
+processing it never received.
 
 :class:`LossyChannel` extends the fixed-latency model with message loss
 and delay jitter — the substrate of the fail-static controller session
@@ -30,16 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.eswitch import ESwitch
-from repro.openflow.messages import (
-    ErrorMsg,
-    ErrorType,
-    FlowMod,
-    FlowModFailed,
-    FlowModFailedCode,
-    FlowModReply,
-)
-from repro.ovs.switch import OvsSwitch
+from repro.openflow.messages import FlowMod
 from repro.simcpu.platform import Platform, XEON_E5_2620
 
 
@@ -53,10 +44,6 @@ class UpdateChannel:
 
 CLI_CHANNEL = UpdateChannel("CLI", per_message_s=150e-6)
 CONTROLLER_CHANNEL = UpdateChannel("ctrl", per_message_s=1e-3)
-
-#: vswitchd work per flow-mod: ofproto transaction, classifier insertion,
-#: and kicking the revalidators (calibrated to the ~5x CLI gap of Fig. 17).
-OVS_FLOW_MOD_CYCLES = 1.2e6
 
 
 @dataclass
@@ -103,41 +90,6 @@ class LossyChannel:
 RELIABLE_CHANNEL = LossyChannel(loss=0.0, delay_s=0.0, jitter_s=0.0)
 
 
-def apply_and_cost_cycles(switch, mod: FlowMod) -> FlowModReply:
-    """Apply one flow-mod; return a typed accept/reject reply + cycles.
-
-    Every branch propagates a :class:`FlowModReply`: switches with
-    admission control (``submit_flow_mods``) answer through it; legacy
-    ``apply_flow_mod``-only switches get their exceptions converted to
-    typed rejections here, so a malformed mod can never crash a setup-time
-    sweep or a controller session.
-    """
-    submit = getattr(switch, "submit_flow_mods", None)
-    if submit is not None:
-        return submit([mod])
-    try:
-        if isinstance(switch, ESwitch):
-            return FlowModReply(accepted=True, cycles=switch.apply_flow_mod(mod))
-        switch.apply_flow_mod(mod)
-    except FlowModFailed as exc:
-        return FlowModReply(accepted=False, errors=(exc.error,))
-    except Exception as exc:
-        return FlowModReply(
-            accepted=False,
-            errors=(
-                ErrorMsg(
-                    ErrorType.FLOW_MOD_FAILED,
-                    FlowModFailedCode.UNKNOWN,
-                    f"{type(exc).__name__}: {exc}",
-                    data=mod,
-                ),
-            ),
-        )
-    if isinstance(switch, OvsSwitch):
-        return FlowModReply(accepted=True, cycles=OVS_FLOW_MOD_CYCLES)
-    return FlowModReply(accepted=True, cycles=0.0)
-
-
 def setup_time(
     switch,
     mods: Sequence[FlowMod],
@@ -150,8 +102,5 @@ def setup_time(
     message traveled and the error reply came back) but contributes no
     switch-side cycles — the switch refused it at admission.
     """
-    cycles = 0.0
-    for mod in mods:
-        reply = apply_and_cost_cycles(switch, mod)
-        cycles += reply.cycles
+    cycles = sum(switch.submit_flow_mods([mod]).cycles for mod in mods)
     return len(mods) * channel.per_message_s + cycles / platform.freq_hz

@@ -102,12 +102,7 @@ class GatewayController:
         ``overflow`` must be retried later; ``(False, None)`` when
         nothing landed.
         """
-        submit = getattr(target, "submit_flow_mods", None)
-        if submit is None:
-            for mod in mods:
-                target.apply_flow_mod(mod)
-            return True, None
-        reply = submit(list(mods))
+        reply = target.submit_flow_mods(list(mods))
         if reply:
             return True, None
         overflow_ids = {
@@ -124,7 +119,7 @@ class GatewayController:
             # The whole batch is overflow; nothing to split out.
             return False, None
         self.table_full_splits += 1
-        if submit(admissible):
+        if target.submit_flow_mods(admissible):
             return False, overflow
         # The complement bounced too (channel dropped mid-split, a
         # second table filled): treat as nothing landed — the original

@@ -60,9 +60,9 @@ class LearningSwitch:
     a truncated or garbage frame is dropped and counted (``malformed``),
     never raised — a controller that crashes on bad input is a
     denial-of-service primitive. Installs go through the switch's typed
-    reply when it offers one; a rejected or channel-lost install rolls
-    the MAC binding back (``install_failures``), so the station's next
-    packet re-punts and the controller converges after the fault.
+    reply; a rejected or channel-lost install rolls the MAC binding back
+    (``install_failures``), so the station's next packet re-punts and the
+    controller converges after the fault.
     """
 
     def __init__(self, switch, idle_timeout: float = 300.0):
@@ -127,7 +127,7 @@ class LearningSwitch:
                 idle_timeout=self.idle_timeout,
             )
         )
-        if not self._install(mods):
+        if not self.switch.submit_flow_mods(mods):
             # The install never took (rejected or lost): leave the binding
             # alone so the station's next packet re-punts and we retry.
             self.install_failures += 1
@@ -137,15 +137,6 @@ class LearningSwitch:
         else:
             self.learned += 1
         self.mac_table[src] = port
-
-    def _install(self, mods: list) -> bool:
-        """Push a batch; True only when the switch really accepted it."""
-        submit = getattr(self.switch, "submit_flow_mods", None)
-        if submit is not None:
-            return bool(submit(mods))
-        for mod in mods:
-            self.switch.apply_flow_mod(mod)
-        return True
 
     def forget(self, mac: int) -> None:
         """Drop a binding (e.g. after an idle expiry notification)."""

@@ -30,12 +30,12 @@ deterministic virtual time:
   controller re-learns whatever it missed), so a recovered session
   reaches the same pipeline a never-disconnected run would.
 
-The session duck-types both sides: it is a switch's
-``packet_in_handler`` (punts go *into* the queue) and a controller's
-switch handle (``apply_flow_mod``/``submit_flow_mods`` route mods
-*through* the lossy channel). ``process``/``process_burst`` wrap the
-underlying switch so fail-secure verdict semantics and punt pumping stay
-on the datapath's calling convention.
+The session faces both sides: it is a switch's ``packet_in_handler``
+(punts go *into* the queue) and a controller's switch handle
+(``submit_flow_mods`` routes a batch *through* the lossy channel to the
+switch's own ``submit_flow_mods``). ``process``/``process_burst`` wrap
+the underlying switch so fail-secure verdict semantics and punt pumping
+stay on the datapath's calling convention.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from repro.openflow.messages import (
     ErrorMsg,
     ErrorType,
     FlowMod,
-    FlowModFailedCode,
     FlowModReply,
     PacketIn,
 )
@@ -140,12 +139,13 @@ class ControllerSession:
     """The switch-side control-channel state machine (see module doc).
 
     ``switch`` is any switch exposing ``process``/``process_burst`` and
-    ``submit_flow_mods`` (or ``apply_flow_mod``): :class:`~repro.core.
-    eswitch.ESwitch` and :class:`~repro.parallel.engine.ShardedESwitch`
-    both qualify. ``controller`` is a packet-in callable (e.g.
-    :class:`~repro.controller.learning_switch.LearningSwitch`); pass
-    None for a proactive-only deployment. Wire the controller's switch
-    handle to *this session* so its flow-mods travel the same channel.
+    ``submit_flow_mods``: :class:`~repro.core.eswitch.ESwitch`,
+    :class:`~repro.ovs.switch.OvsSwitch` and :class:`~repro.parallel.
+    engine.ShardedESwitch` all qualify. ``controller`` is a packet-in
+    callable (e.g. :class:`~repro.controller.learning_switch.
+    LearningSwitch`); pass None for a proactive-only deployment. Wire the
+    controller's switch handle to *this session* so its flow-mods travel
+    the same channel.
     """
 
     def __init__(
@@ -388,7 +388,7 @@ class ControllerSession:
             if out is None:
                 continue  # the batch never arrived; retry
             self.control_latency_s += out
-            reply = self._switch_submit(mods)
+            reply = self.switch.submit_flow_mods(mods)
             back = self.channel.deliver()
             if back is None:
                 reply = None  # the reply vanished: indistinguishable; retry
@@ -398,28 +398,6 @@ class ControllerSession:
             return reply
         self.sends_failed += 1
         return FlowModReply(accepted=False, errors=(CHANNEL_LOST,))
-
-    def _switch_submit(self, mods: Sequence[FlowMod]) -> FlowModReply:
-        submit = getattr(self.switch, "submit_flow_mods", None)
-        if submit is not None:
-            return submit(mods)
-        from repro.controller.channels import apply_and_cost_cycles
-
-        cycles = 0.0
-        for mod in mods:
-            reply = apply_and_cost_cycles(self.switch, mod)
-            if not reply:
-                return reply
-            cycles += reply.cycles
-        return FlowModReply(accepted=True, cycles=cycles)
-
-    def apply_flow_mod(self, mod: FlowMod) -> float:
-        """Legacy controller face; returns modeled switch cycles (0.0 when
-        the batch was rejected or lost — never raises)."""
-        return self.submit_flow_mods([mod]).cycles
-
-    def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
-        return self.submit_flow_mods(list(mods)).cycles
 
     def barrier(self) -> bool:
         """§7.3.8 ordering fence: True once everything queued before the

@@ -17,10 +17,10 @@ table it touches — the property Fig. 18 measures.
 
 Fail-static guardrails (ISSUE 5) sit on top of the update semantics:
 
-* **admission control** (:meth:`ESwitch.admit_flow_mods` /
-  :meth:`ESwitch.submit_flow_mods`): malformed mods, out-of-space table
-  ids, dangling or backward goto targets, and per-table ``max_entries``
-  overflows are answered with typed
+* **admission control** (:meth:`ESwitch.submit_flow_mods`, admitting
+  through :meth:`~repro.openflow.pipeline.Pipeline.admit_flow_mods`):
+  malformed mods, out-of-space table ids, dangling or backward goto
+  targets, and per-table ``max_entries`` overflows are answered with typed
   :class:`~repro.openflow.messages.ErrorMsg` s (``TABLE_FULL``,
   ``BAD_TABLE_ID``, …) *before any switch state is touched* — a rejected
   batch is bit-invisible: logical tables, compiled artifacts, the fused
@@ -52,20 +52,15 @@ from repro.core.codegen import CompiledTable, compile_table
 from repro.core.datapath import CompiledDatapath, required_layer
 from repro.core.decompose import decompose_table
 from repro.openflow.flow_table import FlowTable
-from repro.openflow.instructions import GotoTable
-from repro.openflow.match import Match
 from repro.openflow.messages import (
     ErrorMsg,
-    ErrorType,
     FlowMod,
     FlowModCommand,
-    FlowModFailed,
-    FlowModFailedCode,
     FlowModReply,
     PacketIn,
-    validate_flow_mod,
+    reply_to_flow_mods,
 )
-from repro.openflow.pipeline import MAX_TABLES, Pipeline, Verdict
+from repro.openflow.pipeline import Pipeline, Verdict
 from repro.openflow.stats import BurstStats
 from repro.packet.packet import Packet
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
@@ -490,33 +485,15 @@ class ESwitch:
                 k[0] == mod.priority and k[1] == sig
                 for k in table.feature_counts()
             )
-        if mod.command is FlowModCommand.DELETE:
-            # Only a *strict* delete constrains the priority; priority 0 is
-            # a legitimate strict target, not a wildcard (the falsy-zero
-            # bug used to delete matching entries at every priority).
-            removed = table.remove(mod.match, mod.priority if mod.strict else None)
-            if not removed and not new_table:
-                # Nothing matched: logical and compiled state are already
-                # consistent, and touching the template (e.g. a phantom
-                # hash-store removal) would desynchronize them. The table
-                # did not bump its version either, so no re-fuse or
-                # template re-selection follows — count the no-op.
-                self.update_stats.noop_mods += 1
-                return 0.0
-        else:
-            # ADD replacing an existing rule does not grow the table, so it
-            # is exempt from the capacity check (OF 1.3: overlap replace).
-            if table.full and not table.has_rule(mod.match, mod.priority):
-                raise FlowModFailed(
-                    ErrorMsg(
-                        ErrorType.FLOW_MOD_FAILED,
-                        FlowModFailedCode.TABLE_FULL,
-                        f"table {mod.table_id} at capacity "
-                        f"({table.max_entries} entries)",
-                        data=mod,
-                    )
-                )
-            table.add(mod.to_entry())
+        removed, added = self.pipeline.apply_flow_mod(mod)
+        if not removed and added is None and not new_table:
+            # Nothing matched: logical and compiled state are already
+            # consistent, and touching the template (e.g. a phantom
+            # hash-store removal) would desynchronize them. The table
+            # did not bump its version either, so no re-fuse or
+            # template re-selection follows — count the no-op.
+            self.update_stats.noop_mods += 1
+            return 0.0
         # Updates can deepen (or shallow) the fields in play: re-plan the
         # parser templates before the next packet. Only this table mutated,
         # so when its shape *set* provably did not move (steady-state churn
@@ -581,85 +558,8 @@ class ESwitch:
     # -- admission control ------------------------------------------------------
 
     def admit_flow_mods(self, mods: Sequence[FlowMod]) -> list[ErrorMsg]:
-        """Validate a batch against the live switch *without touching it*.
-
-        Returns every typed error the batch would provoke (empty = the
-        batch is admissible): the static checks of
-        :func:`~repro.openflow.messages.validate_flow_mod`, goto targets
-        resolving against the pipeline's tables plus those the batch
-        itself creates, and per-table ``max_entries`` capacity — simulated
-        over ``(match, priority)`` rule keys so ADD-replaces, MODIFYs and
-        interleaved DELETEs count exactly as :meth:`apply_flow_mods`
-        would apply them, at a cost that follows the batch and not the
-        tables it addresses.
-        """
-        errors: list[ErrorMsg] = []
-        statically_ok: list[FlowMod] = []
-        for mod in mods:
-            err = validate_flow_mod(mod, max_tables=MAX_TABLES)
-            if err is not None:
-                errors.append(err)
-            else:
-                statically_ok.append(mod)
-
-        existing = self.pipeline._tables
-        # Any mod addressing a table creates it (get_or_create semantics),
-        # so goto targets may resolve to tables minted later in the batch.
-        will_exist = existing.keys() | {mod.table_id for mod in statically_ok}
-        # Occupancy is an overlay on each table's own rule index: the live
-        # priorities of just the matches this batch names, copied out on
-        # first touch, beside a running entry count. O(batch), whatever
-        # the table holds.
-        live: dict[tuple[int, Match], set[int]] = {}
-        count: dict[int, int] = {}
-
-        for mod in statically_ok:
-            for instr in mod.instructions:
-                if (
-                    isinstance(instr, GotoTable)
-                    and instr.table_id not in will_exist
-                ):
-                    errors.append(
-                        ErrorMsg(
-                            ErrorType.BAD_INSTRUCTION,
-                            "OFPBIC_BAD_TABLE_ID",
-                            f"goto target {instr.table_id} does not exist "
-                            "and is not created by this batch",
-                            data=mod,
-                        )
-                    )
-            tid = mod.table_id
-            table = existing.get(tid)  # None: batch-created, unbounded
-            if tid not in count:
-                count[tid] = len(table) if table is not None else 0
-            prios = live.get((tid, mod.match))
-            if prios is None:
-                prios = live[tid, mod.match] = set(
-                    table.rule_priorities(mod.match) if table is not None else ()
-                )
-            cap = table.max_entries if table is not None else None
-            if mod.command is FlowModCommand.DELETE:
-                if not mod.strict:
-                    count[tid] -= len(prios)
-                    prios.clear()
-                elif mod.priority in prios:
-                    prios.remove(mod.priority)
-                    count[tid] -= 1
-            elif mod.priority in prios:
-                pass  # replaces in place: no growth, always admissible
-            elif cap is not None and count[tid] >= cap:
-                errors.append(
-                    ErrorMsg(
-                        ErrorType.FLOW_MOD_FAILED,
-                        FlowModFailedCode.TABLE_FULL,
-                        f"table {tid} at capacity ({cap} entries)",
-                        data=mod,
-                    )
-                )
-            else:
-                prios.add(mod.priority)
-                count[tid] += 1
-        return errors
+        """Admission is a property of the tables, not of the compiler."""
+        return self.pipeline.admit_flow_mods(mods)
 
     def submit_flow_mods(self, mods: Sequence[FlowMod]) -> FlowModReply:
         """Admission-controlled batch apply: the control-plane entry point.
@@ -671,27 +571,7 @@ class ESwitch:
         the batch had never been sent. An accepted batch applies
         transactionally and reports its modeled switch-side cycles.
         """
-        errors = self.admit_flow_mods(mods)
-        if errors:
-            return FlowModReply(accepted=False, errors=tuple(errors))
-        try:
-            cycles = self.apply_flow_mods(mods)
-        except FlowModFailed as exc:
-            # Admission simulates capacity exactly, so this is belt and
-            # braces: the transactional rollback already undid the batch.
-            return FlowModReply(accepted=False, errors=(exc.error,))
-        except Exception as exc:  # never let apply failures escape
-            return FlowModReply(
-                accepted=False,
-                errors=(
-                    ErrorMsg(
-                        ErrorType.FLOW_MOD_FAILED,
-                        FlowModFailedCode.UNKNOWN,
-                        f"{type(exc).__name__}: {exc}",
-                    ),
-                ),
-            )
-        return FlowModReply(accepted=True, cycles=cycles)
+        return reply_to_flow_mods(self.admit_flow_mods, self.apply_flow_mods, mods)
 
     def _kind_stable(
         self,

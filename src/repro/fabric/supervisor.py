@@ -69,33 +69,26 @@ def _inverse_mods(mods, pipeline) -> list[FlowMod]:
     ADD of a rule that did not exist inverts to a strict DELETE; ADD
     that replaced an existing rule inverts to re-ADD of the old entry;
     DELETE inverts to re-ADD of whatever it removed. Computed BEFORE the
-    upgrade is applied, against live table state.
+    upgrade is applied, read off each table's rule index — nothing is
+    created or scanned. A re-ADDed rule re-enters at the end of its
+    priority class, where any new rule of that priority goes.
     """
+    tables = {table.table_id: table for table in pipeline}
     inverse: list[FlowMod] = []
     for mod in mods:
-        table = pipeline.get_or_create(mod.table_id)
-        if mod.command is FlowModCommand.DELETE:
-            priority = mod.priority if mod.strict else None
-            for entry in table.entries:
-                if entry.match == mod.match and (
-                    priority is None or entry.priority == priority
-                ):
-                    inverse.append(
-                        FlowMod(
-                            FlowModCommand.ADD,
-                            mod.table_id,
-                            entry.match,
-                            priority=entry.priority,
-                            instructions=entry.instructions,
-                        )
-                    )
-            continue
-        replaced = None
-        for entry in table.entries:
-            if entry.match == mod.match and entry.priority == mod.priority:
-                replaced = entry
-                break
-        if replaced is None:
+        table = tables.get(mod.table_id)
+        deleting = mod.command is FlowModCommand.DELETE
+        if table is None:
+            priorities: tuple = ()
+        elif deleting and not mod.strict:
+            priorities = table.rule_priorities(mod.match)
+        else:
+            priorities = (mod.priority,)
+        olds = [
+            old for p in priorities
+            if (old := table.find_rule(mod.match, p)) is not None
+        ]
+        if not deleting and not olds:
             inverse.append(
                 FlowMod(
                     FlowModCommand.DELETE,
@@ -105,16 +98,16 @@ def _inverse_mods(mods, pipeline) -> list[FlowMod]:
                     strict=True,
                 )
             )
-        else:
-            inverse.append(
-                FlowMod(
-                    FlowModCommand.ADD,
-                    mod.table_id,
-                    replaced.match,
-                    priority=replaced.priority,
-                    instructions=replaced.instructions,
-                )
+        inverse.extend(
+            FlowMod(
+                FlowModCommand.ADD,
+                mod.table_id,
+                old.match,
+                priority=old.priority,
+                instructions=old.instructions,
             )
+            for old in olds
+        )
     inverse.reverse()
     return inverse
 

@@ -15,8 +15,8 @@ against the **reference interpreter** (``Pipeline.process``), asserting:
 * identical post-action packet bytes (unsharded backends — the engine
   never mutates caller packets, so bytes are unobservable there);
 * identical admission decisions and error taxonomies for every flow-mod
-  batch across the ESwitch family (the reference and OVS have no
-  admission control; they follow the arbiter's accepted batches);
+  batch: the reference pipeline's own ``admit_flow_mods`` arbitrates and
+  every backend, OVS included, answers ``submit_flow_mods`` against it;
 * identical expiry decisions at every clock tick: each backend gets its
   own :class:`ExpiryManager` (expiry is local control-plane behavior,
   not arbitrated), and identical counters under identical clocks must
@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from repro.core import ESwitch
 from repro.core.analysis import CompileConfig
 from repro.fuzz.scenario import Scenario
-from repro.openflow.messages import FlowModCommand
 from repro.openflow.timeouts import ExpiryManager, PipelineAdapter
 from repro.ovs import OvsSwitch
 from repro.parallel import ShardedESwitch, rings
@@ -87,7 +86,6 @@ def _reply_sig(reply) -> tuple:
 
 
 class _EswitchBackend:
-    family = "es"
     compares_bytes = True
 
     def __init__(self, name: str, scenario: Scenario, config: CompileConfig):
@@ -108,9 +106,6 @@ class _EswitchBackend:
         verdicts = self.switch.process_burst(pkts, self.meter)
         return [v.summary() for v in verdicts], [bytes(p.data) for p in pkts]
 
-    def submit(self, mods):
-        return _reply_sig(self.switch.submit_flow_mods(mods))
-
     def counters(self):
         return _counters(self.switch.pipeline)
 
@@ -123,7 +118,6 @@ class _EswitchBackend:
 
 
 class _OvsBackend:
-    family = "follower"
     compares_bytes = True
     name = "ovs"
 
@@ -140,11 +134,6 @@ class _OvsBackend:
             sums.append(self.switch.process(pkt).summary())
         return sums, [bytes(p.data) for p in pkts]
 
-    def apply(self, mods):
-        # One cache collapse per accepted batch, not per mod — the
-        # generation-bump batching the reactive install path relies on.
-        self.switch.apply_flow_mods(mods)
-
     def counters(self):
         return _counters(self.switch.pipeline)
 
@@ -155,7 +144,6 @@ class _OvsBackend:
 
 
 class _ShardedBackend:
-    family = "es"
     compares_bytes = False  # the engine never mutates caller packets
 
     def __init__(self, name: str, scenario: Scenario, workers: int,
@@ -176,9 +164,6 @@ class _ShardedBackend:
         verdicts = self.engine.process_burst(pkts, self.meter)
         return [v.summary() for v in verdicts], None
 
-    def submit(self, mods):
-        return _reply_sig(self.engine.submit_flow_mods(mods))
-
     def counters(self):
         self.engine.sync_flow_stats()
         return _counters(self.engine.pipeline)
@@ -189,16 +174,6 @@ class _ShardedBackend:
 
     def close(self):
         self.engine.close()
-
-
-def _apply_reference(pipeline, mods):
-    """Mirror of ``ESwitch.apply_flow_mod``'s logical-table semantics."""
-    for mod in mods:
-        table = pipeline.get_or_create(mod.table_id)
-        if mod.command is FlowModCommand.DELETE:
-            table.remove(mod.match, mod.priority if mod.strict else None)
-        else:
-            table.add(mod.to_entry())
 
 
 def _diff_counters(got: dict, want: dict) -> str:
@@ -220,6 +195,7 @@ def run_scenario(
     """
     divergences: list[Divergence] = []
     reference = scenario.build_pipeline()
+    ref_switch = PipelineAdapter(reference)
 
     base = CompileConfig(enable_range=scenario.enable_range)
     if scenario.direct_threshold is not None:
@@ -299,7 +275,7 @@ def run_scenario(
             elif "tick" in event:
                 now = float(event["tick"])
                 if ref_expiry is None:
-                    ref_expiry = ExpiryManager(PipelineAdapter(reference))
+                    ref_expiry = ExpiryManager(ref_switch)
                 want = _expiry_sig(ref_expiry.tick(now))
                 for backend in backends:
                     if backend.name in dead:
@@ -320,48 +296,28 @@ def run_scenario(
                         ))
             else:
                 batch = event["mods"]
-                arbiter = next(
-                    (b for b in backends
-                     if b.family == "es" and b.name not in dead), None
-                )
-                if arbiter is None:
-                    continue
-                try:
-                    decision = arbiter.submit(
-                        scenario.build_mods(batch, arbiter.pipeline)
-                    )
-                except Exception as exc:  # noqa: BLE001
-                    crash(arbiter, exc, ei)
-                    continue
+                # The spec arbitrates: the reference admits (or refuses)
+                # and applies first, then every backend must answer the
+                # same batch the same way.
+                decision = _reply_sig(ref_switch.submit_flow_mods(
+                    scenario.build_mods(batch, reference)
+                ))
                 for backend in backends:
-                    if (backend is arbiter or backend.family != "es"
-                            or backend.name in dead):
+                    if backend.name in dead:
                         continue
                     try:
-                        sig = backend.submit(
+                        sig = _reply_sig(backend.switch.submit_flow_mods(
                             scenario.build_mods(batch, backend.pipeline)
-                        )
+                        ))
                     except Exception as exc:  # noqa: BLE001
                         crash(backend, exc, ei)
                         continue
                     if sig != decision:
                         divergences.append(Divergence(
                             "admission", backend.name,
-                            f"{sig} != {arbiter.name} {decision}",
+                            f"{sig} != reference {decision}",
                             event=ei,
                         ))
-                if decision[0]:  # accepted: followers apply verbatim
-                    _apply_reference(
-                        reference, scenario.build_mods(batch, reference)
-                    )
-                    for backend in backends:
-                        if backend.family == "follower" and backend.name not in dead:
-                            try:
-                                backend.apply(
-                                    scenario.build_mods(batch, backend.pipeline)
-                                )
-                            except Exception as exc:  # noqa: BLE001
-                                crash(backend, exc, ei)
 
         ref_counts = _counters(reference)
         for backend in backends:

@@ -130,10 +130,10 @@ class FlowTable:
         self.name = name or f"table{table_id}"
         self.miss_policy = miss_policy
         #: advertised capacity (OpenFlow table-features ``max_entries``);
-        #: None = unbounded. The table itself stays permissive — admission
-        #: control (``ESwitch.admit_flow_mods``) is what surfaces an
-        #: over-capacity flow-mod as ``OFPFMFC_TABLE_FULL``. Tombstones
-        #: never count against capacity.
+        #: None = unbounded. The table itself stays permissive — the
+        #: pipeline (``Pipeline.admit_flow_mods`` / ``apply_flow_mod``) is
+        #: what surfaces an over-capacity flow-mod as
+        #: ``OFPFMFC_TABLE_FULL``. Tombstones never count against capacity.
         self.max_entries = max_entries
         # The slot list: priority-descending, insertion-stable among live
         # entries; a deleted entry's slot holds None (a tombstone).

@@ -1,9 +1,10 @@
 """OpenFlow channel messages: flow-mods, packet-in/out, errors, echoes.
 
 The controller manages flow entries through these messages, reactively or
-proactively (Section 2). Both switch implementations expose an
-``apply_flow_mod`` entry point so the update benchmarks (Fig. 17/18) drive
-them identically.
+proactively (Section 2). Every switch answers a batch through one door,
+``submit_flow_mods(mods) -> FlowModReply``, built by
+:func:`reply_to_flow_mods` from the pipeline's admission and the switch's
+own apply; the update benchmarks (Fig. 17/18) drive them identically.
 
 The error half of the protocol (OpenFlow 1.3 §7.4.4) backs the fail-static
 control plane: a flow-mod the switch cannot honor is answered with a typed
@@ -11,7 +12,8 @@ control plane: a flow-mod the switch cannot honor is answered with a typed
 ``BAD_TABLE_ID``, ``BAD_COMMAND``, …) instead of an exception escaping
 into the datapath. :func:`validate_flow_mod` is the *static* half of
 admission control — the checks that need no switch state; capacity and
-goto-target checks live with the switch (``ESwitch.admit_flow_mods``).
+goto-target checks live with the tables
+(:meth:`~repro.openflow.pipeline.Pipeline.admit_flow_mods`).
 :class:`EchoRequest`/:class:`EchoReply` and :class:`BarrierRequest`/
 :class:`BarrierReply` carry the controller session's keepalive and
 ordering semantics (§6.4, §7.3.8).
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.instructions import GotoTable, Instruction
@@ -113,8 +115,8 @@ def validate_flow_mod(mod: "FlowMod", max_tables: "int | None" = None) -> "Error
     Returns the first applicable typed error, or None when the mod is
     well-formed. ``max_tables`` caps the table-id space (pass
     :data:`~repro.openflow.pipeline.MAX_TABLES` for the OpenFlow limit).
-    Switch-state-dependent checks (capacity, goto targets resolving)
-    live in ``ESwitch.admit_flow_mods``.
+    State-dependent checks (capacity, goto targets resolving) live in
+    :meth:`~repro.openflow.pipeline.Pipeline.admit_flow_mods`.
     """
     if not isinstance(mod.command, FlowModCommand):
         return _flow_mod_error(
@@ -188,6 +190,41 @@ class FlowMod:
             cookie=self.cookie,
             idle_timeout=self.idle_timeout,
             hard_timeout=self.hard_timeout,
+        )
+
+
+def reply_to_flow_mods(
+    admit: "Callable[[Sequence[FlowMod]], Sequence[ErrorMsg]]",
+    apply: "Callable[[Sequence[FlowMod]], float]",
+    mods: "Sequence[FlowMod]",
+) -> FlowModReply:
+    """Admit, then apply, then answer: the body of every ``submit_flow_mods``.
+
+    ``admit`` lists the typed errors the batch would provoke without
+    touching anything; a non-empty list is the reject and ``apply`` never
+    runs. ``apply`` is the switch's own raising primitive and returns its
+    modeled cycles; whatever it raises becomes a typed reject, so the
+    control plane always gets a :class:`FlowModReply`, never an exception.
+    """
+    try:
+        errors = admit(mods)
+        if errors:
+            return FlowModReply(accepted=False, errors=tuple(errors))
+        return FlowModReply(accepted=True, cycles=apply(mods))
+    except FlowModFailed as exc:
+        # Admission simulates capacity exactly, so this is belt and
+        # braces for a switch whose apply re-checks it.
+        return FlowModReply(accepted=False, errors=(exc.error,))
+    except Exception as exc:  # the boundary that must keep running
+        return FlowModReply(
+            accepted=False,
+            errors=(
+                ErrorMsg(
+                    ErrorType.FLOW_MOD_FAILED,
+                    FlowModFailedCode.UNKNOWN,
+                    f"{type(exc).__name__}: {exc}",
+                ),
+            ),
         )
 
 

@@ -10,11 +10,16 @@ order. It is deliberately unoptimized: it serves as
 * the OVS slow path (``vswitchd`` calls it with tracing enabled to learn
   which entries a packet probed, the input to megaflow generation), and
 * the fallback the ESWITCH compiler's output must be equivalent to.
+
+The same holds for writes: :meth:`Pipeline.apply_flow_mod` is the one
+place that says what a flow-mod does to a table, and
+:meth:`Pipeline.admit_flow_mods` the one place that says whether a batch
+may. Every switch builds its ``submit_flow_mods`` from these two.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.openflow.actions import Action, Output
 from repro.openflow.flow_entry import FlowEntry
@@ -25,6 +30,16 @@ from repro.openflow.instructions import (
     GotoTable,
     WriteActions,
     WriteMetadata,
+)
+from repro.openflow.match import Match
+from repro.openflow.messages import (
+    ErrorMsg,
+    ErrorType,
+    FlowMod,
+    FlowModCommand,
+    FlowModFailed,
+    FlowModFailedCode,
+    validate_flow_mod,
 )
 from repro.openflow.meters import MeterInstruction, MeterTable, SimClock
 from repro.packet.packet import Packet
@@ -166,6 +181,120 @@ class Pipeline:
                     raise PipelineError(
                         f"table {table.table_id} jumps backwards to {target}"
                     )
+
+    # -- flow-mods: what one means, and whether a batch may -------------------
+
+    def apply_flow_mod(self, mod: FlowMod) -> "tuple[int, FlowEntry | None]":
+        """Apply one flow-mod to the logical tables: the spec of a write.
+
+        Addressing a table creates it. A DELETE removes every entry whose
+        match equals ``mod.match``; only a *strict* DELETE constrains the
+        priority, and priority 0 is then a real target, not a wildcard.
+        Any other command installs ``mod.to_entry()``, replacing the rule
+        with the same ``(match, priority)`` if there is one; a replace does
+        not grow the table, so only a genuinely new rule can raise
+        :class:`~repro.openflow.messages.FlowModFailed` (``TABLE_FULL``)
+        against ``max_entries``.
+
+        Returns ``(removed, added)``: how many entries a DELETE took out
+        and the entry an ADD installed. ``(0, None)`` is a no-op — the
+        table's version did not move.
+        """
+        table = self.get_or_create(mod.table_id)
+        if mod.command is FlowModCommand.DELETE:
+            return table.remove(mod.match, mod.priority if mod.strict else None), None
+        if table.full and not table.has_rule(mod.match, mod.priority):
+            raise FlowModFailed(
+                ErrorMsg(
+                    ErrorType.FLOW_MOD_FAILED,
+                    FlowModFailedCode.TABLE_FULL,
+                    f"table {mod.table_id} at capacity "
+                    f"({table.max_entries} entries)",
+                    data=mod,
+                )
+            )
+        return 0, table.add(mod.to_entry())
+
+    def admit_flow_mods(self, mods: Sequence[FlowMod]) -> list[ErrorMsg]:
+        """Validate a batch against the live tables *without touching them*.
+
+        Returns every typed error the batch would provoke (empty = the
+        batch is admissible): the static checks of
+        :func:`~repro.openflow.messages.validate_flow_mod`, goto targets
+        resolving against the pipeline's tables plus those the batch
+        itself creates, and per-table ``max_entries`` capacity — simulated
+        over ``(match, priority)`` rule keys so ADD-replaces, MODIFYs and
+        interleaved DELETEs count exactly as :meth:`apply_flow_mod` would
+        apply them, at a cost that follows the batch and not the tables
+        it addresses.
+        """
+        errors: list[ErrorMsg] = []
+        statically_ok: list[FlowMod] = []
+        for mod in mods:
+            err = validate_flow_mod(mod, max_tables=MAX_TABLES)
+            if err is not None:
+                errors.append(err)
+            else:
+                statically_ok.append(mod)
+
+        existing = self._tables
+        # Any mod addressing a table creates it (get_or_create semantics),
+        # so goto targets may resolve to tables minted later in the batch.
+        will_exist = existing.keys() | {mod.table_id for mod in statically_ok}
+        # Occupancy is an overlay on each table's own rule index: the live
+        # priorities of just the matches this batch names, copied out on
+        # first touch, beside a running entry count. O(batch), whatever
+        # the table holds.
+        live: dict[tuple[int, Match], set[int]] = {}
+        count: dict[int, int] = {}
+
+        for mod in statically_ok:
+            for instr in mod.instructions:
+                if (
+                    isinstance(instr, GotoTable)
+                    and instr.table_id not in will_exist
+                ):
+                    errors.append(
+                        ErrorMsg(
+                            ErrorType.BAD_INSTRUCTION,
+                            "OFPBIC_BAD_TABLE_ID",
+                            f"goto target {instr.table_id} does not exist "
+                            "and is not created by this batch",
+                            data=mod,
+                        )
+                    )
+            tid = mod.table_id
+            table = existing.get(tid)  # None: batch-created, unbounded
+            if tid not in count:
+                count[tid] = len(table) if table is not None else 0
+            prios = live.get((tid, mod.match))
+            if prios is None:
+                prios = live[tid, mod.match] = set(
+                    table.rule_priorities(mod.match) if table is not None else ()
+                )
+            cap = table.max_entries if table is not None else None
+            if mod.command is FlowModCommand.DELETE:
+                if not mod.strict:
+                    count[tid] -= len(prios)
+                    prios.clear()
+                elif mod.priority in prios:
+                    prios.remove(mod.priority)
+                    count[tid] -= 1
+            elif mod.priority in prios:
+                pass  # replaces in place: no growth, always admissible
+            elif cap is not None and count[tid] >= cap:
+                errors.append(
+                    ErrorMsg(
+                        ErrorType.FLOW_MOD_FAILED,
+                        FlowModFailedCode.TABLE_FULL,
+                        f"table {tid} at capacity ({cap} entries)",
+                        data=mod,
+                    )
+                )
+            else:
+                prios.add(mod.priority)
+                count[tid] += 1
+        return errors
 
     # -- the reference interpreter (direct datapath) --------------------------
 

@@ -61,33 +61,45 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.openflow.flow_entry import FlowEntry
-from repro.openflow.messages import FlowMod, FlowModCommand
+from repro.openflow.messages import (
+    FlowMod,
+    FlowModCommand,
+    FlowModReply,
+    reply_to_flow_mods,
+)
 from repro.openflow.pipeline import Pipeline
 
 _INF = float("inf")
 
 
 class PipelineAdapter:
-    """Minimal switch façade over a bare :class:`Pipeline`.
+    """The switch face of a bare :class:`Pipeline`: no datapath attached.
 
-    :class:`ExpiryManager` drives anything with ``pipeline`` and
-    ``apply_flow_mod``; this adapter supplies exactly that for a raw
-    pipeline with no datapath attached — logical-table semantics only
-    (the differential fuzzer's reference interpreter ticks through one).
+    Gives a raw pipeline the two things every switch has — the raising
+    primitive ``apply_flow_mod`` (:class:`ExpiryManager` drives it) and
+    the control-plane door ``submit_flow_mods`` — with logical-table
+    semantics only. The differential fuzzer's reference is one: its
+    admission decisions and its tables are what every backend must match.
     """
 
     def __init__(self, pipeline: Pipeline):
         self.pipeline = pipeline
 
-    def apply_flow_mod(self, mod: FlowMod) -> None:
-        table = self.pipeline.get_or_create(mod.table_id)
-        if mod.command is FlowModCommand.DELETE:
-            table.remove(mod.match, mod.priority if mod.strict else None)
-        else:
-            table.add(mod.to_entry())
+    def apply_flow_mod(self, mod: FlowMod) -> float:
+        return self.apply_flow_mods((mod,))
+
+    def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
+        for mod in mods:
+            self.pipeline.apply_flow_mod(mod)
+        return 0.0
+
+    def submit_flow_mods(self, mods: Sequence[FlowMod]) -> FlowModReply:
+        return reply_to_flow_mods(
+            self.pipeline.admit_flow_mods, self.apply_flow_mods, mods
+        )
 
 
 @dataclass

@@ -21,10 +21,15 @@ through upcalls, exactly the behavior Fig. 18 punishes.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.openflow.flow_table import TableMissPolicy
-from repro.openflow.messages import FlowMod, FlowModCommand, PacketIn
+from repro.openflow.messages import (
+    FlowMod,
+    FlowModReply,
+    PacketIn,
+    reply_to_flow_mods,
+)
 from repro.openflow.pipeline import Pipeline, Verdict
 from repro.openflow.stats import BurstStats
 from repro.ovs.flowkey import emc_key, extract_key
@@ -35,6 +40,10 @@ from repro.packet import parser as pp
 from repro.packet.packet import Packet
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
 from repro.simcpu.recorder import Meter, NULL_METER
+
+#: vswitchd work per flow-mod: ofproto transaction, classifier insertion,
+#: and kicking the revalidators (calibrated to the ~5x CLI gap of Fig. 17).
+OVS_FLOW_MOD_CYCLES = 1.2e6
 
 
 class OvsStats:
@@ -238,48 +247,45 @@ class OvsSwitch:
 
     # -- control plane ------------------------------------------------------------
 
-    def apply_flow_mod(self, mod: FlowMod) -> None:
+    def apply_flow_mod(self, mod: FlowMod) -> float:
         """Apply a flow-mod, then invalidate the caches (see
-        ``invalidation``)."""
-        self._mutate(mod)
-        if self.invalidation == "revalidate":
-            # Dead megaflows are dropped lazily by EMC lookups.
-            self.megaflow.invalidate_overlapping(mod.match)
-        else:
-            # Brute force is one generation bump (O(1), not a cache
-            # walk); both caches defer their container clears to the
-            # next packet-path touch.
-            self.megaflow.invalidate()
-            self.emc.invalidate()
+        ``invalidation``); returns the modeled vswitchd cycles."""
+        return self.apply_flow_mods((mod,))
 
-    def apply_flow_mods(self, mods) -> None:
+    def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
         """Apply a batch of flow-mods with one collapse for the batch.
 
         The reactive install path replays every rule the controller knows
         through this entry point; per-mod invalidation made that sweep
         O(flows) collapses and kept the 1e6 leg from ever saturating.
         Since any single mod already kills the whole cache under "full"
-        invalidation, N mods need exactly one generation bump.
+        invalidation, N mods need exactly one generation bump. The raising
+        primitive: a mod the tables refuse (``TABLE_FULL``) propagates
+        after the caches are dropped for whatever did apply.
         """
         mods = list(mods)
-        for mod in mods:
-            self._mutate(mod)
-        if self.invalidation == "revalidate":
+        try:
             for mod in mods:
-                self.megaflow.invalidate_overlapping(mod.match)
-        elif mods:
-            self.megaflow.invalidate()
-            self.emc.invalidate()
+                self.pipeline.apply_flow_mod(mod)
+                self.flow_mods_applied += 1
+        finally:
+            if self.invalidation == "revalidate":
+                # Dead megaflows are dropped lazily by EMC lookups.
+                for mod in mods:
+                    self.megaflow.invalidate_overlapping(mod.match)
+            elif mods:
+                # Brute force is one generation bump (O(1), not a cache
+                # walk); both caches defer their container clears to the
+                # next packet-path touch.
+                self.megaflow.invalidate()
+                self.emc.invalidate()
+        return OVS_FLOW_MOD_CYCLES * len(mods)
 
-    def _mutate(self, mod: FlowMod) -> None:
-        table = self.pipeline.get_or_create(mod.table_id)
-        if mod.command is FlowModCommand.DELETE:
-            # Strict deletes pin the priority (0 included); non-strict
-            # deletes ignore it — same semantics as the ESWITCH side.
-            table.remove(mod.match, mod.priority if mod.strict else None)
-        else:
-            table.add(mod.to_entry())
-        self.flow_mods_applied += 1
+    def submit_flow_mods(self, mods: Sequence[FlowMod]) -> FlowModReply:
+        """The control-plane door: admit against the tables, then apply."""
+        return reply_to_flow_mods(
+            self.pipeline.admit_flow_mods, self.apply_flow_mods, mods
+        )
 
     def set_miss_policy(self, table_id: int, policy: TableMissPolicy) -> None:
         self.pipeline.table(table_id).miss_policy = policy

@@ -83,11 +83,9 @@ from repro.core.analysis import CompileConfig, DEFAULT_CONFIG
 from repro.core.eswitch import ESwitch, SwitchHealth
 from repro.openflow.messages import (
     ErrorMsg,
-    ErrorType,
     FlowMod,
-    FlowModFailed,
-    FlowModFailedCode,
     FlowModReply,
+    reply_to_flow_mods,
 )
 from repro.openflow.pipeline import Pipeline, Verdict
 from repro.openflow.stats import BurstStats
@@ -853,30 +851,9 @@ class ShardedESwitch:
         invisibility extends across shards. An accepted batch runs the
         epoch-barrier broadcast of :meth:`apply_flow_mods`.
         """
-        if self._closed:
-            raise RuntimeError("ShardedESwitch is closed")
-        mods = list(mods)
-        if not mods:
-            return FlowModReply(accepted=True)
-        errors = self.shadow.admit_flow_mods(mods)
-        if errors:
-            return FlowModReply(accepted=False, errors=tuple(errors))
-        try:
-            cycles = self.apply_flow_mods(mods)
-        except FlowModFailed as exc:
-            return FlowModReply(accepted=False, errors=(exc.error,))
-        except Exception as exc:  # contained: the control plane never raises
-            return FlowModReply(
-                accepted=False,
-                errors=(
-                    ErrorMsg(
-                        ErrorType.FLOW_MOD_FAILED,
-                        FlowModFailedCode.UNKNOWN,
-                        f"{type(exc).__name__}: {exc}",
-                    ),
-                ),
-            )
-        return FlowModReply(accepted=True, cycles=cycles)
+        return reply_to_flow_mods(
+            self.admit_flow_mods, self.apply_flow_mods, list(mods)
+        )
 
     # -- statistics --------------------------------------------------------
 

@@ -31,11 +31,18 @@ cursor; :meth:`Ring.commit_reads` publishes it — one shared-memory
 store per drained burst, not per message.  The producer likewise reads
 the shared tail only when its cached copy suggests the ring is full.
 
-CPython guarantees the 8-byte aligned cursor loads/stores are atomic at
-the buffer-protocol level under the GIL on each side; the cross-process
-ordering hazard (seeing a head advance before the record bytes) is
-avoided because ``pack_into``/slice stores complete before the cursor
-store that publishes them, and both are serialized by the interpreter.
+The GIL serializes one process, not two: what the other side sees of a
+cursor is whatever the store instruction sequence leaves in memory.
+``struct.pack_into`` zero-fills its destination before writing, so a
+cursor published that way transiently reads 0 from the peer — and a
+consumer that catches it pops the record one full lap behind, a valid
+old frame with a valid checksum. Both cursors are therefore stored and
+loaded as single aligned native 8-byte items of a ``memoryview`` cast
+to ``"Q"`` (one ``mov`` each way, never torn, never zeroed), and because
+cursors are monotonic both sides treat a value that moved backwards as
+"not yet" rather than trusting it. Record bytes are written before the
+head store that publishes them, in program order on x86's store
+ordering.
 
 Teardown hygiene: the engine *creates* segments and owns their
 lifetime — :meth:`RingPair.destroy` closes **and unlinks** them, and is
@@ -68,10 +75,10 @@ __all__ = [
     "DEFAULT_CAPACITY",
 ]
 
-_HEAD_OFF = 0
-_TAIL_OFF = 64
 _DATA_OFF = 128
-_U64 = struct.Struct("<Q")
+#: cursor slots in the header viewed as sixteen native u64 items.
+_HEAD = 0
+_TAIL = 8  # byte 64: its own cache line
 _LEN = struct.Struct("<I")
 _WRAP = 0xFFFFFFFF
 #: Largest frame a ring of capacity C accepts: one record must leave a
@@ -131,15 +138,16 @@ class Ring:
     same segment.
     """
 
-    __slots__ = ("_seg", "_buf", "_capacity", "_head", "_tail",
+    __slots__ = ("_seg", "_buf", "_cursors", "_capacity", "_head", "_tail",
                  "_cached_tail", "_cached_head")
 
     def __init__(self, seg):
         self._seg = seg
         self._buf = seg.buf
+        self._cursors = seg.buf[:_DATA_OFF].cast("Q")
         self._capacity = len(seg.buf) - _DATA_OFF
-        head = _U64.unpack_from(self._buf, _HEAD_OFF)[0]
-        tail = _U64.unpack_from(self._buf, _TAIL_OFF)[0]
+        head = self._cursors[_HEAD]
+        tail = self._cursors[_TAIL]
         self._head = head          # producer's local head
         self._tail = tail          # consumer's local tail
         self._cached_tail = tail   # producer's last view of the tail
@@ -179,7 +187,8 @@ class Ring:
         else:
             need_total = need
         if cap - (head - self._cached_tail) < need_total:
-            self._cached_tail = _U64.unpack_from(buf, _TAIL_OFF)[0]
+            # Monotonic: a tail behind the one already seen is not news.
+            self._cached_tail = max(self._cached_tail, self._cursors[_TAIL])
             if cap - (head - self._cached_tail) < need_total:
                 raise RingFull(
                     f"{need_total}B frame vs {cap - (head - self._cached_tail)}B free"
@@ -193,7 +202,7 @@ class Ring:
         buf[start:start + len(frame)] = frame
         _LEN.pack_into(buf, _DATA_OFF + pos, len(frame))
         self._head = head + need
-        _U64.pack_into(buf, _HEAD_OFF, self._head)
+        self._cursors[_HEAD] = self._head
 
     # -- consumer side ----------------------------------------------------
 
@@ -202,7 +211,8 @@ class Ring:
         if self._buf is None:
             raise RingClosed("ring segment is closed")
         if self._cached_head == self._tail:
-            self._cached_head = _U64.unpack_from(self._buf, _HEAD_OFF)[0]
+            # Monotonic: a head behind our own tail is not yet a head.
+            self._cached_head = max(self._tail, self._cursors[_HEAD])
         return self._cached_head != self._tail
 
     def pop(self):
@@ -242,7 +252,7 @@ class Ring:
         """Publish the local tail: one ack for everything popped."""
         if self._buf is None:
             raise RingClosed("ring segment is closed")
-        _U64.pack_into(self._buf, _TAIL_OFF, self._tail)
+        self._cursors[_TAIL] = self._tail
 
     # -- lifecycle --------------------------------------------------------
 
@@ -250,6 +260,8 @@ class Ring:
         """Drop this process's mapping (the segment itself survives)."""
         if self._seg is not None:
             self._buf = None
+            # The derived view pins the mapping: release it first.
+            self._cursors.release()
             try:
                 self._seg.close()
             except (OSError, BufferError):  # pragma: no cover

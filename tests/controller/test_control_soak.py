@@ -6,7 +6,9 @@ bounded punt queue holds under a cache-overflow-style packet-in flood
 (the attack shape of tests/integration/test_attack.py), and the
 reconnected session converges to the same pipeline a never-disconnected
 run reaches. Plus the controller-hardening satellite: garbage packet-ins
-are counted, never raised.
+are counted, never raised. Plus the wall-clock rig's control-fault leg at
+smoke size: both §6.4 fail modes see an outage, close it, and keep
+serving throughout.
 """
 
 import random
@@ -18,6 +20,7 @@ from repro.core import ESwitch
 from repro.openflow.messages import FlowModReply, PacketIn
 from repro.packet import PacketBuilder
 from repro.packet.packet import Packet
+from repro.traffic.wallclock import run_control_faults
 from repro.usecases import gateway
 
 
@@ -216,3 +219,20 @@ class TestControllerHardening:
         assert app.mac_table == {}  # stays unlearned: the next punt retries
         app.handle(pin)
         assert sw.batches == 2  # it really did retry
+
+
+class TestControlFaultLeg:
+    def test_both_fail_modes_see_and_close_an_outage(self):
+        points = run_control_faults(n_packets=400, burst=32)
+        assert {p["fail_mode"] for p in points} == {
+            "fail-standalone", "fail-secure",
+        }
+        for point in points:
+            session = point["session"]
+            assert session["outages"] >= 1, point
+            assert session["resyncs"] >= 1, point
+            assert session["state"] == "up", point
+            assert [ph["phase"] for ph in point["phases"]] == [
+                "up", "down", "recovered",
+            ]
+            assert all(ph["wall_pps"] > 0 for ph in point["phases"]), point

@@ -299,13 +299,6 @@ class TestRetry:
         assert not reply.accepted
         assert reply.errors == (CHANNEL_DOWN,)
 
-    def test_legacy_faces_return_cycles_never_raise(self):
-        session, _ = make_session()
-        assert session.apply_flow_mod(add_mod()) > 0.0
-        assert session.apply_flow_mods([add_mod(eth_dst=0xBEEF)]) > 0.0
-        force_outage(session)
-        assert session.apply_flow_mod(add_mod(eth_dst=0xF00D)) == 0.0
-
 
 class TestBarrier:
     def test_barrier_flushes_punts_first(self):

@@ -7,6 +7,12 @@ abort rolls every touched leaf back to the old epoch.
 """
 
 import random
+from collections import Counter
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import strategies as sts
 
 from repro.controller.channels import LossyChannel
 from repro.fabric import (
@@ -20,7 +26,13 @@ from repro.fabric import (
 from repro.fabric.supervisor import _inverse_mods
 from repro.net.addresses import int_to_ip
 from repro.openflow.match import Match
+from repro.openflow.actions import Output
+from repro.openflow.flow_entry import FlowEntry
+from repro.openflow.flow_table import FlowTable
+from repro.openflow.instructions import ApplyActions
 from repro.openflow.messages import FlowMod, FlowModCommand
+from repro.openflow.pipeline import Pipeline
+from repro.openflow.timeouts import PipelineAdapter
 from repro.packet import PacketBuilder
 from repro.usecases import gateway
 
@@ -228,3 +240,83 @@ class TestDefaultUpgradeMods:
         assert UPGRADE_MARKER_PORT not in (
             gateway.ACCESS_PORT, gateway.NETWORK_PORT,
         )
+
+
+def _rules(pipeline):
+    return {
+        table.table_id: [
+            (e.match, e.priority, tuple(e.instructions)) for e in table.entries
+        ]
+        for table in pipeline
+        if len(table)
+    }
+
+
+def _apply_then_invert(pipeline, mods):
+    """Submit ``mods``, then the inverse computed beforehand; returns the
+    rule sequences (before, between, after)."""
+    door = PipelineAdapter(pipeline)
+    before = _rules(pipeline)
+    inverse = _inverse_mods(mods, pipeline)
+    assert _rules(pipeline) == before  # computing the inverse reads only
+    assert door.submit_flow_mods(mods).accepted
+    between = _rules(pipeline)
+    assert door.submit_flow_mods(inverse).accepted
+    return before, between, _rules(pipeline)
+
+
+class TestInverseMods:
+    """Rollback identity: a batch followed by its inverse is a no-op."""
+
+    def _pipeline(self):
+        table = FlowTable(0)
+        for priority, port in ((9, 1), (5, 2), (0, 3)):
+            table.add(FlowEntry(Match(in_port=7), priority=priority,
+                                instructions=(ApplyActions([Output(port)]),)))
+        table.add(FlowEntry(Match(in_port=8), priority=5,
+                            instructions=(ApplyActions([Output(4)]),)))
+        return Pipeline([table])
+
+    def test_add_replace_restores_the_old_entry_in_place(self):
+        replace = FlowMod(FlowModCommand.ADD, 0, Match(in_port=7), priority=5,
+                          instructions=(ApplyActions([Output(99)]),))
+        before, between, after = _apply_then_invert(self._pipeline(), [replace])
+        assert between != before
+        assert after == before
+
+    def test_non_strict_delete_restores_every_priority(self):
+        wipe = FlowMod(FlowModCommand.DELETE, 0, Match(in_port=7), priority=5)
+        before, between, after = _apply_then_invert(self._pipeline(), [wipe])
+        assert [p for _m, p, _i in between[0]] == [5]
+        assert Counter(after[0]) == Counter(before[0])
+        assert [p for _m, p, _i in after[0]] == [9, 5, 5, 0]
+
+    def test_unknown_table_inverts_to_strict_deletes_and_creates_nothing(self):
+        pipeline = self._pipeline()
+        add = FlowMod(FlowModCommand.ADD, 4, Match(in_port=1), priority=3)
+        inverse = _inverse_mods([add], pipeline)
+        assert [t.table_id for t in pipeline] == [0]
+        assert [(m.command, m.strict) for m in inverse] == [
+            (FlowModCommand.DELETE, True)
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_batch_then_inverse_is_identity(self, data):
+        pipeline = data.draw(sts.pipelines())
+        mods = [
+            m for m in data.draw(sts.flow_mod_batches(pipeline, max_mods=8))
+            if m.table_id != 300  # the poison mod: rejected, nothing to undo
+        ]
+        assume(mods)
+        before, _between, after = _apply_then_invert(pipeline, mods)
+        # Every table holds the same rules again, priority-ordered ...
+        assert after.keys() == before.keys()
+        for tid, rules in after.items():
+            assert Counter(rules) == Counter(before[tid])
+            priorities = [p for _m, p, _i in rules]
+            assert priorities == sorted(priorities, reverse=True)
+        # ... and exactly in place unless a DELETE took a rule out: a
+        # re-ADDed rule re-enters at the end of its priority class.
+        if not any(m.command is FlowModCommand.DELETE for m in mods):
+            assert after == before

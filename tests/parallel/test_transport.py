@@ -14,7 +14,10 @@
   are never mutated.
 """
 
+import multiprocessing
+import os
 import pickle
+import time
 
 import pytest
 
@@ -284,3 +287,106 @@ class TestThreadByReference:
             finally:
                 eng.close()
         assert results["thread"] == results["process"]
+
+
+def _numbered_frame(i: int) -> bytes:
+    return i.to_bytes(8, "little") * 8
+
+
+def _produce(names, count):
+    """Forked producer: ``count`` numbered 64-byte frames, spinning on a
+    full ring (the consumer's acks are the only thing it waits for)."""
+    ring = rings.attach_pair(names, untrack=False).req
+    for i in range(count):
+        frame = _numbered_frame(i)
+        while True:
+            try:
+                ring.push(frame)
+                break
+            except rings.RingFull:
+                pass
+    ring.close()
+
+
+@needs_shm
+class TestCursorPublication:
+    """The cursors are the only words both processes write and read
+    concurrently; a cursor that can be *seen* mid-store breaks the ring
+    silently — the stale record one lap behind is a well-formed frame."""
+
+    FRAMES = 300_000
+    CAPACITY = 16 << 10
+    DEADLINE_S = 120.0
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2,
+        reason="needs the producer and the consumer on separate CPUs",
+    )
+    def test_two_process_sequence_is_exact(self):
+        pair = rings.RingPair.create(self.CAPACITY)
+        producer = multiprocessing.get_context("fork").Process(
+            target=_produce, args=(pair.names, self.FRAMES), daemon=True
+        )
+        producer.start()
+        try:
+            ring = pair.req
+            deadline = time.monotonic() + self.DEADLINE_S
+            expected = 0
+            while expected < self.FRAMES:
+                frame = ring.pop()
+                if frame is None:
+                    ring.commit_reads()
+                    assert time.monotonic() < deadline, (
+                        f"stalled at frame {expected} of {self.FRAMES}"
+                    )
+                    continue
+                assert frame == _numbered_frame(expected), (
+                    f"expected frame {expected}, popped "
+                    f"{int.from_bytes(frame[:8], 'little')} "
+                    f"(a lap is {self.CAPACITY // 68} frames)"
+                )
+                expected += 1
+            producer.join(10.0)
+            assert producer.exitcode == 0
+        finally:
+            if producer.is_alive():
+                producer.kill()
+                producer.join(10.0)
+            pair.destroy()
+
+    def test_cursor_that_moved_backwards_is_not_yet(self):
+        pair = rings.RingPair.create(4096)
+        try:
+            ring = pair.req
+            shared = ring._seg.buf[:128].cast("Q")
+            for i in range(3):
+                ring.push(_numbered_frame(i))
+            assert [ring.pop() for _ in range(3)] == [
+                _numbered_frame(i) for i in range(3)
+            ]
+            ring.commit_reads()
+            head = shared[0]
+            # A head behind the consumer's own tail is not a record.
+            shared[0] = 0
+            assert not ring.readable()
+            assert ring.pop() is None
+            shared[0] = head
+            # A tail behind the one the producer already saw frees nothing.
+            big = bytes(ring.capacity // 4 - 4)
+            pushed = 0
+            with pytest.raises(rings.RingFull):
+                while True:
+                    ring.push(big)
+                    pushed += 1
+            assert ring.pop() == big
+            ring.commit_reads()
+            released = shared[8]
+            shared[8] = 0
+            with pytest.raises(rings.RingFull):
+                ring.push(big)
+            shared[8] = released
+            ring.push(big)
+            assert [ring.pop() for _ in range(pushed)] == [big] * pushed
+            shared.release()
+        finally:
+            pair.destroy()
