@@ -69,7 +69,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
     switch = ESwitch.from_pipeline(pipeline, config=_config(args))
     print("template selection (logical table -> template):")
     for tid, kind in sorted(switch.table_kinds().items()):
-        print(f"  table {tid:<4} -> {kind}")
+        table = pipeline.table(tid)
+        print(f"  table {tid:<4} -> {kind}  ({len(table)} rules / "
+              f"{table.template_count} action templates)")
     print(f"compiled tables: {switch.compiled_table_count}, "
           f"parser depth: L2–L{switch.datapath.parser_layer}")
     if args.sources:

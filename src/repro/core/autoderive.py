@@ -28,7 +28,7 @@ from repro.simcpu.platform import Platform, XEON_E5_2620
 def _longest_goto_chain(switch: ESwitch) -> list[int]:
     """The deepest table path a packet can take, by goto-DAG DFS."""
     successors = {
-        tid: {out.goto for out in compiled.outcomes() if out.goto is not None}
+        tid: {goto for goto, *_flags in compiled.facts if goto is not None}
         for tid, compiled in switch.datapath.trampoline.items()
     }
     first = switch.datapath.first_table

@@ -70,6 +70,11 @@ MAX_DIRECT_ENTRIES = 1024
 
 _SIGNATURE = "def _match(data, pkt, l3, l4, proto, etype, nxt, m):"
 
+#: footprint estimates: one per-rule Outcome record, and one shared action
+#: template with the instruction and action objects it keeps alive.
+_RECORD_BYTES = 48
+_TEMPLATE_BYTES = 640
+
 
 class CompiledTable:
     """One table compiled onto one template rung.
@@ -79,7 +84,10 @@ class CompiledTable:
     the rung's ``compile_*`` emitter; the rest is this contract:
 
     * :meth:`update` — absorb one applied flow-mod in place, or decline;
-    * :meth:`outcomes` — every :class:`Outcome` a lookup can return now;
+    * :attr:`facts` / :attr:`relinks` — what a linker specialised on and
+      whether an update moved it (the generation contract, DESIGN §1);
+    * :meth:`outcomes` — every :class:`Outcome` a lookup can return now
+      (inspection: nothing on the update or link path enumerates it);
     * :meth:`footprint` — estimated resident bytes;
     * :meth:`stage` — the analytic-model atom of one lookup, kept beside
       the emitter that bakes the same atoms into ``source``;
@@ -102,6 +110,13 @@ class CompiledTable:
         self.table_id = table.table_id
         #: how many flow entries are compiled in (for stats/inspection).
         self.entry_count = len(table)
+        #: how many shared action templates those entries point at.
+        self.template_count = table.template_count
+        #: updates that moved something a linker copied out of this table
+        #: (a name rebound under an inlined body, the fact set); a driver
+        #: linked before any other update is still the right driver.
+        self.relinks = 0
+        self._sync_census(table)
         self.namespace = namespace
         self.source = "\n".join([_SIGNATURE] + self._emit(costs)) + "\n"
         code = compile(
@@ -126,16 +141,28 @@ class CompiledTable:
         if not self._absorb(table, mod):
             return False
         self.entry_count = len(table)
+        self.template_count = table.template_count
+        if table.facts_version != self._facts_version:
+            self._sync_census(table)
+            self.relinks += 1
         return True
+
+    def _sync_census(self, table: FlowTable) -> None:
+        #: the distinct ``ActionTemplate.facts`` of the table's rules: the
+        #: goto targets and write/metadata/meter flags a lookup can yield.
+        self.facts = frozenset(table.action_facts())
+        self._facts_version = table.facts_version
 
     def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:
         return False  # "Complete rebuilding happens … unconditionally"
 
     def _rebind_miss(self, table: FlowTable) -> None:
-        """A catch-all was added or removed: it *is* the miss arm."""
+        """A catch-all was added or removed: it *is* the miss arm, and an
+        inlined body holds its own copy of the name."""
         last = table.last_entry()  # O(1): no live-tuple rebuild
         catch_all = last if last is not None and last.match.is_catch_all else None
         self.namespace["_MISS"] = _miss_of(table, catch_all)
+        self.relinks += 1
 
     def outcomes(self) -> list[Outcome]:
         """Every Outcome a lookup can return, the miss arm first."""
@@ -145,8 +172,9 @@ class CompiledTable:
         raise NotImplementedError
 
     def _list_bytes(self) -> int:
-        """Estimated bytes of entry/outcome lists outside the backing
-        store (~56 per list slot, ~120 per Outcome, ~64 per key tuple)."""
+        """Estimated bytes of the per-rule records outside the backing
+        store (~56 per list slot, ~48 per two-slot Outcome, ~64 per key
+        tuple); :meth:`footprint` adds each shared template once."""
         return 0
 
     def footprint(self) -> dict:
@@ -164,7 +192,9 @@ class CompiledTable:
             "kind": self.kind.value,
             "entries": self.entry_count,
             "source_bytes": len(self.source),
-            "bytes": len(self.source) + detail.get("bytes", 0) + self._list_bytes(),
+            "templates": self.template_count,
+            "bytes": len(self.source) + detail.get("bytes", 0) + self._list_bytes()
+            + _TEMPLATE_BYTES * self.template_count,
             **{k: v for k, v in detail.items() if k not in ("kind", "bytes")},
         }
 
@@ -297,7 +327,7 @@ class DirectTable(CompiledTable):
         return self._outs
 
     def _list_bytes(self) -> int:
-        return 120 * len(self._outs)
+        return _RECORD_BYTES * len(self._outs)
 
     def stage(self, costs: CostBook) -> StageCost:
         n = max(self.entry_count, 1)
@@ -395,6 +425,9 @@ class HashTable(CompiledTable):
     def _hits(self):
         return (value for _key, value in self.hash_store.items())
 
+    def _list_bytes(self) -> int:
+        return _RECORD_BYTES * len(self.hash_store)
+
     def stage(self, costs: CostBook) -> StageCost:
         return StageCost(
             f"hash template [{self.table_id}]",
@@ -428,11 +461,12 @@ def compile_hash(
         raise CompileError("hash template prerequisite (global mask) violated")
     fields = tuple(name for name, _mask in shape)
 
+    # Installed rules point at their table's shared template already.
     items: dict = {}
     for entry in rules:
         key = _hash_key_of(entry.match, fields)
         if key not in items:  # first occurrence = highest priority wins
-            items[key] = outcome_of(entry)
+            items[key] = Outcome(entry, entry.instructions)
     # One bulk build instead of insert-at-a-time: a million-entry table
     # pays a single layout search, not an incremental growth sequence.
     store = CollisionFreeHash(items)
@@ -530,7 +564,7 @@ class LpmTable(CompiledTable):
         return (out for out in self._out if out is not None)
 
     def _list_bytes(self) -> int:
-        return len(self._out) * (56 + 120)
+        return len(self._out) * (56 + _RECORD_BYTES)
 
     def stage(self, costs: CostBook) -> StageCost:
         return StageCost(
@@ -569,7 +603,7 @@ def compile_lpm(
             continue  # shadowed duplicate: the highest-priority rule wins
         seen.add(norm)
         adds.append((value, depth, len(outcomes)))
-        outcomes.append(outcome_of(entry))
+        outcomes.append(Outcome(entry, entry.instructions))
     store.add_bulk(adds)
     return LpmTable(
         table, costs, store, name, outcomes, _miss_of(table, catch_all)
@@ -646,7 +680,7 @@ class LinkedListTable(CompiledTable):
         return (entry[3] for entry in self.ll_entries)
 
     def _list_bytes(self) -> int:
-        return len(self.ll_entries) * (56 + 120 + 64)
+        return len(self.ll_entries) * (56 + _RECORD_BYTES + 64)
 
     def stage(self, costs: CostBook) -> StageCost:
         n = max(self.entry_count, 1)
@@ -724,7 +758,7 @@ class RangeTable(CompiledTable):
         return (out for run in self._outs for out in run)
 
     def _list_bytes(self) -> int:
-        return len(self._outs) * (56 + 120)
+        return sum(56 + _RECORD_BYTES * len(run) for run in self._outs)
 
     def stage(self, costs: CostBook) -> StageCost:
         return StageCost(

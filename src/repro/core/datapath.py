@@ -68,10 +68,13 @@ class CompiledDatapath:
       linked into one code object, valid for one value of
       :attr:`generation`.
 
-    ``generation`` is the invalidation contract: every ``install``/
-    ``uninstall``/``set_parser_layer`` bumps it (callers that ``update()``
-    a compiled table in place must call :meth:`bump_generation`
-    themselves — :class:`~repro.core.eswitch.ESwitch` does). ``process``/
+    ``generation`` is the invalidation contract: it moves when something
+    the fused driver baked in moves. Every ``install``/``uninstall``/
+    ``set_parser_layer`` bumps it; a caller that updates a compiled
+    table in place calls :meth:`bump_generation` when the table's
+    ``relinks`` moved or no current driver stands
+    (:class:`~repro.core.eswitch.ESwitch` does), and not for an update
+    that only changed a store's content under a standing driver. ``process``/
     ``process_burst`` run the fused driver while it matches the current
     generation and lazily re-fuse on the first packet after a change —
     the compile happens off the update critical path, with the trampoline
@@ -117,7 +120,8 @@ class CompiledDatapath:
     # -- linking ------------------------------------------------------------
 
     def bump_generation(self) -> None:
-        """Invalidate the fused driver after an in-place table mutation."""
+        """Invalidate the fused driver after an in-place table update
+        that moved something it baked in (``CompiledTable.relinks``)."""
         self.generation += 1
 
     def install(self, compiled: CompiledTable) -> None:
@@ -168,7 +172,8 @@ class CompiledDatapath:
             # Containment: *any* fusion failure — an unfusable shape
             # (FuseError) or an unexpected codegen bug — degrades to the
             # trampoline, which is always correct. The failure is recorded
-            # for health reporting and retried only on the next generation.
+            # for health reporting and retried only on the next generation
+            # (which any applied update starts while no driver stands).
             self._fused = None
             self._fuse_failed_gen = generation
             self.fuse_failures += 1
@@ -311,8 +316,9 @@ class CompiledDatapath:
             compiled = trampoline.get(tid)
             if compiled is None:
                 raise PipelineError(f"goto_table to unlinked table {tid}")
-            out: Outcome = compiled.fn(data, pkt, l3, l4, proto, etype, nxt, meter)
-            verdict.path.append((tid, out.entry))
+            hit: Outcome = compiled.fn(data, pkt, l3, l4, proto, etype, nxt, meter)
+            verdict.path.append((tid, hit.entry))
+            out = hit.template  # the action fields live on the shared template
 
             if out.is_miss:
                 verdict.table_miss = True
@@ -323,8 +329,7 @@ class CompiledDatapath:
                 meter.charge(costs.table_miss)
                 return verdict
 
-            if out.entry is not None:
-                out.entry.counters.record(len(data))
+            hit.entry.counters.record(len(data))  # a hit carries its rule
             if out.meter is not None and not out.meter.allow():
                 verdict.dropped = True
                 return verdict

@@ -500,18 +500,16 @@ class ESwitch:
         # inside existing classes) the pipeline-wide answer cannot have
         # changed either — skip the O(tables × shapes) recompute.
         if new_table or table.shapes_version != shapes_before:
-            layer = required_layer(self.pipeline)
-            if layer != self.datapath.parser_layer:
-                self.datapath.set_parser_layer(layer)
+            self._replan_parser()
         kind_stable = self._kind_stable(table, mod, len_before, pre_class_exists)
         cycles = self._recompile_after_update(table, mod, new_table, kind_stable)
-        # An in-place ``CompiledTable.update`` never touches the
-        # trampoline — invalidate the fused driver explicitly; rebuilds
-        # already did via install(). The re-fuse itself is lazy: it runs
-        # on the next packet, not here.
-        self.datapath.bump_generation()
         self.update_stats.cycles += cycles
         return cycles
+
+    def _replan_parser(self) -> None:
+        layer = required_layer(self.pipeline)
+        if layer != self.datapath.parser_layer:
+            self.datapath.set_parser_layer(layer)
 
     def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
         """Transactional batch: either every mod applies or none does."""
@@ -548,6 +546,8 @@ class ESwitch:
                 # feature multiset, tombstone store) resyncs together.
                 table.restore_entries(entries)
                 self._rebuild_group(tid)
+            # A rolled-back mod may have deepened or shallowed the parse.
+            self._replan_parser()
             # The rolled-back mods must leave no trace in the modeled cost
             # accounting (the cycles half of batch invisibility); the
             # mechanism counters stand — they record work that really ran.
@@ -679,8 +679,19 @@ class ESwitch:
                 table
             )
 
+        relinks = compiled.relinks
         if compiled.update(table, mod):
             stats.incremental += 1
+            dp = self.datapath
+            fused = dp.fused
+            if compiled.relinks != relinks or fused is None or not fused.is_current(dp):
+                # Something the fused driver baked in moved (a rebound
+                # miss arm, the fact set): invalidate it; the re-fuse is
+                # lazy. A content-only update leaves a standing driver
+                # standing — it closes over the stores just mutated. No
+                # current driver: nothing to keep, and a new generation
+                # retries a failed fuse. Rebuilds go through install().
+                dp.bump_generation()
             return costs.es_update_incremental
 
         stats.rebuilds += 1

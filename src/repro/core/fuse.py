@@ -26,12 +26,15 @@ per-table generated sources into **one** ``compile()``\\ d driver:
   NULL_METER` drops the (no-op) metering calls entirely, which is where
   the functional-mode speedup comes from.
 
-Validity is governed by :attr:`CompiledDatapath.generation`: ``install``/
-``uninstall``/``set_parser_layer`` (and every applied flow-mod, via
-:class:`~repro.core.eswitch.ESwitch`) bump it, and the datapath lazily
-re-fuses on the next packet — off the update critical path, with the
-trampoline serving the window in between, so the atomic-swap update
-semantics are untouched.
+Validity is governed by :attr:`CompiledDatapath.generation`, which moves
+exactly when something baked in here moved: ``install``/``uninstall``/
+``set_parser_layer``, and — via :class:`~repro.core.eswitch.ESwitch` — an
+in-place update that rebound a name an inlined body copied or changed a
+table's fact set (:attr:`CompiledTable.relinks`). The datapath then
+lazily re-fuses on the next packet — off the update critical path, with
+the trampoline serving the window in between. An update that only
+changes the *content* of a hash, LPM or linked-list store leaves the
+driver standing: it closes over the stores, which mutate in place.
 """
 
 from __future__ import annotations
@@ -91,7 +94,9 @@ class FusedPipeline:
 
 
 def _pipeline_facts(dp: "CompiledDatapath") -> tuple[bool, dict]:
-    """Whole-datapath facts proven from every table's ``outcomes()``.
+    """Whole-datapath facts read from every table's :attr:`~repro.core.
+    codegen.CompiledTable.facts` — O(tables × distinct fact tuples),
+    whatever the tables hold.
 
     Returns ``(acyclic, flags)``:
 
@@ -99,18 +104,17 @@ def _pipeline_facts(dp: "CompiledDatapath") -> tuple[bool, dict]:
       table, so the fused driver may drop the per-hop loop guard (the
       trampoline's ``MAX_TABLE_HOPS`` counter exists only to catch goto
       cycles, which a DAG cannot have);
-    * ``flags`` — which driver machinery any outcome actually needs
+    * ``flags`` — which driver machinery any rule actually needs
       (``write`` action sets, ``meta``\\ data writes, flow ``meter``
-      checks); the emitter elides what no outcome can trigger — the
+      checks); the emitter elides what no rule can trigger — the
       specialization move of the paper, applied to our own driver.
 
-    Incremental updates change what ``outcomes()`` returns and bump the
-    generation, so a re-fuse always reads the current set.
+    A table's fact set moving bumps the generation, so a standing driver
+    was always fused from the current sets.
     """
-    tables = {tid: compiled.outcomes() for tid, compiled in dp.trampoline.items()}
     edges = {
-        tid: {o.goto for o in outcomes if o.goto is not None}
-        for tid, outcomes in tables.items()
+        tid: {goto for goto, _w, _m, _t in compiled.facts if goto is not None}
+        for tid, compiled in dp.trampoline.items()
     }
     state: dict[int, int] = {}  # 1 = on stack, 2 = done
 
@@ -126,13 +130,13 @@ def _pipeline_facts(dp: "CompiledDatapath") -> tuple[bool, dict]:
         return True
 
     acyclic = all(state.get(tid) == 2 or dfs(tid) for tid in edges)
-    everything = [o for outcomes in tables.values() for o in outcomes]
+    everything = {f for compiled in dp.trampoline.values() for f in compiled.facts}
     flags = {
         # clear_actions without any write_actions anywhere is a no-op on
         # an always-empty action set, so "write" alone gates the machinery.
-        "write": any(o.write_actions for o in everything),
-        "meta": any(o.metadata_write is not None for o in everything),
-        "meter": any(o.meter is not None for o in everything),
+        "write": any(write for _g, write, _m, _t in everything),
+        "meta": any(meta for _g, _w, meta, _t in everything),
+        "meter": any(meter for _g, _w, _m, meter in everything),
     }
     return acyclic, flags
 
@@ -259,6 +263,7 @@ def _emit_run(
     lines.extend(dispatch)
     lines.append("        entry = out.entry")
     lines.append("        path.append((tid, entry))")
+    lines.append("        out = out.template")
     lines.append("        if out.is_miss:")
     lines.append("            verdict.table_miss = True")
     lines.append("            if out.to_controller:")
@@ -268,10 +273,9 @@ def _emit_run(
     if not null:
         lines.append(f"            meter.charge({costs.table_miss!r})")
     lines.append("            return verdict")
-    lines.append("        if entry is not None:")
-    lines.append("            counters = entry.counters")
-    lines.append("            counters.packets += 1")
-    lines.append("            counters.bytes += dlen")
+    lines.append("        counters = entry.counters")  # a hit carries its rule
+    lines.append("        counters.packets += 1")
+    lines.append("        counters.bytes += dlen")
     if flags["meter"]:
         lines.append("        if out.meter is not None and not out.meter.allow():")
         lines.append("            verdict.dropped = True")

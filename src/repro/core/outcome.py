@@ -1,64 +1,45 @@
-"""Outcomes: the pre-compiled result a table lookup returns.
+"""Outcomes: what a table lookup returns.
 
-Template specialization bakes each flow entry's consequences into a single
-:class:`Outcome` object referenced as a constant from the generated code —
-the analogue of the paper's action templates "collapsed into composite
-action sets" and "shared across flows" (interning makes structurally equal
-outcomes one object).
+The paper's action templates are "collapsed into composite action sets"
+that are "shared across flows". Here the composite is the
+:class:`~repro.openflow.instructions.ActionTemplate` a flow table compiles
+once per distinct instruction list, and an :class:`Outcome` is the two-slot
+record a lookup yields: the rule that matched and a pointer to that shared
+template. The action fields live on the template and nowhere per rule.
 """
 
 from __future__ import annotations
 
-from repro.openflow.actions import Action
+from operator import attrgetter
+
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable, TableMissPolicy
-from repro.openflow.instructions import (
-    ApplyActions,
-    ClearActions,
-    GotoTable,
-    WriteActions,
-    WriteMetadata,
-)
-from repro.openflow.meters import MeterInstruction
+from repro.openflow.instructions import ActionTemplate
 
 
 class Outcome:
-    """What happens after a match (or a miss): actions + the next jump."""
+    """The matched rule (None on a miss) and its shared action template.
 
-    __slots__ = (
-        "apply_actions",
-        "write_actions",
-        "clear_actions",
-        "metadata_write",
-        "goto",
-        "entry",
-        "is_miss",
-        "to_controller",
-        "meter",
-    )
+    The datapaths read ``template`` once per hop and take everything else
+    from it; the template's fields also answer on the outcome itself
+    (``out.goto``, ``out.is_miss``, …) for inspection.
+    """
 
-    def __init__(
-        self,
-        apply_actions: tuple[Action, ...] = (),
-        write_actions: tuple[Action, ...] = (),
-        clear_actions: bool = False,
-        metadata_write: "tuple[int, int] | None" = None,
-        goto: "int | None" = None,
-        entry: "FlowEntry | None" = None,
-        is_miss: bool = False,
-        to_controller: bool = False,
-        meter=None,
-    ):
-        self.apply_actions = apply_actions
-        self.write_actions = write_actions
-        self.clear_actions = clear_actions
-        self.metadata_write = metadata_write
-        self.goto = goto
+    __slots__ = ("entry", "template")
+
+    def __init__(self, entry: "FlowEntry | None", template: ActionTemplate):
         self.entry = entry
-        self.is_miss = is_miss
-        self.to_controller = to_controller
-        #: a MeterInstruction checked before the entry's actions, or None.
-        self.meter = meter
+        self.template = template
+
+    # Properties, not ``__getattr__``: a class with that hook loses the
+    # interpreter's fast path for ``out.entry`` / ``out.template`` too.
+    (is_miss, to_controller, apply_actions, write_actions, clear_actions,
+     metadata_write, goto, meter) = (
+        property(attrgetter(f"template.{name}"))
+        for name in ("is_miss", "to_controller", "apply_actions",
+                     "write_actions", "clear_actions", "metadata_write",
+                     "goto", "meter")
+    )
 
     def __repr__(self) -> str:
         if self.is_miss:
@@ -74,41 +55,23 @@ class Outcome:
 
 
 def outcome_of(entry: FlowEntry) -> Outcome:
-    """Compile one flow entry's instruction list into an outcome."""
-    apply_actions: tuple[Action, ...] = ()
-    write_actions: tuple[Action, ...] = ()
-    clear = False
-    metadata: "tuple[int, int] | None" = None
-    goto: "int | None" = None
-    meter = None
-    for instr in entry.instructions:
-        if isinstance(instr, MeterInstruction):
-            meter = instr
-        elif isinstance(instr, ApplyActions):
-            apply_actions = apply_actions + instr.actions
-        elif isinstance(instr, WriteActions):
-            write_actions = write_actions + instr.actions
-        elif isinstance(instr, ClearActions):
-            clear = True
-            write_actions = ()
-        elif isinstance(instr, WriteMetadata):
-            metadata = (instr.value, instr.mask)
-        elif isinstance(instr, GotoTable):
-            goto = instr.table_id
-    return Outcome(
-        apply_actions=apply_actions,
-        write_actions=write_actions,
-        clear_actions=clear,
-        metadata_write=metadata,
-        goto=goto,
-        entry=entry,
-        meter=meter,
-    )
+    """Pair one flow entry with its compiled instruction list."""
+    return Outcome(entry, entry.template)
+
+
+def _miss_template(to_controller: bool) -> ActionTemplate:
+    template = ActionTemplate()
+    template.is_miss = True
+    template.to_controller = to_controller
+    return template
+
+
+_MISS_TEMPLATES = {
+    policy: _miss_template(policy is TableMissPolicy.CONTROLLER)
+    for policy in TableMissPolicy
+}
 
 
 def miss_outcome(table: FlowTable) -> Outcome:
     """The outcome of a table miss under the table's policy."""
-    return Outcome(
-        is_miss=True,
-        to_controller=table.miss_policy is TableMissPolicy.CONTROLLER,
-    )
+    return Outcome(None, _MISS_TEMPLATES[table.miss_policy])

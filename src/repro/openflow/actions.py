@@ -1,19 +1,20 @@
-"""OpenFlow actions and action sets.
+"""OpenFlow actions.
 
-Every action type corresponds to one of the paper's *action templates*;
-:class:`ActionSet` is the composite the templates are collapsed into, and
-identical action sets are shared across flows (Section 3.1) — shared here
-via interning in :func:`ActionSet.intern`.
+Every action type corresponds to one of the paper's *action templates*.
+The composite they are collapsed into, shared across flows (Section 3.1),
+is :class:`~repro.openflow.instructions.ActionTemplate`: a flow table
+keeps one per distinct instruction list and points every rule that
+carries the list at it.
 
-Actions are immutable and hashable so action sets can be deduplicated.
-Applying an action mutates the packet through the parsed view (set-field)
-or appends to the verdict (output/controller).
+Actions are immutable and hashable, which is what lets a table find the
+list it already holds. Applying an action mutates the packet through the
+parsed view (set-field) or appends to the verdict (output/controller).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.openflow.fields import field_by_name
 from repro.packet import headers as hdr
@@ -146,54 +147,3 @@ class DecTtl(Action):
             verdict.output_ports.clear()
             return
         view.pkt.data[o + 8] = ttl - 1
-
-
-class ActionSet:
-    """An ordered, immutable, interned group of actions.
-
-    The paper collapses action templates into composite action sets and
-    shares identical sets across flows; :meth:`intern` provides exactly
-    that sharing, so two flow entries with the same actions reference the
-    same compiled action code in the datapath.
-    """
-
-    __slots__ = ("actions", "_hash")
-    _pool: dict[tuple[Action, ...], "ActionSet"] = {}
-
-    def __init__(self, actions: Iterable[Action] = ()):
-        self.actions: tuple[Action, ...] = tuple(actions)
-        self._hash = hash(self.actions)
-
-    @classmethod
-    def intern(cls, actions: Iterable[Action]) -> "ActionSet":
-        key = tuple(actions)
-        pooled = cls._pool.get(key)
-        if pooled is None:
-            pooled = cls(key)
-            cls._pool[key] = pooled
-        return pooled
-
-    @property
-    def is_drop(self) -> bool:
-        return not self.actions or any(isinstance(a, Drop) for a in self.actions)
-
-    def apply(self, view: ParsedPacket, verdict: "Verdict") -> None:
-        for action in self.actions:
-            action.apply(view, verdict)
-
-    def __iter__(self):
-        return iter(self.actions)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ActionSet):
-            return NotImplemented
-        return self.actions == other.actions
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"ActionSet({list(self.actions)!r})"

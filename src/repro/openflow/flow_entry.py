@@ -6,12 +6,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from repro.openflow.actions import Action
-from repro.openflow.instructions import (
-    ApplyActions,
-    GotoTable,
-    Instruction,
-    WriteActions,
-)
+from repro.openflow.instructions import ActionTemplate, ApplyActions, Instruction
 from repro.openflow.match import Match
 
 _entry_ids = itertools.count(1)
@@ -41,6 +36,12 @@ class FlowEntry:
     ``instructions`` establish its processing. The common single-table idiom
     "match → actions" is expressed as ``FlowEntry(match, actions=[...])``
     which wraps the actions in an apply-actions instruction.
+
+    Installing the entry in a :class:`~repro.openflow.flow_table.FlowTable`
+    points ``instructions`` at the table's shared
+    :class:`~repro.openflow.instructions.ActionTemplate` for that list:
+    the same sequence of instructions, now one object for every rule
+    that carries it.
     """
 
     __slots__ = (
@@ -77,6 +78,8 @@ class FlowEntry:
         self.match = match
         if actions is not None:
             self.instructions: tuple[Instruction, ...] = (ApplyActions(actions),)
+        elif type(instructions) is ActionTemplate:
+            self.instructions = instructions  # already compiled: keep sharing
         else:
             self.instructions = tuple(instructions or ())
         self.counters = FlowCounters()
@@ -97,26 +100,26 @@ class FlowEntry:
         self._features: "tuple | None" = None
 
     @property
+    def template(self) -> ActionTemplate:
+        """The compiled instruction list: the table's shared copy once
+        installed, a private one (compiled on first use) before that."""
+        template = self.instructions
+        if type(template) is not ActionTemplate:
+            template = self.instructions = ActionTemplate(template)
+        return template
+
+    @property
     def goto_table(self) -> "int | None":
         """Target of the goto-table instruction, if any."""
-        for instr in self.instructions:
-            if isinstance(instr, GotoTable):
-                return instr.table_id
-        return None
+        return self.template.goto
 
     @property
     def apply_actions(self) -> tuple[Action, ...]:
-        for instr in self.instructions:
-            if isinstance(instr, ApplyActions):
-                return instr.actions
-        return ()
+        return self.template.apply_actions
 
     @property
     def write_actions(self) -> tuple[Action, ...]:
-        for instr in self.instructions:
-            if isinstance(instr, WriteActions):
-                return instr.actions
-        return ()
+        return self.template.write_actions
 
     def same_rule(self, other: "FlowEntry") -> bool:
         """True if this entry designates the same flow (match + priority)."""

@@ -19,13 +19,20 @@ priority bisection stays valid between compactions, which is also what
 lets a fresh ADD reuse a tombstone adjacent to its insertion point (the
 steady-state churn pattern) without any memmove at all.
 
-Every derived structure — the rule index, the feature multiset, the
-live-entries tuple, the slot map — obeys one staleness contract,
+Every lazily derived structure — the rule index, the feature multiset,
+the live-entries tuple, the slot map — obeys one staleness contract,
 :meth:`FlowTable._guard`: it is trusted only while ``version``, the
 identity of the ``_entries`` list, and the slot count all still agree
 with the store; any out-of-band mutation (snapshot restores assign
 ``_entries`` wholesale, with or without a version bump) resynchronizes
 *all* of them together, never one index at a time.
+
+The **action-template census** is the one structure kept eagerly: every
+path that installs a rule points its ``instructions`` at the table's one
+:class:`~repro.openflow.instructions.ActionTemplate` for that list and
+counts it, every path that removes a rule uncounts it, and a key whose
+count reaches zero is dropped — 10⁵ rules over 16 distinct lists hold 16
+compiled lists, read in O(distinct), never from the entries.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import enum
 from typing import Callable, Iterator, Mapping
 
 from repro.openflow.flow_entry import FlowEntry
+from repro.openflow.instructions import ActionTemplate
 from repro.openflow.match import Match
 from repro.packet.parser import ParsedPacket
 
@@ -56,11 +64,6 @@ def _at_priority(
     return None
 
 
-#: Action types entry_features dispatches on, resolved once on first use
-#: (a per-call import was measurable at churn rates).
-_FEAT_TYPES: "tuple | None" = None
-
-
 def entry_features(entry: FlowEntry) -> tuple:
     """The value-free fingerprint of one entry: ``(priority, match shape,
     set-field names, action parse depth)``.
@@ -70,31 +73,15 @@ def entry_features(entry: FlowEntry) -> tuple:
     planning (which fields actions rewrite, how deep parsing must go) —
     only their matched *values* differ. :meth:`FlowTable.feature_counts`
     aggregates these so per-flow-mod replanning reads a handful of
-    distinct shapes instead of rescanning a million entries.
+    distinct shapes instead of rescanning a million entries. The action
+    half is read off the entry's shared template, not rescanned per rule.
     """
     cached = entry._features
     if cached is not None:
         return cached
-    global _FEAT_TYPES
-    if _FEAT_TYPES is None:
-        from repro.openflow.actions import DecTtl, SetField
-        from repro.openflow.groups import GroupAction
-
-        _FEAT_TYPES = (SetField, DecTtl, GroupAction)
-    SetField, DecTtl, GroupAction = _FEAT_TYPES
-
+    template = entry.template
     sig = tuple((n, m) for n, (_v, m) in entry.match.items())
-    names: set[str] = set()
-    depth = 2
-    for action in entry.apply_actions + entry.write_actions:
-        if isinstance(action, SetField):
-            names.add(action.field)
-        elif isinstance(action, DecTtl):
-            depth = max(depth, 3)
-        elif isinstance(action, GroupAction):
-            # SELECT bucket choice hashes the 5-tuple: full parse.
-            depth = 4
-    feats = (entry.priority, sig, tuple(sorted(names)), depth)
+    feats = (entry.priority, sig, template.set_fields, template.depth)
     entry._features = feats  # rule state is immutable: safe to memoize
     return feats
 
@@ -193,6 +180,16 @@ class FlowTable:
         # Cached live-entries tuple for the ``entries`` property.
         self._live: "tuple[FlowEntry, ...] | None" = None
         self._live_version = -1
+        # The action-template census (eager, see the module docstring):
+        # ``template -> [template, live rules carrying it]`` — the key
+        # finds the canonical object from any equal tuple — and the
+        # multiset of those templates' ``facts``.
+        self._templates: "dict[tuple, list]" = {}
+        self._facts: "dict[tuple, int]" = {}
+        #: bumped whenever the *set* of fact tuples may have changed (a
+        #: first goto target, write-action, metadata write or meter, or
+        #: the last one leaving): all a whole-pipeline driver bakes in.
+        self.facts_version = 0
 
     # -- staleness contract ---------------------------------------------------
 
@@ -241,6 +238,7 @@ class FlowTable:
         self._live_version = -1
         self.shapes_version += 1  # swapped wholesale: shape set unknown
         self.resyncs += 1
+        self._recount(live)
 
     def _mark_mutated(self) -> None:
         """Version bump + bookkeeping common to every logical mutation."""
@@ -359,6 +357,65 @@ class FlowTable:
             self.shapes_version += 1
         self._feats_version = self.version
 
+    # -- the action-template census -------------------------------------------
+
+    def action_templates(self) -> "dict[ActionTemplate, int]":
+        """Multiset of the table's shared templates: one key per distinct
+        instruction list, counting the live rules that point at it."""
+        self._guard()
+        return {template: n for template, n in self._templates.values()}
+
+    @property
+    def template_count(self) -> int:
+        """Distinct instruction lists among the live rules (O(1))."""
+        self._guard()
+        return len(self._templates)
+
+    def action_facts(self) -> "dict[tuple, int]":
+        """Multiset of ``ActionTemplate.facts`` over the table's shared
+        templates — O(distinct) to read, like :meth:`feature_counts`."""
+        self._guard()
+        return self._facts
+
+    def _intern(self, entry: FlowEntry) -> None:
+        """Count one installed rule, pointing it at the canonical template
+        for its instruction list (compiled here if it is the first)."""
+        template = entry.instructions
+        slot = self._templates.get(template)
+        if slot is None:
+            if type(template) is not ActionTemplate:
+                template = ActionTemplate(template)
+            slot = self._templates[template] = [template, 0]
+            n = self._facts.get(template.facts, 0)
+            if not n:
+                self.facts_version += 1
+            self._facts[template.facts] = n + 1
+        entry.instructions = slot[0]
+        slot[1] += 1
+
+    def _release(self, entry: FlowEntry) -> None:
+        """Uncount one removed rule; a count reaching zero drops its key."""
+        template = entry.instructions
+        slot = self._templates[template]
+        slot[1] -= 1
+        if not slot[1]:
+            del self._templates[template]
+            n = self._facts[template.facts] - 1
+            if n:
+                self._facts[template.facts] = n
+            else:
+                del self._facts[template.facts]
+                self.facts_version += 1
+
+    def _recount(self, live: "list[FlowEntry]") -> None:
+        """Both multisets from scratch, for the paths that replace the
+        store wholesale; every rule ends up on a canonical template."""
+        self._templates, self._facts = {}, {}
+        self.facts_version += 1  # swapped wholesale: fact set unknown
+        intern = self._intern
+        for entry in live:
+            intern(entry)
+
     # -- modification ---------------------------------------------------------
 
     def _insert_fresh(self, entry: FlowEntry) -> None:
@@ -405,6 +462,10 @@ class FlowTable:
             by_match = self._index()
             same_match = by_match.get(entry.match)
             existing = _at_priority(same_match, entry.priority)
+            # Before the store moves (an unhashable instruction raises
+            # here) and before the replaced rule is uncounted (an equal
+            # list never drops to zero); a resync recounts from the store.
+            self._intern(entry)
             if existing is None:
                 self._insert_fresh(entry)
                 if same_match is None:
@@ -432,6 +493,8 @@ class FlowTable:
                     timed.pop(existing.entry_id, None)
                 if entry.idle_timeout or entry.hard_timeout:
                     timed[entry.entry_id] = entry
+            if existing is not None:
+                self._release(existing)
             feats_fresh = self._feats_version == self.version
             self._mark_mutated()
             # Replacement may change the actions even though the rule key
@@ -476,6 +539,7 @@ class FlowTable:
         self._feats = None
         self._feats_version = -1
         self.shapes_version += 1
+        self._recount(merged)
         self._mark_mutated()
         return len(entries)
 
@@ -509,6 +573,7 @@ class FlowTable:
                     del by_match[entry.match]
             if timed is not None:
                 timed.pop(entry.entry_id, None)
+            self._release(entry)
             if feats is not None:
                 f = entry_features(entry)
                 n = feats.get(f, 0) - 1
@@ -589,6 +654,7 @@ class FlowTable:
         self._feats_version = -1
         self._live = None
         self._live_version = -1
+        self._recount([])
 
     def restore_entries(self, entries: "Iterator[FlowEntry]") -> None:
         """Replace the table's contents wholesale (snapshot rollback).
@@ -612,6 +678,7 @@ class FlowTable:
         self._feats = None
         self._feats_version = -1
         self.shapes_version += 1
+        self._recount(live)
         self._mark_mutated()
 
     # -- compaction -----------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.openflow.messages import (
 )
 from repro.openflow.pipeline import MAX_TABLES
 from repro.openflow.stats import collect_flow_stats
+from repro.packet import PacketBuilder
 from repro.parallel import ShardedESwitch
 from repro.usecases import l2
 
@@ -360,12 +361,26 @@ class TestBatchInvisibility:
 
     def test_accepted_batch_still_applies_normally(self):
         sw = ESwitch(l2.build(8)[0])
-        generation = sw.datapath.generation
+        assert sw.warm()
+        generation, fused = sw.datapath.generation, sw.datapath.fused
         reply = sw.submit_flow_mods([mod(eth_dst=0x0BB0, port=4)])
         assert reply.accepted
         assert reply.cycles > 0.0
-        assert sw.datapath.generation != generation
         assert sw.pipeline.table(0).has_rule(Match(eth_dst=0x0BB0), 5)
+        # An insert into the standing hash store is content, not
+        # structure: the driver object stands and already serves the rule.
+        assert sw.datapath.generation == generation
+        assert sw.datapath.fused is fused
+        hit = PacketBuilder().eth(dst=0x0BB0).build()
+        assert sw.process(hit).output_ports == [4]
+        assert sw.datapath.fused is fused
+        # The table's first goto target is structure: the generation moves.
+        reply = sw.submit_flow_mods([
+            mod(table_id=1, eth_dst=0x0BB1),
+            mod(eth_dst=0x0BB1, instructions=(GotoTable(1),)),
+        ])
+        assert reply.accepted
+        assert sw.datapath.generation != generation
 
 
 class TestGatewayTableFullSplit:

@@ -107,12 +107,13 @@ class TestParity:
 class TestFlowModsAndRollback:
     """Re-fuse after updates; rollback leaves a consistent fused driver."""
 
-    def _gateway_pair(self):
-        p1, fib = gateway.build(n_ce=2, users_per_ce=2, n_prefixes=32)
-        p2, _ = gateway.build(n_ce=2, users_per_ce=2, n_prefixes=32)
+    def _gateway_pair(self, users_per_ce=2):
+        shape = dict(n_ce=2, users_per_ce=users_per_ce)
+        p1, fib = gateway.build(n_prefixes=32, **shape)
+        p2, _ = gateway.build(n_prefixes=32, **shape)
         sw_f = ESwitch.from_pipeline(p1, config=FUSED)
         sw_t = ESwitch.from_pipeline(p2, config=TRAMPOLINE)
-        pkts = gateway.traffic(fib, 48, n_ce=2, users_per_ce=2)
+        pkts = gateway.traffic(fib, 48, **shape)
         return sw_f, sw_t, pkts
 
     def _assert_parity(self, sw_f, sw_t, pkts):
@@ -125,15 +126,43 @@ class TestFlowModsAndRollback:
         sw_f, sw_t, pkts = self._gateway_pair()
         self._assert_parity(sw_f, sw_t, pkts)
         gen_before = sw_f.datapath.fused.generation
-        # Admit a user that build() did not provision: both tables mutate
-        # (one incrementally, in place), so the fused driver must be
-        # invalidated and rebuilt before the next packet.
+        # Admit a user that build() did not provision. At two users a CE
+        # both tables are direct code, whose keys are the instruction
+        # stream: each mod rebuilds its table (one outgrows the template)
+        # and re-installs it, which is structure, so the fused driver
+        # must be invalidated and rebuilt before the next packet.
         for mod in gateway.nat_flow_mods(ce=1, user=3):
             sw_f.apply_flow_mod(mod)
             sw_t.apply_flow_mod(mod)
+        stats = sw_f.update_stats
+        assert (stats.incremental, stats.rebuilds + stats.fallbacks) == (0, 2)
         assert sw_f.datapath.generation > gen_before
         self._assert_parity(sw_f, sw_t, pkts)
         assert sw_f.datapath.fused.generation > gen_before
+
+    def test_content_only_flow_mods_keep_the_driver(self):
+        """The same admission into hash tables is content: both stores
+        take the rule in place, inside the fact sets their tables already
+        hold, and the standing driver — which closes over the stores —
+        serves the new user without a re-fuse."""
+        sw_f, sw_t, pkts = self._gateway_pair(users_per_ce=8)
+        self._assert_parity(sw_f, sw_t, pkts)
+        fused, generation = sw_f.datapath.fused, sw_f.datapath.generation
+        for mod in gateway.nat_flow_mods(ce=1, user=9):
+            sw_f.apply_flow_mod(mod)
+            sw_t.apply_flow_mod(mod)
+        assert sw_f.update_stats.incremental == 2
+        assert sw_f.datapath.generation == generation
+        admitted = (
+            PacketBuilder(in_port=gateway.NETWORK_PORT)
+            .eth()
+            .ipv4(dst=gateway.public_ip(1, 9))
+            .tcp(dst_port=80)
+            .build()
+        )
+        self._assert_parity(sw_f, sw_t, [*pkts, admitted])
+        assert sw_f.process(admitted.copy()).forwarded
+        assert sw_f.datapath.fused is fused
 
     def test_flow_mod_between_bursts(self):
         """The lazy re-fuse happens off the update path, on the next packet."""
@@ -145,7 +174,8 @@ class TestFlowModsAndRollback:
         for mod in gateway.nat_flow_mods(ce=0, user=2):
             sw_f.apply_flow_mod(mod)
             sw_t.apply_flow_mod(mod)
-        # No packet has run yet: the stale driver is still cached but no
+        # Direct-code tables were rebuilt and re-installed (structure). No
+        # packet has run yet: the stale driver is still cached but no
         # longer matches the generation, so it must not be used.
         assert sw_f.datapath.fused.generation != sw_f.datapath.generation
         self._assert_parity(sw_f, sw_t, pkts)

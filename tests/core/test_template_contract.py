@@ -1,10 +1,14 @@
-"""The template contract every rung answers (DESIGN §2).
+"""The template contract every rung answers (DESIGN §1).
 
 A compiled table owns its outcome set: whatever sequence of in-place
 ``update()`` calls the switch made, ``outcomes()`` is what a fresh compile
 of the same logical table would report, and a lookup never returns an
-Outcome outside it. The fuser specializes its driver on that set, so a
-stale or short census is a wrong driver, not a slow one.
+Outcome outside it.
+
+The fuser specializes its driver on less than that: the fact sets of the
+flow tables' action-template census, and the names an inlined body
+copied. A stale or short census is a wrong driver, not a slow one, and an
+update that moves neither must leave the standing driver alone.
 """
 
 from collections import Counter
@@ -18,19 +22,23 @@ import strategies as sts
 from repro.core import CompileConfig, ESwitch
 from repro.core.codegen import MAX_DIRECT_ENTRIES, compile_table
 from repro.core.fuse import _pipeline_facts
-from repro.openflow.actions import Output
+from repro.openflow.actions import DecTtl, Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
 from repro.openflow.instructions import (
+    ActionTemplate,
     ApplyActions,
     GotoTable,
     WriteActions,
     WriteMetadata,
 )
 from repro.openflow.match import Match
+from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.meters import MeterInstruction
 from repro.openflow.pipeline import Pipeline
-from repro.packet import parser
+from repro.openflow.stats import collect_flow_stats
+from repro.openflow.timeouts import ExpiryManager, PipelineAdapter
+from repro.packet import PacketBuilder, parser
 from repro.simcpu.recorder import NULL_METER
 from repro.usecases import acl, gateway, l2, l3, loadbalancer
 
@@ -108,6 +116,211 @@ def test_outcomes_track_updates(rung, data):
             out = compiled.fn(pkt.data, pkt, view.l3, view.l4, view.proto,
                               view.eth_type, view.l4_proto, NULL_METER)
             assert id(out) in known
+
+
+# -- the action-template census and the generation contract ---------------------
+
+#: the rungs an update reaches in place, the one it always rebuilds, and a
+#: decomposed group (two columns, one mask each, no common key) whose
+#: rebuild is deferred.
+CENSUS_RUNGS = {
+    **{rung: RUNGS[rung] for rung in ("direct", "hash", "lpm", "linked_list")},
+    "decomposed": (
+        CompileConfig(direct_threshold=0),
+        lambda: _table([(9, Match(in_port=1, tcp_dst=80)),
+                        (8, Match(in_port=2)), (7, Match(tcp_dst=443))]),
+    ),
+}
+
+
+def assert_census(pipeline) -> None:
+    """Rules with equal instructions share one template object, and both
+    multisets are what a from-scratch recount of the live rules gives —
+    so no key outlives its last rule."""
+    for table in pipeline:
+        canonical: dict = {}
+        for entry in table.entries:
+            assert type(entry.instructions) is ActionTemplate
+            shared = canonical.setdefault(tuple(entry.instructions),
+                                          entry.instructions)
+            assert shared is entry.instructions
+        templates = table.action_templates()
+        assert templates == Counter(e.instructions for e in table.entries)
+        assert all(canonical[tuple(t)] is t for t in templates)
+        assert table.template_count == len(canonical)
+        assert table.action_facts() == Counter(t.facts for t in templates)
+
+
+def _link_state(sw):
+    """Everything the fused driver baked in, read back off the switch."""
+    dp = sw.datapath
+    return (dp.parser_layer, {
+        tid: (compiled, compiled.facts, compiled.miss)
+        for tid, compiled in dp.trampoline.items()
+    })
+
+
+def _flow_counters(pipeline):
+    return sorted((s.table_id, s.priority, s.packets, s.bytes)
+                  for s in collect_flow_stats(pipeline))
+
+
+def assert_parity(sw, reference, pkts) -> list:
+    """Verdicts, bytes and flow counters equal the interpreter's; returns
+    the output ports per packet."""
+    ports = []
+    for pkt in pkts:
+        got, want = pkt.copy(), pkt.copy()
+        verdict = sw.process(got)
+        assert verdict.summary() == reference.process(want).summary()
+        assert got.data == want.data
+        ports.append(verdict.output_ports)
+    assert _flow_counters(sw.pipeline) == _flow_counters(reference)
+    return ports
+
+
+@pytest.mark.parametrize("rung", sorted(CENSUS_RUNGS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_census_and_generation_track_updates(rung, data):
+    config, build = CENSUS_RUNGS[rung]
+    sw = ESwitch.from_pipeline(Pipeline([build()]), config=config)
+    assert sw.table_kinds()[0].startswith(rung)
+    reference = PipelineAdapter(Pipeline([build()]))
+    pkts = data.draw(st.lists(sts.packets(), min_size=1, max_size=6))
+    poison = FlowMod(FlowModCommand.ADD, 0, Match(), priority=-1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mods = data.draw(sts.flow_mod_batches(sw.pipeline, max_mods=4))
+        assert sw.warm()
+        before = _link_state(sw)
+        fused, generation = sw.datapath.fused, sw.datapath.generation
+        if data.draw(st.booleans()):
+            # Rolled back mid-batch: the tables come back through
+            # restore_entries, the reference never sees the batch.
+            with pytest.raises(ValueError):
+                sw.apply_flow_mods([*mods, poison])
+        else:
+            # Accepted, or rejected by admission on both sides alike.
+            assert (sw.submit_flow_mods(mods).accepted
+                    == reference.submit_flow_mods(mods).accepted)
+        assert_census(sw.pipeline)
+        if _link_state(sw) == before:
+            # Content only: the standing driver is still the driver.
+            assert sw.datapath.generation == generation
+            assert sw.datapath.fused is fused
+        assert_parity(sw, reference.pipeline, pkts)
+        assert_census(sw.pipeline)
+    # Expiry removes through the same door and uncounts the same way.
+    timed = FlowMod(FlowModCommand.ADD, 0, Match(in_port=3), priority=21,
+                    instructions=(ApplyActions([Output(6)]),), hard_timeout=1.0)
+    for switch in (sw, reference):
+        assert switch.submit_flow_mods([timed]).accepted
+        manager = ExpiryManager(switch)
+        manager.observe(0.0)
+        assert len(manager.tick(5.0)) == 1
+    assert_census(sw.pipeline)
+    assert_parity(sw, reference.pipeline, pkts)
+
+
+def _guarded(rung):
+    """A warm two-table switch whose table 0 sits on ``rung`` behind a
+    catch-all, an independent reference, and one packet for the miss arm
+    and one for the rule :func:`_keyed` adds."""
+    config, build = RUNGS[rung]
+
+    def pipeline():
+        second = FlowTable(1)
+        second.add(FlowEntry(Match(), priority=0,
+                             instructions=(ApplyActions([Output(8)]),)))
+        built = Pipeline([build(), second])
+        built.meters.add(1, rate_pps=1e9)
+        return built
+
+    sw = ESwitch.from_pipeline(pipeline(), config=config)
+    assert sw.warm() and sw.table_kinds()[0] == rung
+    builder = PacketBuilder(in_port=7).eth(dst=0x0200_0000_0042)
+    miss = builder.ipv4(dst="203.0.113.9", ttl=9).tcp(dst_port=5000).build()
+    builder = PacketBuilder(in_port=7).eth(dst=0x0200_0000_0077)
+    keyed = builder.ipv4(dst="198.51.100.7", ttl=9).tcp(dst_port=5000).build()
+    return sw, PipelineAdapter(pipeline()), miss, keyed
+
+
+def _keyed(rung, instructions):
+    """An ADD the rung absorbs in place, carrying ``instructions``."""
+    match = (Match(eth_dst=0x0200_0000_0077) if rung == "hash"
+             else Match(ipv4_dst=(0xC6336400, 0xFFFFFF00)))
+    return FlowMod(FlowModCommand.ADD, 0, match,
+                   priority=1 if rung == "hash" else 24,
+                   instructions=instructions)
+
+
+@pytest.mark.parametrize("rung", ["hash", "lpm"])
+def test_miss_arm_follows_the_catch_all(rung):
+    """The fused namespace holds a *copy* of ``_MISS``: replacing the
+    catch-all by a same-shape one (same facts, another action) and
+    strict-deleting it again each rebind the name, so each must re-link."""
+    sw, reference, miss, _keyed_pkt = _guarded(rung)
+    catch_all = dict(table_id=0, match=Match(), priority=0)
+    steps = [
+        (FlowMod(FlowModCommand.ADD, instructions=(ApplyActions([Output(9)]),),
+                 **catch_all), [9]),
+        (FlowMod(FlowModCommand.DELETE, strict=True, **catch_all), []),
+    ]
+    assert assert_parity(sw, reference.pipeline, [miss]) == [[4]]
+    for mod, ports in steps:
+        fused = sw.datapath.fused
+        for switch in (sw, reference):
+            assert switch.submit_flow_mods([mod]).accepted
+        assert assert_parity(sw, reference.pipeline, [miss]) == [ports]
+        assert sw.datapath.fused is not fused
+    assert sw.update_stats.incremental == len(steps)
+
+
+@pytest.mark.parametrize("rung", ["hash", "lpm"])
+def test_content_update_keeps_the_driver_and_serves_the_rule(rung):
+    """An in-place insert and strict delete inside the facts the table
+    already holds: the driver object stands, the fresh rule hits through
+    it and the deleted rule misses through it."""
+    sw, reference, miss, keyed = _guarded(rung)
+    fused, generation = sw.datapath.fused, sw.datapath.generation
+    add = _keyed(rung, (ApplyActions([Output(2)]),))
+    delete = FlowMod(FlowModCommand.DELETE, 0, add.match,
+                     priority=add.priority, strict=True)
+    for mod, ports in ((add, [2]), (delete, [4])):
+        for switch in (sw, reference):
+            assert switch.submit_flow_mods([mod]).accepted
+        assert assert_parity(sw, reference.pipeline, [keyed, miss]) == [ports, [4]]
+    assert sw.update_stats.incremental == 2
+    assert sw.datapath.generation == generation
+    assert sw.datapath.fused is fused
+
+
+#: the first of its kind in table 0, each needing driver machinery (or a
+#: parser layer) the standing driver was specialised without.
+STRUCTURAL = {
+    "first goto": lambda p: (ApplyActions([Output(2)]), GotoTable(1)),
+    "first write-action": lambda p: (WriteActions([Output(5)]),),
+    "first meter": lambda p: (MeterInstruction(p.meters, 1),
+                              ApplyActions([Output(2)])),
+    "deeper parser layer": lambda p: (ApplyActions([DecTtl(), Output(2)]),),
+}
+
+
+@pytest.mark.parametrize("what", sorted(STRUCTURAL))
+@pytest.mark.parametrize("rung", ["hash", "lpm"])
+def test_structural_update_relinks(rung, what):
+    sw, reference, miss, keyed = _guarded(rung)
+    if what == "deeper parser layer" and rung == "lpm":
+        pytest.skip("an IPv4 LPM already parses L3")
+    generation = sw.datapath.generation
+    for switch in (sw, reference):
+        # The raising primitive: admission knows no meter instruction.
+        switch.apply_flow_mods([_keyed(rung, STRUCTURAL[what](switch.pipeline))])
+    assert sw.update_stats.incremental == 1  # absorbed in place …
+    assert sw.datapath.generation > generation  # … and still re-linked
+    assert_parity(sw, reference.pipeline, [keyed, miss])
+    assert sw.datapath.fused.generation == sw.datapath.generation
+    assert_census(sw.pipeline)
 
 
 def _all_live_acl() -> Pipeline:

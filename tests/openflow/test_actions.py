@@ -1,9 +1,10 @@
-"""Tests for actions and action sets."""
+"""Tests for actions and the composite action set (the shared template)."""
+
+import pickle
 
 import pytest
 
 from repro.openflow.actions import (
-    ActionSet,
     Controller,
     DecTtl,
     Drop,
@@ -15,7 +16,12 @@ from repro.openflow.actions import (
     FLOOD_PORT,
 )
 from repro.openflow.fields import field_by_name
-from repro.openflow.pipeline import Verdict
+from repro.openflow.flow_entry import FlowEntry
+from repro.openflow.flow_table import FlowTable
+from repro.openflow.instructions import ActionTemplate, ApplyActions
+from repro.openflow.match import Match
+from repro.openflow.meters import MeterInstruction
+from repro.openflow.pipeline import Pipeline, Verdict
 from repro.packet import PacketBuilder
 from repro.packet.parser import parse
 
@@ -116,28 +122,69 @@ class TestDecTtl:
 
 
 class TestActionSet:
+    """The paper's composite action set, shared across flows, is the
+    table-owned :class:`ActionTemplate`."""
+
+    @staticmethod
+    def table(*action_lists):
+        table = FlowTable(0)
+        for port, actions in enumerate(action_lists, 1):
+            table.add(FlowEntry(Match(in_port=port), priority=1, actions=actions))
+        return table
+
     def test_interning_shares_objects(self):
-        a = ActionSet.intern([Output(1), Drop()])
-        b = ActionSet.intern([Output(1), Drop()])
-        assert a is b
+        a, b = self.table([Output(1), Drop()], [Output(1), Drop()]).entries
+        assert a.instructions is b.instructions
+        assert type(a.instructions) is ActionTemplate
 
     def test_different_sets_distinct(self):
-        assert ActionSet.intern([Output(1)]) is not ActionSet.intern([Output(2)])
+        a, b = self.table([Output(1)], [Output(2)]).entries
+        assert a.instructions is not b.instructions
 
     def test_is_drop(self):
-        assert ActionSet([]).is_drop
-        assert ActionSet([Drop()]).is_drop
-        assert not ActionSet([Output(1)]).is_drop
+        pipeline = Pipeline([self.table([], [Drop()], [Output(1)])])
+        forwarded = [
+            pipeline.process(PacketBuilder(in_port=port).eth().build()).forwarded
+            for port in (1, 2, 3)
+        ]
+        assert forwarded == [False, False, True]
+        assert ActionTemplate().apply_actions == ()
 
     def test_apply_runs_in_order(self):
         pkt = PacketBuilder().eth().ipv4().tcp().build()
         view = parse(pkt)
         verdict = Verdict()
-        ActionSet([SetField("ipv4_dst", 7), Output(2)]).apply(view, verdict)
+        template = ActionTemplate(
+            (ApplyActions([SetField("ipv4_dst", 7)]), ApplyActions([Output(2)]))
+        )
+        assert template.apply_actions == (SetField("ipv4_dst", 7), Output(2))
+        for action in template.apply_actions:
+            action.apply(view, verdict)
         assert verdict.output_ports == [2]
         assert field_by_name("ipv4_dst").extract(view) == 7
 
+    def test_sharing_survives_pickling(self):
+        """A meter instruction hashes by the identity of the table it
+        binds, so a template that crossed a process boundary must hash
+        afresh for the next equal rule to find it."""
+        def metered(pipeline, port):
+            instructions = (MeterInstruction(pipeline.meters, 1),
+                            ApplyActions([Output(1)]))
+            return FlowEntry(Match(in_port=port), priority=1,
+                             instructions=instructions)
+
+        pipeline = Pipeline([FlowTable(0)])
+        pipeline.meters.add(1, rate_pps=1.0)
+        pipeline.table(0).add(metered(pipeline, 1))
+        clone = pickle.loads(pickle.dumps(pipeline))
+        clone.table(0).add(metered(clone, 2))
+        a, b = clone.table(0).entries
+        assert a.instructions is b.instructions
+        assert clone.table(0).template_count == 1
+
     def test_hashable_and_len(self):
-        s = ActionSet([Output(1), Output(2)])
-        assert len(s) == 2
-        assert hash(s) == hash(ActionSet([Output(1), Output(2)]))
+        instructions = (ApplyActions([Output(1), Output(2)]),)
+        template = ActionTemplate(instructions)
+        assert len(template) == 1
+        assert template == instructions
+        assert hash(template) == hash(instructions)
