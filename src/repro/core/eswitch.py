@@ -10,7 +10,9 @@ linking, and implements the update semantics of Section 3.4:
   rebuild** — both built side by side and linked in atomically through the
   trampoline;
 * batches are **transactional**: a failing flow-mod rolls the whole batch
-  back, logical tables and compiled artifacts alike.
+  back — the logical tables through the pipeline's undo record, the
+  compiled artifacts through the same per-mod update path, one rule key
+  at a time.
 
 Unlike OVS, no update invalidates any datapath state beyond the single
 table it touches — the property Fig. 18 measures.
@@ -104,6 +106,9 @@ class UpdateStats:
     #: entry — including predicates that would only have hit tombstoned
     #: slots): no version bump, no re-fuse, no template re-selection.
     noop_mods: int = 0
+    #: batches undone after a mod raised (each an ``UNKNOWN`` or
+    #: ``TABLE_FULL`` reject out of ``submit_flow_mods``).
+    rollbacks: int = 0
     cycles: float = 0.0
 
 
@@ -471,6 +476,12 @@ class ESwitch:
         :meth:`submit_flow_mods`, which answers with error replies instead
         of raising and never mutates on reject.
         """
+        return self._apply(mod, self.pipeline.apply_flow_mod)
+
+    def _apply(self, mod: FlowMod, write) -> float:
+        """Run one logical write — ``write(mod) -> (removed, added)``, a
+        forward mod or a rollback step — and bring the compiled state
+        after it."""
         table = self.pipeline.get_or_create(mod.table_id)
         new_table = mod.table_id not in self._groups
         len_before = len(table)
@@ -485,7 +496,7 @@ class ESwitch:
                 k[0] == mod.priority and k[1] == sig
                 for k in table.feature_counts()
             )
-        removed, added = self.pipeline.apply_flow_mod(mod)
+        removed, added = write(mod)
         if not removed and added is None and not new_table:
             # Nothing matched: logical and compiled state are already
             # consistent, and touching the template (e.g. a phantom
@@ -513,47 +524,39 @@ class ESwitch:
 
     def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
         """Transactional batch: either every mod applies or none does."""
-        affected = {mod.table_id for mod in mods}
-        # ``entries`` is an immutable tuple: the snapshot needs no copy.
-        snapshots: dict[int, "tuple | None"] = {}
-        for tid in affected:
-            try:
-                snapshots[tid] = self.pipeline.table(tid).entries
-            except Exception:
-                snapshots[tid] = None  # table does not exist yet
+        undo = self.pipeline.undo_record(mods)
         cycles_before = self.update_stats.cycles
         total = 0.0
         try:
             for mod in mods:
                 total += self.apply_flow_mod(mod)
-        except Exception:
-            for tid, entries in snapshots.items():
-                if entries is None:
-                    # Roll back a table created inside this transaction.
-                    self.pipeline._tables.pop(tid, None)
-                    group = self._groups.pop(tid, None)
-                    if group is not None:
-                        for cid in group.compiled_ids:
-                            self.datapath.uninstall(cid)
-                    # A deferred rebuild queued for the vanished table must
-                    # die with it, or the next packet's flush crashes
-                    # looking up a table the rollback removed.
-                    self._dirty_groups.discard(tid)
-                    self.quarantined.pop(tid, None)
-                    continue
-                table = self.pipeline.table(tid)
-                # One version bump; every derived structure (rule indexes,
-                # feature multiset, tombstone store) resyncs together.
-                table.restore_entries(entries)
-                self._rebuild_group(tid)
-            # A rolled-back mod may have deepened or shallowed the parse.
-            self._replan_parser()
+        except BaseException:
+            for table_id in undo.created:
+                self.drop_table(table_id)
+            for mod, write in self.pipeline.undo_steps(undo):
+                self._apply(mod, write)
             # The rolled-back mods must leave no trace in the modeled cost
             # accounting (the cycles half of batch invisibility); the
             # mechanism counters stand — they record work that really ran.
             self.update_stats.cycles = cycles_before
+            self.update_stats.rollbacks += 1
             raise
         return total
+
+    def drop_table(self, table_id: int) -> None:
+        """Forget a logical table and everything compiled from it — the
+        undo of a table a batch created. The caller vouches no rule still
+        jumps to it."""
+        self.pipeline.drop_table(table_id)
+        group = self._groups.pop(table_id, None)
+        if group is not None:
+            for cid in group.compiled_ids:
+                self.datapath.uninstall(cid)
+        # A deferred rebuild queued for the vanished table must die with
+        # it, or the next packet's flush crashes looking it up.
+        self._dirty_groups.discard(table_id)
+        self.quarantined.pop(table_id, None)
+        self._replan_parser()
 
     # -- admission control ------------------------------------------------------
 

@@ -24,7 +24,10 @@ plane of a whole fabric:
   leaf's epoch. Any failure — barrier refused, batch rejected, re-fuse
   failed — **aborts and rolls back**: the current leaf and every
   already-upgraded leaf revert to the old epoch's state, so the fabric
-  is never left straddling epochs.
+  is never left straddling epochs. What a leaf reverts to is the
+  pipeline's own undo record of the upgrade batch
+  (:meth:`~repro.openflow.pipeline.Pipeline.undo_record`, taken before
+  the batch is sent), submitted in its wire form.
 
 ``deadlocks`` counts supervisor wedges: a rollback that could not
 restore a leaf to the old epoch (nothing recoverable remains to try).
@@ -61,55 +64,6 @@ def default_upgrade_mods(epoch: int) -> list[FlowMod]:
             instructions=(),
         )
     ]
-
-
-def _inverse_mods(mods, pipeline) -> list[FlowMod]:
-    """The rollback batch for ``mods`` against the pre-upgrade pipeline.
-
-    ADD of a rule that did not exist inverts to a strict DELETE; ADD
-    that replaced an existing rule inverts to re-ADD of the old entry;
-    DELETE inverts to re-ADD of whatever it removed. Computed BEFORE the
-    upgrade is applied, read off each table's rule index — nothing is
-    created or scanned. A re-ADDed rule re-enters at the end of its
-    priority class, where any new rule of that priority goes.
-    """
-    tables = {table.table_id: table for table in pipeline}
-    inverse: list[FlowMod] = []
-    for mod in mods:
-        table = tables.get(mod.table_id)
-        deleting = mod.command is FlowModCommand.DELETE
-        if table is None:
-            priorities: tuple = ()
-        elif deleting and not mod.strict:
-            priorities = table.rule_priorities(mod.match)
-        else:
-            priorities = (mod.priority,)
-        olds = [
-            old for p in priorities
-            if (old := table.find_rule(mod.match, p)) is not None
-        ]
-        if not deleting and not olds:
-            inverse.append(
-                FlowMod(
-                    FlowModCommand.DELETE,
-                    mod.table_id,
-                    mod.match,
-                    priority=mod.priority,
-                    strict=True,
-                )
-            )
-        inverse.extend(
-            FlowMod(
-                FlowModCommand.ADD,
-                mod.table_id,
-                old.match,
-                priority=old.priority,
-                instructions=old.instructions,
-            )
-            for old in olds
-        )
-    inverse.reverse()
-    return inverse
 
 
 @dataclass
@@ -263,7 +217,7 @@ class FabricSupervisor:
                 return default_upgrade_mods(new_epoch)
 
         report = UpgradeReport(completed=False, epoch=self.epoch)
-        undo_stack: list[tuple] = []  # (leaf, inverse_mods)
+        undo_stack: list[tuple] = []  # (leaf, BatchUndo)
         for leaf in self.fabric.leaves:
             mods = list(mods_for_leaf(leaf))
             abort = self._upgrade_leaf(
@@ -295,13 +249,13 @@ class FabricSupervisor:
         # would race its resync.
         if not leaf.session.barrier():
             return "barrier refused (session down)"
-        inverse = _inverse_mods(mods, leaf.switch.pipeline)
+        undo = leaf.switch.pipeline.undo_record(mods)
         reply = leaf.session.submit_flow_mods(mods)
         if not reply:
             return "upgrade batch rejected: " + "; ".join(
                 str(e) for e in reply.errors
             )
-        undo_stack.append((leaf, inverse))
+        undo_stack.append((leaf, undo))
         if force_refuse_failure:
             leaf.switch.datapath.force_fuse_failure("injected upgrade fault")
         if not leaf.switch.warm():
@@ -318,13 +272,17 @@ class FabricSupervisor:
         Rollback bypasses the lossy channel (``switch.submit_flow_mods``
         directly): it is the supervisor's local recovery action, and it
         must not be able to fail for channel reasons while the fabric is
-        mid-abort.
+        mid-abort. A table the upgrade created goes too, unless something
+        else has put rules in it since.
         """
         rolled_back = []
-        for leaf, inverse in reversed(undo_stack):
-            ok = bool(leaf.switch.submit_flow_mods(inverse)) if inverse else True
-            if ok:
-                leaf.switch.warm()
+        for leaf, undo in reversed(undo_stack):
+            switch = leaf.switch
+            if switch.submit_flow_mods(undo.wire_mods()):
+                for table_id in undo.created:
+                    if not len(switch.pipeline.table(table_id)):
+                        switch.drop_table(table_id)
+                switch.warm()
                 self.status[leaf.name].epoch = self.epoch
                 rolled_back.append(leaf.name)
             else:

@@ -20,12 +20,13 @@ lets a fresh ADD reuse a tombstone adjacent to its insertion point (the
 steady-state churn pattern) without any memmove at all.
 
 Every lazily derived structure — the rule index, the feature multiset,
-the live-entries tuple, the slot map — obeys one staleness contract,
-:meth:`FlowTable._guard`: it is trusted only while ``version``, the
-identity of the ``_entries`` list, and the slot count all still agree
-with the store; any out-of-band mutation (snapshot restores assign
-``_entries`` wholesale, with or without a version bump) resynchronizes
-*all* of them together, never one index at a time.
+the live-entries tuple, the slot map — is built on first use and then
+maintained by the mutation that bumps ``version``; the paths that replace
+the store wholesale (:meth:`FlowTable.add_bulk`, :meth:`FlowTable.clear`,
+unpickling) drop them all together. Nothing outside this class assigns
+``_entries``: a table is copied by pickling it, and a batch is undone by
+putting the displaced entries back (:meth:`FlowTable.follower`,
+``add(entry, before=...)``), not by swapping the store.
 
 The **action-template census** is the one structure kept eagerly: every
 path that installs a rule points its ``instructions`` at the table's one
@@ -134,20 +135,8 @@ class FlowTable:
         # that is what makes tombstone *reuse* by a fresh ADD sound.
         self._keys: list[int] = []
         self._dead = 0  # tombstone count; live = len(_entries) - _dead
-        # Staleness anchors: the exact list object ``_keys``/``_dead``
-        # describe, and the version they were last synced at. Either
-        # drifting (wholesale ``_entries`` assignment, an out-of-band
-        # version bump) makes _guard() resynchronize everything.
-        self._store_src: "list | None" = self._entries
-        self._store_version = 0
         #: compactions performed (telemetry for the churn bench).
         self.compactions = 0
-        #: out-of-band resynchronizations performed (bumped by
-        #: :meth:`_resync`). ``(version, resyncs)`` together move on
-        #: *every* state change — including wholesale ``_entries`` swaps
-        #: that skip the version bump — which is what lets the expiry
-        #: manager's observe() skip unchanged tables safely.
-        self.resyncs = 0
         #: bumped whenever the *set* of distinct feature fingerprints may
         #: have changed (a shape class appearing or emptying, or any
         #: mutation whose delta we could not track). Steady-state churn
@@ -172,9 +161,9 @@ class FlowTable:
         self._by_match: "dict[Match, list[FlowEntry]] | None" = None
         self._timed: "dict[int, FlowEntry] | None" = None
         self._index_version = -1
-        # Lazy multiset of :func:`entry_features` fingerprints, same
-        # staleness contract. Template re-selection and parser planning
-        # read this instead of walking the entries.
+        # Lazy multiset of :func:`entry_features` fingerprints, version-
+        # stamped like the rule index. Template re-selection and parser
+        # planning read this instead of walking the entries.
         self._feats: "dict[tuple, int] | None" = None
         self._feats_version = -1
         # Cached live-entries tuple for the ``entries`` property.
@@ -191,60 +180,10 @@ class FlowTable:
         #: the last one leaving): all a whole-pipeline driver bakes in.
         self.facts_version = 0
 
-    # -- staleness contract ---------------------------------------------------
-
-    def _guard(self) -> None:
-        """Resynchronize after any out-of-band mutation.
-
-        The store arrays (``_keys``/``_dead``/``_slots``) and the derived
-        indexes are trusted only while (a) ``version`` still equals the
-        version they were synced at, (b) ``_entries`` is still the exact
-        list object they describe, and (c) the slot counts agree. A
-        snapshot restore that assigns ``_entries`` wholesale — with or
-        without a version bump — trips (b) and resyncs *everything*
-        together: ``_feats`` must never outlive ``_by_match`` (the
-        pre-tombstone code invalidated only the rule index on the
-        stale-index retry, leaving a trusted-but-wrong ``_feats``).
-        """
-        if (
-            self._store_src is not self._entries
-            or self._store_version != self.version
-            or len(self._keys) != len(self._entries)
-        ):
-            self._resync()
-
-    def _resync(self) -> None:
-        """Rebuild the store from ``_entries`` as the source of truth.
-
-        Tombstones (if any survived a wholesale swap) are squeezed out;
-        the list is assumed priority-descending, the same contract the
-        sorted-list implementation had for restored snapshots. Does not
-        bump ``version``: resync repairs *our* caches, it is not a new
-        logical state (external version-keyed caches keep their own view,
-        exactly as before this store existed).
-        """
-        live = [e for e in self._entries if e is not None]
-        self._entries = live
-        self._keys = [-e.priority for e in live]
-        self._dead = 0
-        self._slots = None
-        self._store_src = self._entries
-        self._store_version = self.version
-        self._by_match = self._timed = None
-        self._index_version = -1
-        self._feats = None
-        self._feats_version = -1
-        self._live = None
-        self._live_version = -1
-        self.shapes_version += 1  # swapped wholesale: shape set unknown
-        self.resyncs += 1
-        self._recount(live)
-
     def _mark_mutated(self) -> None:
         """Version bump + bookkeeping common to every logical mutation."""
         self.version += 1
         self._index_version = self.version
-        self._store_version = self.version
         self._live = None
 
     # -- indexes --------------------------------------------------------------
@@ -276,13 +215,20 @@ class FlowTable:
             }
         return slots
 
-    def _slot_of(self, entry: FlowEntry) -> "int | None":
-        """The entry's slot, identity-verified; None when it is not live
-        in the store (the object was swapped out-of-band)."""
-        slot = self._slot_index().get(id(entry))
-        if slot is None or self._entries[slot] is not entry:
-            return None
-        return slot
+    def follower(self, entry: FlowEntry) -> "FlowEntry | None":
+        """The live entry that follows a live ``entry`` inside its
+        priority class (None: it closes the class) — what
+        ``add(entry, before=...)`` takes to put ``entry`` back in this
+        place after a delete. O(1) plus the tombstones between the two.
+        """
+        slot = self._slot_index()[id(entry)]
+        ents, keys = self._entries, self._keys
+        for i in range(slot + 1, len(ents)):
+            if keys[i] != keys[slot]:
+                break
+            if ents[i] is not None:
+                return ents[i]
+        return None
 
     def feature_counts(self) -> "dict[tuple, int]":
         """Multiset of :func:`entry_features` fingerprints, lazily built
@@ -292,13 +238,6 @@ class FlowTable:
         entry), which is what makes per-update template re-selection and
         parser re-planning O(shapes) instead of O(entries).
         """
-        # _guard(), inlined: this runs a few times per flow-mod.
-        if (
-            self._store_src is not self._entries
-            or self._store_version != self.version
-            or len(self._keys) != len(self._entries)
-        ):
-            self._resync()
         if self._feats is None or self._feats_version != self.version:
             feats: "dict[tuple, int]" = {}
             # Equal fingerprints collapse onto one tuple, which the
@@ -321,7 +260,6 @@ class FlowTable:
         early-exit walk of their own, which an O(entries) rebuild of the
         multiset (never otherwise needed for, say, a decomposed
         sub-table) would only slow down."""
-        self._guard()
         if self._feats is not None and self._feats_version == self.version:
             return self._feats
         return None
@@ -362,19 +300,16 @@ class FlowTable:
     def action_templates(self) -> "dict[ActionTemplate, int]":
         """Multiset of the table's shared templates: one key per distinct
         instruction list, counting the live rules that point at it."""
-        self._guard()
         return {template: n for template, n in self._templates.values()}
 
     @property
     def template_count(self) -> int:
         """Distinct instruction lists among the live rules (O(1))."""
-        self._guard()
         return len(self._templates)
 
     def action_facts(self) -> "dict[tuple, int]":
         """Multiset of ``ActionTemplate.facts`` over the table's shared
         templates — O(distinct) to read, like :meth:`feature_counts`."""
-        self._guard()
         return self._facts
 
     def _intern(self, entry: FlowEntry) -> None:
@@ -418,9 +353,10 @@ class FlowTable:
 
     # -- modification ---------------------------------------------------------
 
-    def _insert_fresh(self, entry: FlowEntry) -> None:
-        """Place a new rule at its insort_right position, preferring an
-        adjacent tombstone over a memmove.
+    def _insert_fresh(self, entry: FlowEntry, before: "FlowEntry | None") -> None:
+        """Place a new rule at its insort_right position (or in front of
+        ``before``, a live entry of its priority), preferring an adjacent
+        tombstone over a memmove.
 
         With ``pos = bisect_right(_keys, key)``: every live same-priority
         entry sits at a slot < pos (tombstones keep their keys, so the
@@ -432,11 +368,16 @@ class FlowTable:
         same-priority entries — exactly insort_right's probe order. The
         steady-state churn pattern (delete then re-add in the same
         priority band) hits one of these two slots every time: O(1).
+        With ``before``, ``pos`` is its slot: a tombstone at ``pos - 1``
+        has a key <= ours, and a memmove lands us directly ahead of it.
         """
         skey = -entry.priority
         ents = self._entries
         keys = self._keys
-        pos = bisect.bisect_right(keys, skey)
+        if before is None:
+            pos = bisect.bisect_right(keys, skey)
+        else:
+            pos = self._slot_index()[id(before)]
         if pos < len(ents) and ents[pos] is None:
             ents[pos] = entry
             keys[pos] = skey
@@ -455,53 +396,49 @@ class FlowTable:
         if slots is not None:
             slots[id(entry)] = pos
 
-    def add(self, entry: FlowEntry) -> FlowEntry:
-        """Insert an entry; replaces an existing entry with the same rule."""
-        self._guard()
-        for _ in range(2):
-            by_match = self._index()
-            same_match = by_match.get(entry.match)
-            existing = _at_priority(same_match, entry.priority)
-            # Before the store moves (an unhashable instruction raises
-            # here) and before the replaced rule is uncounted (an equal
-            # list never drops to zero); a resync recounts from the store.
-            self._intern(entry)
-            if existing is None:
-                self._insert_fresh(entry)
-                if same_match is None:
-                    by_match[entry.match] = [entry]
-                else:
-                    bisect.insort_right(same_match, entry, key=_sort_key)
+    def add(
+        self, entry: FlowEntry, before: "FlowEntry | None" = None
+    ) -> FlowEntry:
+        """Insert an entry; replaces an existing entry with the same rule.
+
+        A new rule closes its priority class unless ``before`` names the
+        live entry of that priority it must precede — how an undo puts a
+        deleted rule back where :meth:`follower` found it.
+        """
+        by_match = self._index()
+        same_match = by_match.get(entry.match)
+        existing = _at_priority(same_match, entry.priority)
+        # Before the store moves (an unhashable instruction raises here)
+        # and before the replaced rule is uncounted (an equal list never
+        # drops to zero).
+        self._intern(entry)
+        if existing is None:
+            self._insert_fresh(entry, before)
+            if same_match is None:
+                by_match[entry.match] = [entry]
             else:
-                slot = self._slot_of(existing)
-                if slot is None:
-                    # Entry objects were swapped wholesale under a
-                    # matching version: resync every derived structure
-                    # together and retry — a fresh index can't be stale.
-                    self._resync()
-                    continue
-                # Same rule key ⇒ same priority ⇒ _keys[slot] is right.
-                self._entries[slot] = entry
-                slots = self._slots
-                if slots is not None:
-                    slots.pop(id(existing), None)
-                    slots[id(entry)] = slot
-                same_match[same_match.index(existing)] = entry
-            timed = self._timed
-            if timed is not None:
-                if existing is not None:
-                    timed.pop(existing.entry_id, None)
-                if entry.idle_timeout or entry.hard_timeout:
-                    timed[entry.entry_id] = entry
+                bisect.insort_right(same_match, entry, key=_sort_key)
+        else:
+            slots = self._slot_index()
+            slot = slots.pop(id(existing))
+            # Same rule key ⇒ same priority ⇒ _keys[slot] is right.
+            self._entries[slot] = entry
+            slots[id(entry)] = slot
+            same_match[same_match.index(existing)] = entry
+        timed = self._timed
+        if timed is not None:
             if existing is not None:
-                self._release(existing)
-            feats_fresh = self._feats_version == self.version
-            self._mark_mutated()
-            # Replacement may change the actions even though the rule key
-            # is equal, so the old entry's fingerprint must come out.
-            self._feats_update(existing, entry, feats_fresh)
-            return entry
-        raise AssertionError("rule index stale after rebuild")
+                timed.pop(existing.entry_id, None)
+            if entry.idle_timeout or entry.hard_timeout:
+                timed[entry.entry_id] = entry
+        if existing is not None:
+            self._release(existing)
+        feats_fresh = self._feats_version == self.version
+        self._mark_mutated()
+        # Replacement may change the actions even though the rule key
+        # is equal, so the old entry's fingerprint must come out.
+        self._feats_update(existing, entry, feats_fresh)
+        return entry
 
     def add_bulk(self, entries: "list[FlowEntry]") -> int:
         """Insert many entries in one stable sort instead of n priority scans.
@@ -515,7 +452,6 @@ class FlowTable:
         """
         if not entries:
             return 0
-        self._guard()
         merged: "list[FlowEntry]" = [e for e in self._entries if e is not None]
         slot: dict = {
             (entry.priority, entry.match): i for i, entry in enumerate(merged)
@@ -533,7 +469,6 @@ class FlowTable:
         self._keys = [-e.priority for e in merged]
         self._dead = 0
         self._slots = None
-        self._store_src = self._entries
         self._by_match = self._timed = None
         self._index_version = -1
         self._feats = None
@@ -543,29 +478,21 @@ class FlowTable:
         self._mark_mutated()
         return len(entries)
 
-    def _tombstone_all(self, victims: "list[FlowEntry]") -> bool:
+    def _tombstone_all(self, victims: "list[FlowEntry]") -> int:
         """Tombstone the given live entries under one version bump,
-        maintaining every index incrementally. False = a victim failed
-        identity verification (store swapped out-of-band): nothing was
-        mutated, the caller resyncs and retries.
-        """
-        slots_of: list[int] = []
-        for entry in victims:
-            slot = self._slot_of(entry)
-            if slot is None:
-                return False
-            slots_of.append(slot)
+        maintaining every index incrementally; returns how many."""
+        if not victims:
+            return 0
         feats_fresh = self._feats_version == self.version
         feats = self._feats if feats_fresh else None
         ents = self._entries
-        slots = self._slots
+        slots = self._slot_index()
         by_match = self._index()
         timed = self._timed
         shapes_changed = feats is None  # unknown multiset: conservative
-        for entry, slot in zip(victims, slots_of):
-            ents[slot] = None  # the key stays: bisection remains valid
-            if slots is not None:
-                slots.pop(id(entry), None)
+        for entry in victims:
+            # The key stays: bisection remains valid.
+            ents[slots.pop(id(entry))] = None
             lst = by_match.get(entry.match)
             if lst is not None:
                 lst.remove(entry)
@@ -589,7 +516,7 @@ class FlowTable:
         if shapes_changed:
             self.shapes_version += 1
         self._maybe_compact()
-        return True
+        return len(victims)
 
     def remove(self, match: Match, priority: "int | None" = None) -> int:
         """Remove entries with the given match (and priority, if given).
@@ -602,20 +529,11 @@ class FlowTable:
         have hit tombstoned slots) is a no-op: ``version`` does not move,
         so no spurious re-fuse or template re-selection follows.
         """
-        self._guard()
-        for _ in range(2):
-            same_match = self._index().get(match)
-            if priority is None:
-                victims = list(same_match or ())
-            else:
-                entry = _at_priority(same_match, priority)
-                victims = [] if entry is None else [entry]
-            if not victims:
-                return 0
-            if self._tombstone_all(victims):
-                return len(victims)
-            self._resync()
-        raise AssertionError("rule index stale after rebuild")
+        same_match = self._index().get(match)
+        if priority is None:
+            return self._tombstone_all(list(same_match or ()))
+        entry = _at_priority(same_match, priority)
+        return self._tombstone_all([] if entry is None else [entry])
 
     def remove_if(self, predicate: Callable[[FlowEntry], bool]) -> int:
         """Remove every live entry satisfying ``predicate``.
@@ -625,20 +543,11 @@ class FlowTable:
         removes nothing and bumps nothing. Index maintenance is
         incremental (no wholesale invalidation).
         """
-        self._guard()
-        for _ in range(2):
-            victims = [
-                e for e in self._entries if e is not None and predicate(e)
-            ]
-            if not victims:
-                return 0
-            if self._tombstone_all(victims):
-                return len(victims)
-            self._resync()
-        raise AssertionError("rule index stale after rebuild")
+        return self._tombstone_all(
+            [e for e in self._entries if e is not None and predicate(e)]
+        )
 
     def clear(self) -> None:
-        self._guard()
         if len(self._entries) - self._dead:
             self.version += 1
             self.shapes_version += 1
@@ -646,8 +555,6 @@ class FlowTable:
         self._keys = []
         self._dead = 0
         self._slots = None
-        self._store_src = self._entries
-        self._store_version = self.version
         self._by_match = self._timed = None
         self._index_version = -1
         self._feats = None
@@ -655,31 +562,6 @@ class FlowTable:
         self._live = None
         self._live_version = -1
         self._recount([])
-
-    def restore_entries(self, entries: "Iterator[FlowEntry]") -> None:
-        """Replace the table's contents wholesale (snapshot rollback).
-
-        ``entries`` must already be priority-descending — a snapshot of
-        :attr:`entries` is. Bumps ``version`` exactly once: every cached
-        consumer (rule index, feature multiset, fused drivers, wire
-        position maps) re-derives from the restored state. Raw
-        ``table._entries = ...`` assignment still works — :meth:`_guard`
-        resynchronizes on the next access — but this is the supported
-        spelling.
-        """
-        live = [e for e in entries if e is not None]
-        self._entries = live
-        self._keys = [-e.priority for e in live]
-        self._dead = 0
-        self._slots = None
-        self._store_src = self._entries
-        self._by_match = self._timed = None
-        self._index_version = -1
-        self._feats = None
-        self._feats_version = -1
-        self.shapes_version += 1
-        self._recount(live)
-        self._mark_mutated()
 
     # -- compaction -----------------------------------------------------------
 
@@ -706,13 +588,11 @@ class FlowTable:
         self._keys = [-e.priority for e in live]
         self._dead = 0
         self._slots = None
-        self._store_src = self._entries
         self.compactions += 1
 
     @property
     def tombstones(self) -> int:
         """Current dead-slot count (telemetry)."""
-        self._guard()
         return self._dead
 
     def prime(self) -> None:
@@ -725,7 +605,6 @@ class FlowTable:
         million-entry table pays that scan before the churn starts, the
         same contract warm() already gives compilation and fusing.
         """
-        self._guard()
         self._index()
         self._slot_index()
         self.feature_counts()
@@ -738,45 +617,28 @@ class FlowTable:
         Per-match lists are priority-sorted, so the head is the one a
         lookup would prefer among same-match duplicates.
         """
-        self._guard()
         lst = self._index().get(match)
         return lst[0] if lst else None
 
     def find_rule(self, match: Match, priority: int) -> "FlowEntry | None":
-        """The live entry with exactly this rule, identity-verified.
-
-        Unlike :meth:`find` this survives wholesale ``_entries`` swaps
-        that skipped the version bump: a stale index answer fails the
-        slot identity check and forces one resync. The expiry manager
-        re-resolves tracked flows through this.
-        """
-        self._guard()
-        for _ in range(2):
-            entry = _at_priority(self._index().get(match), priority)
-            if entry is None:
-                return None
-            if self._slot_of(entry) is not None:
-                return entry
-            self._resync()
-        return None
+        """The live entry with exactly this rule (match + priority), or
+        None — the occupant an ADD of that rule would replace."""
+        return _at_priority(self._index().get(match), priority)
 
     def has_rule(self, match: Match, priority: int) -> bool:
         """True when an entry with exactly this rule (match + priority)
         exists — the ADD-replaces case capacity checks must not count."""
-        self._guard()
-        return _at_priority(self._index().get(match), priority) is not None
+        return self.find_rule(match, priority) is not None
 
     def rule_priorities(self, match: Match) -> "tuple[int, ...]":
         """Priorities of the live entries whose match *equals* ``match``,
         highest first — what a non-strict DELETE of it would remove."""
-        self._guard()
         return tuple(e.priority for e in self._index().get(match, ()))
 
     def last_entry(self) -> "FlowEntry | None":
         """The lowest-priority live entry (the catch-all seat, when one
         exists) without materializing the live tuple — O(1) when the tail
         slot is live, O(trailing tombstones) otherwise."""
-        self._guard()
         ents = self._entries
         for i in range(len(ents) - 1, -1, -1):
             e = ents[i]
@@ -787,7 +649,6 @@ class FlowTable:
     def timed_entries(self) -> "list[FlowEntry]":
         """Live entries carrying an idle or hard timeout — O(timed), not
         O(entries): the expiry manager's rescan set."""
-        self._guard()
         self._index()
         assert self._timed is not None
         return list(self._timed.values())
@@ -848,7 +709,6 @@ class FlowTable:
         Cached per version; compaction preserves the cache (the live
         order is exactly what compaction keeps).
         """
-        self._guard()
         live = self._live
         if live is None or self._live_version != self.version:
             if self._dead:
@@ -867,16 +727,7 @@ class FlowTable:
         return tuple(sorted(names))
 
     def __len__(self) -> int:
-        # _guard(), inlined: len(table) runs several times per flow-mod.
-        ents = self._entries
-        if (
-            self._store_src is not ents
-            or self._store_version != self.version
-            or len(self._keys) != len(ents)
-        ):
-            self._resync()
-            ents = self._entries
-        return len(ents) - self._dead
+        return len(self._entries) - self._dead
 
     def __iter__(self) -> Iterator[FlowEntry]:
         return iter(self.entries)
@@ -899,8 +750,6 @@ class FlowTable:
         state["_keys"] = [-e.priority for e in live]
         state["_dead"] = 0
         state["_slots"] = None
-        state["_store_src"] = None  # re-anchored in __setstate__
-        state["_store_version"] = state["version"]
         state["_by_match"] = state["_timed"] = None
         state["_index_version"] = -1
         state["_feats"] = None
@@ -908,7 +757,3 @@ class FlowTable:
         state["_live"] = None
         state["_live_version"] = -1
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._store_src = self._entries

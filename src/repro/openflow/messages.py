@@ -192,6 +192,21 @@ class FlowMod:
             hard_timeout=self.hard_timeout,
         )
 
+    @classmethod
+    def of_entry(cls, table_id: int, entry: FlowEntry) -> "FlowMod":
+        """The ADD whose :meth:`to_entry` equals ``entry``: what puts a
+        rule back over the wire, cookie and timeouts included."""
+        return cls(
+            FlowModCommand.ADD,
+            table_id,
+            entry.match,
+            priority=entry.priority,
+            instructions=entry.instructions,
+            cookie=entry.cookie,
+            idle_timeout=entry.idle_timeout,
+            hard_timeout=entry.hard_timeout,
+        )
+
 
 def reply_to_flow_mods(
     admit: "Callable[[Sequence[FlowMod]], Sequence[ErrorMsg]]",

@@ -12,14 +12,19 @@ order. It is deliberately unoptimized: it serves as
 * the fallback the ESWITCH compiler's output must be equivalent to.
 
 The same holds for writes: :meth:`Pipeline.apply_flow_mod` is the one
-place that says what a flow-mod does to a table, and
+place that says what a flow-mod does to a table,
 :meth:`Pipeline.admit_flow_mods` the one place that says whether a batch
-may. Every switch builds its ``submit_flow_mods`` from these two.
+may, and :meth:`Pipeline.undo_record` the one place that says what a
+batch overwrites — so :meth:`Pipeline.apply_flow_mods` is all-or-nothing,
+and every switch builds its ``apply_flow_mods`` / ``submit_flow_mods``
+from these.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.openflow.actions import Action, Output
 from repro.openflow.flow_entry import FlowEntry
@@ -59,6 +64,39 @@ MAX_TABLES = 255
 
 class PipelineError(Exception):
     """Raised on malformed pipeline programs (bad goto, missing table)."""
+
+
+@dataclass(frozen=True)
+class BatchUndo:
+    """What a flow-mod batch overwrites, read off the pre-batch tables.
+
+    Attributes:
+        keys: one ``(table_id, match, priority, occupant, follower)`` row
+            per rule key the batch names, in the order it first names
+            them: the :class:`FlowEntry` that held the key (None: it was
+            empty) and the entry that followed it in its priority class.
+        created: ids of the tables the batch would create.
+    """
+
+    keys: "tuple[tuple[int, Match, int, FlowEntry | None, FlowEntry | None], ...]"
+    created: frozenset
+
+    def wire_mods(self) -> list[FlowMod]:
+        """The record as a batch any switch accepts: a strict DELETE per
+        key that was empty, then an ADD per displaced rule carrying its
+        cookie and timeouts. The deletes go first, so a table at capacity
+        takes it; a rule that comes back this way is a new entry and
+        closes its priority class."""
+        mods = [_wire_mod(*row[:4]) for row in self.keys]
+        return sorted(mods, key=lambda mod: mod.command is FlowModCommand.ADD)
+
+
+def _wire_mod(table_id: int, match: Match, priority: int, occupant) -> FlowMod:
+    if occupant is not None:
+        return FlowMod.of_entry(table_id, occupant)
+    return FlowMod(
+        FlowModCommand.DELETE, table_id, match, priority=priority, strict=True
+    )
 
 
 class Verdict:
@@ -146,6 +184,10 @@ class Pipeline:
             self._tables[table_id] = FlowTable(table_id, **kwargs)  # type: ignore[arg-type]
         return self._tables[table_id]
 
+    def drop_table(self, table_id: int) -> None:
+        """Forget a table (no-op when absent): the undo of creating it."""
+        self._tables.pop(table_id, None)
+
     @property
     def tables(self) -> tuple[FlowTable, ...]:
         """Tables in ascending id order."""
@@ -214,6 +256,101 @@ class Pipeline:
                 )
             )
         return 0, table.add(mod.to_entry())
+
+    # -- flow-mods: what a batch overwrites, and putting it back --------------
+
+    def undo_record(self, mods: Sequence[FlowMod]) -> BatchUndo:
+        """What ``mods`` would overwrite, *without touching anything*.
+
+        Every rule key ``(table, match, priority)`` the batch can write —
+        an ADD's and a strict DELETE's own, a non-strict DELETE's one per
+        live priority of its match (a rule the batch itself adds under
+        that match is named by its ADD) — with the entry object holding
+        it now. Read off each table's rule index, so the cost follows the
+        batch and not the tables, like :meth:`admit_flow_mods`.
+        """
+        tables = self._tables
+        keys: dict[tuple[int, Match, int], tuple] = {}
+        for mod in mods:
+            table = tables.get(mod.table_id)  # None: the batch creates it
+            if mod.command is FlowModCommand.DELETE and not mod.strict:
+                priorities = (
+                    table.rule_priorities(mod.match) if table is not None else ()
+                )
+            else:
+                priorities = (mod.priority,)
+            for priority in priorities:
+                key = (mod.table_id, mod.match, priority)
+                if key in keys:
+                    continue
+                occupant = follower = None
+                if table is not None:
+                    occupant = table.find_rule(mod.match, priority)
+                    if occupant is not None:
+                        follower = table.follower(occupant)
+                keys[key] = (*key, occupant, follower)
+        return BatchUndo(
+            keys=tuple(keys.values()),
+            created=frozenset(mod.table_id for mod in mods) - tables.keys(),
+        )
+
+    def undo_steps(
+        self, undo: BatchUndo
+    ) -> "Iterator[tuple[FlowMod, Callable[[FlowMod], tuple]]]":
+        """The writes that put back every key of ``undo`` now held by
+        something else, as ``(mod, write)``: ``write(mod)`` does what
+        :meth:`apply_flow_mod` would — same return — except that an ADD
+        installs the displaced object itself, ahead of its follower. A
+        switch with compiled state wraps each as it wraps a forward mod.
+
+        Last-named key first, so a batch that names each key once is
+        walked back through the states it went through. Keys of a table
+        that is gone (a created one, dropped whole) are skipped.
+        """
+        # A follower the batch displaced too may not be back yet: the
+        # rule then goes ahead of that one's follower, and so on.
+        next_of = {id(row[3]): row[4] for row in undo.keys if row[3] is not None}
+        for table_id, match, priority, occupant, follower in reversed(undo.keys):
+            table = self._tables.get(table_id)
+            if table is None or table.find_rule(match, priority) is occupant:
+                continue
+            mod = _wire_mod(table_id, match, priority, occupant)
+            if occupant is None:
+                yield mod, self.apply_flow_mod
+                continue
+            while follower is not None and (
+                table.find_rule(follower.match, follower.priority) is not follower
+            ):
+                follower = next_of.get(id(follower))
+            yield mod, partial(self._put_back, occupant, follower)
+
+    def _put_back(
+        self, entry: FlowEntry, follower: "FlowEntry | None", mod: FlowMod
+    ) -> "tuple[int, FlowEntry]":
+        table = self._tables[mod.table_id]
+        table.remove(mod.match, mod.priority)  # whatever the batch left there
+        return 0, table.add(entry, before=follower)
+
+    def roll_back(self, undo: BatchUndo) -> None:
+        """Put every key ``undo`` names back to its recorded occupant —
+        the same object, in its pre-batch position — and drop the tables
+        the batch created."""
+        for table_id in undo.created:
+            self.drop_table(table_id)
+        for mod, write in self.undo_steps(undo):
+            write(mod)
+
+    def apply_flow_mods(self, mods: Sequence[FlowMod]) -> None:
+        """Apply a batch, all or nothing: whatever a mod raises, the
+        tables are back to their pre-batch state, object for object,
+        before it propagates."""
+        undo = self.undo_record(mods)
+        try:
+            for mod in mods:
+                self.apply_flow_mod(mod)
+        except BaseException:
+            self.roll_back(undo)
+            raise
 
     def admit_flow_mods(self, mods: Sequence[FlowMod]) -> list[ErrorMsg]:
         """Validate a batch against the live tables *without touching them*.

@@ -8,25 +8,21 @@ entries are removed through the owning switch's ``apply_flow_mod`` so all
 of its datapath invalidation/update machinery engages (ESWITCH recompiles
 or incrementally updates the table; OVS flushes its caches).
 
-Tracking is by **flow identity, not object identity**: entries are keyed
-by their ``entry_id`` and re-resolved against the live pipeline whenever a
-table changes, because the pipeline is free to swap the underlying
-:class:`FlowEntry` objects between ticks (transactional rollbacks,
-snapshot restores, a sharded engine's shadow). A tracked flow that no
-longer resolves is simply dropped — never deleted by a stale match, which
-could take out an unrelated entry that now occupies the same (match,
-priority) slot.
+Tracking is by **flow identity**: entries are keyed by their
+``entry_id`` and re-resolved against the live pipeline whenever a table
+changes. A rule lives and dies as one :class:`FlowEntry` object — an
+ADD-replace mints a new id, a rolled-back batch puts the same object
+back — so a tracked id either resolves to the object already held or
+its flow is gone. A flow that no longer resolves is simply dropped —
+never deleted by a stale match, which could take out an unrelated entry
+that now occupies the same (match, priority) slot.
 
 Two structures keep the sweep off the million-flow wall:
 
 * **Version-gated observation.** :meth:`ExpiryManager.observe` rescans a
-  table only when its ``(version, resyncs)`` token moved since the last
-  sweep, and then reads :meth:`~repro.openflow.flow_table.FlowTable.\
-timed_entries` — O(timed entries of changed tables), not O(all flows in
-  the pipeline) as the previous full-pipeline walk was. ``resyncs`` is in
-  the token because wholesale ``_entries`` swaps may skip the version
-  bump; touching ``len(table)`` first forces the table's staleness guard
-  so such a swap is always detected.
+  table only when its ``version`` moved since the last sweep, and then
+  reads :meth:`~repro.openflow.flow_table.FlowTable.timed_entries` —
+  O(timed entries of changed tables), not O(all flows in the pipeline).
 * **A deadline heap.** Each tracked flow carries its next decisive
   instant — ``min(installed_at + hard, last_active + idle)`` — in a lazy
   min-heap of ``(deadline, seq, entry_id)`` nodes. A tick pops only the
@@ -92,8 +88,7 @@ class PipelineAdapter:
         return self.apply_flow_mods((mod,))
 
     def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
-        for mod in mods:
-            self.pipeline.apply_flow_mod(mod)
+        self.pipeline.apply_flow_mods(mods)
         return 0.0
 
     def submit_flow_mods(self, mods: Sequence[FlowMod]) -> FlowModReply:
@@ -105,7 +100,7 @@ class PipelineAdapter:
 @dataclass
 class _Tracked:
     table_id: int
-    entry: FlowEntry  # re-resolved on table change; entry_id is the key
+    entry: FlowEntry  # entry_id is the key
     installed_at: float
     last_active: float
     last_packets: int
@@ -141,8 +136,8 @@ class ExpiryManager:
         self._tracked: dict[int, _Tracked] = {}
         #: (deadline, seq, entry_id) min-heap; lazily pruned.
         self._heap: list[tuple[float, int, int]] = []
-        #: per-table (version, resyncs) as of the last rescan.
-        self._table_tokens: dict[int, tuple[int, int]] = {}
+        #: per-table ``version`` as of the last rescan.
+        self._table_versions: dict[int, int] = {}
         self._seq = 0
         self.expired_idle = 0
         self.expired_hard = 0
@@ -178,37 +173,31 @@ class ExpiryManager:
     def observe(self, now: float) -> None:
         """Register new timed entries and re-resolve tracked ones.
 
-        Call after installing flows. Only tables whose ``(version,
-        resyncs)`` token moved since the last sweep are rescanned — and
-        the rescan reads the table's timed-entry index, so the cost is
-        O(timed entries of changed tables). Tracked entries whose objects
-        were swapped (same ``entry_id``, different :class:`FlowEntry`)
-        are re-bound to the live object; tracked ids that no longer
-        resolve in their table are dropped — their flow is already gone,
-        and deleting by the stale object's (match, priority) could hit an
-        unrelated entry that now owns the slot.
+        Call after installing flows. Only tables whose ``version`` moved
+        since the last sweep are rescanned — and the rescan reads the
+        table's timed-entry index, so the cost is O(timed entries of
+        changed tables). Tracked ids that no longer resolve in their
+        table are dropped — their flow is already gone, and deleting by
+        the stale object's (match, priority) could hit an unrelated entry
+        that now owns the slot.
         """
         self._now = max(self._now, now)
         tracked_map = self._tracked
-        tokens = self._table_tokens
+        versions = self._table_versions
         present: set[int] = set()
         for table in self.pipeline:
             tid = table.table_id
             present.add(tid)
-            len(table)  # force the staleness guard: unannounced swaps
-            # land in ``resyncs`` before the token is read.
-            token = (table.version, table.resyncs)
-            if tokens.get(tid) == token:
+            if versions.get(tid) == table.version:
                 continue
-            tokens[tid] = token
+            versions[tid] = table.version
             seen: set[int] = set()
             for entry in table.timed_entries():
                 entry_id = entry.entry_id
                 seen.add(entry_id)
-                tracked = tracked_map.get(entry_id)
-                if tracked is None:
+                if entry_id not in tracked_map:
                     self._seq += 1
-                    tracked = _Tracked(
+                    tracked = tracked_map[entry_id] = _Tracked(
                         table_id=tid,
                         entry=entry,
                         installed_at=now,
@@ -217,18 +206,6 @@ class ExpiryManager:
                         next_deadline=_INF,
                         seq=self._seq,
                     )
-                    tracked_map[entry_id] = tracked
-                    self._schedule(entry_id, tracked)
-                    continue
-                tracked.table_id = tid
-                if tracked.entry is not entry:
-                    tracked.entry = entry
-                    if entry.counters.packets < tracked.last_packets:
-                        # The live object carries reset counters; rebase
-                        # the idle baseline without mistaking the drop
-                        # for activity (activity only *increases* counts).
-                        tracked.last_packets = entry.counters.packets
-                    # The replacement may carry different timeouts.
                     self._schedule(entry_id, tracked)
             for entry_id, tracked in list(tracked_map.items()):
                 if tracked.table_id == tid and entry_id not in seen:
@@ -242,9 +219,9 @@ class ExpiryManager:
         ]
         for entry_id in vanished:
             del tracked_map[entry_id]
-        for tid in list(tokens):
+        for tid in list(versions):
             if tid not in present:
-                del tokens[tid]
+                del versions[tid]
 
     # -- the sweep ------------------------------------------------------------
 

@@ -260,14 +260,14 @@ class OvsSwitch:
         O(flows) collapses and kept the 1e6 leg from ever saturating.
         Since any single mod already kills the whole cache under "full"
         invalidation, N mods need exactly one generation bump. The raising
-        primitive: a mod the tables refuse (``TABLE_FULL``) propagates
-        after the caches are dropped for whatever did apply.
+        primitive: whatever a mod raises propagates with the tables rolled
+        back (:meth:`Pipeline.apply_flow_mods`); the caches are dropped
+        either way.
         """
         mods = list(mods)
         try:
-            for mod in mods:
-                self.pipeline.apply_flow_mod(mod)
-                self.flow_mods_applied += 1
+            self.pipeline.apply_flow_mods(mods)
+            self.flow_mods_applied += len(mods)
         finally:
             if self.invalidation == "revalidate":
                 # Dead megaflows are dropped lazily by EMC lookups.

@@ -11,6 +11,7 @@ copied. A stale or short census is a wrong driver, not a slow one, and an
 update that moves neither must leave the standing driver alone.
 """
 
+import pickle
 from collections import Counter
 
 import pytest
@@ -152,12 +153,28 @@ def assert_census(pipeline) -> None:
 
 
 def _link_state(sw):
-    """Everything the fused driver baked in, read back off the switch."""
+    """Everything the fused driver baked in, read back off the switch
+    (``relinks``: something moved and came back is still a re-link)."""
     dp = sw.datapath
     return (dp.parser_layer, {
-        tid: (compiled, compiled.facts, compiled.miss)
+        tid: (compiled, compiled.facts, compiled.miss, compiled.relinks)
         for tid, compiled in dp.trampoline.items()
     })
+
+
+def _entries(pipeline):
+    return {table.table_id: table.entries for table in pipeline}
+
+
+def _content_only(sw, config, mods) -> bool:
+    """Whether ``mods`` applied to a copy of ``sw`` touch nothing a driver
+    bakes in, at any point: its generation never moves."""
+    twin = ESwitch.from_pipeline(pickle.loads(pickle.dumps(sw.pipeline)),
+                                 config=config)
+    assert twin.warm()
+    generation = twin.datapath.generation
+    twin.apply_flow_mods(mods)
+    return twin.datapath.generation == generation
 
 
 def _flow_counters(pipeline):
@@ -195,16 +212,30 @@ def test_census_and_generation_track_updates(rung, data):
         before = _link_state(sw)
         fused, generation = sw.datapath.fused, sw.datapath.generation
         if data.draw(st.booleans()):
-            # Rolled back mid-batch: the tables come back through
-            # restore_entries, the reference never sees the batch.
+            # Rolled back mid-batch: every table gets its entry objects
+            # back in place, the reference never sees the batch.
+            entries, stats = _entries(sw.pipeline), sw.update_stats
+            cycles, rollbacks = stats.cycles, stats.rollbacks
+            rebuilds = stats.rebuilds
+            standing = _content_only(sw, config, mods)
             with pytest.raises(ValueError):
                 sw.apply_flow_mods([*mods, poison])
+            after = _entries(sw.pipeline)
+            assert after.keys() == entries.keys()
+            for tid, live in entries.items():
+                assert len(after[tid]) == len(live)
+                assert all(a is b for a, b in zip(after[tid], live))
+            assert (stats.cycles, stats.rollbacks) == (cycles, rollbacks + 1)
+            if standing:
+                # Undone the way it was done: in place, nothing re-linked.
+                assert stats.rebuilds == rebuilds
         else:
             # Accepted, or rejected by admission on both sides alike.
             assert (sw.submit_flow_mods(mods).accepted
                     == reference.submit_flow_mods(mods).accepted)
+            standing = _link_state(sw) == before
         assert_census(sw.pipeline)
-        if _link_state(sw) == before:
+        if standing:
             # Content only: the standing driver is still the driver.
             assert sw.datapath.generation == generation
             assert sw.datapath.fused is fused
@@ -304,6 +335,57 @@ STRUCTURAL = {
                               ApplyActions([Output(2)])),
     "deeper parser layer": lambda p: (ApplyActions([DecTtl(), Output(2)]),),
 }
+
+
+@pytest.mark.parametrize("rung", ["hash", "lpm", "linked_list"])
+def test_rolled_back_content_update_keeps_the_driver(rung):
+    """The same insert and strict delete inside a batch that then fails:
+    both are undone through the in-place update path, so nothing is
+    rebuilt, the driver object stands and serves the old answers."""
+    sw, reference, miss, keyed = _guarded(rung)
+    fused, generation = sw.datapath.fused, sw.datapath.generation
+    standing = sw.pipeline.table(0).entries[0]
+    batch = [
+        _keyed(rung, (ApplyActions([Output(2)]),)),
+        FlowMod(FlowModCommand.DELETE, 0, standing.match,
+                priority=standing.priority, strict=True),
+        FlowMod(FlowModCommand.ADD, 0, Match(), priority=-1),
+    ]
+    entries = sw.pipeline.table(0).entries
+    ports = assert_parity(sw, reference.pipeline, [keyed, miss])
+    with pytest.raises(ValueError):
+        sw.apply_flow_mods(batch)
+    assert all(a is b for a, b in zip(sw.pipeline.table(0).entries, entries))
+    stats = sw.update_stats
+    assert (stats.incremental, stats.rebuilds, stats.fallbacks) == (4, 0, 0)
+    assert (stats.rollbacks, stats.cycles) == (1, 0.0)
+    assert sw.datapath.generation == generation
+    assert sw.datapath.fused is fused
+    assert assert_parity(sw, reference.pipeline, [keyed, miss]) == ports
+
+
+def test_rolled_back_delete_wins_its_place_back():
+    """Two overlapping rules of one priority: the first wins. Deleted in
+    a batch that fails, it must sit ahead of the other again — back in
+    its place, not at the end of its priority class."""
+    def build():
+        return _table([(5, Match(in_port=7)), (5, Match(tcp_dst=5000))])
+
+    config = RUNGS["linked_list"][0]
+    sw = ESwitch.from_pipeline(Pipeline([build()]), config=config)
+    reference = Pipeline([build()])
+    pkt = PacketBuilder(in_port=7).eth().ipv4().tcp(dst_port=5000).build()
+    assert assert_parity(sw, reference, [pkt]) == [[1]]
+    first, second, _catch_all = entries = sw.pipeline.table(0).entries
+    with pytest.raises(ValueError):
+        sw.apply_flow_mods([
+            FlowMod(FlowModCommand.DELETE, 0, first.match, priority=5,
+                    strict=True),
+            FlowMod(FlowModCommand.DELETE, 0, second.match, priority=5),
+            FlowMod(FlowModCommand.ADD, 0, Match(), priority=-1),
+        ])
+    assert all(a is b for a, b in zip(sw.pipeline.table(0).entries, entries))
+    assert assert_parity(sw, reference, [pkt]) == [[1]]
 
 
 @pytest.mark.parametrize("what", sorted(STRUCTURAL))

@@ -195,6 +195,34 @@ class TestTransactions:
         assert 7 not in self.sw.table_kinds()
 
 
+def test_accepted_batch_never_materializes_the_table(monkeypatch):
+    """The undo record is read off the rule index: with 1e5 rules and a
+    standing tombstone (so the live tuple is not a free alias of the slot
+    list), the churn batch builds ``FlowTable.entries`` not once."""
+    pipeline, macs = l2.build(100_000)
+    sw = ESwitch.from_pipeline(pipeline)
+    assert sw.warm()
+    sw.apply_flow_mod(
+        FlowMod(FlowModCommand.DELETE, 0, Match(eth_dst=macs[0]), priority=1,
+                strict=True)
+    )
+    assert sw.pipeline.table(0).tombstones == 1
+    reads = []
+    live = FlowTable.entries.fget
+    monkeypatch.setattr(
+        FlowTable, "entries", property(lambda t: reads.append(t) or live(t))
+    )
+    reply = sw.submit_flow_mods([
+        add(0, eth_dst=0x0600_0000_0001),
+        FlowMod(FlowModCommand.DELETE, 0, Match(eth_dst=macs[1]), priority=1,
+                strict=True),
+    ])
+    assert reply.accepted and not reads
+    assert sw.update_stats.incremental == 3
+    assert sw.process(mac_pkt(0x0600_0000_0001)).forwarded
+    assert not sw.process(mac_pkt(macs[1])).forwarded
+
+
 class TestStrictDelete:
     """OFPFC_DELETE_STRICT, including the falsy priority-0 regression: a
     strict delete at priority 0 used to degrade to a non-strict delete and

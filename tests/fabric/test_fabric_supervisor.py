@@ -23,7 +23,6 @@ from repro.fabric import (
     UPGRADE_MARKER_PORT,
     default_upgrade_mods,
 )
-from repro.fabric.supervisor import _inverse_mods
 from repro.net.addresses import int_to_ip
 from repro.openflow.match import Match
 from repro.openflow.actions import Output
@@ -179,6 +178,37 @@ class TestRollingUpgrade:
             # And the fabric still fuses + serves on the old epoch.
             assert fabric.leaves[1].switch.warm()
 
+    def test_abort_restores_what_the_rule_carried_and_drops_created_tables(self):
+        fabric, sup = make()
+        with fabric:
+            switch = fabric.leaf("leaf0").switch
+            rule = dict(table_id=0, match=Match(in_port=4242), priority=7)
+            installed = FlowMod(
+                FlowModCommand.ADD, instructions=(ApplyActions([Output(1)]),),
+                cookie=42, hard_timeout=30.0, **rule,
+            )
+            assert switch.submit_flow_mods([installed]).accepted
+            tables = sorted(switch.table_kinds())
+            assert 250 not in tables
+            mods = [
+                FlowMod(FlowModCommand.ADD,
+                        instructions=(ApplyActions([Output(2)]),), **rule),
+                FlowMod(FlowModCommand.ADD, 250, Match(in_port=4242),
+                        priority=1),
+            ]
+            report = sup.rolling_upgrade(
+                mods_for_leaf=lambda _leaf: mods, fail_refuse_on="leaf0"
+            )
+            assert not report.completed
+            assert report.rolled_back == ["leaf0"]
+            assert sup.deadlocks == 0
+            back = switch.pipeline.table(0).find_rule(rule["match"], 7)
+            assert (back.cookie, back.hard_timeout) == (42, 30.0)
+            assert tuple(back.instructions) == (ApplyActions([Output(1)]),)
+            assert sorted(switch.table_kinds()) == tables
+            assert [t.table_id for t in switch.pipeline] == tables
+            assert switch.warm()
+
     def test_dark_leaf_refuses_barrier_and_aborts(self):
         fabric, sup = make()
         with fabric:
@@ -207,7 +237,7 @@ class TestRollingUpgrade:
                     priority=7, instructions=(),
                 )
             ]
-            inverse = _inverse_mods(mods, leaf.switch.pipeline)
+            inverse = leaf.switch.pipeline.undo_record(mods).wire_mods()
             assert len(inverse) == 1
             assert inverse[0].command is FlowModCommand.DELETE
             assert inverse[0].strict
@@ -253,12 +283,12 @@ def _rules(pipeline):
 
 
 def _apply_then_invert(pipeline, mods):
-    """Submit ``mods``, then the inverse computed beforehand; returns the
-    rule sequences (before, between, after)."""
+    """Submit ``mods``, then the wire form of the undo record taken
+    beforehand; returns the rule sequences (before, between, after)."""
     door = PipelineAdapter(pipeline)
     before = _rules(pipeline)
-    inverse = _inverse_mods(mods, pipeline)
-    assert _rules(pipeline) == before  # computing the inverse reads only
+    inverse = pipeline.undo_record(mods).wire_mods()
+    assert _rules(pipeline) == before  # taking the record reads only
     assert door.submit_flow_mods(mods).accepted
     between = _rules(pipeline)
     assert door.submit_flow_mods(inverse).accepted
@@ -266,7 +296,8 @@ def _apply_then_invert(pipeline, mods):
 
 
 class TestInverseMods:
-    """Rollback identity: a batch followed by its inverse is a no-op."""
+    """Rollback identity over the wire: a batch followed by the wire form
+    of its undo record is a no-op."""
 
     def _pipeline(self):
         table = FlowTable(0)
@@ -294,7 +325,9 @@ class TestInverseMods:
     def test_unknown_table_inverts_to_strict_deletes_and_creates_nothing(self):
         pipeline = self._pipeline()
         add = FlowMod(FlowModCommand.ADD, 4, Match(in_port=1), priority=3)
-        inverse = _inverse_mods([add], pipeline)
+        undo = pipeline.undo_record([add])
+        inverse = undo.wire_mods()
+        assert undo.created == {4}
         assert [t.table_id for t in pipeline] == [0]
         assert [(m.command, m.strict) for m in inverse] == [
             (FlowModCommand.DELETE, True)

@@ -1,13 +1,10 @@
 """Tests for the tombstone-compacting entry store and its contracts.
 
-Three contracts pinned here:
+Two contracts pinned here:
 
 * **Tombstones + compaction** — deletes blank a slot in O(1), lookups and
   iteration skip the corpses, and compaction squeezes them out without
   reordering live entries or bumping ``version``.
-* **Staleness** — wholesale ``_entries`` swaps (snapshot restores, with or
-  without a version bump) resynchronize *every* derived structure
-  together; ``_feats`` must never outlive the rule index.
 * **No-op mods** — a delete that matches nothing live (including
   predicates that would only have hit tombstoned slots) bumps nothing:
   no version move, no re-fuse, no template re-selection downstream.
@@ -17,7 +14,7 @@ import pickle
 
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
-from repro.openflow.flow_table import FlowTable, entry_features
+from repro.openflow.flow_table import FlowTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
@@ -25,15 +22,6 @@ from repro.openflow.pipeline import Pipeline
 
 def entry(prio, port=1, **match):
     return FlowEntry(Match(**match), priority=prio, actions=[Output(port)])
-
-
-def fresh_feature_counts(table):
-    """feature_counts recomputed from scratch (the oracle)."""
-    counts: dict = {}
-    for e in table.entries:
-        f = entry_features(e)
-        counts[f] = counts.get(f, 0) + 1
-    return counts
 
 
 class TestTombstones:
@@ -124,71 +112,6 @@ class TestTombstones:
         assert [e.priority for e in clone.entries] == [10] * 7
         assert len(clone) == len(t)
         assert clone.find_rule(Match(tcp_dst=85), 10) is not None
-
-
-class TestStalenessContract:
-    def _churned(self):
-        t = FlowTable(0)
-        for i in range(12):
-            t.add(entry(10, tcp_dst=80 + i))
-        # Touch every lazy structure so they are live and trusted.
-        t.feature_counts()
-        t.find(Match(tcp_dst=80))
-        assert len(t) == 12
-        return t
-
-    def test_wholesale_swap_without_version_bump(self):
-        t = self._churned()
-        replacement = [entry(7, udp_dst=53), entry(3, udp_dst=67)]
-        t._entries = list(replacement)  # raw assignment, no bump
-        assert len(t) == 2
-        assert t.find(Match(udp_dst=53)) is replacement[0]
-        assert t.has_rule(Match(udp_dst=67), 3)
-        assert not t.has_rule(Match(tcp_dst=80), 10)
-        # The regression this pins: _feats must resync with the rule
-        # index, not stay trusted at its pre-swap contents.
-        assert t.feature_counts() == fresh_feature_counts(t)
-
-    def test_restore_entries_mid_churn(self):
-        t = self._churned()
-        snapshot = list(t.entries)
-        version = t.version
-        # Churn past the snapshot, then roll back wholesale.
-        for i in range(6):
-            t.remove(Match(tcp_dst=80 + i), priority=10)
-            t.add(entry(10, tcp_dst=200 + i))
-        t.restore_entries(snapshot)
-        assert t.version == version + 13  # 12 churn mods + one restore
-        assert t.entries == tuple(snapshot)
-        assert t.feature_counts() == fresh_feature_counts(t)
-        assert t.find_rule(Match(tcp_dst=80), 10) is snapshot[0]
-        assert t.tombstones == 0
-
-    def test_swap_then_mutate_uses_fresh_indexes(self):
-        t = self._churned()
-        usurper = entry(10, tcp_dst=80)
-        t._entries = [usurper]
-        # add() must replace the *usurper*, not trust the stale index's
-        # old object for the same rule.
-        replacement = entry(10, port=9, tcp_dst=80)
-        t.add(replacement)
-        assert t.entries == (replacement,)
-        assert t.feature_counts() == fresh_feature_counts(t)
-
-    def test_raw_entries_pickle_swap(self):
-        # The expiry suite's snapshot idiom: pickle the raw slot list
-        # (tombstones included), assign it back later.
-        t = self._churned()
-        t.remove(Match(tcp_dst=85), priority=10)
-        blob = pickle.dumps(t._entries)
-        t.remove(Match(tcp_dst=86), priority=10)
-        t._entries = pickle.loads(blob)
-        # The restored list still contains the tombstone slot; resync
-        # squeezes it out and rebuilds everything coherently.
-        assert len(t) == 11
-        assert t.find(Match(tcp_dst=86)) is not None
-        assert t.find(Match(tcp_dst=85)) is None
-        assert t.feature_counts() == fresh_feature_counts(t)
 
 
 class TestNoopMods:

@@ -16,18 +16,20 @@ The pools are small on purpose: the same match recurs at several
 priorities, so every rule-level answer (``find_rule``/``has_rule``/
 ``rule_priorities``, strict and non-strict ``remove``, ADD-replace) is
 checked against the model where the single per-match index has more than
-one entry to tell apart — including after a wholesale ``_entries`` swap
-that skipped the version bump.
+one entry to tell apart — and a rule taken out and put back ahead of its
+recorded follower (``follower`` / ``add(entry, before=...)``, the undo of
+a delete) must leave the live order exactly as it was.
 """
 
 import bisect
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
-from repro.openflow.flow_table import FlowTable
+from repro.openflow.flow_table import FlowTable, entry_features
 from repro.openflow.match import Match
 
 #: Small pools so duplicates and priority ties actually happen.
@@ -144,7 +146,9 @@ ops_st = st.lists(
         st.tuples(st.just("remove"), st.just(0), st.sampled_from(PORTS)),
         st.tuples(st.just("remove_if"), st.sampled_from(PRIOS), st.just(0)),
         st.tuples(st.just("compact"), st.just(0), st.just(0)),
-        st.tuples(st.just("swap"), st.just(0), st.just(0)),
+        st.tuples(
+            st.just("put_back"), st.sampled_from(PRIOS), st.sampled_from(PORTS)
+        ),
     ),
     min_size=0,
     max_size=60,
@@ -163,42 +167,47 @@ class TestStoreParity:
                 e = mk_entry(prio, port)
                 store.add(e)
                 model.add(e)
-                changed = True
+                bumps = 1
             elif op == "remove_strict":
                 got = store.remove(Match(tcp_dst=port), priority=prio)
                 want = model.remove(Match(tcp_dst=port), prio)
                 assert got == want
-                changed = want > 0
+                bumps = int(want > 0)
             elif op == "remove":
                 got = store.remove(Match(tcp_dst=port))
                 want = model.remove(Match(tcp_dst=port), None)
                 assert got == want
-                changed = want > 0
+                bumps = int(want > 0)
             elif op == "remove_if":
                 got = store.remove_if(lambda e: e.priority == prio)
                 want = model.remove_if(lambda e: e.priority == prio)
                 assert got == want
-                changed = want > 0
-            elif op == "swap":
-                # Snapshot-restore idiom: equal rules, fresh objects, the
-                # slot list assigned wholesale with no version bump. Every
-                # answer below must come from the new objects.
-                model.entries = [
-                    FlowEntry(e.match, priority=e.priority, actions=[Output(2)])
-                    for e in model.entries
-                ]
-                store._entries = list(model.entries)
-                changed = False
+                bumps = int(want > 0)
+            elif op == "put_back":
+                # The undo of a delete: the same object re-enters ahead
+                # of the follower recorded while it was live, so the model
+                # does not move at all.
+                e = model.find_rule(Match(tcp_dst=port), prio)
+                bumps = 0
+                if e is not None:
+                    follower = store.follower(e)
+                    assert store.remove(e.match, priority=prio) == 1
+                    assert store.add(e, before=follower) is e
+                    bumps = 2
             else:  # compact: invisible, never a version bump
                 store.compact()
-                changed = False
+                bumps = 0
             # No-op mods bump nothing; real mods bump exactly once.
-            assert store.version == version + (1 if changed else 0)
+            assert store.version == version + bumps
             # Live order — which is also lookup probe order — matches the
             # insort-list reference, object for object.
             assert store.entries == tuple(model.entries)
             assert len(store) == len(model.entries)
             assert_rule_answers(store, model)
+            # The feature multiset is maintained by every path above.
+            assert store.feature_counts() == Counter(
+                entry_features(e) for e in model.entries
+            )
 
     def test_same_match_at_three_priorities(self):
         """The spelled-out case: one match, three priorities, one index."""

@@ -158,49 +158,27 @@ class TestManagerMechanics:
 
 
 class TestEntryIdentityTracking:
-    """Tracking is by entry_id, not object identity (ISSUE 4 bugfix)."""
+    """Tracking is by entry_id: a flow is one object from ADD to removal."""
 
-    def test_swapped_entry_objects_are_reresolved(self):
-        """Activity on a swapped-in object must still count as activity.
-
-        Pipelines are free to replace FlowEntry objects wholesale
-        (transactional rollback, snapshot restore, a sharded shadow);
-        a manager holding the pre-swap reference would read frozen
-        counters and idle-expire a perfectly busy flow.
-        """
-        import pickle
-
-        sw = build_switch("es", idle_timeout=10)
+    @pytest.mark.parametrize("kind", ["es", "ovs"])
+    def test_rolled_back_batch_keeps_the_tracked_flow(self, kind):
+        """A failed batch that deleted a timed rule puts the very object
+        back, so its clock neither restarts nor stops."""
+        sw = build_switch(kind, idle_timeout=10)
         mgr = ExpiryManager(sw)
         mgr.observe(0.0)
-        table = next(iter(sw.pipeline))
-        # Swap every entry object; entry_ids survive the round-trip.
-        table._entries = pickle.loads(pickle.dumps(table._entries))
-        live = next(e for e in table if e.idle_timeout)
-        live.counters.record(60)  # traffic lands on the NEW object
-        assert mgr.tick(10.0) == []  # activity seen: flow stays alive
-        assert mgr.tracked_count == 1
-        expired = mgr.tick(25.0)  # quiet since t=10: now it ages out
-        assert [r for _, _, r in expired] == ["idle"]
-
-    def test_swapped_object_with_reset_counters_is_rebased(self):
-        """A counter drop on re-resolve is a rebase, never activity."""
-        import pickle
-
-        sw = build_switch("es", idle_timeout=10)
-        entry = next(e for e in next(iter(sw.pipeline)) if e.idle_timeout)
-        entry.counters.record(60)
-        mgr = ExpiryManager(sw)
-        mgr.observe(0.0)
-        table = next(iter(sw.pipeline))
-        swapped = pickle.loads(pickle.dumps(table._entries))
-        for e in swapped:
-            e.counters.packets = 0
-            e.counters.bytes = 0
-        table._entries = swapped
-        # The drop 1 -> 0 must not register as traffic: idle fires.
-        expired = mgr.tick(10.0)
-        assert [r for _, _, r in expired] == ["idle"]
+        table = sw.pipeline.table(0)
+        live = table.find_rule(Match(eth_dst=0xAA), 1)
+        with pytest.raises(ValueError):
+            sw.apply_flow_mods([
+                FlowMod(FlowModCommand.DELETE, 0, live.match, priority=1,
+                        strict=True),
+                FlowMod(FlowModCommand.ADD, 0, Match(), priority=-1),
+            ])
+        assert table.find_rule(Match(eth_dst=0xAA), 1) is live
+        assert mgr.tick(5.0) == [] and mgr.tracked_count == 1
+        # Idle since t=0, not since the rollback re-entered it.
+        assert [r for _, _, r in mgr.tick(10.0)] == ["idle"]
 
     def test_vanished_entry_is_dropped_not_deleted_by_match(self):
         """A reused (match, priority) slot must survive the sweep."""
