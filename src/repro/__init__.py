@@ -24,7 +24,6 @@ This package contains:
   bounds of the paper's Section 4.4.
 * :mod:`repro.traffic` / :mod:`repro.usecases` — workload generators and the
   four evaluation use cases (L2, L3, load balancer, access gateway).
-* :mod:`repro.theory` — the Appendix: REGDECOMP and its 3SAT reduction.
 """
 
 __version__ = "1.0.0"

@@ -13,9 +13,12 @@ LPM            single prefix-masked field, priorities
 linked list    none (tuple space search)                     —
 =============  ===========================================  ===============
 
-``select_template`` walks the chain top-down and returns the first template
-whose prerequisite holds — "ESWITCH always attempts to compile into the
-most efficient table template available" (Section 3.2).
+Each prerequisite is one function here (:data:`PREREQUISITES`), returning
+what its rung's emitter needs or None, and selection, compilation and
+per-mod re-selection all ask it. ``select_template`` walks the chain
+top-down and returns the first template whose prerequisite holds —
+"ESWITCH always attempts to compile into the most efficient table
+template available" (Section 3.2).
 
 A final catch-all entry (empty match, strictly lowest priority) is allowed
 by every template: it compiles into the table's miss arm.
@@ -24,7 +27,7 @@ by every template: it compiles into the table's miss arm.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.openflow.fields import field_by_name
@@ -104,191 +107,192 @@ def split_catch_all(
     return list(entries), None
 
 
-def hash_applicable(entries: Sequence[FlowEntry]) -> bool:
-    """Global-mask prerequisite of the compound hash template."""
-    rules, _catch_all = split_catch_all(entries)
-    if not rules:
-        return False
-    first = rules[0].match
-    fields = first.fields
-    if not fields:
-        return False
-    masks = {name: first.mask_of(name) for name in fields}
-    # Duplicate masked keys are allowed: they are shadowed (dead) rules,
-    # the hash keeps the highest-priority one, which is semantically
-    # equivalent because same-mask duplicates fully overlap.
-    for entry in rules:
-        match = entry.match
-        if match.fields != fields:
-            return False
-        for name in fields:
-            if match.mask_of(name) != masks[name]:
-                return False
-    return True
+# -- the prerequisites, one per rung ---------------------------------------------
+#
+# Each takes the entries (or the FlowTable itself) and the config, and
+# returns what the rung's emitter needs — or None. Selection, compilation
+# and per-mod re-selection all ask here and nowhere else. ``config=None``
+# is a forced compile (``compile_table(kind=...)``): only what the emitter
+# itself requires, none of the thresholds that steer selection.
 
 
-def hash_shape(table: FlowTable) -> "tuple[tuple[str, int], ...] | None":
-    """The one ``((field, mask), ...)`` signature every keyed entry of
-    ``table`` shares, or None when :func:`hash_applicable` would refuse.
+def direct_size(
+    entries: "Sequence[FlowEntry] | FlowTable", config: "CompileConfig | None" = None
+) -> "int | None":
+    """Direct code: the table's size, when ``#flows <= CONST``. Forced,
+    there is no CONST to hold it to; the template's own bound
+    (``codegen.MAX_DIRECT_ENTRIES``) stands either way."""
+    size = len(entries)
+    return size if config is None or size <= config.direct_threshold else None
 
-    The global-mask prerequisite is shape-only, so the table's
+
+def hash_shape(
+    entries: "Sequence[FlowEntry] | FlowTable", config: "CompileConfig | None" = None
+) -> "tuple[tuple[str, int], ...] | None":
+    """Compound hash: the one ``((field, mask), ...)`` shape every keyed
+    entry shares (the global mask), with at most one catch-all, seated
+    last — anywhere else, or a second one, it stays among the rules,
+    where its empty mask breaks the global mask.
+
+    Shape-only, so a table whose
     :meth:`~repro.openflow.flow_table.FlowTable.feature_counts` multiset
-    answers it in O(shapes): exactly one keyed signature, and at most one
-    catch-all, which must be the last entry (anywhere else — or a second
-    one — it stays among the rules, where its empty mask breaks the
-    global mask).
+    is built (``required_layer`` builds it for every pipeline table)
+    answers in O(shapes) without materialising its entries; a bare entry
+    sequence, or a table without the multiset (a decomposed sub-table),
+    is walked, stopping at the first mismatch. Duplicate masked keys are
+    allowed: same-mask duplicates fully overlap, so the lower one is dead.
     """
+    table = entries if isinstance(entries, FlowTable) else None
+    counts = table.feature_counts_if_built() if table is not None else None
+    if counts is not None:
+        last = table.last_entry()
+        shapes = ((features[1], n) for features, n in counts.items())
+    else:
+        if table is not None:
+            entries = table.entries
+        last = entries[-1] if entries else None
+        shapes = (
+            (tuple([(name, vm[1]) for name, vm in e.match.items()]), 1)
+            for e in entries
+        )
+    spare = 1 if last is not None and last.match.is_catch_all else 0
     keyed = None
-    catch_alls = 0
-    for (_prio, sig, _set_names, _depth), count in table.feature_counts().items():
-        if not sig:
-            catch_alls += count
+    for shape, n in shapes:
+        if not shape:
+            spare -= n
+            if spare < 0:
+                return None
         elif keyed is None:
-            keyed = sig
-        elif sig != keyed:
+            keyed = shape
+        elif shape != keyed:
             return None
-    if catch_alls > 1:
-        return None
-    if catch_alls and not table.last_entry().match.is_catch_all:
-        return None
     return keyed
 
 
-def lpm_applicable(entries: Sequence[FlowEntry]) -> bool:
-    """Prefix-mask + priority-consistency prerequisite of the LPM template."""
+def lpm_prefixes(
+    entries: "Sequence[FlowEntry] | FlowTable", config: "CompileConfig | None" = None
+) -> "tuple[str, dict[tuple[int, int], FlowEntry]] | None":
+    """LPM: ``(field, {(value, depth): entry})`` when every rule is a
+    prefix match on the same :data:`LPM_FIELDS` field, no prefix appears
+    twice, and priorities are consistent with prefix lengths."""
+    if isinstance(entries, FlowTable):
+        entries = entries.entries
     rules, _catch_all = split_catch_all(entries)
     if not rules:
-        return False
+        return None
     fields = rules[0].match.fields
     if len(fields) != 1 or fields[0] not in LPM_FIELDS:
-        return False
+        return None
     name = fields[0]
     by_prefix: dict[tuple[int, int], FlowEntry] = {}
     for entry in rules:
         match = entry.match
-        if match.fields != (name,) or not match.is_prefix(name):
-            return False
-        depth = match.prefix_len(name)
-        if depth == 0:
-            return False  # covered by split_catch_all; a /0 rule here shadows
-        key = (match.value_of(name), depth)  # type: ignore[arg-type]
+        if match.fields != fields or not match.is_prefix(name):
+            return None
+        key = (match.value_of(name), match.prefix_len(name))
         if key in by_prefix:
-            return False  # duplicate prefix with different priority
+            return None  # duplicate prefix with different priority
         by_prefix[key] = entry
     # Priority consistency: "whenever rules overlap the more specific one
     # has higher priority". Overlapping prefixes nest, so walking each
-    # rule's ancestors suffices (O(32 n), not O(n^2)).
-    fdef = field_by_name(name)
-    width = fdef.width
+    # rule's ancestors — at the depths the table holds — suffices.
+    width = field_by_name(name).width
+    depths = sorted({depth for _value, depth in by_prefix})
     for (value, depth), entry in by_prefix.items():
-        for shorter in range(depth - 1, 0, -1):
-            mask = ((1 << shorter) - 1) << (width - shorter)
-            parent = by_prefix.get((value & mask, shorter))
+        for shorter in depths:
+            if shorter >= depth:
+                break
+            shift = width - shorter
+            parent = by_prefix.get((value >> shift << shift, shorter))
             if parent is not None and parent.priority >= entry.priority:
-                return False
-    return True
+                return None
+    return name, by_prefix
 
 
 #: 16-bit port fields the range template understands.
 RANGE_FIELDS = frozenset({"tcp_src", "tcp_dst", "udp_src", "udp_dst"})
 
 
-def port_map(
-    entries: Sequence[FlowEntry],
-) -> "tuple[str, dict[int, FlowEntry]] | None":
-    """``(field, {port: winning entry})`` for a single-port-field table.
+def port_runs(
+    entries: "Sequence[FlowEntry] | FlowTable", config: "CompileConfig | None" = None
+) -> "tuple[str, list[list]] | None":
+    """Range search: ``(field, [[lo, hi, entries], ...])`` when every
+    rule is an exact match on the same :data:`RANGE_FIELDS` port field.
 
-    Returns None unless every non-catch-all rule is an exact match on the
-    same port field. Ports claimed by several rules keep the first
-    (highest-priority) one — the entry the reference interpreter would
-    match, so compiled attribution agrees with it.
+    A run merges consecutive ports whose entries share identical
+    instructions (one interval, one *behavior*) and lists the winning
+    entry of each of its ports: rules merged into a run keep distinct
+    identity (flow counters, verdict paths), and a port claimed by
+    several rules keeps the first — the entry the reference interpreter
+    would match. Selected only when ``enable_range`` is set and the
+    rules really compress (e.g. "allow 1024–2047"); otherwise the hash
+    is faster.
     """
+    if config is not None and not config.enable_range:
+        return None
+    if isinstance(entries, FlowTable):
+        entries = entries.entries
     rules, _catch_all = split_catch_all(entries)
     if not rules:
         return None
-    name = rules[0].match.fields
-    if len(name) != 1 or name[0] not in RANGE_FIELDS:
+    fields = rules[0].match.fields
+    if len(fields) != 1 or fields[0] not in RANGE_FIELDS:
         return None
-    field = name[0]
+    name = fields[0]
     by_port: dict[int, FlowEntry] = {}
     for entry in rules:
-        if entry.match.fields != (field,) or not entry.match.is_exact(field):
+        if entry.match.fields != fields or not entry.match.is_exact(name):
             return None
-        value = entry.match.value_of(field)
-        assert value is not None
-        by_port.setdefault(value, entry)  # first (highest-priority) wins
-    return field, by_port
-
-
-def port_runs(entries: Sequence[FlowEntry]) -> "list[tuple[int, int, FlowEntry]] | None":
-    """Coalesce a single-port-field table into ``(lo, hi, entry)`` runs.
-
-    Runs merge consecutive port values whose entries share identical
-    instructions (the range template maps one interval to one *behavior*;
-    per-port entry identity is preserved separately, see
-    :func:`port_map` and ``compile_range``). ``entry`` is the run's
-    first port's entry. Returns None when :func:`port_map` does.
-    """
-    mapped = port_map(entries)
-    if mapped is None:
-        return None
-    _field, by_port = mapped
-    runs: list[tuple[int, int, FlowEntry]] = []
+        by_port.setdefault(entry.match.value_of(name), entry)
+    runs: list[list] = []
     for port in sorted(by_port):
         entry = by_port[port]
-        if runs and runs[-1][1] == port - 1 and runs[-1][2].instructions == entry.instructions:
-            runs[-1] = (runs[-1][0], port, runs[-1][2])
+        run = runs[-1] if runs else None
+        if run and run[1] == port - 1 and run[2][0].instructions == entry.instructions:
+            run[1] = port
+            run[2].append(entry)
         else:
-            runs.append((port, port, entry))
-    return runs
+            runs.append([port, port, [entry]])
+    if config is not None and len(runs) * 4 > len(rules):
+        return None
+    return name, runs
 
 
-def range_applicable(
-    entries: Sequence[FlowEntry], config: CompileConfig = DEFAULT_CONFIG
-) -> bool:
-    """The range template pays off when exact port rules coalesce into few
-    intervals (e.g. "allow 1024–2047"): far less memory than one hash
-    entry per port, one binary search per lookup."""
-    if not config.enable_range:
-        return False
-    runs = port_runs(entries)
-    if runs is None:
-        return False
-    rules, _ = split_catch_all(entries)
-    # Require real compression, otherwise the hash template is faster.
-    return len(runs) * 4 <= len(rules)
+#: Fig. 4's lattice, top-down (the optional range rung slotted before the
+#: hash): rung -> prerequisite. The linked list has none.
+PREREQUISITES = {
+    TemplateKind.DIRECT: direct_size,
+    TemplateKind.RANGE: port_runs,
+    TemplateKind.HASH: hash_shape,
+    TemplateKind.LPM: lpm_prefixes,
+    TemplateKind.LINKED_LIST: lambda entries, config=None: (),
+}
+
+
+def select(
+    entries: "Sequence[FlowEntry] | FlowTable",
+    config: CompileConfig = DEFAULT_CONFIG,
+    kind: "TemplateKind | None" = None,
+) -> "tuple[TemplateKind, object | None]":
+    """``(rung, its prerequisite's answer)``: the first rung of the
+    lattice whose prerequisite holds — or, ``kind`` forcing a rung, that
+    one's answer, None when the table does not satisfy it."""
+    if kind is None and config.force_linked_list:
+        kind = TemplateKind.LINKED_LIST
+    if kind is not None:
+        return kind, PREREQUISITES[kind](entries)
+    for kind, prerequisite in PREREQUISITES.items():
+        answer = prerequisite(entries, config)
+        if answer is not None:
+            return kind, answer
+    raise AssertionError("the linked list has no prerequisite")
 
 
 def select_template(
     entries: "Sequence[FlowEntry] | FlowTable",
     config: CompileConfig = DEFAULT_CONFIG,
 ) -> TemplateKind:
-    """First applicable template in the efficiency order of Fig. 4
-    (plus the optional range extension, slotted before the hash when its
-    compression prerequisite holds).
-
-    Given the :class:`FlowTable` itself rather than its entries, the hash
-    prerequisite is answered from the shape multiset (:func:`hash_shape`)
-    when the table has it built — ``required_layer`` builds it for every
-    pipeline table — instead of a walk over every entry; the verdict is
-    the same. A table without it (a decomposed sub-table) keeps the
-    walk, which stops at the first mismatch.
-    """
-    if config.force_linked_list:
-        return TemplateKind.LINKED_LIST
-    if len(entries) <= config.direct_threshold:
-        return TemplateKind.DIRECT
-    table = entries if isinstance(entries, FlowTable) else None
-    if table is not None:
-        entries = table.entries
-    if range_applicable(entries, config):
-        return TemplateKind.RANGE
-    if table is not None and table.feature_counts_if_built() is not None:
-        hashable = hash_shape(table) is not None
-    else:
-        hashable = hash_applicable(entries)
-    if hashable:
-        return TemplateKind.HASH
-    if lpm_applicable(entries):
-        return TemplateKind.LPM
-    return TemplateKind.LINKED_LIST
+    """First applicable template in the efficiency order of Fig. 4. Given
+    the :class:`FlowTable` itself rather than its entries, nothing is
+    materialised before a prerequisite needs a walk."""
+    return select(entries, config)[0]

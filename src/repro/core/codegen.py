@@ -37,11 +37,10 @@ import math
 from repro.core.analysis import (
     CompileConfig,
     DEFAULT_CONFIG,
+    PREREQUISITES,
     TemplateKind,
     hash_shape,
-    port_map,
-    port_runs,
-    select_template,
+    select,
     split_catch_all,
 )
 from repro.core.outcome import Outcome, miss_outcome, outcome_of
@@ -51,7 +50,7 @@ from repro.openflow.fields import field_by_name
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
 from repro.openflow.match import Match
-from repro.openflow.messages import FlowMod
+from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
 from repro.simcpu.model import StageCost
 
@@ -80,9 +79,13 @@ class CompiledTable:
     """One table compiled onto one template rung.
 
     The paper's flow table template is a prerequisite, a code template
-    and an update rule (Sections 3.1, 3.4). The prerequisite is checked by
-    the rung's ``compile_*`` emitter; the rest is this contract:
+    and an update rule (Sections 3.1, 3.4). The prerequisite is the
+    rung's row of :data:`~repro.core.analysis.PREREQUISITES`; its answer
+    is the ``plan`` a rung is constructed from (:func:`compile_table`),
+    and the rest is this contract:
 
+    * :meth:`holds` — whether an applied flow-mod left the table on this
+      rung, answered without a walk (or not at all: re-select);
     * :meth:`update` — absorb one applied flow-mod in place, or decline;
     * :attr:`facts` / :attr:`relinks` — what a linker specialised on and
       whether an update moved it (the generation contract, DESIGN §1);
@@ -99,6 +102,8 @@ class CompiledTable:
     """
 
     kind: TemplateKind
+    #: what the prerequisite asks, for the error a forced compile raises.
+    needs = "none"
     #: the generated body is straight-line code with no ``return`` inside
     #: a loop, so ``return X`` rewrites mechanically to ``out = X; break``.
     inlinable = True
@@ -135,6 +140,31 @@ class CompiledTable:
         cache-line trace that only feeds them."""
         raise NotImplementedError
 
+    def holds(self, table: FlowTable, mod: FlowMod, config: CompileConfig) -> bool:
+        """Whether ``select_template`` still lands on this rung now that
+        ``mod`` is applied to ``table`` — answered without walking the
+        entries, and True only when the walk would agree. False asks for
+        the walk: always allowed, and all that most rungs answer."""
+        if (
+            # the range prerequisite is a walk; a non-strict DELETE takes
+            # out every priority of its match, any number of shape classes.
+            config.enable_range
+            or (mod.command is FlowModCommand.DELETE and not mod.strict)
+            or not self._keeps(table, mod)
+        ):
+            return False
+        for kind, prerequisite in PREREQUISITES.items():
+            if kind is self.kind:
+                return True
+            if prerequisite(table, config) is not None:
+                return False  # a rung above holds now
+        return False
+
+    def _keeps(self, table: FlowTable, mod: FlowMod) -> bool:
+        """This rung's own prerequisite after ``mod``, read off the shape
+        multiset: exactly, or as a proof that may only err towards False."""
+        return False
+
     def update(self, table: FlowTable, mod: FlowMod) -> bool:
         """Absorb ``mod`` (already applied to ``table``) without
         recompiling; False asks the caller for a side-by-side rebuild."""
@@ -159,9 +189,7 @@ class CompiledTable:
     def _rebind_miss(self, table: FlowTable) -> None:
         """A catch-all was added or removed: it *is* the miss arm, and an
         inlined body holds its own copy of the name."""
-        last = table.last_entry()  # O(1): no live-tuple rebuild
-        catch_all = last if last is not None and last.match.is_catch_all else None
-        self.namespace["_MISS"] = _miss_of(table, catch_all)
+        self.namespace["_MISS"] = _miss_of(table)
         self.relinks += 1
 
     def outcomes(self) -> list[Outcome]:
@@ -278,20 +306,40 @@ def _guard_lines(guards: list[str]) -> list[str]:
     return [f"    if not ({' and '.join(guards)}):", "        return _MISS"]
 
 
-def _miss_of(table: FlowTable, catch_all: "FlowEntry | None") -> Outcome:
-    return outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
+def _miss_of(table: FlowTable) -> Outcome:
+    """The miss arm of a rung whose prerequisite seats the catch-all, if
+    there is one, last."""
+    last = table.last_entry()  # O(1): no live-tuple rebuild
+    if last is not None and last.match.is_catch_all:
+        return outcome_of(last)
+    return miss_outcome(table)
 
 
 # -- the template rungs ------------------------------------------------------------
 
 
 class DirectTable(CompiledTable):
-    """Direct code: the keys are the instruction stream; any change to
-    them is a rebuild."""
+    """Direct code: straight-line compare-and-jump code.
+
+    A faithful transcription of the paper's example in Section 3.1: each
+    flow entry becomes a protocol-bitmask guard followed by inlined matcher
+    templates with the keys patched in, ending in a jump to its outcome;
+    fall-through is the next entry ("ADDR_NEXT_FLOW"). The keys are the
+    instruction stream, so any change to them is a rebuild. Bounded by
+    :data:`MAX_DIRECT_ENTRIES`, whatever steered the table here.
+    """
 
     kind = TemplateKind.DIRECT
+    needs = "#flows <= CONST"
 
-    def __init__(self, table: FlowTable, config: CompileConfig, costs: CostBook):
+    def __init__(
+        self, table: FlowTable, config: CompileConfig, costs: CostBook, size: int
+    ):
+        if size > MAX_DIRECT_ENTRIES:
+            raise CompileError(
+                f"direct template bound exceeded: {size} entries "
+                f"> {MAX_DIRECT_ENTRIES}"
+            )
         self._outs = [outcome_of(entry) for entry in table.entries]
         #: per entry, its guards and matchers as one condition ("" = none).
         self._checks = [
@@ -340,49 +388,43 @@ class DirectTable(CompiledTable):
         )
 
 
-def compile_direct(
-    table: FlowTable,
-    config: CompileConfig = DEFAULT_CONFIG,
-    costs: CostBook = DEFAULT_COSTS,
-) -> CompiledTable:
-    """The direct code template: straight-line compare-and-jump code.
-
-    A faithful transcription of the paper's example in Section 3.1: each
-    flow entry becomes a protocol-bitmask guard followed by inlined matcher
-    templates with the keys patched in, ending in a jump to its outcome;
-    fall-through is the next entry ("ADDR_NEXT_FLOW"). Bounded by
-    :data:`MAX_DIRECT_ENTRIES`.
-    """
-    if len(table) > MAX_DIRECT_ENTRIES:
-        raise CompileError(
-            f"direct template bound exceeded: {len(table)} entries "
-            f"> {MAX_DIRECT_ENTRIES}"
-        )
-    return DirectTable(table, config, costs)
-
-
 class HashTable(CompiledTable):
-    """Compound hash: one masked key, one collision-free probe. Keyed
-    entries update the store in place; a catch-all rebinds the miss arm."""
+    """Compound hash: global mask + collision-free hash — one masked key,
+    one probe. Keyed entries update the store in place; a catch-all
+    rebinds the miss arm."""
 
     kind = TemplateKind.HASH
+    needs = "global mask over at least one keyed entry"
 
     def __init__(
         self,
         table: FlowTable,
+        config: CompileConfig,
         costs: CostBook,
-        store: CollisionFreeHash,
         shape: tuple[tuple[str, int], ...],
-        guards: list[str],
-        miss: Outcome,
     ):
-        self.hash_store = store
-        self.fields = tuple(name for name, _mask in shape)
+        self.fields = fields = tuple(name for name, _mask in shape)
         self.masks = tuple(mask for _name, mask in shape)
-        self._guards = guards
+        rules = table.entries
+        if rules[-1].match.is_catch_all:
+            rules = rules[:-1]
+        self._guards = _guards(rules[0].match)
+        # Installed rules point at their table's shared template already.
+        items: dict = {}
+        for entry in rules:
+            key = _hash_key_of(entry.match, fields)
+            if key not in items:  # first occurrence = highest priority wins
+                items[key] = Outcome(entry, entry.instructions)
+        # One bulk build instead of insert-at-a-time: a million-entry table
+        # pays a single layout search, not an incremental growth sequence.
+        self.hash_store = store = CollisionFreeHash(items)
         super().__init__(
-            table, costs, {"_MISS": miss, "_H": store, "_Hget": store.get}
+            table, costs,
+            {"_MISS": _miss_of(table), "_H": store, "_Hget": store.get},
         )
+
+    def _keeps(self, table: FlowTable, mod: FlowMod) -> bool:
+        return hash_shape(table) is not None  # exact, and O(shapes)
 
     def _emit(self, costs: "CostBook | None") -> list[str]:
         key = _key_exprs(self.fields, self.masks)
@@ -442,66 +484,41 @@ def _hash_key_of(match: Match, fields: tuple[str, ...]):
     return values[0] if len(values) == 1 else values
 
 
-def compile_hash(
-    table: FlowTable,
-    config: CompileConfig = DEFAULT_CONFIG,
-    costs: CostBook = DEFAULT_COSTS,
-) -> CompiledTable:
-    """The compound hash template: global mask + collision-free hash."""
-    rules = table.entries
-    catch_all = None
-    if rules and rules[-1].match.is_catch_all:
-        rules, catch_all = rules[:-1], rules[-1]
-    if not rules:
-        raise CompileError("hash template needs at least one keyed entry")
-    # One O(shapes) answer for every entry; a second catch-all among the
-    # rules fails it like any other mask mismatch.
-    shape = hash_shape(table)
-    if shape is None:
-        raise CompileError("hash template prerequisite (global mask) violated")
-    fields = tuple(name for name, _mask in shape)
-
-    # Installed rules point at their table's shared template already.
-    items: dict = {}
-    for entry in rules:
-        key = _hash_key_of(entry.match, fields)
-        if key not in items:  # first occurrence = highest priority wins
-            items[key] = Outcome(entry, entry.instructions)
-    # One bulk build instead of insert-at-a-time: a million-entry table
-    # pays a single layout search, not an incremental growth sequence.
-    store = CollisionFreeHash(items)
-    return HashTable(
-        table, costs, store, shape, _guards(rules[0].match),
-        _miss_of(table, catch_all),
-    )
-
-
 class LpmTable(CompiledTable):
     """LPM over DIR-24-8: the store maps a prefix to a slot of the outcome
     list; prefixes add, rebind and delete in place."""
 
     kind = TemplateKind.LPM
+    needs = "one prefix-masked field, priorities consistent with prefix lengths"
 
     def __init__(
         self,
         table: FlowTable,
+        config: CompileConfig,
         costs: CostBook,
-        store: Dir24_8Lpm,
-        name: str,
-        outcomes: list,
-        miss: Outcome,
+        plan: "tuple[str, dict[tuple[int, int], FlowEntry]]",
     ):
-        self.lpm_store = store
-        self.field = name
+        self.field, by_prefix = plan
+        # Growable tbl8 pool: a million-prefix FIB allocates whatever /25+
+        # groups it needs instead of tripping a fixed ceiling.
+        self.lpm_store = store = Dir24_8Lpm()
+        store.add_bulk(
+            [(value, depth, slot) for slot, (value, depth) in enumerate(by_prefix)]
+        )
         #: slot-addressed by the store's next hop; freed slots hold None.
-        self._out = outcomes
+        self._out = outcomes = [
+            Outcome(entry, entry.instructions) for entry in by_prefix.values()
+        ]
         #: recycled slots of the outcome list (freed by incremental DELETE).
         self._free: list[int] = []
+        #: ``(table.shapes_version, verdict)`` of the last :meth:`_keeps`
+        #: scan: churn inside existing shape classes answers from here.
+        self._hazard_free: "tuple[int, bool] | None" = None
         super().__init__(
             table,
             costs,
-            {"_MISS": miss, "_LPM": store, "_LPMlookup": store.lookup,
-             "_OUT": outcomes},
+            {"_MISS": _miss_of(table), "_LPM": store,
+             "_LPMlookup": store.lookup, "_OUT": outcomes},
         )
 
     def _emit(self, costs: "CostBook | None") -> list[str]:
@@ -522,12 +539,30 @@ class LpmTable(CompiledTable):
             + ["    if nh is None:", "        return _MISS", "    return _OUT[nh]"]
         )
 
+    def _is_prefix(self, match: Match) -> bool:
+        return match.fields == (self.field,) and match.is_prefix(self.field)
+
+    def _keeps(self, table: FlowTable, mod: FlowMod) -> bool:
+        """A proof from the shape classes ``(priority, match shape)``
+        alone: what is left of a consistent prefix set is consistent, and
+        a set whose classes hold no :func:`_hazard` pair is consistent
+        for *any* values."""
+        if mod.command is FlowModCommand.DELETE:
+            return True
+        if not (mod.match.is_catch_all or self._is_prefix(mod.match)):
+            return False
+        memo = self._hazard_free
+        if memo is None or memo[0] != table.shapes_version:
+            classes = {(feats[0], feats[1]) for feats in table.feature_counts()}
+            memo = self._hazard_free = (table.shapes_version, not _hazard(classes))
+        return memo[1]
+
     def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:
         match = mod.match
         if match.is_catch_all:
             self._rebind_miss(table)
             return True
-        if match.fields != (self.field,) or not match.is_prefix(self.field):
+        if not self._is_prefix(match):
             return False
         value = match.value_of(self.field)
         depth = match.prefix_len(self.field)
@@ -575,38 +610,25 @@ class LpmTable(CompiledTable):
         )
 
 
-def compile_lpm(
-    table: FlowTable,
-    config: CompileConfig = DEFAULT_CONFIG,
-    costs: CostBook = DEFAULT_COSTS,
-) -> CompiledTable:
-    """The LPM template backed by the DIR-24-8 ``rte_lpm`` structure."""
-    rules, catch_all = split_catch_all(table.entries)
-    if not rules:
-        raise CompileError("LPM template needs at least one prefix entry")
-    name = rules[0].match.fields[0]
-    # Growable tbl8 pool: a million-prefix FIB allocates whatever /25+
-    # groups it needs instead of tripping a fixed ceiling.
-    store = Dir24_8Lpm()
-    outcomes: list = []
-    adds: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for entry in rules:
-        match = entry.match
-        if match.fields != (name,) or not match.is_prefix(name):
-            raise CompileError("LPM template prerequisite (prefix masks) violated")
-        value = match.value_of(name)
-        depth = match.prefix_len(name)
-        assert value is not None
-        norm = (Dir24_8Lpm._prefix(value, depth), depth)
-        if norm in seen:
-            continue  # shadowed duplicate: the highest-priority rule wins
-        seen.add(norm)
-        adds.append((value, depth, len(outcomes)))
-        outcomes.append(Outcome(entry, entry.instructions))
-    store.add_bulk(adds)
-    return LpmTable(
-        table, costs, store, name, outcomes, _miss_of(table, catch_all)
+def _hazard(classes: "set[tuple[int, tuple]]") -> bool:
+    """Any pair of distinct shape classes that *could* hide a duplicate-
+    prefix or ancestor-priority conflict, regardless of entry values.
+
+    A class is ``(priority, match shape)``; prefix depth is the mask
+    popcount (a catch-all counts as depth 0). Distinct classes with
+    ``d1 <= d2`` and ``p1 >= p2`` are hazardous: equal depths admit the
+    same prefix at two priorities, and a shallower prefix at >= priority
+    can shadow a descendant — the two conditions ``lpm_prefixes`` walks
+    the value set to rule out.
+    """
+    flat = [
+        (prio, sum(int(m).bit_count() for _n, m in shape))
+        for prio, shape in classes
+    ]
+    return any(
+        i != j and d1 <= d2 and p1 >= p2
+        for i, (p1, d1) in enumerate(flat)
+        for j, (p2, d2) in enumerate(flat)
     )
 
 
@@ -627,14 +649,23 @@ def _build_sig_matcher(sig: tuple, index: int):
 
 
 class LinkedListTable(CompiledTable):
-    """Linked list (tuple space search): the code walks a mutable entry
-    list, so any mod is absorbed by rewriting the list; the generated
-    code object never changes."""
+    """Linked list: tuple space search with shared matchers.
+
+    "For every relevant combination of fields a separate matcher function
+    is constructed … and these matchers are called iteratively with
+    subsequent flow entry keys as input" (Section 3.1). The matcher
+    functions are themselves generated code, one per mask signature, shared
+    across all entries with that signature. The code walks a mutable entry
+    list, so any mod is absorbed by rewriting the list; the generated code
+    object never changes. No prerequisite.
+    """
 
     kind = TemplateKind.LINKED_LIST
     inlinable = False  # returns from inside its entry loop
 
-    def __init__(self, table: FlowTable, costs: CostBook):
+    def __init__(
+        self, table: FlowTable, config: CompileConfig, costs: CostBook, plan: object
+    ):
         #: generated matcher functions by mask signature, shared by every
         #: entry with that signature and kept across updates.
         self.ll_matchers: dict[tuple, object] = {}
@@ -670,7 +701,9 @@ class LinkedListTable(CompiledTable):
             values = tuple(v for _name, (v, _m) in entry.match.items())
             entries.append((_guard_masks(entry.match), fn, values, outcome_of(entry)))
         self.ll_entries[:] = entries
-        self.namespace["_MISS"] = _miss_of(table, catch_all)
+        self.namespace["_MISS"] = (
+            outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
+        )
 
     def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:
         self._load(table)
@@ -693,46 +726,41 @@ class LinkedListTable(CompiledTable):
         )
 
 
-def compile_linked_list(
-    table: FlowTable,
-    config: CompileConfig = DEFAULT_CONFIG,
-    costs: CostBook = DEFAULT_COSTS,
-) -> CompiledTable:
-    """The linked list template: tuple space search with shared matchers.
-
-    "For every relevant combination of fields a separate matcher function
-    is constructed … and these matchers are called iteratively with
-    subsequent flow entry keys as input" (Section 3.1). The matcher
-    functions are themselves generated code, one per mask signature, shared
-    across all entries with that signature. No prerequisite.
-    """
-    return LinkedListTable(table, costs)
-
-
 class RangeTable(CompiledTable):
-    """Range search: sorted port intervals, one binary search; the
-    interval arrays are rebuilt, never patched."""
+    """Range search for port matches (optional extension).
+
+    Section 3.1 lists "range search for port matches" as a table template
+    that "can easily be added in the future": exact port rules coalesce
+    into ``(lo, hi) -> outcome`` intervals looked up by binary search —
+    one interval instead of thousands of hash entries for an
+    "allow 1024–2047"-style rule block. The interval arrays are rebuilt,
+    never patched.
+    """
 
     kind = TemplateKind.RANGE
+    needs = "exact port runs"
 
     def __init__(
         self,
         table: FlowTable,
+        config: CompileConfig,
         costs: CostBook,
-        name: str,
-        starts: list[int],
-        ends: list[int],
-        outs: list[list[Outcome]],
-        miss: Outcome,
+        plan: "tuple[str, list[list]]",
     ):
-        self.field = name
-        self._outs = outs
-        self._levels = max(1, math.ceil(math.log2(len(starts) + 1)))
+        self.field, runs = plan
+        # One outcome per PORT, grouped by run: the hit must resolve to
+        # the exact port's entry — the one the reference interpreter credits.
+        self._outs = outs = [
+            [outcome_of(entry) for entry in members] for _lo, _hi, members in runs
+        ]
+        self._levels = max(1, math.ceil(math.log2(len(runs) + 1)))
         super().__init__(
             table,
             costs,
-            {"_MISS": miss, "_STARTS": starts, "_ENDS": ends, "_OUTS": outs,
-             "_bisect": bisect.bisect_right},
+            {"_MISS": _miss_of(table),
+             "_STARTS": [lo for lo, _hi, _members in runs],
+             "_ENDS": [hi for _lo, hi, _members in runs],
+             "_OUTS": outs, "_bisect": bisect.bisect_right},
         )
 
     def _charge(self, costs: CostBook) -> float:
@@ -769,50 +797,9 @@ class RangeTable(CompiledTable):
         )
 
 
-def compile_range(
-    table: FlowTable,
-    config: CompileConfig = DEFAULT_CONFIG,
-    costs: CostBook = DEFAULT_COSTS,
-) -> CompiledTable:
-    """The range-search template for port matches (optional extension).
-
-    Section 3.1 lists "range search for port matches" as a table template
-    that "can easily be added in the future": exact port rules coalesce
-    into ``(lo, hi) -> outcome`` intervals looked up by binary search —
-    one interval instead of thousands of hash entries for an
-    "allow 1024–2047"-style rule block.
-    """
-    runs = port_runs(table.entries)
-    mapped = port_map(table.entries)
-    if runs is None or mapped is None:
-        raise CompileError("range template prerequisite (exact port runs) violated")
-    _rules, catch_all = split_catch_all(table.entries)
-    name, by_port = mapped
-    # One outcome per PORT, grouped by run: rules merged into a run share
-    # behavior but keep distinct identity (flow counters, verdict paths),
-    # so the hit must resolve to the exact port's entry — the same entry
-    # the reference interpreter credits.
-    outs = [
-        [outcome_of(by_port[port]) for port in range(lo, hi + 1)]
-        for lo, hi, _e in runs
-    ]
-    return RangeTable(
-        table,
-        costs,
-        name,
-        [lo for lo, _hi, _e in runs],
-        [hi for _lo, hi, _e in runs],
-        outs,
-        _miss_of(table, catch_all),
-    )
-
-
-_EMITTERS = {
-    TemplateKind.DIRECT: compile_direct,
-    TemplateKind.HASH: compile_hash,
-    TemplateKind.LPM: compile_lpm,
-    TemplateKind.LINKED_LIST: compile_linked_list,
-    TemplateKind.RANGE: compile_range,
+_RUNGS = {
+    rung.kind: rung
+    for rung in (DirectTable, HashTable, LpmTable, LinkedListTable, RangeTable)
 }
 
 
@@ -822,7 +809,12 @@ def compile_table(
     costs: CostBook = DEFAULT_COSTS,
     kind: "TemplateKind | None" = None,
 ) -> CompiledTable:
-    """Analyze (unless ``kind`` forces a template) and compile one table."""
-    if kind is None:
-        kind = select_template(table, config)
-    return _EMITTERS[kind](table, config, costs)
+    """Analyze (unless ``kind`` forces a template) and compile one table:
+    the rung is constructed from its prerequisite's answer, asked once."""
+    kind, plan = select(table, config, kind)
+    rung = _RUNGS[kind]
+    if plan is None:
+        raise CompileError(
+            f"{kind.value} template prerequisite ({rung.needs}) violated"
+        )
+    return rung(table, config, costs, plan)

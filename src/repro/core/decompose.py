@@ -7,8 +7,8 @@ linked list. The algorithm greedily decomposes along the column of minimal
 diversity (fewest subtables) and recurses on the rows still reachable.
 
 The exact problem (minimal number of regular tables) is coNP-hard
-(Appendix; see :mod:`repro.theory.regdecomp`), hence the heuristic
-"focusing on speed instead of efficiency".
+(Appendix; the reduction runs in ``tests/theory/regdecomp.py``), hence the
+heuristic "focusing on speed instead of efficiency".
 
 Prerequisite (the paper's simplified setting, extended to masked keys):
 within each column, every non-wildcard rule must use the *same* mask, so

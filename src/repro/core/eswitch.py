@@ -57,7 +57,6 @@ from repro.openflow.flow_table import FlowTable
 from repro.openflow.messages import (
     ErrorMsg,
     FlowMod,
-    FlowModCommand,
     FlowModReply,
     PacketIn,
     reply_to_flow_mods,
@@ -69,28 +68,6 @@ from repro.simcpu.costs import CostBook, DEFAULT_COSTS
 from repro.simcpu.recorder import Meter, NULL_METER
 
 
-def _lpm_hazard(classes: "set[tuple[int, tuple]]") -> bool:
-    """Any pair of distinct shape classes that *could* hide a duplicate-
-    prefix or ancestor-priority conflict, regardless of entry values.
-
-    A class is ``(priority, match signature)``; prefix depth is the mask
-    popcount (a catch-all counts as depth 0). Distinct classes with
-    ``d1 <= d2`` and ``p1 >= p2`` are hazardous: equal depths admit the
-    same prefix at two priorities, and a shallower prefix at >= priority
-    can shadow a descendant — exactly the two conditions
-    ``lpm_applicable`` walks the value set to rule out.
-    """
-    flat = [
-        (prio, sum(int(m).bit_count() for _n, m in sig))
-        for prio, sig in classes
-    ]
-    for i, (p1, d1) in enumerate(flat):
-        for j, (p2, d2) in enumerate(flat):
-            if i != j and d1 <= d2 and p1 >= p2:
-                return True
-    return False
-
-
 @dataclass
 class UpdateStats:
     """How updates were absorbed (Fig. 18's mechanism)."""
@@ -99,8 +76,8 @@ class UpdateStats:
     rebuilds: int = 0
     fallbacks: int = 0
     group_rebuilds: int = 0
-    #: template re-selections skipped by the shape-class stability proof
-    #: (the O(entries) scan never ran for these mods).
+    #: template re-selections the compiled rung answered without walking
+    #: the entries (``CompiledTable.holds``).
     kind_stable_skips: int = 0
     #: mods that provably changed nothing (a DELETE matching no live
     #: entry — including predicates that would only have hit tombstoned
@@ -200,12 +177,6 @@ class ESwitch:
         #: to the linked-list universal representation: id -> reason.
         self.quarantined: dict[int, str] = {}
         self.compile_failures = 0
-        #: memoized LPM hazard verdicts: table id -> (shapes_version,
-        #: hazard-free). The hazard scan is O(classes²) over the shape
-        #: set alone, and ``shapes_version`` moves whenever that set may
-        #: have changed — so churn within existing classes answers from
-        #: the cache instead of re-scanning every ADD.
-        self._lpm_hazard_free: dict[int, tuple[int, bool]] = {}
         self.datapath = CompiledDatapath(
             first_table=pipeline.first_table.table_id,
             parser_layer=required_layer(pipeline),
@@ -484,18 +455,7 @@ class ESwitch:
         after it."""
         table = self.pipeline.get_or_create(mod.table_id)
         new_table = mod.table_id not in self._groups
-        len_before = len(table)
         shapes_before = table.shapes_version
-        pre_class_exists = False
-        if not new_table and mod.command is not FlowModCommand.DELETE:
-            # Does the mod's (priority, match-shape) class already exist?
-            # Answered *before* the mutation from the O(shapes) feature
-            # multiset; the add below then maintains it incrementally.
-            sig = tuple((n, m) for n, (_v, m) in mod.match.items())
-            pre_class_exists = any(
-                k[0] == mod.priority and k[1] == sig
-                for k in table.feature_counts()
-            )
         removed, added = write(mod)
         if not removed and added is None and not new_table:
             # Nothing matched: logical and compiled state are already
@@ -512,8 +472,7 @@ class ESwitch:
         # changed either — skip the O(tables × shapes) recompute.
         if new_table or table.shapes_version != shapes_before:
             self._replan_parser()
-        kind_stable = self._kind_stable(table, mod, len_before, pre_class_exists)
-        cycles = self._recompile_after_update(table, mod, new_table, kind_stable)
+        cycles = self._recompile_after_update(table, mod, new_table)
         self.update_stats.cycles += cycles
         return cycles
 
@@ -576,79 +535,8 @@ class ESwitch:
         """
         return reply_to_flow_mods(self.admit_flow_mods, self.apply_flow_mods, mods)
 
-    def _kind_stable(
-        self,
-        table: FlowTable,
-        mod: FlowMod,
-        len_before: int,
-        pre_class_exists: bool,
-    ) -> bool:
-        """True when this mod provably cannot change the selected template.
-
-        ``select_template`` is O(entries) — ran per flow-mod it turns
-        million-entry churn into a template-reselection benchmark. But
-        template applicability depends almost entirely on the table's
-        *shape classes* ``(priority, match signature)``, of which there
-        are a handful, so most mods can prove stability from the
-        :meth:`~repro.openflow.flow_table.FlowTable.feature_counts`
-        multiset alone:
-
-        * HASH applicability is shape-only. An ADD into an existing class
-          (or any strict DELETE that leaves a keyed class standing)
-          cannot change it.
-        * LPM applicability is value-dependent only through *hazard
-          pairs* — distinct classes ``(p1, d1)``, ``(p2, d2)`` with
-          ``d1 <= d2`` and ``p1 >= p2``, the shape of both duplicate-
-          prefix-at-different-priority and ancestor-priority conflicts.
-          A hazard-free class set is consistent for *any* values; strict
-          DELETE from a consistent set always stays consistent.
-
-        Everything value- or mode-sensitive falls through to the full
-        recompute: wildcard deletes, range/linked-list modes, tables near
-        the direct-code threshold, new shape classes.
-        """
-        config = self.config
-        if config.force_linked_list or config.enable_range:
-            return False
-        if min(len(table), len_before) <= config.direct_threshold:
-            return False
-        if mod.command is FlowModCommand.DELETE and not mod.strict:
-            return False
-        group = self._groups.get(table.table_id)
-        if group is None or group.decomposed:
-            return False
-        compiled = self.datapath.trampoline.get(table.table_id)
-        if compiled is None:
-            return False
-        is_delete = mod.command is FlowModCommand.DELETE
-        counts = table.feature_counts()  # post-mod
-        if compiled.kind is TemplateKind.HASH:
-            if not is_delete and not pre_class_exists:
-                return False
-            # A delete may extinguish the last keyed class, leaving only
-            # catch-alls — no longer hash material.
-            return any(k[1] for k in counts)
-        if compiled.kind is TemplateKind.LPM:
-            if is_delete:
-                return True
-            if not pre_class_exists:
-                return False
-            shapes = table.shapes_version
-            cached = self._lpm_hazard_free.get(table.table_id)
-            if cached is not None and cached[0] == shapes:
-                return cached[1]
-            classes = {(k[0], k[1]) for k in counts}
-            free = not _lpm_hazard(classes)
-            self._lpm_hazard_free[table.table_id] = (shapes, free)
-            return free
-        return False
-
     def _recompile_after_update(
-        self,
-        table: FlowTable,
-        mod: FlowMod,
-        new_table: bool,
-        kind_stable: bool = False,
+        self, table: FlowTable, mod: FlowMod, new_table: bool
     ) -> float:
         costs = self.costs
         stats = self.update_stats
@@ -669,12 +557,9 @@ class ESwitch:
             return costs.es_update_incremental
 
         compiled = self.datapath.table(table.table_id)
-        if kind_stable:
-            new_kind = compiled.kind
+        if compiled.holds(table, mod, self.config):
             stats.kind_stable_skips += 1
-        else:
-            new_kind = select_template(table, self.config)
-        if new_kind is not compiled.kind:
+        elif select_template(table, self.config) is not compiled.kind:
             # Prerequisite changed: fall back (or upgrade) with a rebuild.
             stats.fallbacks += 1
             self._rebuild_group(table.table_id)

@@ -124,8 +124,13 @@ def _build_hash(rng, tid, later, groups, meters):
             _entry_obj(rng, fields, rng.randint(1, 7), later, groups, meters)
         )
         profiles.append(fields)
-    if rng.random() < 0.3:  # split-off catch-all (strictly lowest priority)
-        entries.append(_entry_obj(rng, {}, 0, later, groups, meters))
+    if rng.random() < 0.3:
+        # Split-off catch-all: lowest priority, strictly or level with the
+        # lowest rules — seated last either way, as it is installed last.
+        lowest = min(entry["priority"] for entry in entries)
+        entries.append(
+            _entry_obj(rng, {}, rng.choice((0, lowest)), later, groups, meters)
+        )
     return entries, profiles
 
 
@@ -252,7 +257,9 @@ def _burst(rng, profiles, size, allow_malformed) -> list:
     return out
 
 
-def _mods_batch(rng, tids, profiles, group_ids, meter_ids, quarantine) -> list:
+def _mods_batch(rng, tids, profiles, group_ids, meter_ids, quarantine, level) -> list:
+    """``level``: per table holding a catch-all, its rules' field maps and
+    the catch-all's priority."""
     batch = []
     for _ in range(rng.randint(1, 3)):
         # Bias toward quarantined tables: a clean rebuild heals them, and
@@ -271,8 +278,16 @@ def _mods_batch(rng, tids, profiles, group_ids, meter_ids, quarantine) -> list:
             }
         else:
             fields = domain.random_fields(rng)
-            obj = _entry_obj(rng, fields, rng.randint(0, 9), later,
-                             group_ids, meter_ids)
+            priority = rng.randint(0, 9)
+            if tid in level and rng.random() < 0.4:
+                # One of the table's own shapes, level with its catch-all:
+                # installed behind it, the catch-all shadows the new rule.
+                shapes, priority = level[tid]
+                fields = {
+                    name: (domain.domain_value(rng, name) & mask, mask)
+                    for name, (_value, mask) in rng.choice(shapes).items()
+                }
+            obj = _entry_obj(rng, fields, priority, later, group_ids, meter_ids)
             obj["cmd"] = rng.choice(["add", "add", "modify"])
             obj["table"] = tid
             profiles.append(fields)
@@ -365,7 +380,7 @@ def _generate_once(
         meters_obj.append({"id": 1, "rate_pps": 1000.0, "burst": 1})
         meter_ids.append(1)
 
-    tables_obj, profiles = [], []
+    tables_obj, profiles, level = [], [], {}
     tids = list(range(n_tables))
     for tid, rung in zip(tids, rungs):
         later = [t for t in tids if t > tid]
@@ -379,6 +394,9 @@ def _generate_once(
             "entries": entries,
         })
         profiles.extend(table_profiles)
+        catch_alls = [e["priority"] for e in entries if not e["match"]]
+        if catch_alls and table_profiles:
+            level[tid] = (table_profiles, catch_alls[-1])
 
     quarantine: tuple = ()
     if allow_quarantine and rng.random() < 0.2:
@@ -389,7 +407,7 @@ def _generate_once(
     for i in range(rng.randint(1, 4)):
         if i and allow_mods and rng.random() < 0.5:
             events.append({"mods": _mods_batch(
-                rng, tids, profiles, group_ids, meter_ids, quarantine
+                rng, tids, profiles, group_ids, meter_ids, quarantine, level
             )})
         events.append({"burst": _burst(
             rng, profiles, rng.randint(2, 12), allow_malformed

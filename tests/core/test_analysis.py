@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.analysis import (
+    PREREQUISITES,
     CompileConfig,
     TemplateKind,
-    hash_applicable,
     hash_shape,
-    lpm_applicable,
+    lpm_prefixes,
     select_template,
     split_catch_all,
 )
-from repro.core.codegen import CompileError, compile_hash
+from repro.core.codegen import CompileError, compile_table
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
@@ -62,7 +62,7 @@ class TestDirectThreshold:
 class TestHashPrerequisite:
     def test_uniform_exact_matches(self):
         entries = [e(1, eth_dst=i) for i in range(10)]
-        assert hash_applicable(entries)
+        assert hash_shape(entries) is not None
         assert select_template(entries) is TemplateKind.HASH
 
     def test_global_mask_multi_field(self):
@@ -70,7 +70,7 @@ class TestHashPrerequisite:
             e(1, ipv4_dst=(0xC0000200 + (i << 8), 0xFFFFFF00), tcp_dst=80 + i)
             for i in range(8)
         ]
-        assert hash_applicable(entries)
+        assert hash_shape(entries) is not None
 
     def test_paper_example_mask_violation(self):
         """Section 3.1: adding a wildcard-port entry breaks the global mask."""
@@ -78,24 +78,24 @@ class TestHashPrerequisite:
             e(3, ipv4_dst="192.0.2.0/24", tcp_dst=80),
             e(2, ipv4_dst="198.51.100.0/24", tcp_dst=21),
         ]
-        assert hash_applicable(good)
+        assert hash_shape(good) is not None
         bad = good + [e(1, ipv4_dst="203.0.113.0/24")]
-        assert not hash_applicable(bad)
+        assert hash_shape(bad) is None
 
     def test_catch_all_allowed(self):
         entries = [e(1, eth_dst=i) for i in range(10)] + [e(0)]
-        assert hash_applicable(entries)
+        assert hash_shape(entries) is not None
 
     def test_different_masks_rejected(self):
         entries = [
             e(2, ipv4_dst="10.0.0.0/8"),
             e(1, ipv4_dst="192.0.2.0/24"),
         ] * 3
-        assert not hash_applicable(entries)
+        assert hash_shape(entries) is None
 
     def test_empty_not_applicable(self):
-        assert not hash_applicable([])
-        assert not hash_applicable([e(0)])
+        assert hash_shape([]) is None
+        assert hash_shape([e(0)]) is None
 
 
 class TestLpmPrerequisite:
@@ -104,7 +104,7 @@ class TestLpmPrerequisite:
 
     def test_prefix_rules_accepted(self):
         entries = self.prefixes(("10.0.0.0", 8), ("10.1.0.0", 16), ("192.0.2.0", 24))
-        assert lpm_applicable(entries)
+        assert lpm_prefixes(entries) is not None
         entries = entries * 2  # > direct threshold
         assert select_template(self.prefixes(
             ("10.0.0.0", 8), ("10.1.0.0", 16), ("192.0.2.0", 24),
@@ -119,24 +119,24 @@ class TestLpmPrerequisite:
             FlowEntry(Match(ipv4_dst="192.0.2.12/30"), priority=20,
                       actions=[Output(2)]),
         ]
-        assert not lpm_applicable(entries)
+        assert lpm_prefixes(entries) is None
 
     def test_non_prefix_mask_rejected(self):
         # A suffix mask is not a contiguous prefix: LPM cannot represent it.
         entries = [e(2, ipv4_dst=(0, 0x0000FFFF)), e(1, ipv4_dst=(1, 0xFFFFFFFF))]
-        assert not lpm_applicable(entries)
+        assert lpm_prefixes(entries) is None
 
     def test_multi_field_rejected(self):
         entries = [e(1, ipv4_dst="10.0.0.0/8", tcp_dst=80)]
-        assert not lpm_applicable(entries)
+        assert lpm_prefixes(entries) is None
 
     def test_non_lpm_field_rejected(self):
         entries = [e(1, eth_dst=(0x10, 0xFFFF00000000))]
-        assert not lpm_applicable(entries)
+        assert lpm_prefixes(entries) is None
 
     def test_catch_all_as_default_route(self):
         entries = self.prefixes(("10.0.0.0", 8), ("10.1.0.0", 16)) + [e(0)]
-        assert lpm_applicable(entries)
+        assert lpm_prefixes(entries) is not None
 
 
 class TestFallbackChain:
@@ -163,6 +163,48 @@ def table_of(*entries):
     for entry in entries:
         table.add(entry)
     return table
+
+
+class TestOnePrerequisitePerRung:
+    """Selection and compilation ask the same function, once: the rung is
+    built from the answer, not from a second walk of the entries."""
+
+    TABLES = {
+        TemplateKind.LPM: lambda: table_of(
+            *[e(24, ipv4_dst=f"10.0.{i}.0/24") for i in range(6)],
+            e(16, ipv4_dst="10.0.0.0/16"), e(0)),
+        TemplateKind.RANGE: lambda: table_of(
+            *[e(1, tcp_dst=port) for port in range(1000, 1032)], e(0)),
+        TemplateKind.HASH: lambda: table_of(
+            *[e(1, eth_dst=i) for i in range(8)], e(0)),
+    }
+
+    @pytest.mark.parametrize("forced", [False, True], ids=["selected", "forced"])
+    @pytest.mark.parametrize("rung", TABLES, ids=lambda rung: rung.value)
+    def test_one_evaluation_per_compile(self, rung, forced, monkeypatch):
+        calls = []
+        real = PREREQUISITES[rung]
+
+        def counted(entries, config=None):
+            calls.append(config)
+            return real(entries, config)
+
+        monkeypatch.setitem(PREREQUISITES, rung, counted)
+        config = CompileConfig(enable_range=True)
+        compiled = compile_table(self.TABLES[rung](), config,
+                                 kind=rung if forced else None)
+        assert compiled.kind is rung
+        # Forced, the thresholds that steer selection are not consulted.
+        assert calls == [None if forced else config]
+
+    def test_forced_rung_raises_what_selection_would_skip(self):
+        inverted = table_of(e(8, ipv4_dst="10.0.0.0/8"),
+                            e(4, ipv4_dst="10.1.0.0/16"))
+        assert select_template(inverted.entries,
+                               CompileConfig(direct_threshold=0)
+                               ) is TemplateKind.LINKED_LIST
+        with pytest.raises(CompileError, match="priorities consistent"):
+            compile_table(inverted, kind=TemplateKind.LPM)
 
 
 @st.composite
@@ -197,8 +239,8 @@ CONFIGS = [
 
 
 class TestTableFormAgrees:
-    """``select_template(table)`` answers the hash prerequisite from the
-    shape multiset; the walk over ``table.entries`` is the oracle."""
+    """``hash_shape`` reads a table's shape multiset where it is built
+    and walks otherwise; the walk over ``table.entries`` is the oracle."""
 
     def check(self, table):
         # Before the multiset is built the table form walks (a decomposed
@@ -211,7 +253,8 @@ class TestTableFormAgrees:
                 assert select_template(table, config) is select_template(
                     table.entries, config
                 )
-        assert (hash_shape(table) is not None) == hash_applicable(table.entries)
+        assert table.feature_counts_if_built() is not None
+        assert hash_shape(table) == hash_shape(table.entries)
 
     @settings(max_examples=150, deadline=None)
     @given(tied_tables(max_entries=9))
@@ -281,6 +324,9 @@ class TestTableFormAgrees:
             self.check(table)
 
     def test_compile_hash_refuses_from_the_same_check(self):
+        def compile_hash(table):
+            return compile_table(table, kind=TemplateKind.HASH)
+
         good = table_of(*[e(5, eth_dst=i) for i in range(6)], e(0))
         assert compile_hash(good).kind is TemplateKind.HASH
         for bad in (

@@ -1,26 +1,36 @@
-"""The shape-class stability fast path: per-mod template re-selection
-is skipped only when provably safe, and never masks a real kind change.
+"""Per-mod template re-selection: the compiled rung answers it from the
+shape multiset where it can, and the answer is never anything but what
+``select_template`` would say.
 
 Million-entry churn (the megascale rig) dies on anything O(entries) per
-flow-mod; ``ESwitch._kind_stable`` proves from the O(shapes) feature
-multiset that a mod cannot move the table to another template rung. These
-tests pin both directions: steady churn takes the skip, and every
-boundary that can genuinely change the rung (new shape class, LPM hazard
-pairs, the direct-code threshold, wildcard deletes) falls through to the
-full ``select_template`` recompute.
+flow-mod; ``CompiledTable.holds`` answers "is this table still on my
+rung" in O(shapes) — the hash prerequisite itself, re-read; a proof from
+the shape classes for LPM. These tests pin both directions: steady churn
+takes the skip, and after *any* batch, accepted or rolled back, every
+table sits on the rung a fresh compile of the same pipeline picks.
 """
+
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import strategies as sts
 
 from repro.core import CompileConfig, ESwitch
 from repro.core.analysis import TemplateKind, select_template
+from repro.core.codegen import _hazard
 from repro.core.datapath import required_layer
-from repro.core.eswitch import _lpm_hazard
 from repro.openflow.actions import DecTtl, Output, SetField
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
-from repro.openflow.instructions import ApplyActions
+from repro.openflow.instructions import ApplyActions, GotoTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
+from repro.openflow.timeouts import PipelineAdapter
+from repro.packet import PacketBuilder
 from repro.usecases import l2, l3
 
 
@@ -113,6 +123,21 @@ class TestLpmChurnSkips:
         assert sw.compiled_table(0).kind is TemplateKind.LPM
 
 
+    def test_delete_that_leaves_one_mask_moves_up_to_the_hash(self):
+        table = FlowTable(0)
+        for i in range(6):
+            table.add(FlowEntry(Match(ipv4_dst=f"10.0.{i}.0/24"), priority=24,
+                                actions=[Output(1)]))
+        table.add(FlowEntry(Match(ipv4_dst="10.0.0.0/16"), priority=16,
+                            actions=[Output(2)]))
+        sw = ESwitch.from_pipeline(Pipeline([table]))
+        assert sw.table_kinds() == {0: "lpm"}
+        sw.apply_flow_mod(strict_delete(0, 16, ipv4_dst="10.0.0.0/16"))
+        # What is left satisfies a rung above: a fresh compile hashes it.
+        assert sw.table_kinds() == fresh_kinds(sw) == {0: "hash"}
+        assert sw.update_stats.kind_stable_skips == 0
+
+
 class TestLpmHazard:
     def test_depth_ordered_priorities_are_hazard_free(self):
         classes = {
@@ -120,21 +145,21 @@ class TestLpmHazard:
             (24, (("ipv4_dst", 0xFFFFFF00),)),
             (0, ()),
         }
-        assert not _lpm_hazard(classes)
+        assert not _hazard(classes)
 
     def test_equal_depth_two_priorities_is_hazardous(self):
         classes = {
             (24, (("ipv4_dst", 0xFFFFFF00),)),
             (23, (("ipv4_dst", 0xFFFFFF00),)),
         }
-        assert _lpm_hazard(classes)
+        assert _hazard(classes)
 
     def test_shallow_outranking_deep_is_hazardous(self):
         classes = {
             (30, (("ipv4_dst", 0xFFFF0000),)),
             (24, (("ipv4_dst", 0xFFFFFF00),)),
         }
-        assert _lpm_hazard(classes)
+        assert _hazard(classes)
 
 
 class TestSkipNeverChangesSelection:
@@ -156,6 +181,151 @@ class TestSkipNeverChangesSelection:
                 select_template(table.entries, sw.config)
                 is sw.compiled_table(0).kind
             )
+
+
+def fresh_kinds(sw):
+    """What a clean switch compiles the same logical tables to."""
+    twin = ESwitch.from_pipeline(pickle.loads(pickle.dumps(sw.pipeline)),
+                                 config=sw.config)
+    return twin.table_kinds()
+
+
+def mac_pkt(mac):
+    return PacketBuilder(in_port=1).eth(dst=mac).ipv4().udp().build()
+
+
+class TestKeyedRuleAtTheCatchAllPriority:
+    """An ADD into a shape class that exists is not enough to stay on the
+    hash: level with the catch-all it lands *behind* it, where the
+    catch-all is no longer the miss arm but a rule that shadows it."""
+
+    @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "trampoline"])
+    @pytest.mark.parametrize("priorities", [(0,), (10, 0)])
+    def test_rule_behind_the_catch_all_leaves_the_hash(self, priorities, fuse):
+        table = FlowTable(0)
+        for i in range(8):
+            table.add(FlowEntry(Match(eth_dst=0x0200_0000_0000 + i),
+                                priority=priorities[i % len(priorities)],
+                                actions=[Output(1)]))
+        table.add(FlowEntry(Match(), priority=0, actions=[Output(9)]))
+        sw = ESwitch.from_pipeline(Pipeline([table]),
+                                   config=CompileConfig(fuse=fuse))
+        assert sw.warm() is fuse and sw.table_kinds() == {0: "hash"}
+        reply = sw.submit_flow_mods([add(0, priority=0, port=2,
+                                         eth_dst=0x0200_0000_00FF)])
+        assert reply.accepted
+        assert sw.table_kinds() == fresh_kinds(sw) == {0: "linked_list"}
+        pkt = mac_pkt(0x0200_0000_00FF)
+        assert sw.pipeline.process(pkt.copy()).output_ports == [9]
+        assert sw.process(pkt.copy()).output_ports == [9]
+
+
+class TestMemoDiesWithTheCompiledTable:
+    def batch(self, wide_priority, wide):
+        """Creates table 5 as an LPM table and points table 0 at it."""
+        narrow = [f"10.1.{i}.0/24" for i in range(5)]
+        return [
+            *[add(5, priority=24, port=7, ipv4_dst=p) for p in narrow[:4]],
+            *[add(5, priority=wide_priority, port=2, ipv4_dst=p) for p in wide],
+            add(5, priority=24, port=7, ipv4_dst=narrow[4]),
+            FlowMod(FlowModCommand.ADD, 0, Match(in_port=1), priority=5,
+                    instructions=(GotoTable(5),)),
+        ]
+
+    def test_recreated_table_id_meets_no_stale_verdict(self):
+        def pipeline():
+            table = FlowTable(0)
+            table.add(FlowEntry(Match(), priority=0, actions=[Output(9)]))
+            return Pipeline([table])
+
+        sw = ESwitch.from_pipeline(pipeline())
+        reference = PipelineAdapter(pipeline())
+        # Hazard-free classes (/16@16 under /24@24), proved, rolled back.
+        poison = FlowMod(FlowModCommand.ADD, 0, Match(), priority=-1)
+        with pytest.raises(ValueError):
+            sw.apply_flow_mods(
+                [*self.batch(16, ["10.20.0.0/16", "10.21.0.0/16"]), poison]
+            )
+        assert sw.update_stats.rollbacks == 1 and sw.table_kinds() == {0: "direct"}
+        for name, state in vars(sw).items():
+            if isinstance(state, (dict, set)):
+                assert 5 not in state, name
+        assert 5 not in sw.datapath.trampoline
+        # The same table id again, at the same shapes_version, but with
+        # /16@30 over /24@24: consistent only while nothing nests.
+        again = self.batch(30, ["10.11.0.0/16", "10.12.0.0/16"])
+        nested = add(5, priority=24, port=7, ipv4_dst="10.11.5.0/24")
+        for switch in (sw, reference):
+            assert switch.submit_flow_mods(again).accepted
+        assert sw.table_kinds()[5] == "lpm"
+        for switch in (sw, reference):
+            assert switch.submit_flow_mods([nested]).accepted
+        assert sw.table_kinds() == fresh_kinds(sw)
+        assert sw.table_kinds()[5] == "linked_list"
+        pkt = PacketBuilder(in_port=1).eth().ipv4(dst="10.11.5.9").udp().build()
+        assert reference.pipeline.process(pkt.copy()).output_ports == [2]
+        assert sw.process(pkt.copy()).output_ports == [2]
+
+
+def _rung_table(matches, port=None):
+    table = FlowTable(0)
+    for i, (priority, match) in enumerate(matches):
+        table.add(FlowEntry(match, priority=priority,
+                            actions=[Output(port or 1 + i % 4)]))
+    table.add(FlowEntry(Match(), priority=0, actions=[Output(4)]))
+    return table
+
+
+#: rung -> (config, table over the shared strategy value domain, so the
+#: drawn flow-mods collide with it in match, shape and priority).
+#: Decomposition is not a rung and is off: a table compiled onto the
+#: linked list is not re-offered to it by later mods.
+RUNGS = {
+    "hash": (
+        CompileConfig(direct_threshold=2, decompose=False),
+        lambda: _rung_table([(i % 2, Match(eth_dst=mac))
+                             for i, mac in enumerate(sts.FIELD_DOMAINS["eth_dst"])]),
+    ),
+    "lpm": (
+        CompileConfig(decompose=False),
+        lambda: _rung_table([(32, Match(ipv4_dst=0x08080808)),
+                             (32, Match(ipv4_dst=0x0A000001)),
+                             (24, Match(ipv4_dst=(0xC0000200, 0xFFFFFF00))),
+                             (24, Match(ipv4_dst=(0x0A000000, 0xFFFFFF00))),
+                             (16, Match(ipv4_dst=(0xC0000000, 0xFFFF0000)))]),
+    ),
+    "range": (
+        CompileConfig(enable_range=True, decompose=False),
+        lambda: _rung_table([(1, Match(tcp_dst=port)) for port in range(80, 96)],
+                            port=2),  # one behavior = one run
+    ),
+    "direct": (  # one ADD from the threshold
+        CompileConfig(decompose=False),
+        lambda: _rung_table([(1, Match(eth_dst=mac))
+                             for mac in sts.FIELD_DOMAINS["eth_dst"][:3]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("rung", sorted(RUNGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rung_after_any_batch_is_the_rung_of_a_fresh_compile(rung, data):
+    """Skip decisions match ``select_template`` verbatim: whatever the
+    per-mod path answered, mod by mod and undo step by undo step, every
+    table ends on the rung a clean switch picks for it."""
+    config, build = RUNGS[rung]
+    sw = ESwitch.from_pipeline(Pipeline([build()]), config=config)
+    assert sw.table_kinds() == {0: rung}
+    poison = FlowMod(FlowModCommand.ADD, 0, Match(), priority=-1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mods = data.draw(sts.flow_mod_batches(sw.pipeline, max_mods=5, new_table=5))
+        if data.draw(st.booleans()):
+            with pytest.raises(ValueError):
+                sw.apply_flow_mods([*mods, poison])
+        else:
+            sw.submit_flow_mods(mods)
+        assert sw.table_kinds() == fresh_kinds(sw)
 
 
 class TestRequiredLayerOverFeatures:

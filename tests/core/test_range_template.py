@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.core import CompileConfig, ESwitch
-from repro.core.analysis import TemplateKind, port_runs, range_applicable, select_template
+from repro.core.analysis import TemplateKind, port_runs, select_template
 from repro.core.codegen import CompileError, compile_table
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
@@ -30,20 +30,21 @@ def port_block_table(blocks):
 
 class TestAnalysis:
     def test_runs_coalesce(self):
-        runs = port_runs(port_block_table([(1000, 1063, 1), (2000, 2031, 2)]).entries)
-        assert runs is not None
+        _field, runs = port_runs(
+            port_block_table([(1000, 1063, 1), (2000, 2031, 2)]).entries
+        )
         assert [(lo, hi) for lo, hi, _e in runs] == [(1000, 1063), (2000, 2031)]
 
     def test_different_outcomes_split_runs(self):
         t = FlowTable(0)
         t.add(FlowEntry(Match(tcp_dst=80), priority=1, actions=[Output(1)]))
         t.add(FlowEntry(Match(tcp_dst=81), priority=1, actions=[Output(2)]))
-        runs = port_runs(t.entries)
-        assert runs is not None and len(runs) == 2
+        _field, runs = port_runs(t.entries)
+        assert len(runs) == 2
 
     def test_disabled_by_default(self):
         table = port_block_table([(1000, 1200, 1)])
-        assert not range_applicable(table.entries)
+        assert port_runs(table.entries, CompileConfig()) is None
         assert select_template(table.entries) is TemplateKind.HASH
 
     def test_enabled_selects_range_when_compressive(self):

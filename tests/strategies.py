@@ -174,12 +174,22 @@ def goto_dag_pipelines(draw, max_tables: int = 5):
 
 
 @st.composite
-def flow_mod_batches(draw, pipeline: Pipeline, max_mods: int = 6):
+def flow_mod_batches(
+    draw, pipeline: Pipeline, max_mods: int = 6, new_table: "int | None" = None
+):
     """A mid-stream flow-mod schedule against an existing pipeline:
-    ADD/MODIFY/DELETE at real and colliding (match, priority) points,
-    with occasional strict deletes and invalid table ids that the
-    admission layer must reject identically everywhere."""
+    ADD/MODIFY/DELETE at real and colliding (match, priority) points —
+    level with a table's catch-all included, where insertion order and
+    not priority decides who shadows whom — with occasional strict
+    deletes and invalid table ids that the admission layer must reject
+    identically everywhere. ``new_table`` is an id the batch may create."""
     table_ids = [t.table_id for t in pipeline.tables]
+    if new_table is not None:
+        table_ids.append(new_table)
+    catch_alls = {
+        t.table_id: [e.priority for e in t.entries if e.match.is_catch_all]
+        for t in pipeline.tables
+    }
     existing = [
         (t.table_id, e.match, e.priority)
         for t in pipeline.tables
@@ -195,6 +205,8 @@ def flow_mod_batches(draw, pipeline: Pipeline, max_mods: int = 6):
             table_id = draw(st.sampled_from(table_ids))
             match = draw(matches())
             priority = draw(st.integers(0, 20))
+            if catch_alls.get(table_id) and not draw(st.integers(0, 3)):
+                priority = draw(st.sampled_from(catch_alls[table_id]))
         if not draw(st.integers(0, 9)):  # rare poison mod: bad table id
             table_id = 300
         mods.append(

@@ -66,6 +66,7 @@ class TestCorpus:
         names = set(_corpus_ids())
         assert "regression-range-run-attribution" in names
         assert "regression-decompose-counter-aliasing" in names
+        assert "regression-hash-catch-all-priority" in names
 
     @pytest.mark.parametrize("path", CORPUS, ids=_corpus_ids())
     def test_replay_clean(self, path):
@@ -92,6 +93,25 @@ class TestGenerator:
                             allow_quarantine=False, allow_degrade=False)
         names = [t["name"] for t in scenario.to_obj()["pipeline"]["tables"]]
         assert all("range" in n for n in names)
+
+    def test_mods_draw_a_rule_level_with_the_catch_all(self):
+        """Somewhere in the CI seed range a batch installs a keyed rule of
+        a table's own shape at its catch-all's priority (seed 166 lands
+        one on a standing hash table)."""
+        def level(scenario):
+            tables = {t["id"]: t["entries"] for t in scenario.pipeline_obj["tables"]}
+            for event in scenario.events:
+                for mod in event.get("mods", ()):
+                    entries = tables.get(mod["table"], ())
+                    tied = {e["priority"] for e in entries if not e["match"]}
+                    if mod["cmd"] != "delete" and mod["priority"] in tied and any(
+                        e["match"] and set(e["match"]) == set(mod["match"])
+                        for e in entries
+                    ):
+                        return True
+            return False
+
+        assert any(level(generate(seed)) for seed in range(250))
 
     def test_smoke_random_seeds_clean(self):
         cases = int(os.environ.get("REPRO_FUZZ_CASES", "4"))

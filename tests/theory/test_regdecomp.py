@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.theory.regdecomp import (
+from regdecomp import (
     AbstractTable,
     WILDCARD,
     brute_force_satisfiable,
