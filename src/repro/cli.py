@@ -73,7 +73,15 @@ def cmd_compile(args: argparse.Namespace) -> int:
         print(f"  table {tid:<4} -> {kind}  ({len(table)} rules / "
               f"{table.template_count} action templates)")
     print(f"compiled tables: {switch.compiled_table_count}, "
-          f"parser depth: L2–L{switch.datapath.parser_layer}")
+          f"parser depth: L2–L{switch.datapath.parser_layer}, "
+          f"fused: {'yes' if switch.warm() else 'no'}")
+    health = switch.health()
+    shared = health.templates
+    print(f"templates (process-wide): {shared['templates']} resident, "
+          f"{shared['bytes']} bytes")
+    for name in ("compile_calls", "compile_s", "template_hits", "patches"):
+        print(f"  core.codegen.{name} = {shared[name]:.6g}")
+    print(f"  core.fuse.link_s = {health.link_s:.6g}")
     if args.sources:
         for tid, source in switch.compiled_sources().items():
             print(f"\n--- compiled table {tid} "

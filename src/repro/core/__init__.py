@@ -8,10 +8,11 @@ Pipeline compilation proceeds exactly as Section 3 describes:
    list, Fig. 4), optionally after **flow table decomposition**
    (:mod:`repro.core.decompose`, Fig. 6) rewrites template-unfriendly
    tables into template-friendly multi-table pipelines;
-2. **template specialization** (:mod:`repro.core.codegen`) patches flow
-   keys as literal constants into per-template Python source fragments —
-   the analogue of patching keys into pre-compiled object code — and
-   compiles each table to a native code object;
+2. **template specialization** (:mod:`repro.core.codegen`) assembles a
+   key-free template text per table, loads its code object once per
+   shape (:mod:`repro.core.templates`) and patches the flow keys into
+   its constants — the analogue of patching keys into pre-compiled
+   object code;
 3. **linking** resolves jump pointers: within-table jumps become Python
    control flow, ``goto_table`` jumps go through a trampoline
    (:mod:`repro.core.datapath`) so a rebuilt table can be swapped in

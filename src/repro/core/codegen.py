@@ -2,12 +2,16 @@
 
 This is the reproduction's analogue of the paper's template-based machine
 code generation (Section 3.3). Where the prototype patches flow keys into
-pre-compiled x86 object fragments, we patch them as **literal constants
-into Python source** assembled from per-template emitters, then
-``compile()`` each table to a code object. Like the paper's choice of
-compiling keys into the instruction stream, the keys live in the code, not
-in looked-up data structures (except where the template *is* a data
-structure: the compound hash and the LPM).
+pre-compiled x86 object fragments, a rung's emitter here assembles a
+**key-free template text**, :mod:`repro.core.templates` maps that text to
+its code object (compiled once per process and shape, cached), and a table
+is that code object with its keys patched into ``co_consts`` and a function
+object made over the table's own namespace. Like the paper's choice of
+compiling keys into the instruction stream, the keys are ``LOAD_CONST``
+operands, not looked-up data (except where the template *is* a data
+structure: the compound hash and the LPM, whose text names no key at all).
+:attr:`CompiledTable.source` renders the text with the keys filled in —
+what a fresh ``compile()`` of it would execute is what the patch executes.
 
 Every generated table function has the signature::
 
@@ -33,7 +37,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import cached_property
 
+from repro.core import templates
 from repro.core.analysis import (
     CompileConfig,
     DEFAULT_CONFIG,
@@ -110,6 +116,9 @@ class CompiledTable:
     #: backing stores, for the rungs that have one.
     hash_store: "CollisionFreeHash | None" = None
     lpm_store: "Dir24_8Lpm | None" = None
+    #: the flow keys the text's slots take, in slot order, for the rung
+    #: that compiles keys into the instruction stream (direct code).
+    keys: tuple = ()
 
     def __init__(self, table: FlowTable, costs: CostBook, namespace: dict):
         self.table_id = table.table_id
@@ -123,12 +132,18 @@ class CompiledTable:
         self.relinks = 0
         self._sync_census(table)
         self.namespace = namespace
-        self.source = "\n".join([_SIGNATURE] + self._emit(costs)) + "\n"
-        code = compile(
-            self.source, f"<eswitch:table{self.table_id}:{self.kind.value}>", "exec"
-        )
-        exec(code, namespace)
+        #: the key-free template text (:mod:`repro.core.templates`).
+        self.text = "\n".join([_SIGNATURE] + self._emit(costs)) + "\n"
+        templates.load(self.text, self.kind.value).bind(namespace, self.keys)
         self.fn = namespace["_match"]
+        #: a linker's renderings of :meth:`body`, by the prefix it put
+        #: them under; they last exactly as long as this build of the table.
+        self.inlined: dict = {}
+
+    @cached_property
+    def source(self) -> str:
+        """The generated source with the keys visible."""
+        return templates.render(self.text, self.keys)
 
     @property
     def miss(self) -> Outcome:
@@ -233,12 +248,13 @@ class CompiledTable:
     def body(self, null: bool) -> tuple[list[str], dict]:
         """``(lines, names)`` of an :attr:`inlinable` lookup: the body
         under ``_match``'s signature (``null`` selects the NullMeter
-        specialization) and the namespace constants it refers to."""
-        lines = self._emit(None) if null else self.source.split("\n")[1:-1]
+        specialization; key slots numbered as in :attr:`keys`) and the
+        namespace constants it refers to."""
+        lines = self._emit(None) if null else self.text.split("\n")[1:-1]
         names = {
             key: value
             for key, value in self.namespace.items()
-            if key.startswith("_") and key not in ("_match", "__builtins__")
+            if key.startswith("_") and key != "_match"
         }
         return lines, names
 
@@ -283,12 +299,16 @@ def _guards(match: Match) -> list[str]:
     return [f"proto & {g:#x}" for g in _guard_masks(match)]
 
 
-def _conditions(match: Match) -> list[str]:
-    """Per-field comparison expressions with the keys patched in."""
-    return [
-        f"{_masked(name, mask)} == {value:#x}"
-        for name, (value, mask) in match.items()
-    ]
+def _conditions(match: Match, keys: list) -> list[str]:
+    """Per-field comparison expressions, each against the next free key
+    slot; the slots' values are appended to ``keys``."""
+    conditions = []
+    for name, (value, mask) in match.items():
+        conditions.append(
+            f"{_masked(name, mask)} == {templates.key_slot(len(keys))}"
+        )
+        keys.append(value)
+    return conditions
 
 
 def _key_exprs(fields: tuple[str, ...], masks: tuple[int, ...]) -> str:
@@ -325,7 +345,9 @@ class DirectTable(CompiledTable):
     flow entry becomes a protocol-bitmask guard followed by inlined matcher
     templates with the keys patched in, ending in a jump to its outcome;
     fall-through is the next entry ("ADDR_NEXT_FLOW"). The keys are the
-    instruction stream, so any change to them is a rebuild. Bounded by
+    instruction stream, so any change to them is a rebuild — a patch of
+    the cached template when the table's shape (entry count, fields,
+    masks) has been seen, a compile when it has not. Bounded by
     :data:`MAX_DIRECT_ENTRIES`, whatever steered the table here.
     """
 
@@ -341,11 +363,13 @@ class DirectTable(CompiledTable):
                 f"> {MAX_DIRECT_ENTRIES}"
             )
         self._outs = [outcome_of(entry) for entry in table.entries]
+        keys: list[int] = []
         #: per entry, its guards and matchers as one condition ("" = none).
         self._checks = [
-            " and ".join(_guards(entry.match) + _conditions(entry.match))
+            " and ".join(_guards(entry.match) + _conditions(entry.match, keys))
             for entry in table.entries
         ]
+        self.keys = tuple(keys)
         self._keys_in_code = config.keys_in_code
         namespace: dict = {"_MISS": miss_outcome(table)}
         namespace.update((f"_O{i}", out) for i, out in enumerate(self._outs))
@@ -632,7 +656,7 @@ def _hazard(classes: "set[tuple[int, tuple]]") -> bool:
     )
 
 
-def _build_sig_matcher(sig: tuple, index: int):
+def _build_sig_matcher(sig: tuple):
     """Generate the shared matcher function for one field combination."""
     conds = [
         f"{_masked(name, mask)} == vals[{i}]" for i, (name, mask) in enumerate(sig)
@@ -642,7 +666,7 @@ def _build_sig_matcher(sig: tuple, index: int):
         f"def _sig(data, pkt, l3, l4, proto, etype, nxt, vals):\n    return {body}\n"
     )
     namespace: dict = {}
-    exec(compile(source, f"<eswitch:sig{index}>", "exec"), namespace)
+    templates.load(source, "sig").bind(namespace)
     fn = namespace["_sig"]
     fn._source = source  # kept for inspection/tests
     return fn
@@ -696,7 +720,7 @@ class LinkedListTable(CompiledTable):
             sig = tuple((name, mask) for name, (_v, mask) in entry.match.items())
             fn = self.ll_matchers.get(sig)
             if fn is None:
-                fn = _build_sig_matcher(sig, len(self.ll_matchers))
+                fn = _build_sig_matcher(sig)
                 self.ll_matchers[sig] = fn
             values = tuple(v for _name, (v, _m) in entry.match.items())
             entries.append((_guard_masks(entry.match), fn, values, outcome_of(entry)))

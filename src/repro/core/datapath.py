@@ -102,6 +102,8 @@ class CompiledDatapath:
         #: accounting: a fuse failure is a health event, never a crash).
         self.fuse_failures = 0
         self.last_fuse_error = ""
+        #: seconds ``fuse_datapath`` spent linking drivers for this datapath.
+        self.link_s = 0.0
         self.set_parser_layer(parser_layer)
 
     def set_parser_layer(self, parser_layer: int) -> None:

@@ -42,15 +42,15 @@ class _Row:
 
 
 def decomposable(table: FlowTable) -> bool:
-    """True when every column uses a single mask across all its rules."""
-    if len(table.matched_fields()) < 2:
-        return False
+    """True when every column uses a single mask across all its rules
+    (and there are at least two columns to split along). Read off the
+    table's shape multiset: O(shapes), no entry walked."""
     masks: dict[str, int] = {}
-    for entry in table:
-        for name, (_value, mask) in entry.match.items():
+    for _priority, shape, _set_fields, _depth in table.feature_counts():
+        for name, mask in shape:
             if masks.setdefault(name, mask) != mask:
                 return False
-    return True
+    return len(masks) >= 2
 
 
 def decompose_table(

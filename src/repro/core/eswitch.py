@@ -41,9 +41,10 @@ Fail-static guardrails (ISSUE 5) sit on top of the update semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core import templates
 from repro.core.analysis import (
     CompileConfig,
     DEFAULT_CONFIG,
@@ -52,7 +53,7 @@ from repro.core.analysis import (
 )
 from repro.core.codegen import CompiledTable, compile_table
 from repro.core.datapath import CompiledDatapath, required_layer
-from repro.core.decompose import decompose_table
+from repro.core.decompose import decomposable, decompose_table
 from repro.openflow.flow_table import FlowTable
 from repro.openflow.messages import (
     ErrorMsg,
@@ -106,6 +107,12 @@ class SwitchHealth:
         generation: the datapath's update generation counter.
         footprint_bytes: estimated resident bytes across every compiled
             table (stores, generated source, outcome lists).
+        link_s: seconds this switch's datapath has spent linking fused
+            drivers (``core.fuse.link_s``).
+        templates: the template loader's counters (``core.codegen.*``:
+            ``compile_calls``, ``compile_s``, ``template_hits``,
+            ``patches``, resident ``templates`` and their ``bytes``) —
+            process-wide, the same numbers on every switch.
     """
 
     quarantined: tuple[tuple[int, str], ...] = ()
@@ -115,6 +122,8 @@ class SwitchHealth:
     fused_active: bool = False
     generation: int = 0
     footprint_bytes: int = 0
+    link_s: float = 0.0
+    templates: dict = field(default_factory=dict)
 
     @property
     def degraded(self) -> bool:
@@ -134,6 +143,8 @@ class SwitchHealth:
             "fused_active": self.fused_active,
             "generation": self.generation,
             "footprint_bytes": self.footprint_bytes,
+            "link_s": self.link_s,
+            "templates": {"shared": True, **self.templates},
         }
 
 
@@ -316,12 +327,16 @@ class ESwitch:
             footprint_bytes=sum(
                 ct.footprint()["bytes"] for ct in dp.trampoline.values()
             ),
+            link_s=dp.link_s,
+            templates=templates.stats(),
         )
 
     def footprint(self) -> dict:
         """Per-rung memory telemetry: every compiled table's estimated
         resident bytes (see :meth:`CompiledTable.footprint`), plus the
-        total. Flushes deferred rebuilds first so the report reflects the
+        total, and beside it the ``templates`` row: the code objects every
+        switch of the process shares, counted in no switch's total.
+        Flushes deferred rebuilds first so the report reflects the
         structures the next packet would actually probe."""
         if self._dirty_groups:
             self._flush_rebuilds()
@@ -329,9 +344,15 @@ class ESwitch:
             tid: ct.footprint()
             for tid, ct in sorted(self.datapath.trampoline.items())
         }
+        shared = templates.stats()
         return {
             "total_bytes": sum(fp["bytes"] for fp in tables.values()),
             "tables": tables,
+            "templates": {
+                "shared": True,
+                "resident": shared["templates"],
+                "bytes": shared["bytes"],
+            },
         }
 
     # -- compilation ---------------------------------------------------------------
@@ -470,9 +491,10 @@ class ESwitch:
         # so when its shape *set* provably did not move (steady-state churn
         # inside existing classes) the pipeline-wide answer cannot have
         # changed either — skip the O(tables × shapes) recompute.
-        if new_table or table.shapes_version != shapes_before:
+        reshaped = new_table or table.shapes_version != shapes_before
+        if reshaped:
             self._replan_parser()
-        cycles = self._recompile_after_update(table, mod, new_table)
+        cycles = self._recompile_after_update(table, mod, new_table, reshaped)
         self.update_stats.cycles += cycles
         return cycles
 
@@ -536,7 +558,7 @@ class ESwitch:
         return reply_to_flow_mods(self.admit_flow_mods, self.apply_flow_mods, mods)
 
     def _recompile_after_update(
-        self, table: FlowTable, mod: FlowMod, new_table: bool
+        self, table: FlowTable, mod: FlowMod, new_table: bool, reshaped: bool
     ) -> float:
         costs = self.costs
         stats = self.update_stats
@@ -559,7 +581,16 @@ class ESwitch:
         compiled = self.datapath.table(table.table_id)
         if compiled.holds(table, mod, self.config):
             stats.kind_stable_skips += 1
-        elif select_template(table, self.config) is not compiled.kind:
+        elif select_template(table, self.config) is not compiled.kind or (
+            # Still linked-list-bound, but a fresh compile would offer the
+            # table to decomposition first: so does this one, whenever
+            # the shape set (all the uniform-mask prerequisite reads) moved.
+            reshaped
+            and compiled.kind is TemplateKind.LINKED_LIST
+            and self.config.decompose
+            and table.table_id not in self.quarantined
+            and decomposable(table)
+        ):
             # Prerequisite changed: fall back (or upgrade) with a rebuild.
             stats.fallbacks += 1
             self._rebuild_group(table.table_id)

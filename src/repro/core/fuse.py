@@ -10,7 +10,9 @@ code" (Section 3.3–3.4) and the pipeline runs as one straight-line
 instruction stream.
 
 :func:`fuse_datapath` reproduces that last linking step. It stitches the
-per-table generated sources into **one** ``compile()``\\ d driver:
+per-table template texts into **one** driver text, loaded like any
+table's (:mod:`repro.core.templates`: compiled on first sight of the
+shape, then patched):
 
 * ``goto_table`` becomes a local jump — an ``if tid == N`` dispatch over
   compile-time-known table ids, with the table bodies **textually
@@ -35,14 +37,23 @@ lazily re-fuses on the next packet — off the update critical path, with
 the trampoline serving the window in between. An update that only
 changes the *content* of a hash, LPM or linked-list store leaves the
 driver standing: it closes over the stores, which mutate in place.
+
+The driver text is key-free the way a direct table's is: an inlined
+direct body keeps its key slots (renumbered under the table's id), and
+the driver takes the concatenated keys of the tables it inlines. A
+re-link after a direct table's *keys* moved is therefore a cache hit and
+a patch; only a new *shape* (an entry more or less, a new field) compiles.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
+from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
+from repro.core import templates
 from repro.openflow.actions import Output
 from repro.openflow.pipeline import MAX_TABLE_HOPS, PipelineError, Verdict
 from repro.simcpu.recorder import NULL_METER
@@ -58,13 +69,19 @@ class FuseError(Exception):
 _IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
 _RETURN = re.compile(r"^(\s*)return\s+(.+)$")
 
+#: key slots of the table with id ``tid`` start at ``tid * _TABLE_SLOTS``
+#: in the driver text (a direct table holds far fewer keys than this).
+_TABLE_SLOTS = 1 << 20
+
 
 @dataclass
 class FusedPipeline:
     """One datapath generation's fused drivers."""
 
     generation: int
-    source: str
+    #: the key-free driver text and the keys its slots take.
+    text: str
+    keys: dict
     namespace: dict
     table_ids: tuple[int, ...]
     inlined_ids: tuple[int, ...]
@@ -79,6 +96,11 @@ class FusedPipeline:
     burst: Callable
     #: ``(pkts, on_verdict) -> (verdicts, resume)`` — NullMeter variant.
     burst_null: Callable
+
+    @cached_property
+    def source(self) -> str:
+        """The generated driver source with the keys visible."""
+        return templates.render(self.text, self.keys)
 
     def is_current(self, datapath: "CompiledDatapath") -> bool:
         """Whether this driver still serves the datapath's generation.
@@ -156,23 +178,32 @@ def _inline_body(compiled, prefix: str, namespace: dict, null: bool) -> list[str
 
     ``return X`` becomes ``out = X`` + ``break`` (the caller wraps the body
     in a one-iteration ``while True``), the constants the body names are
-    re-bound under ``prefix`` into the fused namespace, and ``m`` becomes
-    the driver's ``meter``. The rung itself emits the ``null`` body.
+    re-bound under ``prefix`` into the fused namespace, ``m`` becomes the
+    driver's ``meter`` and the key slots move under the table's id. The
+    rung itself emits the ``null`` body. The rewritten lines are kept on
+    the compiled table: a re-link re-renders only tables rebuilt since.
     """
-    lines, names = compiled.body(null)
-    mapping = {"m": "meter"}
-    for key, value in names.items():
-        mapping[key] = prefix + key
-        namespace[prefix + key] = value
-    out = []
-    for line in _rename_body(lines, mapping):
-        matched = _RETURN.match(line)
-        if matched:
-            indent, expr = matched.groups()
-            out.append(f"{indent}out = {expr}")
-            out.append(f"{indent}break")
-        else:
-            out.append(line)
+    rendered = compiled.inlined.get(prefix)
+    if rendered is None:
+        lines, names = compiled.body(null)
+        mapping = {"m": "meter"}
+        mapping.update((key, prefix + key) for key in names)
+        out = []
+        for line in _rename_body(lines, mapping):
+            matched = _RETURN.match(line)
+            if matched:
+                indent, expr = matched.groups()
+                out.append(f"{indent}out = {expr}")
+                out.append(f"{indent}break")
+            else:
+                out.append(line)
+        if compiled.keys:
+            base = compiled.table_id * _TABLE_SLOTS
+            out = templates.shift_slots("\n".join(out), base).split("\n")
+        rendered = compiled.inlined[prefix] = (out, tuple(names))
+    out, names = rendered
+    for key in names:
+        namespace[prefix + key] = compiled.namespace[key]
     return out
 
 
@@ -398,7 +429,7 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
 
     Raises :class:`FuseError` when nothing is linked or the generated
     driver does not load; the caller falls back to the trampoline, which
-    handles everything.
+    handles everything. The seconds spent add to ``dp.link_s``.
     """
     from repro.core.datapath import _PARSERS
 
@@ -411,25 +442,31 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
         "_Output": Output,
         "_NULL": NULL_METER,
     }
+    begun = perf_counter()
     acyclic, flags = _pipeline_facts(dp)
     run_m, inlined = _emit_run(dp, namespace, null=False, acyclic=acyclic, flags=flags)
     run_n, _ = _emit_run(dp, namespace, null=True, acyclic=acyclic, flags=flags)
     lines = run_m + [""] + run_n + [""] + _emit_entrypoints(dp)
-    source = "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    keys = {
+        tid * _TABLE_SLOTS + i: key
+        for tid in inlined
+        for i, key in enumerate(dp.trampoline[tid].keys)
+    }
     generation = dp.generation
     try:
-        code = compile(source, f"<eswitch:fused:gen{generation}>", "exec")
-        exec(code, namespace)
-    except FuseError:
-        raise
+        templates.load(text, "fused").bind(namespace, keys)
     except Exception as exc:
         # An emitter bug producing unloadable source is a *fusion* failure,
         # not a datapath one: surface it as FuseError so every caller takes
         # the same trampoline-fallback path.
         raise FuseError(f"generated driver failed to load: {exc}") from exc
+    finally:
+        dp.link_s += perf_counter() - begun
     return FusedPipeline(
         generation=generation,
-        source=source,
+        text=text,
+        keys=keys,
         namespace=namespace,
         table_ids=tuple(sorted(dp.trampoline)),
         inlined_ids=inlined,

@@ -1,0 +1,170 @@
+"""The template loader: key-free source text → cached code object → function.
+
+The paper's templates are *pre-compiled* object code whose constants —
+flow keys, jump targets — are patched in at link time (Section 3.3). Here
+a template is the source text an emitter assembles with every flow key
+left out: :func:`load` maps that text to its code object through one
+process-wide, size-bounded cache, and :meth:`Template.bind` specialises it
+— ``code.replace(co_consts=…)`` where the text holds key slots, then a
+function object over the caller's own namespace. Keys stay ``LOAD_CONST``
+operands, so a packet executes the bytecode a fresh ``compile()`` of the
+rendered source (:func:`render`) would give it; only the builds differ:
+the first of a shape compiles, every later one — the leaves of one fabric,
+a shard replica, a rebuild in which only keys moved — patches.
+
+This is the only module under ``repro.core`` that calls the builtin
+``compile``. A load that raises caches nothing, so a failure is retried by
+whoever asks next and a hit never resurrects one.
+
+A key slot is an integer literal no field value can take (the widest
+field is 128 bits): :func:`key_slot` writes slot *i*, :func:`shift_slots`
+renumbers a text's slots when a linker splices it into a larger one.
+"""
+
+from __future__ import annotations
+
+import linecache
+import re
+import sys
+import threading
+from hashlib import blake2b
+from time import perf_counter
+from types import CodeType, FunctionType
+
+#: slot *i* is the literal ``_SLOT0 + i``: 41 hex digits, always.
+_SLOT0 = 1 << 160
+_SLOT = re.compile(r"0x1[0-9a-f]{40}\b")
+
+#: bound on the resident templates' estimated bytes (text + code objects,
+#: a driver's code being about twice its text); the least recently loaded
+#: go first. Sized to hold every shape a four-leaf gateway fabric passes
+#: through while its tenants arrive (~100 texts, 3.1 MB) with room to spare.
+MAX_BYTES = 4 << 20
+
+
+def key_slot(index: int) -> str:
+    """The placeholder literal of key slot ``index``."""
+    return f"{_SLOT0 + index:#x}"
+
+
+def _slot_of(match: "re.Match[str]") -> int:
+    return int(match.group(), 16) - _SLOT0
+
+
+def shift_slots(text: str, offset: int) -> str:
+    """``text`` with every key slot moved up by ``offset``."""
+    return _SLOT.sub(lambda m: key_slot(_slot_of(m) + offset), text)
+
+
+def render(text: str, keys) -> str:
+    """The source ``text`` stands for once ``keys[slot]`` fills each slot:
+    what an emitter with the keys folded in would have written."""
+    return _SLOT.sub(lambda m: f"{keys[_slot_of(m)]:#x}", text)
+
+
+def _code_bytes(code: CodeType) -> int:
+    """Estimated resident bytes of a code object and the ones nested in it."""
+    return (
+        sys.getsizeof(code) + len(code.co_code) + len(code.co_linetable)
+        + sys.getsizeof(code.co_consts) + sys.getsizeof(code.co_names)
+        + sum(_code_bytes(c) for c in code.co_consts if isinstance(c, CodeType))
+    )
+
+
+class Template:
+    """One compiled template text: its top-level functions' code objects
+    and, per function, where each key slot landed in ``co_consts``."""
+
+    __slots__ = ("filename", "functions", "bytes")
+
+    def __init__(self, text: str, filename: str, module: CodeType):
+        self.filename = filename
+        #: name -> (code, ((co_consts index, slot), ...)). A slot the
+        #: text names and no function holds sat in code the compiler
+        #: dropped as unreachable (rules behind a catch-all).
+        self.functions: dict[str, tuple[CodeType, tuple]] = {}
+        for code in module.co_consts:
+            if not isinstance(code, CodeType):
+                continue
+            slots = tuple(
+                (index, const - _SLOT0)
+                for index, const in enumerate(code.co_consts)
+                if type(const) is int and const >= _SLOT0
+            )
+            self.functions[code.co_name] = (code, slots)
+        self.bytes = len(text) + _code_bytes(module)
+
+    def bind(self, namespace: dict, keys=()) -> None:
+        """Define the template's functions in ``namespace`` (their
+        globals), each key slot holding ``keys[slot]``."""
+        patched = False
+        for name, (code, slots) in self.functions.items():
+            if slots:
+                consts = list(code.co_consts)
+                for index, slot in slots:
+                    consts[index] = keys[slot]
+                code = code.replace(co_consts=tuple(consts))
+                patched = True
+            namespace[name] = FunctionType(code, namespace, name)
+        if patched:
+            with _lock:
+                _counts["patches"] += 1
+
+
+_lock = threading.Lock()
+#: text -> Template, least recently loaded first.
+_cache: dict[str, Template] = {}
+_counts = {"compile_calls": 0, "template_hits": 0, "patches": 0,
+           "compile_s": 0.0, "bytes": 0}
+
+
+def load(text: str, label: str) -> Template:
+    """The :class:`Template` of a key-free source ``text``, compiled on
+    first sight and shared from then on. ``label`` names the emitter in
+    the code object's filename; the rest of the name is a digest of the
+    text, so it carries the shape and nothing of the instance."""
+    with _lock:
+        template = _cache.pop(text, None)
+        if template is not None:
+            _cache[text] = template  # most recently loaded
+            _counts["template_hits"] += 1
+            return template
+    digest = blake2b(text.encode(), digest_size=6).hexdigest()
+    # No "<…>" around the name: linecache resolves a lazy entry only for
+    # names it could have stat'ed, and the lazy entry is what keeps the
+    # text resident once, not once more as a list of lines.
+    filename = f"eswitch:{label}:{digest}"
+    begun = perf_counter()
+    template = Template(text, filename, compile(text, filename, "exec"))
+    spent = perf_counter() - begun
+    with _lock:
+        _counts["compile_calls"] += 1
+        _counts["compile_s"] += spent
+        if text not in _cache:  # two threads may have compiled one shape
+            _cache[text] = template
+            _counts["bytes"] += template.bytes
+            linecache.cache[filename] = (lambda: text,)
+            while _counts["bytes"] > MAX_BYTES and len(_cache) > 1:
+                _evict(next(iter(_cache)))
+    return template
+
+
+def _evict(text: str) -> None:
+    template = _cache.pop(text)
+    _counts["bytes"] -= template.bytes
+    linecache.cache.pop(template.filename, None)
+
+
+def stats() -> dict:
+    """The loader's counters since the process started, and what is
+    resident now. Process-wide: every switch reads the same numbers."""
+    with _lock:
+        return {**_counts, "templates": len(_cache)}
+
+
+def clear() -> None:
+    """Drop every resident template (tests: the next load of any shape
+    is cold). Counters keep counting."""
+    with _lock:
+        for text in list(_cache):
+            _evict(text)

@@ -138,7 +138,7 @@ class EngineHealth:
     def degraded(self) -> bool:
         # Quarantined tables degrade the whole engine (every replica runs
         # the same quarantined build); the shadow's fused_active does not —
-        # the shadow is control-plane-only and fuses lazily.
+        # the shadow is control-plane-only, no packet runs its driver.
         return bool(self.degraded_shards) or bool(
             self.switch_health is not None and self.switch_health.quarantined
         )
@@ -350,6 +350,10 @@ class ShardedESwitch:
         # The shadow is built from its own snapshot: the engine never
         # mutates the caller's pipeline object.
         self.shadow = ESwitch(pickle.loads(blob), config=config, costs=costs)
+        # Linked before any replica starts: every template the replicas
+        # need is then loaded (repro.core.templates), so a forked worker
+        # inherits them and a thread shares them — none compiles.
+        self.shadow.warm()
         self._config, self._costs, self._platform = config, costs, platform
         self._decode_cache = EntryIndexCache(self.shadow.pipeline)
         self._rss = RssIndirection(workers, seed=rss_seed)

@@ -10,7 +10,7 @@ import pickle
 
 import repro.core.eswitch as eswitch_mod
 import repro.core.fuse as fuse_mod
-from repro.core import ESwitch
+from repro.core import ESwitch, templates
 from repro.core.analysis import TemplateKind
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
@@ -27,6 +27,13 @@ def add_mod(table_id=0, priority=9, port=7, **match):
     return FlowMod(FlowModCommand.ADD, table_id, Match(**match),
                    priority=priority,
                    instructions=(ApplyActions([Output(port)]),))
+
+
+def fused_fails(src, name, mode):
+    """A ``compile`` that cannot load a fused driver."""
+    if "fused" in name:
+        raise SyntaxError("synthetic codegen corruption")
+    return compile(src, name, mode)
 
 
 def reference_summaries(pipeline_blob, pkts):
@@ -167,21 +174,46 @@ class TestFuseContainment:
         assert health.fuse_failures >= 1  # history preserved
 
     def test_generated_driver_load_failure_is_a_fuse_error(self, monkeypatch):
-        # fuse_datapath wraps compile/exec of its generated source: a
-        # driver that fails to load raises FuseError (and the datapath
-        # then degrades to the trampoline), never a bare SyntaxError.
+        # fuse_datapath wraps the load of its generated text: a driver
+        # that fails to load raises FuseError (and the datapath then
+        # degrades to the trampoline), never a bare SyntaxError.
         pipeline, _ = l2.build(8)
         sw = ESwitch(pipeline)
-        real_compile = compile
-
-        def bad_compile(src, name, mode):
-            if "fused" in name:
-                raise SyntaxError("synthetic codegen corruption")
-            return real_compile(src, name, mode)
-
-        monkeypatch.setattr(fuse_mod, "compile", bad_compile, raising=False)
+        templates.clear()  # an earlier test may have loaded this shape
+        monkeypatch.setattr(templates, "compile", fused_fails, raising=False)
         assert sw.warm() is False
         assert "synthetic codegen corruption" in sw.health().last_fuse_error
+
+    def test_failed_load_is_not_cached_and_the_next_generation_retries(
+        self, monkeypatch
+    ):
+        pipeline, _ = l2.build(8)
+        sw = ESwitch(pipeline)
+        templates.clear()
+        resident = templates.stats()["templates"]
+        monkeypatch.setattr(templates, "compile", fused_fails, raising=False)
+        assert sw.warm() is False
+        assert "FuseError" in sw.health().last_fuse_error
+        assert templates.stats()["templates"] == resident  # nothing cached
+        monkeypatch.undo()
+        # Same generation: the failure is pinned, not retried per packet.
+        assert sw.warm() is False
+        sw.datapath.bump_generation()
+        calls = templates.stats()["compile_calls"]
+        assert sw.warm() is True
+        assert templates.stats()["compile_calls"] == calls + 1
+
+    def test_one_switch_degrading_leaves_the_shared_template_loadable(self):
+        a = ESwitch(l2.build(8)[0])
+        assert a.warm() is True
+        a.datapath.force_fuse_failure()
+        assert a.warm() is False and a.health().degraded
+        # Same shape, another switch: a hit on the template A loaded.
+        calls = templates.stats()["compile_calls"]
+        b = ESwitch(l2.build(8, seed=8)[0])
+        assert b.warm() is True
+        assert templates.stats()["compile_calls"] == calls
+        assert not b.health().degraded
 
 
 class TestShardedContainment:
