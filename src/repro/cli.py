@@ -64,23 +64,42 @@ def cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
+def _link_summary(how: list[str]) -> str:
+    """``inlined`` / ``called`` for one compiled table, counts of each for
+    a decomposed group, ``trampoline`` when no driver stands."""
+    if len(how) <= 1:
+        return how[0] if how else "trampoline"
+    return ", ".join(f"{how.count(word)} {word}" for word in ("inlined", "called")
+                     if word in how)
+
+
 def cmd_compile(args: argparse.Namespace) -> int:
     pipeline = _load(args.pipeline)
     switch = ESwitch.from_pipeline(pipeline, config=_config(args))
-    print("template selection (logical table -> template):")
+    fused = switch.datapath.fused if switch.warm() else None
+    # How the driver links each logical table's compiled tables in.
+    links: dict[int, list[str]] = {}
+    if fused is not None:
+        for how, ids in (("inlined", fused.inlined_ids), ("called", fused.called_ids)):
+            for cid in ids:
+                links.setdefault(switch.logical_table_id(cid), []).append(how)
+    print("template selection (logical table -> template; fused link):")
     for tid, kind in sorted(switch.table_kinds().items()):
         table = pipeline.table(tid)
         print(f"  table {tid:<4} -> {kind}  ({len(table)} rules / "
-              f"{table.template_count} action templates)")
+              f"{table.template_count} action templates; "
+              f"{_link_summary(links.get(tid, []))})")
     print(f"compiled tables: {switch.compiled_table_count}, "
           f"parser depth: L2–L{switch.datapath.parser_layer}, "
-          f"fused: {'yes' if switch.warm() else 'no'}")
+          f"fused: {'yes' if fused else 'no'}")
     health = switch.health()
     shared = health.templates
     print(f"templates (process-wide): {shared['templates']} resident, "
           f"{shared['bytes']} bytes")
     for name in ("compile_calls", "compile_s", "template_hits", "patches"):
         print(f"  core.codegen.{name} = {shared[name]:.6g}")
+    for label, calls in sorted(shared["compiles_by_label"].items()):
+        print(f"  core.codegen.compile_calls.{label} = {calls}")
     print(f"  core.fuse.link_s = {health.link_s:.6g}")
     if args.sources:
         for tid, source in switch.compiled_sources().items():

@@ -345,7 +345,11 @@ class ControllerSession:
         return verdicts
 
     def _punt_from_verdict(self, pkt: Packet, verdict: Verdict) -> None:
-        table_id = verdict.path[-1][0] if verdict.path else 0
+        # The last hop may sit inside a decomposed group: report the
+        # logical table, as the interpreter would.
+        table_id = (
+            self.switch.logical_table_id(verdict.path[-1][0]) if verdict.path else 0
+        )
         self.on_packet_in(PacketIn(pkt=pkt, table_id=table_id))
 
     def _apply_fail_mode(self, verdict: Verdict) -> None:

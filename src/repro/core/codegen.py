@@ -10,6 +10,8 @@ object made over the table's own namespace. Like the paper's choice of
 compiling keys into the instruction stream, the keys are ``LOAD_CONST``
 operands, not looked-up data (except where the template *is* a data
 structure: the compound hash and the LPM, whose text names no key at all).
+The table's own id, which the cost atoms name, is patched in the same way,
+so tables of one shape share one text whatever their ids.
 :attr:`CompiledTable.source` renders the text with the keys filled in —
 what a fresh ``compile()`` of it would execute is what the patch executes.
 
@@ -74,6 +76,8 @@ class CompileError(Exception):
 MAX_DIRECT_ENTRIES = 1024
 
 _SIGNATURE = "def _match(data, pkt, l3, l4, proto, etype, nxt, m):"
+#: the NullMeter specialization of a table a linker calls: no meter at all.
+_NULL_SIGNATURE = "def _match_null(data, pkt, l3, l4, proto, etype, nxt):"
 
 #: footprint estimates: one per-rule Outcome record, and one shared action
 #: template with the instruction and action objects it keeps alive.
@@ -101,7 +105,8 @@ class CompiledTable:
     * :meth:`stage` — the analytic-model atom of one lookup, kept beside
       the emitter that bakes the same atoms into ``source``;
     * :attr:`inlinable` / :meth:`body` — what a linker needs to splice the
-      lookup into a larger code object.
+      lookup into a larger code object, and :attr:`fn_null` — what it
+      calls instead when the rung is not inlinable.
 
     ``namespace`` is the generated function's globals: ``_MISS`` plus
     whatever the rung's body names.
@@ -110,9 +115,14 @@ class CompiledTable:
     kind: TemplateKind
     #: what the prerequisite asks, for the error a forced compile raises.
     needs = "none"
-    #: the generated body is straight-line code with no ``return`` inside
-    #: a loop, so ``return X`` rewrites mechanically to ``out = X; break``.
+    #: a linker splices the body into its own text: the text is fixed by
+    #: the table's fields and masks, and it is straight-line code with no
+    #: ``return`` inside a loop (``return X`` rewrites to ``out = X;
+    #: break``). Otherwise the linker calls :attr:`fn` / :attr:`fn_null`.
     inlinable = True
+    #: one of a decomposed group's tables, which are rebuilt together and
+    #: under fresh ids: a driver over them changes text on every rebuild.
+    grouped = False
     #: backing stores, for the rungs that have one.
     hash_store: "CollisionFreeHash | None" = None
     lpm_store: "Dir24_8Lpm | None" = None
@@ -122,6 +132,8 @@ class CompiledTable:
 
     def __init__(self, table: FlowTable, costs: CostBook, namespace: dict):
         self.table_id = table.table_id
+        #: what the text's slots take: the flow keys, then the table id.
+        self.slot_values = (*self.keys, table.table_id)
         #: how many flow entries are compiled in (for stats/inspection).
         self.entry_count = len(table)
         #: how many shared action templates those entries point at.
@@ -134,7 +146,7 @@ class CompiledTable:
         self.namespace = namespace
         #: the key-free template text (:mod:`repro.core.templates`).
         self.text = "\n".join([_SIGNATURE] + self._emit(costs)) + "\n"
-        templates.load(self.text, self.kind.value).bind(namespace, self.keys)
+        templates.load(self.text, self.kind.value).bind(namespace, self.slot_values)
         self.fn = namespace["_match"]
         #: a linker's renderings of :meth:`body`, by the prefix it put
         #: them under; they last exactly as long as this build of the table.
@@ -143,7 +155,28 @@ class CompiledTable:
     @cached_property
     def source(self) -> str:
         """The generated source with the keys visible."""
-        return templates.render(self.text, self.keys)
+        return templates.render(self.text, self.slot_values)
+
+    @property
+    def _id(self) -> str:
+        """The table id as the text names it: the slot after the keys."""
+        return templates.id_slot(len(self.keys))
+
+    @cached_property
+    def null_text(self) -> str:
+        """The key-free text of :attr:`fn_null`."""
+        return "\n".join([_NULL_SIGNATURE] + self._emit(None)) + "\n"
+
+    @cached_property
+    def fn_null(self):
+        """The lookup specialised for the NullMeter — no meter argument,
+        no atoms — for a linker that calls this table rather than inlining
+        it. Loaded on first use (a switch that never fuses never asks), as
+        its own text, shared by shape like :attr:`text`."""
+        templates.load(self.null_text, self.kind.value).bind(
+            self.namespace, self.slot_values
+        )
+        return self.namespace["_match_null"]
 
     @property
     def miss(self) -> Outcome:
@@ -248,13 +281,13 @@ class CompiledTable:
     def body(self, null: bool) -> tuple[list[str], dict]:
         """``(lines, names)`` of an :attr:`inlinable` lookup: the body
         under ``_match``'s signature (``null`` selects the NullMeter
-        specialization; key slots numbered as in :attr:`keys`) and the
+        specialization; slots numbered as in :attr:`slot_values`) and the
         namespace constants it refers to."""
         lines = self._emit(None) if null else self.text.split("\n")[1:-1]
         names = {
             key: value
             for key, value in self.namespace.items()
-            if key.startswith("_") and key != "_match"
+            if key.startswith("_") and key not in ("_match", "_match_null")
         }
         return lines, names
 
@@ -349,10 +382,20 @@ class DirectTable(CompiledTable):
     the cached template when the table's shape (entry count, fields,
     masks) has been seen, a compile when it has not. Bounded by
     :data:`MAX_DIRECT_ENTRIES`, whatever steered the table here.
+
+    Its text grows with the table, so a linker calls it instead of
+    inlining it (Section 3.4: the rebuilt code is swapped in by
+    redirecting the jumps to it, and nothing else is rebuilt).
     """
 
     kind = TemplateKind.DIRECT
     needs = "#flows <= CONST"
+
+    @property
+    def inlinable(self) -> bool:
+        # Inside a decomposed group the driver text moves on every
+        # rebuild anyway; a call there would only cost a frame a hop.
+        return self.grouped
 
     def __init__(
         self, table: FlowTable, config: CompileConfig, costs: CostBook, size: int
@@ -384,9 +427,7 @@ class DirectTable(CompiledTable):
                 )
                 if not self._keys_in_code:
                     # Ablation: keys fetched from a key table in data memory.
-                    lines.append(
-                        f"    m.touch(('es_keys', {self.table_id}, {i // 4}))"
-                    )
+                    lines.append(f"    m.touch(('es_keys', {self._id}, {i // 4}))")
             if check:
                 lines.append(f"    if {check}:")
                 lines.append(f"        return _O{i}")
@@ -457,7 +498,7 @@ class HashTable(CompiledTable):
         else:
             probe = [
                 f"    v, _ln = _H.get_traced({key})",
-                f"    m.touch(('es_hash', {self.table_id}, _ln))",
+                f"    m.touch(('es_hash', {self._id}, _ln))",
             ]
         return (
             ([] if costs is None else [f"    m.charge({costs.hash_base!r})"])
@@ -554,7 +595,7 @@ class LpmTable(CompiledTable):
             probe = [
                 f"    nh, _lines = _LPM.lookup_traced({expr})",
                 "    for _ln in _lines:",
-                f"        m.touch(('es_lpm', {self.table_id}, _ln))",
+                f"        m.touch(('es_lpm', {self._id}, _ln))",
             ]
         return (
             ([] if costs is None else [f"    m.charge({costs.lpm_base!r})"])
@@ -700,12 +741,17 @@ class LinkedListTable(CompiledTable):
         )
         self._load(table)
 
-    def _emit(self, costs: CostBook) -> list[str]:
-        return [
-            f"    m.charge({costs.linked_list_base!r})",
-            "    for _i, (_req, _fn, _vals, _out) in enumerate(_ENTRIES):",
-            f"        m.charge({costs.linked_list_per_entry!r})",
-            f"        m.touch(('es_ll', {self.table_id}, _i >> 2))",
+    def _emit(self, costs: "CostBook | None") -> list[str]:
+        if costs is None:
+            walk = ["    for _req, _fn, _vals, _out in _ENTRIES:"]
+        else:
+            walk = [
+                f"    m.charge({costs.linked_list_base!r})",
+                "    for _i, (_req, _fn, _vals, _out) in enumerate(_ENTRIES):",
+                f"        m.charge({costs.linked_list_per_entry!r})",
+                f"        m.touch(('es_ll', {self._id}, _i >> 2))",
+            ]
+        return walk + [
             "        if all(proto & _g for _g in _req) and _fn(data, pkt, l3, l4, proto, etype, nxt, _vals):",
             "            return _out",
             "    return _MISS",
@@ -799,7 +845,7 @@ class RangeTable(CompiledTable):
             + _guard_lines([f"proto & {req:#x}"] if req else [])
             + [f"    _p = {fdef.expr}",
                "    _i = _bisect(_STARTS, _p) - 1"]
-            + ([f"    m.touch(('es_range', {self.table_id}, _i >> 3))"]
+            + ([f"    m.touch(('es_range', {self._id}, _i >> 3))"]
                if metered else [])
             + ["    if _i >= 0 and _p <= _ENDS[_i]:",
                "        return _OUTS[_i][_p - _STARTS[_i]]",

@@ -68,6 +68,11 @@ from repro.packet.packet import Packet
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
 from repro.simcpu.recorder import Meter, NULL_METER
 
+#: the first compiled id a decomposed group's sub-tables take: past
+#: OpenFlow's table ids (0–254) and ``OFPTT_ALL`` (255), so no logical
+#: table a flow-mod creates can land on one.
+FIRST_INTERNAL_ID = 256
+
 
 @dataclass
 class UpdateStats:
@@ -181,9 +186,7 @@ class ESwitch:
         #: semantics of Section 3.4: the control path returns immediately,
         #: the old compiled tables keep processing until the swap.
         self._dirty_groups: set[int] = set()
-        self._next_internal_id = (
-            max((t.table_id for t in pipeline.tables), default=0) + 1
-        )
+        self._next_internal_id = FIRST_INTERNAL_ID
         #: tables whose preferred template failed to compile and are pinned
         #: to the linked-list universal representation: id -> reason.
         self.quarantined: dict[int, str] = {}
@@ -215,9 +218,12 @@ class ESwitch:
             self._flush_rebuilds()
         verdict = self.datapath.process(pkt, meter)
         if verdict.to_controller and self.packet_in_handler is not None:
-            table_id = verdict.path[-1][0] if verdict.path else 0
-            self.packet_in_handler(PacketIn(pkt=pkt, table_id=table_id))
+            self._packet_in(pkt, verdict)
         return verdict
+
+    def _packet_in(self, pkt: Packet, verdict: Verdict) -> None:
+        table_id = self.logical_table_id(verdict.path[-1][0]) if verdict.path else 0
+        self.packet_in_handler(PacketIn(pkt=pkt, table_id=table_id))
 
     def process_burst(
         self, pkts: "Sequence[Packet]", meter: Meter = NULL_METER
@@ -252,8 +258,7 @@ class ESwitch:
         """Between-packet control work inside a burst; True = state mutated."""
         mutated = False
         if verdict.to_controller and self.packet_in_handler is not None:
-            table_id = verdict.path[-1][0] if verdict.path else 0
-            self.packet_in_handler(PacketIn(pkt=pkt, table_id=table_id))
+            self._packet_in(pkt, verdict)
             mutated = True
         if self._dirty_groups:
             self._flush_rebuilds()
@@ -296,6 +301,17 @@ class ESwitch:
             else:
                 out[logical_id] = self.datapath.table(logical_id).kind.value
         return out
+
+    def logical_table_id(self, compiled_id: int) -> int:
+        """The logical table a compiled table id serves: a decomposed
+        group's sub-tables answer for the table they were cut from, the
+        id the reference interpreter reports (a packet-in's table)."""
+        if compiled_id < FIRST_INTERNAL_ID:
+            return compiled_id
+        for group in self._groups.values():
+            if compiled_id in group.compiled_ids:
+                return group.logical_id
+        return compiled_id
 
     def compiled_table(self, table_id: int) -> CompiledTable:
         if self._dirty_groups:
@@ -356,11 +372,6 @@ class ESwitch:
         }
 
     # -- compilation ---------------------------------------------------------------
-
-    def _take_ids(self, count: int) -> int:
-        start = self._next_internal_id
-        self._next_internal_id += count
-        return start
 
     def _compile_group(self, table: FlowTable) -> _Group:
         """Compile one logical table, containing any compile failure.
@@ -426,6 +437,7 @@ class ESwitch:
                 compile_table(sub, self.config, self.costs) for sub in tables
             ]
             for ct in compiled:
+                ct.grouped = len(compiled) > 1  # sub-tables with fresh ids
                 self.datapath.install(ct)
             return _Group(
                 logical_id=table.table_id,

@@ -15,10 +15,14 @@ table's (:mod:`repro.core.templates`: compiled on first sight of the
 shape, then patched):
 
 * ``goto_table`` becomes a local jump — an ``if tid == N`` dispatch over
-  compile-time-known table ids, with the table bodies **textually
-  inlined** where the rung says it is ``inlinable`` (direct, hash, LPM,
-  range) and a closure-bound direct call otherwise (linked list, whose
-  generated body returns from inside a loop);
+  compile-time-known table ids. The rungs whose text is fixed by the
+  table's fields and masks (hash, LPM, range: :attr:`~repro.core.codegen.
+  CompiledTable.inlinable`) are **textually inlined**; the others — direct
+  code, whose text grows with its entries, and the linked list, whose
+  body returns from inside a loop — are **called** through a namespace
+  name, ``_t{tid}_mfn`` / ``_t{tid}_nfn``, that each link rebinds. A
+  decomposed group's direct tables are inlined too: the group is rebuilt
+  whole under fresh sub-table ids, so its driver text moves anyway;
 * parser dispatch, ethertype extraction, the first-table id, and every
   cost-book constant are baked in as literals;
 * every ``m.charge``/``m.touch`` atom of the trampoline path is preserved
@@ -26,7 +30,18 @@ shape, then patched):
   to the unfused pipeline — fusion buys real wall-clock, not model drift;
 * a second driver variant specialized for :data:`~repro.simcpu.recorder.
   NULL_METER` drops the (no-op) metering calls entirely, which is where
-  the functional-mode speedup comes from.
+  the functional-mode speedup comes from; it calls each called table's
+  own NullMeter function (:attr:`~repro.core.codegen.CompiledTable.
+  fn_null`), so no atom runs anywhere under it.
+
+The driver text therefore depends on the pipeline's *structure* — which
+tables exist, the rung each sits on, their fields, masks and fact sets,
+the parser layer — and on nothing a direct table holds. A direct table
+rebuilt for a new key or a new entry count (a tenant's arrival) is
+swapped in by rebinding its name: the re-link is a cache hit and a
+``bind()``, as the paper's re-link only redirects the jumps to the new
+code (Sections 3.3–3.4). The table ids an inlined body's cost atoms name
+are key slots, filled with the driver's other constants at link time.
 
 Validity is governed by :attr:`CompiledDatapath.generation`, which moves
 exactly when something baked in here moved: ``install``/``uninstall``/
@@ -37,12 +52,6 @@ lazily re-fuses on the next packet — off the update critical path, with
 the trampoline serving the window in between. An update that only
 changes the *content* of a hash, LPM or linked-list store leaves the
 driver standing: it closes over the stores, which mutate in place.
-
-The driver text is key-free the way a direct table's is: an inlined
-direct body keeps its key slots (renumbered under the table's id), and
-the driver takes the concatenated keys of the tables it inlines. A
-re-link after a direct table's *keys* moved is therefore a cache hit and
-a patch; only a new *shape* (an entry more or less, a new field) compiles.
 """
 
 from __future__ import annotations
@@ -56,7 +65,6 @@ from typing import TYPE_CHECKING, Callable
 from repro.core import templates
 from repro.openflow.actions import Output
 from repro.openflow.pipeline import MAX_TABLE_HOPS, PipelineError, Verdict
-from repro.simcpu.recorder import NULL_METER
 
 if TYPE_CHECKING:
     from repro.core.datapath import CompiledDatapath
@@ -69,8 +77,8 @@ class FuseError(Exception):
 _IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
 _RETURN = re.compile(r"^(\s*)return\s+(.+)$")
 
-#: key slots of the table with id ``tid`` start at ``tid * _TABLE_SLOTS``
-#: in the driver text (a direct table holds far fewer keys than this).
+#: slots of the inlined table with id ``tid`` start at ``tid *
+#: _TABLE_SLOTS`` in the driver text (an inlined body holds one).
 _TABLE_SLOTS = 1 << 20
 
 
@@ -84,7 +92,9 @@ class FusedPipeline:
     keys: dict
     namespace: dict
     table_ids: tuple[int, ...]
+    #: tables whose bodies the driver text holds, and tables it calls.
     inlined_ids: tuple[int, ...]
+    called_ids: tuple[int, ...]
     #: ``(pkt, meter) -> Verdict`` — metered scalar driver.
     process: Callable
     #: ``(pkt) -> Verdict`` — NullMeter scalar driver (atoms elided).
@@ -179,9 +189,9 @@ def _inline_body(compiled, prefix: str, namespace: dict, null: bool) -> list[str
     ``return X`` becomes ``out = X`` + ``break`` (the caller wraps the body
     in a one-iteration ``while True``), the constants the body names are
     re-bound under ``prefix`` into the fused namespace, ``m`` becomes the
-    driver's ``meter`` and the key slots move under the table's id. The
-    rung itself emits the ``null`` body. The rewritten lines are kept on
-    the compiled table: a re-link re-renders only tables rebuilt since.
+    driver's ``meter`` and the slots move under the table's id. The rung
+    itself emits the ``null`` body. The rewritten lines are kept on the
+    compiled table: a re-link re-renders only tables rebuilt since.
     """
     rendered = compiled.inlined.get(prefix)
     if rendered is None:
@@ -197,9 +207,8 @@ def _inline_body(compiled, prefix: str, namespace: dict, null: bool) -> list[str
                 out.append(f"{indent}break")
             else:
                 out.append(line)
-        if compiled.keys:
-            base = compiled.table_id * _TABLE_SLOTS
-            out = templates.shift_slots("\n".join(out), base).split("\n")
+        base = compiled.table_id * _TABLE_SLOTS
+        out = templates.shift_slots("\n".join(out), base).split("\n")
         rendered = compiled.inlined[prefix] = (out, tuple(names))
     out, names = rendered
     for key in names:
@@ -211,8 +220,8 @@ def _emit_dispatch(dp: "CompiledDatapath", namespace: dict, null: bool) -> tuple
     list[str], tuple[int, ...]
 ]:
     """The ``if tid == N`` chain replacing the trampoline dict lookup:
-    inlinable rungs are spliced in textually, the rest (the linked list,
-    whose body returns from inside a loop) are linked by direct call."""
+    inlinable rungs are spliced in textually, the rest are called through
+    a name this link binds to the table's function of the variant."""
     order = [dp.first_table] if dp.first_table in dp.trampoline else []
     order += [tid for tid in sorted(dp.trampoline) if tid not in order]
     lines: list[str] = []
@@ -228,11 +237,11 @@ def _emit_dispatch(dp: "CompiledDatapath", namespace: dict, null: bool) -> tuple
             lines.extend("            " + line for line in body)
             inlined.append(tid)
         else:
-            name = f"_t{tid}_fn"
-            namespace[name] = compiled.fn
-            arg = "_NULL" if null else "meter"
+            name = f"_t{tid}_{variant}fn"
+            namespace[name] = compiled.fn_null if null else compiled.fn
+            meter = "" if null else ", meter"
             lines.append(
-                f"            out = {name}(data, pkt, l3, l4, proto, etype, nxt, {arg})"
+                f"            out = {name}(data, pkt, l3, l4, proto, etype, nxt{meter})"
             )
     lines.append("        else:")
     lines.append(
@@ -440,26 +449,28 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
         "_Verdict": Verdict,
         "_PipelineError": PipelineError,
         "_Output": Output,
-        "_NULL": NULL_METER,
     }
     begun = perf_counter()
-    acyclic, flags = _pipeline_facts(dp)
-    run_m, inlined = _emit_run(dp, namespace, null=False, acyclic=acyclic, flags=flags)
-    run_n, _ = _emit_run(dp, namespace, null=True, acyclic=acyclic, flags=flags)
-    lines = run_m + [""] + run_n + [""] + _emit_entrypoints(dp)
-    text = "\n".join(lines) + "\n"
-    keys = {
-        tid * _TABLE_SLOTS + i: key
-        for tid in inlined
-        for i, key in enumerate(dp.trampoline[tid].keys)
-    }
     generation = dp.generation
     try:
+        acyclic, flags = _pipeline_facts(dp)
+        run_m, inlined = _emit_run(
+            dp, namespace, null=False, acyclic=acyclic, flags=flags
+        )
+        run_n, _ = _emit_run(dp, namespace, null=True, acyclic=acyclic, flags=flags)
+        lines = run_m + [""] + run_n + [""] + _emit_entrypoints(dp)
+        text = "\n".join(lines) + "\n"
+        keys = {
+            tid * _TABLE_SLOTS + i: key
+            for tid in inlined
+            for i, key in enumerate(dp.trampoline[tid].slot_values)
+        }
         templates.load(text, "fused").bind(namespace, keys)
     except Exception as exc:
-        # An emitter bug producing unloadable source is a *fusion* failure,
-        # not a datapath one: surface it as FuseError so every caller takes
-        # the same trampoline-fallback path.
+        # An emitter bug producing unloadable source — the driver's or a
+        # called table's NullMeter function — is a *fusion* failure, not a
+        # datapath one: surface it as FuseError so every caller takes the
+        # same trampoline-fallback path.
         raise FuseError(f"generated driver failed to load: {exc}") from exc
     finally:
         dp.link_s += perf_counter() - begun
@@ -470,6 +481,7 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
         namespace=namespace,
         table_ids=tuple(sorted(dp.trampoline)),
         inlined_ids=inlined,
+        called_ids=tuple(tid for tid in sorted(dp.trampoline) if tid not in inlined),
         process=namespace["_process"],
         process_null=namespace["_run_n"],
         burst=namespace["_burst"],

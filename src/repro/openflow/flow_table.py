@@ -440,6 +440,19 @@ class FlowTable:
         self._feats_update(existing, entry, feats_fresh)
         return entry
 
+    def put_back(self, entry: FlowEntry, before: "FlowEntry | None") -> FlowEntry:
+        """Reinstall ``entry`` at its rule key, ahead of ``before``,
+        removing whatever holds the key now — an undo step. Its template
+        is counted before the occupant's is uncounted, as :meth:`add` does
+        for a replace: a swap that leaves the fact set as it was leaves
+        ``facts_version`` alone."""
+        self._intern(entry)
+        try:
+            self.remove(entry.match, entry.priority)
+            return self.add(entry, before=before)
+        finally:
+            self._release(entry)
+
     def add_bulk(self, entries: "list[FlowEntry]") -> int:
         """Insert many entries in one stable sort instead of n priority scans.
 

@@ -327,9 +327,7 @@ class Pipeline:
     def _put_back(
         self, entry: FlowEntry, follower: "FlowEntry | None", mod: FlowMod
     ) -> "tuple[int, FlowEntry]":
-        table = self._tables[mod.table_id]
-        table.remove(mod.match, mod.priority)  # whatever the batch left there
-        return 0, table.add(entry, before=follower)
+        return 0, self._tables[mod.table_id].put_back(entry, follower)
 
     def roll_back(self, undo: BatchUndo) -> None:
         """Put every key ``undo`` names back to its recorded occupant —

@@ -907,6 +907,12 @@ class ShardedESwitch:
     def table_kinds(self) -> dict[int, str]:
         return self.shadow.table_kinds()
 
+    def logical_table_id(self, compiled_id: int) -> int:
+        # Every replica compiles the shadow's pipeline through the same
+        # mods, so their compiled ids are the shadow's (the verdict paths
+        # they return say so hop for hop).
+        return self.shadow.logical_table_id(compiled_id)
+
     def __repr__(self) -> str:
         health = self.health()
         degraded = (

@@ -16,7 +16,7 @@ from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline, PipelineError
 from repro.packet import PacketBuilder
-from repro.usecases import firewall, gateway, l2, l3, loadbalancer
+from repro.usecases import acl, firewall, gateway, l2, l3, loadbalancer
 
 
 class TestCompilation:
@@ -138,6 +138,62 @@ class TestProcessing:
         sw = ESwitch.from_pipeline(Pipeline([t]), packet_in_handler=punted.append)
         sw.process(PacketBuilder().eth().build())
         assert len(punted) == 1
+
+    def test_packet_in_from_a_decomposed_group_names_the_logical_table(self):
+        """A miss inside a sub-table reports the table it was cut from,
+        as the interpreter does — on the scalar and burst paths, and from
+        a session's punt synthesized off a sharded engine's verdict."""
+        from repro.controller import ControllerSession, LossyChannel
+        from repro.openflow.flow_table import TableMissPolicy
+        from repro.parallel import ShardedESwitch
+
+        def build():
+            table = FlowTable(0, miss_policy=TableMissPolicy.CONTROLLER)
+            for priority, match in ((9, Match(in_port=1, tcp_dst=80)),
+                                    (8, Match(in_port=2)),
+                                    (7, Match(tcp_dst=443))):
+                table.add(FlowEntry(match, priority=priority,
+                                    instructions=(ApplyActions([Output(3)]),)))
+            return Pipeline([table])
+
+        config = CompileConfig(direct_threshold=0)
+        pkt = PacketBuilder(in_port=1).eth().ipv4().tcp(dst_port=22).build()
+        assert build().process(pkt.copy()).path[-1][0] == 0
+        punted = []
+        sw = ESwitch.from_pipeline(build(), config=config,
+                                   packet_in_handler=punted.append)
+        assert sw.table_kinds()[0].startswith("decomposed[")
+        missed_in = sw.process(pkt.copy()).path[-1][0]
+        sw.process_burst([pkt.copy()])
+        assert missed_in >= 256 and sw.logical_table_id(missed_in) == 0
+        assert [p.table_id for p in punted] == [0, 0]
+        with ShardedESwitch(build(), workers=1, backend="thread",
+                            config=config) as engine:
+            session = ControllerSession(engine, channel=LossyChannel())
+            session.controller = punted.append
+            assert session.process(pkt.copy()).path[-1][0] == missed_in
+        assert [p.table_id for p in punted] == [0, 0, 0]
+
+    def test_a_created_table_never_lands_on_a_sub_table_id(self):
+        """Sub-tables take compiled ids past OpenFlow's table ids: a
+        logical table a flow-mod creates later keeps its own slot through
+        the group's next rebuild."""
+        sw = ESwitch.from_pipeline(acl.build(40))
+        assert sw.table_kinds()[0].startswith("decomposed[")
+        assert min(set(sw.datapath.trampoline) - {0}) >= 256
+        add = FlowMod(FlowModCommand.ADD, 1, Match(in_port=3), priority=5,
+                      instructions=(ApplyActions([Output(2)]),))
+        assert sw.submit_flow_mods([add]).accepted
+        rule = sw.pipeline.table(0).entries[0]
+        assert sw.submit_flow_mods([FlowMod(
+            FlowModCommand.DELETE, 0, rule.match, priority=rule.priority,
+            strict=True)]).accepted
+        kinds = sw.table_kinds()
+        assert kinds[0].startswith("decomposed[") and kinds[1] == "direct"
+        pkt = PacketBuilder(in_port=3).eth().ipv4().tcp().build()
+        pipeline = sw.pipeline
+        assert sw.process(pkt.copy()).summary() == pipeline.process(
+            pkt.copy()).summary()
 
     def test_gateway_nat_rewrites_packet(self):
         p, fib = gateway.build(n_ce=1, users_per_ce=1, n_prefixes=100)

@@ -19,14 +19,14 @@ from repro.core.fuse import FuseError, fuse_datapath
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
-from repro.openflow.instructions import ApplyActions
+from repro.openflow.instructions import ApplyActions, GotoTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
 from repro.packet import PacketBuilder
 from repro.simcpu.platform import XEON_E5_2620
 from repro.simcpu.recorder import CycleMeter
-from repro.usecases import gateway, l2
+from repro.usecases import acl, gateway, l2
 
 
 FUSED = CompileConfig(fuse=True)
@@ -39,6 +39,40 @@ def _pair(pipeline):
         ESwitch.from_pipeline(pipeline, config=FUSED),
         ESwitch.from_pipeline(pipeline, config=TRAMPOLINE),
     )
+
+
+def _range_and_list_pipeline():
+    """Table 0: sixteen exact ports, one run (range search when enabled)
+    into table 1: three mask shapes, no common one (the linked list)."""
+    ports, mixed = FlowTable(0), FlowTable(1)
+    for port in range(80, 96):
+        ports.add(FlowEntry(Match(tcp_dst=port), priority=1,
+                            instructions=(GotoTable(1),)))
+    ports.add(FlowEntry(Match(), priority=0,
+                        instructions=(ApplyActions([Output(9)]),)))
+    for i, match in enumerate((Match(in_port=1), Match(tcp_dst=80),
+                               Match(ipv4_src=(0x0A000000, 0xFFFFFF00)))):
+        mixed.add(FlowEntry(match, priority=9 - i,
+                            instructions=(ApplyActions([Output(1 + i)]),)))
+    return Pipeline([ports, mixed])
+
+
+_RANGE_AND_LIST = CompileConfig(direct_threshold=0, decompose=False,
+                                enable_range=True)
+
+
+def _range_and_list_switch(config=_RANGE_AND_LIST):
+    return ESwitch.from_pipeline(_range_and_list_pipeline(), config=config)
+
+
+def _range_and_list_traffic():
+    return [
+        PacketBuilder(in_port=in_port).eth().ipv4(src=src).tcp(dst_port=dport)
+        .build()
+        for in_port in (1, 2)
+        for src in ("10.0.0.7", "192.0.2.1")
+        for dport in (79, 80, 88, 95, 96)
+    ]
 
 
 def _run_metered(sw, pkts):
@@ -313,8 +347,117 @@ class TestSpecialization:
         assert "meter.touch" not in null_part
 
     def test_gateway_tables_inlined(self):
-        """Hash and LPM templates inline; every gateway table qualifies."""
+        """Hash, LPM and range inline (their text is fixed by fields and
+        masks); direct code is called, so its entry count is no part of
+        the driver text."""
+        p, _fib = gateway.build(n_ce=2, users_per_ce=8, n_prefixes=16)
+        seen = set()
+        for sw in (ESwitch.from_pipeline(p), _range_and_list_switch()):
+            kinds = {tid: ct.kind.value
+                     for tid, ct in sw.datapath.trampoline.items()}
+            seen.update(kinds.values())
+            assert sw.warm()
+            fused = sw.datapath.fused
+            inlined = {tid for tid, kind in kinds.items()
+                       if kind in ("hash", "lpm", "range")}
+            assert set(fused.inlined_ids) == inlined
+            assert set(fused.called_ids) == set(kinds) - inlined
+            for tid in fused.called_ids:
+                compiled = sw.datapath.table(tid)
+                assert fused.namespace[f"_t{tid}_mfn"] is compiled.fn
+                assert fused.namespace[f"_t{tid}_nfn"] is compiled.fn_null
+        assert seen == {"direct", "hash", "lpm", "range", "linked_list"}
+
+
+class _LineRecorder:
+    """A meter that keeps every line a lookup touches."""
+
+    def __init__(self):
+        self.lines = []
+
+    def charge(self, cycles):
+        pass
+
+    def touch(self, line):
+        self.lines.append(line)
+
+
+class TestCalledTables:
+    """Direct code and the linked list are linked by call: each with its
+    own NullMeter function, the driver text none the wiser."""
+
+    def test_every_called_null_function_is_free_of_atoms(self):
         p, _fib = gateway.build(n_ce=2, users_per_ce=2, n_prefixes=16)
-        sw, _ = self._fused_source(p)
-        fused = sw.datapath.fused
-        assert set(fused.inlined_ids) == set(fused.table_ids)
+        for sw in (ESwitch.from_pipeline(p), _range_and_list_switch(),
+                   ESwitch.from_pipeline(p, config=CompileConfig(
+                       keys_in_code=False))):
+            assert sw.warm()
+            called = sw.datapath.fused.called_ids
+            assert called
+            for tid in called:
+                compiled = sw.datapath.table(tid)
+                code = compiled.fn_null.__code__
+                assert code.co_argcount == 7  # no meter to pass
+                assert not {"m", "charge", "touch"} & set(
+                    code.co_names + code.co_varnames)
+                assert "charge" in compiled.fn.__code__.co_names
+            null_part = sw.datapath.fused.source.split("def _run_n", 1)[1]
+            assert "meter" not in null_part.split("def _process", 1)[0]
+
+    def test_same_shape_hash_tables_share_code_and_keep_their_lines(self):
+        """Per-CE hash tables share one text; equal ids (the same table
+        on two switches) share the patched code object itself; a metered
+        run still touches each table's own cache lines."""
+        shape = dict(n_ce=2, users_per_ce=8)
+        p, fib = gateway.build(n_prefixes=16, **shape)
+        a = ESwitch.from_pipeline(p)
+        b = ESwitch.from_pipeline(gateway.build(n_prefixes=16, **shape)[0])
+        ce0, ce1 = a.compiled_table(10), a.compiled_table(11)
+        assert ce0.kind.value == "hash" and ce0.text == ce1.text
+        assert ce0.fn.__code__ is not ce1.fn.__code__
+        assert ce0.fn.__code__ is b.compiled_table(10).fn.__code__
+        assert "('es_hash', 10, _ln)" in ce0.source
+        assert "('es_hash', 11, _ln)" in ce1.source
+        for sw in (a, ESwitch.from_pipeline(p, config=TRAMPOLINE)):
+            meter = _LineRecorder()
+            for pkt in gateway.traffic(fib, 32, **shape):
+                sw.process(pkt.copy(), meter)
+            hashed = {line[1] for line in meter.lines if line[0] == "es_hash"}
+            assert {10, 11} <= hashed
+
+    def test_a_decomposed_group_inlines_its_direct_tables(self):
+        """A group is rebuilt whole under fresh sub-table ids, so the
+        driver text over it moves on every rebuild anyway: its direct
+        tables are inlined, not called a frame per hop."""
+        sw = ESwitch.from_pipeline(acl.build(40))
+        assert sw.table_kinds()[0].startswith("decomposed[") and sw.warm()
+        direct = {tid for tid, ct in sw.datapath.trampoline.items()
+                  if ct.kind.value == "direct"}
+        assert direct and direct <= set(sw.datapath.fused.inlined_ids)
+        assert sw.datapath.fused.called_ids == ()
+
+    @pytest.mark.parametrize("build", ["gateway", "range_and_list"])
+    def test_called_tables_keep_parity_in_both_meter_modes(self, build):
+        if build == "gateway":
+            shape = dict(n_ce=2, users_per_ce=2)
+            p, fib = gateway.build(n_prefixes=16, **shape)
+            pkts = gateway.traffic(fib, 48, **shape)
+            pair = _pair(p)
+        else:
+            pkts = _range_and_list_traffic()
+            pair = (_range_and_list_switch(),
+                    _range_and_list_switch(_RANGE_AND_LIST.with_(fuse=False)))
+        sw_f, sw_t = pair
+        assert sw_f.warm() and sw_f.datapath.fused.called_ids
+        kinds = {sw_f.datapath.table(tid).kind.value
+                 for tid in sw_f.datapath.fused.called_ids}
+        assert kinds == ({"direct"} if build == "gateway" else {"linked_list"})
+        got_f, cycles_f = _run_metered(sw_f, pkts)
+        got_t, cycles_t = _run_metered(sw_t, pkts)
+        assert got_f == got_t and cycles_f == cycles_t
+        assert [sw_f.process(p.copy()).summary() for p in pkts] == [
+            sw_t.process(p.copy()).summary() for p in pkts
+        ]
+        null_f = sw_f.process_burst([p.copy() for p in pkts])
+        null_t = sw_t.process_burst([p.copy() for p in pkts])
+        assert [v.summary() for v in null_f] == [v.summary() for v in null_t]

@@ -15,7 +15,7 @@ import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
@@ -23,7 +23,7 @@ import strategies as sts
 from repro.core import CompileConfig, ESwitch
 from repro.core.codegen import MAX_DIRECT_ENTRIES, compile_table
 from repro.core.fuse import _pipeline_facts
-from repro.openflow.actions import DecTtl, Output
+from repro.openflow.actions import DecTtl, Drop, Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
 from repro.openflow.instructions import (
@@ -186,9 +186,44 @@ def assert_parity(sw, reference, pkts) -> list:
     return ports
 
 
+class _Replay:
+    """Stands in for ``st.data()``: answers each draw from a script, and
+    starts over once it is spent, so one instance serves every rung."""
+
+    def __init__(self, *draws):
+        self.draws = draws
+        self.next = 0
+
+    def draw(self, _strategy):
+        value = self.draws[self.next % len(self.draws)]
+        self.next += 1
+        return value
+
+
+_MACS = sts.FIELD_DOMAINS["eth_dst"]
+
+
+def _put_back_script() -> _Replay:
+    """A rolled-back batch whose undo puts back a rule that was the last
+    carrier of its fact tuple: the fact set is what it was, so the
+    generation must be too."""
+    return _Replay(
+        [PacketBuilder().eth(dst=mac).ipv4().build() for mac in _MACS],
+        2,
+        [FlowMod(FlowModCommand.DELETE, 0, Match(), priority=0),
+         FlowMod(FlowModCommand.DELETE, 0, Match(eth_dst=_MACS[0]), priority=0)],
+        False,
+        [FlowMod(FlowModCommand.DELETE, 0, Match(eth_dst=_MACS[1]), priority=0),
+         FlowMod(FlowModCommand.ADD, 0, Match(eth_dst=_MACS[2]), priority=1,
+                 instructions=(ApplyActions([Drop()]),))],
+        True,
+    )
+
+
 @pytest.mark.parametrize("rung", sorted(CENSUS_RUNGS))
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
+@example(data=_put_back_script())
 def test_census_and_generation_track_updates(rung, data):
     config, build = CENSUS_RUNGS[rung]
     sw = ESwitch.from_pipeline(Pipeline([build()]), config=config)
@@ -377,6 +412,32 @@ def test_rolled_back_delete_wins_its_place_back():
         ])
     assert all(a is b for a, b in zip(sw.pipeline.table(0).entries, entries))
     assert assert_parity(sw, reference, [pkt]) == [[1]]
+
+
+def test_rolled_back_batch_that_restores_the_fact_set_keeps_the_driver():
+    """The undo of a batch puts back a rule whose fact tuple the batch
+    had left no other carrier of. Put back over the batch's own rule of
+    the same facts, the set never changes — so neither may the
+    generation, as on a twin that applies the batch and keeps it."""
+    config, build = RUNGS["hash"]
+    script = _put_back_script()
+    pkts, _rounds, first, _, second, _ = script.draws
+    sw = ESwitch.from_pipeline(Pipeline([build()]), config=config)
+    reference = Pipeline([build()])
+    for switch in (sw, reference):
+        switch.apply_flow_mods(first)
+    assert sw.warm() and sw.table_kinds() == {0: "hash"}
+    fused, generation = sw.datapath.fused, sw.datapath.generation
+    assert _content_only(sw, config, second)
+    facts = sw.pipeline.table(0).facts_version
+    with pytest.raises(ValueError):
+        sw.apply_flow_mods([*second, FlowMod(FlowModCommand.ADD, 0, Match(),
+                                             priority=-1)])
+    assert sw.pipeline.table(0).facts_version == facts
+    assert sw.datapath.generation == generation
+    assert sw.datapath.fused is fused
+    assert sw.update_stats.rebuilds == 0
+    assert_parity(sw, reference, pkts)
 
 
 @pytest.mark.parametrize("what", sorted(STRUCTURAL))

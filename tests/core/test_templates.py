@@ -70,6 +70,16 @@ def compile_calls() -> int:
     return templates.stats()["compile_calls"]
 
 
+def texts_of(switch: ESwitch) -> set:
+    """Every text a warm switch loaded: each table's, the NullMeter text
+    of each table the driver calls, and the driver's."""
+    fused = switch.datapath.fused
+    trampoline = switch.datapath.trampoline
+    return ({ct.text for ct in trampoline.values()}
+            | {trampoline[tid].null_text for tid in fused.called_ids}
+            | {fused.text})
+
+
 # -- patched ≡ freshly compiled -------------------------------------------------
 
 
@@ -125,6 +135,11 @@ def assert_switch_patched_is_fresh(switch: ESwitch, where: str) -> None:
     fused = switch.datapath.fused
     if fused is not None:
         assert_patched_is_fresh(fused.namespace, fused.source, f"{where}: fused")
+        for tid in fused.called_ids:
+            compiled = switch.datapath.trampoline[tid]
+            null_source = templates.render(compiled.null_text, compiled.slot_values)
+            assert_patched_is_fresh({"_match_null": compiled.fn_null}, null_source,
+                                    f"{where}: table {tid}, null")
 
 
 def scenario_config(scenario: Scenario) -> CompileConfig:
@@ -293,7 +308,11 @@ class TestZeroCompiles:
         assert compile_calls() == cold  # and so was the re-fuse
         assert templates.stats()["patches"] >= patches + 3
         assert "== 0x9" in second.compiled_sources()[0]
-        assert "== 0x9" in second.datapath.fused.source
+        # The driver calls table 0: the re-link rebound its names.
+        rebuilt = second.compiled_table(0)
+        assert second.datapath.fused.namespace["_t0_mfn"] is rebuilt.fn
+        assert second.datapath.fused.namespace["_t0_nfn"] is rebuilt.fn_null
+        assert "== 0x9" in templates.render(rebuilt.null_text, rebuilt.slot_values)
 
     def test_a_new_direct_shape_compiles_once_per_new_text(self):
         templates.clear()
@@ -303,14 +322,49 @@ class TestZeroCompiles:
         add = FlowMod(FlowModCommand.ADD, 0, Match(in_port=3), priority=1,
                       instructions=(ApplyActions([Output(13)]),))
         assert switch.submit_flow_mods([add]).accepted and switch.warm()
-        assert compile_calls() == before + 2  # the table, the driver
+        # The table's text and its NullMeter text; the driver calls the
+        # table, so its text is one the cache has seen.
+        assert compile_calls() == before + 2
+        assert templates.stats()["compiles_by_label"]["direct"] >= 2
+
+    def test_tenant_arrivals_relink_and_never_recompile_the_driver(self):
+        """Users 1–4 arrive on one CE: its table and the reverse-NAT
+        table are direct code going 0 → 4 entries. The driver calls them,
+        so its text never changes and compiles once; the same arrivals on
+        another switch compile nothing at all."""
+
+        def arrivals():
+            switch = ESwitch(gateway.build(n_ce=2, users_per_ce=4, n_prefixes=50,
+                                           provision_users=False)[0])
+            assert switch.warm()
+            texts = [switch.datapath.fused.text]
+            for user in range(4):
+                mods = gateway.nat_flow_mods(ce=0, user=user)
+                assert switch.submit_flow_mods(mods).accepted and switch.warm()
+                texts.append(switch.datapath.fused.text)
+            return switch, texts
+
+        def fused_compiles():
+            return templates.stats()["compiles_by_label"].get("fused", 0)
+
+        templates.clear()
+        before = fused_compiles()
+        first, texts = arrivals()
+        assert len(set(texts)) == 1 and fused_compiles() == before + 1
+        tables = (gateway.CE_TABLE_BASE, gateway.REVERSE_TABLE)
+        assert [len(first.pipeline.table(tid)) for tid in tables] == [4, 4]
+        assert all(first.table_kinds()[tid] == "direct" for tid in tables)
+        assert set(tables) <= set(first.datapath.fused.called_ids)
+        cold = compile_calls()
+        second, again = arrivals()
+        assert compile_calls() == cold
+        assert again == texts
 
     def test_thread_replicas_stand_up_after_the_shadow_without_compiling(self):
         templates.clear()
         before = compile_calls()
         with ShardedESwitch(small_gateway(), workers=2, backend="thread") as engine:
-            texts = {ct.text for ct in engine.shadow.datapath.trampoline.values()}
-            assert compile_calls() == before + len(texts) + 1  # + the driver
+            assert compile_calls() == before + len(texts_of(engine.shadow))
             probe = [mac_pkt(0x0200_0000_0001) for _ in range(8)]
             assert len(engine.process_burst(probe)) == 8
 
@@ -420,8 +474,7 @@ class TestConcurrentLoads:
             sys.setswitchinterval(interval)
         assert not errors and len(built) == 4
         assert all(not thread.is_alive() for thread in threads)
-        shapes = {ct.text for ct in built[0].datapath.trampoline.values()}
-        shapes.add(built[0].datapath.fused.text)
+        shapes = texts_of(built[0])
         loaded = compile_calls() - before
         assert len(shapes) <= loaded <= 4 * len(shapes)
         stats = templates.stats()

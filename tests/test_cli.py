@@ -68,6 +68,8 @@ class TestCommands:
         assert main(["compile", firewall_file, "--sources"]) == 0
         out = capsys.readouterr().out
         assert "direct" in out
+        assert "action templates; called)" in out  # direct code is called
+        assert "core.codegen.compile_calls." in out
         assert "def _match" in out
 
     def test_compile_lb_decomposition_toggle(self, lb_file, capsys):
@@ -76,6 +78,7 @@ class TestCommands:
         main(["compile", lb_file, "--no-decompose"])
         without = capsys.readouterr().out
         assert "decomposed[" in with_decomp
+        assert "; 9 inlined)" in with_decomp  # a group inlines all it links
         assert "linked_list" in without
 
     def test_run_agreement(self, firewall_file, capsys):
