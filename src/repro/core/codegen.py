@@ -27,7 +27,10 @@ the Python spelling of ``bt r15d, IP`` — and always run before any header
 byte is dereferenced.
 
 Cost atoms are baked into the emitted source as literals, so the generated
-code *is* the performance model of its table (Section 4.4).
+code *is* the performance model of its table (Section 4.4). Each sits
+behind ``if m is not None:``: one body serves both the measured run and
+the functional one, whose callers pass ``m=None``
+(:func:`~repro.simcpu.recorder.active_meter`).
 
 A template rung is one :class:`CompiledTable` subclass. Its layout — which
 names the generated code binds, where the outcomes live, what an update
@@ -76,8 +79,6 @@ class CompileError(Exception):
 MAX_DIRECT_ENTRIES = 1024
 
 _SIGNATURE = "def _match(data, pkt, l3, l4, proto, etype, nxt, m):"
-#: the NullMeter specialization of a table a linker calls: no meter at all.
-_NULL_SIGNATURE = "def _match_null(data, pkt, l3, l4, proto, etype, nxt):"
 
 #: footprint estimates: one per-rule Outcome record, and one shared action
 #: template with the instruction and action objects it keeps alive.
@@ -105,8 +106,7 @@ class CompiledTable:
     * :meth:`stage` — the analytic-model atom of one lookup, kept beside
       the emitter that bakes the same atoms into ``source``;
     * :attr:`inlinable` / :meth:`body` — what a linker needs to splice the
-      lookup into a larger code object, and :attr:`fn_null` — what it
-      calls instead when the rung is not inlinable.
+      lookup into a larger code object; it calls :attr:`fn` otherwise.
 
     ``namespace`` is the generated function's globals: ``_MISS`` plus
     whatever the rung's body names.
@@ -118,7 +118,7 @@ class CompiledTable:
     #: a linker splices the body into its own text: the text is fixed by
     #: the table's fields and masks, and it is straight-line code with no
     #: ``return`` inside a loop (``return X`` rewrites to ``out = X;
-    #: break``). Otherwise the linker calls :attr:`fn` / :attr:`fn_null`.
+    #: break``). Otherwise the linker calls :attr:`fn`.
     inlinable = True
     #: one of a decomposed group's tables, which are rebuilt together and
     #: under fresh ids: a driver over them changes text on every rebuild.
@@ -148,9 +148,9 @@ class CompiledTable:
         self.text = "\n".join([_SIGNATURE] + self._emit(costs)) + "\n"
         templates.load(self.text, self.kind.value).bind(namespace, self.slot_values)
         self.fn = namespace["_match"]
-        #: a linker's renderings of :meth:`body`, by the prefix it put
-        #: them under; they last exactly as long as this build of the table.
-        self.inlined: dict = {}
+        #: a linker's rendering of :meth:`body`; it lasts exactly as long
+        #: as this build of the table.
+        self.inlined = None
 
     @cached_property
     def source(self) -> str:
@@ -162,30 +162,13 @@ class CompiledTable:
         """The table id as the text names it: the slot after the keys."""
         return templates.id_slot(len(self.keys))
 
-    @cached_property
-    def null_text(self) -> str:
-        """The key-free text of :attr:`fn_null`."""
-        return "\n".join([_NULL_SIGNATURE] + self._emit(None)) + "\n"
-
-    @cached_property
-    def fn_null(self):
-        """The lookup specialised for the NullMeter — no meter argument,
-        no atoms — for a linker that calls this table rather than inlining
-        it. Loaded on first use (a switch that never fuses never asks), as
-        its own text, shared by shape like :attr:`text`."""
-        templates.load(self.null_text, self.kind.value).bind(
-            self.namespace, self.slot_values
-        )
-        return self.namespace["_match_null"]
-
     @property
     def miss(self) -> Outcome:
         return self.namespace["_MISS"]
 
-    def _emit(self, costs: "CostBook | None") -> list[str]:
-        """The lookup body. ``costs=None`` emits the NullMeter
-        specialization: no cost atoms, and store probes that skip the
-        cache-line trace that only feeds them."""
+    def _emit(self, costs: CostBook) -> list[str]:
+        """The lookup body: its atoms behind one ``if m is not None:`` on
+        any path, and store probes that trace cache lines only when metered."""
         raise NotImplementedError
 
     def holds(self, table: FlowTable, mod: FlowMod, config: CompileConfig) -> bool:
@@ -278,18 +261,16 @@ class CompiledTable:
         """One lookup as a Section 4.4 performance atom."""
         raise NotImplementedError
 
-    def body(self, null: bool) -> tuple[list[str], dict]:
+    def body(self) -> tuple[list[str], dict]:
         """``(lines, names)`` of an :attr:`inlinable` lookup: the body
-        under ``_match``'s signature (``null`` selects the NullMeter
-        specialization; slots numbered as in :attr:`slot_values`) and the
-        namespace constants it refers to."""
-        lines = self._emit(None) if null else self.text.split("\n")[1:-1]
+        under ``_match``'s signature (slots numbered as in
+        :attr:`slot_values`) and the namespace constants it refers to."""
         names = {
             key: value
             for key, value in self.namespace.items()
-            if key.startswith("_") and key not in ("_match", "_match_null")
+            if key.startswith("_") and key != "_match"
         }
-        return lines, names
+        return self.text.split("\n")[1:-1], names
 
 
 # -- match-condition expression builders ----------------------------------------
@@ -352,11 +333,25 @@ def _key_exprs(fields: tuple[str, ...], masks: tuple[int, ...]) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
-def _guard_lines(guards: list[str]) -> list[str]:
-    """Whole-table protocol guard: without the headers, straight to miss."""
+def _metered(indent: str, *atoms: str) -> list[str]:
+    """``atoms`` (``m.charge``/``m.walk``/``m.touch`` statements) behind
+    the one test a lookup without a meter pays instead."""
+    return [f"{indent}if m is not None:"] + [f"{indent}    {a}" for a in atoms]
+
+
+def _walk(base: float, per_entry: float, count: "int | str", line: str) -> str:
+    """The atoms of a walk that stopped after ``count`` entries, as one
+    :meth:`~repro.simcpu.recorder.Meter.walk` charged where it stopped."""
+    return f"m.walk({base!r}, {per_entry!r}, {count}, {line})"
+
+
+def _guard_lines(guards: list[str], charge: str) -> list[str]:
+    """Whole-table protocol guard: without the headers, straight to miss,
+    the lookup's ``charge`` atom paid on the way when metered."""
     if not guards:
         return []
-    return [f"    if not ({' and '.join(guards)}):", "        return _MISS"]
+    return ([f"    if not ({' and '.join(guards)}):"]
+            + _metered("        ", charge) + ["        return _MISS"])
 
 
 def _miss_of(table: FlowTable) -> Outcome:
@@ -418,23 +413,19 @@ class DirectTable(CompiledTable):
         namespace.update((f"_O{i}", out) for i, out in enumerate(self._outs))
         super().__init__(table, costs, namespace)
 
-    def _emit(self, costs: "CostBook | None") -> list[str]:
-        lines = [] if costs is None else [f"    m.charge({costs.direct_base!r})"]
+    def _emit(self, costs: CostBook) -> list[str]:
+        # Ablation: keys fetched from a key table in data memory.
+        line = "None" if self._keys_in_code else f"('es_keys', {self._id})"
+        base, per_entry = costs.direct_base, costs.direct_per_entry
+        lines = []
         for i, check in enumerate(self._checks):
-            if costs is not None:
-                lines.append(
-                    f"    m.charge({costs.direct_per_entry!r})  # FLOW_{i + 1}"
-                )
-                if not self._keys_in_code:
-                    # Ablation: keys fetched from a key table in data memory.
-                    lines.append(f"    m.touch(('es_keys', {self._id}, {i // 4}))")
+            indent = "        " if check else "    "
             if check:
-                lines.append(f"    if {check}:")
-                lines.append(f"        return _O{i}")
-            else:
-                lines.append(f"    return _O{i}")
-        lines.append("    return _MISS")
-        return lines
+                lines.append(f"    if {check}:  # FLOW_{i + 1}")
+            lines += _metered(indent, _walk(base, per_entry, i + 1, line))
+            lines.append(f"{indent}return _O{i}")
+        missed = _walk(base, per_entry, len(self._checks), line)
+        return lines + _metered("    ", missed) + ["    return _MISS"]
 
     def _hits(self):
         return self._outs
@@ -491,20 +482,18 @@ class HashTable(CompiledTable):
     def _keeps(self, table: FlowTable, mod: FlowMod) -> bool:
         return hash_shape(table) is not None  # exact, and O(shapes)
 
-    def _emit(self, costs: "CostBook | None") -> list[str]:
+    def _emit(self, costs: CostBook) -> list[str]:
         key = _key_exprs(self.fields, self.masks)
-        if costs is None:
-            probe = [f"    v = _Hget({key})"]
-        else:
-            probe = [
-                f"    v, _ln = _H.get_traced({key})",
-                f"    m.touch(('es_hash', {self._id}, _ln))",
-            ]
+        charge = f"m.charge({costs.hash_base!r})"
         return (
-            ([] if costs is None else [f"    m.charge({costs.hash_base!r})"])
-            + _guard_lines(self._guards)
-            + probe
-            + ["    if v is None:", "        return _MISS", "    return v"]
+            _guard_lines(self._guards, charge)
+            + ["    if m is None:",
+               f"        v = _Hget({key})",
+               "    else:",
+               f"        {charge}",
+               f"        v, _ln = _H.get_traced({key})",
+               f"        m.touch(('es_hash', {self._id}, _ln))",
+               "    if v is None:", "        return _MISS", "    return v"]
         )
 
     def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:
@@ -586,22 +575,20 @@ class LpmTable(CompiledTable):
              "_LPMlookup": store.lookup, "_OUT": outcomes},
         )
 
-    def _emit(self, costs: "CostBook | None") -> list[str]:
+    def _emit(self, costs: CostBook) -> list[str]:
         fdef = field_by_name(self.field)
         req, expr = fdef.proto_required, fdef.expr
-        if costs is None:
-            probe = [f"    nh = _LPMlookup({expr})"]
-        else:
-            probe = [
-                f"    nh, _lines = _LPM.lookup_traced({expr})",
-                "    for _ln in _lines:",
-                f"        m.touch(('es_lpm', {self._id}, _ln))",
-            ]
+        charge = f"m.charge({costs.lpm_base!r})"
         return (
-            ([] if costs is None else [f"    m.charge({costs.lpm_base!r})"])
-            + _guard_lines([f"proto & {req:#x}"] if req else [])
-            + probe
-            + ["    if nh is None:", "        return _MISS", "    return _OUT[nh]"]
+            _guard_lines([f"proto & {req:#x}"] if req else [], charge)
+            + ["    if m is None:",
+               f"        nh = _LPMlookup({expr})",
+               "    else:",
+               f"        {charge}",
+               f"        nh, _lines = _LPM.lookup_traced({expr})",
+               "        for _ln in _lines:",
+               f"            m.touch(('es_lpm', {self._id}, _ln))",
+               "    if nh is None:", "        return _MISS", "    return _OUT[nh]"]
         )
 
     def _is_prefix(self, match: Match) -> bool:
@@ -741,21 +728,17 @@ class LinkedListTable(CompiledTable):
         )
         self._load(table)
 
-    def _emit(self, costs: "CostBook | None") -> list[str]:
-        if costs is None:
-            walk = ["    for _req, _fn, _vals, _out in _ENTRIES:"]
-        else:
-            walk = [
-                f"    m.charge({costs.linked_list_base!r})",
-                "    for _i, (_req, _fn, _vals, _out) in enumerate(_ENTRIES):",
-                f"        m.charge({costs.linked_list_per_entry!r})",
-                f"        m.touch(('es_ll', {self._id}, _i >> 2))",
-            ]
-        return walk + [
-            "        if all(proto & _g for _g in _req) and _fn(data, pkt, l3, l4, proto, etype, nxt, _vals):",
-            "            return _out",
-            "    return _MISS",
-        ]
+    def _emit(self, costs: CostBook) -> list[str]:
+        base, per_entry = costs.linked_list_base, costs.linked_list_per_entry
+        line = f"('es_ll', {self._id})"
+        return (
+            ["    for _i, (_req, _fn, _vals, _out) in enumerate(_ENTRIES):",
+             "        if all(proto & _g for _g in _req) and _fn(data, pkt, l3, l4, proto, etype, nxt, _vals):"]
+            + _metered("            ", _walk(base, per_entry, "_i + 1", line))
+            + ["            return _out"]
+            + _metered("    ", _walk(base, per_entry, "len(_ENTRIES)", line))
+            + ["    return _MISS"]
+        )
 
     def _load(self, table: FlowTable) -> None:
         """(Re)fill the entry list and the miss arm from ``table``: the
@@ -836,17 +819,15 @@ class RangeTable(CompiledTable):
     def _charge(self, costs: CostBook) -> float:
         return costs.range_base + costs.range_per_level * self._levels
 
-    def _emit(self, costs: "CostBook | None") -> list[str]:
+    def _emit(self, costs: CostBook) -> list[str]:
         fdef = field_by_name(self.field)
         req = fdef.proto_required
-        metered = costs is not None
+        charge = f"m.charge({self._charge(costs)!r})"
         return (
-            ([f"    m.charge({self._charge(costs)!r})"] if metered else [])
-            + _guard_lines([f"proto & {req:#x}"] if req else [])
+            _guard_lines([f"proto & {req:#x}"] if req else [], charge)
             + [f"    _p = {fdef.expr}",
                "    _i = _bisect(_STARTS, _p) - 1"]
-            + ([f"    m.touch(('es_range', {self._id}, _i >> 3))"]
-               if metered else [])
+            + _metered("    ", charge, f"m.touch(('es_range', {self._id}, _i >> 3))")
             + ["    if _i >= 0 and _p <= _ENDS[_i]:",
                "        return _OUTS[_i][_p - _STARTS[_i]]",
                "    return _MISS"]

@@ -28,7 +28,7 @@ from repro.openflow.pipeline import MAX_TABLE_HOPS, Pipeline, PipelineError, Ver
 from repro.packet import parser as pp
 from repro.packet.packet import Packet
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
-from repro.simcpu.recorder import Meter, NULL_METER
+from repro.simcpu.recorder import Meter, NULL_METER, active_meter
 
 
 def required_layer(pipeline: Pipeline) -> int:
@@ -79,6 +79,11 @@ class CompiledDatapath:
     generation and lazily re-fuse on the first packet after a change —
     the compile happens off the update critical path, with the trampoline
     serving packets in the window and for shapes the fuser rejects.
+
+    Both engines charge every atom behind ``meter is not None``:
+    ``process``/``process_burst`` turn a meter that records nothing into
+    ``None`` once (:func:`~repro.simcpu.recorder.active_meter`), and that
+    one value reaches the driver, the trampoline and every table alike.
     """
 
     def __init__(
@@ -200,13 +205,15 @@ class CompiledDatapath:
     # -- the fast path -----------------------------------------------------------
 
     def process(self, pkt: Packet, meter: Meter = NULL_METER) -> Verdict:
+        """The entry atom (IO, dispatch, parser), then the fused driver
+        while one stands, else the trampoline; a NullMeter runs as None."""
+        meter = active_meter(meter)
+        if meter is not None:
+            costs = self.costs
+            meter.charge(costs.pkt_in + costs.es_dispatch + self._parser_cost)
         fused = self._fused_fresh()
         if fused is not None:
-            if meter is NULL_METER:
-                return fused.process_null(pkt)
-            return fused.process(pkt, meter)
-        costs = self.costs
-        meter.charge(costs.pkt_in + costs.es_dispatch + self._parser_cost)
+            return fused.run(pkt, meter)
         return self._forward(pkt, meter, _PARSERS[self.parser_layer], self.trampoline)
 
     def process_burst(
@@ -218,9 +225,9 @@ class CompiledDatapath:
         """Run one IO burst through the datapath (Section 4.2's batching).
 
         The per-burst framework cost (PMD poll, doorbells, descriptor ring
-        maintenance) is charged **once**, before the first packet; each
-        packet then pays the scalar per-packet cost minus the
-        reference-burst amortization already baked into ``pkt_in`` — a
+        maintenance) is charged **once**, here, before either engine runs
+        the first packet; each packet then pays the scalar per-packet cost
+        minus the reference-burst amortization already baked into ``pkt_in`` — a
         burst of ``costs.reference_burst`` packets costs exactly what that
         many scalar :meth:`process` calls cost.
 
@@ -228,7 +235,8 @@ class CompiledDatapath:
         hoisted out of the per-packet loop. Per-packet meter windows
         (``begin_packet``/``end_packet``) are driven here when the meter
         supports them, so the per-burst cost lands in the burst's first
-        window — the packet that really pays for the poll.
+        window — the packet that really pays for the poll. A meter that
+        records nothing runs as ``None``, as in :meth:`process`.
 
         ``on_verdict(pkt, verdict)``, if given, runs after each packet
         (packet-in delivery, deferred rebuild flushes); a truthy return
@@ -242,38 +250,33 @@ class CompiledDatapath:
         """
         if not pkts:
             return []
+        meter = active_meter(meter)
+        if meter is not None:
+            meter.charge(self.costs.io_burst_cost)
         fused = self._fused_fresh()
         if fused is not None:
-            if meter is NULL_METER:
-                verdicts, resume = fused.burst_null(pkts, on_verdict)
-            else:
-                verdicts, resume = fused.burst(pkts, meter, on_verdict)
+            verdicts, resume = fused.burst(pkts, meter, on_verdict)
             if resume < 0:
                 return verdicts
             return self._trampoline_burst(
-                pkts, meter, on_verdict, verdicts=verdicts, start=resume,
-                charge_io=False,
+                pkts, meter, on_verdict, verdicts=verdicts, start=resume
             )
         return self._trampoline_burst(pkts, meter, on_verdict)
 
     def _trampoline_burst(
         self,
         pkts: "Sequence[Packet]",
-        meter: Meter,
+        meter: "Meter | None",
         on_verdict,
         verdicts: "list[Verdict] | None" = None,
         start: int = 0,
-        charge_io: bool = True,
     ) -> list[Verdict]:
         """The dict-dispatch burst loop (also the fused driver's resume
-        path: ``start > 0`` picks up mid-burst with the per-burst IO cost
-        already charged)."""
+        path: ``start > 0`` picks up mid-burst)."""
         verdicts = [] if verdicts is None else verdicts
         costs = self.costs
         begin = getattr(meter, "begin_packet", None)
         end = getattr(meter, "end_packet", None)
-        if charge_io:
-            meter.charge(costs.io_burst_cost)
         parse = _PARSERS[self.parser_layer]
         trampoline = self.trampoline
         per_pkt = (
@@ -283,7 +286,8 @@ class CompiledDatapath:
         for pkt in pkts[start:] if start else pkts:
             if begin is not None:
                 begin()
-            meter.charge(per_pkt)
+            if meter is not None:
+                meter.charge(per_pkt)
             verdict = self._forward(pkt, meter, parse, trampoline)
             if end is not None:
                 end()
@@ -298,7 +302,7 @@ class CompiledDatapath:
                 )
         return verdicts
 
-    def _forward(self, pkt: Packet, meter: Meter, parse, trampoline) -> Verdict:
+    def _forward(self, pkt: Packet, meter: "Meter | None", parse, trampoline) -> Verdict:
         costs = self.costs
         view = parse(pkt)
         data = pkt.data
@@ -328,7 +332,8 @@ class CompiledDatapath:
                     verdict.to_controller = True
                 else:
                     verdict.dropped = True
-                meter.charge(costs.table_miss)
+                if meter is not None:
+                    meter.charge(costs.table_miss)
                 return verdict
 
             hit.entry.counters.record(len(data))  # a hit carries its rule
@@ -357,7 +362,8 @@ class CompiledDatapath:
                 break
             if out.goto is None:
                 break
-            meter.charge(costs.goto_trampoline)
+            if meter is not None:
+                meter.charge(costs.goto_trampoline)
             tid = out.goto
 
         if write_set and not verdict.dropped:
@@ -371,8 +377,9 @@ class CompiledDatapath:
                     view = parse(pkt)
                     verdict.reparse_needed = False
 
-        if did_work:
-            meter.charge(costs.action_set)
-        if verdict.forwarded:
-            meter.charge(costs.pkt_out)
+        if meter is not None:
+            if did_work:
+                meter.charge(costs.action_set)
+            if verdict.forwarded:
+                meter.charge(costs.pkt_out)
         return verdict

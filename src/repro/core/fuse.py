@@ -20,19 +20,18 @@ shape, then patched):
   CompiledTable.inlinable`) are **textually inlined**; the others — direct
   code, whose text grows with its entries, and the linked list, whose
   body returns from inside a loop — are **called** through a namespace
-  name, ``_t{tid}_mfn`` / ``_t{tid}_nfn``, that each link rebinds. A
-  decomposed group's direct tables are inlined too: the group is rebuilt
-  whole under fresh sub-table ids, so its driver text moves anyway;
+  name, ``_t{tid}_fn``, that each link rebinds. A decomposed group's
+  direct tables are inlined too: the group is rebuilt whole under fresh
+  sub-table ids, so its driver text moves anyway;
 * parser dispatch, ethertype extraction, the first-table id, and every
   cost-book constant are baked in as literals;
 * every ``m.charge``/``m.touch`` atom of the trampoline path is preserved
   **literally**, in the same order, so modeled cycles stay bit-identical
   to the unfused pipeline — fusion buys real wall-clock, not model drift;
-* a second driver variant specialized for :data:`~repro.simcpu.recorder.
-  NULL_METER` drops the (no-op) metering calls entirely, which is where
-  the functional-mode speedup comes from; it calls each called table's
-  own NullMeter function (:attr:`~repro.core.codegen.CompiledTable.
-  fn_null`), so no atom runs anywhere under it.
+* there is one driver, ``_run(pkt, meter)``, for both meter modes: each
+  atom, the driver's and the tables', sits behind ``if meter is not
+  None:``, and a caller that meters nothing passes ``None``, so the code
+  the functional run executes is the code the measured run executes.
 
 The driver text therefore depends on the pipeline's *structure* — which
 tables exist, the rung each sits on, their fields, masks and fact sets,
@@ -84,7 +83,7 @@ _TABLE_SLOTS = 1 << 20
 
 @dataclass
 class FusedPipeline:
-    """One datapath generation's fused drivers."""
+    """One datapath generation's fused driver."""
 
     generation: int
     #: the key-free driver text and the keys its slots take.
@@ -95,17 +94,15 @@ class FusedPipeline:
     #: tables whose bodies the driver text holds, and tables it calls.
     inlined_ids: tuple[int, ...]
     called_ids: tuple[int, ...]
-    #: ``(pkt, meter) -> Verdict`` — metered scalar driver.
-    process: Callable
-    #: ``(pkt) -> Verdict`` — NullMeter scalar driver (atoms elided).
-    process_null: Callable
+    #: ``(pkt, meter) -> Verdict`` — one packet, its entry atom already
+    #: charged; ``meter`` is None when nothing meters.
+    run: Callable
     #: ``(pkts, meter, on_verdict) -> (verdicts, resume)`` where ``resume``
     #: is -1 when the whole burst ran fused, else the index of the first
     #: unprocessed packet (state changed under us: the caller finishes the
-    #: burst on the trampoline, which re-reads the live datapath).
+    #: burst on the trampoline, which re-reads the live datapath). The
+    #: burst's IO atom is the caller's to charge.
     burst: Callable
-    #: ``(pkts, on_verdict) -> (verdicts, resume)`` — NullMeter variant.
-    burst_null: Callable
 
     @cached_property
     def source(self) -> str:
@@ -183,19 +180,19 @@ def _rename_body(body: list[str], mapping: dict[str, str]) -> list[str]:
     return [_IDENT.sub(sub, line) for line in body]
 
 
-def _inline_body(compiled, prefix: str, namespace: dict, null: bool) -> list[str]:
+def _inline_body(compiled, prefix: str, namespace: dict) -> list[str]:
     """One table's generated body, rewritten for inlining.
 
     ``return X`` becomes ``out = X`` + ``break`` (the caller wraps the body
     in a one-iteration ``while True``), the constants the body names are
     re-bound under ``prefix`` into the fused namespace, ``m`` becomes the
-    driver's ``meter`` and the slots move under the table's id. The rung
-    itself emits the ``null`` body. The rewritten lines are kept on the
-    compiled table: a re-link re-renders only tables rebuilt since.
+    driver's ``meter`` and the slots move under the table's id. The
+    rewritten lines are kept on the compiled table: a re-link re-renders
+    only tables rebuilt since.
     """
-    rendered = compiled.inlined.get(prefix)
+    rendered = compiled.inlined
     if rendered is None:
-        lines, names = compiled.body(null)
+        lines, names = compiled.body()
         mapping = {"m": "meter"}
         mapping.update((key, prefix + key) for key in names)
         out = []
@@ -209,39 +206,36 @@ def _inline_body(compiled, prefix: str, namespace: dict, null: bool) -> list[str
                 out.append(line)
         base = compiled.table_id * _TABLE_SLOTS
         out = templates.shift_slots("\n".join(out), base).split("\n")
-        rendered = compiled.inlined[prefix] = (out, tuple(names))
+        rendered = compiled.inlined = (out, tuple(names))
     out, names = rendered
     for key in names:
         namespace[prefix + key] = compiled.namespace[key]
     return out
 
 
-def _emit_dispatch(dp: "CompiledDatapath", namespace: dict, null: bool) -> tuple[
+def _emit_dispatch(dp: "CompiledDatapath", namespace: dict) -> tuple[
     list[str], tuple[int, ...]
 ]:
     """The ``if tid == N`` chain replacing the trampoline dict lookup:
     inlinable rungs are spliced in textually, the rest are called through
-    a name this link binds to the table's function of the variant."""
+    a name this link binds to the table's function."""
     order = [dp.first_table] if dp.first_table in dp.trampoline else []
     order += [tid for tid in sorted(dp.trampoline) if tid not in order]
     lines: list[str] = []
     inlined: list[int] = []
-    variant = "n" if null else "m"
     for pos, tid in enumerate(order):
         compiled = dp.trampoline[tid]
         head = "if" if pos == 0 else "elif"
         lines.append(f"        {head} tid == {tid}:")
         if compiled.inlinable:
             lines.append("            while True:")
-            body = _inline_body(compiled, f"_t{tid}_{variant}", namespace, null)
+            body = _inline_body(compiled, f"_t{tid}", namespace)
             lines.extend("            " + line for line in body)
             inlined.append(tid)
         else:
-            name = f"_t{tid}_{variant}fn"
-            namespace[name] = compiled.fn_null if null else compiled.fn
-            meter = "" if null else ", meter"
+            namespace[f"_t{tid}_fn"] = compiled.fn
             lines.append(
-                f"            out = {name}(data, pkt, l3, l4, proto, etype, nxt{meter})"
+                f"            out = _t{tid}_fn(data, pkt, l3, l4, proto, etype, nxt, meter)"
             )
     lines.append("        else:")
     lines.append(
@@ -251,28 +245,21 @@ def _emit_dispatch(dp: "CompiledDatapath", namespace: dict, null: bool) -> tuple
 
 
 def _emit_run(
-    dp: "CompiledDatapath",
-    namespace: dict,
-    null: bool,
-    acyclic: bool,
-    flags: dict,
+    dp: "CompiledDatapath", namespace: dict, acyclic: bool, flags: dict
 ) -> tuple[list[str], tuple[int, ...]]:
     """The fused forward core: CompiledDatapath._forward, specialized.
 
     Every statement mirrors the trampoline's ``_forward`` exactly — same
-    charges, same order — with the per-hop dispatch specialized, the
-    parser/etype/cost loads baked in, the loop-detection guard elided
-    when the static goto graph is proven acyclic, and the write-set /
-    metadata / flow-meter machinery elided when no enumerated outcome can
-    trigger it (``flags``). Elided branches charge no atoms and can never
-    fire, so verdicts and cycles are unchanged.
+    charges, same order, each behind ``if meter is not None:`` — with the
+    per-hop dispatch specialized, the parser/etype/cost loads baked in,
+    the loop-detection guard elided when the static goto graph is proven
+    acyclic, and the write-set / metadata / flow-meter machinery elided
+    when no enumerated outcome can trigger it (``flags``). Elided
+    branches charge no atoms and can never fire, so verdicts and cycles
+    are unchanged.
     """
     costs = dp.costs
-    # did_work only feeds the action_set charge: dead in the null variant.
-    track_work = not null
-    name = "_run_n" if null else "_run_m"
-    sig = f"def {name}(pkt):" if null else f"def {name}(pkt, meter):"
-    lines = [sig]
+    lines = ["def _run(pkt, meter):"]
     lines.append("    view = _parse(pkt)")
     lines.append("    data = pkt.data")
     # Actions that change the frame length always request a reparse, so the
@@ -288,8 +275,7 @@ def _emit_run(
     if flags["write"]:
         lines.append("    write_set = None")
     lines.append(f"    tid = {dp.first_table}")
-    if track_work:
-        lines.append("    did_work = False")
+    lines.append("    did_work = False")
     if not acyclic:
         lines.append("    hops = 0")
     lines.append("    while True:")
@@ -299,7 +285,7 @@ def _emit_run(
         lines.append(
             '            raise _PipelineError("compiled pipeline loop detected")'
         )
-    dispatch, inlined = _emit_dispatch(dp, namespace, null)
+    dispatch, inlined = _emit_dispatch(dp, namespace)
     lines.extend(dispatch)
     lines.append("        entry = out.entry")
     lines.append("        path.append((tid, entry))")
@@ -310,8 +296,8 @@ def _emit_run(
     lines.append("                verdict.to_controller = True")
     lines.append("            else:")
     lines.append("                verdict.dropped = True")
-    if not null:
-        lines.append(f"            meter.charge({costs.table_miss!r})")
+    lines.append("            if meter is not None:")
+    lines.append(f"                meter.charge({costs.table_miss!r})")
     lines.append("            return verdict")
     lines.append("        counters = entry.counters")  # a hit carries its rule
     lines.append("        counters.packets += 1")
@@ -322,8 +308,7 @@ def _emit_run(
         lines.append("            return verdict")
     lines.append("        acts = out.apply_actions")
     lines.append("        if acts:")
-    if track_work:
-        lines.append("            did_work = True")
+    lines.append("            did_work = True")
     lines.append("            for action in acts:")
     lines.append("                action.apply(view, verdict)")
     lines.append("                if verdict.reparse_needed:")
@@ -355,12 +340,11 @@ def _emit_run(
     lines.append("        tid = out.goto")
     lines.append("        if tid is None:")
     lines.append("            break")
-    if not null:
-        lines.append(f"        meter.charge({costs.goto_trampoline!r})")
+    lines.append("        if meter is not None:")
+    lines.append(f"            meter.charge({costs.goto_trampoline!r})")
     if flags["write"]:
         lines.append("    if write_set is not None and not verdict.dropped:")
-        if track_work:
-            lines.append("        did_work = True")
+        lines.append("        did_work = True")
         lines.append(
             "        ordered = [a for a in write_set if not isinstance(a, _Output)]"
         )
@@ -372,59 +356,41 @@ def _emit_run(
         lines.append("            if verdict.reparse_needed:")
         lines.append("                view = _parse(pkt)")
         lines.append("                verdict.reparse_needed = False")
-    if not null:
-        lines.append("    if did_work:")
-        lines.append(f"        meter.charge({costs.action_set!r})")
-        lines.append("    if verdict.forwarded:")
-        lines.append(f"        meter.charge({costs.pkt_out!r})")
+    lines.append("    if meter is not None:")
+    lines.append("        if did_work:")
+    lines.append(f"            meter.charge({costs.action_set!r})")
+    lines.append("        if verdict.forwarded:")
+    lines.append(f"            meter.charge({costs.pkt_out!r})")
     lines.append("    return verdict")
     return lines, inlined
 
 
-def _emit_entrypoints(dp: "CompiledDatapath") -> list[str]:
-    """Scalar and burst wrappers around the two forward cores."""
+def _emit_burst(dp: "CompiledDatapath") -> list[str]:
+    """The burst loop around ``_run``, per-packet meter windows included."""
     costs = dp.costs
-    # Exactly the expressions the trampoline evaluates per call, computed
-    # once here and baked as round-tripping literals: bit-identical floats.
-    entry_charge = costs.pkt_in + costs.es_dispatch + dp._parser_cost
+    # Exactly the expression the trampoline evaluates per packet, computed
+    # once here and baked as a round-tripping literal: bit-identical floats.
     per_pkt = (
         costs.pkt_in + costs.es_dispatch + dp._parser_cost - costs.io_burst_share
     )
     return [
-        "def _process(pkt, meter):",
-        f"    meter.charge({entry_charge!r})",
-        "    return _run_m(pkt, meter)",
-        "",
         "def _burst(pkts, meter, on_verdict):",
+        "    if meter is None and on_verdict is None:",
+        "        return [_run(pkt, None) for pkt in pkts], -1",
         "    verdicts = []",
         '    begin = getattr(meter, "begin_packet", None)',
         '    end = getattr(meter, "end_packet", None)',
-        f"    meter.charge({costs.io_burst_cost!r})",
         "    i = 0",
         "    n = len(pkts)",
         "    while i < n:",
         "        pkt = pkts[i]",
         "        if begin is not None:",
         "            begin()",
-        f"        meter.charge({per_pkt!r})",
-        "        verdict = _run_m(pkt, meter)",
+        "        if meter is not None:",
+        f"            meter.charge({per_pkt!r})",
+        "        verdict = _run(pkt, meter)",
         "        if end is not None:",
         "            end()",
-        "        verdicts.append(verdict)",
-        "        i += 1",
-        "        if on_verdict is not None and on_verdict(pkt, verdict):",
-        "            return verdicts, i",
-        "    return verdicts, -1",
-        "",
-        "def _burst_null(pkts, on_verdict):",
-        "    if on_verdict is None:",
-        "        return [_run_n(pkt) for pkt in pkts], -1",
-        "    verdicts = []",
-        "    i = 0",
-        "    n = len(pkts)",
-        "    while i < n:",
-        "        pkt = pkts[i]",
-        "        verdict = _run_n(pkt)",
         "        verdicts.append(verdict)",
         "        i += 1",
         "        if on_verdict is not None and on_verdict(pkt, verdict):",
@@ -454,12 +420,8 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
     generation = dp.generation
     try:
         acyclic, flags = _pipeline_facts(dp)
-        run_m, inlined = _emit_run(
-            dp, namespace, null=False, acyclic=acyclic, flags=flags
-        )
-        run_n, _ = _emit_run(dp, namespace, null=True, acyclic=acyclic, flags=flags)
-        lines = run_m + [""] + run_n + [""] + _emit_entrypoints(dp)
-        text = "\n".join(lines) + "\n"
+        run, inlined = _emit_run(dp, namespace, acyclic, flags)
+        text = "\n".join(run + [""] + _emit_burst(dp)) + "\n"
         keys = {
             tid * _TABLE_SLOTS + i: key
             for tid in inlined
@@ -467,10 +429,9 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
         }
         templates.load(text, "fused").bind(namespace, keys)
     except Exception as exc:
-        # An emitter bug producing unloadable source — the driver's or a
-        # called table's NullMeter function — is a *fusion* failure, not a
-        # datapath one: surface it as FuseError so every caller takes the
-        # same trampoline-fallback path.
+        # An emitter bug producing unloadable driver source is a *fusion*
+        # failure, not a datapath one: surface it as FuseError so every
+        # caller takes the same trampoline-fallback path.
         raise FuseError(f"generated driver failed to load: {exc}") from exc
     finally:
         dp.link_s += perf_counter() - begun
@@ -482,8 +443,6 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
         table_ids=tuple(sorted(dp.trampoline)),
         inlined_ids=inlined,
         called_ids=tuple(tid for tid in sorted(dp.trampoline) if tid not in inlined),
-        process=namespace["_process"],
-        process_null=namespace["_run_n"],
+        run=namespace["_run"],
         burst=namespace["_burst"],
-        burst_null=namespace["_burst_null"],
     )

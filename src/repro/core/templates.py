@@ -44,7 +44,7 @@ _SLOT = re.compile(r"0x[12][0-9a-f]{40}\b")
 
 #: bound on the resident templates' estimated bytes (text + code objects,
 #: a driver's code being about twice its text); the least recently loaded
-#: go first. A four-leaf gateway fabric passes through 43 texts, 0.66 MB,
+#: go first. A four-leaf gateway fabric passes through 33 texts, 0.45 MB,
 #: while its tenants arrive: the bound holds that several times over.
 MAX_BYTES = 4 << 20
 

@@ -103,7 +103,7 @@ from repro.parallel.wire import EntryIndexCache, decode_verdicts
 from repro.parallel.worker import shard_worker_main
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
 from repro.simcpu.platform import Platform, XEON_E5_2620
-from repro.simcpu.recorder import Meter, NULL_METER, NullMeter
+from repro.simcpu.recorder import Meter, NULL_METER, active_meter
 
 
 class EpochSyncError(RuntimeError):
@@ -586,7 +586,7 @@ class ShardedESwitch:
             p.gathered = True
             p.result = []
             return p
-        p.mode = "null" if isinstance(meter, NullMeter) else "cycle"
+        p.mode = "null" if active_meter(meter) is None else "cycle"
         p.verdicts = [None] * len(pkts)
         self._scatter(p, range(len(pkts)))
         self._inflight.append(p)

@@ -7,6 +7,8 @@ pipelines, mid-stream flow-mods (which force a lazy re-fuse), and
 transactional rollback.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
 from repro.packet import PacketBuilder
 from repro.simcpu.platform import XEON_E5_2620
-from repro.simcpu.recorder import CycleMeter
+from repro.simcpu.recorder import CycleMeter, Meter, NULL_METER, NullMeter
 from repro.usecases import acl, gateway, l2
 
 
@@ -339,12 +341,10 @@ class TestSpecialization:
         _, source = self._fused_source(p)
         assert "etype = view.eth_type" in source
 
-    def test_null_variant_has_no_charges(self):
+    def test_one_driver_for_both_meter_modes(self):
         p, _fib = gateway.build(n_ce=1, users_per_ce=1, n_prefixes=16)
         _, source = self._fused_source(p)
-        null_part = source.split("def _run_n", 1)[1].split("def _process", 1)[0]
-        assert "meter.charge" not in null_part
-        assert "meter.touch" not in null_part
+        assert re.findall(r"^def (\w+)", source, re.M) == ["_run", "_burst"]
 
     def test_gateway_tables_inlined(self):
         """Hash, LPM and range inline (their text is fixed by fields and
@@ -363,46 +363,107 @@ class TestSpecialization:
             assert set(fused.inlined_ids) == inlined
             assert set(fused.called_ids) == set(kinds) - inlined
             for tid in fused.called_ids:
-                compiled = sw.datapath.table(tid)
-                assert fused.namespace[f"_t{tid}_mfn"] is compiled.fn
-                assert fused.namespace[f"_t{tid}_nfn"] is compiled.fn_null
+                assert fused.namespace[f"_t{tid}_fn"] is sw.datapath.table(tid).fn
         assert seen == {"direct", "hash", "lpm", "range", "linked_list"}
 
 
-class _LineRecorder:
-    """A meter that keeps every line a lookup touches."""
+class _AtomLog(Meter):
+    """A meter that logs every atom in order: ``("charge", cycles)`` and
+    ``("touch", line)``, a walk as the atoms it stands for. Equal totals
+    can hide a reordered pair; equal logs cannot."""
 
     def __init__(self):
-        self.lines = []
+        self.events = []
 
     def charge(self, cycles):
-        pass
+        self.events.append(("charge", cycles))
 
     def touch(self, line):
-        self.lines.append(line)
+        self.events.append(("touch", line))
+
+    def lines(self):
+        return [line for kind, line in self.events if kind == "touch"]
+
+
+class _Refusing(NullMeter):
+    """A meter that records nothing and may not be called: a datapath
+    must treat every NullMeter, not just the shared one, as no meter."""
+
+    def charge(self, cycles):
+        raise AssertionError("charged a NullMeter")
+
+    def touch(self, line):
+        raise AssertionError("touched a NullMeter")
+
+
+def _atom_logs(sw, pkts):
+    """Verdicts and atom logs of ``pkts`` run scalar, then as one burst."""
+    scalar, burst = _AtomLog(), _AtomLog()
+    verdicts = [sw.process(p.copy(), scalar).summary() for p in pkts]
+    verdicts += [v.summary()
+                 for v in sw.process_burst([p.copy() for p in pkts], burst)]
+    return verdicts, scalar.events, burst.events
+
+
+_FIXED = ["gateway", "range_and_list", "keys_in_data"]
+
+
+def _fixed_pair(name):
+    """(fused, trampoline, traffic) on gateway, the range + linked-list
+    pipeline, or gateway with its keys in data memory: every rung, each
+    called table kind, and the ablation's key touches."""
+    if name == "range_and_list":
+        return (_range_and_list_switch(),
+                _range_and_list_switch(_RANGE_AND_LIST.with_(fuse=False)),
+                _range_and_list_traffic())
+    shape = dict(n_ce=2, users_per_ce=2)
+    config = CompileConfig(keys_in_code=name == "gateway")
+    switches = [
+        ESwitch.from_pipeline(gateway.build(n_prefixes=16, **shape)[0],
+                              config=config.with_(fuse=fuse))
+        for fuse in (True, False)
+    ]
+    fib = gateway.build(n_prefixes=16, **shape)[1]
+    return (*switches, gateway.traffic(fib, 48, **shape))
+
+
+class TestAtomParity:
+    """Fused ≡ trampoline atom for atom: the same charges and touches in
+    the same order, so the one body each rung emits is the model."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sts.pipelines(), st.lists(sts.packets(), min_size=1, max_size=6))
+    def test_random_pipelines_log_the_same_atoms(self, pipeline, pkts):
+        sw_f, sw_t = _pair(pipeline)
+        assert _atom_logs(sw_f, pkts) == _atom_logs(sw_t, pkts)
+        assert sw_f.datapath.fused is not None
+
+    @pytest.mark.parametrize("name", _FIXED)
+    def test_fixed_switches_log_the_same_atoms(self, name):
+        sw_f, sw_t, pkts = _fixed_pair(name)
+        assert sw_f.warm() and sw_f.datapath.fused.called_ids
+        fused = _atom_logs(sw_f, pkts)
+        assert fused == _atom_logs(sw_t, pkts)
+        lines = {line[0] for kind, line in fused[1] + fused[2] if kind == "touch"}
+        assert lines and (name != "keys_in_data" or "es_keys" in lines)
+
+    @pytest.mark.parametrize("name", _FIXED)
+    def test_any_null_meter_is_no_meter(self, name):
+        """Scalar and burst, fused and trampoline: a NullMeter subclass is
+        never called, and answers as the shared NULL_METER does."""
+        sw_f, sw_t, pkts = _fixed_pair(name)
+        expected = [sw_t.process(p.copy(), NULL_METER).summary() for p in pkts]
+        for sw in (sw_f, sw_t):
+            assert [sw.process(p.copy(), _Refusing()).summary()
+                    for p in pkts] == expected
+            assert [v.summary() for v in sw.process_burst(
+                [p.copy() for p in pkts], _Refusing())] == expected
+        assert sw_f.datapath.fused is not None and sw_t.datapath.fused is None
 
 
 class TestCalledTables:
-    """Direct code and the linked list are linked by call: each with its
-    own NullMeter function, the driver text none the wiser."""
-
-    def test_every_called_null_function_is_free_of_atoms(self):
-        p, _fib = gateway.build(n_ce=2, users_per_ce=2, n_prefixes=16)
-        for sw in (ESwitch.from_pipeline(p), _range_and_list_switch(),
-                   ESwitch.from_pipeline(p, config=CompileConfig(
-                       keys_in_code=False))):
-            assert sw.warm()
-            called = sw.datapath.fused.called_ids
-            assert called
-            for tid in called:
-                compiled = sw.datapath.table(tid)
-                code = compiled.fn_null.__code__
-                assert code.co_argcount == 7  # no meter to pass
-                assert not {"m", "charge", "touch"} & set(
-                    code.co_names + code.co_varnames)
-                assert "charge" in compiled.fn.__code__.co_names
-            null_part = sw.datapath.fused.source.split("def _run_n", 1)[1]
-            assert "meter" not in null_part.split("def _process", 1)[0]
+    """Direct code and the linked list are linked by call, the driver
+    text none the wiser."""
 
     def test_same_shape_hash_tables_share_code_and_keep_their_lines(self):
         """Per-CE hash tables share one text; equal ids (the same table
@@ -419,10 +480,10 @@ class TestCalledTables:
         assert "('es_hash', 10, _ln)" in ce0.source
         assert "('es_hash', 11, _ln)" in ce1.source
         for sw in (a, ESwitch.from_pipeline(p, config=TRAMPOLINE)):
-            meter = _LineRecorder()
+            meter = _AtomLog()
             for pkt in gateway.traffic(fib, 32, **shape):
                 sw.process(pkt.copy(), meter)
-            hashed = {line[1] for line in meter.lines if line[0] == "es_hash"}
+            hashed = {line[1] for line in meter.lines() if line[0] == "es_hash"}
             assert {10, 11} <= hashed
 
     def test_a_decomposed_group_inlines_its_direct_tables(self):

@@ -71,13 +71,9 @@ def compile_calls() -> int:
 
 
 def texts_of(switch: ESwitch) -> set:
-    """Every text a warm switch loaded: each table's, the NullMeter text
-    of each table the driver calls, and the driver's."""
-    fused = switch.datapath.fused
-    trampoline = switch.datapath.trampoline
-    return ({ct.text for ct in trampoline.values()}
-            | {trampoline[tid].null_text for tid in fused.called_ids}
-            | {fused.text})
+    """Every text a warm switch loaded: each table's and the driver's."""
+    return ({ct.text for ct in switch.datapath.trampoline.values()}
+            | {switch.datapath.fused.text})
 
 
 # -- patched ≡ freshly compiled -------------------------------------------------
@@ -135,11 +131,6 @@ def assert_switch_patched_is_fresh(switch: ESwitch, where: str) -> None:
     fused = switch.datapath.fused
     if fused is not None:
         assert_patched_is_fresh(fused.namespace, fused.source, f"{where}: fused")
-        for tid in fused.called_ids:
-            compiled = switch.datapath.trampoline[tid]
-            null_source = templates.render(compiled.null_text, compiled.slot_values)
-            assert_patched_is_fresh({"_match_null": compiled.fn_null}, null_source,
-                                    f"{where}: table {tid}, null")
 
 
 def scenario_config(scenario: Scenario) -> CompileConfig:
@@ -308,11 +299,9 @@ class TestZeroCompiles:
         assert compile_calls() == cold  # and so was the re-fuse
         assert templates.stats()["patches"] >= patches + 3
         assert "== 0x9" in second.compiled_sources()[0]
-        # The driver calls table 0: the re-link rebound its names.
+        # The driver calls table 0: the re-link rebound its name.
         rebuilt = second.compiled_table(0)
-        assert second.datapath.fused.namespace["_t0_mfn"] is rebuilt.fn
-        assert second.datapath.fused.namespace["_t0_nfn"] is rebuilt.fn_null
-        assert "== 0x9" in templates.render(rebuilt.null_text, rebuilt.slot_values)
+        assert second.datapath.fused.namespace["_t0_fn"] is rebuilt.fn
 
     def test_a_new_direct_shape_compiles_once_per_new_text(self):
         templates.clear()
@@ -322,10 +311,10 @@ class TestZeroCompiles:
         add = FlowMod(FlowModCommand.ADD, 0, Match(in_port=3), priority=1,
                       instructions=(ApplyActions([Output(13)]),))
         assert switch.submit_flow_mods([add]).accepted and switch.warm()
-        # The table's text and its NullMeter text; the driver calls the
-        # table, so its text is one the cache has seen.
-        assert compile_calls() == before + 2
-        assert templates.stats()["compiles_by_label"]["direct"] >= 2
+        # The table's one text; the driver calls the table, so its text
+        # is one the cache has seen.
+        assert compile_calls() == before + 1
+        assert templates.stats()["compiles_by_label"]["direct"] >= 1
 
     def test_tenant_arrivals_relink_and_never_recompile_the_driver(self):
         """Users 1–4 arrive on one CE: its table and the reverse-NAT

@@ -2,7 +2,7 @@
 
 from repro.simcpu.cache import CacheHierarchy
 from repro.simcpu.platform import Platform, XEON_E5_2620
-from repro.simcpu.recorder import CycleMeter, NULL_METER
+from repro.simcpu.recorder import CycleMeter, Meter, NULL_METER
 
 TINY = Platform(
     name="tiny",
@@ -110,6 +110,26 @@ class TestMeters:
             m.charge(cycles)
             m.end_packet()
         assert m.packet_history == [3, 7]
+
+    def test_walk_is_its_charges_and_touches_bit_for_bit(self):
+        """CycleMeter.walk inlines Meter.walk: the same float sum and the
+        same cache state, on a factor that makes the sum order-sensitive."""
+        platform = Platform(
+            name="odd", freq_hz=1e9, l1_lines=2, l2_lines=4, l3_lines=8,
+            lat_l1=1, lat_l2=10, lat_l3=100, lat_dram=1000, cycle_factor=0.1,
+        )
+        fast, spelled = CycleMeter(platform), CycleMeter(platform)
+        for count, line in ((0, None), (3, None), (9, ("es_ll", 4)),
+                            (5, ("es_keys", 7)), (9, ("es_ll", 4))):
+            fast.walk(2.3, 0.7, count, line)
+            Meter.walk(spelled, 2.3, 0.7, count, line)
+            assert fast._packet_cycles == spelled._packet_cycles
+        for level in ("_l1", "_l2", "_l3"):  # same lines, same LRU order
+            assert list(getattr(fast.cache, level)) == list(
+                getattr(spelled.cache, level))
+        counters = fast.cache.stats.__slots__
+        assert [getattr(fast.cache.stats, c) for c in counters] == [
+            getattr(spelled.cache.stats, c) for c in counters]
 
     def test_reset(self):
         m = CycleMeter(TINY)
