@@ -534,8 +534,9 @@ class HashTable(CompiledTable):
 
 
 def _hash_key_of(match: Match, fields: tuple[str, ...]):
-    values = tuple(match.value_of(name) for name in fields)
-    return values[0] if len(values) == 1 else values
+    if len(fields) == 1:
+        return match.value_of(fields[0])
+    return tuple(map(match.value_of, fields))
 
 
 class LpmTable(CompiledTable):

@@ -36,7 +36,10 @@ looping forever.
 
 A full build computes the mix and the bucket grouping of every key at once
 (numpy columns), then runs the sequential displacement search over plain
-int lists; see DESIGN.md §10 for why the resulting layout is pinned.
+int lists; see DESIGN.md §10 for why each key's slot index is pinned.
+The slots are two parallel columns (``_slot_keys``, ``_slot_vals``) and a
+bucket's keys one tuple, so a stored key costs the cyclic collector no
+container of the table's own.
 """
 
 from __future__ import annotations
@@ -148,13 +151,15 @@ class CollisionFreeHash:
     def __init__(self, items: "dict | None" = None):
         self._items: dict = dict(items or {})
         self._seed = 0
-        self._slots: list = []
+        #: the slots as two columns: a key (None = empty) and its value
+        self._slot_keys: list = []
+        self._slot_vals: list = []
         self._nslots = 0
         self._shift = 64
         self._bmask = 0
         self._disp: list = []
         #: keys per bucket, sparse (only non-empty buckets have an entry)
-        self._bucket_keys: dict[int, list] = {}
+        self._bucket_keys: dict[int, tuple] = {}
         # -- telemetry (the cycle model and the scale tests read these) --
         self.rebuild_count = 0  # full redistributions (growth / rebuild())
         self.bucket_reseeds = 0  # bucket-local displacement searches
@@ -178,9 +183,8 @@ class CollisionFreeHash:
                     break
         h ^= h >> 33
         index = ((h ^ self._disp[h & self._bmask]) * _GOLD & _MASK64) >> self._shift
-        slot = self._slots[index]
-        if slot is not None and slot[0] == key:
-            return slot[1]
+        if self._slot_keys[index] == key:
+            return self._slot_vals[index]
         return default
 
     def get_traced(self, key: Key, default: object = None) -> tuple[object, int]:
@@ -195,9 +199,8 @@ class CollisionFreeHash:
         h ^= h >> 33
         index = ((h ^ self._disp[h & self._bmask]) * _GOLD & _MASK64) >> self._shift
         line = index // SLOTS_PER_LINE
-        slot = self._slots[index]
-        if slot is not None and slot[0] == key:
-            return slot[1], line
+        if self._slot_keys[index] == key:
+            return self._slot_vals[index], line
         return default, line
 
     def __contains__(self, key: Key) -> bool:
@@ -268,29 +271,25 @@ class CollisionFreeHash:
             h = _mix(key, self._seed)
             bucket = h & self._bmask
             index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
-            slot = self._slots[index]
-            if slot is None or slot[0] == key:
-                self._slots[index] = (key, value)
-                if is_new:
-                    self._bucket_keys.setdefault(bucket, []).append(key)
-                return
             if is_new:
-                self._bucket_keys.setdefault(bucket, []).append(key)
-            if not self._reseed_bucket(bucket):
+                self._bucket_keys[bucket] = self._bucket_keys.get(bucket, ()) + (key,)
+            held = self._slot_keys[index]
+            if held is None or held == key:
+                self._slot_keys[index] = key
+                self._slot_vals[index] = value
+            elif not self._reseed_bucket(bucket):
                 self._build()
         except (HashBuildError, HashKeyError):
             # Every failing step leaves the old layout standing (a failed
-            # reseed puts the bucket's keys back, a failed build assigns
-            # nothing): only the newcomer's bookkeeping is left to undo.
-            if is_new:
-                del items[key]
-                if bucket is not None:
-                    keys = self._bucket_keys[bucket]
-                    keys.remove(key)
-                    if not keys:
-                        del self._bucket_keys[bucket]
-            else:
+            # reseed puts the bucket's keys back, the newcomer last and so
+            # never over an old key; a failed build assigns nothing): only
+            # the newcomer's bookkeeping is left to undo.
+            if not is_new:
                 items[key] = previous
+            elif bucket is None:
+                del items[key]
+            else:
+                self.remove(key)  # it holds no slot: drops its membership
             raise
 
     def remove(self, key: Key) -> bool:
@@ -301,17 +300,15 @@ class CollisionFreeHash:
         h = _mix(key, self._seed)
         bucket = h & self._bmask
         index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
-        slot = self._slots[index]
-        if slot is not None and slot[0] == key:
-            self._slots[index] = None
-        keys = self._bucket_keys.get(bucket)
-        if keys is not None:
-            try:
-                keys.remove(key)
-            except ValueError:
-                pass
-            if not keys:
+        if self._slot_keys[index] == key:
+            self._slot_keys[index] = self._slot_vals[index] = None
+        keys = self._bucket_keys.get(bucket, ())
+        if key in keys:
+            if len(keys) == 1:
                 del self._bucket_keys[bucket]
+            else:
+                i = keys.index(key)
+                self._bucket_keys[bucket] = keys[:i] + keys[i + 1:]
         return True
 
     def rebuild(self) -> None:
@@ -327,39 +324,38 @@ class CollisionFreeHash:
         untouched. Returns False when no displacement works within the
         budget (caller escalates to a full rebuild).
         """
-        keys = self._bucket_keys.get(bucket, [])
+        keys = self._bucket_keys.get(bucket, ())
         hashes = [_mix(k, self._seed) for k in keys]
         if len(set(hashes)) != len(keys):
             return False  # un-separable within this bucket: escalate
         shift = self._shift
+        slot_keys, slot_vals, items = self._slot_keys, self._slot_vals, self._items
         # Free this bucket's current slots so they count as candidates.
         old_disp = self._disp[bucket]
         for h, k in zip(hashes, keys):
             index = ((h ^ old_disp) * _GOLD & _MASK64) >> shift
-            slot = self._slots[index]
-            if slot is not None and slot[0] == k:
-                self._slots[index] = None
+            if slot_keys[index] == k:
+                slot_keys[index] = slot_vals[index] = None
         self.bucket_reseeds += 1
-        slots = self._slots
         for disp in range(old_disp + 1, old_disp + 1 + self.MAX_DISP_TRIES):
             self.reseed_probes += 1
             indexes = [((h ^ disp) * _GOLD & _MASK64) >> shift for h in hashes]
             if len(set(indexes)) == len(indexes) and all(
-                slots[i] is None for i in indexes
+                slot_keys[i] is None for i in indexes
             ):
-                items = self._items
                 for k, i in zip(keys, indexes):
-                    slots[i] = (k, items[k])
+                    slot_keys[i] = k
+                    slot_vals[i] = items[k]
                 self._disp[bucket] = disp
                 self.displaced_keys += max(0, len(keys) - 1)
                 return True
         # Nothing worked: restore the old placement minus collisions so the
         # table stays consistent for the full rebuild that follows.
-        items = self._items
         for h, k in zip(hashes, keys):
             index = ((h ^ old_disp) * _GOLD & _MASK64) >> shift
-            if slots[index] is None:
-                slots[index] = (k, items[k])
+            if slot_keys[index] is None:
+                slot_keys[index] = k
+                slot_vals[index] = items[k]
         return False
 
     def _build(self) -> None:
@@ -396,20 +392,18 @@ class CollisionFreeHash:
         nslots = 1 << slot_bits
         nbuckets = max(2, nslots // self.OVERSIZE_FACTOR)
         shift = 64 - slot_bits
-        slots, disp, bucket_keys = self._place_all(seed, nslots, nbuckets, shift)
+        placed = self._place_all(seed, nslots, nbuckets, shift)
         self._seed = seed
-        self._slots = slots
+        self._slot_keys, self._slot_vals, self._disp, self._bucket_keys = placed
         self._nslots = nslots
         self._shift = shift
         self._bmask = nbuckets - 1
-        self._disp = disp
-        self._bucket_keys = bucket_keys
 
     def _place_all(
         self, seed: int, nslots: int, nbuckets: int, shift: int
-    ) -> "tuple[list, list, dict[int, list]]":
-        """``(slots, disp, bucket_keys)`` holding every key, or raise
-        :class:`RebuildRequired`.
+    ) -> "tuple[list, list, list, dict[int, tuple]]":
+        """``(slot_keys, slot_vals, disp, bucket_keys)`` holding every key,
+        or raise :class:`RebuildRequired`.
 
         Mix, bucket grouping and the bucket order are computed columnwise;
         the displacement search stays sequential because each bucket's
@@ -418,12 +412,13 @@ class CollisionFreeHash:
         order of first appearance among the keys, and a bucket's keys keep
         their insertion order.
         """
-        slots: list = [None] * nslots
+        slot_keys: list = [None] * nslots
+        slot_vals: list = [None] * nslots
         disp = [0] * nbuckets
-        bucket_keys: dict[int, list] = {}
+        bucket_keys: dict[int, tuple] = {}
         keys = list(self._items)
         if not keys:
-            return slots, disp, bucket_keys
+            return slot_keys, slot_vals, disp, bucket_keys
         # ndarray methods and in-place ufuncs rather than the np.diff /
         # np.append / np.flatnonzero wrappers: a 16-key table pays every
         # call's fixed cost, and gateway builds six of those in 8 ms.
@@ -451,8 +446,8 @@ class CollisionFreeHash:
         hashes = hashes.tolist()
         layout = layout.tolist()
         laid_keys = [keys[i] for i in layout]
-        pairs = list(self._items.items())  # the (key, value) slot contents
-        pairs = [pairs[i] for i in layout]
+        values = list(self._items.values())
+        laid_vals = [values[i] for i in layout]
         max_tries = self.MAX_DISP_TRIES
         probes = 0
         lo = 0
@@ -469,17 +464,19 @@ class CollisionFreeHash:
                         indexes = [((h ^ d) * _GOLD & _MASK64) >> shift for h in mine]
                     if size == 1 or len(set(indexes)) == size:
                         for i in indexes:
-                            if slots[i] is not None:
+                            if slot_keys[i] is not None:
                                 break
                         else:
                             break  # every candidate slot is free: take them
                 else:
                     raise RebuildRequired("grow")
-                for i, pair in zip(indexes, pairs[lo:hi]):
-                    slots[i] = pair
+                members = tuple(laid_keys[lo:hi])
+                for i, key, value in zip(indexes, members, laid_vals[lo:hi]):
+                    slot_keys[i] = key
+                    slot_vals[i] = value
                 disp[bucket] = d
-                bucket_keys[bucket] = laid_keys[lo:hi]
+                bucket_keys[bucket] = members
                 lo = hi
         finally:
             self.reseed_probes += probes
-        return slots, disp, bucket_keys
+        return slot_keys, slot_vals, disp, bucket_keys

@@ -209,10 +209,10 @@ class Pipeline:
         return tuple(sorted(names))
 
     def validate(self) -> None:
-        """Check every goto-table target exists and moves forward."""
+        """Check every goto-table target exists and moves forward, read off
+        each table's action-template census: O(templates), not O(rules)."""
         for table in self._tables.values():
-            for entry in table:
-                target = entry.goto_table
+            for target, *_ in table.action_facts():
                 if target is None:
                     continue
                 if target not in self._tables:

@@ -5,9 +5,11 @@ columnwise; the layout it must produce is *defined* by the scalar
 algorithm it replaced, kept here as :class:`ScalarReference` — one
 ``_mix`` call and one ``(h, key)`` tuple per key, ``sorted`` by bucket
 size. Every modeled cycle depends on the layout (slot index → cache-line
-id), so parity is bit-for-bit: seed, displacements, slots, per-bucket
-keys and telemetry, at build time and through any insert/remove program
-that follows.
+id), so parity is bit-for-bit: seed, displacements, each slot's
+``(key, value)``, per-bucket keys and telemetry, at build time and through
+any insert/remove program that follows. Both sides hold their slots as
+two columns and their buckets as tuples (lookups, inserts and removes are
+shared code); :func:`slots` reads the columns back as those pairs.
 
 Lookups of keys the table can never hold (negative components) used to
 spin forever; those regressions run the lookup in a subprocess under a
@@ -45,7 +47,8 @@ class ScalarReference(CollisionFreeHash):
         for key in self._items:
             h = _mix(key, seed)
             buckets.setdefault(h & bmask, []).append((h, key))
-        slots: list = [None] * nslots
+        slot_keys: list = [None] * nslots
+        slot_vals: list = [None] * nslots
         disp = [0] * nbuckets
         items = self._items
         for bucket, members in sorted(buckets.items(), key=lambda kv: -len(kv[1])):
@@ -56,28 +59,37 @@ class ScalarReference(CollisionFreeHash):
                 self.reseed_probes += 1
                 indexes = [((h ^ d) * _GOLD & _MASK64) >> shift for h in hashes]
                 if len(set(indexes)) == len(indexes) and all(
-                    slots[i] is None for i in indexes
+                    slot_keys[i] is None for i in indexes
                 ):
                     for (_, k), i in zip(members, indexes):
-                        slots[i] = (k, items[k])
+                        slot_keys[i], slot_vals[i] = k, items[k]
                     disp[bucket] = d
                     break
             else:
                 raise RebuildRequired("grow")
         self._seed = seed
-        self._slots = slots
+        self._slot_keys, self._slot_vals = slot_keys, slot_vals
         self._nslots = nslots
         self._shift = shift
         self._bmask = bmask
         self._disp = disp
         self._bucket_keys = {
-            b: [k for _, k in members] for b, members in buckets.items()
+            b: tuple(k for _, k in members) for b, members in buckets.items()
         }
+
+
+def slots(h: CollisionFreeHash) -> list:
+    """Each slot as ``(key, value)``, or None where it is empty (and an
+    empty slot keeps no value alive)."""
+    assert all(v is None for k, v in zip(h._slot_keys, h._slot_vals) if k is None)
+    return [
+        None if k is None else (k, v) for k, v in zip(h._slot_keys, h._slot_vals)
+    ]
 
 
 def layout(h: CollisionFreeHash) -> tuple:
     return (
-        h._seed, h._nslots, h._shift, h._bmask, h._disp, h._slots,
+        h._seed, h._nslots, h._shift, h._bmask, h._disp, slots(h),
         {b: set(keys) for b, keys in h._bucket_keys.items()},
         list(h._items.items()),
         h.telemetry,
@@ -268,7 +280,7 @@ class TestInsertIsAtomic:
 
     @staticmethod
     def structure(h):
-        return (dict(h._items), list(h._slots), list(h._disp),
+        return (dict(h._items), slots(h), list(h._disp),
                 {b: list(k) for b, k in h._bucket_keys.items()})
 
     def test_growth_rebuild_failure_restores_absence(self):
@@ -296,7 +308,7 @@ class TestInsertIsAtomic:
         for key in range(1_000, 100_000):
             m = _mix(key, h._seed)
             index = ((m ^ h._disp[m & h._bmask]) * _GOLD & _MASK64) >> h._shift
-            if h._slots[index] is not None:
+            if h._slot_keys[index] is not None:
                 break
         before = self.structure(h)
         h.__class__ = Hostile

@@ -162,6 +162,6 @@ class TestPropertyScale:
             assert h.get(key) == want  # one probe, latest value
         # Collision-freedom, asserted on the structure itself: every
         # resident key occupies its own slot, no stale slots remain.
-        resident = [s for s in h._slots if s is not None]
+        resident = [(k, v) for k, v in zip(h._slot_keys, h._slot_vals) if k is not None]
         assert len(resident) == len(model)
         assert dict(resident) == model

@@ -42,6 +42,30 @@ class TestConstruction:
         with pytest.raises(PipelineError):
             Pipeline([t0, t1]).validate()
 
+    @pytest.mark.parametrize("target", [9, 0], ids=["missing", "backward"])
+    def test_validate_reads_the_census_not_the_rules(self, target, monkeypatch):
+        """One bad goto among 10^4 rules still raises, and neither the
+        failing nor the passing check walks the table's entries."""
+        rules = FlowTable(1)
+        rules.add_bulk([
+            FlowEntry(Match(tcp_dst=port), priority=1, instructions=(GotoTable(2),))
+            for port in range(10_000)
+        ])
+        bad = FlowEntry(Match(tcp_dst=5_000), priority=2,
+                        instructions=(GotoTable(target),))
+        rules.add(bad)
+        pipeline = Pipeline([FlowTable(0), rules, FlowTable(2)])
+        reads = []
+        live = FlowTable.entries.fget
+        monkeypatch.setattr(
+            FlowTable, "entries", property(lambda t: reads.append(t) or live(t))
+        )
+        with pytest.raises(PipelineError):
+            pipeline.validate()
+        rules.remove(bad.match, priority=bad.priority)
+        pipeline.validate()
+        assert not reads
+
     def test_first_table_is_lowest_id(self):
         p = Pipeline([FlowTable(3), FlowTable(1)])
         assert p.first_table.table_id == 1

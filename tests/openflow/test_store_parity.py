@@ -18,12 +18,14 @@ priorities, so every rule-level answer (``find_rule``/``has_rule``/
 checked against the model where the single per-match index has more than
 one entry to tell apart — and a rule taken out and put back ahead of its
 recorded follower (``follower`` / ``add(entry, before=...)``, the undo of
-a delete) must leave the live order exactly as it was.
+a delete) must leave the live order exactly as it was. One match's entries
+are also walked from one to several and back, deleting from either end.
 """
 
 import bisect
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,8 +39,9 @@ PORTS = list(range(6))
 PRIOS = list(range(4))
 
 
-def mk_entry(prio: int, port: int) -> FlowEntry:
-    return FlowEntry(Match(tcp_dst=port), priority=prio, actions=[Output(1)])
+def mk_entry(prio: int, port: int, timed: bool = False) -> FlowEntry:
+    return FlowEntry(Match(tcp_dst=port), priority=prio, actions=[Output(1)],
+                     idle_timeout=5.0 if timed else 0.0)
 
 
 entries_st = st.lists(
@@ -95,6 +98,18 @@ class ListModel:
     def rule_priorities(self, match: Match) -> "tuple[int, ...]":
         return tuple(e.priority for e in self.entries if e.match == match)
 
+    def follower(self, entry: FlowEntry) -> "FlowEntry | None":
+        at = self.entries.index(entry) + 1
+        after = self.entries[at] if at < len(self.entries) else None
+        return after if after is not None and after.priority == entry.priority else None
+
+    def timed_entries(self) -> "list[FlowEntry]":
+        return [e for e in self.entries if e.idle_timeout or e.hard_timeout]
+
+
+def by_id(entries) -> list:
+    return sorted(entries, key=lambda e: e.entry_id)
+
 
 def assert_rule_answers(store: FlowTable, model: ListModel) -> None:
     """Every rule-level query, over the whole (priority, match) pool."""
@@ -106,6 +121,9 @@ def assert_rule_answers(store: FlowTable, model: ListModel) -> None:
             want = model.find_rule(match, prio)
             assert store.find_rule(match, prio) is want
             assert store.has_rule(match, prio) == (want is not None)
+    for entry in model.entries:
+        assert store.follower(entry) is model.follower(entry)
+    assert by_id(store.timed_entries()) == by_id(model.timed_entries())
 
 
 class TestAddBulkParity:
@@ -164,7 +182,7 @@ class TestStoreParity:
         for op, prio, port in ops:
             version = store.version
             if op == "add":
-                e = mk_entry(prio, port)
+                e = mk_entry(prio, port, timed=bool(prio & 1))
                 store.add(e)
                 model.add(e)
                 bumps = 1
@@ -231,3 +249,38 @@ class TestStoreParity:
         assert store.remove(match) == model.remove(match, None) == 2
         assert not store.has_rule(match, 1)
         assert_rule_answers(store, model)
+
+    @pytest.mark.parametrize("first", ["head", "tail"])
+    def test_one_entry_to_several_and_back(self, first):
+        """Same-match ADDs at other priorities grow one match from one
+        entry to three; deleting the head and the tail shrinks it back to
+        one, then none — every answer checked at each step, with a
+        same-priority neighbour on another match so that ``follower``
+        crosses matches."""
+        store, model = FlowTable(0), ListModel()
+        match = Match(tcp_dst=1)
+
+        def apply(op, prio, timed=False):
+            if op == "add":
+                e = mk_entry(prio, 1, timed)
+                store.add(e)
+                model.add(e)
+            else:
+                assert store.remove(match, priority=prio) == model.remove(match, prio) == 1
+            assert store.entries == tuple(model.entries)
+            assert_rule_answers(store, model)
+
+        neighbour = mk_entry(2, 2)
+        store.add(neighbour)
+        model.add(neighbour)
+        apply("add", 2, timed=True)
+        apply("add", 2, timed=False)  # ADD-replace of a lone entry
+        apply("add", 3)
+        apply("add", 1, timed=True)
+        assert store.rule_priorities(match) == (3, 2, 1)
+        apply("remove", 3 if first == "head" else 1)
+        apply("remove", 1 if first == "head" else 3)
+        assert store.find(match).priority == 2
+        apply("remove", 2)
+        assert store.find(match) is None
+        assert store.find(neighbour.match) is neighbour
