@@ -3,7 +3,7 @@
 Usage (also via ``python -m repro``)::
 
     repro show     pipeline.json
-    repro compile  pipeline.json [--no-decompose] [--range] [--sources]
+    repro compile  pipeline.json [--no-decompose] [--sources]
     repro run      pipeline.json --pkt in_port=1,ipv4_dst=192.0.2.1,tcp_dst=80 ...
     repro model    pipeline.json
     repro bench    pipeline.json [--flows N] [--packets M] [--seed S] [--burst B]
@@ -45,10 +45,7 @@ def _load(path: str) -> Pipeline:
 
 
 def _config(args: argparse.Namespace) -> CompileConfig:
-    return CompileConfig(
-        decompose=not getattr(args, "no_decompose", False),
-        enable_range=getattr(args, "range", False),
-    )
+    return CompileConfig(decompose=not getattr(args, "no_decompose", False))
 
 
 def cmd_show(args: argparse.Namespace) -> int:
@@ -337,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compile.add_argument("pipeline")
     p_compile.add_argument("--no-decompose", action="store_true",
                            help="disable flow table decomposition")
-    p_compile.add_argument("--range", action="store_true",
-                           help="enable the range table template")
     p_compile.add_argument("--sources", action="store_true",
                            help="print the generated fast-path code")
     p_compile.set_defaults(fn=cmd_compile)
@@ -348,13 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--pkt", action="append", required=True,
                        metavar="k=v,k=v", help="packet spec (repeatable)")
     p_run.add_argument("--no-decompose", action="store_true")
-    p_run.add_argument("--range", action="store_true")
     p_run.set_defaults(fn=cmd_run)
 
     p_model = sub.add_parser("model", help="auto-derive the performance model")
     p_model.add_argument("pipeline")
     p_model.add_argument("--no-decompose", action="store_true")
-    p_model.add_argument("--range", action="store_true")
     p_model.set_defaults(fn=cmd_model)
 
     p_bench = sub.add_parser("bench", help="quick simulated measurement")
@@ -368,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="drive the datapaths in IO bursts of B packets "
                               "(0 = scalar calls at the calibration burst)")
     p_bench.add_argument("--no-decompose", action="store_true")
-    p_bench.add_argument("--range", action="store_true")
     p_bench.set_defaults(fn=cmd_bench)
 
     p_fuzz = sub.add_parser(

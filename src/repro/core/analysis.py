@@ -40,9 +40,6 @@ class TemplateKind(enum.Enum):
     HASH = "hash"
     LPM = "lpm"
     LINKED_LIST = "linked_list"
-    #: optional extension (Section 3.1: "Further table templates, like
-    #: range search for port matches, can easily be added in the future").
-    RANGE = "range"
 
 
 #: Fields the DIR-24-8 backed LPM template supports (32-bit addresses).
@@ -64,9 +61,6 @@ class CompileConfig:
         keys_in_code: patch flow keys into the instruction stream (the
             paper's choice, Section 3.3); the ablation toggles this to
             model indirect key loads instead.
-        enable_range: opt into the range-search table template for port
-            matches (the paper's suggested future extension); off by
-            default to keep the shipped Fig. 4 template set.
         fuse: link the compiled tables into one whole-pipeline code
             object (:mod:`repro.core.fuse`); off forces every packet
             through the per-table trampoline dispatch.
@@ -80,7 +74,6 @@ class CompileConfig:
     direct_threshold: int = 4
     decompose: bool = True
     keys_in_code: bool = True
-    enable_range: bool = False
     fuse: bool = True
     force_linked_list: bool = False
 
@@ -209,60 +202,10 @@ def lpm_prefixes(
     return name, by_prefix
 
 
-#: 16-bit port fields the range template understands.
-RANGE_FIELDS = frozenset({"tcp_src", "tcp_dst", "udp_src", "udp_dst"})
-
-
-def port_runs(
-    entries: "Sequence[FlowEntry] | FlowTable", config: "CompileConfig | None" = None
-) -> "tuple[str, list[list]] | None":
-    """Range search: ``(field, [[lo, hi, entries], ...])`` when every
-    rule is an exact match on the same :data:`RANGE_FIELDS` port field.
-
-    A run merges consecutive ports whose entries share identical
-    instructions (one interval, one *behavior*) and lists the winning
-    entry of each of its ports: rules merged into a run keep distinct
-    identity (flow counters, verdict paths), and a port claimed by
-    several rules keeps the first — the entry the reference interpreter
-    would match. Selected only when ``enable_range`` is set and the
-    rules really compress (e.g. "allow 1024–2047"); otherwise the hash
-    is faster.
-    """
-    if config is not None and not config.enable_range:
-        return None
-    if isinstance(entries, FlowTable):
-        entries = entries.entries
-    rules, _catch_all = split_catch_all(entries)
-    if not rules:
-        return None
-    fields = rules[0].match.fields
-    if len(fields) != 1 or fields[0] not in RANGE_FIELDS:
-        return None
-    name = fields[0]
-    by_port: dict[int, FlowEntry] = {}
-    for entry in rules:
-        if entry.match.fields != fields or not entry.match.is_exact(name):
-            return None
-        by_port.setdefault(entry.match.value_of(name), entry)
-    runs: list[list] = []
-    for port in sorted(by_port):
-        entry = by_port[port]
-        run = runs[-1] if runs else None
-        if run and run[1] == port - 1 and run[2][0].instructions == entry.instructions:
-            run[1] = port
-            run[2].append(entry)
-        else:
-            runs.append([port, port, [entry]])
-    if config is not None and len(runs) * 4 > len(rules):
-        return None
-    return name, runs
-
-
-#: Fig. 4's lattice, top-down (the optional range rung slotted before the
-#: hash): rung -> prerequisite. The linked list has none.
+#: Fig. 4's lattice, top-down: rung -> prerequisite. The linked list has
+#: none.
 PREREQUISITES = {
     TemplateKind.DIRECT: direct_size,
-    TemplateKind.RANGE: port_runs,
     TemplateKind.HASH: hash_shape,
     TemplateKind.LPM: lpm_prefixes,
     TemplateKind.LINKED_LIST: lambda entries, config=None: (),

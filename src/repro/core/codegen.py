@@ -40,7 +40,6 @@ fuser and the model deriver go through the contract on the base class.
 
 from __future__ import annotations
 
-import bisect
 import math
 from functools import cached_property
 
@@ -177,10 +176,9 @@ class CompiledTable:
         entries, and True only when the walk would agree. False asks for
         the walk: always allowed, and all that most rungs answer."""
         if (
-            # the range prerequisite is a walk; a non-strict DELETE takes
-            # out every priority of its match, any number of shape classes.
-            config.enable_range
-            or (mod.command is FlowModCommand.DELETE and not mod.strict)
+            # a non-strict DELETE takes out every priority of its match,
+            # any number of shape classes.
+            (mod.command is FlowModCommand.DELETE and not mod.strict)
             or not self._keeps(table, mod)
         ):
             return False
@@ -780,78 +778,8 @@ class LinkedListTable(CompiledTable):
         )
 
 
-class RangeTable(CompiledTable):
-    """Range search for port matches (optional extension).
-
-    Section 3.1 lists "range search for port matches" as a table template
-    that "can easily be added in the future": exact port rules coalesce
-    into ``(lo, hi) -> outcome`` intervals looked up by binary search —
-    one interval instead of thousands of hash entries for an
-    "allow 1024–2047"-style rule block. The interval arrays are rebuilt,
-    never patched.
-    """
-
-    kind = TemplateKind.RANGE
-    needs = "exact port runs"
-
-    def __init__(
-        self,
-        table: FlowTable,
-        config: CompileConfig,
-        costs: CostBook,
-        plan: "tuple[str, list[list]]",
-    ):
-        self.field, runs = plan
-        # One outcome per PORT, grouped by run: the hit must resolve to
-        # the exact port's entry — the one the reference interpreter credits.
-        self._outs = outs = [
-            [outcome_of(entry) for entry in members] for _lo, _hi, members in runs
-        ]
-        self._levels = max(1, math.ceil(math.log2(len(runs) + 1)))
-        super().__init__(
-            table,
-            costs,
-            {"_MISS": _miss_of(table),
-             "_STARTS": [lo for lo, _hi, _members in runs],
-             "_ENDS": [hi for _lo, hi, _members in runs],
-             "_OUTS": outs, "_bisect": bisect.bisect_right},
-        )
-
-    def _charge(self, costs: CostBook) -> float:
-        return costs.range_base + costs.range_per_level * self._levels
-
-    def _emit(self, costs: CostBook) -> list[str]:
-        fdef = field_by_name(self.field)
-        req = fdef.proto_required
-        charge = f"m.charge({self._charge(costs)!r})"
-        return (
-            _guard_lines([f"proto & {req:#x}"] if req else [], charge)
-            + [f"    _p = {fdef.expr}",
-               "    _i = _bisect(_STARTS, _p) - 1"]
-            + _metered("    ", charge, f"m.touch(('es_range', {self._id}, _i >> 3))")
-            + ["    if _i >= 0 and _p <= _ENDS[_i]:",
-               "        return _OUTS[_i][_p - _STARTS[_i]]",
-               "    return _MISS"]
-        )
-
-    def _hits(self):
-        return (out for run in self._outs for out in run)
-
-    def _list_bytes(self) -> int:
-        return sum(56 + _RECORD_BYTES * len(run) for run in self._outs)
-
-    def stage(self, costs: CostBook) -> StageCost:
-        return StageCost(
-            f"range template [{self.table_id}]",
-            self._charge(costs),
-            1,
-            f"{max(self.entry_count, 1)} entries, interval binary search",
-        )
-
-
 _RUNGS = {
-    rung.kind: rung
-    for rung in (DirectTable, HashTable, LpmTable, LinkedListTable, RangeTable)
+    rung.kind: rung for rung in (DirectTable, HashTable, LpmTable, LinkedListTable)
 }
 
 

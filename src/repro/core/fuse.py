@@ -16,7 +16,7 @@ shape, then patched):
 
 * ``goto_table`` becomes a local jump — an ``if tid == N`` dispatch over
   compile-time-known table ids. The rungs whose text is fixed by the
-  table's fields and masks (hash, LPM, range: :attr:`~repro.core.codegen.
+  table's fields and masks (hash, LPM: :attr:`~repro.core.codegen.
   CompiledTable.inlinable`) are **textually inlined**; the others — direct
   code, whose text grows with its entries, and the linked list, whose
   body returns from inside a loop — are **called** through a namespace

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 
 from repro.core.analysis import TemplateKind
-from repro.core.eswitch import CompileConfig, ESwitch
+from repro.core.eswitch import ESwitch
 from repro.fuzz.diff import run_scenario
 from repro.fuzz.gen import RUNGS, GenerationError, generate, generate_churn
 from repro.fuzz.scenario import Scenario
@@ -25,16 +25,12 @@ _KIND_OF = {
     "direct": TemplateKind.DIRECT,
     "hash": TemplateKind.HASH,
     "lpm": TemplateKind.LPM,
-    "range": TemplateKind.RANGE,
     "linked_list": TemplateKind.LINKED_LIST,
 }
 
 
 def _warm_switch(scenario: Scenario) -> ESwitch:
-    switch = ESwitch(
-        scenario.build_pipeline(),
-        config=CompileConfig(enable_range=scenario.enable_range),
-    )
+    switch = ESwitch(scenario.build_pipeline())
     switch.warm()
     return switch
 

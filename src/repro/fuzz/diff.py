@@ -197,7 +197,7 @@ def run_scenario(
     reference = scenario.build_pipeline()
     ref_switch = PipelineAdapter(reference)
 
-    base = CompileConfig(enable_range=scenario.enable_range)
+    base = CompileConfig()
     if scenario.direct_threshold is not None:
         base = base.with_(direct_threshold=scenario.direct_threshold)
     backends: list = [

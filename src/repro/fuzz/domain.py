@@ -47,7 +47,7 @@ MASKS = {
 }
 
 #: Extra source-port pools the fuzzer (but not the curated strategies)
-#: uses to exercise the range template on both port columns.
+#: draws from, so source-port matches collide like destination ones.
 PORT_SRC_DOMAINS: dict[str, list[int]] = {
     "tcp_src": [1024, 1025, 5000],
     "udp_src": [1024, 2048],
@@ -127,7 +127,7 @@ def perturb_fields(
 
     The returned map is fed to :func:`packet_for_fields`, so the
     perturbation lands in the *packet*, not the rule: off-by-one values
-    cross range/LPM edges, an in-mask bit flip is a near-miss, an
+    cross exact-key and LPM edges, an in-mask bit flip is a near-miss, an
     off-mask flip must still match.
     """
     out = dict(fields)

@@ -6,7 +6,7 @@ same scenario, byte for byte — which is what makes ``repro fuzz --seed``
 replayable and the CI smoke leg a fixed corpus in disguise.
 
 Pipelines are generated *per template rung*: every table aims at one
-rung of the ESWITCH lattice (direct / hash / LPM / range / linked list /
+rung of the ESWITCH lattice (direct / hash / LPM / linked list /
 decomposable), so a short fuzz run still visits every code generator.
 Traffic is biased toward match/miss boundaries (off-by-one values,
 in-mask and off-mask bit flips near installed rules) plus a tail of
@@ -24,7 +24,7 @@ from repro.openflow.flow_table import TableMissPolicy
 from repro.openflow.groups import GroupType
 from repro.openflow.timeouts import ExpiryManager, PipelineAdapter
 
-RUNGS = ("direct", "hash", "lpm", "range", "linked_list", "decompose")
+RUNGS = ("direct", "hash", "lpm", "linked_list", "decompose")
 
 _MISS_POLICIES = [p.value for p in TableMissPolicy]
 _GROUP_TYPES = [g.value for g in GroupType]
@@ -154,29 +154,6 @@ def _build_lpm(rng, tid, later, groups, meters):
     return entries, profiles
 
 
-def _build_range(rng, tid, later, groups, meters):
-    field = rng.choice(["tcp_dst", "udp_dst", "tcp_src", "udp_src"])
-    full = domain.full_mask(field)
-    entries, profiles = [], []
-    start = rng.randint(1, 1000)
-    for _run in range(rng.randint(2, 3)):
-        length = rng.randint(9, 14)
-        acts = _actions(rng, groups)
-        run_obj: dict = {"apply": acts}
-        if later and rng.random() < 0.3:
-            run_obj["goto"] = rng.choice(later)
-        for port in range(start, start + length):
-            fields = {field: (port & full, full)}
-            entry = {"priority": 5, "match": _match_obj(fields)}
-            entry.update(run_obj)  # identical instructions merge into a run
-            entries.append(entry)
-            profiles.append(fields)
-        start += length + rng.randint(2, 50)  # gap: runs stay disjoint
-    if rng.random() < 0.3:
-        entries.append(_entry_obj(rng, {}, 0, later, groups, meters))
-    return entries, profiles
-
-
 def _build_linked_list(rng, tid, later, groups, meters):
     entries, profiles = [], []
     for _ in range(rng.randint(5, 10)):
@@ -231,7 +208,6 @@ _BUILDERS = {
     "direct": _build_direct,
     "hash": _build_hash,
     "lpm": _build_lpm,
-    "range": _build_range,
     "linked_list": _build_linked_list,
     "decompose": _build_decompose,
 }
@@ -421,7 +397,6 @@ def _generate_once(
         },
         events=events,
         seed=seed,
-        enable_range=("range" in rungs) or rng.random() < 0.1,
         quarantine=quarantine,
         degrade_fuse=degrade_fuse,
         tight_meter=tight_meter,

@@ -29,6 +29,12 @@ FORMAT = 1
 #: entry_from_obj keys a mod object may carry besides its own.
 _ENTRY_KEYS = ("match", "apply", "write", "clear", "metadata", "goto", "meter")
 
+#: the top-level keys a scenario document may carry (what ``to_obj`` writes).
+_KEYS = frozenset({
+    "format", "name", "seed", "note", "degrade_fuse", "tight_meter",
+    "quarantine", "direct_threshold", "outage", "pipeline", "events",
+})
+
 
 @dataclass
 class Scenario:
@@ -39,8 +45,6 @@ class Scenario:
     seed: "int | None" = None
     name: str = ""
     note: str = ""
-    #: compile the RANGE template where applicable (fused/trampoline/sharded).
-    enable_range: bool = False
     #: logical table ids force-quarantined on the unsharded ESwitch
     #: backends before traffic (the fail-static containment state).
     quarantine: tuple = ()
@@ -115,7 +119,7 @@ class Scenario:
             out["seed"] = self.seed
         if self.note:
             out["note"] = self.note
-        for flag in ("enable_range", "degrade_fuse", "tight_meter"):
+        for flag in ("degrade_fuse", "tight_meter"):
             if getattr(self, flag):
                 out[flag] = True
         if self.quarantine:
@@ -134,13 +138,19 @@ class Scenario:
             raise serialize.SerializationError(
                 f"unknown scenario format {obj.get('format')!r}"
             )
+        # A key this reader does not know would otherwise replay silently
+        # under a different configuration than the one it was pinned for.
+        unknown = sorted(set(obj) - _KEYS)
+        if unknown:
+            raise serialize.SerializationError(
+                f"unknown scenario key(s): {', '.join(unknown)}"
+            )
         return cls(
             pipeline_obj=obj["pipeline"],
             events=list(obj.get("events", [])),
             seed=obj.get("seed"),
             name=obj.get("name", ""),
             note=obj.get("note", ""),
-            enable_range=bool(obj.get("enable_range", False)),
             quarantine=tuple(obj.get("quarantine", ())),
             degrade_fuse=bool(obj.get("degrade_fuse", False)),
             tight_meter=bool(obj.get("tight_meter", False)),

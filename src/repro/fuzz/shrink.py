@@ -89,8 +89,7 @@ def _candidates(obj: dict):
                 yield new
 
     # 7. Degradation flags and scenario metadata.
-    for key in ("quarantine", "degrade_fuse", "enable_range", "tight_meter",
-                "note"):
+    for key in ("quarantine", "degrade_fuse", "tight_meter", "note"):
         if obj.get(key):
             new = copy.deepcopy(obj)
             del new[key]

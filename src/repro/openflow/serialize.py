@@ -48,7 +48,8 @@ Group tables serialize alongside the flow tables::
 from __future__ import annotations
 
 import json
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 from repro.net.addresses import int_to_ip, int_to_mac
 from repro.openflow.actions import (
@@ -76,11 +77,25 @@ from repro.openflow.instructions import (
 )
 from repro.openflow.meters import MeterInstruction, MeterTable
 from repro.openflow.match import Match
-from repro.openflow.pipeline import Pipeline
+from repro.openflow.pipeline import Pipeline, PipelineError
 
 
 class SerializationError(ValueError):
     """Raised on malformed pipeline documents."""
+
+
+@contextmanager
+def _located(where: str = "") -> Iterator[None]:
+    """Raise whatever a malformed value trips on inside the block — a bad
+    type, a missing key, an out-of-range number — as a SerializationError,
+    prefixed with ``where`` in the document when given."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError, PipelineError) as exc:
+        if isinstance(exc, SerializationError) and not where:
+            raise
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise SerializationError(f"{where}: {detail}" if where else detail) from exc
 
 
 # -- actions ---------------------------------------------------------------
@@ -118,21 +133,22 @@ def action_from_obj(obj: Any, groups: "GroupTable | None" = None) -> Action:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise SerializationError(f"malformed action object {obj!r}")
     (kind, value), = obj.items()
-    if kind == "output":
-        return Output(int(value))
-    if kind == "set":
-        if not isinstance(value, dict) or len(value) != 1:
-            raise SerializationError(f"malformed set action {obj!r}")
-        (field, fvalue), = value.items()
-        return SetField(field, _field_value(field, fvalue))
-    if kind == "push_vlan":
-        return PushVlan(vid=int(value.get("vid", 0)), pcp=int(value.get("pcp", 0)))
-    if kind == "group":
-        if groups is None:
-            raise SerializationError(
-                "group action outside a pipeline document with groups"
-            )
-        return GroupAction(groups, int(value))
+    with _located(f"action {obj!r}"):
+        if kind == "output":
+            return Output(int(value))
+        if kind == "set":
+            if not isinstance(value, dict) or len(value) != 1:
+                raise SerializationError("malformed set action")
+            (field, fvalue), = value.items()
+            return SetField(field, _field_value(field, fvalue))
+        if kind == "push_vlan":
+            return PushVlan(vid=int(value.get("vid", 0)), pcp=int(value.get("pcp", 0)))
+        if kind == "group":
+            if groups is None:
+                raise SerializationError(
+                    "group action outside a pipeline document with groups"
+                )
+            return GroupAction(groups, int(value))
     raise SerializationError(f"unknown action {kind!r}")
 
 
@@ -226,36 +242,37 @@ def entry_from_obj(
     if not isinstance(obj, dict):
         raise SerializationError(f"entry must be an object, got {obj!r}")
     instructions: list = []
-    if "meter" in obj:
-        if meters is None:
-            raise SerializationError("meter instruction without a meter table")
-        instructions.append(MeterInstruction(meters, int(obj["meter"])))
-    if obj.get("clear"):
-        instructions.append(ClearActions())
-    if "apply" in obj:
-        instructions.append(
-            ApplyActions([action_from_obj(a, groups) for a in obj["apply"]])
+    with _located():
+        if "meter" in obj:
+            if meters is None:
+                raise SerializationError("meter instruction without a meter table")
+            instructions.append(MeterInstruction(meters, int(obj["meter"])))
+        if obj.get("clear"):
+            instructions.append(ClearActions())
+        if "apply" in obj:
+            instructions.append(
+                ApplyActions([action_from_obj(a, groups) for a in obj["apply"]])
+            )
+        if "write" in obj:
+            instructions.append(
+                WriteActions([action_from_obj(a, groups) for a in obj["write"]])
+            )
+        if "metadata" in obj:
+            md = obj["metadata"]
+            instructions.append(
+                WriteMetadata(value=int(md["value"]),
+                              mask=int(md.get("mask", (1 << 64) - 1)))
+            )
+        if "goto" in obj:
+            instructions.append(GotoTable(int(obj["goto"])))
+        return FlowEntry(
+            match=match_from_obj(obj.get("match", {})),
+            priority=int(obj.get("priority", 0)),
+            instructions=tuple(instructions),
+            cookie=int(obj.get("cookie", 0)),
+            idle_timeout=float(obj.get("idle_timeout", 0.0)),
+            hard_timeout=float(obj.get("hard_timeout", 0.0)),
         )
-    if "write" in obj:
-        instructions.append(
-            WriteActions([action_from_obj(a, groups) for a in obj["write"]])
-        )
-    if "metadata" in obj:
-        md = obj["metadata"]
-        instructions.append(
-            WriteMetadata(value=int(md["value"]),
-                          mask=int(md.get("mask", (1 << 64) - 1)))
-        )
-    if "goto" in obj:
-        instructions.append(GotoTable(int(obj["goto"])))
-    return FlowEntry(
-        match=match_from_obj(obj.get("match", {})),
-        priority=int(obj.get("priority", 0)),
-        instructions=tuple(instructions),
-        cookie=int(obj.get("cookie", 0)),
-        idle_timeout=float(obj.get("idle_timeout", 0.0)),
-        hard_timeout=float(obj.get("hard_timeout", 0.0)),
-    )
 
 
 def table_to_obj(table: FlowTable) -> dict:
@@ -272,15 +289,18 @@ def table_from_obj(
     groups: "GroupTable | None" = None,
     meters: "MeterTable | None" = None,
 ) -> FlowTable:
-    if "id" not in obj:
-        raise SerializationError("table object needs an 'id'")
-    table = FlowTable(
-        int(obj["id"]),
-        name=str(obj.get("name", "")),
-        miss_policy=TableMissPolicy(obj.get("miss", "drop")),
-    )
-    for entry_obj in obj.get("entries", []):
-        table.add(entry_from_obj(entry_obj, groups, meters))
+    if not isinstance(obj, dict) or "id" not in obj:
+        raise SerializationError(f"table object needs an 'id', got {obj!r}")
+    with _located(f"table {obj['id']!r}"):
+        table = FlowTable(
+            int(obj["id"]),
+            name=str(obj.get("name", "")),
+            miss_policy=TableMissPolicy(obj.get("miss", "drop")),
+        )
+        entries = list(obj.get("entries", []))
+    for index, entry_obj in enumerate(entries):
+        with _located(f"table {table.table_id} entry {index}"):
+            table.add(entry_from_obj(entry_obj, groups, meters))
     return table
 
 
@@ -296,7 +316,7 @@ def group_to_obj(group: Group) -> dict:
 
 
 def group_from_obj(obj: dict, groups: GroupTable) -> Group:
-    try:
+    with _located(f"invalid group {obj!r}"):
         buckets = [
             Bucket(
                 [action_from_obj(a, groups) for a in b.get("actions", [])],
@@ -305,8 +325,6 @@ def group_from_obj(obj: dict, groups: GroupTable) -> Group:
             for b in obj["buckets"]
         ]
         return Group(int(obj["id"]), GroupType(obj.get("type", "indirect")), buckets)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise SerializationError(f"invalid group {obj!r}: {exc}") from exc
 
 
 def pipeline_to_obj(pipeline: Pipeline) -> dict:
@@ -332,24 +350,24 @@ def pipeline_to_obj(pipeline: Pipeline) -> dict:
 
 
 def pipeline_from_obj(obj: dict) -> Pipeline:
-    if not isinstance(obj, dict) or "tables" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("tables"), list):
         raise SerializationError("pipeline document needs a 'tables' list")
     pipeline = Pipeline()
     for group_obj in obj.get("groups", []):
-        pipeline.groups.add(group_from_obj(group_obj, pipeline.groups))
+        group = group_from_obj(group_obj, pipeline.groups)
+        with _located(f"group {group.group_id}"):
+            pipeline.groups.add(group)
     for meter_obj in obj.get("meters", []):
-        try:
+        with _located(f"invalid meter {meter_obj!r}"):
             pipeline.meters.add(
                 int(meter_obj["id"]),
                 rate_pps=float(meter_obj["rate_pps"]),
                 burst=float(meter_obj.get("burst", 0.0)),
             )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SerializationError(f"invalid meter {meter_obj!r}: {exc}") from exc
     for table_obj in obj["tables"]:
-        pipeline.add_table(
-            table_from_obj(table_obj, pipeline.groups, pipeline.meters)
-        )
+        table = table_from_obj(table_obj, pipeline.groups, pipeline.meters)
+        with _located(f"table {table.table_id}"):
+            pipeline.add_table(table)
     return pipeline
 
 

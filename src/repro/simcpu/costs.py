@@ -60,9 +60,6 @@ class CostBook:
     lpm_base: float = 13.0
     linked_list_base: float = 6.5
     linked_list_per_entry: float = 3.0
-    #: range template (optional extension): binary search over intervals.
-    range_base: float = 9.0
-    range_per_level: float = 2.0
     goto_trampoline: float = 2.0
     table_miss: float = 5.0
 

@@ -140,6 +140,14 @@ class TestLpmPrerequisite:
 
 
 class TestFallbackChain:
+    def test_lattice_is_fig4(self):
+        """Four rungs, top-down: direct code, compound hash, LPM, linked
+        list — and no template kind outside them."""
+        fig4 = [TemplateKind.DIRECT, TemplateKind.HASH, TemplateKind.LPM,
+                TemplateKind.LINKED_LIST]
+        assert list(PREREQUISITES) == fig4
+        assert list(TemplateKind) == fig4
+
     def test_linked_list_is_universal(self):
         # Mixed field sets, arbitrary masks: only the linked list applies.
         entries = [
@@ -173,8 +181,6 @@ class TestOnePrerequisitePerRung:
         TemplateKind.LPM: lambda: table_of(
             *[e(24, ipv4_dst=f"10.0.{i}.0/24") for i in range(6)],
             e(16, ipv4_dst="10.0.0.0/16"), e(0)),
-        TemplateKind.RANGE: lambda: table_of(
-            *[e(1, tcp_dst=port) for port in range(1000, 1032)], e(0)),
         TemplateKind.HASH: lambda: table_of(
             *[e(1, eth_dst=i) for i in range(8)], e(0)),
     }
@@ -190,7 +196,7 @@ class TestOnePrerequisitePerRung:
             return real(entries, config)
 
         monkeypatch.setitem(PREREQUISITES, rung, counted)
-        config = CompileConfig(enable_range=True)
+        config = CompileConfig()
         compiled = compile_table(self.TABLES[rung](), config,
                                  kind=rung if forced else None)
         assert compiled.kind is rung
@@ -233,7 +239,6 @@ def near_hash_tables(draw):
 CONFIGS = [
     CompileConfig(direct_threshold=0),
     CompileConfig(),
-    CompileConfig(direct_threshold=0, enable_range=True),
     CompileConfig(force_linked_list=True),
 ]
 

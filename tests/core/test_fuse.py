@@ -43,9 +43,9 @@ def _pair(pipeline):
     )
 
 
-def _range_and_list_pipeline():
-    """Table 0: sixteen exact ports, one run (range search when enabled)
-    into table 1: three mask shapes, no common one (the linked list)."""
+def _hash_and_list_pipeline():
+    """Table 0: sixteen exact ports (the hash) into table 1: three mask
+    shapes, no common one (the linked list)."""
     ports, mixed = FlowTable(0), FlowTable(1)
     for port in range(80, 96):
         ports.add(FlowEntry(Match(tcp_dst=port), priority=1,
@@ -59,15 +59,14 @@ def _range_and_list_pipeline():
     return Pipeline([ports, mixed])
 
 
-_RANGE_AND_LIST = CompileConfig(direct_threshold=0, decompose=False,
-                                enable_range=True)
+_HASH_AND_LIST = CompileConfig(direct_threshold=0, decompose=False)
 
 
-def _range_and_list_switch(config=_RANGE_AND_LIST):
-    return ESwitch.from_pipeline(_range_and_list_pipeline(), config=config)
+def _hash_and_list_switch(config=_HASH_AND_LIST):
+    return ESwitch.from_pipeline(_hash_and_list_pipeline(), config=config)
 
 
-def _range_and_list_traffic():
+def _hash_and_list_traffic():
     return [
         PacketBuilder(in_port=in_port).eth().ipv4(src=src).tcp(dst_port=dport)
         .build()
@@ -347,24 +346,24 @@ class TestSpecialization:
         assert re.findall(r"^def (\w+)", source, re.M) == ["_run", "_burst"]
 
     def test_gateway_tables_inlined(self):
-        """Hash, LPM and range inline (their text is fixed by fields and
+        """Hash and LPM inline (their text is fixed by fields and
         masks); direct code is called, so its entry count is no part of
         the driver text."""
         p, _fib = gateway.build(n_ce=2, users_per_ce=8, n_prefixes=16)
         seen = set()
-        for sw in (ESwitch.from_pipeline(p), _range_and_list_switch()):
+        for sw in (ESwitch.from_pipeline(p), _hash_and_list_switch()):
             kinds = {tid: ct.kind.value
                      for tid, ct in sw.datapath.trampoline.items()}
             seen.update(kinds.values())
             assert sw.warm()
             fused = sw.datapath.fused
             inlined = {tid for tid, kind in kinds.items()
-                       if kind in ("hash", "lpm", "range")}
+                       if kind in ("hash", "lpm")}
             assert set(fused.inlined_ids) == inlined
             assert set(fused.called_ids) == set(kinds) - inlined
             for tid in fused.called_ids:
                 assert fused.namespace[f"_t{tid}_fn"] is sw.datapath.table(tid).fn
-        assert seen == {"direct", "hash", "lpm", "range", "linked_list"}
+        assert seen == {"direct", "hash", "lpm", "linked_list"}
 
 
 class _AtomLog(Meter):
@@ -405,17 +404,17 @@ def _atom_logs(sw, pkts):
     return verdicts, scalar.events, burst.events
 
 
-_FIXED = ["gateway", "range_and_list", "keys_in_data"]
+_FIXED = ["gateway", "hash_and_list", "keys_in_data"]
 
 
 def _fixed_pair(name):
-    """(fused, trampoline, traffic) on gateway, the range + linked-list
+    """(fused, trampoline, traffic) on gateway, the hash + linked-list
     pipeline, or gateway with its keys in data memory: every rung, each
     called table kind, and the ablation's key touches."""
-    if name == "range_and_list":
-        return (_range_and_list_switch(),
-                _range_and_list_switch(_RANGE_AND_LIST.with_(fuse=False)),
-                _range_and_list_traffic())
+    if name == "hash_and_list":
+        return (_hash_and_list_switch(),
+                _hash_and_list_switch(_HASH_AND_LIST.with_(fuse=False)),
+                _hash_and_list_traffic())
     shape = dict(n_ce=2, users_per_ce=2)
     config = CompileConfig(keys_in_code=name == "gateway")
     switches = [
@@ -497,7 +496,7 @@ class TestCalledTables:
         assert direct and direct <= set(sw.datapath.fused.inlined_ids)
         assert sw.datapath.fused.called_ids == ()
 
-    @pytest.mark.parametrize("build", ["gateway", "range_and_list"])
+    @pytest.mark.parametrize("build", ["gateway", "hash_and_list"])
     def test_called_tables_keep_parity_in_both_meter_modes(self, build):
         if build == "gateway":
             shape = dict(n_ce=2, users_per_ce=2)
@@ -505,9 +504,9 @@ class TestCalledTables:
             pkts = gateway.traffic(fib, 48, **shape)
             pair = _pair(p)
         else:
-            pkts = _range_and_list_traffic()
-            pair = (_range_and_list_switch(),
-                    _range_and_list_switch(_RANGE_AND_LIST.with_(fuse=False)))
+            pkts = _hash_and_list_traffic()
+            pair = (_hash_and_list_switch(),
+                    _hash_and_list_switch(_HASH_AND_LIST.with_(fuse=False)))
         sw_f, sw_t = pair
         assert sw_f.warm() and sw_f.datapath.fused.called_ids
         kinds = {sw_f.datapath.table(tid).kind.value

@@ -316,11 +316,11 @@ class TestLinkedListIsReofferedToDecomposition:
         assert sw.table_kinds() == {0: "linked_list"} and 0 in sw.quarantined
 
 
-def _rung_table(matches, port=None):
+def _rung_table(matches):
     table = FlowTable(0)
     for i, (priority, match) in enumerate(matches):
         table.add(FlowEntry(match, priority=priority,
-                            actions=[Output(port or 1 + i % 4)]))
+                            actions=[Output(1 + i % 4)]))
     table.add(FlowEntry(Match(), priority=0, actions=[Output(4)]))
     return table
 
@@ -354,11 +354,6 @@ RUNGS = {
                              (24, Match(ipv4_dst=(0xC0000200, 0xFFFFFF00))),
                              (24, Match(ipv4_dst=(0x0A000000, 0xFFFFFF00))),
                              (16, Match(ipv4_dst=(0xC0000000, 0xFFFF0000)))]),
-    ),
-    "range": (
-        CompileConfig(enable_range=True, decompose=False),
-        lambda: _rung_table([(1, Match(tcp_dst=port)) for port in range(80, 96)],
-                            port=2),  # one behavior = one run
     ),
     "direct": (  # one ADD from the threshold
         CompileConfig(decompose=False),

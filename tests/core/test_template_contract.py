@@ -44,14 +44,13 @@ from repro.simcpu.recorder import NULL_METER
 from repro.usecases import acl, gateway, l2, l3, loadbalancer
 
 
-def _table(matches, catch_all=True, port=None):
+def _table(matches):
     table = FlowTable(0)
     for i, (priority, match) in enumerate(matches):
         table.add(FlowEntry(match, priority=priority,
-                            instructions=(ApplyActions([Output(port or 1 + i % 4)]),)))
-    if catch_all:
-        table.add(FlowEntry(Match(), priority=0,
-                            instructions=(ApplyActions([Output(4)]),)))
+                            instructions=(ApplyActions([Output(1 + i % 4)]),)))
+    table.add(FlowEntry(Match(), priority=0,
+                        instructions=(ApplyActions([Output(4)]),)))
     return table
 
 
@@ -78,11 +77,6 @@ RUNGS = {
         CompileConfig(direct_threshold=0, decompose=False),
         lambda: _table([(9, Match(in_port=1)), (5, Match(tcp_dst=80)),
                         (3, Match(ipv4_src=(0x0A000000, 0xFFFFFF00)))]),
-    ),
-    "range": (
-        CompileConfig(direct_threshold=0, decompose=False, enable_range=True),
-        lambda: _table([(1, Match(tcp_dst=port)) for port in range(80, 96)],
-                       catch_all=False, port=2),  # one behavior = one run
     ),
 }
 

@@ -61,7 +61,6 @@ USECASES = {
 
 CONFIGS = {
     "default": CompileConfig(),
-    "enable_range": CompileConfig(enable_range=True),
     "keys_in_data": CompileConfig(keys_in_code=False),
 }
 
@@ -134,10 +133,9 @@ def assert_switch_patched_is_fresh(switch: ESwitch, where: str) -> None:
 
 
 def scenario_config(scenario: Scenario) -> CompileConfig:
-    config = CompileConfig(enable_range=scenario.enable_range)
-    if scenario.direct_threshold is not None:
-        config = config.with_(direct_threshold=scenario.direct_threshold)
-    return config
+    if scenario.direct_threshold is None:
+        return CompileConfig()
+    return CompileConfig(direct_threshold=scenario.direct_threshold)
 
 
 class TestPatchedIsFreshlyCompiled:

@@ -104,10 +104,25 @@ class TestErrors:
             '{"tables": [{"id": 0, "entries": [{"match": {}, "apply": ["zap"]}]}]}',
             '{"tables": [{"id": 0, "entries": [{"match": {}, '
             '"apply": [{"set": {"eth_type": 5}}]}]}]}',  # unwritable field
+            '{"tables": [{"id": 0, "entries": [{"match": {}, '
+            '"apply": [{"push_vlan": 5}]}]}]}',
+            '{"tables": [{"id": 0, "entries": [{"match": {}, '
+            '"apply": [{"output": "x"}]}]}]}',
+            '{"tables": [{"id": 0, "miss": "bogus", "entries": []}]}',
+            '{"tables": [{"id": 0, "entries": [{"match": {}, "priority": "hi"}]}]}',
+            '{"tables": [{"id": 0, "entries": [{"match": {}, '
+            '"metadata": {"mask": 1}}]}]}',
+            '{"tables": [5]}',
         ],
     )
     def test_malformed_documents_rejected(self, doc):
-        with pytest.raises((serialize.SerializationError, ValueError)):
+        with pytest.raises(serialize.SerializationError):
+            serialize.loads(doc)
+
+    def test_errors_name_the_table_and_entry(self):
+        doc = ('{"tables": [{"id": 3, "entries": [{"match": {}}, '
+               '{"match": {}, "priority": "hi"}]}]}')
+        with pytest.raises(serialize.SerializationError, match="table 3 entry 1"):
             serialize.loads(doc)
 
     def test_match_value_spellings(self):

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main, parse_packet_spec
@@ -113,6 +117,19 @@ class TestCommands:
         bad.write_text("{")
         with pytest.raises(SystemExit):
             main(["show", str(bad)])
+
+    def test_malformed_entry_is_an_error_not_a_traceback(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"tables": [{"id": 0, "entries": '
+                       '[{"match": {}, "apply": [{"push_vlan": 5}]}]}]}')
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "show", str(bad)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode != 0
+        assert "error: table 0 entry 0:" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestIpv6Spec:

