@@ -14,8 +14,8 @@ Usage (also via ``python -m repro``)::
 baseline, and the reference interpreter) and reports disagreement loudly —
 the command-line version of the repo's differential testing. ``fuzz`` is
 the heavy-calibre version: seeded random pipelines and traffic through
-the full five-backend matrix (see :mod:`repro.fuzz`), with deterministic
-replay and failure minimization.
+the full backend matrix (listed in :mod:`repro.fuzz.diff`), with
+deterministic replay and failure minimization.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         for path in args.replay:
             try:
                 scenario = Scenario.load(path)
-            except (OSError, serialize.SerializationError, KeyError) as exc:
+            except (OSError, serialize.SerializationError) as exc:
                 raise SystemExit(f"error: cannot load {path}: {exc}")
             divergences = run_scenario(scenario)
             label = scenario.name or path
@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(fn=cmd_bench)
 
     p_fuzz = sub.add_parser(
-        "fuzz", help="differential fuzzing across the five-backend matrix"
+        "fuzz", help="differential fuzzing across the backend matrix"
     )
     p_fuzz.add_argument("--seed", type=int, default=0,
                         help="first seed of the deterministic run")

@@ -1,13 +1,14 @@
 """Differential compiler fuzzing for the ESWITCH backend matrix.
 
-The subsystem has four parts, one module each:
+The subsystem's main parts, one module each:
 
 * :mod:`repro.fuzz.gen` — seeded random pipelines (one template rung per
-  table) and boundary-biased traffic/flow-mod schedules;
+  table) and boundary-biased traffic/flow-mod schedules, plus three
+  structured presets (large, churn, fabric outage);
 * :mod:`repro.fuzz.scenario` — the JSON-round-trippable test-case
   container pinned in ``tests/fuzz_corpus/``;
-* :mod:`repro.fuzz.diff` — the differential oracle across fused,
-  trampoline, linked-list, OVS-model, and sharded backends;
+* :mod:`repro.fuzz.diff` — the differential oracle over the backend
+  matrix (listed there);
 * :mod:`repro.fuzz.shrink` — greedy minimization of failures into
   corpus seeds;
 * :mod:`repro.fuzz.outage` — the session-layer parity harness: a
@@ -17,7 +18,7 @@ The subsystem has four parts, one module each:
 Entry points: ``repro fuzz`` (CLI) and ``tests/test_differential_fuzz.py``.
 """
 
-from repro.fuzz.diff import DEFAULT_WORKERS, Divergence, diverges, run_scenario, run_seed
+from repro.fuzz.diff import DEFAULT_WORKERS, Divergence, diverges, run_scenario
 from repro.fuzz.gen import (
     GenerationError,
     RUNGS,
@@ -45,5 +46,4 @@ __all__ = [
     "packet_to_obj",
     "run_outage_parity",
     "run_scenario",
-    "run_seed",
 ]

@@ -1,14 +1,15 @@
 """Corpus curation: pick seeds that pin every template rung and
 degradation state, verify them against the full backend matrix, and
-write them to ``tests/fuzz_corpus/``.
+write every non-regression file of ``tests/fuzz_corpus/``.
 
 Run as ``python -m repro.fuzz.curate [corpus_dir]``. Curation is
 deterministic — it scans seeds upward from zero and takes the first
-scenario satisfying each slot's requirement — so re-running it after a
-generator change rebuilds an equivalent corpus rather than a drifted
-one. Scenarios that encode *fixed bugs* (``regression-*.json``) are not
-rebuilt here: they were minimized against the pre-fix tree and are
-pinned by hand, with provenance in their ``note`` field.
+clean scenario satisfying each slot's requirement, a predicate on the
+finished scenario — so re-running it on an unchanged tree rewrites the
+corpus byte for byte (a tier-1 test holds it to that). Scenarios that
+encode *fixed bugs* (``regression-*.json``) are not rebuilt here: they
+were minimized against the pre-fix tree and are pinned by hand, with
+provenance in their ``note`` field.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import sys
 from repro.core.analysis import TemplateKind
 from repro.core.eswitch import ESwitch
 from repro.fuzz.diff import run_scenario
-from repro.fuzz.gen import RUNGS, GenerationError, generate, generate_churn
+from repro.fuzz.gen import (
+    RUNGS, GenerationError, generate, generate_churn, generate_fabric_outage,
+)
 from repro.fuzz.scenario import Scenario
 
 _KIND_OF = {
@@ -53,11 +56,22 @@ def _prunes_rules(scenario: Scenario) -> bool:
     )
 
 
-def _find(requirement, *, max_seed: int = 2000, **gen_kwargs) -> Scenario:
-    """First seed whose clean-running scenario satisfies ``requirement``."""
+def _undegraded(s: Scenario) -> bool:
+    return not (s.quarantine or s.degrade_fuse)
+
+
+def _quiet(s: Scenario) -> bool:
+    """Undegraded, and no meter that fires: a slot about something else
+    keeps these out of the way."""
+    return _undegraded(s) and not s.tight_meter
+
+
+def _find(requirement, make=generate, *, max_seed: int = 2000, **kwargs) -> Scenario:
+    """First seed whose clean-running ``make(seed, **kwargs)`` satisfies
+    ``requirement``."""
     for seed in range(max_seed):
         try:
-            scenario = generate(seed, **gen_kwargs)
+            scenario = make(seed, **kwargs)
         except GenerationError:
             continue
         try:
@@ -76,79 +90,46 @@ def curate(corpus_dir: str) -> list[str]:
     os.makedirs(corpus_dir, exist_ok=True)
     written = []
 
-    def save(name: str, scenario: Scenario, note: str) -> None:
-        scenario.name = name
-        scenario.note = note
+    def save(name: str, scenario: Scenario, note: "str | None" = None) -> None:
+        """Write ``name``.json; ``note=None`` keeps a preset's own name and
+        note."""
+        if note is not None:
+            scenario.name, scenario.note = name, note
         path = os.path.join(corpus_dir, f"{name}.json")
         scenario.save(path)
         written.append(path)
         print(f"  {name}: seed {scenario.seed}, {scenario.total_packets()} pkts")
 
-    quiet = dict(
-        allow_quarantine=False, allow_degrade=False, allow_tight_meter=False
-    )
     for rung in RUNGS:
-        save(
-            f"rung-{rung}",
-            _find(lambda s, r=rung: _rung_hit(s, r),
-                  force_rungs=(rung,), max_tables=2, **quiet),
-            f"every table targets the {rung} template rung",
-        )
-
-    save(
-        "state-degrade-fuse",
-        _find(lambda s: s.degrade_fuse, allow_quarantine=False),
-        "fusion forced to fail: fused backend runs on the trampoline",
-    )
-    save(
-        "state-quarantine",
-        _find(lambda s: s.quarantine, allow_degrade=False),
-        "quarantined tables compile to the universal linked list",
-    )
-    save(
-        "traffic-flow-mod-churn",
-        _find(
-            lambda s: sum(1 for e in s.events if "mods" in e) >= 2,
-            allow_quarantine=False, allow_degrade=False,
-        ),
-        "mid-stream flow-mod batches between bursts, rejections included",
-    )
-    save(
-        "traffic-tight-meter",
-        _find(lambda s: s.tight_meter, allow_quarantine=False,
-              allow_degrade=False),
-        "meters tight enough to fire (sharded@4 excluded by design)",
-    )
-    save(
-        "traffic-decompose-shadowed",
-        _find(_prunes_rules, force_rungs=("decompose", "decompose"), **quiet),
-        "two decomposed tables, each holding rules an earlier rule shadows",
-    )
-    save(
-        "traffic-malformed",
-        _find(
-            lambda s: any(
-                len(bytes.fromhex(p["data"])) < 34
-                for e in s.events for p in e.get("burst", ())
-            ),
-            **quiet,
-        ),
-        "burst includes truncated/garbage frames",
-    )
-    for seed in range(64):
-        scenario = generate_churn(seed)
-        if not run_scenario(scenario):
-            save(
-                "traffic-churn-expiry",
-                scenario,
-                "churn wall: a strict-delete storm crosses the tombstone "
-                "compaction threshold, expiry-clock ticks drive every "
-                "backend's ExpiryManager (idle, hard, and refresh paths), "
-                "and no-op re-deletes of expired rules bump nothing",
-            )
-            break
-    else:
-        raise SystemExit("no clean churn seed < 64")
+        save(f"rung-{rung}",
+             _find(lambda s, r=rung: _quiet(s) and _rung_hit(s, r),
+                   force_rungs=(rung,), max_tables=2),
+             f"every table targets the {rung} template rung")
+    save("state-degrade-fuse", _find(lambda s: s.degrade_fuse and not s.quarantine),
+         "fusion forced to fail: fused backend runs on the trampoline")
+    save("state-quarantine", _find(lambda s: s.quarantine and not s.degrade_fuse),
+         "quarantined tables compile to the universal linked list")
+    save("traffic-flow-mod-churn",
+         _find(lambda s: _undegraded(s) and sum("mods" in e for e in s.events) >= 2),
+         "mid-stream flow-mod batches between bursts, rejections included")
+    save("traffic-tight-meter", _find(lambda s: _undegraded(s) and s.tight_meter),
+         "meters tight enough to fire (sharded@4 excluded by design)")
+    save("traffic-decompose-shadowed",
+         _find(lambda s: _quiet(s) and _prunes_rules(s),
+               force_rungs=("decompose", "decompose")),
+         "two decomposed tables, each holding rules an earlier rule shadows")
+    save("traffic-malformed",
+         _find(lambda s: _quiet(s) and any(
+             len(bytes.fromhex(p["data"])) < 34
+             for e in s.events for p in e.get("burst", ()))),
+         "burst includes truncated/garbage frames")
+    save("traffic-churn-expiry", _find(lambda s: True, generate_churn, max_seed=64),
+         "churn wall: a strict-delete storm crosses the tombstone "
+         "compaction threshold, expiry-clock ticks drive every "
+         "backend's ExpiryManager (idle, hard, and refresh paths), "
+         "and no-op re-deletes of expired rules bump nothing")
+    save("traffic-fabric-outage",
+         _find(lambda s: True, generate_fabric_outage, max_seed=64))
     return written
 
 

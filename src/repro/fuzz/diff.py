@@ -1,13 +1,17 @@
 """The differential oracle: one scenario, every backend, zero divergence.
 
-Runs an identical (pipeline, traffic, flow-mod schedule) through:
+Runs an identical (pipeline, traffic, flow-mod schedule) through the
+**backend matrix**, seven executions:
 
 * ``fused``       — ESwitch, whole-pipeline fusion (the paper's fast path);
 * ``trampoline``  — ESwitch, per-table templates behind the dispatch loop;
 * ``linked_list`` — ESwitch pinned to the universal linked-list rung
                     (decomposition off): the semantics baseline compiler;
 * ``ovs``         — the OVS model (EMC → megaflow → vswitchd slow path);
-* ``shardedN``    — ShardedESwitch at workers ∈ {1, 4} (thread backend);
+* ``sharded1``, ``sharded4`` — ShardedESwitch at 1 and 4 thread workers
+                    (``sharded4`` sits out scenarios with a tight meter);
+* ``sharded1_rings`` — ShardedESwitch, one worker process behind
+                    shared-memory rings (where shared memory maps);
 
 against the **reference interpreter** (``Pipeline.process``), asserting:
 
@@ -354,14 +358,6 @@ def run_scenario(
                 pass
 
     return divergences
-
-
-def run_seed(seed: int, **gen_kwargs):
-    """Generate and execute one seed; returns ``(scenario, divergences)``."""
-    from repro.fuzz.gen import generate
-
-    scenario = generate(seed, **gen_kwargs)
-    return scenario, run_scenario(scenario)
 
 
 def diverges(obj: dict) -> bool:

@@ -12,6 +12,9 @@ Traffic is biased toward match/miss boundaries (off-by-one values,
 in-mask and off-mask bit flips near installed rules) plus a tail of
 malformed frames; flow-mod batches land between bursts, including
 batches built to be *rejected* by admission control.
+
+Three structured presets (``generate_large``, ``generate_churn``,
+``generate_fabric_outage``) are short bodies over one cohort vocabulary.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from repro.fuzz import domain
 from repro.fuzz.scenario import Scenario, packet_to_obj
 from repro.openflow.flow_table import TableMissPolicy
 from repro.openflow.groups import GroupType
-from repro.openflow.timeouts import ExpiryManager, PipelineAdapter
 
 RUNGS = ("direct", "hash", "lpm", "linked_list", "decompose")
 
@@ -42,6 +44,12 @@ def _match_obj(fields: dict) -> dict:
         else:
             out[name] = {"value": value, "mask": mask}
     return out
+
+
+def _prefix(field: str, value: int, plen: int) -> dict:
+    full = domain.full_mask(field)
+    mask = (full << (32 - plen)) & full
+    return {field: (value & mask, mask)}
 
 
 def _actions(rng, group_ids) -> list:
@@ -136,16 +144,13 @@ def _build_hash(rng, tid, later, groups, meters):
 
 def _build_lpm(rng, tid, later, groups, meters):
     field = rng.choice(["ipv4_src", "ipv4_dst"])
-    full = domain.full_mask(field)
     entries, profiles, seen = [], [], set()
     for _ in range(rng.randint(5, 10)):
         plen = rng.choice([8, 16, 24, 32, rng.randint(1, 32)])
-        mask = (full << (32 - plen)) & full
-        value = domain.domain_value(rng, field) & mask
-        if (value, plen) in seen:
+        fields = _prefix(field, domain.domain_value(rng, field), plen)
+        if fields[field] in seen:
             continue
-        seen.add((value, plen))
-        fields = {field: (value, mask)}
+        seen.add(fields[field])
         # LPM consistency: priority must equal prefix length.
         entries.append(_entry_obj(rng, fields, plen, later, groups, meters))
         profiles.append(fields)
@@ -216,7 +221,7 @@ _BUILDERS = {
 # -- traffic and flow-mod schedules ------------------------------------------
 
 
-def _burst(rng, profiles, size, allow_malformed) -> list:
+def _burst(rng, profiles, size) -> list:
     out = []
     for _ in range(size):
         roll = rng.random()
@@ -225,7 +230,7 @@ def _burst(rng, profiles, size, allow_malformed) -> list:
             if rng.random() < 0.5:
                 fields = domain.perturb_fields(rng, fields)
             pkt = domain.packet_for_fields(rng, fields)
-        elif allow_malformed and roll > 0.85:
+        elif roll > 0.85:
             pkt = domain.malformed_packet(rng)
         else:
             pkt = domain.packet_for_fields(rng, domain.random_fields(rng))
@@ -292,17 +297,8 @@ def _mods_batch(rng, tids, profiles, group_ids, meter_ids, quarantine, level) ->
 # -- the generator -----------------------------------------------------------
 
 
-def generate(
-    seed: int,
-    *,
-    max_tables: int = 4,
-    force_rungs: "tuple | None" = None,
-    allow_quarantine: bool = True,
-    allow_degrade: bool = True,
-    allow_malformed: bool = True,
-    allow_mods: bool = True,
-    allow_tight_meter: bool = True,
-) -> Scenario:
+def generate(seed: int, *, max_tables: int = 4,
+             force_rungs: "tuple | None" = None) -> Scenario:
     """One scenario, deterministically, from ``seed``.
 
     ``force_rungs`` pins the per-table template targets (cycled when
@@ -311,19 +307,14 @@ def generate(
     """
     for attempt in range(10):
         scenario = _generate_once(
-            random.Random(f"{seed}/{attempt}"), seed, max_tables, force_rungs,
-            allow_quarantine, allow_degrade, allow_malformed, allow_mods,
-            allow_tight_meter,
+            random.Random(f"{seed}/{attempt}"), seed, max_tables, force_rungs
         )
         if _sane(scenario):
             return scenario
     raise GenerationError(f"seed {seed}: no valid scenario in 10 attempts")
 
 
-def _generate_once(
-    rng, seed, max_tables, force_rungs, allow_quarantine, allow_degrade,
-    allow_malformed, allow_mods, allow_tight_meter,
-) -> Scenario:
+def _generate_once(rng, seed, max_tables, force_rungs) -> Scenario:
     n_tables = (len(force_rungs) if force_rungs
                 else rng.randint(1, max_tables))
     rungs = [
@@ -343,16 +334,14 @@ def _generate_once(
                  "actions": [{"output": rng.randint(1, 4)}]}
                 for _ in range(n_buckets)
             ]
-            groups_obj.append(
-                {"id": gid, "type": gtype, "buckets": buckets}
-            )
+            groups_obj.append({"id": gid, "type": gtype, "buckets": buckets})
             group_ids.append(gid)
 
     meter_ids: list = []
     meters_obj = []
     tight_meter = False
     if rng.random() < 0.25:
-        tight_meter = allow_tight_meter and rng.random() < 0.3
+        tight_meter = rng.random() < 0.3
         meters_obj.append({"id": 1, "rate_pps": 1000.0, "burst": 1})
         meter_ids.append(1)
 
@@ -375,19 +364,17 @@ def _generate_once(
             level[tid] = (table_profiles, catch_alls[-1])
 
     quarantine: tuple = ()
-    if allow_quarantine and rng.random() < 0.2:
+    if rng.random() < 0.2:
         quarantine = (rng.choice(tids),)
-    degrade_fuse = allow_degrade and rng.random() < 0.15
+    degrade_fuse = rng.random() < 0.15
 
     events: list = []
     for i in range(rng.randint(1, 4)):
-        if i and allow_mods and rng.random() < 0.5:
+        if i and rng.random() < 0.5:
             events.append({"mods": _mods_batch(
                 rng, tids, profiles, group_ids, meter_ids, quarantine, level
             )})
-        events.append({"burst": _burst(
-            rng, profiles, rng.randint(2, 12), allow_malformed
-        )})
+        events.append({"burst": _burst(rng, profiles, rng.randint(2, 12))})
 
     scenario = Scenario(
         pipeline_obj={
@@ -406,6 +393,82 @@ def _generate_once(
         # across sharded replicas, keeping workers>1 comparable.
         meters_obj[0]["burst"] = scenario.total_packets() + 16
     return scenario
+
+
+# -- the structured classes, over one cohort vocabulary -----------------------
+#
+# Tagged MAC cohorts, IPv4 prefixes, rules and strict deletes, aimed
+# probes, a chain of drop-on-miss tables.
+
+
+def _mac(tag: int, i: int) -> dict:
+    """Exact ``eth_dst`` map: cohort ``tag``, member ``i``."""
+    return {"eth_dst": ((0x02 << 40) | (tag << 32) | i,
+                        domain.full_mask("eth_dst"))}
+
+
+def _rule(fields: dict, priority: int, action, goto=None) -> dict:
+    """An entry object; an int ``action`` is an output port."""
+    obj = {"priority": priority, "match": _match_obj(fields),
+           "apply": [{"output": action} if isinstance(action, int) else action]}
+    return obj if goto is None else {**obj, "goto": goto}
+
+
+def _add(table: int, fields: dict, priority: int, action, goto=None) -> dict:
+    return {"cmd": "add", "table": table, **_rule(fields, priority, action, goto)}
+
+
+def _delete(table: int, fields: dict, priority: int) -> dict:
+    return {"cmd": "delete", "table": table, "priority": priority,
+            "match": _match_obj(fields), "strict": True}
+
+
+def _pair(tag: int, index: int) -> tuple:
+    """Round ``index``'s MAC and /24."""
+    return _mac(tag, index), _prefix("ipv4_dst", (172 << 24) | (index << 8), 24)
+
+
+def _pair_batch(tag: int, index: int, lpm_goto) -> list:
+    """One MAC into table 0 and one /24 into table 1; odd rounds also
+    strict-delete the previous round's pair: sustained churn."""
+    mac, pfx = _pair(tag, index)
+    batch = [_add(0, mac, 1, 4, goto=1), _add(1, pfx, 24, 4, goto=lpm_goto)]
+    if index % 2:
+        prev_mac, prev_pfx = _pair(tag, index - 1)
+        batch += [_delete(0, prev_mac, 1), _delete(1, prev_pfx, 24)]
+    return batch
+
+
+def _aimed(rng, picks, perturb: float = 0.0) -> dict:
+    """One probe packet over the merged field maps of ``picks``: a dict is
+    taken as is, a list is drawn from. ``perturb`` is the chance of a
+    boundary perturbation of the merged map."""
+    fields: dict = {}
+    for pick in picks:
+        fields.update(pick if isinstance(pick, dict) else rng.choice(pick))
+    if perturb and rng.random() < perturb:
+        fields = domain.perturb_fields(rng, fields)
+    return packet_to_obj(domain.packet_for_fields(rng, fields))
+
+
+def _tables(*specs) -> dict:
+    """The pipeline document of ``(name, entries)`` tables, ids in order."""
+    return {"tables": [
+        {"id": tid, "name": f"t{tid}-{name}", "miss": "drop", "entries": entries}
+        for tid, (name, entries) in enumerate(specs)
+    ]}
+
+
+def _lpm(n: int, value_of, goto=None) -> tuple:
+    """``n`` nested ``ipv4_dst`` prefixes, a /16 every fourth and /24s
+    between (``value_of(i, plen)``), priority = prefix length (LPM
+    consistency): ``(profiles, entries)``."""
+    profiles, entries = [], []
+    for i in range(n):
+        plen = 16 if i % 4 == 0 else 24
+        profiles.append(_prefix("ipv4_dst", value_of(i, plen), plen))
+        entries.append(_rule(profiles[-1], plen, 1 + (i & 3), goto))
+    return profiles, entries
 
 
 def generate_large(seed: int, n_entries: int = 96) -> Scenario:
@@ -434,109 +497,34 @@ def generate_large(seed: int, n_entries: int = 96) -> Scenario:
     # would land on the direct rung.
     n_direct = n_entries // 2
     rng = random.Random(f"large/{seed}")
-    full_mac = domain.full_mask("eth_dst")
-    full_ip = domain.full_mask("ipv4_dst")
-
-    hash_profiles, hash_entries = [], []
-    for i in range(n_entries):
-        fields = {"eth_dst": ((0x02 << 40) | (0xAB << 32) | i, full_mac)}
-        hash_profiles.append(fields)
-        hash_entries.append({
-            "priority": 1,
-            "match": _match_obj(fields),
-            "apply": [{"output": 1 + (i & 3)}],
-            "goto": 1,
-        })
-    hash_entries.append(
-        {"priority": 0, "match": {}, "apply": [{"output": 1}], "goto": 1}
+    macs = [_mac(0xAB, i) for i in range(n_entries)]
+    prefixes, lpm_entries = _lpm(n_entries, lambda i, plen: (
+        (10 << 24) | ((i & 0xFF) << 16) if plen == 16
+        else (10 << 24) | ((i >> 8) << 16) | ((i & 0xFF) << 8)), goto=2)
+    sources = [_prefix("ipv4_src", (192 << 24) | (168 << 16) | i, 32)
+               for i in range(n_direct)]
+    pipeline = _tables(
+        ("hash-large", [_rule(f, 1, 1 + (i & 3), goto=1)
+                        for i, f in enumerate(macs)] + [_rule({}, 0, 1, goto=1)]),
+        ("lpm-large", lpm_entries + [_rule({}, 0, 2, goto=2)]),
+        ("direct", [_rule(f, 2, 1 + (i & 3)) for i, f in enumerate(sources)]
+         + [_rule({}, 0, "drop")]),
     )
 
-    lpm_profiles, lpm_entries = [], []
-    for i in range(n_entries):
-        if i % 4 == 0:  # nested shorter prefixes among the /24s
-            plen, value = 16, (10 << 24) | ((i & 0xFF) << 16)
-        else:
-            plen, value = 24, (10 << 24) | ((i >> 8) << 16) | ((i & 0xFF) << 8)
-        mask = (full_ip << (32 - plen)) & full_ip
-        fields = {"ipv4_dst": (value & mask, mask)}
-        lpm_profiles.append(fields)
-        lpm_entries.append({
-            "priority": plen,  # LPM consistency: priority = prefix length
-            "match": _match_obj(fields),
-            "apply": [{"output": 1 + (i & 3)}],
-            "goto": 2,
-        })
-    lpm_entries.append(
-        {"priority": 0, "match": {}, "apply": [{"output": 2}], "goto": 2}
-    )
+    def probes(size: int) -> dict:
+        picks = (macs, prefixes, sources)
+        return {"burst": [_aimed(rng, picks, 0.3) for _ in range(size)]}
 
-    direct_profiles, direct_entries = [], []
-    for i in range(n_direct):
-        fields = {"ipv4_src": ((192 << 24) | (168 << 16) | i, full_ip)}
-        direct_profiles.append(fields)
-        direct_entries.append({
-            "priority": 2,
-            "match": _match_obj(fields),
-            "apply": [{"output": 1 + (i & 3)}],
-        })
-    direct_entries.append({"priority": 0, "match": {}, "apply": ["drop"]})
-
-    def aimed_burst(size: int) -> list:
-        out = []
-        for _ in range(size):
-            fields = dict(rng.choice(hash_profiles))
-            fields.update(rng.choice(lpm_profiles))
-            fields.update(rng.choice(direct_profiles))
-            if rng.random() < 0.3:
-                fields = domain.perturb_fields(rng, fields)
-            out.append(packet_to_obj(domain.packet_for_fields(rng, fields)))
-        return out
-
-    def churn_batch(index: int) -> list:
-        mac_fields = {
-            "eth_dst": ((0x02 << 40) | (0xCD << 32) | index, full_mac)
-        }
-        plen, mask = 24, (full_ip << 8) & full_ip
-        pfx_fields = {
-            "ipv4_dst": (((172 << 24) | (index << 8)) & mask, mask)
-        }
-        batch = [
-            {"cmd": "add", "table": 0, "priority": 1,
-             "match": _match_obj(mac_fields),
-             "apply": [{"output": 4}], "goto": 1},
-            {"cmd": "add", "table": 1, "priority": plen,
-             "match": _match_obj(pfx_fields),
-             "apply": [{"output": 4}], "goto": 2},
-        ]
-        if index % 2:  # delete the previous round's adds: sustained churn
-            prev_mac = {
-                "eth_dst": ((0x02 << 40) | (0xCD << 32) | (index - 1), full_mac)
-            }
-            prev_pfx = {
-                "ipv4_dst": (((172 << 24) | ((index - 1) << 8)) & mask, mask)
-            }
-            batch.append({"cmd": "delete", "table": 0, "priority": 1,
-                          "match": _match_obj(prev_mac), "strict": True})
-            batch.append({"cmd": "delete", "table": 1, "priority": plen,
-                          "match": _match_obj(prev_pfx), "strict": True})
-        hash_profiles.append(mac_fields)
-        lpm_profiles.append(pfx_fields)
-        return batch
-
-    events: list = [{"burst": aimed_burst(8)}]
+    events: list = [probes(8)]
     for index in range(4):
-        events.append({"mods": churn_batch(index)})
-        events.append({"burst": aimed_burst(6)})
+        events.append({"mods": _pair_batch(0xCD, index, lpm_goto=2)})
+        mac, pfx = _pair(0xCD, index)  # the churned pair draws probes too
+        macs.append(mac)
+        prefixes.append(pfx)
+        events.append(probes(6))
 
     return Scenario(
-        pipeline_obj={"tables": [
-            {"id": 0, "name": "t0-hash-large", "miss": "drop",
-             "entries": hash_entries},
-            {"id": 1, "name": "t1-lpm-large", "miss": "drop",
-             "entries": lpm_entries},
-            {"id": 2, "name": "t2-direct", "miss": "drop",
-             "entries": direct_entries},
-        ]},
+        pipeline_obj=pipeline,
         events=events,
         seed=seed,
         name=f"large-{n_entries}",
@@ -573,8 +561,6 @@ def generate_churn(seed: int, n_entries: int = 160) -> Scenario:
         # compaction floor (COMPACT_MIN_DEAD = 64) in one batch.
         raise ValueError("generate_churn needs n_entries >= 160")
     rng = random.Random(f"churn/{seed}")
-    full_mac = domain.full_mask("eth_dst")
-    full_ip = domain.full_mask("ipv4_dst")
 
     n5 = n_entries // 5
     idle_victims = range(0, n5)                   # expire idle at t=6
@@ -583,110 +569,48 @@ def generate_churn(seed: int, n_entries: int = 160) -> Scenario:
     hard_solo = range(2 * n5 + n5 // 2, 3 * n5)   # no idle, no traffic
     storm = range(3 * n5, n_entries)              # strict-delete storm
 
-    def mac_fields(i: int) -> dict:
-        return {"eth_dst": ((0x02 << 40) | (0xEE << 32) | i, full_mac)}
-
+    macs = [_mac(0xEE, i) for i in range(n_entries)]
     hash_entries = []
-    for i in range(n_entries):
-        obj = {
-            "priority": 1,
-            "match": _match_obj(mac_fields(i)),
-            "apply": [{"output": 1 + (i & 3)}],
-            "goto": 1,
-        }
+    for i, mac in enumerate(macs):
+        obj = _rule(mac, 1, 1 + (i & 3), goto=1)
         if i in idle_victims or i in keepalive or i in hard_both:
             obj["idle_timeout"] = 4.0
         if i in hard_both or i in hard_solo:
             obj["hard_timeout"] = 12.0
         hash_entries.append(obj)
-    hash_entries.append(
-        {"priority": 0, "match": {}, "apply": [{"output": 1}], "goto": 1}
-    )
+    prefixes, lpm_entries = _lpm(16, lambda i, plen: (
+        (10 << 24) | (i << 16) if plen == 16
+        else (10 << 24) | ((i & 3) << 16) | (i << 8)))
 
-    lpm_profiles, lpm_entries = [], []
-    for i in range(16):
-        if i % 4 == 0:
-            plen, value = 16, (10 << 24) | (i << 16)
-        else:
-            plen, value = 24, (10 << 24) | ((i & 3) << 16) | (i << 8)
-        mask = (full_ip << (32 - plen)) & full_ip
-        fields = {"ipv4_dst": (value & mask, mask)}
-        lpm_profiles.append(fields)
-        lpm_entries.append({
-            "priority": plen,  # LPM consistency: priority = prefix length
-            "match": _match_obj(fields),
-            "apply": [{"output": 1 + (i & 3)}],
-        })
-    lpm_entries.append({"priority": 0, "match": {}, "apply": ["drop"]})
+    def probes(indices) -> dict:
+        return {"burst": [_aimed(rng, (macs[i], prefixes)) for i in indices]}
 
-    def aimed_burst(indices) -> list:
-        out = []
-        for i in indices:
-            fields = dict(mac_fields(i))
-            fields.update(rng.choice(lpm_profiles))
-            out.append(packet_to_obj(domain.packet_for_fields(rng, fields)))
-        return out
-
-    mask24 = (full_ip << 8) & full_ip
-
-    def churn_batch(index: int) -> list:
-        mac = {"eth_dst": ((0x02 << 40) | (0xDD << 32) | index, full_mac)}
-        pfx = {"ipv4_dst": (((172 << 24) | (index << 8)) & mask24, mask24)}
-        batch = [
-            {"cmd": "add", "table": 0, "priority": 1,
-             "match": _match_obj(mac), "apply": [{"output": 4}], "goto": 1},
-            {"cmd": "add", "table": 1, "priority": 24,
-             "match": _match_obj(pfx), "apply": [{"output": 4}]},
-        ]
-        if index % 2:  # delete the previous round's adds: sustained churn
-            prev_mac = {
-                "eth_dst": ((0x02 << 40) | (0xDD << 32) | (index - 1), full_mac)
-            }
-            prev_pfx = {
-                "ipv4_dst": (((172 << 24) | ((index - 1) << 8)) & mask24, mask24)
-            }
-            batch.append({"cmd": "delete", "table": 0, "priority": 1,
-                          "match": _match_obj(prev_mac), "strict": True})
-            batch.append({"cmd": "delete", "table": 1, "priority": 24,
-                          "match": _match_obj(prev_pfx), "strict": True})
-        return batch
-
-    storm_batch = [
-        {"cmd": "delete", "table": 0, "priority": 1,
-         "match": _match_obj(mac_fields(i)), "strict": True}
-        for i in storm
-    ]
-    noop_batch = [
-        # Re-deleting rules the t=6 tick already expired: pure no-ops.
-        {"cmd": "delete", "table": 0, "priority": 1,
-         "match": _match_obj(mac_fields(i)), "strict": True}
-        for i in list(idle_victims)[:4]
-    ]
+    def deletes(indices) -> dict:
+        return {"mods": [_delete(0, macs[i], 1) for i in indices]}
 
     fed = list(keepalive) + list(hard_both)
     events: list = [
-        {"burst": aimed_burst(list(idle_victims)[:8] + fed)},
+        probes(list(idle_victims)[:8] + fed),
         {"tick": 1.0},   # first observe: timed cohorts start tracking
-        {"mods": churn_batch(0)},
-        {"mods": churn_batch(1)},
-        {"burst": aimed_burst(fed)},
+        {"mods": _pair_batch(0xDD, 0, lpm_goto=None)},
+        {"mods": _pair_batch(0xDD, 1, lpm_goto=None)},
+        probes(fed),
         {"tick": 6.0},   # idle victims (quiet since before t=1) expire
-        {"mods": noop_batch},
-        {"mods": churn_batch(2)},
-        {"burst": aimed_burst(fed)},
-        {"mods": storm_batch},  # tombstones cross the compaction threshold
-        {"burst": aimed_burst(list(keepalive)[:12])},
+        # Re-deleting rules the t=6 tick already expired: pure no-ops.
+        deletes(list(idle_victims)[:4]),
+        {"mods": _pair_batch(0xDD, 2, lpm_goto=None)},
+        probes(fed),
+        deletes(storm),  # tombstones cross the compaction threshold
+        probes(list(keepalive)[:12]),
         {"tick": 14.0},  # hard deadlines due; refreshed idle flows survive
-        {"burst": aimed_burst(list(keepalive)[:8] + list(storm)[:4])},
+        probes(list(keepalive)[:8] + list(storm)[:4]),
     ]
 
     return Scenario(
-        pipeline_obj={"tables": [
-            {"id": 0, "name": "t0-hash-churn", "miss": "drop",
-             "entries": hash_entries},
-            {"id": 1, "name": "t1-lpm-churn", "miss": "drop",
-             "entries": lpm_entries},
-        ]},
+        pipeline_obj=_tables(
+            ("hash-churn", hash_entries + [_rule({}, 0, 1, goto=1)]),
+            ("lpm-churn", lpm_entries + [_rule({}, 0, "drop")]),
+        ),
         events=events,
         seed=seed,
         name=f"churn-{n_entries}",
@@ -719,92 +643,56 @@ def generate_fabric_outage(seed: int, n_cohorts: int = 12) -> Scenario:
 
     The differential matrix runs the same scenario with every batch
     delivered — the never-disconnected baseline — so the corpus entry
-    also keeps all five backends honest about the storm itself.
+    also keeps every backend of the matrix (:mod:`repro.fuzz.diff`)
+    honest about the storm itself.
     """
     if n_cohorts < 6:
         raise ValueError("generate_fabric_outage needs n_cohorts >= 6")
     rng = random.Random(f"fabric-outage/{seed}")
-    full_mac = domain.full_mask("eth_dst")
-    full_ip = domain.full_mask("ipv4_dst")
-    mask24 = (full_ip << 8) & full_ip
 
-    def mac_fields(cohort: int, i: int) -> dict:
-        return {
-            "eth_dst": ((0x02 << 40) | (0xFA << 32) | (cohort << 8) | i,
-                        full_mac)
-        }
+    def macs(cohort: int) -> list:
+        return [_mac(0xFA, (cohort << 8) | i) for i in range(4)]
 
-    def pfx_fields(cohort: int) -> dict:
-        return {"ipv4_dst": (((192 << 24) | (cohort << 8)) & mask24, mask24)}
+    def prefix(cohort: int) -> dict:
+        return _prefix("ipv4_dst", (192 << 24) | (cohort << 8), 24)
 
     # A small steady population so the pipeline is never empty: cohort
     # numbering starts after it and never collides.
     steady = list(range(n_cohorts, n_cohorts + 8))
-    hash_entries = [
-        {"priority": 1, "match": _match_obj(mac_fields(c, 0)),
-         "apply": [{"output": 1 + (c & 3)}], "goto": 1}
-        for c in steady
-    ]
-    hash_entries.append({"priority": 0, "match": {}, "apply": ["controller"]})
-    lpm_entries = [
-        {"priority": 24, "match": _match_obj(pfx_fields(c)),
-         "apply": [{"output": 1 + (c & 3)}]}
-        for c in steady
-    ]
-    lpm_entries.append({"priority": 0, "match": {}, "apply": ["drop"]})
+    steady_prefixes = [prefix(c) for c in steady]
 
     def storm_batch(cohort: int) -> list:
-        batch = [
-            {"cmd": "add", "table": 0, "priority": 1,
-             "match": _match_obj(mac_fields(cohort, i)),
-             "apply": [{"output": 1 + ((cohort + i) & 3)}], "goto": 1}
-            for i in range(4)
-        ]
-        batch.append(
-            {"cmd": "add", "table": 1, "priority": 24,
-             "match": _match_obj(pfx_fields(cohort)),
-             "apply": [{"output": 1 + (cohort & 3)}]}
-        )
+        batch = [_add(0, mac, 1, 1 + ((cohort + i) & 3), goto=1)
+                 for i, mac in enumerate(macs(cohort))]
+        batch.append(_add(1, prefix(cohort), 24, 1 + (cohort & 3)))
         if cohort >= 2:  # sustained churn: evict the -2 cohort
-            batch.extend(
-                {"cmd": "delete", "table": 0, "priority": 1,
-                 "match": _match_obj(mac_fields(cohort - 2, i)),
-                 "strict": True}
-                for i in range(4)
-            )
-            batch.append(
-                {"cmd": "delete", "table": 1, "priority": 24,
-                 "match": _match_obj(pfx_fields(cohort - 2)),
-                 "strict": True}
-            )
+            batch += [_delete(0, mac, 1) for mac in macs(cohort - 2)]
+            batch.append(_delete(1, prefix(cohort - 2), 24))
         return batch
 
-    def aimed_burst(cohorts) -> list:
-        out = []
-        for c in cohorts:
-            fields = dict(mac_fields(c, rng.randrange(4)))
-            fields.update(pfx_fields(rng.choice(steady)))
-            out.append(packet_to_obj(domain.packet_for_fields(rng, fields)))
-        return out
+    def probes(cohorts) -> dict:
+        return {"burst": [_aimed(rng, (macs(c), steady_prefixes))
+                          for c in cohorts]}
 
     begin, end = n_cohorts // 3, (2 * n_cohorts) // 3
-    events: list = [{"burst": aimed_burst(steady)}]
+    events: list = [probes(steady)]
     for cohort in range(n_cohorts):
         events.append({"mods": storm_batch(cohort)})
         # Probes aimed at the latest cohort and at one the storm already
         # evicted: both the add and the delete side stay observable.
-        events.append({"burst": aimed_burst([cohort, max(0, cohort - 2)])})
+        events.append(probes([cohort, max(0, cohort - 2)]))
     # The convergence oracle: every cohort ever admitted, the survivors
     # (last two) forwarding, everything evicted punting at the miss rule.
-    events.append({"burst": aimed_burst(list(range(n_cohorts)) + steady)})
+    events.append(probes(list(range(n_cohorts)) + steady))
 
     return Scenario(
-        pipeline_obj={"tables": [
-            {"id": 0, "name": "t0-hash-fabric", "miss": "drop",
-             "entries": hash_entries},
-            {"id": 1, "name": "t1-lpm-fabric", "miss": "drop",
-             "entries": lpm_entries},
-        ]},
+        pipeline_obj=_tables(
+            ("hash-fabric", [_rule(macs(c)[0], 1, 1 + (c & 3), goto=1)
+                             for c in steady] + [_rule({}, 0, "controller")]),
+            ("lpm-fabric", [_rule(f, 24, 1 + (c & 3))
+                            for c, f in zip(steady, steady_prefixes)]
+             + [_rule({}, 0, "drop")]),
+        ),
         events=events,
         seed=seed,
         name=f"fabric-outage-{n_cohorts}",
@@ -816,22 +704,15 @@ def generate_fabric_outage(seed: int, n_cohorts: int = 12) -> Scenario:
 
 
 def _sane(scenario: Scenario) -> bool:
-    """Dry-run the reference interpreter: a scenario whose *reference*
-    crashes is a generator bug, not a differential finding."""
+    """Load-check, then dry-run the reference interpreter: a scenario
+    whose *reference* crashes is a generator bug, not a differential
+    finding."""
     try:
+        scenario.check()
         pipeline = scenario.build_pipeline()
-        pipeline.validate()
-        expiry = None
         for event in scenario.events:
-            if "burst" in event:
-                for pkt in scenario.build_packets(event["burst"]):
-                    pipeline.process(pkt)
-            elif "tick" in event:
-                if expiry is None:
-                    expiry = ExpiryManager(PipelineAdapter(pipeline))
-                expiry.tick(float(event["tick"]))
-            else:
-                scenario.build_mods(event["mods"], pipeline)
+            for pkt in scenario.build_packets(event.get("burst", ())):
+                pipeline.process(pkt)
         return True
     except Exception:
         return False

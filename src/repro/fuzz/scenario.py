@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.openflow import serialize
+from repro.openflow.serialize import SerializationError, _located
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
 from repro.packet.packet import Packet
@@ -132,38 +133,69 @@ class Scenario:
         out["events"] = self.events
         return out
 
+    def check(self) -> None:
+        """Build, and throw away, everything a backend will build from this
+        scenario, so a malformed document fails to load instead of tracing
+        back (or diverging) mid-replay. Raises :class:`SerializationError`
+        naming the part at fault."""
+        threshold = self.direct_threshold
+        if threshold is not None and (type(threshold) is not int or threshold < 0):
+            raise SerializationError(f"direct_threshold {threshold!r} is not null or an int >= 0")
+        with _located("pipeline"):
+            pipeline = self.build_pipeline()
+            pipeline.validate()
+        with _located("quarantine"):
+            for tid in self.quarantine:
+                pipeline.table(tid)
+        for index, event in enumerate(self.events):
+            with _located(f"event {index}"):
+                kinds = [kind for kind in ("burst", "tick", "mods") if kind in event]
+                if len(kinds) != 1:
+                    raise SerializationError("needs exactly one of burst, tick, mods")
+                if kinds == ["burst"]:
+                    self.build_packets(event["burst"])
+                elif kinds == ["tick"]:
+                    float(event["tick"])
+                else:  # against a throwaway pipeline: binding, not applying
+                    self.build_mods(event["mods"], pipeline)
+
     @classmethod
     def from_obj(cls, obj: dict) -> "Scenario":
+        if not isinstance(obj, dict):
+            raise SerializationError(f"a scenario is a JSON object, not {type(obj).__name__}")
         if obj.get("format", FORMAT) != FORMAT:
-            raise serialize.SerializationError(
-                f"unknown scenario format {obj.get('format')!r}"
-            )
+            raise SerializationError(f"unknown scenario format {obj.get('format')!r}")
         # A key this reader does not know would otherwise replay silently
         # under a different configuration than the one it was pinned for.
         unknown = sorted(set(obj) - _KEYS)
         if unknown:
-            raise serialize.SerializationError(
-                f"unknown scenario key(s): {', '.join(unknown)}"
+            raise SerializationError(f"unknown scenario key(s): {', '.join(unknown)}")
+        with _located():
+            scenario = cls(
+                pipeline_obj=obj["pipeline"],
+                events=list(obj.get("events", [])),
+                seed=obj.get("seed"),
+                name=obj.get("name", ""),
+                note=obj.get("note", ""),
+                quarantine=tuple(obj.get("quarantine", ())),
+                degrade_fuse=bool(obj.get("degrade_fuse", False)),
+                tight_meter=bool(obj.get("tight_meter", False)),
+                direct_threshold=obj.get("direct_threshold"),
+                outage=tuple(obj.get("outage", ())),
             )
-        return cls(
-            pipeline_obj=obj["pipeline"],
-            events=list(obj.get("events", [])),
-            seed=obj.get("seed"),
-            name=obj.get("name", ""),
-            note=obj.get("note", ""),
-            quarantine=tuple(obj.get("quarantine", ())),
-            degrade_fuse=bool(obj.get("degrade_fuse", False)),
-            tight_meter=bool(obj.get("tight_meter", False)),
-            direct_threshold=obj.get("direct_threshold"),
-            outage=tuple(obj.get("outage", ())),
-        )
+        scenario.check()
+        return scenario
 
     def dumps(self) -> str:
         return json.dumps(self.to_obj(), indent=2)
 
     @classmethod
     def loads(cls, text: str) -> "Scenario":
-        return cls.from_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SerializationError(f"invalid JSON: {exc}") from exc
+        return cls.from_obj(obj)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

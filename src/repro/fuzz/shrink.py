@@ -35,7 +35,7 @@ def _candidates(obj: dict):
     # 2. Packets within bursts, mods within batches.
     for ei, event in enumerate(events):
         key = "burst" if "burst" in event else "mods"
-        items = event[key]
+        items = event.get(key, ())  # a tick has none
         for i in range(len(items) - 1, -1, -1):
             if len(items) == 1:
                 break  # dropping the last item == dropping the event (pass 1)

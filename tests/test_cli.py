@@ -131,6 +131,18 @@ class TestCommands:
         assert "error: table 0 entry 0:" in done.stderr
         assert "Traceback" not in done.stderr
 
+    def test_malformed_fuzz_replay_is_an_error_not_a_traceback(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"pipeline": {"tables": []}, "events": [{}]}')
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "fuzz", "--replay", str(bad)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode != 0
+        assert "error:" in done.stderr and "event 0" in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 class TestIpv6Spec:
     def test_v6_packet_spec(self):

@@ -1,12 +1,12 @@
 """Differential compiler fuzzing: corpus replay, determinism, shrinker.
 
 The pinned corpus in ``tests/fuzz_corpus/`` is the harness's memory:
-every scenario there runs through the full backend matrix (fused,
-trampoline-only, universal linked list, the OVS megaflow model, and the
-sharded engine at 1 and 4 workers) and must produce identical verdicts,
-forwarding, counters, and stats. ``regression-*.json`` files are
-minimized reproductions of bugs this harness found — each fails on the
-tree that shipped the bug and pins the fix forever.
+every scenario there runs through the backend matrix (listed in
+:mod:`repro.fuzz.diff`) and must produce identical verdicts, forwarding,
+counters, and stats. ``regression-*.json`` files are minimized
+reproductions of bugs this harness found — each fails on the tree that
+shipped the bug and pins the fix forever; every other file is exactly
+what ``python -m repro.fuzz.curate`` writes.
 
 A short random smoke leg runs here too; CI widens it via the
 ``REPRO_FUZZ_CASES`` environment variable (see ``repro fuzz --help``
@@ -36,6 +36,7 @@ from repro.fuzz import (
     run_outage_parity,
     run_scenario,
 )
+from repro.fuzz.curate import curate
 from repro.fuzz.shrink import size_of
 from repro.openflow.serialize import SerializationError
 
@@ -50,6 +51,34 @@ CORPUS = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
 
 def _corpus_ids():
     return [os.path.splitext(os.path.basename(p))[0] for p in CORPUS]
+
+
+def _edited(edit) -> str:
+    """``rung-hash.json`` after ``edit(obj)``, as text."""
+    with open(os.path.join(CORPUS_DIR, "rung-hash.json")) as fh:
+        obj = json.load(fh)
+    edit(obj)
+    return json.dumps(obj)
+
+
+#: documents every backend would choke on (or, for the threshold, replay
+#: as false divergences): each must fail to load, naming what is wrong.
+MALFORMED = {
+    "not-json": ("{", "invalid JSON"),
+    "top-level-list": ("[]", "JSON object"),
+    "table-not-an-object": (
+        _edited(lambda o: o["pipeline"].update(tables=[5])), "pipeline"),
+    "packet-not-hex": (
+        _edited(lambda o: o["events"].append({"burst": [{"data": "zz"}]})), "event"),
+    "unknown-mod-command": (
+        _edited(lambda o: o["events"].append({"mods": [{"cmd": "bogus", "table": 0}]})),
+        "event"),
+    "event-of-no-kind": (_edited(lambda o: o["events"].append({})), "event"),
+    "quarantine-of-no-table": (
+        _edited(lambda o: o.update(quarantine=[9])), "quarantine"),
+    "direct-threshold-not-an-int": (
+        _edited(lambda o: o.update(direct_threshold="x")), "direct_threshold"),
+}
 
 
 class TestCorpus:
@@ -82,6 +111,18 @@ class TestCorpus:
             obj = json.load(open(path))
             assert Scenario.from_obj(obj).to_obj() == obj
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_documents_fail_to_load(self, name):
+        text, where = MALFORMED[name]
+        with pytest.raises(SerializationError, match=where):
+            Scenario.loads(text)
+
+    def test_out_of_range_priority_stays_representable(self):
+        """Admission rejects it by design, so the loader must not."""
+        Scenario.loads(_edited(lambda o: o["events"].append({"mods": [
+            {"cmd": "add", "table": 0, "priority": 0x10000, "match": {}}
+        ]})))
+
     def test_unknown_keys_rejected(self):
         """A key the reader does not know — here the deleted range knob —
         must not replay silently under a different configuration."""
@@ -89,6 +130,18 @@ class TestCorpus:
         obj[STALE_KEY] = True
         with pytest.raises(SerializationError, match=STALE_KEY):
             Scenario.from_obj(obj)
+
+
+def test_corpus_is_what_curate_writes(tmp_path, capsys):
+    """Every corpus file but the hand-pinned ``regression-*`` ones is
+    exactly what curation writes today, and curation writes no other."""
+    written = {os.path.basename(p): p for p in curate(str(tmp_path))}
+    pinned = {os.path.basename(p): p for p in CORPUS
+              if not os.path.basename(p).startswith("regression-")}
+    assert sorted(written) == sorted(pinned)
+    for name, path in written.items():
+        with open(path, "rb") as got, open(pinned[name], "rb") as want:
+            assert got.read() == want.read(), f"{name}: re-run the curation"
 
 
 class TestGenerator:
@@ -100,8 +153,7 @@ class TestGenerator:
         assert generate(0).to_obj() != generate(1).to_obj()
 
     def test_force_rungs_honored(self):
-        scenario = generate(0, force_rungs=("lpm",), max_tables=1,
-                            allow_quarantine=False, allow_degrade=False)
+        scenario = generate(0, force_rungs=("lpm",), max_tables=1)
         names = [t["name"] for t in scenario.to_obj()["pipeline"]["tables"]]
         assert all("lpm" in n for n in names)
 
@@ -282,6 +334,17 @@ class TestShrinker:
         assert predicate(small)
         assert size_of(small) < size_of(obj)
         Scenario.from_obj(small).build_pipeline()  # still loadable
+
+    def test_minimize_steps_over_clock_ticks(self):
+        obj = generate(3).to_obj()
+        obj["events"].insert(0, {"tick": 1.0})
+
+        def predicate(o):  # the tick stays first: the per-item pass meets it
+            events = o["events"]
+            return bool(events) and "tick" in events[0] and any(
+                e.get("burst") for e in events)
+
+        assert predicate(minimize(obj, predicate, budget=40))
 
     def test_minimize_rejects_non_failing_input(self):
         obj = generate(3).to_obj()
