@@ -17,12 +17,15 @@ what a fresh ``compile()`` of it would execute is what the patch executes.
 
 Every generated table function has the signature::
 
-    def _match(data, pkt, l3, l4, proto, etype, nxt, m) -> Outcome
+    def _match(data, pkt, l3, l4, proto, etype, nxt, m) -> FlowEntry
 
 with ``data`` the raw packet bytes, ``l3``/``l4`` the header offsets and
 ``proto`` the protocol bitmask produced by the parser templates (the
 paper's r12–r15 registers), ``etype`` the effective ethertype, and ``m``
-the cycle meter. Protocol-prerequisite guards compile to bitmask tests —
+the cycle meter. It returns the installed rule that matched, whose
+``instructions`` is its table's shared action template (the paper's
+composite action set, Section 3.1), or on a miss one of
+:data:`MISS_RULES`. Protocol-prerequisite guards compile to bitmask tests —
 the Python spelling of ``bt r15d, IP`` — and always run before any header
 byte is dereferenced.
 
@@ -33,7 +36,7 @@ the functional one, whose callers pass ``m=None``
 (:func:`~repro.simcpu.recorder.active_meter`).
 
 A template rung is one :class:`CompiledTable` subclass. Its layout — which
-names the generated code binds, where the outcomes live, what an update
+names the generated code binds, where the rules live, what an update
 may touch — is known to that class and to nobody else; the switch, the
 fuser and the model deriver go through the contract on the base class.
 """
@@ -53,12 +56,12 @@ from repro.core.analysis import (
     select,
     split_catch_all,
 )
-from repro.core.outcome import Outcome, miss_outcome, outcome_of
 from repro.dpdk.hash import CollisionFreeHash
 from repro.dpdk.lpm import Dir24_8Lpm, LpmFullError
 from repro.openflow.fields import field_by_name
 from repro.openflow.flow_entry import FlowEntry
-from repro.openflow.flow_table import FlowTable
+from repro.openflow.flow_table import FlowTable, TableMissPolicy
+from repro.openflow.instructions import ActionTemplate
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
@@ -79,10 +82,26 @@ MAX_DIRECT_ENTRIES = 1024
 
 _SIGNATURE = "def _match(data, pkt, l3, l4, proto, etype, nxt, m):"
 
-#: footprint estimates: one per-rule Outcome record, and one shared action
-#: template with the instruction and action objects it keeps alive.
-_RECORD_BYTES = 48
+#: footprint estimate: one shared action template with the instruction and
+#: action objects it keeps alive.
 _TEMPLATE_BYTES = 640
+
+
+def _miss_rule(to_controller: bool) -> FlowEntry:
+    template = ActionTemplate()
+    template.is_miss = True
+    template.to_controller = to_controller
+    return FlowEntry(Match(), instructions=template)
+
+
+#: what a lookup that matches no rule returns, one per miss policy and
+#: shared process-wide like the templates themselves: the only rules whose
+#: ``instructions`` answer ``is_miss``. No table installs them, and no
+#: datapath records or counts them.
+MISS_RULES = {
+    policy: _miss_rule(policy is TableMissPolicy.CONTROLLER)
+    for policy in TableMissPolicy
+}
 
 
 class CompiledTable:
@@ -99,8 +118,8 @@ class CompiledTable:
     * :meth:`update` — absorb one applied flow-mod in place, or decline;
     * :attr:`facts` / :attr:`relinks` — what a linker specialised on and
       whether an update moved it (the generation contract, DESIGN §1);
-    * :meth:`outcomes` — every :class:`Outcome` a lookup can return now
-      (inspection: nothing on the update or link path enumerates it);
+    * :meth:`rules` — every rule a lookup can return now (inspection:
+      nothing on the update or link path enumerates it);
     * :meth:`footprint` — estimated resident bytes;
     * :meth:`stage` — the analytic-model atom of one lookup, kept beside
       the emitter that bakes the same atoms into ``source``;
@@ -162,7 +181,7 @@ class CompiledTable:
         return templates.id_slot(len(self.keys))
 
     @property
-    def miss(self) -> Outcome:
+    def miss(self) -> FlowEntry:
         return self.namespace["_MISS"]
 
     def _emit(self, costs: CostBook) -> list[str]:
@@ -221,24 +240,24 @@ class CompiledTable:
         self.namespace["_MISS"] = _miss_of(table)
         self.relinks += 1
 
-    def outcomes(self) -> list[Outcome]:
-        """Every Outcome a lookup can return, the miss arm first."""
+    def rules(self) -> list[FlowEntry]:
+        """Every rule a lookup can return, the miss arm first."""
         return [self.miss, *self._hits()]
 
     def _hits(self):
         raise NotImplementedError
 
     def _list_bytes(self) -> int:
-        """Estimated bytes of the per-rule records outside the backing
-        store (~56 per list slot, ~48 per two-slot Outcome, ~64 per key
-        tuple); :meth:`footprint` adds each shared template once."""
+        """Estimated bytes of the per-rule lists outside the backing
+        store (~56 per list slot, ~64 per key tuple); the rules are the
+        flow table's, and :meth:`footprint` adds each shared template once."""
         return 0
 
     def footprint(self) -> dict:
         """Estimated resident bytes of this compiled table.
 
         Backing stores (hash, LPM) report exactly; generated source and
-        entry/outcome lists are estimated. This is the per-rung memory
+        rule lists are estimated. This is the per-rung memory
         telemetry of the million-flow bench — relative magnitudes matter,
         not malloc truth.
         """
@@ -352,13 +371,13 @@ def _guard_lines(guards: list[str], charge: str) -> list[str]:
             + _metered("        ", charge) + ["        return _MISS"])
 
 
-def _miss_of(table: FlowTable) -> Outcome:
+def _miss_of(table: FlowTable) -> FlowEntry:
     """The miss arm of a rung whose prerequisite seats the catch-all, if
     there is one, last."""
     last = table.last_entry()  # O(1): no live-tuple rebuild
     if last is not None and last.match.is_catch_all:
-        return outcome_of(last)
-    return miss_outcome(table)
+        return last
+    return MISS_RULES[table.miss_policy]
 
 
 # -- the template rungs ------------------------------------------------------------
@@ -369,7 +388,7 @@ class DirectTable(CompiledTable):
 
     A faithful transcription of the paper's example in Section 3.1: each
     flow entry becomes a protocol-bitmask guard followed by inlined matcher
-    templates with the keys patched in, ending in a jump to its outcome;
+    templates with the keys patched in, ending in a jump to its rule;
     fall-through is the next entry ("ADDR_NEXT_FLOW"). The keys are the
     instruction stream, so any change to them is a rebuild — a patch of
     the cached template when the table's shape (entry count, fields,
@@ -398,17 +417,17 @@ class DirectTable(CompiledTable):
                 f"direct template bound exceeded: {size} entries "
                 f"> {MAX_DIRECT_ENTRIES}"
             )
-        self._outs = [outcome_of(entry) for entry in table.entries]
+        self._rules = rules = table.entries
         keys: list[int] = []
         #: per entry, its guards and matchers as one condition ("" = none).
         self._checks = [
             " and ".join(_guards(entry.match) + _conditions(entry.match, keys))
-            for entry in table.entries
+            for entry in rules
         ]
         self.keys = tuple(keys)
         self._keys_in_code = config.keys_in_code
-        namespace: dict = {"_MISS": miss_outcome(table)}
-        namespace.update((f"_O{i}", out) for i, out in enumerate(self._outs))
+        namespace: dict = {"_MISS": MISS_RULES[table.miss_policy]}
+        namespace.update((f"_O{i}", entry) for i, entry in enumerate(rules))
         super().__init__(table, costs, namespace)
 
     def _emit(self, costs: CostBook) -> list[str]:
@@ -426,10 +445,7 @@ class DirectTable(CompiledTable):
         return lines + _metered("    ", missed) + ["    return _MISS"]
 
     def _hits(self):
-        return self._outs
-
-    def _list_bytes(self) -> int:
-        return _RECORD_BYTES * len(self._outs)
+        return self._rules
 
     def stage(self, costs: CostBook) -> StageCost:
         n = max(self.entry_count, 1)
@@ -463,12 +479,11 @@ class HashTable(CompiledTable):
         if rules[-1].match.is_catch_all:
             rules = rules[:-1]
         self._guards = _guards(rules[0].match)
-        # Installed rules point at their table's shared template already.
         items: dict = {}
         for entry in rules:
             key = _hash_key_of(entry.match, fields)
             if key not in items:  # first occurrence = highest priority wins
-                items[key] = Outcome(entry, entry.instructions)
+                items[key] = entry
         # One bulk build instead of insert-at-a-time: a million-entry table
         # pays a single layout search, not an incremental growth sequence.
         self.hash_store = store = CollisionFreeHash(items)
@@ -506,21 +521,18 @@ class HashTable(CompiledTable):
             return False
         key = _hash_key_of(match, self.fields)
         # Same-match duplicates at different priorities are legal (the
-        # lower one is shadowed): the slot always holds the outcome of
-        # the highest-priority entry that *remains* in the table, so a
-        # strict delete of one duplicate reinstates the survivor.
+        # lower one is shadowed): the slot always holds the highest-
+        # priority entry that *remains* in the table, so a strict delete
+        # of one duplicate reinstates the survivor.
         best = table.find(match)
         if best is None:
             self.hash_store.remove(key)
         else:
-            self.hash_store.insert(key, outcome_of(best))
+            self.hash_store.insert(key, best)
         return True
 
     def _hits(self):
         return (value for _key, value in self.hash_store.items())
-
-    def _list_bytes(self) -> int:
-        return _RECORD_BYTES * len(self.hash_store)
 
     def stage(self, costs: CostBook) -> StageCost:
         return StageCost(
@@ -538,7 +550,7 @@ def _hash_key_of(match: Match, fields: tuple[str, ...]):
 
 
 class LpmTable(CompiledTable):
-    """LPM over DIR-24-8: the store maps a prefix to a slot of the outcome
+    """LPM over DIR-24-8: the store maps a prefix to a slot of the rule
     list; prefixes add, rebind and delete in place."""
 
     kind = TemplateKind.LPM
@@ -559,10 +571,8 @@ class LpmTable(CompiledTable):
             [(value, depth, slot) for slot, (value, depth) in enumerate(by_prefix)]
         )
         #: slot-addressed by the store's next hop; freed slots hold None.
-        self._out = outcomes = [
-            Outcome(entry, entry.instructions) for entry in by_prefix.values()
-        ]
-        #: recycled slots of the outcome list (freed by incremental DELETE).
+        self._out = rules = list(by_prefix.values())
+        #: recycled slots of the rule list (freed by incremental DELETE).
         self._free: list[int] = []
         #: ``(table.shapes_version, verdict)`` of the last :meth:`_keeps`
         #: scan: churn inside existing shape classes answers from here.
@@ -571,7 +581,7 @@ class LpmTable(CompiledTable):
             table,
             costs,
             {"_MISS": _miss_of(table), "_LPM": store,
-             "_LPMlookup": store.lookup, "_OUT": outcomes},
+             "_LPMlookup": store.lookup, "_OUT": rules},
         )
 
     def _emit(self, costs: CostBook) -> list[str]:
@@ -618,39 +628,39 @@ class LpmTable(CompiledTable):
         value = match.value_of(self.field)
         depth = match.prefix_len(self.field)
         # Slots are recycled through a free list so that add/delete churn
-        # (the Fig. 18 route-flap workload) keeps the outcome list bounded
+        # (the Fig. 18 route-flap workload) keeps the rule list bounded
         # by the live rule count instead of growing forever.
-        store, outcomes = self.lpm_store, self._out
+        store, rules = self.lpm_store, self._out
         slot = store.get_rule(value, depth)
         best = table.find(match)
         if best is None:
             if slot is not None:
                 store.delete(value, depth)
-                outcomes[slot] = None
+                rules[slot] = None
                 self._free.append(slot)
         elif slot is not None:
             # Rule replaced (or one duplicate deleted): rebind in place.
-            outcomes[slot] = outcome_of(best)
+            rules[slot] = best
         else:
             if self._free:
                 slot = self._free.pop()
-                outcomes[slot] = outcome_of(best)
+                rules[slot] = best
             else:
-                slot = len(outcomes)
-                outcomes.append(outcome_of(best))
+                slot = len(rules)
+                rules.append(best)
             try:
                 store.add(value, depth, slot)
             except LpmFullError:
-                outcomes[slot] = None
+                rules[slot] = None
                 self._free.append(slot)
                 return False  # fall back to a (larger) rebuild
         return True
 
     def _hits(self):
-        return (out for out in self._out if out is not None)
+        return (entry for entry in self._out if entry is not None)
 
     def _list_bytes(self) -> int:
-        return len(self._out) * (56 + _RECORD_BYTES)
+        return len(self._out) * 56
 
     def stage(self, costs: CostBook) -> StageCost:
         return StageCost(
@@ -720,7 +730,7 @@ class LinkedListTable(CompiledTable):
         #: generated matcher functions by mask signature, shared by every
         #: entry with that signature and kept across updates.
         self.ll_matchers: dict[tuple, object] = {}
-        #: ``(guard masks, matcher, key values, outcome)`` per rule.
+        #: ``(guard masks, matcher, key values, rule)`` per rule.
         self.ll_entries: list[tuple] = []
         super().__init__(
             table, costs, {"_MISS": None, "_ENTRIES": self.ll_entries}
@@ -751,10 +761,10 @@ class LinkedListTable(CompiledTable):
                 fn = _build_sig_matcher(sig)
                 self.ll_matchers[sig] = fn
             values = tuple(v for _name, (v, _m) in entry.match.items())
-            entries.append((_guard_masks(entry.match), fn, values, outcome_of(entry)))
+            entries.append((_guard_masks(entry.match), fn, values, entry))
         self.ll_entries[:] = entries
         self.namespace["_MISS"] = (
-            outcome_of(catch_all) if catch_all is not None else miss_outcome(table)
+            catch_all if catch_all is not None else MISS_RULES[table.miss_policy]
         )
 
     def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:
@@ -765,7 +775,7 @@ class LinkedListTable(CompiledTable):
         return (entry[3] for entry in self.ll_entries)
 
     def _list_bytes(self) -> int:
-        return len(self.ll_entries) * (56 + _RECORD_BYTES + 64)
+        return len(self.ll_entries) * (56 + 64)
 
     def stage(self, costs: CostBook) -> StageCost:
         n = max(self.entry_count, 1)

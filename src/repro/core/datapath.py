@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.codegen import CompiledTable
-from repro.core.outcome import Outcome
 from repro.openflow.actions import Action, Output
 from repro.openflow.fields import max_layer
 from repro.openflow.pipeline import MAX_TABLE_HOPS, Pipeline, PipelineError, Verdict
@@ -322,11 +321,11 @@ class CompiledDatapath:
             compiled = trampoline.get(tid)
             if compiled is None:
                 raise PipelineError(f"goto_table to unlinked table {tid}")
-            hit: Outcome = compiled.fn(data, pkt, l3, l4, proto, etype, nxt, meter)
-            verdict.path.append((tid, hit.entry))
-            out = hit.template  # the action fields live on the shared template
+            hit = compiled.fn(data, pkt, l3, l4, proto, etype, nxt, meter)
+            out = hit.instructions  # the table's shared action template
 
             if out.is_miss:
+                verdict.path.append((tid, None))
                 verdict.table_miss = True
                 if out.to_controller:
                     verdict.to_controller = True
@@ -336,7 +335,8 @@ class CompiledDatapath:
                     meter.charge(costs.table_miss)
                 return verdict
 
-            hit.entry.counters.record(len(data))  # a hit carries its rule
+            verdict.path.append((tid, hit))
+            hit.counters.record(len(data))
             if out.meter is not None and not out.meter.allow():
                 verdict.dropped = True
                 return verdict

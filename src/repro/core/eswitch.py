@@ -111,7 +111,7 @@ class SwitchHealth:
             (False = trampoline dispatch, the middle rung of the chain).
         generation: the datapath's update generation counter.
         footprint_bytes: estimated resident bytes across every compiled
-            table (stores, generated source, outcome lists).
+            table (stores, generated source, rule lists).
         link_s: seconds this switch's datapath has spent linking fused
             drivers (``core.fuse.link_s``).
         templates: the template loader's counters (``core.codegen.*``:

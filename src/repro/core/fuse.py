@@ -2,8 +2,8 @@
 
 The trampoline (:mod:`repro.core.datapath`) resolves every ``goto_table``
 through a mutable dict so a rebuilt table can be swapped in atomically
-(Section 3.4). That flexibility costs a dict lookup, a generic function
-call, and Outcome unboxing at every table hop — interpreter dispatch the
+(Section 3.4). That flexibility costs a dict lookup and a generic function
+call at every table hop — interpreter dispatch the
 paper's linked machine code never executes: there, linking "atomically
 redirect[s] all referring goto_table jumps to the address of the new
 code" (Section 3.3–3.4) and the pipeline runs as one straight-line
@@ -183,7 +183,7 @@ def _rename_body(body: list[str], mapping: dict[str, str]) -> list[str]:
 def _inline_body(compiled, prefix: str, namespace: dict) -> list[str]:
     """One table's generated body, rewritten for inlining.
 
-    ``return X`` becomes ``out = X`` + ``break`` (the caller wraps the body
+    ``return X`` becomes ``hit = X`` + ``break`` (the caller wraps the body
     in a one-iteration ``while True``), the constants the body names are
     re-bound under ``prefix`` into the fused namespace, ``m`` becomes the
     driver's ``meter`` and the slots move under the table's id. The
@@ -200,7 +200,7 @@ def _inline_body(compiled, prefix: str, namespace: dict) -> list[str]:
             matched = _RETURN.match(line)
             if matched:
                 indent, expr = matched.groups()
-                out.append(f"{indent}out = {expr}")
+                out.append(f"{indent}hit = {expr}")
                 out.append(f"{indent}break")
             else:
                 out.append(line)
@@ -235,7 +235,7 @@ def _emit_dispatch(dp: "CompiledDatapath", namespace: dict) -> tuple[
         else:
             namespace[f"_t{tid}_fn"] = compiled.fn
             lines.append(
-                f"            out = _t{tid}_fn(data, pkt, l3, l4, proto, etype, nxt, meter)"
+                f"            hit = _t{tid}_fn(data, pkt, l3, l4, proto, etype, nxt, meter)"
             )
     lines.append("        else:")
     lines.append(
@@ -254,7 +254,7 @@ def _emit_run(
     per-hop dispatch specialized, the parser/etype/cost loads baked in,
     the loop-detection guard elided when the static goto graph is proven
     acyclic, and the write-set / metadata / flow-meter machinery elided
-    when no enumerated outcome can trigger it (``flags``). Elided
+    when no rule's template can trigger it (``flags``). Elided
     branches charge no atoms and can never fire, so verdicts and cycles
     are unchanged.
     """
@@ -287,10 +287,10 @@ def _emit_run(
         )
     dispatch, inlined = _emit_dispatch(dp, namespace)
     lines.extend(dispatch)
-    lines.append("        entry = out.entry")
-    lines.append("        path.append((tid, entry))")
-    lines.append("        out = out.template")
+    # A lookup returns the rule; its actions are its table's shared template.
+    lines.append("        out = hit.instructions")
     lines.append("        if out.is_miss:")
+    lines.append("            path.append((tid, None))")
     lines.append("            verdict.table_miss = True")
     lines.append("            if out.to_controller:")
     lines.append("                verdict.to_controller = True")
@@ -299,7 +299,8 @@ def _emit_run(
     lines.append("            if meter is not None:")
     lines.append(f"                meter.charge({costs.table_miss!r})")
     lines.append("            return verdict")
-    lines.append("        counters = entry.counters")  # a hit carries its rule
+    lines.append("        path.append((tid, hit))")
+    lines.append("        counters = hit.counters")
     lines.append("        counters.packets += 1")
     lines.append("        counters.bytes += dlen")
     if flags["meter"]:

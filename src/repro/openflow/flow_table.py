@@ -53,15 +53,24 @@ def _sort_key(entry: "FlowEntry") -> int:
     return -entry.priority
 
 
+def _listed(
+    same_match: "FlowEntry | list[FlowEntry] | None",
+) -> "list[FlowEntry] | tuple[FlowEntry, ...]":
+    """One match's entries, priority-descending, from its rule-index
+    value: a lone entry is held bare, same-match duplicates in a list."""
+    if same_match is None:
+        return ()
+    return same_match if type(same_match) is list else (same_match,)
+
+
 def _at_priority(
-    same_match: "list[FlowEntry] | None", priority: int
+    same_match: "FlowEntry | list[FlowEntry] | None", priority: int
 ) -> "FlowEntry | None":
     """The entry with ``priority`` among one match's entries (a rule is
-    match + priority, so at most one; the list is almost always length 1)."""
-    if same_match is not None:
-        for entry in same_match:
-            if entry.priority == priority:
-                return entry
+    match + priority, so at most one)."""
+    for entry in _listed(same_match):
+        if entry.priority == priority:
+            return entry
     return None
 
 
@@ -149,16 +158,19 @@ class FlowTable:
         # The lazy rule index. ``add``/strict ``remove``/``has_rule``/
         # ``find`` would otherwise scan the whole store per call — an O(n)
         # wall that turns million-entry churn into a benchmark of this
-        # list instead of the datapath updates. ``_by_match`` maps
-        # ``match -> entries`` in priority-descending order: ``find``'s
-        # duplicate-shadowing answer is the head, and a rule (match +
-        # priority; unique, ``add`` replaces same-rule entries) is the
-        # list member at that priority. ``_timed`` maps ``entry_id ->
-        # entry`` for entries carrying a timeout (the expiry manager's
-        # rescan set). Both are only trusted while ``_index_version ==
-        # version`` and are maintained incrementally by every mutation
-        # path — including non-strict remove and remove_if.
-        self._by_match: "dict[Match, list[FlowEntry]] | None" = None
+        # list instead of the datapath updates. ``_by_match`` maps a
+        # match to its one entry, held bare, or to its same-match
+        # duplicates in a priority-descending list — so a table of
+        # distinct matches leaves no container per rule for the cyclic
+        # collector to walk. ``find``'s duplicate-shadowing answer is the
+        # head, and a rule (match + priority; unique, ``add`` replaces
+        # same-rule entries) is the member at that priority. ``_timed``
+        # maps ``entry_id -> entry`` for entries carrying a timeout (the
+        # expiry manager's rescan set). Both are only trusted while
+        # ``_index_version == version`` and are maintained incrementally
+        # by every mutation path — including non-strict remove and
+        # remove_if.
+        self._by_match: "dict[Match, FlowEntry | list[FlowEntry]] | None" = None
         self._timed: "dict[int, FlowEntry] | None" = None
         self._index_version = -1
         # Lazy multiset of :func:`entry_features` fingerprints, version-
@@ -188,7 +200,7 @@ class FlowTable:
 
     # -- indexes --------------------------------------------------------------
 
-    def _index(self) -> "dict[Match, list[FlowEntry]]":
+    def _index(self) -> "dict[Match, FlowEntry | list[FlowEntry]]":
         by_match = self._by_match
         if by_match is None or self._index_version != self.version:
             by_match = {}
@@ -198,9 +210,11 @@ class FlowTable:
                     continue
                 same_match = by_match.get(e.match)
                 if same_match is None:
-                    by_match[e.match] = [e]
-                else:
+                    by_match[e.match] = e
+                elif type(same_match) is list:
                     same_match.append(e)
+                else:
+                    by_match[e.match] = [same_match, e]
                 if e.idle_timeout or e.hard_timeout:
                     timed[e.entry_id] = e
             self._by_match, self._timed = by_match, timed
@@ -415,8 +429,10 @@ class FlowTable:
         if existing is None:
             self._insert_fresh(entry, before)
             if same_match is None:
-                by_match[entry.match] = [entry]
+                by_match[entry.match] = entry
             else:
+                if type(same_match) is not list:
+                    same_match = by_match[entry.match] = [same_match]
                 bisect.insort_right(same_match, entry, key=_sort_key)
         else:
             slots = self._slot_index()
@@ -424,7 +440,10 @@ class FlowTable:
             # Same rule key ⇒ same priority ⇒ _keys[slot] is right.
             self._entries[slot] = entry
             slots[id(entry)] = slot
-            same_match[same_match.index(existing)] = entry
+            if same_match is existing:
+                by_match[entry.match] = entry
+            else:
+                same_match[same_match.index(existing)] = entry
         timed = self._timed
         if timed is not None:
             if existing is not None:
@@ -506,11 +525,13 @@ class FlowTable:
         for entry in victims:
             # The key stays: bisection remains valid.
             ents[slots.pop(id(entry))] = None
-            lst = by_match.get(entry.match)
-            if lst is not None:
-                lst.remove(entry)
-                if not lst:
-                    del by_match[entry.match]
+            same_match = by_match[entry.match]
+            if same_match is entry:
+                del by_match[entry.match]
+            else:
+                same_match.remove(entry)
+                if len(same_match) == 1:
+                    by_match[entry.match] = same_match[0]
             if timed is not None:
                 timed.pop(entry.entry_id, None)
             self._release(entry)
@@ -544,7 +565,7 @@ class FlowTable:
         """
         same_match = self._index().get(match)
         if priority is None:
-            return self._tombstone_all(list(same_match or ()))
+            return self._tombstone_all(list(_listed(same_match)))
         entry = _at_priority(same_match, priority)
         return self._tombstone_all([] if entry is None else [entry])
 
@@ -627,11 +648,13 @@ class FlowTable:
     def find(self, match: Match) -> "FlowEntry | None":
         """The highest-priority entry whose match *equals* ``match``.
 
-        Per-match lists are priority-sorted, so the head is the one a
-        lookup would prefer among same-match duplicates.
+        Same-match duplicates are listed priority-sorted, so the head is
+        the one a lookup would prefer among them.
         """
-        lst = self._index().get(match)
-        return lst[0] if lst else None
+        same_match = self._index().get(match)
+        if type(same_match) is list:
+            return same_match[0]
+        return same_match
 
     def find_rule(self, match: Match, priority: int) -> "FlowEntry | None":
         """The live entry with exactly this rule (match + priority), or
@@ -646,7 +669,7 @@ class FlowTable:
     def rule_priorities(self, match: Match) -> "tuple[int, ...]":
         """Priorities of the live entries whose match *equals* ``match``,
         highest first — what a non-strict DELETE of it would remove."""
-        return tuple(e.priority for e in self._index().get(match, ()))
+        return tuple(e.priority for e in _listed(self._index().get(match)))
 
     def last_entry(self) -> "FlowEntry | None":
         """The lowest-priority live entry (the catch-all seat, when one

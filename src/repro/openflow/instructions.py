@@ -86,7 +86,7 @@ class ActionTemplate:
       specialises a whole-pipeline driver on.
 
     ``is_miss`` / ``to_controller`` are set on the two table-miss
-    templates only (:mod:`repro.core.outcome`).
+    templates only (:data:`repro.core.codegen.MISS_RULES`).
     """
 
     __slots__ = (

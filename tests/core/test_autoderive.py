@@ -120,7 +120,7 @@ class TestModelFollowsInPlaceUpdates:
         assert sw.update_stats.incremental == 1  # absorbed in place
         assert sw.compiled_table(0) is compiled
         assert compiled.miss is compiled.namespace["_MISS"]
-        assert compiled.miss.goto == 1
+        assert compiled.miss.instructions.goto == 1
         assert _longest_goto_chain(sw) == [0, 1]
         assert derive_model(sw).cycles(1) > before
 
@@ -128,6 +128,6 @@ class TestModelFollowsInPlaceUpdates:
                                   strict=True))
         assert sw.update_stats.incremental == 2
         assert compiled.miss is compiled.namespace["_MISS"]
-        assert compiled.miss.goto is None
+        assert compiled.miss.instructions.goto is None
         assert _longest_goto_chain(sw) == [0]
         assert derive_model(sw).cycles(1) == before

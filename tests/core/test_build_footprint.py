@@ -2,11 +2,12 @@
 
 A container the collector tracks is one it must traverse on every full
 collection, and the number that survive a build decides how many full
-collections land inside the next one. A built hash table keeps two per
-rule: the ``Outcome`` its store returns and the rule's list in the
-``FlowTable`` rule index. The store itself keeps none per key: its slots are
-two columns and its bucket membership tuples of keys, which the collector
-untracks.
+collections land inside the next one. A built hash or LPM table leaves none
+per rule: its store returns the installed rule itself, the ``FlowTable``
+rule index holds a lone rule bare (a list only for same-match duplicates),
+and the hash store keeps its slots as two columns and its bucket membership
+as tuples of keys, which the collector untracks. What is left is a fixed
+handful of containers per table, whatever the rule count.
 """
 
 import gc
@@ -14,9 +15,12 @@ import gc
 from repro.core import ESwitch
 from repro.dpdk.hash import CollisionFreeHash
 from repro.packet import PacketBuilder
-from repro.usecases import l2
+from repro.usecases import l2, l3
 
 N = 20_000
+N_PREFIXES = 10_000
+#: tracked containers a whole build may leave: per table, not per rule.
+BUILD_BOUND = 64
 
 
 def tracked_after(build) -> "tuple[int, object]":
@@ -34,15 +38,27 @@ def switch_of(pipeline) -> ESwitch:
     return switch
 
 
-def test_two_tracked_containers_per_rule():
+def test_a_hash_build_leaves_no_tracked_container_per_rule():
     # A small build first pays the process's first-use costs (lazy imports,
     # the template cache), which are per process, not per rule.
     switch_of(l2.build(64)[0])
     pipeline, macs = l2.build(N)
     left, switch = tracked_after(lambda: switch_of(pipeline))
-    assert left <= 2 * N + 64, f"{left} tracked containers for {N} rules"
+    assert switch.table_kinds() == {0: "hash"}
+    assert left <= BUILD_BOUND, f"{left} tracked containers for {N} rules"
     for mac in (macs[0], macs[-1]):
         assert switch.process(PacketBuilder().eth(dst=mac).build()).forwarded
+
+
+def test_an_lpm_build_leaves_no_tracked_container_per_rule():
+    switch_of(l3.build(64)[0])
+    pipeline, fib = l3.build(N_PREFIXES)
+    left, switch = tracked_after(lambda: switch_of(pipeline))
+    assert switch.table_kinds() == {0: "lpm"}
+    assert left <= BUILD_BOUND, f"{left} tracked containers for {N_PREFIXES} rules"
+    for prefix, _depth, _port in (fib[0], fib[-1]):
+        pkt = PacketBuilder().eth().ipv4(dst=prefix).tcp().build()
+        assert switch.process(pkt).forwarded
 
 
 def test_hash_store_tracks_nothing_per_key():

@@ -9,7 +9,6 @@ import strategies as sts
 
 from repro.core.analysis import CompileConfig, TemplateKind
 from repro.core.codegen import CompileError, compile_table
-from repro.core.outcome import Outcome
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable, TableMissPolicy
@@ -32,15 +31,12 @@ def assert_equiv(table, compiled, pkt):
     """The compiled function must agree with a priority scan."""
     view = parse(pkt)
     expected = table.lookup(view)
-    out = run_compiled(compiled, pkt)
-    assert isinstance(out, Outcome)
+    hit = run_compiled(compiled, pkt)
+    assert isinstance(hit, FlowEntry)
     if expected is None:
-        assert out.is_miss
-    elif expected.match.is_catch_all and out.entry is not None:
-        assert out.entry.priority == expected.priority
+        assert hit.instructions.is_miss
     else:
-        assert not out.is_miss
-        assert out.entry is not None and out.entry.priority == expected.priority
+        assert hit is expected
 
 
 def mac_table(n):
@@ -76,22 +72,22 @@ class TestDirectCode:
         hit = PacketBuilder(in_port=9).eth().ipv4(dst="192.0.2.7").tcp(dst_port=80).build()
         miss = PacketBuilder(in_port=9).eth().ipv4(dst="192.0.2.7").tcp(dst_port=22).build()
         assert_equiv(t, compiled, hit)
-        assert run_compiled(compiled, miss).is_miss
+        assert run_compiled(compiled, miss).instructions.is_miss
 
     def test_udp_packet_guarded_from_tcp_matcher(self):
         t = self.table()
         compiled = compile_table(t)
         udp = PacketBuilder(in_port=9).eth().ipv4(dst="192.0.2.7").udp(dst_port=80).build()
-        assert run_compiled(compiled, udp).is_miss
+        assert run_compiled(compiled, udp).instructions.is_miss
 
     def test_miss_policy_controller(self):
         t = self.table()
         t.miss_policy = TableMissPolicy.CONTROLLER
-        out = run_compiled(compile_table(t), PacketBuilder(in_port=5).eth().build())
+        out = run_compiled(compile_table(t), PacketBuilder(in_port=5).eth().build()).instructions
         assert out.is_miss and out.to_controller
 
     def test_empty_table(self):
-        out = run_compiled(compile_table(FlowTable(0)), PacketBuilder().eth().build())
+        out = run_compiled(compile_table(FlowTable(0)), PacketBuilder().eth().build()).instructions
         assert out.is_miss
 
 
@@ -106,21 +102,21 @@ class TestCompoundHash:
         compiled = compile_table(t)
         for i in (0, 17, 49):
             pkt = PacketBuilder().eth(dst=0x2000 + i).ipv4().tcp().build()
-            out = run_compiled(compiled, pkt)
+            out = run_compiled(compiled, pkt).instructions
             assert not out.is_miss
             assert out.apply_actions[0] == Output(i)
 
     def test_miss_without_catch_all(self):
         compiled = compile_table(mac_table(10))
         pkt = PacketBuilder().eth(dst=0xBEEF).build()
-        assert run_compiled(compiled, pkt).is_miss
+        assert run_compiled(compiled, pkt).instructions.is_miss
 
     def test_catch_all_becomes_default(self):
         t = mac_table(10)
         t.add(FlowEntry(Match(), priority=0, actions=[Output(99)]))
         compiled = compile_table(t)
         pkt = PacketBuilder().eth(dst=0xBEEF).build()
-        out = run_compiled(compiled, pkt)
+        out = run_compiled(compiled, pkt).instructions
         assert not out.is_miss and out.apply_actions[0] == Output(99)
 
     def test_compound_multi_field_key(self):
@@ -133,7 +129,7 @@ class TestCompoundHash:
         compiled = compile_table(t)
         assert compiled.kind is TemplateKind.HASH
         pkt = PacketBuilder().eth().ipv4(dst="192.0.5.66").tcp(dst_port=80).build()
-        out = run_compiled(compiled, pkt)
+        out = run_compiled(compiled, pkt).instructions
         assert not out.is_miss and out.apply_actions[0] == Output(3)
 
     def test_shadowed_duplicate_keeps_highest_priority(self):
@@ -144,7 +140,7 @@ class TestCompoundHash:
             t.add(FlowEntry(Match(eth_dst=10 + i), priority=1, actions=[Output(5)]))
         compiled = compile_table(t)
         pkt = PacketBuilder().eth(dst=1).build()
-        assert run_compiled(compiled, pkt).apply_actions[0] == Output(1)
+        assert run_compiled(compiled, pkt).instructions.apply_actions[0] == Output(1)
 
     def test_forced_hash_on_bad_table_raises(self):
         t = FlowTable(0)
@@ -178,25 +174,25 @@ class TestLpmTemplate:
         }
         for dst, port in cases.items():
             pkt = PacketBuilder().eth().ipv4(dst=dst).tcp().build()
-            out = run_compiled(compiled, pkt)
+            out = run_compiled(compiled, pkt).instructions
             assert out.apply_actions[0] == Output(port), dst
 
     def test_miss(self):
         compiled = compile_table(self.table())
         pkt = PacketBuilder().eth().ipv4(dst="8.8.8.8").tcp().build()
-        assert run_compiled(compiled, pkt).is_miss
+        assert run_compiled(compiled, pkt).instructions.is_miss
 
     def test_non_ip_guarded(self):
         compiled = compile_table(self.table())
         pkt = PacketBuilder().eth().arp().build()
-        assert run_compiled(compiled, pkt).is_miss
+        assert run_compiled(compiled, pkt).instructions.is_miss
 
     def test_default_route_via_catch_all(self):
         t = self.table()
         t.add(FlowEntry(Match(), priority=0, actions=[Output(77)]))
         compiled = compile_table(t)
         pkt = PacketBuilder().eth().ipv4(dst="8.8.8.8").tcp().build()
-        assert run_compiled(compiled, pkt).apply_actions[0] == Output(77)
+        assert run_compiled(compiled, pkt).instructions.apply_actions[0] == Output(77)
 
 
 class TestLinkedList:
@@ -223,7 +219,7 @@ class TestLinkedList:
         compiled = compile_table(self.table())
         pkt = (PacketBuilder(in_port=7).eth(dst=0x99)
                .ipv4(dst="10.1.1.1").tcp(dst_port=80).build())
-        out = run_compiled(compiled, pkt)
+        out = run_compiled(compiled, pkt).instructions
         assert out.apply_actions[0] == Output(1)  # priority 50 wins
 
     def test_differential_bulk(self):

@@ -1,9 +1,9 @@
 """The template contract every rung answers (DESIGN §1).
 
-A compiled table owns its outcome set: whatever sequence of in-place
-``update()`` calls the switch made, ``outcomes()`` is what a fresh compile
-of the same logical table would report, and a lookup never returns an
-Outcome outside it.
+A compiled table owns the set of rules a lookup can return: whatever
+sequence of in-place ``update()`` calls the switch made, ``rules()`` is
+what a fresh compile of the same logical table would report, and a lookup
+never returns a rule outside it.
 
 The fuser specializes its driver on less than that: the fact sets of the
 flow tables' action-template census, and the names an inlined body
@@ -82,11 +82,9 @@ RUNGS = {
 
 
 def census(compiled) -> Counter:
-    """``outcomes()`` as a multiset of entry identities plus the miss."""
-    return Counter(
-        (id(out.entry), out.is_miss, out.to_controller)
-        for out in compiled.outcomes()
-    )
+    """``rules()`` as a multiset of rule identities, the miss rule one
+    per policy."""
+    return Counter(map(id, compiled.rules()))
 
 
 @pytest.mark.parametrize("rung", sorted(RUNGS))
@@ -105,12 +103,12 @@ def test_outcomes_track_updates(rung, data):
         assert compiled.miss is compiled.namespace["_MISS"]
         fresh = compile_table(sw.pipeline.table(0), config, kind=compiled.kind)
         assert census(compiled) == census(fresh)
-        known = {id(out) for out in compiled.outcomes()}
+        known = {id(rule) for rule in compiled.rules()}
         for pkt in pkts:
             view = parser.parse(pkt)
-            out = compiled.fn(pkt.data, pkt, view.l3, view.l4, view.proto,
+            hit = compiled.fn(pkt.data, pkt, view.l3, view.l4, view.proto,
                               view.eth_type, view.l4_proto, NULL_METER)
-            assert id(out) in known
+            assert id(hit) in known
 
 
 # -- the action-template census and the generation contract ---------------------

@@ -214,6 +214,12 @@ class TestSharing:
         lb = ESwitch(l3.build(40, seed=2)[0]).compiled_table(0)
         assert la.kind is TemplateKind.LPM and la.fn.__code__ is lb.fn.__code__
         assert la.lpm_store is not lb.lpm_store and la._out is not lb._out
+        # Two switches share code, never a rule. Only the process-wide miss
+        # rule is in both, like the miss template: l2 has no catch-all, and
+        # l3's catch-all is each table's own rule.
+        assert ta.miss is tb.miss
+        assert set(map(id, ta.rules()[1:])).isdisjoint(map(id, tb.rules()[1:]))
+        assert set(map(id, la.rules())).isdisjoint(map(id, lb.rules()))
 
     def test_direct_tables_share_the_template_not_the_keys(self):
         a, b = compile_table(port_table([1, 2])), compile_table(port_table([3, 4]))
@@ -222,7 +228,8 @@ class TestSharing:
         assert a.fn.__code__ is not b.fn.__code__
         assert a.fn.__code__.co_code == b.fn.__code__.co_code
         assert a.source != b.source and "== 0x3" in b.source
-        assert set(map(id, a.outcomes())).isdisjoint(map(id, b.outcomes()))
+        assert a.miss is b.miss  # the process-wide miss rule, by design
+        assert set(map(id, a.rules()[1:])).isdisjoint(map(id, b.rules()[1:]))
 
     def test_two_tables_of_one_shape_in_one_pipeline_compile_once(self):
         templates.clear()
@@ -432,7 +439,9 @@ class TestColdIsWarm:
         assert stream(again.fn.__code__) == stream(first.fn.__code__)
         pkt = mac_pkt(1, in_port=2)
         args = (pkt.data, pkt, 14, 34, 0, 0x0800, 17, NULL_METER)
-        assert again.fn(*args).entry.priority == first.fn(*args).entry.priority
+        hit, was = again.fn(*args), first.fn(*args)
+        assert hit.priority == was.priority
+        assert hit.instructions.apply_actions == was.instructions.apply_actions
 
 
 class TestConcurrentLoads:

@@ -20,9 +20,16 @@ one entry to tell apart — and a rule taken out and put back ahead of its
 recorded follower (``follower`` / ``add(entry, before=...)``, the undo of
 a delete) must leave the live order exactly as it was. One match's entries
 are also walked from one to several and back, deleting from either end.
+
+The rule index holds a match's lone entry bare and only same-match
+duplicates in a list, so every path that moves a match between one entry
+and several (ADD, ADD-replace, strict delete, ``put_back``,
+``add(before=...)``, a pickled copy) is walked step by step too, with the
+index's shape checked beside every answer.
 """
 
 import bisect
+import pickle
 from collections import Counter
 
 import pytest
@@ -124,6 +131,39 @@ def assert_rule_answers(store: FlowTable, model: ListModel) -> None:
     for entry in model.entries:
         assert store.follower(entry) is model.follower(entry)
     assert by_id(store.timed_entries()) == by_id(model.timed_entries())
+    assert store.feature_counts() == Counter(
+        entry_features(e) for e in model.entries
+    )
+    # A lone entry is held bare, duplicates in a list, nothing else.
+    counts = Counter(e.match for e in model.entries)
+    index = store._index()
+    assert index.keys() == counts.keys()
+    for match, n in counts.items():
+        assert (type(index[match]) is list) == (n > 1)
+        if n > 1:
+            assert len(index[match]) == n
+
+
+def ids_of(entries) -> list:
+    return [None if e is None else e.entry_id for e in entries]
+
+
+def assert_same_answers(clone: FlowTable, store: FlowTable) -> None:
+    """A pickled copy answers every rule-level query as the original,
+    entry for entry (ids survive the round trip, objects do not)."""
+    assert ids_of(clone.entries) == ids_of(store.entries)
+    for port in PORTS:
+        match = Match(tcp_dst=port)
+        assert ids_of([clone.find(match)]) == ids_of([store.find(match)])
+        assert clone.rule_priorities(match) == store.rule_priorities(match)
+        for prio in PRIOS:
+            assert ids_of([clone.find_rule(match, prio)]) == ids_of(
+                [store.find_rule(match, prio)])
+    for mine, theirs in zip(clone.entries, store.entries):
+        assert ids_of([clone.follower(mine)]) == ids_of([store.follower(theirs)])
+    assert sorted(ids_of(clone.timed_entries())) == sorted(
+        ids_of(store.timed_entries()))
+    assert clone.feature_counts() == store.feature_counts()
 
 
 class TestAddBulkParity:
@@ -284,3 +324,62 @@ class TestStoreParity:
         apply("remove", 2)
         assert store.find(match) is None
         assert store.find(neighbour.match) is neighbour
+
+    def test_bare_and_listed_index_walk(self):
+        """One match moved between a bare entry and a list by every path
+        that can: ADD, ADD-replace of the bare entry, ``put_back`` onto it,
+        ``add(before=...)`` of a duplicate ahead of a neighbour, strict
+        deletes back to one — each step checked against the list model and
+        through a pickled copy."""
+        store, model = FlowTable(0), ListModel()
+        match = Match(tcp_dst=1)
+
+        def check():
+            assert store.entries == tuple(model.entries)
+            assert_rule_answers(store, model)
+            clone = pickle.loads(pickle.dumps(store))
+            assert_same_answers(clone, store)
+
+        def add(entry, before=None):
+            assert store.add(entry, before=before) is entry
+            model.add(entry)
+            if before is not None:  # the model's insort put it last
+                model.entries.remove(entry)
+                model.entries.insert(model.entries.index(before), entry)
+            check()
+            return entry
+
+        def remove(prio):
+            assert store.remove(match, priority=prio) == model.remove(match, prio) == 1
+            check()
+
+        neighbour = add(mk_entry(3, 2))
+        lone = add(mk_entry(2, 1, timed=True))  # bare
+        replacement = add(mk_entry(2, 1))  # ADD-replace of the bare entry
+        # put_back onto the bare slot: the undo of that replace.
+        assert store.put_back(lone, None) is lone
+        model.add(lone)
+        check()
+        assert store.find(match) is lone and store.find_rule(match, 2) is lone
+        assert replacement not in store.entries
+        # A duplicate ahead of the neighbour of its priority: bare -> list.
+        head = add(mk_entry(3, 1, timed=True), before=neighbour)
+        assert store.entries[:2] == (head, neighbour)
+        add(mk_entry(1, 1))
+        assert store.rule_priorities(match) == (3, 2, 1)
+        # put_back of a listed entry ahead of its recorded follower.
+        follower = store.follower(head)
+        assert follower is neighbour
+        assert store.remove(match, priority=3) == 1
+        assert store.add(head, before=follower) is head
+        check()
+        remove(1)
+        remove(3)  # strict delete back to one: bare again
+        assert store.find(match) is lone
+        # The pickled copy keeps working on its own index.
+        clone = pickle.loads(pickle.dumps(store))
+        assert clone.remove(match, priority=2) == 1
+        assert clone.find(match) is None and clone.rule_priorities(match) == ()
+        assert store.find(match) is lone
+        remove(2)
+        assert store.find(match) is None
