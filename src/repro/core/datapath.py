@@ -1,4 +1,4 @@
-"""The compiled datapath: trampoline, driver loop, and parser dispatch.
+"""The compiled datapath: the trampoline, the fused driver, parser dispatch.
 
 After per-table specialization, linking combines the tables into a running
 datapath (Section 3.3):
@@ -8,7 +8,9 @@ datapath (Section 3.3):
 * ``goto_table`` jumps go **via a trampoline** — here a mutable dict from
   table id to compiled table — so that a table rebuilt side-by-side can be
   inserted "by atomically redirecting all referring goto_table jumps to the
-  address of the new code" (Section 3.4): one dict-slot assignment.
+  address of the new code" (Section 3.4): one dict-slot assignment;
+* the fused driver links the same hop text statically
+  (:mod:`repro.core.fuse`), valid until the next such assignment.
 
 The driver also embodies the parser templates: pipelines that match only
 L2 fields never parse L3/L4 headers ("for pure L2 MAC forwarding it is
@@ -20,11 +22,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.core import fuse, templates
 from repro.core.codegen import CompiledTable
-from repro.openflow.actions import Action, Output
 from repro.openflow.fields import max_layer
-from repro.openflow.pipeline import MAX_TABLE_HOPS, Pipeline, PipelineError, Verdict
-from repro.packet import parser as pp
+from repro.openflow.pipeline import Pipeline, Verdict
 from repro.packet.packet import Packet
 from repro.simcpu.costs import CostBook, DEFAULT_COSTS
 from repro.simcpu.recorder import Meter, NULL_METER, active_meter
@@ -52,20 +53,26 @@ def required_layer(pipeline: Pipeline) -> int:
     return deepest
 
 
-_PARSERS = {2: pp.parse_l2, 3: pp.parse_l3, 4: pp.parse}
+#: the trampoline's text, loaded once, when this module is imported: before
+#: any pipeline exists, so no pipeline's fuse failure can reach it. Held
+#: here, so neither ``templates.clear()``, an eviction under the cache's
+#: byte bound nor a failing ``compile()`` can take it away.
+_TRAMPOLINE = templates.load(fuse.TRAMPOLINE_TEXT, "trampoline")
 
 
 class CompiledDatapath:
     """Executes compiled tables over packets; the ESWITCH fast path.
 
-    Two execution engines share the same compiled tables:
+    One hop text (:mod:`repro.core.fuse`) runs the compiled tables under
+    two linkages:
 
-    * the **trampoline** — goto_table resolved through a mutable dict, so
-      any single table can be swapped atomically (always correct, always
-      available);
-    * the **fused driver** (:mod:`repro.core.fuse`) — the whole pipeline
-      linked into one code object, valid for one value of
-      :attr:`generation`.
+    * the **trampoline** — goto_table resolved through the mutable dict
+      :attr:`trampoline`, so any single table can be swapped atomically
+      (always correct, always available). Its text is shared by every
+      datapath; each binds its own ``run``/``burst`` over its dict,
+      parser and cost book, and re-binds them in :meth:`set_parser_layer`;
+    * the **fused driver** — the whole pipeline linked into one code
+      object, valid for one value of :attr:`generation`.
 
     ``generation`` is the invalidation contract: it moves when something
     the fused driver baked in moves. Every ``install``/``uninstall``/
@@ -79,7 +86,7 @@ class CompiledDatapath:
     the compile happens off the update critical path, with the trampoline
     serving packets in the window and for shapes the fuser rejects.
 
-    Both engines charge every atom behind ``meter is not None``:
+    Both linkages charge every atom behind ``meter is not None``:
     ``process``/``process_burst`` turn a meter that records nothing into
     ``None`` once (:func:`~repro.simcpu.recorder.active_meter`), and that
     one value reaches the driver, the trampoline and every table alike.
@@ -92,11 +99,8 @@ class CompiledDatapath:
         costs: CostBook = DEFAULT_COSTS,
         enable_fusion: bool = True,
     ):
-        if parser_layer not in _PARSERS:
-            raise ValueError(f"parser layer must be 2, 3, or 4, not {parser_layer}")
         self.trampoline: dict[int, CompiledTable] = {}
         self.first_table = first_table
-        self.parser_layer = parser_layer
         self.costs = costs
         self.enable_fusion = enable_fusion
         self.generation = 0
@@ -111,8 +115,9 @@ class CompiledDatapath:
         self.set_parser_layer(parser_layer)
 
     def set_parser_layer(self, parser_layer: int) -> None:
-        """Re-plan the parser templates (updates can deepen match fields)."""
-        if parser_layer not in _PARSERS:
+        """Re-plan the parser templates (updates can deepen match fields)
+        and re-bind the trampoline over the new plan."""
+        if parser_layer not in fuse.PARSERS:
             raise ValueError(f"parser layer must be 2, 3, or 4, not {parser_layer}")
         self.parser_layer = parser_layer
         costs = self.costs
@@ -121,6 +126,9 @@ class CompiledDatapath:
             self._parser_cost += costs.parser_l3
         if parser_layer >= 4:
             self._parser_cost += costs.parser_l4
+        namespace = fuse.trampoline_namespace(self)
+        _TRAMPOLINE.bind(namespace)
+        self._run, self._burst = namespace["_run"], namespace["_burst"]
         self.generation += 1
 
     # -- linking ------------------------------------------------------------
@@ -170,10 +178,8 @@ class CompiledDatapath:
             return fused
         if self._fuse_failed_gen == generation:
             return None
-        from repro.core.fuse import fuse_datapath
-
         try:
-            fused = fuse_datapath(self)
+            fused = fuse.fuse_datapath(self)
         except Exception as exc:
             # Containment: *any* fusion failure — an unfusable shape
             # (FuseError) or an unexpected codegen bug — degrades to the
@@ -213,7 +219,7 @@ class CompiledDatapath:
         fused = self._fused_fresh()
         if fused is not None:
             return fused.run(pkt, meter)
-        return self._forward(pkt, meter, _PARSERS[self.parser_layer], self.trampoline)
+        return self._run(pkt, meter)
 
     def process_burst(
         self,
@@ -224,28 +230,24 @@ class CompiledDatapath:
         """Run one IO burst through the datapath (Section 4.2's batching).
 
         The per-burst framework cost (PMD poll, doorbells, descriptor ring
-        maintenance) is charged **once**, here, before either engine runs
+        maintenance) is charged **once**, here, before either linkage runs
         the first packet; each packet then pays the scalar per-packet cost
         minus the reference-burst amortization already baked into ``pkt_in`` — a
         burst of ``costs.reference_burst`` packets costs exactly what that
         many scalar :meth:`process` calls cost.
 
-        Parser dispatch, the trampoline, and the cost-book loads are
-        hoisted out of the per-packet loop. Per-packet meter windows
-        (``begin_packet``/``end_packet``) are driven here when the meter
-        supports them, so the per-burst cost lands in the burst's first
-        window — the packet that really pays for the poll. A meter that
-        records nothing runs as ``None``, as in :meth:`process`.
+        Per-packet meter windows (``begin_packet``/``end_packet``) are
+        driven by the burst loop when the meter supports them, so the
+        per-burst cost lands in the burst's first window — the packet that
+        really pays for the poll. A meter that records nothing runs as
+        ``None``, as in :meth:`process`.
 
         ``on_verdict(pkt, verdict)``, if given, runs after each packet
         (packet-in delivery, deferred rebuild flushes); a truthy return
-        signals that datapath state may have changed and the hoisted
-        dispatch is re-read.
-
-        While a fused driver is fresh the whole burst runs inside it; a
-        truthy ``on_verdict`` hands the rest of the burst back to the
-        trampoline (which re-reads the live datapath), and the next burst
-        re-fuses lazily.
+        signals that datapath state may have changed: the rest of the
+        burst runs on the trampoline as that control work left it (its
+        parser, tables and per-packet cost), and the next burst re-fuses
+        lazily.
         """
         if not pkts:
             return []
@@ -253,133 +255,11 @@ class CompiledDatapath:
         if meter is not None:
             meter.charge(self.costs.io_burst_cost)
         fused = self._fused_fresh()
-        if fused is not None:
-            verdicts, resume = fused.burst(pkts, meter, on_verdict)
-            if resume < 0:
-                return verdicts
-            return self._trampoline_burst(
-                pkts, meter, on_verdict, verdicts=verdicts, start=resume
-            )
-        return self._trampoline_burst(pkts, meter, on_verdict)
-
-    def _trampoline_burst(
-        self,
-        pkts: "Sequence[Packet]",
-        meter: "Meter | None",
-        on_verdict,
-        verdicts: "list[Verdict] | None" = None,
-        start: int = 0,
-    ) -> list[Verdict]:
-        """The dict-dispatch burst loop (also the fused driver's resume
-        path: ``start > 0`` picks up mid-burst)."""
-        verdicts = [] if verdicts is None else verdicts
-        costs = self.costs
-        begin = getattr(meter, "begin_packet", None)
-        end = getattr(meter, "end_packet", None)
-        parse = _PARSERS[self.parser_layer]
-        trampoline = self.trampoline
-        per_pkt = (
-            costs.pkt_in + costs.es_dispatch + self._parser_cost
-            - costs.io_burst_share
-        )
-        for pkt in pkts[start:] if start else pkts:
-            if begin is not None:
-                begin()
-            if meter is not None:
-                meter.charge(per_pkt)
-            verdict = self._forward(pkt, meter, parse, trampoline)
-            if end is not None:
-                end()
-            verdicts.append(verdict)
-            if on_verdict is not None and on_verdict(pkt, verdict):
-                # Control work ran between packets: re-hoist the dispatch.
-                parse = _PARSERS[self.parser_layer]
-                trampoline = self.trampoline
-                per_pkt = (
-                    costs.pkt_in + costs.es_dispatch + self._parser_cost
-                    - costs.io_burst_share
-                )
+        burst = self._burst if fused is None else fused.burst
+        verdicts, resume = burst(pkts, meter, on_verdict)
+        while resume >= 0:
+            # Control work ran: ``self._burst`` is bound as it left things.
+            rest, ran = self._burst(pkts[resume:], meter, on_verdict)
+            verdicts += rest
+            resume = -1 if ran < 0 else resume + ran
         return verdicts
-
-    def _forward(self, pkt: Packet, meter: "Meter | None", parse, trampoline) -> Verdict:
-        costs = self.costs
-        view = parse(pkt)
-        data = pkt.data
-        l3, l4, proto = view.l3, view.l4, view.proto
-        nxt = view.l4_proto
-        etype = view.eth_type
-
-        verdict = Verdict()
-        write_set: list[Action] = []
-        tid = self.first_table
-        did_work = False
-        hops = 0
-        while True:
-            hops += 1
-            if hops > MAX_TABLE_HOPS:
-                raise PipelineError("compiled pipeline loop detected")
-            compiled = trampoline.get(tid)
-            if compiled is None:
-                raise PipelineError(f"goto_table to unlinked table {tid}")
-            hit = compiled.fn(data, pkt, l3, l4, proto, etype, nxt, meter)
-            out = hit.instructions  # the table's shared action template
-
-            if out.is_miss:
-                verdict.path.append((tid, None))
-                verdict.table_miss = True
-                if out.to_controller:
-                    verdict.to_controller = True
-                else:
-                    verdict.dropped = True
-                if meter is not None:
-                    meter.charge(costs.table_miss)
-                return verdict
-
-            verdict.path.append((tid, hit))
-            hit.counters.record(len(data))
-            if out.meter is not None and not out.meter.allow():
-                verdict.dropped = True
-                return verdict
-            if out.apply_actions:
-                did_work = True
-                for action in out.apply_actions:
-                    action.apply(view, verdict)
-                    if verdict.reparse_needed:
-                        view = parse(pkt)
-                        data = pkt.data
-                        l3, l4, proto = view.l3, view.l4, view.proto
-                        nxt = view.l4_proto
-                        etype = view.eth_type
-                        verdict.reparse_needed = False
-            if out.clear_actions:
-                write_set.clear()
-            if out.write_actions:
-                write_set.extend(out.write_actions)
-            if out.metadata_write is not None:
-                value, mask = out.metadata_write
-                pkt.metadata = (pkt.metadata & ~mask) | (value & mask)
-            if verdict.dropped:
-                break
-            if out.goto is None:
-                break
-            if meter is not None:
-                meter.charge(costs.goto_trampoline)
-            tid = out.goto
-
-        if write_set and not verdict.dropped:
-            did_work = True
-            ordered = [a for a in write_set if not isinstance(a, Output)] + [
-                a for a in write_set if isinstance(a, Output)
-            ]
-            for action in ordered:
-                action.apply(view, verdict)
-                if verdict.reparse_needed:
-                    view = parse(pkt)
-                    verdict.reparse_needed = False
-
-        if meter is not None:
-            if did_work:
-                meter.charge(costs.action_set)
-            if verdict.forwarded:
-                meter.charge(costs.pkt_out)
-        return verdict

@@ -1,18 +1,26 @@
-"""Whole-pipeline fusion: link the compiled tables into one code object.
+"""The compiled pipeline's driver: one hop text, two linkages.
 
-The trampoline (:mod:`repro.core.datapath`) resolves every ``goto_table``
-through a mutable dict so a rebuilt table can be swapped in atomically
-(Section 3.4). That flexibility costs a dict lookup and a generic function
-call at every table hop — interpreter dispatch the
-paper's linked machine code never executes: there, linking "atomically
-redirect[s] all referring goto_table jumps to the address of the new
-code" (Section 3.3–3.4) and the pipeline runs as one straight-line
-instruction stream.
+What a table hop means — look the packet up, record the rule, run its
+actions, follow its ``goto_table`` — is written once, here, as the text of
+``_run(pkt, meter)`` and the burst loop ``_burst`` around it. The emitter
+links that text two ways:
 
-:func:`fuse_datapath` reproduces that last linking step. It stitches the
-per-table template texts into **one** driver text, loaded like any
-table's (:mod:`repro.core.templates`: compiled on first sight of the
-shape, then patched):
+* **dynamic linkage, the trampoline**: ``goto_table`` is resolved through
+  the datapath's mutable table dict, so a rebuilt table is swapped in by
+  one slot assignment (Section 3.4). Every branch is on and the
+  ``MAX_TABLE_HOPS`` loop guard stays. The text names no pipeline, parser
+  layer, first table or cost-book value — it reads them as globals of the
+  namespace each :class:`~repro.core.datapath.CompiledDatapath` binds it
+  over — so it is :data:`TRAMPOLINE_TEXT`, one text per process, loaded
+  when :mod:`repro.core.datapath` is imported;
+* **static linkage, the fused driver** (:func:`fuse_datapath`): the
+  paper's last linking step, which "atomically redirect[s] all referring
+  goto_table jumps to the address of the new code" (Section 3.3–3.4) so
+  the pipeline runs as one straight-line instruction stream. It is loaded
+  like any table's text (:mod:`repro.core.templates`: compiled on first
+  sight of the shape, then patched).
+
+The static linkage specializes the same text:
 
 * ``goto_table`` becomes a local jump — an ``if tid == N`` dispatch over
   compile-time-known table ids. The rungs whose text is fixed by the
@@ -23,17 +31,20 @@ shape, then patched):
   name, ``_t{tid}_fn``, that each link rebinds. A decomposed group's
   direct tables are inlined too: the group is rebuilt whole under fresh
   sub-table ids, so its driver text moves anyway;
-* parser dispatch, ethertype extraction, the first-table id, and every
-  cost-book constant are baked in as literals;
-* every ``m.charge``/``m.touch`` atom of the trampoline path is preserved
-  **literally**, in the same order, so modeled cycles stay bit-identical
-  to the unfused pipeline — fusion buys real wall-clock, not model drift;
-* there is one driver, ``_run(pkt, meter)``, for both meter modes: each
-  atom, the driver's and the tables', sits behind ``if meter is not
-  None:``, and a caller that meters nothing passes ``None``, so the code
-  the functional run executes is the code the measured run executes.
+* the first-table id and every cost-book constant are baked in as
+  literals; the loop guard and the write-set, metadata and
+  flow-meter machinery are elided where the tables' facts prove them
+  dead (:func:`_pipeline_facts`). An elided branch charges no atom and
+  could never fire, so both linkages charge the same ``m.charge``/
+  ``m.touch`` atoms in the same order: modeled cycles are bit-identical
+  with fusion on or off — fusion buys real wall-clock, not model drift.
 
-The driver text therefore depends on the pipeline's *structure* — which
+Either way there is one ``_run(pkt, meter)`` for both meter modes: each
+atom, the driver's and the tables', sits behind ``if meter is not
+None:``, and a caller that meters nothing passes ``None``, so the code
+the functional run executes is the code the measured run executes.
+
+The fused driver text therefore depends on the pipeline's *structure* — which
 tables exist, the rung each sits on, their fields, masks and fact sets,
 the parser layer — and on nothing a direct table holds. A direct table
 rebuilt for a new key or a new entry count (a tenant's arrival) is
@@ -64,6 +75,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core import templates
 from repro.openflow.actions import Output
 from repro.openflow.pipeline import MAX_TABLE_HOPS, PipelineError, Verdict
+from repro.packet import parser as pp
 
 if TYPE_CHECKING:
     from repro.core.datapath import CompiledDatapath
@@ -72,6 +84,9 @@ if TYPE_CHECKING:
 class FuseError(Exception):
     """Raised when a datapath cannot be fused (the trampoline still runs)."""
 
+
+#: the parser template composed for each protocol layer a pipeline needs.
+PARSERS = {2: pp.parse_l2, 3: pp.parse_l3, 4: pp.parse}
 
 _IDENT = re.compile(r"\b[A-Za-z_][A-Za-z0-9_]*\b")
 _RETURN = re.compile(r"^(\s*)return\s+(.+)$")
@@ -97,11 +112,8 @@ class FusedPipeline:
     #: ``(pkt, meter) -> Verdict`` — one packet, its entry atom already
     #: charged; ``meter`` is None when nothing meters.
     run: Callable
-    #: ``(pkts, meter, on_verdict) -> (verdicts, resume)`` where ``resume``
-    #: is -1 when the whole burst ran fused, else the index of the first
-    #: unprocessed packet (state changed under us: the caller finishes the
-    #: burst on the trampoline, which re-reads the live datapath). The
-    #: burst's IO atom is the caller's to charge.
+    #: ``(pkts, meter, on_verdict) -> (verdicts, resume)``, as
+    #: :func:`_emit_burst` says; the burst's IO atom is the caller's.
     burst: Callable
 
     @cached_property
@@ -213,12 +225,17 @@ def _inline_body(compiled, prefix: str, namespace: dict) -> list[str]:
     return out
 
 
+#: a hop's lookup call: every rung's function takes the hoisted header view.
+_ARGS = "(data, pkt, l3, l4, proto, etype, nxt, meter)"
+_UNLINKED = 'raise _PipelineError(f"goto_table to unlinked table {tid}")'
+
+
 def _emit_dispatch(dp: "CompiledDatapath", namespace: dict) -> tuple[
     list[str], tuple[int, ...]
 ]:
-    """The ``if tid == N`` chain replacing the trampoline dict lookup:
-    inlinable rungs are spliced in textually, the rest are called through
-    a name this link binds to the table's function."""
+    """The static dispatch, an ``if tid == N`` chain: inlinable rungs are
+    spliced in textually, the rest are called through a name this link
+    binds to the table's function."""
     order = [dp.first_table] if dp.first_table in dp.trampoline else []
     order += [tid for tid in sorted(dp.trampoline) if tid not in order]
     lines: list[str] = []
@@ -234,31 +251,52 @@ def _emit_dispatch(dp: "CompiledDatapath", namespace: dict) -> tuple[
             inlined.append(tid)
         else:
             namespace[f"_t{tid}_fn"] = compiled.fn
-            lines.append(
-                f"            hit = _t{tid}_fn(data, pkt, l3, l4, proto, etype, nxt, meter)"
-            )
+            lines.append(f"            hit = _t{tid}_fn{_ARGS}")
     lines.append("        else:")
-    lines.append(
-        '            raise _PipelineError(f"goto_table to unlinked table {tid}")'
-    )
+    lines.append(f"            {_UNLINKED}")
     return lines, tuple(inlined)
 
 
-def _emit_run(
-    dp: "CompiledDatapath", namespace: dict, acyclic: bool, flags: dict
-) -> tuple[list[str], tuple[int, ...]]:
-    """The fused forward core: CompiledDatapath._forward, specialized.
+#: the dynamic dispatch: one lookup in the datapath's live table dict,
+#: whose one-slot assignment is Section 3.4's atomic swap.
+_DYNAMIC_DISPATCH = [
+    "        compiled = _trampoline.get(tid)",
+    "        if compiled is None:",
+    f"            {_UNLINKED}",
+    f"        hit = compiled.fn{_ARGS}",
+]
 
-    Every statement mirrors the trampoline's ``_forward`` exactly — same
-    charges, same order, each behind ``if meter is not None:`` — with the
-    per-hop dispatch specialized, the parser/etype/cost loads baked in,
-    the loop-detection guard elided when the static goto graph is proven
-    acyclic, and the write-set / metadata / flow-meter machinery elided
-    when no rule's template can trigger it (``flags``). Elided
-    branches charge no atoms and can never fire, so verdicts and cycles
-    are unchanged.
-    """
+
+def _constants(dp: "CompiledDatapath") -> dict:
+    """What a datapath fixes that the hop text names: the first table and
+    the cost-book atoms the driver charges. The static linkage writes each
+    as a literal, the dynamic one reads it as the global ``_<name>``."""
     costs = dp.costs
+    return {
+        "first": dp.first_table,
+        "table_miss": costs.table_miss,
+        "goto": costs.goto_trampoline,
+        "action_set": costs.action_set,
+        "pkt_out": costs.pkt_out,
+        # A burst's per-packet entry atom: what a scalar ``process`` call
+        # charges, less the burst's amortized share, summed in that order.
+        "per_pkt": (
+            costs.pkt_in + costs.es_dispatch + dp._parser_cost
+            - costs.io_burst_share
+        ),
+    }
+
+
+def _emit_run(
+    dispatch: list[str], lit: Callable[[str], str], acyclic: bool, flags: dict
+) -> list[str]:
+    """The hop loop, around ``dispatch`` (which leaves the table's answer
+    in ``hit``), with each of :func:`_constants` spelled by ``lit``.
+
+    ``acyclic`` drops the loop-detection guard and ``flags`` keep only the
+    write-set / metadata / flow-meter machinery some rule can trigger
+    (:func:`_pipeline_facts`); the dynamic linkage keeps all of it.
+    """
     lines = ["def _run(pkt, meter):"]
     lines.append("    view = _parse(pkt)")
     lines.append("    data = pkt.data")
@@ -274,7 +312,7 @@ def _emit_run(
     lines.append("    path = verdict.path")
     if flags["write"]:
         lines.append("    write_set = None")
-    lines.append(f"    tid = {dp.first_table}")
+    lines.append(f"    tid = {lit('first')}")
     lines.append("    did_work = False")
     if not acyclic:
         lines.append("    hops = 0")
@@ -285,7 +323,6 @@ def _emit_run(
         lines.append(
             '            raise _PipelineError("compiled pipeline loop detected")'
         )
-    dispatch, inlined = _emit_dispatch(dp, namespace)
     lines.extend(dispatch)
     # A lookup returns the rule; its actions are its table's shared template.
     lines.append("        out = hit.instructions")
@@ -297,7 +334,7 @@ def _emit_run(
     lines.append("            else:")
     lines.append("                verdict.dropped = True")
     lines.append("            if meter is not None:")
-    lines.append(f"                meter.charge({costs.table_miss!r})")
+    lines.append(f"                meter.charge({lit('table_miss')})")
     lines.append("            return verdict")
     lines.append("        path.append((tid, hit))")
     lines.append("        counters = hit.counters")
@@ -342,7 +379,7 @@ def _emit_run(
     lines.append("        if tid is None:")
     lines.append("            break")
     lines.append("        if meter is not None:")
-    lines.append(f"            meter.charge({costs.goto_trampoline!r})")
+    lines.append(f"            meter.charge({lit('goto')})")
     if flags["write"]:
         lines.append("    if write_set is not None and not verdict.dropped:")
         lines.append("        did_work = True")
@@ -359,21 +396,21 @@ def _emit_run(
         lines.append("                verdict.reparse_needed = False")
     lines.append("    if meter is not None:")
     lines.append("        if did_work:")
-    lines.append(f"            meter.charge({costs.action_set!r})")
+    lines.append(f"            meter.charge({lit('action_set')})")
     lines.append("        if verdict.forwarded:")
-    lines.append(f"            meter.charge({costs.pkt_out!r})")
+    lines.append(f"            meter.charge({lit('pkt_out')})")
     lines.append("    return verdict")
-    return lines, inlined
+    return lines
 
 
-def _emit_burst(dp: "CompiledDatapath") -> list[str]:
-    """The burst loop around ``_run``, per-packet meter windows included."""
-    costs = dp.costs
-    # Exactly the expression the trampoline evaluates per packet, computed
-    # once here and baked as a round-tripping literal: bit-identical floats.
-    per_pkt = (
-        costs.pkt_in + costs.es_dispatch + dp._parser_cost - costs.io_burst_share
-    )
+def _emit_burst(lit: Callable[[str], str]) -> list[str]:
+    """The burst loop around ``_run``, per-packet meter windows included.
+
+    It returns ``(verdicts, resume)``: ``resume`` is -1 when the whole
+    burst ran, else the index of the first packet not run — a truthy
+    ``on_verdict`` means control work may have changed the datapath, and
+    the caller finishes the burst on a linkage that reads it afresh.
+    """
     return [
         "def _burst(pkts, meter, on_verdict):",
         "    if meter is None and on_verdict is None:",
@@ -388,7 +425,7 @@ def _emit_burst(dp: "CompiledDatapath") -> list[str]:
         "        if begin is not None:",
         "            begin()",
         "        if meter is not None:",
-        f"            meter.charge({per_pkt!r})",
+        f"            meter.charge({lit('per_pkt')})",
         "        verdict = _run(pkt, meter)",
         "        if end is not None:",
         "            end()",
@@ -400,6 +437,45 @@ def _emit_burst(dp: "CompiledDatapath") -> list[str]:
     ]
 
 
+def _text(run: list[str], burst: list[str]) -> str:
+    return "\n".join(run + [""] + burst) + "\n"
+
+
+def _namespace(dp: "CompiledDatapath") -> dict:
+    """The globals every linkage of the hop text reads."""
+    return {
+        "_parse": PARSERS[dp.parser_layer],
+        "_Verdict": Verdict,
+        "_PipelineError": PipelineError,
+        "_Output": Output,
+    }
+
+
+_DYNAMIC = "_{}".format
+
+#: the trampoline: the hop text with dispatch left dynamic and every
+#: branch on. It names nothing a datapath fixes, so one text serves every
+#: pipeline; :func:`trampoline_namespace` supplies what it reads.
+TRAMPOLINE_TEXT = _text(
+    _emit_run(
+        _DYNAMIC_DISPATCH, _DYNAMIC, acyclic=False,
+        flags={"write": True, "meta": True, "meter": True},
+    ),
+    _emit_burst(_DYNAMIC),
+)
+
+
+def trampoline_namespace(dp: "CompiledDatapath") -> dict:
+    """The globals :data:`TRAMPOLINE_TEXT` runs over for ``dp``: its live
+    table dict (installs and swaps land without a re-bind), its parser,
+    and its :func:`_constants`."""
+    namespace = _namespace(dp)
+    namespace["_trampoline"] = dp.trampoline
+    for name, value in _constants(dp).items():
+        namespace[_DYNAMIC(name)] = value
+    return namespace
+
+
 def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
     """Stitch every linked table into one compiled driver object.
 
@@ -407,22 +483,20 @@ def fuse_datapath(dp: "CompiledDatapath") -> FusedPipeline:
     driver does not load; the caller falls back to the trampoline, which
     handles everything. The seconds spent add to ``dp.link_s``.
     """
-    from repro.core.datapath import _PARSERS
-
     if not dp.trampoline:
         raise FuseError("nothing linked: trampoline is empty")
-    namespace: dict = {
-        "_parse": _PARSERS[dp.parser_layer],
-        "_Verdict": Verdict,
-        "_PipelineError": PipelineError,
-        "_Output": Output,
-    }
+    namespace = _namespace(dp)
     begun = perf_counter()
     generation = dp.generation
     try:
         acyclic, flags = _pipeline_facts(dp)
-        run, inlined = _emit_run(dp, namespace, acyclic, flags)
-        text = "\n".join(run + [""] + _emit_burst(dp)) + "\n"
+        dispatch, inlined = _emit_dispatch(dp, namespace)
+        constants = _constants(dp)
+
+        def lit(name: str) -> str:
+            return repr(constants[name])
+
+        text = _text(_emit_run(dispatch, lit, acyclic, flags), _emit_burst(lit))
         keys = {
             tid * _TABLE_SLOTS + i: key
             for tid in inlined

@@ -73,8 +73,9 @@ class ParsedPacket:
         self.l4_proto = -1
         self.parsed_layers = 0
         #: the effective (post-VLAN) ethertype resolved by the L2 parser,
-        #: 0 until parsed — exactly ``_x_eth_type(view) or 0``, cached so
-        #: per-packet consumers skip the re-extraction walk.
+        #: 0 until parsed: the value of the ``eth_type`` match field (the
+        #: generated code's ``etype`` local), so no consumer walks the VLAN
+        #: tags again.
         self.eth_type = 0
 
     def has(self, proto_bit: int) -> bool:

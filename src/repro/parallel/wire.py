@@ -137,9 +137,9 @@ def counter_deltas(
     which makes flow statistics *fault-exact*: a worker that dies holding
     an unsent reply takes exactly its unacked deltas to the grave, and
     the retried sub-burst re-earns them on whichever replica re-executes
-    it. Counter recording happens only at verdict path hops (see
-    ``CompiledDatapath._forward``), so walking the paths finds every
-    touched entry.
+    it. A rule's counters advance only where the hop loop appends it to
+    the verdict path (the hop text in :mod:`repro.core.fuse`), so walking
+    the paths finds every touched entry.
 
     ``shipped`` MUST be pruned when entry objects are swapped by a
     flow-mod (see the worker's ``mods`` handler): ``id()`` values can be

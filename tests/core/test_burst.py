@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 import strategies as sts
 
 from repro.controller.learning_switch import LearningSwitch, build_pipeline
-from repro.core import ESwitch
+from repro.core import CompileConfig, ESwitch
 from repro.openflow.stats import BurstStats, collect_burst_stats
 from repro.ovs import OvsSwitch
 from repro.packet import PacketBuilder
 from repro.simcpu.platform import XEON_E5_2620
-from repro.simcpu.recorder import CycleMeter
+from repro.simcpu.recorder import NULL_METER, CycleMeter
 from repro.traffic import DirectSwitch, measure
 from repro.usecases import l2
 
@@ -54,9 +54,12 @@ class TestBurstEquivalence:
                 bursted.extend(v.summary() for v in burst_sw.process_burst(chunk))
             assert bursted == scalar, name
 
-    def test_reactive_updates_land_mid_burst(self):
+    @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "trampoline"])
+    def test_reactive_updates_land_mid_burst(self, fuse):
         """A controller's flow-mods triggered by packet k must affect packet
-        k+1 of the *same* burst, exactly as scalar processing would."""
+        k+1 of the *same* burst, exactly as scalar processing would. On the
+        fused switch the packet-in hands the rest of the burst to the
+        trampoline, which must charge what the trampoline switch charges."""
         a, b = 0x0200_0000_00AA, 0x0200_0000_00BB
 
         def stream():
@@ -69,13 +72,15 @@ class TestBurstEquivalence:
                 PacketBuilder(in_port=2).eth(src=b, dst=a).build(),
             ]
 
-        def run(in_bursts):
-            sw = ESwitch.from_pipeline(build_pipeline())
+        def run(in_bursts, fuse=fuse, meter=None):
+            sw = ESwitch.from_pipeline(build_pipeline(),
+                                       config=CompileConfig(fuse=fuse))
             ctl = LearningSwitch(sw)
             sw.packet_in_handler = ctl
+            assert sw.warm() is fuse  # the burst starts on the fused driver
             pkts = stream()
             if in_bursts:
-                verdicts = sw.process_burst(pkts)
+                verdicts = sw.process_burst(pkts, meter or NULL_METER)
             else:
                 verdicts = [sw.process(p) for p in pkts]
             return [v.summary() for v in verdicts], dict(ctl.mac_table)
@@ -87,6 +92,13 @@ class TestBurstEquivalence:
         # And the last two packets really were unicast, not flooded.
         assert burst_verdicts[2] == scalar_verdicts[2]
         assert scalar_verdicts[2] != scalar_verdicts[0]
+        # Metered, the same reactive burst costs the same on both switches.
+        meters = {f: CycleMeter(XEON_E5_2620) for f in (fuse, not fuse)}
+        metered = {f: run(in_bursts=True, fuse=f, meter=meters[f])
+                   for f in meters}
+        assert metered[fuse] == metered[not fuse] == (burst_verdicts, burst_macs)
+        assert meters[fuse].total_cycles == meters[not fuse].total_cycles
+        assert meters[fuse].packets == len(burst_verdicts)
 
 
 class TestBurstCycles:

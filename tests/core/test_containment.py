@@ -177,12 +177,28 @@ class TestFuseContainment:
         # fuse_datapath wraps the load of its generated text: a driver
         # that fails to load raises FuseError (and the datapath then
         # degrades to the trampoline), never a bare SyntaxError.
-        pipeline, _ = l2.build(8)
+        pipeline, macs = l2.build(8)
+        reference = pickle.loads(pickle.dumps(pipeline))
         sw = ESwitch(pipeline)
         templates.clear()  # an earlier test may have loaded this shape
         monkeypatch.setattr(templates, "compile", fused_fails, raising=False)
         assert sw.warm() is False
         assert "synthetic codegen corruption" in sw.health().last_fuse_error
+        # The trampoline's text loaded with its module, before any
+        # pipeline existed: neither the cleared cache nor the failing
+        # compile reaches it, and it serves with the reference's verdicts
+        # and per-entry counters.
+        probe = l2.traffic(macs, 12)
+        assert [sw.process(p.copy()).summary() for p in probe] == [
+            reference.process(p.copy()).summary() for p in probe]
+        assert sw.datapath.fused is None
+
+        def counters(pipe):
+            return [(e.counters.packets, e.counters.bytes)
+                    for table in pipe.tables for e in table.entries]
+
+        assert counters(sw.pipeline) == counters(reference)
+        assert any(packets for packets, _bytes in counters(reference))
 
     def test_failed_load_is_not_cached_and_the_next_generation_retries(
         self, monkeypatch

@@ -7,6 +7,7 @@ pipelines, mid-stream flow-mods (which force a lazy re-fuse), and
 transactional rollback.
 """
 
+import dataclasses
 import re
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import strategies as sts
 
-from repro.core import CompileConfig, ESwitch
+from repro.core import CompileConfig, ESwitch, templates
 from repro.core.datapath import CompiledDatapath
 from repro.core.fuse import FuseError, fuse_datapath
 from repro.openflow.actions import Output
@@ -26,6 +27,7 @@ from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
 from repro.packet import PacketBuilder
+from repro.simcpu.costs import DEFAULT_COSTS
 from repro.simcpu.platform import XEON_E5_2620
 from repro.simcpu.recorder import CycleMeter, Meter, NULL_METER, NullMeter
 from repro.usecases import acl, gateway, l2
@@ -43,13 +45,13 @@ def _pair(pipeline):
     )
 
 
-def _hash_and_list_pipeline():
-    """Table 0: sixteen exact ports (the hash) into table 1: three mask
-    shapes, no common one (the linked list)."""
-    ports, mixed = FlowTable(0), FlowTable(1)
+def _hash_and_list_pipeline(first=0):
+    """Table ``first``: sixteen exact ports (the hash) into the next table:
+    three mask shapes, no common one (the linked list)."""
+    ports, mixed = FlowTable(first), FlowTable(first + 1)
     for port in range(80, 96):
         ports.add(FlowEntry(Match(tcp_dst=port), priority=1,
-                            instructions=(GotoTable(1),)))
+                            instructions=(GotoTable(first + 1),)))
     ports.add(FlowEntry(Match(), priority=0,
                         instructions=(ApplyActions([Output(9)]),)))
     for i, match in enumerate((Match(in_port=1), Match(tcp_dst=80),
@@ -364,6 +366,49 @@ class TestSpecialization:
             for tid in fused.called_ids:
                 assert fused.namespace[f"_t{tid}_fn"] is sw.datapath.table(tid).fn
         assert seen == {"direct", "hash", "lpm", "linked_list"}
+
+
+class TestOneHopText:
+    """The trampoline is the fuser's hop text with dispatch left dynamic:
+    one text for every pipeline, loaded before any pipeline existed."""
+
+    def test_trampoline_text_is_independent_of_the_pipeline(self):
+        shape = dict(n_ce=2, users_per_ce=2)
+        gw_fib = gateway.build(n_prefixes=16, **shape)[1]
+        l2_macs = l2.build(16)[1]
+        dearer = dataclasses.replace(
+            DEFAULT_COSTS, table_miss=71.0, goto_trampoline=3.5, pkt_out=44.0,
+            parser_l2=9.0)
+        cases = [  # (pipeline maker, traffic, cost book)
+            (lambda: l2.build(16)[0], l2.traffic(l2_macs, 24), DEFAULT_COSTS),
+            (lambda: gateway.build(n_prefixes=16, **shape)[0],
+             gateway.traffic(gw_fib, 24, **shape), dearer),
+            (lambda: _hash_and_list_pipeline(first=5), _hash_and_list_traffic(),
+             DEFAULT_COSTS),
+        ]
+        compiles = templates.stats()["compiles_by_label"]["trampoline"]
+        switches = [
+            ESwitch(make(), config=TRAMPOLINE, costs=costs)
+            for make, _pkts, costs in cases
+        ]
+        assert templates.stats()["compiles_by_label"]["trampoline"] == compiles
+        datapaths = [sw.datapath for sw in switches]
+        assert {dp.parser_layer for dp in datapaths} == {2, 3, 4}
+        assert {dp.first_table for dp in datapaths} == {0, 5}
+        assert {(dp._run.__code__, dp._burst.__code__) for dp in datapaths} == {
+            (datapaths[0]._run.__code__, datapaths[0]._burst.__code__)
+        }
+        for sw, (make, pkts, costs) in zip(switches, cases):
+            reference = make()
+            expected = [reference.process(p.copy()).summary() for p in pkts]
+            assert [sw.process(p.copy()).summary() for p in pkts] == expected
+            assert [v.summary() for v in sw.process_burst(
+                [p.copy() for p in pkts])] == expected
+            # The cost book reaches the shared text: the fused driver,
+            # which bakes each constant in as a literal, charges the same.
+            fused = ESwitch(make(), config=FUSED, costs=costs)
+            assert _run_metered(sw, pkts) == _run_metered(fused, pkts)
+            assert sw.datapath.fused is None and fused.datapath.fused is not None
 
 
 class _AtomLog(Meter):
