@@ -127,27 +127,19 @@ def hash_shape(
     last — anywhere else, or a second one, it stays among the rules,
     where its empty mask breaks the global mask.
 
-    Shape-only, so a table whose
+    Shape-only, so a table answers in O(shapes) from its
     :meth:`~repro.openflow.flow_table.FlowTable.feature_counts` multiset
-    is built (``required_layer`` builds it for every pipeline table)
-    answers in O(shapes) without materialising its entries; a bare entry
-    sequence, or a table without the multiset (a decomposed sub-table),
-    is walked, stopping at the first mismatch. Duplicate masked keys are
-    allowed: same-mask duplicates fully overlap, so the lower one is dead.
+    without materialising its entries; a bare entry sequence reads each
+    match's shape, stopping at the first mismatch. Duplicate masked keys
+    are allowed: same-mask duplicates fully overlap, so the lower one is
+    dead.
     """
-    table = entries if isinstance(entries, FlowTable) else None
-    counts = table.feature_counts_if_built() if table is not None else None
-    if counts is not None:
-        last = table.last_entry()
-        shapes = ((features[1], n) for features, n in counts.items())
+    if isinstance(entries, FlowTable):
+        last = entries.last_entry()
+        shapes = ((features[1], n) for features, n in entries.feature_counts().items())
     else:
-        if table is not None:
-            entries = table.entries
         last = entries[-1] if entries else None
-        shapes = (
-            (tuple([(name, vm[1]) for name, vm in e.match.items()]), 1)
-            for e in entries
-        )
+        shapes = ((e.match.shape, 1) for e in entries)
     spare = 1 if last is not None and last.match.is_catch_all else 0
     keyed = None
     for shape, n in shapes:

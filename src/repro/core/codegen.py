@@ -755,7 +755,7 @@ class LinkedListTable(CompiledTable):
         rules, catch_all = split_catch_all(table.entries)
         entries = []
         for entry in rules:
-            sig = tuple((name, mask) for name, (_v, mask) in entry.match.items())
+            sig = entry.match.shape
             fn = self.ll_matchers.get(sig)
             if fn is None:
                 fn = _build_sig_matcher(sig)

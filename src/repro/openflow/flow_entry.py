@@ -54,7 +54,6 @@ class FlowEntry:
         "idle_timeout",
         "hard_timeout",
         "origin",
-        "_features",
     )
 
     def __init__(
@@ -94,10 +93,6 @@ class FlowEntry:
         self.idle_timeout = idle_timeout
         #: seconds after installation at which the entry expires (0 = never).
         self.hard_timeout = hard_timeout
-        #: cached :func:`repro.openflow.flow_table.entry_features`
-        #: fingerprint — derived from immutable rule state, computed on
-        #: first use (churn pays it once per entry, not once per mod).
-        self._features: "tuple | None" = None
 
     @property
     def template(self) -> ActionTemplate:

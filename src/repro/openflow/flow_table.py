@@ -19,21 +19,24 @@ priority bisection stays valid between compactions, which is also what
 lets a fresh ADD reuse a tombstone adjacent to its insertion point (the
 steady-state churn pattern) without any memmove at all.
 
-Every lazily derived structure — the rule index, the feature multiset,
-the live-entries tuple, the slot map — is built on first use and then
-maintained by the mutation that bumps ``version``; the paths that replace
-the store wholesale (:meth:`FlowTable.add_bulk`, :meth:`FlowTable.clear`,
+Every lazily derived structure — the rule index, the live-entries
+tuple, the slot map — is built on first use and then maintained by the
+mutation that bumps ``version``; the paths that replace the store
+wholesale (:meth:`FlowTable.add_bulk`, :meth:`FlowTable.clear`,
 unpickling) drop them all together. Nothing outside this class assigns
 ``_entries``: a table is copied by pickling it, and a batch is undone by
 putting the displaced entries back (:meth:`FlowTable.follower`,
 ``add(entry, before=...)``), not by swapping the store.
 
-The **action-template census** is the one structure kept eagerly: every
-path that installs a rule points its ``instructions`` at the table's one
-:class:`~repro.openflow.instructions.ActionTemplate` for that list and
-counts it, every path that removes a rule uncounts it, and a key whose
-count reaches zero is dropped — 10⁵ rules over 16 distinct lists hold 16
-compiled lists, read in O(distinct), never from the entries.
+Two structures are kept eagerly, in the same pass. The **action-template
+census**: every path that installs a rule points its ``instructions`` at
+the table's one :class:`~repro.openflow.instructions.ActionTemplate` for
+that list and counts it, every path that removes a rule uncounts it, and
+a key whose count reaches zero is dropped — 10⁵ rules over 16 distinct
+lists hold 16 compiled lists, read in O(distinct), never from the
+entries. The **shape multiset** (:meth:`FlowTable.feature_counts`) is
+counted and uncounted beside it, so no compile ever walks the entries to
+learn a table's shapes, and a pickled table carries it.
 """
 
 from __future__ import annotations
@@ -84,16 +87,12 @@ def entry_features(entry: FlowEntry) -> tuple:
     only their matched *values* differ. :meth:`FlowTable.feature_counts`
     aggregates these so per-flow-mod replanning reads a handful of
     distinct shapes instead of rescanning a million entries. The action
-    half is read off the entry's shared template, not rescanned per rule.
+    half is read off the entry's shared template, not rescanned per rule,
+    and no entry keeps its fingerprint: the table counts it at install
+    and recomputes it at removal.
     """
-    cached = entry._features
-    if cached is not None:
-        return cached
     template = entry.template
-    sig = tuple((n, m) for n, (_v, m) in entry.match.items())
-    feats = (entry.priority, sig, template.set_fields, template.depth)
-    entry._features = feats  # rule state is immutable: safe to memoize
-    return feats
+    return (entry.priority, entry.match.shape, template.set_fields, template.depth)
 
 
 class TableMissPolicy(enum.Enum):
@@ -146,11 +145,11 @@ class FlowTable:
         self._dead = 0  # tombstone count; live = len(_entries) - _dead
         #: compactions performed (telemetry for the churn bench).
         self.compactions = 0
-        #: bumped whenever the *set* of distinct feature fingerprints may
-        #: have changed (a shape class appearing or emptying, or any
-        #: mutation whose delta we could not track). Steady-state churn
-        #: inside existing shape classes does not move it, which is what
-        #: lets ESwitch skip ``required_layer`` re-planning per mod.
+        #: bumped whenever the *set* of distinct feature fingerprints
+        #: changes (a shape class appearing or emptying), and only then.
+        #: Steady-state churn inside existing shape classes does not move
+        #: it, which is what lets ESwitch skip ``required_layer``
+        #: re-planning per mod.
         self.shapes_version = 0
         # Lazy id(entry) -> slot map: O(1) strict delete and replace.
         # Dropped (rebuilt on demand) when a mid-list insert shifts slots.
@@ -173,11 +172,10 @@ class FlowTable:
         self._by_match: "dict[Match, FlowEntry | list[FlowEntry]] | None" = None
         self._timed: "dict[int, FlowEntry] | None" = None
         self._index_version = -1
-        # Lazy multiset of :func:`entry_features` fingerprints, version-
-        # stamped like the rule index. Template re-selection and parser
-        # planning read this instead of walking the entries.
-        self._feats: "dict[tuple, int] | None" = None
-        self._feats_version = -1
+        # Multiset of :func:`entry_features` fingerprints (eager, see the
+        # module docstring). Template re-selection and parser planning
+        # read this instead of walking the entries.
+        self._feats: "dict[tuple, int]" = {}
         # Cached live-entries tuple for the ``entries`` property.
         self._live: "tuple[FlowEntry, ...] | None" = None
         self._live_version = -1
@@ -245,69 +243,14 @@ class FlowTable:
         return None
 
     def feature_counts(self) -> "dict[tuple, int]":
-        """Multiset of :func:`entry_features` fingerprints, lazily built
-        and maintained incrementally by every mutation path.
+        """Multiset of :func:`entry_features` fingerprints, counted by
+        every path that installs or removes a rule (read-only to callers).
 
         The distinct-key set is tiny (one key per match *shape*, not per
         entry), which is what makes per-update template re-selection and
         parser re-planning O(shapes) instead of O(entries).
         """
-        if self._feats is None or self._feats_version != self.version:
-            feats: "dict[tuple, int]" = {}
-            # Equal fingerprints collapse onto one tuple, which the
-            # entries then memoize: a 1e5-entry table of one shape keeps
-            # one fingerprint alive, not 1e5 equal ones.
-            shared: "dict[tuple, tuple]" = {}
-            for e in self._entries:
-                if e is None:
-                    continue
-                f = entry_features(e)
-                f = e._features = shared.setdefault(f, f)
-                feats[f] = feats.get(f, 0) + 1
-            self._feats = feats
-            self._feats_version = self.version
         return self._feats
-
-    def feature_counts_if_built(self) -> "dict[tuple, int] | None":
-        """:meth:`feature_counts` when reading it is O(shapes) — the
-        multiset is built and current — else None. For callers with an
-        early-exit walk of their own, which an O(entries) rebuild of the
-        multiset (never otherwise needed for, say, a decomposed
-        sub-table) would only slow down."""
-        if self._feats is not None and self._feats_version == self.version:
-            return self._feats
-        return None
-
-    def _feats_update(
-        self,
-        removed: "FlowEntry | None",
-        added: "FlowEntry | None",
-        fresh: bool,
-    ) -> None:
-        """Apply one mutation's delta (call after the version bump)."""
-        if not fresh or self._feats is None:
-            # Multiset unknown: the shape set may have changed.
-            self.shapes_version += 1
-            return
-        feats = self._feats
-        changed = False
-        if removed is not None:
-            f = entry_features(removed)
-            n = feats.get(f, 0) - 1
-            if n <= 0:
-                feats.pop(f, None)
-                changed = True
-            else:
-                feats[f] = n
-        if added is not None:
-            f = entry_features(added)
-            n = feats.get(f, 0)
-            if n == 0:
-                changed = True
-            feats[f] = n + 1
-        if changed:
-            self.shapes_version += 1
-        self._feats_version = self.version
 
     # -- the action-template census -------------------------------------------
 
@@ -328,7 +271,8 @@ class FlowTable:
 
     def _intern(self, entry: FlowEntry) -> None:
         """Count one installed rule, pointing it at the canonical template
-        for its instruction list (compiled here if it is the first)."""
+        for its instruction list (compiled here if it is the first), and
+        count its shape class."""
         template = entry.instructions
         slot = self._templates.get(template)
         if slot is None:
@@ -339,11 +283,18 @@ class FlowTable:
             if not n:
                 self.facts_version += 1
             self._facts[template.facts] = n + 1
-        entry.instructions = slot[0]
+        entry.instructions = template = slot[0]
         slot[1] += 1
+        # entry_features(entry), with the canonical template at hand
+        f = (entry.priority, entry.match.shape, template.set_fields, template.depth)
+        n = self._feats.get(f, 0)
+        if not n:
+            self.shapes_version += 1
+        self._feats[f] = n + 1
 
     def _release(self, entry: FlowEntry) -> None:
-        """Uncount one removed rule; a count reaching zero drops its key."""
+        """Uncount one removed rule's template and shape class; a count
+        reaching zero drops its key."""
         template = entry.instructions
         slot = self._templates[template]
         slot[1] -= 1
@@ -355,15 +306,27 @@ class FlowTable:
             else:
                 del self._facts[template.facts]
                 self.facts_version += 1
+        f = entry_features(entry)
+        n = self._feats[f] - 1
+        if n:
+            self._feats[f] = n
+        else:
+            del self._feats[f]
+            self.shapes_version += 1
 
     def _recount(self, live: "list[FlowEntry]") -> None:
-        """Both multisets from scratch, for the paths that replace the
-        store wholesale; every rule ends up on a canonical template."""
+        """The census and the shape multiset from scratch, in one pass,
+        for the paths that replace the store wholesale; every rule ends
+        up on a canonical template."""
         self._templates, self._facts = {}, {}
         self.facts_version += 1  # swapped wholesale: fact set unknown
+        shapes, shapes_version = self._feats.keys(), self.shapes_version
+        self._feats = {}
         intern = self._intern
         for entry in live:
             intern(entry)
+        # The shape set moved only if its keys did.
+        self.shapes_version = shapes_version + (self._feats.keys() != shapes)
 
     # -- modification ---------------------------------------------------------
 
@@ -423,8 +386,8 @@ class FlowTable:
         same_match = by_match.get(entry.match)
         existing = _at_priority(same_match, entry.priority)
         # Before the store moves (an unhashable instruction raises here)
-        # and before the replaced rule is uncounted (an equal list never
-        # drops to zero).
+        # and before the replaced rule is uncounted (an equal list or
+        # shape never drops to zero).
         self._intern(entry)
         if existing is None:
             self._insert_fresh(entry, before)
@@ -452,19 +415,16 @@ class FlowTable:
                 timed[entry.entry_id] = entry
         if existing is not None:
             self._release(existing)
-        feats_fresh = self._feats_version == self.version
         self._mark_mutated()
-        # Replacement may change the actions even though the rule key
-        # is equal, so the old entry's fingerprint must come out.
-        self._feats_update(existing, entry, feats_fresh)
         return entry
 
     def put_back(self, entry: FlowEntry, before: "FlowEntry | None") -> FlowEntry:
         """Reinstall ``entry`` at its rule key, ahead of ``before``,
         removing whatever holds the key now — an undo step. Its template
-        is counted before the occupant's is uncounted, as :meth:`add` does
-        for a replace: a swap that leaves the fact set as it was leaves
-        ``facts_version`` alone."""
+        and shape are counted before the occupant's are uncounted, as
+        :meth:`add` does for a replace: a swap that leaves the fact or
+        shape set as it was leaves ``facts_version`` or ``shapes_version``
+        alone."""
         self._intern(entry)
         try:
             self.remove(entry.match, entry.priority)
@@ -503,9 +463,6 @@ class FlowTable:
         self._slots = None
         self._by_match = self._timed = None
         self._index_version = -1
-        self._feats = None
-        self._feats_version = -1
-        self.shapes_version += 1
         self._recount(merged)
         self._mark_mutated()
         return len(entries)
@@ -515,13 +472,10 @@ class FlowTable:
         maintaining every index incrementally; returns how many."""
         if not victims:
             return 0
-        feats_fresh = self._feats_version == self.version
-        feats = self._feats if feats_fresh else None
         ents = self._entries
         slots = self._slot_index()
         by_match = self._index()
         timed = self._timed
-        shapes_changed = feats is None  # unknown multiset: conservative
         for entry in victims:
             # The key stays: bisection remains valid.
             ents[slots.pop(id(entry))] = None
@@ -535,20 +489,8 @@ class FlowTable:
             if timed is not None:
                 timed.pop(entry.entry_id, None)
             self._release(entry)
-            if feats is not None:
-                f = entry_features(entry)
-                n = feats.get(f, 0) - 1
-                if n <= 0:
-                    feats.pop(f, None)
-                    shapes_changed = True
-                else:
-                    feats[f] = n
         self._dead += len(victims)
         self._mark_mutated()
-        if feats is not None:
-            self._feats_version = self.version
-        if shapes_changed:
-            self.shapes_version += 1
         self._maybe_compact()
         return len(victims)
 
@@ -584,15 +526,12 @@ class FlowTable:
     def clear(self) -> None:
         if len(self._entries) - self._dead:
             self.version += 1
-            self.shapes_version += 1
         self._entries = []
         self._keys = []
         self._dead = 0
         self._slots = None
         self._by_match = self._timed = None
         self._index_version = -1
-        self._feats = None
-        self._feats_version = -1
         self._live = None
         self._live_version = -1
         self._recount([])
@@ -632,16 +571,15 @@ class FlowTable:
     def prime(self) -> None:
         """Build every lazy structure now, off the critical path.
 
-        The rule index, slot map and feature multiset are all built on
-        first use and maintained incrementally after — which puts one
-        O(entries) rebuild inside whatever window issues the first
-        mutation. ``ESwitch.warm()`` calls this so a freshly-loaded
-        million-entry table pays that scan before the churn starts, the
-        same contract warm() already gives compilation and fusing.
+        The rule index and slot map are built on first use and
+        maintained incrementally after — which puts one O(entries)
+        rebuild inside whatever window issues the first mutation.
+        ``ESwitch.warm()`` calls this so a freshly-loaded million-entry
+        table pays that scan before the churn starts, the same contract
+        warm() already gives compilation and fusing.
         """
         self._index()
         self._slot_index()
-        self.feature_counts()
 
     # -- queries --------------------------------------------------------------
 
@@ -778,7 +716,8 @@ class FlowTable:
 
         The slot map is keyed by object ids (meaningless after a
         round-trip) and the indexes rebuild lazily; shipping live entries
-        with no tombstones keeps worker spawn snapshots minimal.
+        with no tombstones keeps worker spawn snapshots minimal. The two
+        multisets travel as they are (O(distinct)).
         """
         state = self.__dict__.copy()
         live = [e for e in self._entries if e is not None]
@@ -788,8 +727,6 @@ class FlowTable:
         state["_slots"] = None
         state["_by_match"] = state["_timed"] = None
         state["_index_version"] = -1
-        state["_feats"] = None
-        state["_feats_version"] = -1
         state["_live"] = None
         state["_live_version"] = -1
         return state

@@ -68,6 +68,12 @@ class Match:
         """Names of constrained fields, sorted."""
         return tuple(self._constraints)
 
+    @property
+    def shape(self) -> tuple[tuple[str, int], ...]:
+        """The value-free ``((field, mask), ...)`` signature, sorted by
+        field: what template selection and parser planning key on."""
+        return tuple([(name, vm[1]) for name, vm in self._constraints.items()])
+
     def constraint(self, name: str) -> "tuple[int, int] | None":
         """``(value, mask)`` for a field, or None if unconstrained."""
         return self._constraints.get(name)

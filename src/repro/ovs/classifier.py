@@ -90,9 +90,7 @@ class TssClassifier:
         self._order: dict[int, int] = {}
         for position, entry in enumerate(self.table):
             self._order[entry.entry_id] = position
-            sig: MaskSig = tuple(
-                (name, mask) for name, (_value, mask) in entry.match.items()
-            )
+            sig: MaskSig = entry.match.shape
             sub = by_sig.get(sig)
             if sub is None:
                 sub = by_sig[sig] = Subtable(sig)

@@ -14,6 +14,7 @@ from repro.core.analysis import (
     split_catch_all,
 )
 from repro.core.codegen import CompileError, compile_table
+from repro.openflow import flow_table
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
@@ -244,21 +245,14 @@ CONFIGS = [
 
 
 class TestTableFormAgrees:
-    """``hash_shape`` reads a table's shape multiset where it is built
-    and walks otherwise; the walk over ``table.entries`` is the oracle."""
+    """``hash_shape`` reads a table's shape multiset; the walk over
+    ``table.entries`` is the oracle."""
 
     def check(self, table):
-        # Before the multiset is built the table form walks (a decomposed
-        # sub-table never needs one); once built it reads the shapes.
-        for build_first in (False, True):
-            if build_first:
-                table.feature_counts()
-                assert table.feature_counts_if_built() is not None
-            for config in CONFIGS:
-                assert select_template(table, config) is select_template(
-                    table.entries, config
-                )
-        assert table.feature_counts_if_built() is not None
+        for config in CONFIGS:
+            assert select_template(table, config) is select_template(
+                table.entries, config
+            )
         assert hash_shape(table) == hash_shape(table.entries)
 
     @settings(max_examples=150, deadline=None)
@@ -313,15 +307,17 @@ class TestTableFormAgrees:
         self.check(table)
         assert select_template(table) is not TemplateKind.HASH
 
-    def test_unbuilt_multiset_is_not_forced(self):
-        """Template selection must not make a table fingerprint every
-        entry just to learn what the first mismatch already says."""
+    def test_selection_fingerprints_no_entry(self, monkeypatch):
+        """Template selection reads the shapes the table already counts:
+        it never fingerprints an entry."""
         table = table_of(*[e(9 - i, eth_dst=i) for i in range(5)],
                          e(3, tcp_dst=80))
-        assert table.feature_counts_if_built() is None
+        calls = []
+        monkeypatch.setattr(flow_table, "entry_features",
+                            lambda entry: calls.append(entry))
         assert select_template(table) is TemplateKind.LINKED_LIST
-        assert table.feature_counts_if_built() is None
-        assert all(entry._features is None for entry in table.entries)
+        assert hash_shape(table) is None
+        assert calls == []
 
     def test_only_catch_alls_or_nothing(self):
         for table in (table_of(), table_of(e(0)), table_of(e(1), e(0))):

@@ -14,6 +14,7 @@ import gc
 
 from repro.core import ESwitch
 from repro.dpdk.hash import CollisionFreeHash
+from repro.openflow import flow_table
 from repro.packet import PacketBuilder
 from repro.usecases import l2, l3
 
@@ -48,6 +49,18 @@ def test_a_hash_build_leaves_no_tracked_container_per_rule():
     assert left <= BUILD_BOUND, f"{left} tracked containers for {N} rules"
     for mac in (macs[0], macs[-1]):
         assert switch.process(PacketBuilder().eth(dst=mac).build()).forwarded
+
+
+def test_a_build_fingerprints_no_entry(monkeypatch):
+    """The shape multiset is counted as the rules go in: compiling and
+    warming a table reads it, and never fingerprints an entry."""
+    pipeline, _macs = l2.build(N)
+    calls = []
+    real = flow_table.entry_features
+    monkeypatch.setattr(flow_table, "entry_features",
+                        lambda entry: calls.append(entry) or real(entry))
+    assert switch_of(pipeline).table_kinds() == {0: "hash"}
+    assert len(calls) == 0, f"{len(calls)} entries fingerprinted for {N} rules"
 
 
 def test_an_lpm_build_leaves_no_tracked_container_per_rule():

@@ -223,6 +223,41 @@ class TestBuilderParity:
         assert_same(CollisionFreeHash(items), ScalarReference(items))
 
 
+def one_key_buckets_displaced(h: CollisionFreeHash) -> int:
+    return sum(
+        1 for bucket, keys in h._bucket_keys.items()
+        if len(keys) == 1 and h._disp[bucket]
+    )
+
+
+class TestParityAtScale:
+    """The hypothesis sets stop at 300 keys; one-key buckets are placed by
+    their own loop, whose ``d >= 1`` arm needs a crowded table to run."""
+
+    N = 20_000
+
+    def check(self, items):
+        fast, spec = CollisionFreeHash(items), ScalarReference(items)
+        assert_same(fast, spec)
+        assert one_key_buckets_displaced(fast) > 0
+
+    def test_l2_macs(self):
+        from repro.usecases import l2
+
+        _pipeline, macs = l2.build(self.N, seed=3)
+        self.check({mac: i for i, mac in enumerate(macs)})
+
+    def test_compound_keys(self):
+        import random
+
+        rng = random.Random(5)
+        items: dict = {}
+        while len(items) < self.N:
+            key = (rng.randrange(64), rng.getrandbits(12), rng.getrandbits(48))
+            items.setdefault(key, len(items))
+        self.check(items)
+
+
 def run_isolated(body: str, timeout: float = 30.0) -> str:
     """Run ``body`` in a fresh interpreter that dies at ``timeout``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
@@ -270,6 +305,18 @@ class TestNegativeKeys:
                 h.insert(key, "x")
         assert layout(h)[:-1] == before
         assert len(h) == 2 and list(h) == [1, 2]
+
+    @pytest.mark.parametrize("cls", [CollisionFreeHash, ScalarReference])
+    def test_rejected_insert_on_a_growth_step_builds_nothing(self, cls):
+        """The key is checked before the growth decision: a rejected key
+        that would have grown the table leaves its telemetry alone too."""
+        h = cls({1: "a"})
+        h.insert(2, "b")  # the next new key crosses the load factor
+        before = layout(h)
+        with pytest.raises(HashKeyError):
+            h.insert(-5, "x")
+        assert layout(h) == before
+        assert h.rebuild_count == 1 and h.rebuild_keys == 1
 
     def test_key_error_is_a_value_error(self):
         assert issubclass(HashKeyError, ValueError)

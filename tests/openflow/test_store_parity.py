@@ -26,6 +26,11 @@ duplicates in a list, so every path that moves a match between one entry
 and several (ADD, ADD-replace, strict delete, ``put_back``,
 ``add(before=...)``, a pickled copy) is walked step by step too, with the
 index's shape checked beside every answer.
+
+The shape multiset (``feature_counts``) is counted by the mutation paths
+themselves, never rebuilt: after every one of them it equals a recount of
+the live entries, and ``shapes_version`` moves exactly when its key set
+does.
 """
 
 import bisect
@@ -36,7 +41,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.openflow.actions import Output
+from repro.openflow.actions import Output, SetField
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable, entry_features
 from repro.openflow.match import Match
@@ -383,3 +388,90 @@ class TestStoreParity:
         assert store.find(match) is lone
         remove(2)
         assert store.find(match) is None
+
+
+#: Four match shapes and two action shapes over a small value pool, so
+#: shape classes appear, empty and come back.
+SHAPES = (
+    lambda v: Match(tcp_dst=v),
+    lambda v: Match(ipv4_dst=(v << 8, 0xFFFFFF00)),
+    lambda v: Match(ipv4_dst=v),
+    lambda v: Match(),
+)
+ACTIONS = ([Output(1)], [SetField("tcp_dst", 7), Output(1)])
+
+rule_st = st.tuples(
+    st.sampled_from(PRIOS),
+    st.integers(0, len(SHAPES) - 1),
+    st.integers(0, 2),
+    st.integers(0, len(ACTIONS) - 1),
+)
+shape_ops_st = st.lists(
+    st.one_of(
+        st.tuples(
+            st.sampled_from(["add", "remove_strict", "remove", "remove_if", "put_back"]),
+            rule_st,
+        ),
+        st.tuples(st.just("add_bulk"), st.lists(rule_st, max_size=6)),
+        st.tuples(st.sampled_from(["clear", "compact", "pickle"]), st.none()),
+    ),
+    max_size=40,
+)
+
+
+def shaped(prio: int, shape: int, value: int, action: int) -> FlowEntry:
+    return FlowEntry(SHAPES[shape](value), priority=prio, actions=ACTIONS[action])
+
+
+class TestShapeMultiset:
+    """Every mutation path keeps the shape multiset equal to a recount,
+    and moves ``shapes_version`` exactly when the shape set changes."""
+
+    @staticmethod
+    def step(store: FlowTable, mutate) -> FlowTable:
+        """``mutate(store)`` checked; returns the table it leaves (a
+        pickled copy, for the round trip)."""
+        shapes, version = set(store.feature_counts()), store.shapes_version
+        after = mutate(store)
+        store = after if isinstance(after, FlowTable) else store
+        recount = Counter(entry_features(e) for e in store.entries)
+        assert store.feature_counts() == recount
+        assert (store.shapes_version != version) == (recount.keys() != shapes)
+        return store
+
+    @given(pre=st.lists(rule_st, max_size=8), ops=shape_ops_st)
+    @settings(max_examples=200, deadline=None)
+    def test_every_path_counts_and_moves_exactly(self, pre, ops):
+        step = self.step
+        store = step(FlowTable(0), lambda t: t.add_bulk([shaped(*r) for r in pre]))
+        for op, arg in ops:
+            if op == "add":  # an ADD-replace when the rule is held
+                store = step(store, lambda t: t.add(shaped(*arg)))
+            elif op == "remove_strict":
+                prio, shape, value, _action = arg
+                store = step(store, lambda t: t.remove(SHAPES[shape](value), prio))
+            elif op == "remove":
+                store = step(store, lambda t: t.remove(SHAPES[arg[1]](arg[2])))
+            elif op == "remove_if":
+                store = step(store, lambda t: t.remove_if(lambda e: e.priority == arg[0]))
+            elif op == "put_back":
+                prio, shape, value, action = arg
+                held = store.find_rule(SHAPES[shape](value), prio)
+                follower = None
+                if held is not None:
+                    follower = store.follower(held)
+                    if action:  # the undo of an ADD-replace
+                        other = shaped(prio, shape, value, 1 - action)
+                        store = step(store, lambda t: t.add(other))
+                    else:  # the undo of a strict delete
+                        store = step(store, lambda t: t.remove(held.match, prio))
+                back = held if held is not None else shaped(*arg)
+                store = step(store, lambda t: t.put_back(back, follower))
+            elif op == "add_bulk":
+                store = step(store, lambda t: t.add_bulk([shaped(*r) for r in arg]))
+            elif op == "clear":
+                store = step(store, FlowTable.clear)
+            elif op == "compact":
+                store = step(store, FlowTable.compact)
+            else:
+                store = step(store, lambda t: pickle.loads(pickle.dumps(t)))
