@@ -30,6 +30,7 @@ import enum
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+from repro.net.bits import contiguous_prefix_mask
 from repro.openflow.fields import field_by_name
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
@@ -169,19 +170,19 @@ def lpm_prefixes(
     if len(fields) != 1 or fields[0] not in LPM_FIELDS:
         return None
     name = fields[0]
+    width = field_by_name(name).width
     by_prefix: dict[tuple[int, int], FlowEntry] = {}
     for entry in rules:
-        match = entry.match
-        if match.fields != fields or not match.is_prefix(name):
+        shape = entry.match.shape  # read by position: one (field, mask)
+        if len(shape) != 1 or shape[0][0] != name or not contiguous_prefix_mask(shape[0][1], width):
             return None
-        key = (match.value_of(name), match.prefix_len(name))
+        key = (entry.match.values[0], shape[0][1].bit_count())
         if key in by_prefix:
             return None  # duplicate prefix with different priority
         by_prefix[key] = entry
     # Priority consistency: "whenever rules overlap the more specific one
     # has higher priority". Overlapping prefixes nest, so walking each
     # rule's ancestors — at the depths the table holds — suffices.
-    width = field_by_name(name).width
     depths = sorted({depth for _value, depth in by_prefix})
     for (value, depth), entry in by_prefix.items():
         for shorter in depths:

@@ -312,7 +312,7 @@ def _guard_masks(match: Match) -> tuple[int, ...]:
     extracts to ``None``.
     """
     masks = set()
-    for name in match.fields:
+    for name, _mask in match.shape:
         fdef = field_by_name(name)
         if fdef.expr is None:
             masks.add(0)
@@ -342,9 +342,9 @@ def _conditions(match: Match, keys: list) -> list[str]:
     return conditions
 
 
-def _key_exprs(fields: tuple[str, ...], masks: tuple[int, ...]) -> str:
+def _key_exprs(shape: tuple[tuple[str, int], ...]) -> str:
     """The compound-hash key expression: fields run together and masked."""
-    parts = [_masked(name, mask) for name, mask in zip(fields, masks)]
+    parts = [_masked(name, mask) for name, mask in shape]
     if len(parts) == 1:
         return parts[0]
     return "(" + ", ".join(parts) + ")"
@@ -473,15 +473,14 @@ class HashTable(CompiledTable):
         costs: CostBook,
         shape: tuple[tuple[str, int], ...],
     ):
-        self.fields = fields = tuple(name for name, _mask in shape)
-        self.masks = tuple(mask for _name, mask in shape)
+        self.shape = shape
         rules = table.entries
         if rules[-1].match.is_catch_all:
             rules = rules[:-1]
         self._guards = _guards(rules[0].match)
         items: dict = {}
         for entry in rules:
-            key = _hash_key_of(entry.match, fields)
+            key = _hash_key_of(entry.match)
             if key not in items:  # first occurrence = highest priority wins
                 items[key] = entry
         # One bulk build instead of insert-at-a-time: a million-entry table
@@ -496,7 +495,7 @@ class HashTable(CompiledTable):
         return hash_shape(table) is not None  # exact, and O(shapes)
 
     def _emit(self, costs: CostBook) -> list[str]:
-        key = _key_exprs(self.fields, self.masks)
+        key = _key_exprs(self.shape)
         charge = f"m.charge({costs.hash_base!r})"
         return (
             _guard_lines(self._guards, charge)
@@ -514,12 +513,9 @@ class HashTable(CompiledTable):
         if match.is_catch_all:
             self._rebind_miss(table)
             return True
-        if match.fields != self.fields or any(
-            match.mask_of(name) != mask
-            for name, mask in zip(self.fields, self.masks)
-        ):
+        if match.shape != self.shape:
             return False
-        key = _hash_key_of(match, self.fields)
+        key = _hash_key_of(match)
         # Same-match duplicates at different priorities are legal (the
         # lower one is shadowed): the slot always holds the highest-
         # priority entry that *remains* in the table, so a strict delete
@@ -543,10 +539,11 @@ class HashTable(CompiledTable):
         )
 
 
-def _hash_key_of(match: Match, fields: tuple[str, ...]):
-    if len(fields) == 1:
-        return match.value_of(fields[0])
-    return tuple(map(match.value_of, fields))
+def _hash_key_of(match: Match):
+    """A rule's store key, read by position: its match has the table's
+    shape, so its values are the key fields' values in key order."""
+    values = match.values
+    return values[0] if len(values) == 1 else values
 
 
 class LpmTable(CompiledTable):
@@ -760,8 +757,7 @@ class LinkedListTable(CompiledTable):
             if fn is None:
                 fn = _build_sig_matcher(sig)
                 self.ll_matchers[sig] = fn
-            values = tuple(v for _name, (v, _m) in entry.match.items())
-            entries.append((_guard_masks(entry.match), fn, values, entry))
+            entries.append((_guard_masks(entry.match), fn, entry.match.values, entry))
         self.ll_entries[:] = entries
         self.namespace["_MISS"] = (
             catch_all if catch_all is not None else MISS_RULES[table.miss_policy]

@@ -37,7 +37,7 @@ from repro.openflow.match import Match
 class _Row:
     """One original rule, restricted to its not-yet-dispatched columns."""
 
-    constraints: dict[str, tuple[int, int]]  # field -> (value, mask)
+    match: Match
     original: FlowEntry
 
 
@@ -73,9 +73,7 @@ def decompose_table(
     """
     if not decomposable(table):
         return None
-    rows = [
-        _Row(constraints=dict(entry.match.items()), original=entry) for entry in table
-    ]
+    rows = [_Row(entry.match, entry) for entry in table]
     # Fresh internal ids: not bound by OpenFlow's 255-table limit (Sec. 3.2).
     ids = count(fresh_ids_from)
     out: list[FlowTable] = []
@@ -94,9 +92,7 @@ def decompose_table(
 
 def _signature(rows: list[_Row]) -> tuple:
     """Structural identity of a subproblem, for deduplication."""
-    return tuple(
-        (tuple(sorted(row.constraints.items())), id(row.original)) for row in rows
-    )
+    return tuple((row.match, id(row.original)) for row in rows)
 
 
 def _decompose(
@@ -117,17 +113,16 @@ def _decompose(
             return hit
         cache[sig] = table_id
 
-    columns = sorted({name for row in rows for name in row.constraints})
+    columns = sorted({name for row in rows for name, _mask in row.match.shape})
     if len(columns) <= 1:
         out.append(_emit_regular(rows, table_id, miss_policy))
         return table_id
 
     # Step (1)-(2): distinct keys per column; pick minimal diversity, where
-    # diversity counts the subtables produced (distinct keys + wildcard).
+    # diversity counts the subtables produced (distinct keys + wildcard,
+    # which is the key None).
     def diversity(name: str) -> int:
-        keys = {row.constraints[name] for row in rows if name in row.constraints}
-        has_wildcard = any(name not in row.constraints for row in rows)
-        return len(keys) + (1 if has_wildcard else 0)
+        return len({row.match.constraint(name) for row in rows})
 
     if force_column is not None:
         if force_column not in columns:
@@ -141,7 +136,7 @@ def _decompose(
     partitions: dict[tuple[int, int], list[_Row]] = {}
     wildcard_rows: list[_Row] = []
     for row in rows:
-        constraint = row.constraints.get(p)
+        constraint = row.match.constraint(p)
         if constraint is None:
             wildcard_rows.append(row)
             for key in keys:
@@ -192,7 +187,7 @@ def _reachable(rows: list[_Row]) -> list[_Row]:
     sizes: set[int] = set()
     live = []
     for row in rows:
-        items = tuple(sorted(row.constraints.items()))
+        items = tuple(zip(row.match.shape, row.match.values))
         if kept.isdisjoint(
             s for n in sizes if n <= len(items) for s in combinations(items, n)
         ):
@@ -203,8 +198,7 @@ def _reachable(rows: list[_Row]) -> list[_Row]:
 
 
 def _strip(row: _Row, column: str) -> _Row:
-    remaining = {k: v for k, v in row.constraints.items() if k != column}
-    return _Row(constraints=remaining, original=row.original)
+    return _Row(row.match.without(column), row.original)
 
 
 def _emit_regular(
@@ -216,7 +210,7 @@ def _emit_regular(
     n = len(rows)
     for i, row in enumerate(rows):
         leaf = FlowEntry(
-            Match.from_pairs(row.constraints),
+            row.match,
             priority=n - i,
             instructions=row.original.instructions,
         )

@@ -34,7 +34,7 @@ not recognize the header.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from repro.packet import parser as pp
@@ -63,9 +63,10 @@ class FieldDef:
     expr: str | None = None  # fast-path read expression, None = no position
     store: Callable[[ParsedPacket, int], None] | None = None
 
-    @property
-    def max_value(self) -> int:
-        return (1 << self.width) - 1
+    max_value: int = field(init=False, repr=False, compare=False)  # the full mask
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "max_value", (1 << self.width) - 1)
 
     def __repr__(self) -> str:
         return f"FieldDef({self.name!r})"

@@ -151,9 +151,10 @@ class FlowTable:
         #: it, which is what lets ESwitch skip ``required_layer``
         #: re-planning per mod.
         self.shapes_version = 0
-        # Lazy id(entry) -> slot map: O(1) strict delete and replace.
-        # Dropped (rebuilt on demand) when a mid-list insert shifts slots.
-        self._slots: "dict[int, int] | None" = None
+        # Entry -> slot map (identity-keyed: no int minted per rule), for
+        # O(1) strict delete, replace and follower. Built by ``prime()``;
+        # dropped (rebuilt on demand) when a mid-list insert shifts slots.
+        self._slots: "dict[FlowEntry, int] | None" = None
         # The lazy rule index. ``add``/strict ``remove``/``has_rule``/
         # ``find`` would otherwise scan the whole store per call — an O(n)
         # wall that turns million-entry churn into a benchmark of this
@@ -219,11 +220,11 @@ class FlowTable:
             self._index_version = self.version
         return by_match
 
-    def _slot_index(self) -> "dict[int, int]":
+    def _slot_index(self) -> "dict[FlowEntry, int]":
         slots = self._slots
         if slots is None:
             slots = self._slots = {
-                id(e): i for i, e in enumerate(self._entries) if e is not None
+                e: i for i, e in enumerate(self._entries) if e is not None
             }
         return slots
 
@@ -233,7 +234,7 @@ class FlowTable:
         ``add(entry, before=...)`` takes to put ``entry`` back in this
         place after a delete. O(1) plus the tombstones between the two.
         """
-        slot = self._slot_index()[id(entry)]
+        slot = self._slot_index()[entry]
         ents, keys = self._entries, self._keys
         for i in range(slot + 1, len(ents)):
             if keys[i] != keys[slot]:
@@ -354,7 +355,7 @@ class FlowTable:
         if before is None:
             pos = bisect.bisect_right(keys, skey)
         else:
-            pos = self._slot_index()[id(before)]
+            pos = self._slot_index()[before]
         if pos < len(ents) and ents[pos] is None:
             ents[pos] = entry
             keys[pos] = skey
@@ -371,7 +372,7 @@ class FlowTable:
                 self._slots = None  # the memmove shifted the tail's slots
         slots = self._slots
         if slots is not None:
-            slots[id(entry)] = pos
+            slots[entry] = pos
 
     def add(
         self, entry: FlowEntry, before: "FlowEntry | None" = None
@@ -399,10 +400,10 @@ class FlowTable:
                 bisect.insort_right(same_match, entry, key=_sort_key)
         else:
             slots = self._slot_index()
-            slot = slots.pop(id(existing))
+            slot = slots.pop(existing)
             # Same rule key ⇒ same priority ⇒ _keys[slot] is right.
             self._entries[slot] = entry
-            slots[id(entry)] = slot
+            slots[entry] = slot
             if same_match is existing:
                 by_match[entry.match] = entry
             else:
@@ -478,7 +479,7 @@ class FlowTable:
         timed = self._timed
         for entry in victims:
             # The key stays: bisection remains valid.
-            ents[slots.pop(id(entry))] = None
+            ents[slots.pop(entry)] = None
             same_match = by_match[entry.match]
             if same_match is entry:
                 del by_match[entry.match]
@@ -714,8 +715,8 @@ class FlowTable:
     def __getstate__(self) -> dict:
         """Pickle the compacted logical state only.
 
-        The slot map is keyed by object ids (meaningless after a
-        round-trip) and the indexes rebuild lazily; shipping live entries
+        The slot map names slots the dropped tombstones would shift,
+        and the indexes rebuild lazily; shipping live entries
         with no tombstones keeps worker spawn snapshots minimal. The two
         multisets travel as they are (O(distinct)).
         """

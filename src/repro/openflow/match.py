@@ -1,13 +1,14 @@
 """OpenFlow matches: sets of (field, value, mask) constraints.
 
-A :class:`Match` maps field names to ``(value, mask)`` pairs. ``mask`` is
-always an explicit integer here; an exact match uses the field's full mask.
-Values are canonicalized (``value & mask``) on construction so structural
-equality means semantic equality field-by-field.
-
-The class supports the relations the classifiers and the decomposition
-algorithm need: evaluation against a packet, subset/overlap tests between
-matches, and protocol-prerequisite computation.
+A :class:`Match` is one key over a shared shape, as a P4 table declares
+its key fields and match kinds once and each entry carries only values.
+The *shape* is the value-free ``((field, mask), ...)`` signature, sorted
+by field and interned here, so every rule of a shape points at one tuple;
+the match is the tuple ``(shape, v1, ..., vk)`` with its hash cached.
+Masks are explicit and non-zero (an exact match uses the field's full
+mask) and values canonical (``value & mask``), so equal keys mean equal
+semantics. Every accessor — evaluation, subset/overlap tests (a merge over
+two sorted shapes), prerequisites — walks the key; none builds a dict.
 """
 
 from __future__ import annotations
@@ -18,9 +19,12 @@ from repro.net.bits import contiguous_prefix_mask
 from repro.openflow.fields import FieldDef, field_by_name
 from repro.packet.parser import ParsedPacket
 
+#: Every shape built, mapped to itself: one tuple per distinct shape.
+_SHAPES: "dict[tuple, tuple]" = {(): ()}
+
 
 class Match:
-    """An immutable set of field constraints.
+    """An immutable set of field constraints, keyed ``(shape, *values)``.
 
     Construct from keyword arguments; each value may be:
 
@@ -28,115 +32,106 @@ class Match:
     * a ``(value, mask)`` tuple — masked match;
     * a ``"value/prefix_len"`` or dotted-quad string for address fields.
 
+    Every value must lie in its field's range, ``0 <= value <= max_value``.
+
     >>> Match(ipv4_dst=("0xC0000200", 0xFFFFFF00))     # doctest: +SKIP
     >>> Match(ipv4_dst="192.0.2.0/24", tcp_dst=80)     # doctest: +SKIP
     """
 
-    __slots__ = ("_constraints", "_hash")
+    # Exactly two: a third slot moves a Match from pymalloc's 48-byte
+    # class to 64 and slows a full collection of a 10⁵-rule heap.
+    __slots__ = ("_key", "_hash")
 
-    def __init__(self, **constraints: object):
-        items: dict[str, tuple[int, int]] = {}
-        for name, spec in constraints.items():
-            fdef = field_by_name(name)
-            value, mask = _parse_spec(fdef, spec)
-            if mask == 0:
-                continue  # a fully wildcarded field constrains nothing
-            items[name] = (value & mask, mask)
-        self._constraints = dict(sorted(items.items()))
-        self._hash = hash(tuple(self._constraints.items()))
+    def __new__(cls, **constraints: object) -> "Match":
+        return _built([(name, *_parse_spec(field_by_name(name), spec))
+                       for name, spec in constraints.items()])
 
     @classmethod
     def from_pairs(cls, pairs: Mapping[str, tuple[int, int]]) -> "Match":
         """Build from an explicit ``{field: (value, mask)}`` mapping."""
-        match = cls()
-        items = {}
-        for name, (value, mask) in pairs.items():
-            fdef = field_by_name(name)
-            if not 0 <= mask <= fdef.max_value:
-                raise ValueError(f"mask out of range for {name}: {mask:#x}")
-            if mask == 0:
-                continue
-            items[name] = (value & mask, mask)
-        match._constraints = dict(sorted(items.items()))
-        match._hash = hash(tuple(match._constraints.items()))
-        return match
+        return _built([(name, _checked(field_by_name(name), value, mask), mask)
+                       for name, (value, mask) in pairs.items()])
 
     # -- inspection ---------------------------------------------------------
 
     @property
-    def fields(self) -> tuple[str, ...]:
-        """Names of constrained fields, sorted."""
-        return tuple(self._constraints)
-
-    @property
     def shape(self) -> tuple[tuple[str, int], ...]:
         """The value-free ``((field, mask), ...)`` signature, sorted by
-        field: what template selection and parser planning key on."""
-        return tuple([(name, vm[1]) for name, vm in self._constraints.items()])
+        field: what template selection and parser planning key on. The
+        interned tuple itself, shared by every match of the shape."""
+        return self._key[0]
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """The constrained values, in :attr:`shape` order."""
+        return self._key[1:]
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """Names of constrained fields, sorted."""
+        return tuple([name for name, _mask in self._key[0]])
 
     def constraint(self, name: str) -> "tuple[int, int] | None":
         """``(value, mask)`` for a field, or None if unconstrained."""
-        return self._constraints.get(name)
+        key, i = self._key, 0
+        for field, mask in key[0]:
+            i += 1
+            if field == name:
+                return key[i], mask
+        return None
 
     def value_of(self, name: str) -> "int | None":
-        pair = self._constraints.get(name)
+        pair = self.constraint(name)
         return pair[0] if pair else None
 
     def mask_of(self, name: str) -> int:
-        pair = self._constraints.get(name)
+        pair = self.constraint(name)
         return pair[1] if pair else 0
 
     def is_exact(self, name: str) -> bool:
         """True if the field is constrained by its full mask."""
-        pair = self._constraints.get(name)
-        if pair is None:
-            return False
-        return pair[1] == field_by_name(name).max_value
+        return self.mask_of(name) == field_by_name(name).max_value
 
     def is_prefix(self, name: str) -> bool:
         """True if the field's mask is a contiguous prefix mask."""
-        pair = self._constraints.get(name)
-        if pair is None:
-            return True
-        fdef = field_by_name(name)
-        return contiguous_prefix_mask(pair[1], fdef.width)
+        mask = self.mask_of(name)
+        return not mask or contiguous_prefix_mask(mask, field_by_name(name).width)
 
     def prefix_len(self, name: str) -> int:
         """Prefix length of a contiguous mask (0 when unconstrained)."""
-        pair = self._constraints.get(name)
-        if pair is None:
-            return 0
-        return pair[1].bit_count()
+        return self.mask_of(name).bit_count()
 
     @property
     def is_catch_all(self) -> bool:
-        return not self._constraints
+        return len(self._key) == 1
 
     def required_protos(self) -> int:
         """Union of protocol prerequisites for the constrained fields."""
         bits = 0
-        for name in self._constraints:
+        for name, _mask in self._key[0]:
             bits |= field_by_name(name).proto_required
         return bits
 
     def items(self) -> Iterator[tuple[str, tuple[int, int]]]:
-        return iter(self._constraints.items())
+        key = self._key
+        return iter([(name, (value, mask)) for (name, mask), value in zip(key[0], key[1:])])
 
     # -- evaluation -----------------------------------------------------------
 
     def matches(self, view: ParsedPacket) -> bool:
         """Evaluate against a parsed packet (reference semantics)."""
-        for name, (value, mask) in self._constraints.items():
-            fdef = field_by_name(name)
-            actual = fdef.extract(view)
+        key = self._key
+        for (name, mask), value in zip(key[0], key[1:]):
+            actual = field_by_name(name).extract(view)
             if actual is None or (actual & mask) != value:
                 return False
         return True
 
-    def matches_key(self, key: Mapping[str, "int | None"]) -> bool:
+    def matches_key(self, flow_key: Mapping[str, "int | None"]) -> bool:
         """Evaluate against an extracted flow key (OVS-style lookup)."""
-        for name, (value, mask) in self._constraints.items():
-            actual = key.get(name)
+        key = self._key
+        for (name, mask), value in zip(key[0], key[1:]):
+            actual = flow_key.get(name)
             if actual is None or (actual & mask) != value:
                 return False
         return True
@@ -145,98 +140,130 @@ class Match:
 
     def covers(self, other: "Match") -> bool:
         """True if every packet matching ``other`` also matches ``self``."""
-        for name, (value, mask) in self._constraints.items():
-            pair = other._constraints.get(name)
-            if pair is None:
-                return False
-            ovalue, omask = pair
-            if (omask & mask) != mask or (ovalue & mask) != value:
+        key, okey = self._key, other._key
+        oshape = okey[0]
+        if key[0] is oshape:
+            return key == okey
+        j, n = 0, len(oshape)
+        for (name, mask), value in zip(key[0], key[1:]):
+            while j < n and oshape[j][0] < name:
+                j += 1
+            if j == n or oshape[j][0] != name:
+                return False  # ``other`` leaves the field open
+            j += 1
+            if (oshape[j - 1][1] & mask) != mask or (okey[j] & mask) != value:
                 return False
         return True
 
     def overlaps(self, other: "Match") -> bool:
         """True if some packet could match both."""
-        for name, (value, mask) in self._constraints.items():
-            pair = other._constraints.get(name)
-            if pair is None:
-                continue
-            ovalue, omask = pair
-            common = mask & omask
-            if (value & common) != (ovalue & common):
-                return False
+        key, okey = self._key, other._key
+        oshape = okey[0]
+        j, n = 0, len(oshape)
+        for (name, mask), value in zip(key[0], key[1:]):
+            while j < n and oshape[j][0] < name:
+                j += 1
+            if j == n:
+                return True
+            if oshape[j][0] == name:
+                j += 1
+                common = mask & oshape[j - 1][1]
+                if (value & common) != (okey[j] & common):
+                    return False
         return True
 
     def without(self, name: str) -> "Match":
-        """A copy with one field's constraint removed (used by DECOMPOSE)."""
-        remaining = {k: v for k, v in self._constraints.items() if k != name}
-        return Match.from_pairs(remaining)
+        """A copy with one field's constraint removed."""
+        return _built([(field, value, mask) for field, (value, mask) in self.items()
+                       if field != name])
 
     def extended(self, name: str, value: int, mask: "int | None" = None) -> "Match":
-        """A copy with an additional constraint."""
+        """A copy with an additional (or replacing) constraint."""
         fdef = field_by_name(name)
-        full = fdef.max_value
-        pairs = dict(self._constraints)
-        pairs[name] = (value, full if mask is None else mask)
-        return Match.from_pairs(pairs)
+        mask = fdef.max_value if mask is None else mask
+        value = _checked(fdef, value, mask)
+        return _built([(field, v, m) for field, (v, m) in self.items() if field != name]
+                      + [(name, value, mask)])
 
     # -- dunder -----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):
             return NotImplemented
-        return self._constraints == other._constraints
+        return self._hash == other._hash and self._key == other._key
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Re-intern the shape on unpickling, and re-hash (string hashes are per process).
+        return _keyed, (self._key[0], self._key[1:])
+
     def __repr__(self) -> str:
-        if not self._constraints:
-            return "Match(*)"
-        parts = []
-        for name, (value, mask) in self._constraints.items():
-            fdef = field_by_name(name)
-            if mask == fdef.max_value:
-                parts.append(f"{name}={value:#x}")
-            else:
-                parts.append(f"{name}={value:#x}/{mask:#x}")
-        return f"Match({', '.join(parts)})"
+        parts = [f"{name}={value:#x}" if mask == field_by_name(name).max_value
+                 else f"{name}={value:#x}/{mask:#x}" for name, (value, mask) in self.items()]
+        return f"Match({', '.join(parts) or '*'})"
+
+
+def _built(items: "list[tuple[str, int, int]]") -> Match:
+    """The one builder, over checked ``(field, value, mask)`` triples with
+    distinct fields and canonical values; a fully wildcarded field (mask
+    0) constrains nothing and is dropped."""
+    items.sort()
+    shape, values = [], []
+    for name, value, mask in items:
+        if mask:
+            shape.append((name, mask))
+            values.append(value)
+    return _keyed(tuple(shape), values)
+
+
+def _keyed(shape: tuple, values: "tuple | list") -> Match:
+    match = object.__new__(Match)
+    match._key = key = (_SHAPES.setdefault(shape, shape), *values)
+    match._hash = hash(key)
+    return match
+
+
+def _checked(fdef: FieldDef, value: object, mask: object) -> int:
+    """Check one ``(value, mask)`` pair (types, ranges, maskability) and
+    return the value under its mask; a full mask keeps the caller's int."""
+    full = fdef.max_value
+    if type(value) is not int or type(mask) is not int:  # bool included
+        raise TypeError(f"{fdef.name} takes int values and masks, got {value!r}, {mask!r}")
+    if not 0 <= mask <= full:
+        raise ValueError(f"mask out of range for {fdef.name}: {mask:#x}")
+    if not 0 <= value <= full:
+        raise ValueError(f"value out of range for {fdef.name}: {value:#x}")
+    if mask != full and not fdef.maskable:
+        raise ValueError(f"field {fdef.name} is not maskable")
+    return value if mask == full else value & mask
 
 
 def _parse_spec(fdef: FieldDef, spec: object) -> tuple[int, int]:
-    """Normalize a user-facing constraint spec into ``(value, mask)``."""
+    """Normalize a user-facing constraint spec into a checked, canonical
+    ``(value, mask)``."""
     full = fdef.max_value
-    if isinstance(spec, bool):
-        raise TypeError(f"boolean is not a valid constraint for {fdef.name}")
-    if isinstance(spec, int):
-        if not 0 <= spec <= full:
-            raise ValueError(f"value out of range for {fdef.name}: {spec:#x}")
-        return spec, full
     if isinstance(spec, tuple):
         value, mask = spec
         value = _to_int(fdef, value)
-        if not 0 <= mask <= full:
-            raise ValueError(f"mask out of range for {fdef.name}: {mask:#x}")
-        if mask != full and not fdef.maskable:
-            raise ValueError(f"field {fdef.name} is not maskable")
-        return value, mask
-    if isinstance(spec, str):
-        if "/" in spec:
-            addr, _, plen_str = spec.partition("/")
-            value = _to_int(fdef, addr)
-            plen = int(plen_str)
-            if not 0 <= plen <= fdef.width:
-                raise ValueError(f"prefix length {plen} out of range for {fdef.name}")
-            mask = ((full >> (fdef.width - plen)) << (fdef.width - plen)) if plen else 0
-            if mask != full and not fdef.maskable:
-                raise ValueError(f"field {fdef.name} is not maskable")
-            return value, mask
-        return _to_int(fdef, spec), full
-    raise TypeError(f"cannot interpret constraint {spec!r} for field {fdef.name}")
+    elif isinstance(spec, str) and "/" in spec:
+        addr, _, plen_str = spec.partition("/")
+        value = _to_int(fdef, addr)
+        plen = int(plen_str)
+        if not 0 <= plen <= fdef.width:
+            raise ValueError(f"prefix length {plen} out of range for {fdef.name}")
+        mask = ((full >> (fdef.width - plen)) << (fdef.width - plen)) if plen else 0
+    else:
+        value, mask = _to_int(fdef, spec), full
+    return _checked(fdef, value, mask), mask
 
 
 def _to_int(fdef: FieldDef, value: object) -> int:
+    if isinstance(value, bool):
+        raise TypeError(f"boolean is not a valid constraint for {fdef.name}")
     if isinstance(value, int):
-        return value
+        return int(value)  # the caller's own object when it is a plain int
     if isinstance(value, str):
         if ":" in value or "-" in value:
             from repro.net.addresses import mac_to_int
@@ -247,4 +274,4 @@ def _to_int(fdef: FieldDef, value: object) -> int:
 
             return ip_to_int(value)
         return int(value, 0)
-    raise TypeError(f"cannot convert {value!r} to a value for field {fdef.name}")
+    raise TypeError(f"cannot interpret constraint {value!r} for field {fdef.name}")

@@ -76,7 +76,7 @@ from repro.openflow.instructions import (
     WriteMetadata,
 )
 from repro.openflow.meters import MeterInstruction, MeterTable
-from repro.openflow.match import Match
+from repro.openflow.match import Match, _to_int
 from repro.openflow.pipeline import Pipeline, PipelineError
 
 
@@ -140,7 +140,7 @@ def action_from_obj(obj: Any, groups: "GroupTable | None" = None) -> Action:
             if not isinstance(value, dict) or len(value) != 1:
                 raise SerializationError("malformed set action")
             (field, fvalue), = value.items()
-            return SetField(field, _field_value(field, fvalue))
+            return SetField(field, _to_int(field_by_name(field), fvalue))
         if kind == "push_vlan":
             return PushVlan(vid=int(value.get("vid", 0)), pcp=int(value.get("pcp", 0)))
         if kind == "group":
@@ -150,14 +150,6 @@ def action_from_obj(obj: Any, groups: "GroupTable | None" = None) -> Action:
                 )
             return GroupAction(groups, int(value))
     raise SerializationError(f"unknown action {kind!r}")
-
-
-def _field_value(field: str, value: Any) -> int:
-    if isinstance(value, int):
-        return value
-    from repro.openflow.match import _to_int
-
-    return _to_int(field_by_name(field), value)
 
 
 # -- matches ------------------------------------------------------------------
@@ -173,16 +165,10 @@ def match_to_obj(match: Match) -> dict:
                 out[name] = int_to_mac(value)
             else:
                 out[name] = value
+        elif name in ("ipv4_src", "ipv4_dst", "arp_spa", "arp_tpa") and match.is_prefix(name):
+            out[name] = f"{int_to_ip(value)}/{mask.bit_count()}"
         else:
-            try:
-                plen = mask.bit_count() if match.is_prefix(name) else None
-            except Exception:
-                plen = None
-            if plen is not None and name in ("ipv4_src", "ipv4_dst", "arp_spa",
-                                             "arp_tpa"):
-                out[name] = f"{int_to_ip(value)}/{plen}"
-            else:
-                out[name] = {"value": value, "mask": mask}
+            out[name] = {"value": value, "mask": mask}
     return out
 
 

@@ -64,7 +64,7 @@ class Subtable:
         Entries within a table are priority-descending, so the first entry
         seen for a masked key is automatically the winner.
         """
-        masked = tuple(entry.match.value_of(name) for name, _ in self.sig)
+        masked = entry.match.values  # the entry's shape is ``sig``
         if masked not in self.entries:
             self.entries[masked] = entry
             self.positions[masked] = position

@@ -264,30 +264,24 @@ class MegaflowCache:
         narrow the damage are the natural comparison point for Fig. 18's
         update-intensity sweep.
         """
-        from repro.openflow.fields import field_by_name
-
         self._sweep()
+        pairs = dict(match.items())
         killed = 0
         for (sig, masked_key), entry in list(self._lru.items()):
-            overlaps = True
-            for (name, mask), value in zip(sig, masked_key):
-                constraint = match.constraint(name)
-                if constraint is None or value is None:
-                    continue
-                mvalue, mmask = constraint
-                common = mask & mmask
-                if (value & common) != (mvalue & common):
-                    overlaps = False
-                    break
-            if overlaps:
-                entry.dead = True
-                del self._lru[(sig, masked_key)]
-                sub = self._subtables.get(sig)
-                if sub is not None:
-                    sub.entries.pop(masked_key, None)
-                    if not sub.entries:
-                        del self._subtables[sig]
-                killed += 1
+            if any(  # some field's common bits differ: disjoint, keep it
+                value is not None and name in pairs
+                and (value ^ pairs[name][0]) & mask & pairs[name][1]
+                for (name, mask), value in zip(sig, masked_key)
+            ):
+                continue
+            entry.dead = True
+            del self._lru[(sig, masked_key)]
+            sub = self._subtables.get(sig)
+            if sub is not None:
+                sub.entries.pop(masked_key, None)
+                if not sub.entries:
+                    del self._subtables[sig]
+            killed += 1
         if killed:
             self.invalidations += 1
         return killed

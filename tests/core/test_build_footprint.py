@@ -8,9 +8,14 @@ rule index holds a lone rule bare (a list only for same-match duplicates),
 and the hash store keeps its slots as two columns and its bucket membership
 as tuples of keys, which the collector untracks. What is left is a fixed
 handful of containers per table, whatever the rule count.
+
+The pipeline itself holds a few hundred bytes per rule: a match is one
+key tuple over a shape every rule of that shape shares, pickled or not.
 """
 
 import gc
+import pickle
+import tracemalloc
 
 from repro.core import ESwitch
 from repro.dpdk.hash import CollisionFreeHash
@@ -22,6 +27,10 @@ N = 20_000
 N_PREFIXES = 10_000
 #: tracked containers a whole build may leave: per table, not per rule.
 BUILD_BOUND = 64
+#: traced bytes a built one-table l2 pipeline may hold per rule: the entry,
+#: its counters and its ``(shape, value)`` match key (626 while every match
+#: kept a dict of ``(value, mask)`` pairs).
+PIPELINE_BYTES_PER_RULE = 420
 
 
 def tracked_after(build) -> "tuple[int, object]":
@@ -79,3 +88,28 @@ def test_hash_store_tracks_nothing_per_key():
     left, store = tracked_after(lambda: CollisionFreeHash(keys))
     assert left <= 16, f"{left} tracked containers for {N} int keys"
     assert all(store.get(k) == v for k, v in keys.items())
+
+
+def test_a_pipeline_build_holds_a_few_hundred_bytes_per_rule():
+    l2.build(64)  # first-use costs (lazy imports) are per process
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pipeline, _macs = l2.build(N)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pipeline.table(0)) == N
+    assert held / N <= PIPELINE_BYTES_PER_RULE, f"{held / N:.0f} B per rule"
+
+
+def test_rules_of_one_shape_share_one_shape_object():
+    pipeline, _macs = l2.build(N)
+    assert len({id(e.match.shape) for e in pipeline.table(0)}) == 1
+    copy = pickle.loads(pickle.dumps(pipeline))
+    shapes = {id(e.match.shape) for e in copy.table(0)}
+    assert len(shapes) == 1
+    # Unpickling re-joins the process's interned shape.
+    assert copy.table(0).entries[0].match.shape is pipeline.table(0).entries[0].match.shape

@@ -1,11 +1,15 @@
 """Tests for Match: construction, evaluation, and relations."""
 
+import pickle
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import strategies as sts
 
 from repro.net.addresses import ip_to_int
+from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.match import Match
 from repro.packet import PacketBuilder
 from repro.packet.parser import parse
@@ -46,6 +50,27 @@ class TestConstruction:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             Match(tcp_dst=True)
+
+    @pytest.mark.parametrize("spec", [(70000, 0xFFFF), (-1, 0xFFFF), (1 << 16, 0xFF00)])
+    def test_masked_value_out_of_range(self, spec):
+        # Each was truncated under the mask (0x1170, 0xffff, 0) before.
+        with pytest.raises(ValueError):
+            Match(tcp_dst=spec)
+        with pytest.raises(ValueError):
+            Match.from_pairs({"tcp_dst": spec})
+
+    def test_out_of_range_address_value(self):
+        with pytest.raises(ValueError):
+            Match(ipv4_dst=(1 << 32, 0xFFFFFF00))
+        with pytest.raises(ValueError):
+            Match().extended("ipv4_dst", 1 << 32, 0xFF000000)
+
+    @pytest.mark.parametrize("pair", [(True, 0xFFFF), (80, True)])
+    def test_bool_rejected_in_pairs(self, pair):
+        with pytest.raises(TypeError):
+            Match(tcp_dst=pair)
+        with pytest.raises(TypeError):
+            Match.from_pairs({"tcp_dst": pair})
 
     def test_from_pairs(self):
         m = Match.from_pairs({"ipv4_src": (0x0A000000, 0xFF000000)})
@@ -123,6 +148,83 @@ class TestRelations:
         if not a.overlaps(b):
             view = parse(pkt)
             assert not (a.matches(view) and b.matches(view))
+
+
+def model_of(pairs: dict) -> dict:
+    """The reference model: a plain ``{field: (value & mask, mask)}`` dict,
+    fully wildcarded fields dropped."""
+    return {name: (value & mask, mask) for name, (value, mask) in pairs.items() if mask}
+
+
+def model_covers(a: dict, b: dict) -> bool:
+    return all(
+        name in b and b[name][1] & mask == mask and b[name][0] & mask == value
+        for name, (value, mask) in a.items()
+    )
+
+
+def model_overlaps(a: dict, b: dict) -> bool:
+    return all(
+        value & mask & b[name][1] == b[name][0] & mask & b[name][1]
+        for name, (value, mask) in a.items() if name in b
+    )
+
+
+def model_matches_key(a: dict, key: dict) -> bool:
+    return all(
+        key.get(name) is not None and key[name] & mask == value
+        for name, (value, mask) in a.items()
+    )
+
+
+flow_keys = st.fixed_dictionaries({
+    name: st.one_of(st.none(), st.sampled_from(values))
+    for name, values in sts.FIELD_DOMAINS.items()
+})
+
+
+class TestAgainstDictModel:
+    """A ``Match`` is a key over a shared shape; every answer it gives must
+    be the one a plain dict of ``(value, mask)`` pairs gives."""
+
+    @given(sts.match_pairs(min_size=0), sts.match_pairs(min_size=0), flow_keys)
+    def test_agrees_with_the_model(self, pa, pb, key):
+        a, b = Match.from_pairs(pa), Match(**pb)
+        ma, mb = model_of(pa), model_of(pb)
+        assert Match(**pa) == a and Match.from_pairs(pb) == b
+        assert (a == b) == (ma == mb)
+        if ma == mb:
+            assert hash(a) == hash(b) and a.shape is b.shape
+        assert a.shape == tuple((name, mask) for name, (_v, mask) in sorted(ma.items()))
+        assert list(a.items()) == sorted(ma.items())
+        assert a.values == tuple(value for _n, (value, _m) in sorted(ma.items()))
+        assert a.is_catch_all == (not ma)
+        for name in sorted(sts.FIELD_DOMAINS):
+            assert a.constraint(name) == ma.get(name)
+            assert a.value_of(name) == (ma[name][0] if name in ma else None)
+            assert a.mask_of(name) == (ma[name][1] if name in ma else 0)
+        assert a.covers(b) == model_covers(ma, mb)
+        assert b.covers(a) == model_covers(mb, ma)
+        assert a.overlaps(b) == model_overlaps(ma, mb) == b.overlaps(a)
+        assert a.matches_key(key) == model_matches_key(ma, key)
+        for name in pa:
+            rest = {n: vm for n, vm in ma.items() if n != name}
+            assert dict(a.without(name).items()) == rest
+        for name, (value, mask) in pb.items():
+            grown = model_of({**pa, name: (value, mask)})
+            assert dict(a.extended(name, value, mask).items()) == grown
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and hash(copy) == hash(a) and copy.shape is a.shape
+
+
+def test_flow_entry_keeps_identity_equality():
+    """``FlowTable`` keys its slot map by the entry itself: two entries for
+    one rule are two keys. An ``__eq__`` or ``__hash__`` on ``FlowEntry``
+    would merge them and silently break strict delete and replace."""
+    assert FlowEntry.__eq__ is object.__eq__
+    assert FlowEntry.__hash__ is object.__hash__
+    a, b = (FlowEntry(Match(tcp_dst=80), priority=1) for _ in range(2))
+    assert a != b and len({a: 0, b: 1}) == 2
 
 
 class TestProtocolPrereqs:

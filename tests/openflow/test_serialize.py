@@ -105,6 +105,8 @@ class TestErrors:
             '{"tables": [{"id": 0, "entries": [{"match": {}, '
             '"apply": [{"set": {"eth_type": 5}}]}]}]}',  # unwritable field
             '{"tables": [{"id": 0, "entries": [{"match": {}, '
+            '"apply": [{"set": {"tcp_dst": true}}]}]}]}',  # bool value
+            '{"tables": [{"id": 0, "entries": [{"match": {}, '
             '"apply": [{"push_vlan": 5}]}]}]}',
             '{"tables": [{"id": 0, "entries": [{"match": {}, '
             '"apply": [{"output": "x"}]}]}]}',
@@ -124,6 +126,12 @@ class TestErrors:
                '{"match": {}, "priority": "hi"}]}]}')
         with pytest.raises(serialize.SerializationError, match="table 3 entry 1"):
             serialize.loads(doc)
+
+    @pytest.mark.parametrize("value", [70000, -1, True])
+    def test_masked_value_out_of_range_rejected(self, value):
+        # Loaded as 0x1170 / 0xffff / 0x1 before the range check.
+        with pytest.raises(serialize.SerializationError):
+            serialize.match_from_obj({"tcp_dst": {"value": value, "mask": 0xFFFF}})
 
     def test_match_value_spellings(self):
         m = serialize.match_from_obj({"ipv4_dst": "192.0.2.0/24"})

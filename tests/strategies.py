@@ -26,7 +26,7 @@ from repro.packet.packet import Packet
 
 __all__ = [
     "FIELD_DOMAINS", "MASKS", "V6_A", "V6_B",
-    "matches", "masked_matches", "actions", "flow_tables", "tied_tables",
+    "matches", "match_pairs", "masked_matches", "actions", "flow_tables", "tied_tables",
     "pipelines", "goto_dag_pipelines", "flow_mod_batches", "packets",
     "random_packet",
 ]
@@ -53,13 +53,15 @@ def matches(draw) -> Match:
 
 
 @st.composite
-def masked_matches(draw) -> Match:
-    """A match with **arbitrary masks**: prefix masks of any length and
-    non-contiguous bit patterns on every maskable field — the corners the
-    curated :data:`MASKS` pools never reach."""
+def match_pairs(draw, min_size: int = 1) -> dict:
+    """``{field: (value, mask)}`` with **arbitrary masks**: prefix masks of
+    any length and non-contiguous bit patterns on every maskable field —
+    the corners the curated :data:`MASKS` pools never reach. Values are
+    in range but not canonicalized under their masks."""
     names = draw(
         st.lists(
-            st.sampled_from(sorted(FIELD_DOMAINS)), min_size=1, max_size=3, unique=True
+            st.sampled_from(sorted(FIELD_DOMAINS)),
+            min_size=min_size, max_size=3, unique=True,
         )
     )
     pairs = {}
@@ -68,7 +70,7 @@ def masked_matches(draw) -> Match:
         width, full = fdef.width, fdef.max_value
         value = draw(st.sampled_from(FIELD_DOMAINS[name] + [draw(st.integers(0, full))]))
         if not fdef.maskable:
-            pairs[name] = value & full
+            pairs[name] = (value, full)
             continue
         kind = draw(st.integers(0, 2))
         if kind == 0:
@@ -78,8 +80,13 @@ def masked_matches(draw) -> Match:
             mask = (full << (width - plen)) & full
         else:  # arbitrary, possibly non-contiguous
             mask = draw(st.integers(1, full))
-        pairs[name] = (value & mask, mask)
-    return Match(**pairs)
+        pairs[name] = (value, mask)
+    return pairs
+
+
+def masked_matches() -> st.SearchStrategy:
+    """A match over :func:`match_pairs`."""
+    return match_pairs().map(lambda pairs: Match(**pairs))
 
 
 @st.composite
