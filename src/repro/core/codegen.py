@@ -22,10 +22,11 @@ Every generated table function has the signature::
 with ``data`` the raw packet bytes, ``l3``/``l4`` the header offsets and
 ``proto`` the protocol bitmask produced by the parser templates (the
 paper's r12–r15 registers), ``etype`` the effective ethertype, and ``m``
-the cycle meter. It returns the installed rule that matched, whose
-``instructions`` is its table's shared action template (the paper's
-composite action set, Section 3.1), or on a miss one of
-:data:`MISS_RULES`. Protocol-prerequisite guards compile to bitmask tests —
+the cycle meter. It returns the installed rule that matched (for a
+decomposition leaf, the rule it stands for), whose ``instructions`` is
+its table's shared action template (the paper's composite action set,
+Section 3.1), or on a miss one of :data:`MISS_RULES`.
+Protocol-prerequisite guards compile to bitmask tests —
 the Python spelling of ``bt r15d, IP`` — and always run before any header
 byte is dereferenced.
 
@@ -371,12 +372,18 @@ def _guard_lines(guards: list[str], charge: str) -> list[str]:
             + _metered("        ", charge) + ["        return _MISS"])
 
 
+def _rule_of(entry: FlowEntry) -> FlowEntry:
+    """The rule an installed entry stands for, which is what a lookup
+    returns: a decomposition leaf's origin, or the entry itself."""
+    return entry.origin or entry
+
+
 def _miss_of(table: FlowTable) -> FlowEntry:
     """The miss arm of a rung whose prerequisite seats the catch-all, if
     there is one, last."""
     last = table.last_entry()  # O(1): no live-tuple rebuild
     if last is not None and last.match.is_catch_all:
-        return last
+        return _rule_of(last)
     return MISS_RULES[table.miss_policy]
 
 
@@ -417,7 +424,8 @@ class DirectTable(CompiledTable):
                 f"direct template bound exceeded: {size} entries "
                 f"> {MAX_DIRECT_ENTRIES}"
             )
-        self._rules = rules = table.entries
+        rules = table.entries
+        self._rules = [_rule_of(entry) for entry in rules]
         keys: list[int] = []
         #: per entry, its guards and matchers as one condition ("" = none).
         self._checks = [
@@ -427,7 +435,7 @@ class DirectTable(CompiledTable):
         self.keys = tuple(keys)
         self._keys_in_code = config.keys_in_code
         namespace: dict = {"_MISS": MISS_RULES[table.miss_policy]}
-        namespace.update((f"_O{i}", entry) for i, entry in enumerate(rules))
+        namespace.update((f"_O{i}", rule) for i, rule in enumerate(self._rules))
         super().__init__(table, costs, namespace)
 
     def _emit(self, costs: CostBook) -> list[str]:
@@ -482,7 +490,7 @@ class HashTable(CompiledTable):
         for entry in rules:
             key = _hash_key_of(entry.match)
             if key not in items:  # first occurrence = highest priority wins
-                items[key] = entry
+                items[key] = _rule_of(entry)
         # One bulk build instead of insert-at-a-time: a million-entry table
         # pays a single layout search, not an incremental growth sequence.
         self.hash_store = store = CollisionFreeHash(items)
@@ -524,7 +532,7 @@ class HashTable(CompiledTable):
         if best is None:
             self.hash_store.remove(key)
         else:
-            self.hash_store.insert(key, best)
+            self.hash_store.insert(key, _rule_of(best))
         return True
 
     def _hits(self):
@@ -568,7 +576,7 @@ class LpmTable(CompiledTable):
             [(value, depth, slot) for slot, (value, depth) in enumerate(by_prefix)]
         )
         #: slot-addressed by the store's next hop; freed slots hold None.
-        self._out = rules = list(by_prefix.values())
+        self._out = rules = [_rule_of(entry) for entry in by_prefix.values()]
         #: recycled slots of the rule list (freed by incremental DELETE).
         self._free: list[int] = []
         #: ``(table.shapes_version, verdict)`` of the last :meth:`_keeps`
@@ -630,6 +638,8 @@ class LpmTable(CompiledTable):
         store, rules = self.lpm_store, self._out
         slot = store.get_rule(value, depth)
         best = table.find(match)
+        if best is not None:
+            best = _rule_of(best)
         if best is None:
             if slot is not None:
                 store.delete(value, depth)
@@ -757,10 +767,13 @@ class LinkedListTable(CompiledTable):
             if fn is None:
                 fn = _build_sig_matcher(sig)
                 self.ll_matchers[sig] = fn
-            entries.append((_guard_masks(entry.match), fn, entry.match.values, entry))
+            entries.append(
+                (_guard_masks(entry.match), fn, entry.match.values, _rule_of(entry))
+            )
         self.ll_entries[:] = entries
         self.namespace["_MISS"] = (
-            catch_all if catch_all is not None else MISS_RULES[table.miss_policy]
+            _rule_of(catch_all) if catch_all is not None
+            else MISS_RULES[table.miss_policy]
         )
 
     def _absorb(self, table: FlowTable, mod: FlowMod) -> bool:

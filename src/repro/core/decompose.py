@@ -215,12 +215,8 @@ def _emit_regular(
             instructions=row.original.instructions,
         )
         # The leaf *is* the original rule, restricted to the columns not
-        # yet dispatched on: statistics must land on the logical entry
-        # (a packet matching here matched that rule), so the counters
-        # object is shared, not copied, and ``origin`` lets the shard
-        # wire format resolve this compile artifact back to
-        # control-plane-visible identity.
+        # yet dispatched on: a packet matching here matched that rule, so
+        # the compiled table returns (and counts on) the rule itself.
         leaf.origin = row.original
-        leaf.counters = row.original.counters
         table.add(leaf)
     return table

@@ -337,9 +337,8 @@ def _emit_run(
     lines.append(f"                meter.charge({lit('table_miss')})")
     lines.append("            return verdict")
     lines.append("        path.append((tid, hit))")
-    lines.append("        counters = hit.counters")
-    lines.append("        counters.packets += 1")
-    lines.append("        counters.bytes += dlen")
+    lines.append("        hit.packets += 1")
+    lines.append("        hit.bytes += dlen")
     if flags["meter"]:
         lines.append("        if out.meter is not None and not out.meter.allow():")
         lines.append("            verdict.dropped = True")

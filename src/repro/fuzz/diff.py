@@ -74,7 +74,7 @@ class Divergence:
 
 def _counters(pipeline) -> dict:
     return {
-        (table.table_id, i): (entry.counters.packets, entry.counters.bytes)
+        (table.table_id, i): (entry.packets, entry.bytes)
         for table in pipeline
         for i, entry in enumerate(table.entries)
     }
@@ -110,7 +110,7 @@ class _EswitchBackend:
         verdicts = self.switch.process_burst(pkts, self.meter)
         return [v.summary() for v in verdicts], [bytes(p.data) for p in pkts]
 
-    def counters(self):
+    def flow_counts(self):
         return _counters(self.switch.pipeline)
 
     @property
@@ -138,7 +138,7 @@ class _OvsBackend:
             sums.append(self.switch.process(pkt).summary())
         return sums, [bytes(p.data) for p in pkts]
 
-    def counters(self):
+    def flow_counts(self):
         return _counters(self.switch.pipeline)
 
     cycles = None
@@ -168,7 +168,7 @@ class _ShardedBackend:
         verdicts = self.engine.process_burst(pkts, self.meter)
         return [v.summary() for v in verdicts], None
 
-    def counters(self):
+    def flow_counts(self):
         self.engine.sync_flow_stats()
         return _counters(self.engine.pipeline)
 
@@ -328,7 +328,7 @@ def run_scenario(
             if backend.name in dead:
                 continue
             try:
-                got = backend.counters()
+                got = backend.flow_counts()
             except Exception as exc:  # noqa: BLE001
                 crash(backend, exc, -1)
                 continue

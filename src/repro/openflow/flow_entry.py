@@ -12,23 +12,6 @@ from repro.openflow.match import Match
 _entry_ids = itertools.count(1)
 
 
-class FlowCounters:
-    """Per-entry statistics (packet and byte counts)."""
-
-    __slots__ = ("packets", "bytes")
-
-    def __init__(self) -> None:
-        self.packets = 0
-        self.bytes = 0
-
-    def record(self, pkt_len: int) -> None:
-        self.packets += 1
-        self.bytes += pkt_len
-
-    def __repr__(self) -> str:
-        return f"FlowCounters(packets={self.packets}, bytes={self.bytes})"
-
-
 class FlowEntry:
     """One rule in a flow table.
 
@@ -42,6 +25,9 @@ class FlowEntry:
     :class:`~repro.openflow.instructions.ActionTemplate` for that list:
     the same sequence of instructions, now one object for every rule
     that carries it.
+
+    ``packets`` / ``bytes`` are the rule's own statistics: every datapath
+    adds a hit to the rule its lookup returned.
     """
 
     __slots__ = (
@@ -49,7 +35,8 @@ class FlowEntry:
         "priority",
         "match",
         "instructions",
-        "counters",
+        "packets",
+        "bytes",
         "cookie",
         "idle_timeout",
         "hard_timeout",
@@ -81,12 +68,12 @@ class FlowEntry:
             self.instructions = instructions  # already compiled: keep sharing
         else:
             self.instructions = tuple(instructions or ())
-        self.counters = FlowCounters()
-        #: the logical entry this one stands in for, or None. Synthetic
-        #: leaf entries minted by flow table decomposition point back at
-        #: the rule they carry the instructions of, so statistics and
-        #: wire-format entry identity resolve to control-plane-visible
-        #: state (their ``counters`` alias the origin's object).
+        self.packets = 0
+        self.bytes = 0
+        #: the logical entry this one stands in for, or None. A leaf
+        #: minted by flow table decomposition points back at the rule it
+        #: carries the instructions of; the compiler stores that rule, not
+        #: the leaf, as the lookup's answer, so a hit counts on the rule.
         self.origin: "FlowEntry | None" = None
         self.cookie = cookie
         #: seconds of inactivity after which the entry expires (0 = never).

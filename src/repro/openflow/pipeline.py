@@ -478,7 +478,8 @@ class Pipeline:
                     verdict.dropped = True
                 return
 
-            entry.counters.record(len(view.pkt))
+            entry.packets += 1
+            entry.bytes += len(view.pkt)
             # Meters run before the entry's other instructions (OF 1.3):
             # a fired drop band kills the packet here, earlier entries'
             # already-applied effects standing.

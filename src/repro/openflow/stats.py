@@ -159,8 +159,8 @@ def collect_flow_stats(
                     table_id=table.table_id,
                     priority=entry.priority,
                     match=entry.match,
-                    packets=entry.counters.packets,
-                    bytes=entry.counters.bytes,
+                    packets=entry.packets,
+                    bytes=entry.bytes,
                     cookie=entry.cookie,
                 )
             )
@@ -170,8 +170,8 @@ def collect_flow_stats(
 def collect_table_stats(pipeline: Pipeline) -> list[TableStats]:
     out = []
     for table in pipeline:
-        packets = sum(e.counters.packets for e in table)
-        nbytes = sum(e.counters.bytes for e in table)
+        packets = sum(e.packets for e in table)
+        nbytes = sum(e.bytes for e in table)
         out.append(
             TableStats(
                 table_id=table.table_id,

@@ -202,7 +202,7 @@ class ExpiryManager:
                         entry=entry,
                         installed_at=now,
                         last_active=now,
-                        last_packets=entry.counters.packets,
+                        last_packets=entry.packets,
                         next_deadline=_INF,
                         seq=self._seq,
                     )
@@ -243,7 +243,7 @@ class ExpiryManager:
             entry = tracked.entry
             if not entry.idle_timeout:
                 continue
-            packets = entry.counters.packets
+            packets = entry.packets
             if packets > tracked.last_packets:
                 tracked.last_packets = packets
                 tracked.last_active = now

@@ -211,10 +211,12 @@ class OvsSwitch:
         where the slow path would have dropped), then applies its actions.
         """
         verdict = Verdict()
-        pkt_len = len(view.pkt)
         for flow_meter, actions, rule in entry.program:
             if rule is not None:
-                rule.counters.record(pkt_len)
+                # the frame as this step sees it: an earlier step's VLAN
+                # push or pop has already changed its length.
+                rule.packets += 1
+                rule.bytes += len(view.pkt)
             if flow_meter is not None and not flow_meter.allow():
                 verdict.dropped = True
                 break

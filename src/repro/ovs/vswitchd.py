@@ -120,7 +120,8 @@ class Vswitchd:
                 write_set = []
                 break
 
-            entry.counters.record(len(pkt))
+            entry.packets += 1
+            entry.bytes += len(pkt)
             # Meters run before the entry's other instructions. A fired
             # band drops the packet now; the decision is transient, so
             # nothing is cached (the next conforming packet will install

@@ -363,10 +363,10 @@ class ShardedESwitch:
         #: arrives with history keeps it (workers seed their ``shipped``
         #: baselines the same way and never re-report it).
         self._counter_ledger: dict[int, list[int]] = {
-            entry.entry_id: [entry.counters.packets, entry.counters.bytes]
+            entry.entry_id: [entry.packets, entry.bytes]
             for table in self.shadow.pipeline
             for entry in table.entries
-            if entry.counters.packets or entry.counters.bytes
+            if entry.packets or entry.bytes
         }
         self._slots: list[_ShardSlot] = []
         #: double-buffering state: bursts scattered but not yet gathered,
@@ -496,8 +496,8 @@ class ShardedESwitch:
         pl = pickle.loads(pickle.dumps(self.shadow.pipeline))
         for table in pl:
             for entry in table.entries:
-                entry.counters.packets = 0
-                entry.counters.bytes = 0
+                entry.packets = 0
+                entry.bytes = 0
         return pickle.dumps(pl)
 
     def _handle_fault(self, slot: _ShardSlot, epoch: int) -> bool:
@@ -891,8 +891,8 @@ class ShardedESwitch:
         for table in self.shadow.pipeline:
             for entry in table.entries:
                 packets, nbytes = ledger.get(entry.entry_id, (0, 0))
-                entry.counters.packets = packets
-                entry.counters.bytes = nbytes
+                entry.packets = packets
+                entry.bytes = nbytes
 
     # -- inspection (delegated to the shadow) ------------------------------
 

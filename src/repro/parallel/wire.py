@@ -15,13 +15,11 @@ frame packs straight from :class:`~repro.packet.packet.Packet`):
   applies the same flow-mods in the same epoch order, so logical
   ``entries`` tuples are identical everywhere.
 
-Hops through decomposition-internal tables resolve through the entry's
-``origin`` pointer: a synthetic *leaf* entry stands in for a logical
-rule and encodes as that rule's position (so decoded paths and counter
-deltas attribute to control-plane-visible state, exactly like the
-single-process datapath's shared-counters accounting). Synthetic
-*dispatch* entries have no logical identity at all; they carry the
-``(-1, -1)`` position and decode to ``None``.
+A hop through a decomposition-internal table holds what that table's
+lookup returned: a logical rule (a decomposition leaf compiles to the
+rule it stands for) or a synthetic *dispatch* entry. Dispatch entries
+have no logical identity at all; they carry the ``(-1, -1)`` position
+and decode to ``None``.
 
 The engine re-binds positions to its own shadow pipeline's entries on
 gather, giving callers real ``Verdict`` objects whose ``path`` points at
@@ -90,10 +88,8 @@ def encode_verdicts(
         )
         path = []
         for tid, entry in verdict.path:
-            if entry is not None and entry.origin is not None:
-                entry = entry.origin  # decomposition leaf -> logical rule
-            pos = index.get(id(entry), (-1, -1)) if entry is not None else (-1, -1)
-            path.append((tid,) + pos)
+            # a miss (None) and a dispatch entry are in no table
+            path.append((tid,) + index.get(id(entry), (-1, -1)))
         out.append((tuple(verdict.output_ports), flags, tuple(path)))
     return out
 
@@ -147,26 +143,15 @@ def counter_deltas(
     deltas.
     """
     index, _ = cache.maps()
-    touched: dict[int, object] = {}
-    for verdict in verdicts:
-        for _tid, entry in verdict.path:
-            if entry is None:
-                continue
-            if entry.origin is not None:
-                # A decomposition leaf records into its logical rule's
-                # (shared) counters: report the delta under the logical
-                # entry, once, however many leaves alias it.
-                entry = entry.origin
-            touched[id(entry)] = entry
+    touched = {id(entry): entry for v in verdicts for _tid, entry in v.path}
     out = []
     for eid, entry in touched.items():
         pos = index.get(eid)
         if pos is None:
-            continue  # synthetic dispatch entry: no logical counters
-        c = entry.counters
+            continue  # a miss (None) or a dispatch entry: no logical counters
         prev = shipped.get(eid, (0, 0))
-        d_packets, d_bytes = c.packets - prev[0], c.bytes - prev[1]
+        d_packets, d_bytes = entry.packets - prev[0], entry.bytes - prev[1]
         if d_packets or d_bytes:
-            shipped[eid] = (c.packets, c.bytes)
+            shipped[eid] = (entry.packets, entry.bytes)
             out.append((pos[0], pos[1], d_packets, d_bytes))
     return out

@@ -116,10 +116,10 @@ def shard_worker_main(
         # snapshot's baseline: pre-existing history is the engine
         # ledger's business, only counts earned HERE ship as deltas.
         shipped: dict = {
-            id(entry): (entry.counters.packets, entry.counters.bytes)
+            id(entry): (entry.packets, entry.bytes)
             for table in switch.pipeline
             for entry in table.entries
-            if entry.counters.packets or entry.counters.bytes
+            if entry.packets or entry.bytes
         }
         faults.fire("spawn", "after")
         chan.send(("ready", epoch))

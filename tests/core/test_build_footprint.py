@@ -9,8 +9,9 @@ and the hash store keeps its slots as two columns and its bucket membership
 as tuples of keys, which the collector untracks. What is left is a fixed
 handful of containers per table, whatever the rule count.
 
-The pipeline itself holds a few hundred bytes per rule: a match is one
-key tuple over a shape every rule of that shape shares, pickled or not.
+The pipeline itself holds a few hundred bytes per rule and two tracked
+objects, the entry (which keeps its own counts) and its match: a match is
+one key tuple over a shape every rule of that shape shares, pickled or not.
 """
 
 import gc
@@ -27,10 +28,12 @@ N = 20_000
 N_PREFIXES = 10_000
 #: tracked containers a whole build may leave: per table, not per rule.
 BUILD_BOUND = 64
-#: traced bytes a built one-table l2 pipeline may hold per rule: the entry,
-#: its counters and its ``(shape, value)`` match key (626 while every match
-#: kept a dict of ``(value, mask)`` pairs).
-PIPELINE_BYTES_PER_RULE = 420
+#: tracked objects a built l2 pipeline holds per rule: the entry and its match.
+PIPELINE_OBJECTS_PER_RULE = 2
+#: traced bytes a built one-table l2 pipeline may hold per rule: the entry
+#: with its packet and byte counts, and its ``(shape, value)`` match key
+#: (338 measured, on CPython 3.11).
+PIPELINE_BYTES_PER_RULE = 360
 
 
 def tracked_after(build) -> "tuple[int, object]":
@@ -88,6 +91,15 @@ def test_hash_store_tracks_nothing_per_key():
     left, store = tracked_after(lambda: CollisionFreeHash(keys))
     assert left <= 16, f"{left} tracked containers for {N} int keys"
     assert all(store.get(k) == v for k, v in keys.items())
+
+
+def test_a_pipeline_build_leaves_two_tracked_objects_per_rule():
+    l2.build(64)  # first-use costs (lazy imports) are per process
+    left, (pipeline, _macs) = tracked_after(lambda: l2.build(N))
+    assert len(pipeline.table(0)) == N
+    # plus a constant: the shared action templates and the table's lists.
+    bound = PIPELINE_OBJECTS_PER_RULE * N + 4 * BUILD_BOUND
+    assert left <= bound, f"{left} tracked objects for {N} rules"
 
 
 def test_a_pipeline_build_holds_a_few_hundred_bytes_per_rule():

@@ -194,7 +194,7 @@ class TestFuseContainment:
         assert sw.datapath.fused is None
 
         def counters(pipe):
-            return [(e.counters.packets, e.counters.bytes)
+            return [(e.packets, e.bytes)
                     for table in pipe.tables for e in table.entries]
 
         assert counters(sw.pipeline) == counters(reference)

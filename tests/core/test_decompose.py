@@ -4,19 +4,22 @@ import gc
 import random
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import strategies as sts
 
-from repro.core import decompose
-from repro.core.analysis import TemplateKind, select_template
+from repro.core import ESwitch, decompose
+from repro.core.analysis import CompileConfig, TemplateKind, select_template
 from repro.core.decompose import decomposable, decompose_table
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
+from repro.openflow.instructions import GotoTable
 from repro.openflow.match import Match
 from repro.openflow.pipeline import Pipeline
+from repro.packet import PacketBuilder
 from repro.usecases import acl
 
 
@@ -250,17 +253,20 @@ class TestSetPruning:
     @settings(max_examples=150, deadline=None)
     @given(shadowed_tables(), st.lists(sts.packets(), min_size=1, max_size=12))
     def test_verdicts_and_counters_match_the_original(self, table, pkts):
-        """(c) a pruned row was unreachable: every rule's counters read the
-        same as under Pipeline.process on the undecomposed table (dead
-        rules read 0 on both sides)."""
+        """(c) a pruned row was unreachable: every rule's leaves together
+        count what the rule counts under Pipeline.process on the
+        undecomposed table (dead rules read 0 on both sides)."""
         tables = decompose_table(table, 100)
         if tables is None:
             return
         reference = fresh(table)
         assert semantics(reference, pkts) == semantics(Pipeline(tables), pkts)
+        counts = {id(rule): [0, 0] for rule in table}
+        for leaf in (x for t in tables for x in t if x.origin is not None):
+            counts[id(leaf.origin)][0] += leaf.packets
+            counts[id(leaf.origin)][1] += leaf.bytes
         for ours, theirs in zip(table, reference):
-            assert (ours.counters.packets, ours.counters.bytes) == (
-                theirs.counters.packets, theirs.counters.bytes)
+            assert counts[id(ours)] == [theirs.packets, theirs.bytes]
 
     @settings(max_examples=100, deadline=None)
     @given(shadowed_tables(), st.data())
@@ -327,3 +333,59 @@ class TestSetPruning:
         finally:
             gc.enable()
         assert pruned <= 1.5 * unpruned
+
+
+def acl_flows(table: FlowTable, n: int, rng: random.Random) -> list:
+    """Five-tuple packets aimed at random rules of ``table`` (fields a rule
+    leaves open drawn at random), and one in four ICMP, which only the
+    default permit takes."""
+    rules = [x for x in table.entries if not x.match.is_catch_all]
+    flows = []
+    for _ in range(n):
+        builder = PacketBuilder(in_port=1).eth()
+        if rng.random() < 0.25:
+            builder.ipv4(src=rng.getrandbits(32), dst=rng.getrandbits(32))
+            flows.append(builder.icmp().build())
+            continue
+        want = {name: value for name, (value, _m) in rng.choice(rules).match.items()}
+        builder.ipv4(src=want.get("ipv4_src", rng.getrandbits(32)),
+                     dst=want.get("ipv4_dst", rng.getrandbits(32)))
+        l4 = "tcp" if want["ip_proto"] == 6 else "udp"
+        getattr(builder, l4)(
+            src_port=want.get(f"{l4}_src", 1024 + rng.randrange(60_000)),
+            dst_port=want.get(f"{l4}_dst", rng.choice(acl.SERVICE_PORTS)))
+        flows.append(builder.build())
+    return flows
+
+
+class TestLeavesCompileToTheirRule:
+    """A sub-table's lookup returns the logical rule a leaf stands for,
+    never the leaf: every hop holds a rule of its logical table or a
+    synthetic dispatch entry, and the rule counts its own hits."""
+
+    @pytest.mark.parametrize("config", [CompileConfig(), CompileConfig(fuse=False)],
+                             ids=["fused", "trampoline"])
+    def test_no_verdict_path_holds_a_leaf(self, config):
+        flows = acl_flows(acl.generate(369), 256, random.Random(1))
+        reference = acl.build(369)
+        switch = ESwitch(acl.build(369), config)
+        assert switch.table_kinds()[0].startswith("decomposed[")
+        half = len(flows) // 2
+        verdicts = [switch.process(p.copy()) for p in flows[:half]]
+        verdicts += switch.process_burst([p.copy() for p in flows[half:]])
+        assert [v.summary() for v in verdicts] == [
+            reference.process(p.copy()).summary() for p in flows]
+        rule_ids = {t.table_id: set(map(id, t.entries)) for t in switch.pipeline}
+        rule_hops = 0
+        for verdict in verdicts:
+            for tid, entry in verdict.path:
+                if entry is None:
+                    continue
+                if id(entry) in rule_ids[switch.logical_table_id(tid)]:
+                    rule_hops += 1
+                else:  # dispatch: no origin, and nothing but a goto
+                    assert entry.origin is None
+                    assert list(entry.instructions) == [GotoTable(entry.goto_table)]
+        assert rule_hops == len(flows)
+        assert [(x.packets, x.bytes) for x in switch.pipeline.table(0)] == [
+            (x.packets, x.bytes) for x in reference.table(0)]

@@ -128,7 +128,7 @@ class TestProcessing:
         sw = ESwitch.from_pipeline(p)
         pkt = (PacketBuilder(in_port=firewall.INTERNAL).eth().ipv4().tcp().build())
         sw.process(pkt)
-        assert p.table(0).entries[0].counters.packets == 1
+        assert p.table(0).entries[0].packets == 1
 
     def test_packet_in_handler_called(self):
         from repro.openflow.flow_table import TableMissPolicy

@@ -121,11 +121,11 @@ class TestMissOutcome:
         assert all(switch.warm() for switch in switches) == fuse
         verdict = switches[0].process(PacketBuilder(in_port=1).eth().build())
         assert verdict.path == [(0, rule), (1, None)] and verdict.dropped
-        assert rule.counters.packets == 1
+        assert rule.packets == 1
         verdict = switches[0].process(PacketBuilder(in_port=2).eth().build())
         assert verdict.path == [(0, None)] and verdict.to_controller
         # Both switches' tables answer a miss with the same process-wide
         # rule, which stays uncounted.
         assert (switches[0].compiled_table(1).miss is switches[1].compiled_table(0).miss
                 is MISS_RULES[TableMissPolicy.DROP])
-        assert all(miss.counters.packets == 0 for miss in MISS_RULES.values())
+        assert all(miss.packets == 0 for miss in MISS_RULES.values())

@@ -248,7 +248,7 @@ class TestSharing:
         assert a.datapath.fused.namespace is not b.datapath.fused.namespace
         pkt = mac_pkt(0x0200_0000_0001, in_port=2)
         assert b.process(pkt.copy()).output_ports == [12]
-        counters = [e.counters.packets for e in b.pipeline.table(0).entries]
+        counters = [e.packets for e in b.pipeline.table(0).entries]
         generation = b.datapath.generation
         reply = a.submit_flow_mods([
             FlowMod(FlowModCommand.DELETE, 0, Match(in_port=2), priority=8,
@@ -260,7 +260,7 @@ class TestSharing:
         assert a.process(mac_pkt(1, in_port=5)).output_ports == [99]
         assert a.process(pkt.copy()).output_ports == []
         assert b.datapath.generation == generation
-        assert [e.counters.packets for e in b.pipeline.table(0).entries] == counters
+        assert [e.packets for e in b.pipeline.table(0).entries] == counters
         assert b.process(pkt.copy()).output_ports == [12]
         assert b.process(mac_pkt(1, in_port=5)).output_ports == []
 

@@ -15,7 +15,7 @@ from repro.usecases import firewall, gateway
 def packet_counts(pipeline):
     return {
         (t.table_id, e.entry_id - min(x.entry_id for x in t))
-        if False else (t.table_id, i): e.counters.packets
+        if False else (t.table_id, i): e.packets
         for t in pipeline
         for i, e in enumerate(t)
     }

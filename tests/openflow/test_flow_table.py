@@ -117,7 +117,7 @@ class TestLookup:
         e = entry(10, tcp_dst=80)
         t.add(e)
         t.lookup(self.pkt())
-        assert e.counters.packets == 0  # counting is the interpreter's job
+        assert e.packets == 0  # counting is the interpreter's job
 
 
 class TestMisc:

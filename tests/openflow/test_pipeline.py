@@ -174,8 +174,8 @@ class TestInterpreter:
         p = Pipeline([t])
         p.process(http_pkt())
         p.process(http_pkt())
-        assert e.counters.packets == 2
-        assert e.counters.bytes == 128
+        assert e.packets == 2
+        assert e.bytes == 128
 
     def test_trace_collects_probes(self):
         t = FlowTable(0)

@@ -1,8 +1,12 @@
 """Tests for the assembled OVS switch: hierarchy, stats, invalidation."""
 
-from repro.openflow.actions import Output
+import pytest
+
+from repro.core import ESwitch
+from repro.openflow.actions import Output, PopVlan, PushVlan
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable, TableMissPolicy
+from repro.openflow.instructions import ApplyActions, GotoTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
@@ -129,6 +133,37 @@ class TestInPhyPort:
             want = reference.process(pkt.copy())
             assert sw.process(pkt).summary() == want.summary()
             assert want.forwarded == (port == 3)
+
+
+class TestCountersAfterVlanActions:
+    """A megaflow replay credits each rule the frame as that rule saw it:
+    a VLAN push or pop in table 0 changes what table 1 counts."""
+
+    def pipeline(self, action):
+        t0, t1 = FlowTable(0), FlowTable(1)
+        t0.add(FlowEntry(Match(in_port=1), priority=5,
+                         instructions=(ApplyActions([action]), GotoTable(1))))
+        t1.add(FlowEntry(Match(), actions=[Output(2)]))
+        return Pipeline([t0, t1])
+
+    @pytest.mark.parametrize("action, tagged", [(PushVlan(vid=10), False),
+                                                (PopVlan(), True)])
+    def test_every_rule_counts_as_the_reference(self, action, tagged):
+        builder = PacketBuilder(in_port=1).eth()
+        if tagged:
+            builder = builder.vlan(10)
+        pkt = builder.ipv4().udp().build()
+        reference = self.pipeline(action)
+        switches = [OvsSwitch(self.pipeline(action)),
+                    ESwitch(self.pipeline(action))]
+        for _ in range(3):  # an upcall, then cache hits
+            reference.process(pkt.copy())
+            for switch in switches:
+                switch.process(pkt.copy())
+        want = [(e.packets, e.bytes) for t in reference for e in t]
+        assert want[0][0] == want[1][0] == 3
+        for switch in switches:
+            assert [(e.packets, e.bytes) for t in switch.pipeline for e in t] == want
 
 
 class TestStats:

@@ -20,7 +20,7 @@ import strategies as sts
 
 from repro.core import ESwitch
 from repro.openflow.actions import Output
-from repro.openflow.instructions import ApplyActions
+from repro.openflow.instructions import ApplyActions, GotoTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.stats import BurstStats, collect_flow_stats
@@ -33,9 +33,9 @@ from repro.usecases import gateway, l2
 def summarize(verdicts, pipeline):
     """Verdicts as comparable values: entry refs become logical positions.
 
-    Synthetic decomposition *leaf* entries resolve through ``origin`` to
-    the logical rule they stand in for — exactly how the wire encodes
-    them; dispatch entries (no logical identity) summarize as None.
+    A hop holds a logical rule (a decomposition leaf compiles to the rule
+    it stands for) or a synthetic dispatch entry, which has no logical
+    identity and summarizes as None — exactly how the wire encodes them.
     """
     pos = {}
     for table in pipeline:
@@ -43,10 +43,10 @@ def summarize(verdicts, pipeline):
             pos[id(entry)] = i
 
     def resolve(e):
-        if e is None:
-            return None
-        if e.origin is not None:
-            e = e.origin
+        if e is not None and id(e) not in pos:
+            # dispatch: no origin, and nothing but a goto
+            assert e.origin is None
+            assert list(e.instructions) == [GotoTable(e.goto_table)]
         return pos.get(id(e))
 
     return [

@@ -91,7 +91,7 @@ def test_failed_batch_is_invisible(kind):
                 sync()
         table = switch.pipeline.table(0)
         entries = table.entries
-        state = [(e.entry_id, e.counters.packets, e.counters.bytes)
+        state = [(e.entry_id, e.packets, e.bytes)
                  for e in entries]
         assert any(packets for _id, packets, _bytes in state)
         applied = getattr(switch, "flow_mods_applied", None)
@@ -102,7 +102,7 @@ def test_failed_batch_is_invisible(kind):
         after = table.entries
         assert len(after) == len(entries)
         assert all(a is b for a, b in zip(after, entries))
-        assert [(e.entry_id, e.counters.packets, e.counters.bytes)
+        assert [(e.entry_id, e.packets, e.bytes)
                 for e in after] == state
         assert [t.table_id for t in switch.pipeline] == [0]
         if hasattr(switch, "table_kinds"):
