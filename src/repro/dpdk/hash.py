@@ -37,9 +37,12 @@ looping forever.
 A full build computes the mix and the bucket grouping of every key at once
 (numpy columns), then runs the sequential displacement search over plain
 int lists; see DESIGN.md §10 for why each key's slot index is pinned.
-The slots are two parallel columns (``_slot_keys``, ``_slot_vals``) and a
-bucket's keys one tuple, so a stored key costs the cyclic collector no
-container of the table's own.
+The slots are two parallel columns (``_slot_keys``, ``_slot_vals``), and
+they are the only place a key and its value live: length, iteration and
+updates read them, and a rebuild takes the resident keys in slot order.
+Bucket membership is one list indexed by bucket (None, a lone non-tuple
+key held bare, or a tuple of keys), so a stored key costs the cyclic
+collector no container of the table's own.
 """
 
 from __future__ import annotations
@@ -59,8 +62,6 @@ _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 #: Fibonacci multiplier for the multiply-shift slot hash (odd, well mixed).
 _GOLD = 0x9E3779B97F4A7C15
-#: "no previous value" in :meth:`CollisionFreeHash.insert` (None is a value).
-_ABSENT = object()
 
 
 class HashKeyError(ValueError):
@@ -150,7 +151,8 @@ class CollisionFreeHash:
     MIN_SLOTS = 8
 
     def __init__(self, items: "dict | None" = None):
-        self._items: dict = dict(items or {})
+        items = items or {}
+        self._count = 0
         self._seed = 0
         #: the slots as two columns: a key (None = empty) and its value
         self._slot_keys: list = []
@@ -159,8 +161,8 @@ class CollisionFreeHash:
         self._shift = 64
         self._bmask = 0
         self._disp: list = []
-        #: keys per bucket, sparse (only non-empty buckets have an entry)
-        self._bucket_keys: dict[int, tuple] = {}
+        #: keys per bucket: None, a lone non-tuple key, or a tuple of keys
+        self._bucket_keys: list = []
         # -- telemetry (the cycle model and the scale tests read these) --
         self.rebuild_count = 0  # full redistributions (growth / rebuild())
         self.bucket_reseeds = 0  # bucket-local displacement searches
@@ -168,7 +170,7 @@ class CollisionFreeHash:
         self.seed_attempts = 0  # top-level seeds tried across all builds
         self.reseed_probes = 0  # displacement candidates tried, total
         self.rebuild_keys = 0  # keys redistributed by full rebuilds, total
-        self._build()
+        self._build(list(items), list(items.values()))
 
     # -- lookups ----------------------------------------------------------
 
@@ -209,13 +211,14 @@ class CollisionFreeHash:
         return self.get(key, sentinel) is not sentinel
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._count
 
     def __iter__(self) -> Iterator:
-        return iter(self._items)
+        return (key for key in self._slot_keys if key is not None)
 
-    def items(self):
-        return self._items.items()
+    def items(self) -> Iterator[tuple]:
+        """``(key, value)`` pairs, in slot order."""
+        return ((k, v) for k, v in zip(self._slot_keys, self._slot_vals) if k is not None)
 
     @property
     def slot_count(self) -> int:
@@ -236,17 +239,17 @@ class CollisionFreeHash:
     def footprint(self) -> dict:
         """Estimated resident bytes of the lookup structure.
 
-        Slots are modeled at the cost model's 16 bytes each; the
-        displacement array at 8 bytes per bucket; the shadow item dict at
-        ~64 bytes per entry (CPython dict overhead, order of magnitude).
+        Slots are the two columns, 16 bytes each (the cost model's entry
+        size); the displacement array and the bucket index 8 bytes per
+        bucket each. Keys and values are the caller's objects.
         """
         nbuckets = self._bmask + 1
         return {
             "kind": "hash",
-            "entries": len(self._items),
+            "entries": self._count,
             "slots": self._nslots,
             "buckets": nbuckets,
-            "bytes": self._nslots * 16 + nbuckets * 8 + len(self._items) * 64,
+            "bytes": self._nslots * 16 + nbuckets * 16,
         }
 
     # -- updates -------------------------------------------------------------
@@ -259,85 +262,72 @@ class CollisionFreeHash:
         Atomic: when no layout is found (:class:`HashBuildError`) or the
         key is rejected (:class:`HashKeyError`), the table is exactly what
         it was before the call — its telemetry too, for a rejected key,
-        which is mixed before any growth rebuild can start.
+        which is mixed before anything else. A failed reseed puts back the
+        slots it freed and a failed build assigns nothing, so there is
+        nothing to undo.
         """
-        items = self._items
-        previous = items.get(key, _ABSENT)
-        is_new = previous is _ABSENT
-        items[key] = value
-        bucket = None
-        try:
-            h = _mix(key, self._seed)
-            if is_new and len(items) * self.OVERSIZE_FACTOR > self._nslots:
-                self._build()
-                return
-            bucket = h & self._bmask
-            index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
-            if is_new:
-                self._bucket_keys[bucket] = self._bucket_keys.get(bucket, ()) + (key,)
-            held = self._slot_keys[index]
-            if held is None or held == key:
-                self._slot_keys[index] = key
-                self._slot_vals[index] = value
-            elif not self._reseed_bucket(bucket):
-                self._build()
-        except (HashBuildError, HashKeyError):
-            # Every failing step leaves the old layout standing (a failed
-            # reseed puts the bucket's keys back, the newcomer last and so
-            # never over an old key; a failed build assigns nothing): only
-            # the newcomer's bookkeeping is left to undo.
-            if not is_new:
-                items[key] = previous
-            elif bucket is None:
-                del items[key]
-            else:
-                self.remove(key)  # it holds no slot: drops its membership
-            raise
-
-    def remove(self, key: Key) -> bool:
-        """Remove a key; no rebuild needed (the slot just empties)."""
-        if key not in self._items:
-            return False
-        del self._items[key]
         h = _mix(key, self._seed)
         bucket = h & self._bmask
         index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
-        if self._slot_keys[index] == key:
-            self._slot_keys[index] = self._slot_vals[index] = None
-        keys = self._bucket_keys.get(bucket, ())
-        if key in keys:
-            if len(keys) == 1:
-                del self._bucket_keys[bucket]
-            else:
-                i = keys.index(key)
-                self._bucket_keys[bucket] = keys[:i] + keys[i + 1:]
+        held = self._slot_keys[index]
+        if held == key:  # resident: a value update
+            self._slot_vals[index] = value
+        elif (self._count + 1) * self.OVERSIZE_FACTOR > self._nslots:
+            self._build(*self._laid_out((key, value)))
+        elif held is None:
+            self._slot_keys[index] = key
+            self._slot_vals[index] = value
+            self._bucket_keys[bucket] = _bucket_of(_members(self._bucket_keys[bucket]) + (key,))
+            self._count += 1
+        elif not self._reseed_bucket(bucket, key, value):
+            self._build(*self._laid_out((key, value)))
+
+    def remove(self, key: Key) -> bool:
+        """Remove a key; no rebuild needed (the slot just empties)."""
+        if key not in self:
+            return False
+        h = _mix(key, self._seed)
+        bucket = h & self._bmask
+        index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
+        self._slot_keys[index] = self._slot_vals[index] = None
+        self._count -= 1
+        keys = _members(self._bucket_keys[bucket])
+        i = keys.index(key)
+        self._bucket_keys[bucket] = _bucket_of(keys[:i] + keys[i + 1:])
         return True
 
     def rebuild(self) -> None:
         """Force the periodic rebuild of Section 3.4."""
-        self._build()
+        self._build(*self._laid_out())
 
     # -- internals -------------------------------------------------------------
 
-    def _reseed_bucket(self, bucket: int) -> bool:
-        """Re-home one bucket's keys under a fresh displacement.
+    def _laid_out(self, *newcomer: tuple) -> "tuple[list, list]":
+        """What every rebuild after construction lays out: the resident
+        keys and values in slot order, then a newcomer's ``(key, value)``."""
+        pairs = [*self.items(), *newcomer]
+        return [k for k, _v in pairs], [v for _k, v in pairs]
+
+    def _reseed_bucket(self, bucket: int, key: Key, value: object) -> bool:
+        """Re-home one bucket's keys and the newcomer ``key`` (which holds
+        no slot yet) under a fresh displacement.
 
         Only this bucket's keys move; every other bucket's slots are
         untouched. Returns False when no displacement works within the
         budget (caller escalates to a full rebuild).
         """
-        keys = self._bucket_keys.get(bucket, ())
+        keys = _members(self._bucket_keys[bucket]) + (key,)
         hashes = [_mix(k, self._seed) for k in keys]
         if len(set(hashes)) != len(keys):
             return False  # un-separable within this bucket: escalate
         shift = self._shift
-        slot_keys, slot_vals, items = self._slot_keys, self._slot_vals, self._items
-        # Free this bucket's current slots so they count as candidates.
+        slot_keys, slot_vals = self._slot_keys, self._slot_vals
+        # Free the old members' slots so they count as candidates.
         old_disp = self._disp[bucket]
-        for h, k in zip(hashes, keys):
-            index = ((h ^ old_disp) * _GOLD & _MASK64) >> shift
-            if slot_keys[index] == k:
-                slot_keys[index] = slot_vals[index] = None
+        old = [((h ^ old_disp) * _GOLD & _MASK64) >> shift for h in hashes[:-1]]
+        values = [slot_vals[i] for i in old] + [value]
+        for i in old:
+            slot_keys[i] = slot_vals[i] = None
         self.bucket_reseeds += 1
         for disp in range(old_disp + 1, old_disp + 1 + self.MAX_DISP_TRIES):
             self.reseed_probes += 1
@@ -345,30 +335,30 @@ class CollisionFreeHash:
             if len(set(indexes)) == len(indexes) and all(
                 slot_keys[i] is None for i in indexes
             ):
-                for k, i in zip(keys, indexes):
+                for k, v, i in zip(keys, values, indexes):
                     slot_keys[i] = k
-                    slot_vals[i] = items[k]
+                    slot_vals[i] = v
                 self._disp[bucket] = disp
-                self.displaced_keys += max(0, len(keys) - 1)
+                self._bucket_keys[bucket] = _bucket_of(keys)
+                self._count += 1
+                self.displaced_keys += len(keys) - 1
                 return True
-        # Nothing worked: restore the old placement minus collisions so the
-        # table stays consistent for the full rebuild that follows.
-        for h, k in zip(hashes, keys):
-            index = ((h ^ old_disp) * _GOLD & _MASK64) >> shift
-            if slot_keys[index] is None:
-                slot_keys[index] = k
-                slot_vals[index] = items[k]
+        # Nothing worked: put the old members back, so the table stays
+        # consistent for the full rebuild that follows.
+        for k, v, i in zip(keys, values, old):
+            slot_keys[i] = k
+            slot_vals[i] = v
         return False
 
-    def _build(self) -> None:
-        """Full redistribution: pick sizes and a seed, place every key.
+    def _build(self, keys: list, values: list) -> None:
+        """Full redistribution: pick sizes and a seed, place ``keys``.
 
         Geometric sizing (power-of-two slots ≥ OVERSIZE_FACTOR·n) bounds
         full rebuilds at O(log n) over any insert sequence. A key set that
         defeats MAX_SEED_TRIES seeds raises :class:`HashBuildError`.
         """
         self.rebuild_count += 1
-        n = len(self._items)
+        n = len(keys)
         self.rebuild_keys += n
         slot_bits = 3  # MIN_SLOTS == 8
         while (1 << slot_bits) < n * self.OVERSIZE_FACTOR:
@@ -378,7 +368,8 @@ class CollisionFreeHash:
             seed = (base_seed + attempt + 1) * _GOLD & _MASK64
             self.seed_attempts += 1
             try:
-                self._try_build(slot_bits, seed)
+                self._try_build(slot_bits, seed, keys, values)
+                self._count = n
                 return
             except RebuildRequired as exc:
                 # Growth only helps when keys actually hash apart; a
@@ -390,11 +381,11 @@ class CollisionFreeHash:
             f"{self.MAX_SEED_TRIES} seeds (adversarial key set?)"
         )
 
-    def _try_build(self, slot_bits: int, seed: int) -> None:
+    def _try_build(self, slot_bits: int, seed: int, keys: list, values: list) -> None:
         nslots = 1 << slot_bits
         nbuckets = max(2, nslots // self.OVERSIZE_FACTOR)
         shift = 64 - slot_bits
-        placed = self._place_all(seed, nslots, nbuckets, shift)
+        placed = self._place_all(seed, nslots, nbuckets, shift, keys, values)
         self._seed = seed
         self._slot_keys, self._slot_vals, self._disp, self._bucket_keys = placed
         self._nslots = nslots
@@ -402,17 +393,17 @@ class CollisionFreeHash:
         self._bmask = nbuckets - 1
 
     def _place_all(
-        self, seed: int, nslots: int, nbuckets: int, shift: int
-    ) -> "tuple[list, list, list, dict[int, tuple]]":
-        """``(slot_keys, slot_vals, disp, bucket_keys)`` holding every key,
-        or raise :class:`RebuildRequired`.
+        self, seed: int, nslots: int, nbuckets: int, shift: int, keys: list, values: list
+    ) -> "tuple[list, list, list, list]":
+        """``(slot_keys, slot_vals, disp, bucket_keys)`` holding every key
+        with its value, or raise :class:`RebuildRequired`.
 
         Mix, bucket grouping and the bucket order are computed columnwise;
         the displacement search stays sequential because each bucket's
         choice depends on the slots every earlier bucket took. Buckets go
         largest first (classic CHD: they need the most freedom), ties in
-        order of first appearance among the keys, and a bucket's keys keep
-        their insertion order. The one-key buckets therefore close the
+        order of first appearance among ``keys``, and a bucket's keys keep
+        their order there. The one-key buckets therefore close the
         order (about two thirds of the occupied buckets at load 1/4), and
         they are placed key by key: the first free slot of
         ``d = 0, 1, …``, which is the search above with nothing to keep
@@ -421,8 +412,7 @@ class CollisionFreeHash:
         slot_keys: list = [None] * nslots
         slot_vals: list = [None] * nslots
         disp = [0] * nbuckets
-        bucket_keys: dict[int, tuple] = {}
-        keys = list(self._items)
+        bucket_keys: list = [None] * nbuckets
         if not keys:
             return slot_keys, slot_vals, disp, bucket_keys
         # ndarray methods and in-place ufuncs rather than the np.diff /
@@ -452,7 +442,6 @@ class CollisionFreeHash:
         hashes = hashes.tolist()
         layout = layout.tolist()
         laid_keys = [keys[i] for i in layout]
-        values = list(self._items.values())
         laid_vals = [values[i] for i in layout]
         max_tries = self.MAX_DISP_TRIES
         probes = 0
@@ -502,7 +491,19 @@ class CollisionFreeHash:
                 slot_keys[i] = key
                 slot_vals[i] = laid_vals[j]
                 disp[bucket] = d
-                bucket_keys[bucket] = (key,)
+                bucket_keys[bucket] = (key,) if isinstance(key, tuple) else key
         finally:
             self.reseed_probes += probes
         return slot_keys, slot_vals, disp, bucket_keys
+
+
+def _members(held: object) -> tuple:
+    """A bucket's keys, from its entry: None, a lone non-tuple key, or a tuple."""
+    return () if held is None else held if isinstance(held, tuple) else (held,)
+
+
+def _bucket_of(keys: tuple) -> object:
+    """The entry for a bucket's ``keys``: a lone non-tuple key is held bare."""
+    if len(keys) == 1 and not isinstance(keys[0], tuple):
+        return keys[0]
+    return keys or None

@@ -4,7 +4,7 @@ A :class:`Match` is one key over a shared shape, as a P4 table declares
 its key fields and match kinds once and each entry carries only values.
 The *shape* is the value-free ``((field, mask), ...)`` signature, sorted
 by field and interned here, so every rule of a shape points at one tuple;
-the match is the tuple ``(shape, v1, ..., vk)`` with its hash cached.
+the match *is* the key tuple ``(shape, v1, ..., vk)``, one object per rule.
 Masks are explicit and non-zero (an exact match uses the field's full
 mask) and values canonical (``value & mask``), so equal keys mean equal
 semantics. Every accessor — evaluation, subset/overlap tests (a merge over
@@ -23,8 +23,8 @@ from repro.packet.parser import ParsedPacket
 _SHAPES: "dict[tuple, tuple]" = {(): ()}
 
 
-class Match:
-    """An immutable set of field constraints, keyed ``(shape, *values)``.
+class Match(tuple):
+    """An immutable set of field constraints: the tuple ``(shape, *values)``.
 
     Construct from keyword arguments; each value may be:
 
@@ -36,11 +36,11 @@ class Match:
 
     >>> Match(ipv4_dst=("0xC0000200", 0xFFFFFF00))     # doctest: +SKIP
     >>> Match(ipv4_dst="192.0.2.0/24", tcp_dst=80)     # doctest: +SKIP
+
+    Only a match equals a match: a plain tuple of the same items does not.
     """
 
-    # Exactly two: a third slot moves a Match from pymalloc's 48-byte
-    # class to 64 and slows a full collection of a 10⁵-rule heap.
-    __slots__ = ("_key", "_hash")
+    __slots__ = ()
 
     def __new__(cls, **constraints: object) -> "Match":
         return _built([(name, *_parse_spec(field_by_name(name), spec))
@@ -59,25 +59,25 @@ class Match:
         """The value-free ``((field, mask), ...)`` signature, sorted by
         field: what template selection and parser planning key on. The
         interned tuple itself, shared by every match of the shape."""
-        return self._key[0]
+        return self[0]
 
     @property
     def values(self) -> tuple[int, ...]:
         """The constrained values, in :attr:`shape` order."""
-        return self._key[1:]
+        return self[1:]
 
     @property
     def fields(self) -> tuple[str, ...]:
         """Names of constrained fields, sorted."""
-        return tuple([name for name, _mask in self._key[0]])
+        return tuple([name for name, _mask in self[0]])
 
     def constraint(self, name: str) -> "tuple[int, int] | None":
         """``(value, mask)`` for a field, or None if unconstrained."""
-        key, i = self._key, 0
-        for field, mask in key[0]:
+        i = 0
+        for field, mask in self[0]:
             i += 1
             if field == name:
-                return key[i], mask
+                return self[i], mask
         return None
 
     def value_of(self, name: str) -> "int | None":
@@ -103,25 +103,23 @@ class Match:
 
     @property
     def is_catch_all(self) -> bool:
-        return len(self._key) == 1
+        return len(self) == 1
 
     def required_protos(self) -> int:
         """Union of protocol prerequisites for the constrained fields."""
         bits = 0
-        for name, _mask in self._key[0]:
+        for name, _mask in self[0]:
             bits |= field_by_name(name).proto_required
         return bits
 
     def items(self) -> Iterator[tuple[str, tuple[int, int]]]:
-        key = self._key
-        return iter([(name, (value, mask)) for (name, mask), value in zip(key[0], key[1:])])
+        return iter([(name, (value, mask)) for (name, mask), value in zip(self[0], self[1:])])
 
     # -- evaluation -----------------------------------------------------------
 
     def matches(self, view: ParsedPacket) -> bool:
         """Evaluate against a parsed packet (reference semantics)."""
-        key = self._key
-        for (name, mask), value in zip(key[0], key[1:]):
+        for (name, mask), value in zip(self[0], self[1:]):
             actual = field_by_name(name).extract(view)
             if actual is None or (actual & mask) != value:
                 return False
@@ -129,8 +127,7 @@ class Match:
 
     def matches_key(self, flow_key: Mapping[str, "int | None"]) -> bool:
         """Evaluate against an extracted flow key (OVS-style lookup)."""
-        key = self._key
-        for (name, mask), value in zip(key[0], key[1:]):
+        for (name, mask), value in zip(self[0], self[1:]):
             actual = flow_key.get(name)
             if actual is None or (actual & mask) != value:
                 return False
@@ -140,27 +137,25 @@ class Match:
 
     def covers(self, other: "Match") -> bool:
         """True if every packet matching ``other`` also matches ``self``."""
-        key, okey = self._key, other._key
-        oshape = okey[0]
-        if key[0] is oshape:
-            return key == okey
+        shape, oshape = self[0], other[0]
+        if shape is oshape:
+            return tuple.__eq__(self, other)
         j, n = 0, len(oshape)
-        for (name, mask), value in zip(key[0], key[1:]):
+        for (name, mask), value in zip(shape, self[1:]):
             while j < n and oshape[j][0] < name:
                 j += 1
             if j == n or oshape[j][0] != name:
                 return False  # ``other`` leaves the field open
             j += 1
-            if (oshape[j - 1][1] & mask) != mask or (okey[j] & mask) != value:
+            if (oshape[j - 1][1] & mask) != mask or (other[j] & mask) != value:
                 return False
         return True
 
     def overlaps(self, other: "Match") -> bool:
         """True if some packet could match both."""
-        key, okey = self._key, other._key
-        oshape = okey[0]
+        oshape = other[0]
         j, n = 0, len(oshape)
-        for (name, mask), value in zip(key[0], key[1:]):
+        for (name, mask), value in zip(self[0], self[1:]):
             while j < n and oshape[j][0] < name:
                 j += 1
             if j == n:
@@ -168,7 +163,7 @@ class Match:
             if oshape[j][0] == name:
                 j += 1
                 common = mask & oshape[j - 1][1]
-                if (value & common) != (okey[j] & common):
+                if (value & common) != (other[j] & common):
                     return False
         return True
 
@@ -187,17 +182,19 @@ class Match:
 
     # -- dunder -----------------------------------------------------------------
 
+    # Type-strict both ways: ``False``, not ``NotImplemented``, or Python
+    # would fall back to ``tuple.__eq__`` and find a plain tuple equal.
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Match):
-            return NotImplemented
-        return self._hash == other._hash and self._key == other._key
+        return type(other) is Match and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not Match or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
     def __reduce__(self):
-        # Re-intern the shape on unpickling, and re-hash (string hashes are per process).
-        return _keyed, (self._key[0], self._key[1:])
+        # Re-intern the shape on unpickling.
+        return _keyed, (self[0], self[1:])
 
     def __repr__(self) -> str:
         parts = [f"{name}={value:#x}" if mask == field_by_name(name).max_value
@@ -219,10 +216,7 @@ def _built(items: "list[tuple[str, int, int]]") -> Match:
 
 
 def _keyed(shape: tuple, values: "tuple | list") -> Match:
-    match = object.__new__(Match)
-    match._key = key = (_SHAPES.setdefault(shape, shape), *values)
-    match._hash = hash(key)
-    return match
+    return tuple.__new__(Match, (_SHAPES.setdefault(shape, shape), *values))
 
 
 def _checked(fdef: FieldDef, value: object, mask: object) -> int:

@@ -5,13 +5,16 @@ collection, and the number that survive a build decides how many full
 collections land inside the next one. A built hash or LPM table leaves none
 per rule: its store returns the installed rule itself, the ``FlowTable``
 rule index holds a lone rule bare (a list only for same-match duplicates),
-and the hash store keeps its slots as two columns and its bucket membership
-as tuples of keys, which the collector untracks. What is left is a fixed
-handful of containers per table, whatever the rule count.
+and the hash store keeps each key once, in its slot columns, with bucket
+membership one list (a lone int key bare, else a tuple of keys, which the
+collector untracks). What is left is a fixed handful of containers per
+table, whatever the rule count.
 
-The pipeline itself holds a few hundred bytes per rule and two tracked
-objects, the entry (which keeps its own counts) and its match: a match is
-one key tuple over a shape every rule of that shape shares, pickled or not.
+The pipeline itself holds a couple of hundred bytes per rule and two
+tracked objects, the entry (which keeps its own counts) and its match: a
+match is one key tuple ``(shape, *values)`` over a shape every rule of that
+shape shares, pickled or not. The switch built over it adds the hash
+store's columns and the flow table's lookup indexes, and no key copy.
 """
 
 import gc
@@ -31,9 +34,14 @@ BUILD_BOUND = 64
 #: tracked objects a built l2 pipeline holds per rule: the entry and its match.
 PIPELINE_OBJECTS_PER_RULE = 2
 #: traced bytes a built one-table l2 pipeline may hold per rule: the entry
-#: with its packet and byte counts, and its ``(shape, value)`` match key
-#: (338 measured, on CPython 3.11).
-PIPELINE_BYTES_PER_RULE = 360
+#: with its packet and byte counts, its match (one ``(shape, value)`` tuple)
+#: and the table's rule index (262 measured, on CPython 3.11).
+PIPELINE_BYTES_PER_RULE = 290
+#: traced bytes ``ESwitch(pipeline).warm()`` may add per rule: the hash
+#: store at load 1/4 (two 8 B slot columns, displacements and the bucket
+#: index over the pipeline's own keys and rules) and the flow table's rule
+#: index and slot map, which compiling builds (239 measured, CPython 3.11).
+SWITCH_BYTES_PER_RULE = 270
 
 
 def tracked_after(build) -> "tuple[int, object]":
@@ -102,19 +110,32 @@ def test_a_pipeline_build_leaves_two_tracked_objects_per_rule():
     assert left <= bound, f"{left} tracked objects for {N} rules"
 
 
-def test_a_pipeline_build_holds_a_few_hundred_bytes_per_rule():
-    l2.build(64)  # first-use costs (lazy imports) are per process
+def traced_bytes(build) -> "tuple[int, object]":
+    """Bytes ``build()`` leaves allocated, and its result."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        pipeline, _macs = l2.build(N)
+        result = build()
         gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
+        return tracemalloc.get_traced_memory()[0] - before, result
     finally:
         tracemalloc.stop()
+
+
+def test_a_pipeline_build_holds_a_few_hundred_bytes_per_rule():
+    l2.build(64)  # first-use costs (lazy imports) are per process
+    held, (pipeline, _macs) = traced_bytes(lambda: l2.build(N))
     assert len(pipeline.table(0)) == N
     assert held / N <= PIPELINE_BYTES_PER_RULE, f"{held / N:.0f} B per rule"
+
+
+def test_a_switch_build_holds_a_few_hundred_bytes_per_rule():
+    switch_of(l2.build(64)[0])  # first-use costs are per process
+    pipeline, _macs = l2.build(N)
+    held, switch = traced_bytes(lambda: switch_of(pipeline))
+    assert switch.table_kinds() == {0: "hash"}
+    assert held / N <= SWITCH_BYTES_PER_RULE, f"{held / N:.0f} B per rule"
 
 
 def test_rules_of_one_shape_share_one_shape_object():

@@ -7,9 +7,12 @@ algorithm it replaced, kept here as :class:`ScalarReference` — one
 size. Every modeled cycle depends on the layout (slot index → cache-line
 id), so parity is bit-for-bit: seed, displacements, each slot's
 ``(key, value)``, per-bucket keys and telemetry, at build time and through
-any insert/remove program that follows. Both sides hold their slots as
-two columns and their buckets as tuples (lookups, inserts and removes are
-shared code); :func:`slots` reads the columns back as those pairs.
+any insert/update/remove program that follows. Both sides hold their
+slots as two columns and their buckets as one list (lookups, inserts,
+removes and the choice of keys a rebuild lays out are shared code);
+:func:`slots` and :func:`buckets` read them back. The slots are the only
+copy of the table's contents, so after every step the table must also
+answer like a plain dict.
 
 Lookups of keys the table can never hold (negative components) used to
 spin forever; those regressions run the lookup in a subprocess under a
@@ -31,28 +34,35 @@ from repro.dpdk.hash import (
     RebuildRequired,
     _GOLD,
     _MASK64,
+    _bucket_of,
+    _members,
     _mix,
 )
 
 
 class ScalarReference(CollisionFreeHash):
-    """The build as specified: per-key scalar mix, dict-of-lists buckets."""
+    """The build as specified: per-key scalar mix, dict-of-lists buckets.
 
-    def _try_build(self, slot_bits: int, seed: int) -> None:
+    Only the layout search is its own: which keys a build lays out, and in
+    what order (the caller's mapping at construction, the resident keys in
+    slot order on every later rebuild), reaches it through the same
+    ``_build(keys, values)`` the table uses.
+    """
+
+    def _try_build(self, slot_bits: int, seed: int, keys: list, values: list) -> None:
         nslots = 1 << slot_bits
         nbuckets = max(2, nslots // self.OVERSIZE_FACTOR)
         bmask = nbuckets - 1
         shift = 64 - slot_bits
         buckets: dict = {}
-        for key in self._items:
+        for key, value in zip(keys, values):
             h = _mix(key, seed)
-            buckets.setdefault(h & bmask, []).append((h, key))
+            buckets.setdefault(h & bmask, []).append((h, key, value))
         slot_keys: list = [None] * nslots
         slot_vals: list = [None] * nslots
         disp = [0] * nbuckets
-        items = self._items
         for bucket, members in sorted(buckets.items(), key=lambda kv: -len(kv[1])):
-            hashes = [h for h, _ in members]
+            hashes = [h for h, _, _ in members]
             if len(set(hashes)) != len(hashes):
                 raise RebuildRequired("dup")
             for d in range(self.MAX_DISP_TRIES):
@@ -61,8 +71,8 @@ class ScalarReference(CollisionFreeHash):
                 if len(set(indexes)) == len(indexes) and all(
                     slot_keys[i] is None for i in indexes
                 ):
-                    for (_, k), i in zip(members, indexes):
-                        slot_keys[i], slot_vals[i] = k, items[k]
+                    for (_, k, v), i in zip(members, indexes):
+                        slot_keys[i], slot_vals[i] = k, v
                     disp[bucket] = d
                     break
             else:
@@ -73,9 +83,9 @@ class ScalarReference(CollisionFreeHash):
         self._shift = shift
         self._bmask = bmask
         self._disp = disp
-        self._bucket_keys = {
-            b: tuple(k for _, k in members) for b, members in buckets.items()
-        }
+        self._bucket_keys = [None] * nbuckets
+        for b, members in buckets.items():
+            self._bucket_keys[b] = _bucket_of(tuple(k for _, k, _ in members))
 
 
 def slots(h: CollisionFreeHash) -> list:
@@ -87,13 +97,30 @@ def slots(h: CollisionFreeHash) -> list:
     ]
 
 
+def buckets(h: CollisionFreeHash) -> dict:
+    """Each occupied bucket's keys, as a set; every entry is in its one
+    form (None when empty, a lone non-tuple key bare, else a tuple)."""
+    assert len(h._bucket_keys) == h._bmask + 1
+    for held in h._bucket_keys:
+        assert held is None or held == _bucket_of(_members(held))
+    return {b: set(_members(held)) for b, held in enumerate(h._bucket_keys)
+            if held is not None}
+
+
 def layout(h: CollisionFreeHash) -> tuple:
     return (
-        h._seed, h._nslots, h._shift, h._bmask, h._disp, slots(h),
-        {b: set(keys) for b, keys in h._bucket_keys.items()},
-        list(h._items.items()),
+        h._seed, h._nslots, h._shift, h._bmask, h._disp, slots(h), buckets(h),
+        list(h.items()),
         h.telemetry,
     )
+
+
+def assert_like(h: CollisionFreeHash, model: dict) -> None:
+    """The table answers like the plain dict ``model``."""
+    assert len(h) == len(model)
+    assert set(h) == set(model)
+    assert dict(h.items()) == model
+    assert all(key in h and h.get(key) == value for key, value in model.items())
 
 
 def assert_same(fast: CollisionFreeHash, spec: CollisionFreeHash) -> None:
@@ -127,7 +154,8 @@ key_sets = st.one_of(
 )
 
 programs = st.lists(
-    st.tuples(st.sampled_from(["insert", "remove", "rebuild"]), st.integers(0, 1 << 16)),
+    st.tuples(st.sampled_from(["insert", "update", "remove", "rebuild"]),
+              st.integers(0, 1 << 16)),
     max_size=60,
 )
 
@@ -157,6 +185,8 @@ class TestBuilderParity:
             return
         fast, spec = built
         assert_same(fast, spec)
+        model = dict(items)
+        assert_like(fast, model)
         # … and they stay equal: growth rebuilds and bucket reseeds along
         # the way start from the same state on both sides.
         pool = keys or [0]
@@ -169,13 +199,17 @@ class TestBuilderParity:
                     tuple(c + n for c in sample) if isinstance(sample, tuple)
                     else sample + n
                 )
+            if op == "update" and model:
+                key = sorted(model, key=repr)[n % len(model)]
             if op == "rebuild":
                 on_both(fast, spec, lambda h: h.rebuild())
-            elif op == "insert":
-                on_both(fast, spec, lambda h: h.insert(key, n))
-            else:
+            elif op == "remove":
                 on_both(fast, spec, lambda h: h.remove(key))
+                model.pop(key, None)
+            elif on_both(fast, spec, lambda h: h.insert(key, ("new", n))):
+                model[key] = ("new", n)
             assert_same(fast, spec)
+            assert_like(fast, model)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33])
     def test_min_slots_and_doubling_boundaries(self, n):
@@ -225,7 +259,7 @@ class TestBuilderParity:
 
 def one_key_buckets_displaced(h: CollisionFreeHash) -> int:
     return sum(
-        1 for bucket, keys in h._bucket_keys.items()
+        1 for bucket, keys in buckets(h).items()
         if len(keys) == 1 and h._disp[bucket]
     )
 
@@ -304,7 +338,7 @@ class TestNegativeKeys:
             with pytest.raises(HashKeyError):
                 h.insert(key, "x")
         assert layout(h)[:-1] == before
-        assert len(h) == 2 and list(h) == [1, 2]
+        assert len(h) == 2 and set(h) == {1, 2}
 
     @pytest.mark.parametrize("cls", [CollisionFreeHash, ScalarReference])
     def test_rejected_insert_on_a_growth_step_builds_nothing(self, cls):
@@ -327,8 +361,7 @@ class TestInsertIsAtomic:
 
     @staticmethod
     def structure(h):
-        return (dict(h._items), slots(h), list(h._disp),
-                {b: list(k) for b, k in h._bucket_keys.items()})
+        return (dict(h.items()), slots(h), list(h._disp), list(h._bucket_keys))
 
     def test_growth_rebuild_failure_restores_absence(self):
         class Hostile(CollisionFreeHash):
@@ -340,7 +373,7 @@ class TestInsertIsAtomic:
         with pytest.raises(HashBuildError):
             h.insert(3, "c")
         assert len(h) == 2
-        assert list(h) == [1, 2]
+        assert set(h) == {1, 2}
         assert 3 not in h and h.get(3) is None
         assert self.structure(h) == before
         assert h.get(1) == "a" and h.get(2) == "b"

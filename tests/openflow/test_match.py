@@ -1,6 +1,8 @@
 """Tests for Match: construction, evaluation, and relations."""
 
+import gc
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -215,6 +217,52 @@ class TestAgainstDictModel:
             assert dict(a.extended(name, value, mask).items()) == grown
         copy = pickle.loads(pickle.dumps(a))
         assert copy == a and hash(copy) == hash(a) and copy.shape is a.shape
+
+
+class TestAMatchIsItsKey:
+    """A match is the key tuple ``(shape, *values)`` itself: one object
+    per rule, and only a match equals a match."""
+
+    def test_equal_however_built(self):
+        m = Match(ipv4_dst="10.0.0.0/8", tcp_dst=80)
+        built = [
+            Match(tcp_dst=80, ipv4_dst=(0x0A000000, 0xFF000000)),
+            Match.from_pairs({"tcp_dst": (80, 0xFFFF), "ipv4_dst": (0x0A000000, 0xFF000000)}),
+            m.extended("eth_type", 0x0800).without("eth_type"),
+            pickle.loads(pickle.dumps(m)),
+        ]
+        for other in built:
+            assert type(other) is Match
+            assert other == m and not other != m
+            assert hash(other) == hash(m) and other.shape is m.shape
+
+    def test_a_plain_tuple_is_not_a_match(self):
+        m = Match(ipv4_dst="10.0.0.0/8", tcp_dst=80)
+        plain = (m.shape, *m.values)
+        assert m != plain and plain != m
+        assert not m == plain and not plain == m
+        assert {m: 1}.get(plain) is None and {plain: 1}.get(m) is None
+
+    def test_a_match_holds_one_small_object(self):
+        """A one-field match is one 64 B allocation: the tuple (GC header,
+        header, shape and value) plus the spare item CPython allocates
+        for any tuple subclass. The value is the caller's int."""
+        n = 10_000
+        values = [(1 << 40) + i for i in range(n)]
+        held = [None] * n
+        Match(eth_dst=values[0])  # interns the shape
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, value in enumerate(values):
+                held[i] = Match(eth_dst=value)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # ... plus a constant for the measuring itself (the last index int).
+        assert grown <= 64 * n + 1024, f"{grown / n:.2f} B per match"
 
 
 def test_flow_entry_keeps_identity_equality():
