@@ -1,11 +1,11 @@
 """Wall-clock throughput of the simulator itself: fused vs trampoline vs OVS.
 
-Unlike every ``bench_figXX`` module, which reports *modeled* Mpps, this
-one times the Python datapath with a real clock. It is the first point of
-the repo's own performance trajectory and the enforcement site of the
-fusion layer's acceptance bar: the fused driver must beat the trampoline
-by ``GATEWAY_SPEEDUP_FLOOR`` on the multi-table gateway in NullMeter
-(functional) mode.
+Unlike the figure table (``tests/test_paper_figures.py``), which asserts
+*modeled* Mpps, this one times the Python datapath with a real clock. It
+is the first point of the repo's own performance trajectory and the
+enforcement site of the fusion layer's acceptance bar: the fused driver
+must beat the trampoline by ``GATEWAY_SPEEDUP_FLOOR`` on the multi-table
+gateway in NullMeter (functional) mode.
 
 Sizes are smoke-level so the full benchmark suite (and CI) stays fast;
 :func:`repro.traffic.wallclock.run_wallclock` takes any.

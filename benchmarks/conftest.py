@@ -3,7 +3,4 @@
 import sys
 from pathlib import Path
 
-_here = Path(__file__).parent
-sys.path.insert(0, str(_here))
-# Reuse the test suite's packet/pipeline strategies for probe generation.
-sys.path.insert(0, str(_here.parent / "tests"))
+sys.path.insert(0, str(Path(__file__).parent))

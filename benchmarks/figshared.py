@@ -1,65 +1,12 @@
-"""Shared plumbing for the per-figure benchmark harnesses.
-
-Every ``bench_figXX`` module reproduces one table or figure from the
-paper's evaluation: it generates the same workload sweep, runs it through
-the simulated switches, prints the series the paper plots, asserts the
-*shape* the paper reports (who wins, by what factor, where the knees are),
-and archives the series under ``benchmarks/results/``.
-
-Absolute numbers are not expected to match the paper's testbed — the
-substrate here is a cycle/cache model, not a 40 Gbps Xeon — but the model
-is calibrated from the paper's own cost atoms (Fig. 20), so the shapes
-carry over.
-"""
+"""Shared plumbing for the benchmark rigs: print a table and archive it
+under ``benchmarks/results/``."""
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
-
-from repro.simcpu.platform import Platform, XEON_E5_2620
-from repro.traffic import FlowSet, measure
-from repro.traffic.nfpa import Measurement, auto_params
+from typing import Sequence
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-#: Cap per-point replay length so full-suite runs stay tractable.
-N_PACKETS_CAP = 30_000
-WARMUP_CAP = 30_000
-
-#: The flow-count axis most figures sweep (the paper goes to 1M; 100K is
-#: already deep inside the cache-collapse regime and 10x cheaper to run).
-FLOW_AXIS = (1, 10, 100, 1_000, 10_000, 100_000)
-
-
-def sweep_flows(
-    make_switch: Callable[[], object],
-    make_flows: Callable[[int], FlowSet],
-    flow_counts: Sequence[int] = FLOW_AXIS,
-    platform: Platform = XEON_E5_2620,
-) -> list[tuple[int, Measurement]]:
-    """Measure one switch across the active-flow axis."""
-    rows = []
-    for n_flows in flow_counts:
-        flows = make_flows(n_flows)
-        n_packets, warmup = auto_params(n_flows)
-        m = measure(
-            make_switch(),
-            flows,
-            n_packets=min(n_packets, N_PACKETS_CAP),
-            warmup=min(warmup, WARMUP_CAP),
-            platform=platform,
-        )
-        rows.append((n_flows, m))
-    return rows
-
-
-def fmt_flows(n: int) -> str:
-    if n >= 1_000_000:
-        return f"{n // 1_000_000}M"
-    if n >= 1_000:
-        return f"{n // 1_000}K"
-    return str(n)
 
 
 def render_table(title: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -72,7 +19,7 @@ def render_table(title: str, header: Sequence[str], rows: Sequence[Sequence[str]
 
 
 def publish(name: str, text: str) -> None:
-    """Print the figure's series and archive it under results/."""
+    """Print the rig's table and archive it under results/."""
     print("\n" + text + "\n")
     os.makedirs(RESULTS_DIR, exist_ok=True)
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:

@@ -444,12 +444,6 @@ class Pipeline:
         self._run(view, verdict, trace)
         return verdict
 
-    def process_view(self, view: ParsedPacket, trace: bool = False) -> Verdict:
-        """Interpret starting from an already-parsed view."""
-        verdict = Verdict()
-        self._run(view, verdict, trace)
-        return verdict
-
     def _run(self, view: ParsedPacket, verdict: Verdict, trace: bool) -> None:
         if not self._tables:
             raise PipelineError("pipeline has no tables")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.packet import parser as pp
-from repro.packet.packet import Packet
 from repro.packet.parser import ParsedPacket
 from repro.openflow.fields import FIELDS
 
@@ -42,9 +41,3 @@ def emc_key(view: ParsedPacket, key: "Mapping[str, int | None] | None" = None) -
     if key is None:
         key = extract_key(view)
     return tuple(key[name] for name in KEY_FIELDS) + (_extract_ttl(view),)
-
-
-def parse_and_key(pkt: Packet) -> tuple[ParsedPacket, dict[str, "int | None"]]:
-    """One-stop parse + key extraction, as ``miniflow_extract`` does."""
-    view = pp.parse(pkt)
-    return view, extract_key(view)

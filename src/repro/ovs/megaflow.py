@@ -389,11 +389,6 @@ def replay_program(verdict: Verdict) -> tuple[ProgramStep, ...]:
     return tuple(steps)
 
 
-def action_program(verdict: Verdict) -> tuple[Action, ...]:
-    """The flattened action list of :func:`replay_program` (compat helper)."""
-    return tuple(a for _m, acts, _e in replay_program(verdict) for a in acts)
-
-
 def build_megaflow(
     verdict: Verdict,
     key: Mapping[str, "int | None"],

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from repro.openflow.flow_table import TableMissPolicy
 from repro.openflow.messages import (
     FlowMod,
     FlowModReply,
@@ -288,11 +287,6 @@ class OvsSwitch:
         return reply_to_flow_mods(
             self.pipeline.admit_flow_mods, self.apply_flow_mods, mods
         )
-
-    def set_miss_policy(self, table_id: int, policy: TableMissPolicy) -> None:
-        self.pipeline.table(table_id).miss_policy = policy
-        self.megaflow.invalidate()
-        self.emc.invalidate()
 
     def __repr__(self) -> str:
         return (

@@ -132,9 +132,6 @@ class CostBook:
         """
         return self.io_burst_cost / self.reference_burst
 
-    def direct_code(self, entries_examined: int) -> float:
-        return self.direct_base + self.direct_per_entry * entries_examined
-
     def linked_list(self, entries_examined: int) -> float:
         return self.linked_list_base + self.linked_list_per_entry * entries_examined
 

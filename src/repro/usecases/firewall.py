@@ -8,7 +8,6 @@ everything else drops.
 
 from __future__ import annotations
 
-from repro.net.addresses import ip_to_int
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
@@ -59,7 +58,3 @@ def build_multi_stage() -> Pipeline:
     )
     t1.add(FlowEntry(Match(), priority=0, actions=[]))
     return Pipeline([t0, t1])
-
-
-def server_ip_int() -> int:
-    return ip_to_int(SERVER_IP)

@@ -451,7 +451,7 @@ def test_structural_update_relinks(rung, what):
 
 def _all_live_acl() -> Pipeline:
     """acl.generate's rules, duplicate-free and most specific first, so
-    set-pruning keeps every one (the ordering bench_sec32 measures)."""
+    set-pruning keeps every one (the ordering the sec32 figure rows measure)."""
     distinct: dict = {}
     for entry in acl.generate(72):
         distinct.setdefault(entry.match, entry)
