@@ -163,35 +163,42 @@ def lpm_prefixes(
     twice, and priorities are consistent with prefix lengths."""
     if isinstance(entries, FlowTable):
         entries = entries.entries
-    rules, _catch_all = split_catch_all(entries)
+    # A catch-all anywhere but last is no prefix: the walk below refuses it.
+    rules = entries[:-1] if entries and entries[-1].match.is_catch_all else entries
     if not rules:
         return None
-    fields = rules[0].match.fields
-    if len(fields) != 1 or fields[0] not in LPM_FIELDS:
+    name = rules[0].match.shape[0][0] if rules[0].match.shape else None
+    if name not in LPM_FIELDS:
         return None
-    name = fields[0]
     width = field_by_name(name).width
+    depths: "dict[tuple, int]" = {}  # shape -> its prefix depth, checked once
     by_prefix: dict[tuple[int, int], FlowEntry] = {}
     for entry in rules:
-        shape = entry.match.shape  # read by position: one (field, mask)
-        if len(shape) != 1 or shape[0][0] != name or not contiguous_prefix_mask(shape[0][1], width):
-            return None
-        key = (entry.match.values[0], shape[0][1].bit_count())
-        if key in by_prefix:
-            return None  # duplicate prefix with different priority
-        by_prefix[key] = entry
-    # Priority consistency: "whenever rules overlap the more specific one
-    # has higher priority". Overlapping prefixes nest, so walking each
-    # rule's ancestors — at the depths the table holds — suffices.
-    depths = sorted({depth for _value, depth in by_prefix})
-    for (value, depth), entry in by_prefix.items():
-        for shorter in depths:
-            if shorter >= depth:
-                break
-            shift = width - shorter
-            parent = by_prefix.get((value >> shift << shift, shorter))
-            if parent is not None and parent.priority >= entry.priority:
+        match = entry.match  # read by position: (shape, value)
+        depth = depths.get(match[0])
+        if depth is None:
+            shape = match[0]
+            if len(shape) != 1 or shape[0][0] != name or not contiguous_prefix_mask(shape[0][1], width):
                 return None
+            depth = depths[shape] = shape[0][1].bit_count()
+        if by_prefix.setdefault((match[1], depth), entry) is not entry:
+            return None  # duplicate prefix with different priority
+    # Priority consistency: "whenever rules overlap the more specific one
+    # has higher priority". Overlapping prefixes nest, so it suffices that
+    # each rule outranks its nearest ancestor (the chain above it follows).
+    # In address order an ancestor precedes its descendants, so the open
+    # ancestors form a stack and the nearest is its top: one probe a rule.
+    # A rule sorts as one int, value | depth (6 bits) | priority (16 bits).
+    ancestors: "list[tuple[int, int, int]]" = []  # (value >> shift, shift, priority)
+    for key in sorted([(value << 6 | depth) << 16 | entry.priority
+                       for (value, depth), entry in by_prefix.items()]):
+        value, priority = key >> 22, key & 0xFFFF
+        while ancestors and value >> ancestors[-1][1] != ancestors[-1][0]:
+            ancestors.pop()
+        if ancestors and ancestors[-1][2] >= priority:
+            return None
+        shift = width - (key >> 16 & 63)
+        ancestors.append((value >> shift, shift, priority))
     return name, by_prefix
 
 

@@ -573,7 +573,7 @@ class LpmTable(CompiledTable):
         # groups it needs instead of tripping a fixed ceiling.
         self.lpm_store = store = Dir24_8Lpm()
         store.add_bulk(
-            [(value, depth, slot) for slot, (value, depth) in enumerate(by_prefix)]
+            (value, depth, slot) for slot, (value, depth) in enumerate(by_prefix)
         )
         #: slot-addressed by the store's next hop; freed slots hold None.
         self._out = rules = [_rule_of(entry) for entry in by_prefix.values()]
@@ -807,10 +807,13 @@ def compile_table(
     config: CompileConfig = DEFAULT_CONFIG,
     costs: CostBook = DEFAULT_COSTS,
     kind: "TemplateKind | None" = None,
+    plan: object = None,
 ) -> CompiledTable:
     """Analyze (unless ``kind`` forces a template) and compile one table:
-    the rung is constructed from its prerequisite's answer, asked once."""
-    kind, plan = select(table, config, kind)
+    the rung is constructed from its prerequisite's answer, asked once —
+    here, or by the caller that selected ``kind`` and passes its ``plan``."""
+    if plan is None:
+        kind, plan = select(table, config, kind)
     rung = _RUNGS[kind]
     if plan is None:
         raise CompileError(

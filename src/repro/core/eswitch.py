@@ -49,7 +49,7 @@ from repro.core.analysis import (
     CompileConfig,
     DEFAULT_CONFIG,
     TemplateKind,
-    select_template,
+    select,
 )
 from repro.core.codegen import CompiledTable, compile_table
 from repro.core.datapath import CompiledDatapath, required_layer
@@ -422,7 +422,7 @@ class ESwitch:
                     self.datapath.uninstall(tid)
 
     def _compile_group_preferred(self, table: FlowTable) -> _Group:
-        kind = select_template(table, self.config)
+        kind, plan = select(table, self.config)
         tables = None
         if kind is TemplateKind.LINKED_LIST and self.config.decompose:
             tables = decompose_table(table, self._next_internal_id)
@@ -448,7 +448,7 @@ class ESwitch:
                 ),
             )
         self.datapath.install(
-            compile_table(table, self.config, self.costs, kind=kind)
+            compile_table(table, self.config, self.costs, kind=kind, plan=plan)
         )
         return _Group(logical_id=table.table_id, compiled_ids=[table.table_id])
 
@@ -593,7 +593,7 @@ class ESwitch:
         compiled = self.datapath.table(table.table_id)
         if compiled.holds(table, mod, self.config):
             stats.kind_stable_skips += 1
-        elif select_template(table, self.config) is not compiled.kind or (
+        elif select(table, self.config)[0] is not compiled.kind or (
             # Still linked-list-bound, but a fresh compile would offer the
             # table to decomposition first: so does this one, whenever
             # the shape set (all the uniform-mask prerequisite reads) moved.

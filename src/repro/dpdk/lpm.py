@@ -129,21 +129,22 @@ class Dir24_8Lpm:
             if next_hop < 0:
                 raise ValueError("next hop must be non-negative")
             deduped[(self._prefix(ip, depth), depth)] = next_hop
-        by_depth: dict[int, list[tuple[int, int]]] = {}
+        self._rules.update(deduped)  # its key tuples, not a copy of each
+        by_depth: dict[int, tuple[list[int], list[int]]] = {}  # prefixes, hops
         for (prefix, depth), next_hop in deduped.items():
-            by_depth.setdefault(depth, []).append((prefix, next_hop))
+            prefixes, hops = by_depth.setdefault(depth, ([], []))
+            prefixes.append(prefix)
+            hops.append(next_hop)
         for depth in sorted(by_depth):
-            pairs = by_depth[depth]
-            for prefix, next_hop in pairs:
-                self._rules[(prefix, depth)] = next_hop
+            prefixes, hops = by_depth[depth]
             if depth > 24:
-                for prefix, next_hop in pairs:
+                for prefix, next_hop in zip(prefixes, hops):
                     self._add_depth_big(prefix, depth, next_hop)
-            elif len(pairs) < 32:
-                for prefix, next_hop in pairs:
+            elif len(prefixes) < 32:
+                for prefix, next_hop in zip(prefixes, hops):
                     self._add_depth_small(prefix, depth, next_hop)
             else:
-                self._add_small_batch(pairs, depth)
+                self._add_small_batch(prefixes, hops, depth)
 
     def delete(self, ip: int, depth: int) -> bool:
         """Remove the rule ``ip/depth``. Returns False if it did not exist."""
@@ -164,37 +165,6 @@ class Dir24_8Lpm:
         else:
             self._delete_depth_big(prefix, depth, sub_valid, sub_hop, sub_depth)
         return True
-
-    def delete_bulk(self, rules) -> int:
-        """Remove many ``(ip, depth)`` rules at once; returns the count
-        actually removed.
-
-        All removals leave the rule set first, so covering rules deleted
-        in the same batch never serve as substitutes — the result matches
-        any sequential ordering of the individual deletes.
-        """
-        batch: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for ip, depth in rules:
-            self._check(ip, depth)
-            key = (self._prefix(ip, depth), depth)
-            if key in self._rules and key not in seen:
-                seen.add(key)
-                batch.append(key)
-        for key in batch:
-            del self._rules[key]
-        for prefix, depth in sorted(batch, key=lambda pd: pd[1]):
-            parent = self._find_parent(prefix, depth)
-            if parent is None:
-                sub_valid, sub_hop, sub_depth = False, 0, 0
-            else:
-                (_, sub_depth), sub_hop = parent
-                sub_valid = True
-            if depth <= 24:
-                self._delete_depth_small(prefix, depth, sub_valid, sub_hop, sub_depth)
-            else:
-                self._delete_depth_big(prefix, depth, sub_valid, sub_hop, sub_depth)
-        return len(batch)
 
     def get_rule(self, ip: int, depth: int) -> "int | None":
         """The next hop stored for exactly ``ip/depth`` (no LPM semantics)."""
@@ -376,15 +346,14 @@ class Dir24_8Lpm:
             start // _PAGE_ENTRIES : (start + count - 1) // _PAGE_ENTRIES + 1
         ] = True
 
-    def _add_small_batch(self, pairs: "list[tuple[int, int]]", depth: int) -> None:
+    def _add_small_batch(self, prefixes: "list[int]", hops: "list[int]", depth: int) -> None:
         """Vectorized same-depth (≤ /24) insertion across disjoint ranges."""
         count = 1 << (24 - depth)
         per_chunk = max(1, _BULK_CHUNK // count)
         offsets = np.arange(count, dtype=np.int64)
-        for lo in range(0, len(pairs), per_chunk):
-            chunk = pairs[lo : lo + per_chunk]
-            starts = np.array([p >> 8 for p, _ in chunk], dtype=np.int64)
-            vals = np.array([h + 1 for _, h in chunk], dtype=np.int32)
+        for lo in range(0, len(prefixes), per_chunk):
+            starts = np.array(prefixes[lo : lo + per_chunk], dtype=np.int64) >> 8
+            vals = np.array([h + 1 for h in hops[lo : lo + per_chunk]], dtype=np.int32)
             idx = (starts[:, None] + offsets).reshape(-1)
             rep = np.repeat(vals, count)
             t24v = self._tbl24[idx]

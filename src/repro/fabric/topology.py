@@ -37,14 +37,9 @@ from repro.controller.channels import LossyChannel
 from repro.controller.gateway_controller import GatewayController
 from repro.controller.session import ControllerSession, FailMode
 from repro.core import ESwitch
-from repro.net.addresses import int_to_ip
-from repro.openflow.actions import Output
-from repro.openflow.flow_entry import FlowEntry
-from repro.openflow.flow_table import FlowTable
-from repro.openflow.match import Match
 from repro.openflow.pipeline import Pipeline
 from repro.parallel.rss import shard_of
-from repro.usecases import gateway
+from repro.usecases import gateway, l3
 
 #: Leaf-side port leading to spine ``j`` is ``UPLINK_PORT_BASE + j``.
 UPLINK_PORT_BASE = 100
@@ -122,19 +117,7 @@ class BurstOutcome:
 
 def spine_pipeline(fib) -> Pipeline:
     """A spine's RIB: the gateway FIB with real next-hop ports."""
-    table = FlowTable(0, name="spine-rib")
-    table.add_bulk(
-        [
-            FlowEntry(
-                Match(ipv4_dst=f"{int_to_ip(value)}/{depth}"),
-                priority=depth,
-                actions=[Output(port)],
-            )
-            for value, depth, port in fib
-        ]
-    )
-    table.add(FlowEntry(Match(), priority=0, actions=[]))  # no default route
-    return Pipeline([table])
+    return Pipeline([l3.rib_table(0, "spine-rib", fib)])
 
 
 class Fabric:

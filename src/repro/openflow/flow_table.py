@@ -21,9 +21,9 @@ steady-state churn pattern) without any memmove at all.
 
 Every lazily derived structure — the rule index, the live-entries
 tuple, the slot map — is built on first use and then maintained by the
-mutation that bumps ``version``; the paths that replace the store
-wholesale (:meth:`FlowTable.add_bulk`, :meth:`FlowTable.clear`,
-unpickling) drop them all together. Nothing outside this class assigns
+mutation that bumps ``version``; the bulk doors (:meth:`FlowTable.add_bulk`,
+``add_columns``), :meth:`FlowTable.clear` and unpickling drop them all
+together. Nothing outside this class assigns
 ``_entries``: a table is copied by pickling it, and a batch is undone by
 putting the displaced entries back (:meth:`FlowTable.follower`,
 ``add(entry, before=...)``), not by swapping the store.
@@ -43,17 +43,24 @@ from __future__ import annotations
 
 import bisect
 import enum
-from typing import Callable, Iterator, Mapping
+import itertools
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.instructions import ActionTemplate
-from repro.openflow.match import Match
+from repro.openflow.match import Match, keyed_columns
 from repro.packet.parser import ParsedPacket
 
 
 def _sort_key(entry: "FlowEntry") -> int:
     """Priority-descending sort/bisect key for the entry store."""
     return -entry.priority
+
+
+def _negated(entries: "list[FlowEntry]") -> "list[int]":
+    """The entries' sort keys, one int object per distinct priority."""
+    keys: "dict[int, int]" = {}
+    return [keys.setdefault(e.priority, -e.priority) for e in entries]
 
 
 def _listed(
@@ -315,20 +322,6 @@ class FlowTable:
             del self._feats[f]
             self.shapes_version += 1
 
-    def _recount(self, live: "list[FlowEntry]") -> None:
-        """The census and the shape multiset from scratch, in one pass,
-        for the paths that replace the store wholesale; every rule ends
-        up on a canonical template."""
-        self._templates, self._facts = {}, {}
-        self.facts_version += 1  # swapped wholesale: fact set unknown
-        shapes, shapes_version = self._feats.keys(), self.shapes_version
-        self._feats = {}
-        intern = self._intern
-        for entry in live:
-            intern(entry)
-        # The shape set moved only if its keys did.
-        self.shapes_version = shapes_version + (self._feats.keys() != shapes)
-
     # -- modification ---------------------------------------------------------
 
     def _insert_fresh(self, entry: FlowEntry, before: "FlowEntry | None") -> None:
@@ -433,40 +426,115 @@ class FlowTable:
         finally:
             self._release(entry)
 
-    def add_bulk(self, entries: "list[FlowEntry]") -> int:
-        """Insert many entries in one stable sort instead of n priority scans.
+    def add_bulk(self, entries: "Iterable[FlowEntry]") -> int:
+        """Insert many entries in one placement pass instead of n adds.
 
         Semantically identical to calling :meth:`add` per entry in order —
         same-rule duplicates replace in place (last wins) and ties within
-        a priority keep their relative order (existing entries first, the
-        sort is stable). :meth:`add` is O(n) per call, an O(n²) wall at
-        the million-entry tables the scale bench loads; this is one
-        O(n log n) pass keyed on the (hashable) rule identity.
+        a priority keep their relative order (existing entries first).
+        The general case of :meth:`add_columns`.
         """
-        if not entries:
-            return 0
-        merged: "list[FlowEntry]" = [e for e in self._entries if e is not None]
-        slot: dict = {
-            (entry.priority, entry.match): i for i, entry in enumerate(merged)
-        }
-        for entry in entries:
-            key = (entry.priority, entry.match)
-            at = slot.get(key)
-            if at is None:
-                slot[key] = len(merged)
-                merged.append(entry)
+        return self._place(entries, self._index())
+
+    def add_columns(
+        self,
+        shape: tuple,
+        values: "Sequence[Sequence[int]]",
+        priorities: "int | Sequence[int]",
+        instructions: "Sequence[object]",
+    ) -> int:
+        """Insert many rules of one match shape, given as columns: one
+        value column per ``(field, mask)`` of ``shape``
+        (:func:`~repro.openflow.match.keyed_columns` checks each once, with
+        ``Match(...)``'s errors), one priority or a column of them, one
+        instruction list or a column of them. Each distinct list object is
+        compiled once, before any rule is built. Everything is checked
+        before anything is placed, so a rejected column leaves the table
+        untouched; otherwise this is :meth:`add_bulk` over
+        ``FlowEntry(Match(...), priority, instructions)`` per row.
+        """
+        shape, matches = keyed_columns(shape, values)
+        n = len(values[0])
+        if type(priorities) is int:
+            low = high = priorities
+            priorities = itertools.repeat(priorities, n)
+        elif len(priorities) != n:
+            raise ValueError(f"{len(priorities)} priorities for {n} rules")
+        else:
+            low, high = min(priorities, default=0), max(priorities, default=0)
+        if low < 0 or high > 0xFFFF:
+            raise ValueError(f"priority out of range: {low}..{high}")
+        if not instructions or not isinstance(instructions[0], (list, tuple, ActionTemplate)):
+            instructions = itertools.repeat(ActionTemplate(instructions), n)  # one list
+        elif len(instructions) != n:
+            raise ValueError(f"{len(instructions)} instruction lists for {n} rules")
+        else:
+            compiled = {id(listed): listed for listed in instructions}
+            compiled = {key: ActionTemplate(listed) for key, listed in compiled.items()}
+            instructions = [compiled[id(listed)] for listed in instructions]
+        # No live rule of this shape: only the column can repeat a rule.
+        unseen = all(features[1] is not shape for features in self._feats)
+        return self._place(map(FlowEntry, matches, priorities, instructions),
+                           {} if unseen else self._index())
+
+    def _place(
+        self,
+        entries: "Iterable[FlowEntry]",
+        by_match: "dict[Match, FlowEntry | list[FlowEntry]]",
+    ) -> int:
+        """The placement pass behind both bulk doors. A rule already in
+        ``by_match`` (the rule index, or a dict for the batch alone) is
+        replaced in its slot; new rules join after every live rule of
+        their priority, in batch order — appended when they sort at the
+        tail, as a build does, else merged in by one stable sort. Each rule
+        is counted as it is placed; ``shapes_version`` moves only if the
+        shape set did.
+        """
+        shapes, shapes_version = set(self._feats), self.shapes_version
+        if self._dead:
+            self._entries = [e for e in self._entries if e is not None]
+            self._keys, self._dead, self._slots = _negated(self._entries), 0, None
+        store = self._entries
+        tail = len(store)
+        intern, release = self._intern, self._release
+        n = 0
+        for n, entry in enumerate(entries, 1):
+            intern(entry)
+            match = entry.match
+            same_match = by_match.get(match)
+            existing = _at_priority(same_match, entry.priority)
+            if existing is None:
+                if same_match is None:
+                    by_match[match] = entry
+                else:
+                    if type(same_match) is not list:
+                        same_match = by_match[match] = [same_match]
+                    bisect.insort_right(same_match, entry, key=_sort_key)
+                if self._slots is not None:
+                    self._slots[entry] = len(store)
+                store.append(entry)
+                continue
+            if same_match is existing:
+                by_match[match] = entry
             else:
-                merged[at] = entry
-        merged.sort(key=_sort_key)  # stable: ties keep order
-        self._entries = merged
-        self._keys = [-e.priority for e in merged]
-        self._dead = 0
-        self._slots = None
-        self._by_match = self._timed = None
-        self._index_version = -1
-        self._recount(merged)
+                same_match[same_match.index(existing)] = entry
+            slots = self._slot_index()  # built on a batch's first repeat
+            store[slots[existing]] = entry
+            slots[entry] = slots.pop(existing)
+            release(existing)
+        if not n:
+            return 0
+        store[tail:] = added = sorted(store[tail:], key=_sort_key)  # stable
+        if tail and added and store[tail - 1].priority < added[0].priority:
+            store.sort(key=_sort_key)
+            self._keys = _negated(store)
+        else:
+            self._keys += _negated(added)
+        self.shapes_version = shapes_version + (self._feats.keys() != shapes)
         self._mark_mutated()
-        return len(entries)
+        self._slots = self._by_match = self._timed = None  # rebuilt on demand
+        self._index_version = -1
+        return n
 
     def _tombstone_all(self, victims: "list[FlowEntry]") -> int:
         """Tombstone the given live entries under one version bump,
@@ -535,7 +603,10 @@ class FlowTable:
         self._index_version = -1
         self._live = None
         self._live_version = -1
-        self._recount([])
+        self._templates, self._facts = {}, {}
+        self.facts_version += 1
+        self.shapes_version += bool(self._feats)
+        self._feats = {}
 
     # -- compaction -----------------------------------------------------------
 
@@ -657,21 +728,6 @@ class FlowTable:
             if probed is not None:
                 probed.append(entry)
             if entry.match.matches(view):
-                return entry
-        return None
-
-    def lookup_key(
-        self,
-        key: Mapping[str, "int | None"],
-        probed: "list[FlowEntry] | None" = None,
-    ) -> "FlowEntry | None":
-        """Like :meth:`lookup` but over an extracted flow key."""
-        for entry in self._entries:
-            if entry is None:
-                continue
-            if probed is not None:
-                probed.append(entry)
-            if entry.match.matches_key(key):
                 return entry
         return None
 

@@ -13,7 +13,7 @@ two sorted shapes), prerequisites — walks the key; none builds a dict.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from repro.net.bits import contiguous_prefix_mask
 from repro.openflow.fields import FieldDef, field_by_name
@@ -88,10 +88,6 @@ class Match(tuple):
         pair = self.constraint(name)
         return pair[1] if pair else 0
 
-    def is_exact(self, name: str) -> bool:
-        """True if the field is constrained by its full mask."""
-        return self.mask_of(name) == field_by_name(name).max_value
-
     def is_prefix(self, name: str) -> bool:
         """True if the field's mask is a contiguous prefix mask."""
         mask = self.mask_of(name)
@@ -121,14 +117,6 @@ class Match(tuple):
         """Evaluate against a parsed packet (reference semantics)."""
         for (name, mask), value in zip(self[0], self[1:]):
             actual = field_by_name(name).extract(view)
-            if actual is None or (actual & mask) != value:
-                return False
-        return True
-
-    def matches_key(self, flow_key: Mapping[str, "int | None"]) -> bool:
-        """Evaluate against an extracted flow key (OVS-style lookup)."""
-        for (name, mask), value in zip(self[0], self[1:]):
-            actual = flow_key.get(name)
             if actual is None or (actual & mask) != value:
                 return False
         return True
@@ -217,6 +205,40 @@ def _built(items: "list[tuple[str, int, int]]") -> Match:
 
 def _keyed(shape: tuple, values: "tuple | list") -> Match:
     return tuple.__new__(Match, (_SHAPES.setdefault(shape, shape), *values))
+
+
+def keyed_columns(
+    shape: tuple, columns: "Sequence[Sequence[int]]"
+) -> "tuple[tuple, Iterator[Match]]":
+    """The interned ``shape`` — ``((field, mask), ...)``, sorted by field,
+    masks non-zero — and its matches over one value column per field, in
+    row order: what ``Match(...)`` builds per rule, without the keyword
+    parse. Each mask and column is checked once, before the first match,
+    for what ``Match(...)`` checks per value, with its errors (plain ints,
+    ``bool`` rejected; in range; a partial mask only where maskable), and
+    values under a partial mask are made canonical, as it makes them.
+    """
+    shape = tuple([(name, mask) for name, mask in shape])
+    names = [name for name, _mask in shape]
+    if (not names or names != sorted(set(names)) or len(columns) != len(names)
+            or len({len(column) for column in columns}) != 1):
+        raise ValueError(f"{shape!r} takes distinct sorted fields, one value column each")
+    checked = []
+    for (name, mask), column in zip(shape, columns):
+        fdef = field_by_name(name)
+        if not _checked(fdef, mask, mask):  # the mask, checked as its own value
+            raise ValueError(f"a zero mask on {name} constrains nothing")
+        if column:
+            if set(map(type, column)) != {int}:
+                _checked(fdef, next(v for v in column if type(v) is not int), mask)
+            _checked(fdef, min(column), mask)
+            _checked(fdef, max(column), mask)
+            outside = fdef.max_value ^ mask
+            if outside and any(map(outside.__and__, column)):
+                column = [value & mask for value in column]
+        checked.append(column)
+    shape = _SHAPES.setdefault(shape, shape)
+    return shape, (tuple.__new__(Match, (shape, *values)) for values in zip(*checked))
 
 
 def _checked(fdef: FieldDef, value: object, mask: object) -> int:

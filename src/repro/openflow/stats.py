@@ -1,4 +1,4 @@
-"""Controller-side statistics collection (OFPMP_FLOW / OFPMP_TABLE).
+"""Controller-side statistics collection (OFPMP_FLOW).
 
 Works against any switch in this repo: the statistics live on the logical
 flow entries, which all three datapaths keep truthful (the compiled fast
@@ -123,16 +123,6 @@ class FlowStatsEntry:
     cookie: int
 
 
-@dataclass(frozen=True)
-class TableStats:
-    """Per-table aggregate statistics."""
-
-    table_id: int
-    active_entries: int
-    packets: int
-    bytes: int
-
-
 def collect_flow_stats(
     pipeline: Pipeline,
     table_id: "int | None" = None,
@@ -165,33 +155,3 @@ def collect_flow_stats(
                 )
             )
     return out
-
-
-def collect_table_stats(pipeline: Pipeline) -> list[TableStats]:
-    out = []
-    for table in pipeline:
-        packets = sum(e.packets for e in table)
-        nbytes = sum(e.bytes for e in table)
-        out.append(
-            TableStats(
-                table_id=table.table_id,
-                active_entries=len(table),
-                packets=packets,
-                bytes=nbytes,
-            )
-        )
-    return out
-
-
-def aggregate_stats(
-    pipeline: Pipeline,
-    table_id: "int | None" = None,
-    match: "Match | None" = None,
-) -> tuple[int, int, int]:
-    """(flow count, packets, bytes) over the filtered rule set."""
-    entries = collect_flow_stats(pipeline, table_id=table_id, match=match)
-    return (
-        len(entries),
-        sum(e.packets for e in entries),
-        sum(e.bytes for e in entries),
-    )

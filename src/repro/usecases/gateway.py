@@ -30,7 +30,7 @@ from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
 from repro.packet.builder import PacketBuilder
 from repro.traffic.flows import FlowSet
-from repro.usecases.l3 import synthetic_fib
+from repro.usecases.l3 import rib_table, synthetic_fib
 
 ACCESS_PORT = 1
 NETWORK_PORT = 2
@@ -101,17 +101,7 @@ def build(
         tables.append(tc)
 
     fib = synthetic_fib(n_prefixes, seed)
-    t_rib = FlowTable(ROUTING_TABLE, name="rib")
-    for value, depth, _port in fib:
-        t_rib.add(
-            FlowEntry(
-                Match(ipv4_dst=f"{int_to_ip(value)}/{depth}"),
-                priority=depth,
-                actions=[Output(NETWORK_PORT)],
-            )
-        )
-    t_rib.add(FlowEntry(Match(), priority=0, actions=[]))
-    tables.append(t_rib)
+    tables.append(rib_table(ROUTING_TABLE, "rib", [(v, d, NETWORK_PORT) for v, d, _p in fib]))
 
     t_rev = FlowTable(
         REVERSE_TABLE, name="reverse-nat", miss_policy=TableMissPolicy.CONTROLLER

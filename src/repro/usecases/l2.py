@@ -11,14 +11,16 @@ from __future__ import annotations
 import random
 
 from repro.openflow.actions import Output
-from repro.openflow.flow_entry import FlowEntry
+from repro.openflow.fields import field_by_name
 from repro.openflow.flow_table import FlowTable
-from repro.openflow.match import Match
+from repro.openflow.instructions import ApplyActions
 from repro.openflow.pipeline import Pipeline
 from repro.packet.builder import PacketBuilder
 from repro.traffic.flows import FlowSet
 
 N_PORTS = 16
+#: The table's one match shape: an exact destination MAC.
+MAC_SHAPE = (("eth_dst", field_by_name("eth_dst").max_value),)
 
 
 def build(n_entries: int, seed: int = 7) -> tuple[Pipeline, list[int]]:
@@ -36,12 +38,11 @@ def build(n_entries: int, seed: int = 7) -> tuple[Pipeline, list[int]]:
         if mac not in seen:
             seen.add(mac)
             macs.append(mac)
+    del seen  # before the table grows: the build's peak is its end
+    outputs = [(ApplyActions([Output(port)]),) for port in range(N_PORTS)]
     table = FlowTable(0, name="mac")
-    table.add_bulk(
-        [
-            FlowEntry(Match(eth_dst=mac), priority=1, actions=[Output(i % N_PORTS)])
-            for i, mac in enumerate(macs)
-        ]
+    table.add_columns(
+        MAC_SHAPE, [macs], 1, [outputs[i % N_PORTS] for i in range(n_entries)]
     )
     return Pipeline([table]), macs
 

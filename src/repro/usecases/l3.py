@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import random
 
-from repro.net.addresses import int_to_ip
+from repro.net.addresses import int_to_ip, prefix_to_mask
 from repro.openflow.actions import Output
 from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.flow_table import FlowTable
+from repro.openflow.instructions import ApplyActions
 from repro.openflow.match import Match
 from repro.openflow.pipeline import Pipeline
 from repro.packet.builder import PacketBuilder
@@ -69,19 +70,27 @@ def build(n_prefixes: int, seed: int = 13) -> tuple[Pipeline, list[tuple[int, in
     consistency prerequisite.
     """
     fib = synthetic_fib(n_prefixes, seed)
-    table = FlowTable(0, name="rib")
-    table.add_bulk(
-        [
-            FlowEntry(
-                Match(ipv4_dst=f"{int_to_ip(value)}/{depth}"),
-                priority=depth,
-                actions=[Output(port)],
-            )
-            for value, depth, port in fib
-        ]
-    )
-    table.add(FlowEntry(Match(), priority=0, actions=[]))  # no default route
-    return Pipeline([table]), fib
+    return Pipeline([rib_table(0, "rib", fib)]), fib
+
+
+def rib_table(table_id: int, name: str, fib: list[tuple[int, int, int]]) -> FlowTable:
+    """A routing table over ``[(prefix_value, depth, next_hop_port)]``: an
+    ``ipv4_dst`` prefix rule per route at priority = depth, out its next
+    hop, over a catch-all that drops (no default route). One column per
+    depth, longest first, so each lands at the table's tail in FIB order.
+    """
+    columns: dict[int, tuple[list[int], list]] = {}
+    outputs: dict[int, list] = {}
+    for value, depth, hop in fib:
+        values, actions = columns.setdefault(depth, ([], []))
+        values.append(value)
+        actions.append(outputs.get(hop) or outputs.setdefault(hop, [ApplyActions([Output(hop)])]))
+    table = FlowTable(table_id, name=name)
+    for depth in sorted(columns, reverse=True):
+        values, actions = columns[depth]
+        table.add_columns((("ipv4_dst", prefix_to_mask(depth)),), [values], depth, actions)
+    table.add(FlowEntry(Match(), priority=0, actions=[]))
+    return table
 
 
 def traffic(fib: list[tuple[int, int, int]], n_flows: int, seed: int = 17) -> FlowSet:

@@ -140,6 +140,58 @@ class TestLpmPrerequisite:
         assert lpm_prefixes(entries) is not None
 
 
+def consistent_at_every_depth(by_prefix: dict) -> bool:
+    """The priority check as first written: every rule against the
+    table's prefix at each shorter depth the table holds."""
+    depths = sorted({depth for _value, depth in by_prefix})
+    for (value, depth), entry in by_prefix.items():
+        for shorter in depths:
+            if shorter >= depth:
+                break
+            shift = 32 - shorter
+            parent = by_prefix.get((value >> shift << shift, shorter))
+            if parent is not None and parent.priority >= entry.priority:
+                return False
+    return True
+
+
+@st.composite
+def prefix_rules(draw):
+    """Distinct ``ipv4_dst`` prefixes around a few bases, so they nest
+    deeply; sometimes a catch-all below them."""
+    rules, seen = [], set()
+    for _ in range(draw(st.integers(1, 24))):
+        base = draw(st.sampled_from([0x0A000000, 0x0A0A0A00, 0xC0A80180]))
+        depth = draw(st.sampled_from([1, 8, 9, 16, 23, 24, 25, 32]))
+        mask = (0xFFFFFFFF << (32 - depth)) & 0xFFFFFFFF
+        value = (base | draw(st.integers(0, 3)) << draw(st.sampled_from([0, 8, 20]))) & mask
+        if (value, depth) not in seen:
+            seen.add((value, depth))
+            # Mostly the prefix length, sometimes an inversion.
+            priority = draw(st.sampled_from(
+                [depth, depth, depth + 1, max(1, depth - 8), 40 - depth]))
+            rules.append(e(priority, ipv4_dst=(value, mask)))
+    rules.sort(key=lambda entry: -entry.priority)
+    if draw(st.booleans()):
+        rules.append(e(0))
+    return rules
+
+
+class TestNearestAncestor:
+    """The LPM prerequisite checks each rule against its nearest ancestor
+    only; the verdict is the every-depth walk's."""
+
+    @given(prefix_rules())
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_every_depth(self, entries):
+        rules, _catch_all = split_catch_all(entries)
+        by_prefix = {(r.match.values[0], r.match.prefix_len("ipv4_dst")): r for r in rules}
+        plan = lpm_prefixes(entries)
+        assert (plan is not None) == consistent_at_every_depth(by_prefix)
+        if plan is not None:
+            assert plan == ("ipv4_dst", by_prefix)
+
+
 class TestFallbackChain:
     def test_lattice_is_fig4(self):
         """Four rungs, top-down: direct code, compound hash, LPM, linked

@@ -22,6 +22,7 @@ import pickle
 import tracemalloc
 
 from repro.core import ESwitch
+from repro.core.analysis import PREREQUISITES, TemplateKind
 from repro.dpdk.hash import CollisionFreeHash
 from repro.openflow import flow_table
 from repro.packet import PacketBuilder
@@ -37,6 +38,13 @@ PIPELINE_OBJECTS_PER_RULE = 2
 #: with its packet and byte counts, its match (one ``(shape, value)`` tuple)
 #: and the table's rule index (262 measured, on CPython 3.11).
 PIPELINE_BYTES_PER_RULE = 290
+#: traced bytes ``l2.build(N)`` may reach per rule at its peak: what it
+#: holds plus what the build drops on the way (the value and instruction
+#: columns, the placement's dedupe map and sort keys): 317 measured on
+#: CPython 3.11 with the rules installed from columns, 745 when each rule
+#: was built from keyword ``Match``, ``Output`` and ``ApplyActions``
+#: objects, most of them garbage at once.
+PIPELINE_PEAK_BYTES_PER_RULE = 360
 #: traced bytes ``ESwitch(pipeline).warm()`` may add per rule: the hash
 #: store at load 1/4 (two 8 B slot columns, displacements and the bucket
 #: index over the pipeline's own keys and rules) and the flow table's rule
@@ -83,6 +91,18 @@ def test_a_build_fingerprints_no_entry(monkeypatch):
     assert len(calls) == 0, f"{len(calls)} entries fingerprinted for {N} rules"
 
 
+def test_an_lpm_compile_walks_its_prefixes_once(monkeypatch):
+    """Selection hands the LPM rung the plan it found: building the
+    switch runs the prefix analysis once, not once more to compile."""
+    pipeline, _fib = l3.build(N_PREFIXES)
+    calls = []
+    real = PREREQUISITES[TemplateKind.LPM]
+    monkeypatch.setitem(PREREQUISITES, TemplateKind.LPM,
+                        lambda entries, config=None: calls.append(config) or real(entries, config))
+    assert switch_of(pipeline).table_kinds() == {0: "lpm"}
+    assert len(calls) == 1, f"the prefixes were analysed {len(calls)} times"
+
+
 def test_an_lpm_build_leaves_no_tracked_container_per_rule():
     switch_of(l3.build(64)[0])
     pipeline, fib = l3.build(N_PREFIXES)
@@ -110,30 +130,41 @@ def test_a_pipeline_build_leaves_two_tracked_objects_per_rule():
     assert left <= bound, f"{left} tracked objects for {N} rules"
 
 
-def traced_bytes(build) -> "tuple[int, object]":
-    """Bytes ``build()`` leaves allocated, and its result."""
+def traced_bytes(build) -> "tuple[int, int, object]":
+    """Bytes ``build()`` leaves allocated, the most it had allocated at
+    once, and its result."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         result = build()
+        peak = tracemalloc.get_traced_memory()[1]
         gc.collect()
-        return tracemalloc.get_traced_memory()[0] - before, result
+        return tracemalloc.get_traced_memory()[0] - before, peak - before, result
     finally:
         tracemalloc.stop()
 
 
 def test_a_pipeline_build_holds_a_few_hundred_bytes_per_rule():
     l2.build(64)  # first-use costs (lazy imports) are per process
-    held, (pipeline, _macs) = traced_bytes(lambda: l2.build(N))
+    held, _peak, (pipeline, _macs) = traced_bytes(lambda: l2.build(N))
     assert len(pipeline.table(0)) == N
     assert held / N <= PIPELINE_BYTES_PER_RULE, f"{held / N:.0f} B per rule"
+
+
+def test_a_pipeline_build_drops_little_on_the_way():
+    """Installed from columns, a rule leaves no keyword dict, action
+    objects or dedupe key behind it for the allocator to hold."""
+    l2.build(64)
+    _held, peak, (pipeline, _macs) = traced_bytes(lambda: l2.build(N))
+    assert len(pipeline.table(0)) == N
+    assert peak / N <= PIPELINE_PEAK_BYTES_PER_RULE, f"{peak / N:.0f} B per rule at peak"
 
 
 def test_a_switch_build_holds_a_few_hundred_bytes_per_rule():
     switch_of(l2.build(64)[0])  # first-use costs are per process
     pipeline, _macs = l2.build(N)
-    held, switch = traced_bytes(lambda: switch_of(pipeline))
+    held, _peak, switch = traced_bytes(lambda: switch_of(pipeline))
     assert switch.table_kinds() == {0: "hash"}
     assert held / N <= SWITCH_BYTES_PER_RULE, f"{held / N:.0f} B per rule"
 

@@ -49,7 +49,7 @@ class TestQuarantine:
         def boom(entries, config):
             raise RuntimeError("synthetic template-selection fault")
 
-        monkeypatch.setattr(eswitch_mod, "select_template", boom)
+        monkeypatch.setattr(eswitch_mod, "select", boom)
         sw = ESwitch(pipeline)  # must not raise: containment, not crash
 
         health = sw.health()
@@ -73,10 +73,10 @@ class TestQuarantine:
         blob = pickle.dumps(pipeline)
         real = eswitch_mod.compile_table
 
-        def flaky(table, config, costs, kind=None):
+        def flaky(table, config, costs, kind=None, plan=None):
             if kind is not TemplateKind.LINKED_LIST:
                 raise ValueError("synthetic codegen fault")
-            return real(table, config, costs, kind=kind)
+            return real(table, config, costs, kind=kind, plan=plan)
 
         monkeypatch.setattr(eswitch_mod, "compile_table", flaky)
         sw = ESwitch(pipeline)
@@ -92,7 +92,7 @@ class TestQuarantine:
         def boom(entries, config):
             raise RuntimeError("synthetic fault")
 
-        monkeypatch.setattr(eswitch_mod, "select_template", boom)
+        monkeypatch.setattr(eswitch_mod, "select", boom)
         sw = ESwitch(pipeline)
         assert 0 in sw.quarantined
         monkeypatch.undo()  # the "bug" is fixed
@@ -117,10 +117,10 @@ class TestQuarantine:
         assert not sw.health().degraded
         real = eswitch_mod.compile_table
 
-        def flaky(table, config, costs, kind=None):
+        def flaky(table, config, costs, kind=None, plan=None):
             if kind is not TemplateKind.LINKED_LIST:
                 raise ValueError("synthetic codegen fault at update time")
-            return real(table, config, costs, kind=kind)
+            return real(table, config, costs, kind=kind, plan=plan)
 
         monkeypatch.setattr(eswitch_mod, "compile_table", flaky)
         # submit path: the batch is *accepted* (degrade, don't refuse) and
@@ -243,7 +243,7 @@ class TestShardedContainment:
         def boom(entries, config):
             raise RuntimeError("synthetic fault")
 
-        monkeypatch.setattr(eswitch_mod, "select_template", boom)
+        monkeypatch.setattr(eswitch_mod, "select", boom)
         with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
             health = eng.health()
             assert health.degraded

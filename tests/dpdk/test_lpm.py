@@ -165,15 +165,11 @@ class TestOracleEquivalence:
         rng.shuffle(bulk)
         lpm.add_bulk(bulk)
         rules.update({(prefix, depth): hop for prefix, depth, hop in bulk})
-        # Mix in some deletions, one by one and then as a batch.
+        # Mix in some deletions.
         for key in list(rules):
             if rng.random() < 0.3:
                 assert lpm.delete(*key)
                 del rules[key]
-        batch = [key for key in rules if rng.random() < 0.3]
-        assert lpm.delete_bulk(batch) == len(batch)
-        for key in batch:
-            del rules[key]
         assert lpm.rules == rules
         probes = [rng.getrandbits(32) for _ in range(200)]
         # Bias probes into rule ranges so hits actually occur.

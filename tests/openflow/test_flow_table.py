@@ -106,12 +106,6 @@ class TestLookup:
         assert t.lookup(self.pkt(80), probed) is None
         assert len(probed) == 1
 
-    def test_lookup_key(self):
-        t = FlowTable(0)
-        t.add(entry(10, tcp_dst=80))
-        assert t.lookup_key({"tcp_dst": 80}) is not None
-        assert t.lookup_key({"tcp_dst": 22}) is None
-
     def test_counters_untouched_by_lookup(self):
         t = FlowTable(0)
         e = entry(10, tcp_dst=80)

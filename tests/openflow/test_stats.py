@@ -2,11 +2,7 @@
 
 from repro.core import ESwitch
 from repro.openflow.match import Match
-from repro.openflow.stats import (
-    aggregate_stats,
-    collect_flow_stats,
-    collect_table_stats,
-)
+from repro.openflow.stats import collect_flow_stats
 from repro.ovs import OvsSwitch
 from repro.packet import PacketBuilder
 from repro.usecases import firewall
@@ -67,21 +63,6 @@ class TestFlowStats:
         t.add(FlowEntry(Match(tcp_dst=443), priority=1, actions=[Output(1)]))
         stats = collect_flow_stats(Pipeline([t]), cookie=0xAB)
         assert len(stats) == 1 and stats[0].cookie == 0xAB
-
-
-class TestTableAndAggregate:
-    def test_table_stats(self):
-        pipeline = firewall.build_single_stage()
-        drive(ESwitch.from_pipeline(pipeline))
-        (table,) = collect_table_stats(pipeline)
-        assert table.active_entries == 3
-        assert table.packets == 15
-
-    def test_aggregate(self):
-        pipeline = firewall.build_single_stage()
-        drive(ESwitch.from_pipeline(pipeline))
-        flows, packets, nbytes = aggregate_stats(pipeline)
-        assert flows == 3 and packets == 15 and nbytes == 15 * 64
 
 
 class TestBurstStatsMerge:
