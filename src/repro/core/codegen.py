@@ -486,14 +486,16 @@ class HashTable(CompiledTable):
         if rules[-1].match.is_catch_all:
             rules = rules[:-1]
         self._guards = _guards(rules[0].match)
-        items: dict = {}
-        for entry in rules:
-            key = _hash_key_of(entry.match)
-            if key not in items:  # first occurrence = highest priority wins
-                items[key] = _rule_of(entry)
         # One bulk build instead of insert-at-a-time: a million-entry table
         # pays a single layout search, not an incremental growth sequence.
-        self.hash_store = store = CollisionFreeHash(items)
+        # The store takes the key and rule columns; a repeated key keeps
+        # its first row, the highest-priority rule.
+        if len(shape) == 1:
+            keys = [entry.match[1] for entry in rules]
+        else:
+            keys = [entry.match[1:] for entry in rules]
+        self.hash_store = store = CollisionFreeHash.from_columns(
+            keys, [_rule_of(entry) for entry in rules])
         super().__init__(
             table, costs,
             {"_MISS": _miss_of(table), "_H": store, "_Hget": store.get},

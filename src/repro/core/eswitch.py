@@ -373,16 +373,17 @@ class ESwitch:
 
     # -- compilation ---------------------------------------------------------------
 
-    def _compile_group(self, table: FlowTable) -> _Group:
+    def _compile_group(self, table: FlowTable, selected: "tuple | None" = None) -> _Group:
         """Compile one logical table, containing any compile failure.
 
         Template selection, decomposition, or codegen raising must never
         crash the control path: the failing table is *quarantined* onto the
         linked-list universal template (the one with no prerequisite) and
         reported through :meth:`health`. A later clean rebuild heals it.
+        ``selected`` is a ``select(table, config)`` the caller already ran.
         """
         try:
-            group = self._compile_group_preferred(table)
+            group = self._compile_group_preferred(table, selected)
         except Exception as exc:  # containment boundary, deliberately broad
             return self._quarantine(table, f"{type(exc).__name__}: {exc}")
         self.quarantined.pop(table.table_id, None)
@@ -421,8 +422,8 @@ class ESwitch:
                 if tid != table_id:
                     self.datapath.uninstall(tid)
 
-    def _compile_group_preferred(self, table: FlowTable) -> _Group:
-        kind, plan = select(table, self.config)
+    def _compile_group_preferred(self, table: FlowTable, selected: "tuple | None") -> _Group:
+        kind, plan = selected or select(table, self.config)
         tables = None
         if kind is TemplateKind.LINKED_LIST and self.config.decompose:
             tables = decompose_table(table, self._next_internal_id)
@@ -457,12 +458,12 @@ class ESwitch:
             self._rebuild_group(logical_id)
         self._dirty_groups.clear()
 
-    def _rebuild_group(self, logical_id: int) -> None:
+    def _rebuild_group(self, logical_id: int, selected: "tuple | None" = None) -> None:
         """Side-by-side rebuild of one logical table, then atomic swap."""
         self._dirty_groups.discard(logical_id)
         old = self._groups.get(logical_id)
         table = self.pipeline.table(logical_id)
-        new_group = self._compile_group(table)  # installs over/new ids
+        new_group = self._compile_group(table, selected)  # installs over/new ids
         if old is not None:
             for tid in old.compiled_ids:
                 if tid not in new_group.compiled_ids:
@@ -593,7 +594,7 @@ class ESwitch:
         compiled = self.datapath.table(table.table_id)
         if compiled.holds(table, mod, self.config):
             stats.kind_stable_skips += 1
-        elif select(table, self.config)[0] is not compiled.kind or (
+        elif (selected := select(table, self.config))[0] is not compiled.kind or (
             # Still linked-list-bound, but a fresh compile would offer the
             # table to decomposition first: so does this one, whenever
             # the shape set (all the uniform-mask prerequisite reads) moved.
@@ -603,9 +604,10 @@ class ESwitch:
             and table.table_id not in self.quarantined
             and decomposable(table)
         ):
-            # Prerequisite changed: fall back (or upgrade) with a rebuild.
+            # Prerequisite changed: fall back (or upgrade) with a rebuild
+            # from the rung and plan just selected.
             stats.fallbacks += 1
-            self._rebuild_group(table.table_id)
+            self._rebuild_group(table.table_id, selected)
             return costs.es_update_rebuild_base + costs.es_update_rebuild_per_entry * len(
                 table
             )

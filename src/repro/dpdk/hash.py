@@ -36,7 +36,9 @@ looping forever.
 
 A full build computes the mix and the bucket grouping of every key at once
 (numpy columns), then runs the sequential displacement search over plain
-int lists; see DESIGN.md §10 for why each key's slot index is pinned.
+int lists, converted one chunk of buckets at a time; see DESIGN.md §10 for
+why each key's slot index is pinned. :meth:`CollisionFreeHash.from_columns`
+builds from a key column and a value column, with no key dict.
 The slots are two parallel columns (``_slot_keys``, ``_slot_vals``), and
 they are the only place a key and its value live: length, iteration and
 updates read them, and a rebuild takes the resident keys in slot order.
@@ -150,8 +152,26 @@ class CollisionFreeHash:
     MAX_DISP_TRIES = 256
     MIN_SLOTS = 8
 
+    #: Occupied buckets placed per chunk of a full build: only one
+    #: chunk's slice of each column is held as Python ints at a time.
+    CHUNK_BUCKETS = 1 << 10
+
     def __init__(self, items: "dict | None" = None):
         items = items or {}
+        self._start(list(items), list(items.values()))
+
+    @classmethod
+    def from_columns(cls, keys: list, values: list) -> "CollisionFreeHash":
+        """The table mapping ``keys[i]`` to ``values[i]``, built from the two
+        columns without a key dict: a repeated key keeps its first row.
+        The same table as ``cls(items)`` over those rows."""
+        if len(set(keys)) < len(keys):
+            keys, values = _first_rows(keys, values)
+        table = cls.__new__(cls)
+        table._start(keys, values)
+        return table
+
+    def _start(self, keys: list, values: list) -> None:
         self._count = 0
         self._seed = 0
         #: the slots as two columns: a key (None = empty) and its value
@@ -170,7 +190,7 @@ class CollisionFreeHash:
         self.seed_attempts = 0  # top-level seeds tried across all builds
         self.reseed_probes = 0  # displacement candidates tried, total
         self.rebuild_keys = 0  # keys redistributed by full rebuilds, total
-        self._build(list(items), list(items.values()))
+        self._build(keys, values)
 
     # -- lookups ----------------------------------------------------------
 
@@ -407,7 +427,9 @@ class CollisionFreeHash:
         order (about two thirds of the occupied buckets at load 1/4), and
         they are placed key by key: the first free slot of
         ``d = 0, 1, …``, which is the search above with nothing to keep
-        apart.
+        apart. The search walks the order ``CHUNK_BUCKETS`` buckets at a
+        time, so its per-key ints and lists are one chunk's, not the
+        table's; the chunking changes no choice it makes.
         """
         slot_keys: list = [None] * nslots
         slot_vals: list = [None] * nslots
@@ -438,63 +460,89 @@ class CollisionFreeHash:
         # Key indexes laid out bucket after bucket, in processing order.
         layout = by_bucket[(starts - (ends - sizes)).repeat(sizes) + np.arange(n)]
         hashes = hashes[layout]
-        first_try = ((hashes * _NP_GOLD) >> np.uint64(shift)).tolist()  # d = 0
-        hashes = hashes.tolist()
-        layout = layout.tolist()
-        laid_keys = [keys[i] for i in layout]
-        laid_vals = [values[i] for i in layout]
+        first_try = (hashes * _NP_GOLD) >> np.uint64(shift)  # d = 0
+        order = grouped[starts]
+        several = int((sizes > 1).sum())  # ranked first: sizes descend
+        occupied = len(order)
+        step = self.CHUNK_BUCKETS
         max_tries = self.MAX_DISP_TRIES
         probes = 0
         lo = 0
-        order = grouped[starts].tolist()
-        several = int((sizes > 1).sum())  # ranked first: sizes descend
         try:
-            for bucket, hi in zip(islice(order, several), ends.tolist()):
-                size = hi - lo
-                mine = hashes[lo:hi]
-                if len(set(mine)) != size:
-                    raise RebuildRequired("dup")  # same hash: reseed, don't grow
-                indexes = first_try[lo:hi]
-                for d in range(max_tries):
-                    probes += 1
-                    if d:
-                        indexes = [((h ^ d) * _GOLD & _MASK64) >> shift for h in mine]
-                    if len(set(indexes)) == size:
-                        for i in indexes:
-                            if slot_keys[i] is not None:
-                                break
-                        else:
-                            break  # every candidate slot is free: take them
+            # The buckets in order, a chunk at a time: only the chunk's
+            # slice of each column becomes Python ints and lists. A table
+            # that fits one chunk converts the columns whole.
+            for b0 in range(0, occupied, step):
+                b1 = min(b0 + step, occupied)
+                if occupied <= step:
+                    hi = n
+                    mixed, tried, rows = hashes.tolist(), first_try.tolist(), layout.tolist()
+                    ids, counts = order.tolist(), sizes.tolist()
                 else:
-                    raise RebuildRequired("grow")
-                members = tuple(laid_keys[lo:hi])
-                for i, key, value in zip(indexes, members, laid_vals[lo:hi]):
-                    slot_keys[i] = key
-                    slot_vals[i] = value
-                disp[bucket] = d
-                bucket_keys[bucket] = members
-                lo = hi
-            for bucket, j in zip(islice(order, several, None), range(lo, n)):
-                i = first_try[j]
-                d = 0
-                probes += 1
-                if slot_keys[i] is not None:
-                    h = hashes[j]
-                    for d in range(1, max_tries):
+                    hi = n if b1 == occupied else int(ends[b1 - 1])
+                    mixed, tried = hashes[lo:hi].tolist(), first_try[lo:hi].tolist()
+                    rows = layout[lo:hi].tolist()
+                    ids, counts = order[b0:b1].tolist(), sizes[b0:b1].tolist()
+                laid_keys = [keys[i] for i in rows]
+                laid_vals = [values[i] for i in rows]
+                multi = max(0, min(b1, several) - b0)  # this chunk's several
+                at = 0
+                for bucket, size in zip(islice(ids, multi), counts):
+                    end = at + size
+                    mine = mixed[at:end]
+                    if len(set(mine)) != size:
+                        raise RebuildRequired("dup")  # same hash: reseed, don't grow
+                    indexes = tried[at:end]
+                    for d in range(max_tries):
                         probes += 1
-                        i = ((h ^ d) * _GOLD & _MASK64) >> shift
-                        if slot_keys[i] is None:
-                            break
+                        if d:
+                            indexes = [((h ^ d) * _GOLD & _MASK64) >> shift for h in mine]
+                        if len(set(indexes)) == size:
+                            for i in indexes:
+                                if slot_keys[i] is not None:
+                                    break
+                            else:
+                                break  # every candidate slot is free: take them
                     else:
                         raise RebuildRequired("grow")
-                key = laid_keys[j]
-                slot_keys[i] = key
-                slot_vals[i] = laid_vals[j]
-                disp[bucket] = d
-                bucket_keys[bucket] = (key,) if isinstance(key, tuple) else key
+                    members = tuple(laid_keys[at:end])
+                    for i, key, value in zip(indexes, members, laid_vals[at:end]):
+                        slot_keys[i] = key
+                        slot_vals[i] = value
+                    disp[bucket] = d
+                    bucket_keys[bucket] = members
+                    at = end
+                for bucket, j in zip(islice(ids, multi, None), range(at, hi - lo)):
+                    i = tried[j]
+                    d = 0
+                    probes += 1
+                    if slot_keys[i] is not None:
+                        h = mixed[j]
+                        for d in range(1, max_tries):
+                            probes += 1
+                            i = ((h ^ d) * _GOLD & _MASK64) >> shift
+                            if slot_keys[i] is None:
+                                break
+                        else:
+                            raise RebuildRequired("grow")
+                    key = laid_keys[j]
+                    slot_keys[i] = key
+                    slot_vals[i] = laid_vals[j]
+                    disp[bucket] = d
+                    bucket_keys[bucket] = (key,) if isinstance(key, tuple) else key
+                lo = hi
         finally:
             self.reseed_probes += probes
         return slot_keys, slot_vals, disp, bucket_keys
+
+
+def _first_rows(keys: list, values: list) -> "tuple[list, list]":
+    """The key and value columns of each key's first row, in row order
+    (the dict that finds them is gone before anything is placed)."""
+    first: dict = {}
+    for key, value in zip(keys, values):
+        first.setdefault(key, value)
+    return list(first), list(first.values())
 
 
 def _members(held: object) -> tuple:

@@ -41,6 +41,7 @@ class FlowEntry:
         "idle_timeout",
         "hard_timeout",
         "origin",
+        "_slot",
     )
 
     def __init__(
@@ -75,6 +76,9 @@ class FlowEntry:
         #: carries the instructions of; the compiler stores that rule, not
         #: the leaf, as the lookup's answer, so a hit counts on the rule.
         self.origin: "FlowEntry | None" = None
+        #: where the last flow table to number this entry held it: a
+        #: hint that table checks by identity before trusting (None: unset).
+        self._slot: "int | None" = None
         self.cookie = cookie
         #: seconds of inactivity after which the entry expires (0 = never).
         self.idle_timeout = idle_timeout

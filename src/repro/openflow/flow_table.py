@@ -19,14 +19,21 @@ priority bisection stays valid between compactions, which is also what
 lets a fresh ADD reuse a tombstone adjacent to its insertion point (the
 steady-state churn pattern) without any memmove at all.
 
-Every lazily derived structure — the rule index, the live-entries
-tuple, the slot map — is built on first use and then maintained by the
-mutation that bumps ``version``; the bulk doors (:meth:`FlowTable.add_bulk`,
-``add_columns``), :meth:`FlowTable.clear` and unpickling drop them all
-together. Nothing outside this class assigns
-``_entries``: a table is copied by pickling it, and a batch is undone by
-putting the displaced entries back (:meth:`FlowTable.follower`,
-``add(entry, before=...)``), not by swapping the store.
+The rule index and the live-entries tuple are built on first use and
+then maintained by the mutation that bumps ``version``; the bulk doors
+(:meth:`FlowTable.add_bulk`, ``add_columns``), :meth:`FlowTable.clear` and
+unpickling drop both. An entry's slot is kept on the entry, not in a map:
+a slot hint that the single-rule paths write and a renumbering pass
+refreshes, trusted only when the store holds that very entry at that
+slot. The identity check is the whole invalidation contract. A memmove,
+compaction, bulk placement or unpickle moves slots without telling
+anyone; a moved entry's hint fails the check, and asking for its slot
+renumbers the live entries in one pass. An entry held by two tables is
+answered right by both, only renumbered more often. Nothing outside
+this class assigns ``_entries``: a table is copied by pickling it, and a
+batch is undone by putting the displaced entries back
+(:meth:`FlowTable.follower`, ``add(entry, before=...)``), not by
+swapping the store.
 
 Two structures are kept eagerly, in the same pass. The **action-template
 census**: every path that installs a rule points its ``instructions`` at
@@ -57,10 +64,16 @@ def _sort_key(entry: "FlowEntry") -> int:
     return -entry.priority
 
 
-def _negated(entries: "list[FlowEntry]") -> "list[int]":
-    """The entries' sort keys, one int object per distinct priority."""
-    keys: "dict[int, int]" = {}
+def _negated(entries: "list[FlowEntry]", shared: "list[int]" = ()) -> "list[int]":
+    """The entries' sort keys, one int object per distinct priority: the
+    ``shared`` keys' own object where one of them is equal."""
+    keys: "dict[int, int]" = {-key: key for key in shared}
     return [keys.setdefault(e.priority, -e.priority) for e in entries]
+
+
+def _holds(ents: "list[FlowEntry | None]", slot: "int | None", entry: FlowEntry) -> bool:
+    """Whether ``slot`` (a slot hint) is where ``ents`` holds ``entry``."""
+    return slot is not None and slot < len(ents) and ents[slot] is entry
 
 
 def _listed(
@@ -158,10 +171,6 @@ class FlowTable:
         #: it, which is what lets ESwitch skip ``required_layer``
         #: re-planning per mod.
         self.shapes_version = 0
-        # Entry -> slot map (identity-keyed: no int minted per rule), for
-        # O(1) strict delete, replace and follower. Built by ``prime()``;
-        # dropped (rebuilt on demand) when a mid-list insert shifts slots.
-        self._slots: "dict[FlowEntry, int] | None" = None
         # The lazy rule index. ``add``/strict ``remove``/``has_rule``/
         # ``find`` would otherwise scan the whole store per call — an O(n)
         # wall that turns million-entry churn into a benchmark of this
@@ -227,13 +236,23 @@ class FlowTable:
             self._index_version = self.version
         return by_match
 
-    def _slot_index(self) -> "dict[FlowEntry, int]":
-        slots = self._slots
-        if slots is None:
-            slots = self._slots = {
-                e: i for i, e in enumerate(self._entries) if e is not None
-            }
-        return slots
+    def _slot_of(self, entry: FlowEntry) -> int:
+        """The slot holding the live ``entry``, for O(1) strict delete,
+        replace and follower: its slot hint when the store holds it
+        there, else after one renumbering pass. KeyError if the store
+        does not hold it."""
+        ents = self._entries
+        if not _holds(ents, entry._slot, entry):
+            self._renumber()
+            if not _holds(ents, entry._slot, entry):
+                raise KeyError(entry)
+        return entry._slot
+
+    def _renumber(self) -> None:
+        """Point every live entry's slot hint at its slot, in one pass."""
+        for slot, entry in enumerate(self._entries):
+            if entry is not None:
+                entry._slot = slot
 
     def follower(self, entry: FlowEntry) -> "FlowEntry | None":
         """The live entry that follows a live ``entry`` inside its
@@ -241,7 +260,7 @@ class FlowTable:
         ``add(entry, before=...)`` takes to put ``entry`` back in this
         place after a delete. O(1) plus the tombstones between the two.
         """
-        slot = self._slot_index()[entry]
+        slot = self._slot_of(entry)
         ents, keys = self._entries, self._keys
         for i in range(slot + 1, len(ents)):
             if keys[i] != keys[slot]:
@@ -341,14 +360,19 @@ class FlowTable:
         priority band) hits one of these two slots every time: O(1).
         With ``before``, ``pos`` is its slot: a tombstone at ``pos - 1``
         has a key <= ours, and a memmove lands us directly ahead of it.
+        An equal key, if the store holds one, is at ``pos - 1`` (or at
+        ``before``'s ``pos``): the new slot shares its int.
         """
         skey = -entry.priority
         ents = self._entries
         keys = self._keys
         if before is None:
             pos = bisect.bisect_right(keys, skey)
+            near = pos - 1
         else:
-            pos = self._slot_index()[before]
+            pos = near = self._slot_of(before)
+        if near >= 0 and keys[near] == skey:
+            skey = keys[near]
         if pos < len(ents) and ents[pos] is None:
             ents[pos] = entry
             keys[pos] = skey
@@ -359,13 +383,9 @@ class FlowTable:
             keys[pos] = skey
             self._dead -= 1
         else:
-            ents.insert(pos, entry)
+            ents.insert(pos, entry)  # the tail's hints go stale
             keys.insert(pos, skey)
-            if pos != len(ents) - 1:
-                self._slots = None  # the memmove shifted the tail's slots
-        slots = self._slots
-        if slots is not None:
-            slots[entry] = pos
+        entry._slot = pos
 
     def add(
         self, entry: FlowEntry, before: "FlowEntry | None" = None
@@ -392,11 +412,9 @@ class FlowTable:
                     same_match = by_match[entry.match] = [same_match]
                 bisect.insort_right(same_match, entry, key=_sort_key)
         else:
-            slots = self._slot_index()
-            slot = slots.pop(existing)
+            slot = entry._slot = self._slot_of(existing)
             # Same rule key ⇒ same priority ⇒ _keys[slot] is right.
             self._entries[slot] = entry
-            slots[entry] = slot
             if same_match is existing:
                 by_match[entry.match] = entry
             else:
@@ -488,15 +506,17 @@ class FlowTable:
         their priority, in batch order — appended when they sort at the
         tail, as a build does, else merged in by one stable sort. Each rule
         is counted as it is placed; ``shapes_version`` moves only if the
-        shape set did.
+        shape set did. Appended rules get no slot hint (no int per rule)
+        until the batch's first replace numbers the store.
         """
         shapes, shapes_version = set(self._feats), self.shapes_version
         if self._dead:
             self._entries = [e for e in self._entries if e is not None]
-            self._keys, self._dead, self._slots = _negated(self._entries), 0, None
+            self._keys, self._dead = _negated(self._entries), 0
         store = self._entries
         tail = len(store)
         intern, release = self._intern, self._release
+        numbered = False
         n = 0
         for n, entry in enumerate(entries, 1):
             intern(entry)
@@ -510,17 +530,19 @@ class FlowTable:
                     if type(same_match) is not list:
                         same_match = by_match[match] = [same_match]
                     bisect.insort_right(same_match, entry, key=_sort_key)
-                if self._slots is not None:
-                    self._slots[entry] = len(store)
+                if numbered:
+                    entry._slot = len(store)
                 store.append(entry)
                 continue
             if same_match is existing:
                 by_match[match] = entry
             else:
                 same_match[same_match.index(existing)] = entry
-            slots = self._slot_index()  # built on a batch's first repeat
-            store[slots[existing]] = entry
-            slots[entry] = slots.pop(existing)
+            if not numbered:  # a batch's first repeat
+                self._renumber()
+                numbered = True
+            slot = entry._slot = self._slot_of(existing)
+            store[slot] = entry
             release(existing)
         if not n:
             return 0
@@ -529,10 +551,10 @@ class FlowTable:
             store.sort(key=_sort_key)
             self._keys = _negated(store)
         else:
-            self._keys += _negated(added)
+            self._keys += _negated(added, self._keys[-1:])
         self.shapes_version = shapes_version + (self._feats.keys() != shapes)
         self._mark_mutated()
-        self._slots = self._by_match = self._timed = None  # rebuilt on demand
+        self._by_match = self._timed = None  # rebuilt on demand
         self._index_version = -1
         return n
 
@@ -542,12 +564,11 @@ class FlowTable:
         if not victims:
             return 0
         ents = self._entries
-        slots = self._slot_index()
         by_match = self._index()
         timed = self._timed
         for entry in victims:
             # The key stays: bisection remains valid.
-            ents[slots.pop(entry)] = None
+            ents[self._slot_of(entry)] = None
             same_match = by_match[entry.match]
             if same_match is entry:
                 del by_match[entry.match]
@@ -598,7 +619,6 @@ class FlowTable:
         self._entries = []
         self._keys = []
         self._dead = 0
-        self._slots = None
         self._by_match = self._timed = None
         self._index_version = -1
         self._live = None
@@ -623,16 +643,16 @@ class FlowTable:
         Invisible to every consumer: the live sequence is unchanged, so
         ``version`` does not move — fused drivers, wire position maps
         (positions index the *live* order) and the rule index all stay
-        valid. Only the slot map is positional and is rebuilt lazily.
+        valid. Only slot hints are positional; the moved ones fail their
+        identity check and are renumbered on next use.
         Amortized O(live) per O(n) deletes via the trigger threshold.
         """
         if not self._dead:
             return
         live = [e for e in self._entries if e is not None]
         self._entries = live
-        self._keys = [-e.priority for e in live]
+        self._keys = _negated(live)
         self._dead = 0
-        self._slots = None
         self.compactions += 1
 
     @property
@@ -643,15 +663,15 @@ class FlowTable:
     def prime(self) -> None:
         """Build every lazy structure now, off the critical path.
 
-        The rule index and slot map are built on first use and
-        maintained incrementally after — which puts one O(entries)
-        rebuild inside whatever window issues the first mutation.
+        The rule index and the slot hints are built on first use and
+        maintained incrementally after — which puts one O(entries) pass
+        inside whatever window issues the first mutation.
         ``ESwitch.warm()`` calls this so a freshly-loaded million-entry
         table pays that scan before the churn starts, the same contract
         warm() already gives compilation and fusing.
         """
         self._index()
-        self._slot_index()
+        self._renumber()
 
     # -- queries --------------------------------------------------------------
 
@@ -771,19 +791,23 @@ class FlowTable:
     def __getstate__(self) -> dict:
         """Pickle the compacted logical state only.
 
-        The slot map names slots the dropped tombstones would shift,
-        and the indexes rebuild lazily; shipping live entries
-        with no tombstones keeps worker spawn snapshots minimal. The two
-        multisets travel as they are (O(distinct)).
+        The indexes rebuild lazily and the sort keys from the entries
+        (one int per priority; pickle would mint one per slot), so
+        shipping live entries with no tombstones keeps worker spawn
+        snapshots minimal. The two multisets travel as they are
+        (O(distinct)). A slot hint the dropped tombstones moved fails its
+        identity check in the copy.
         """
         state = self.__dict__.copy()
-        live = [e for e in self._entries if e is not None]
-        state["_entries"] = live
-        state["_keys"] = [-e.priority for e in live]
+        state["_entries"] = [e for e in self._entries if e is not None]
+        del state["_keys"]
         state["_dead"] = 0
-        state["_slots"] = None
         state["_by_match"] = state["_timed"] = None
         state["_index_version"] = -1
         state["_live"] = None
         state["_live_version"] = -1
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._keys = _negated(self._entries)

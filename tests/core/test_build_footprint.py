@@ -19,12 +19,17 @@ store's columns and the flow table's lookup indexes, and no key copy.
 
 import gc
 import pickle
+from collections import Counter
 import tracemalloc
 
 from repro.core import ESwitch
 from repro.core.analysis import PREREQUISITES, TemplateKind
 from repro.dpdk.hash import CollisionFreeHash
 from repro.openflow import flow_table
+from repro.openflow.actions import Output
+from repro.openflow.instructions import ApplyActions
+from repro.openflow.match import Match
+from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.packet import PacketBuilder
 from repro.usecases import l2, l3
 
@@ -35,8 +40,9 @@ BUILD_BOUND = 64
 #: tracked objects a built l2 pipeline holds per rule: the entry and its match.
 PIPELINE_OBJECTS_PER_RULE = 2
 #: traced bytes a built one-table l2 pipeline may hold per rule: the entry
-#: with its packet and byte counts, its match (one ``(shape, value)`` tuple)
-#: and the table's rule index (262 measured, on CPython 3.11).
+#: with its packet and byte counts and its slot hint, its match (one
+#: ``(shape, value)`` tuple) and the table's rule index (270 measured, on
+#: CPython 3.11).
 PIPELINE_BYTES_PER_RULE = 290
 #: traced bytes ``l2.build(N)`` may reach per rule at its peak: what it
 #: holds plus what the build drops on the way (the value and instruction
@@ -47,9 +53,17 @@ PIPELINE_BYTES_PER_RULE = 290
 PIPELINE_PEAK_BYTES_PER_RULE = 360
 #: traced bytes ``ESwitch(pipeline).warm()`` may add per rule: the hash
 #: store at load 1/4 (two 8 B slot columns, displacements and the bucket
-#: index over the pipeline's own keys and rules) and the flow table's rule
-#: index and slot map, which compiling builds (239 measured, CPython 3.11).
-SWITCH_BYTES_PER_RULE = 270
+#: index over the pipeline's own keys and rules), the flow table's rule
+#: index and each entry's slot hint, which warming numbers: 209 measured
+#: on CPython 3.11, plus 10 % headroom. With an entry -> slot map on the
+#: table beside the hints' place it was 238.
+SWITCH_BYTES_PER_RULE = 230
+#: traced bytes ``ESwitch(pipeline).warm()`` may reach per rule at its
+#: peak: what it holds plus the hash build's scratch, numpy columns and one
+#: chunk of buckets as Python ints: 270 measured on CPython 3.11, plus 15 %
+#: headroom. 439 when the placement turned every column into a
+#: table-long list and the compile keyed a dict by every rule's key.
+SWITCH_PEAK_BYTES_PER_RULE = 310
 
 
 def tracked_after(build) -> "tuple[int, object]":
@@ -101,6 +115,31 @@ def test_an_lpm_compile_walks_its_prefixes_once(monkeypatch):
                         lambda entries, config=None: calls.append(config) or real(entries, config))
     assert switch_of(pipeline).table_kinds() == {0: "lpm"}
     assert len(calls) == 1, f"the prefixes were analysed {len(calls)} times"
+
+
+def test_a_rung_fallback_selects_once(monkeypatch):
+    """A flow-mod that breaks the hash rung's prerequisite rebuilds the
+    table from the rung and plan that re-selection found: each rung's
+    prerequisite runs once on the table, not once more to compile."""
+    pipeline, macs = l2.build(64)
+    switch = switch_of(pipeline)
+    table = pipeline.table(0)
+    calls = Counter()
+
+    def counting(kind, real):
+        def prerequisite(entries, config=None):
+            calls[kind] += entries is table  # not a decomposition's sub-table
+            return real(entries, config)
+        return prerequisite
+
+    for kind, real in list(PREREQUISITES.items()):
+        monkeypatch.setitem(PREREQUISITES, kind, counting(kind, real))
+    masked = FlowMod(FlowModCommand.ADD, 0, Match(eth_dst=(macs[0], 0xFFFFFF000000)),
+                     priority=1, instructions=(ApplyActions([Output(2)]),))
+    assert switch.submit_flow_mods([masked]).accepted
+    assert switch.table_kinds()[0] != "hash"
+    assert switch.update_stats.fallbacks == 1
+    assert calls == dict.fromkeys(PREREQUISITES, 1), f"prerequisites run: {calls}"
 
 
 def test_an_lpm_build_leaves_no_tracked_container_per_rule():
@@ -167,6 +206,16 @@ def test_a_switch_build_holds_a_few_hundred_bytes_per_rule():
     held, _peak, switch = traced_bytes(lambda: switch_of(pipeline))
     assert switch.table_kinds() == {0: "hash"}
     assert held / N <= SWITCH_BYTES_PER_RULE, f"{held / N:.0f} B per rule"
+
+
+def test_a_switch_build_drops_little_on_the_way():
+    """The hash rung builds from the rules' key and rule columns, and its
+    placement holds one chunk of buckets as Python ints at a time."""
+    switch_of(l2.build(64)[0])
+    pipeline, _macs = l2.build(N)
+    _held, peak, switch = traced_bytes(lambda: switch_of(pipeline))
+    assert switch.table_kinds() == {0: "hash"}
+    assert peak / N <= SWITCH_PEAK_BYTES_PER_RULE, f"{peak / N:.0f} B per rule at peak"
 
 
 def test_rules_of_one_shape_share_one_shape_object():

@@ -264,6 +264,59 @@ def one_key_buckets_displaced(h: CollisionFreeHash) -> int:
     )
 
 
+class TestChunkedPlacement:
+    """The displacement search converts the bucket order a chunk at a
+    time. Chunk edges inside the several-key buckets and across the step
+    to the one-key buckets change no choice: any chunk size lays out the
+    spec's table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(key_sets, st.integers(1, 9))
+    def test_any_chunk_size_lays_out_the_spec(self, keys, chunk):
+        chunked = type("Chunked", (CollisionFreeHash,), {"CHUNK_BUCKETS": chunk})
+        items = {k: ("v", i) for i, k in enumerate(sorted(keys, key=repr))}
+        built = []
+        if on_both(chunked, ScalarReference, lambda cls: built.append(cls(items))):
+            assert_same(*built)
+
+    def test_one_chunk_and_many_agree_at_scale(self):
+        items = {(i * 2654435761) % (1 << 48): i for i in range(5_000)}
+        chunked = type("Chunked", (CollisionFreeHash,), {"CHUNK_BUCKETS": 7})
+        whole = type("Whole", (CollisionFreeHash,), {"CHUNK_BUCKETS": 1 << 20})
+        assert_same(chunked(items), whole(items))
+        assert_same(chunked(items), ScalarReference(items))
+
+
+class TestFromColumns:
+    """A key column and a value column build the table the first-row
+    dict of those rows builds: a repeated key keeps its first value."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(key_sets, st.lists(st.integers(0, 1 << 16), max_size=40))
+    def test_columns_build_the_first_row_dict_s_table(self, keys, repeats):
+        keys = sorted(keys, key=repr)
+        rows = [(k, ("v", i)) for i, k in enumerate(keys)]
+        if keys:  # repeated keys, each with a value of its own, anywhere
+            for j, n in enumerate(repeats):
+                rows.insert(n % (len(rows) + 1), (keys[n % len(keys)], ("again", j)))
+        first: dict = {}
+        for key, value in rows:
+            first.setdefault(key, value)
+        try:
+            built = CollisionFreeHash.from_columns([k for k, _v in rows], [v for _k, v in rows])
+        except HashBuildError:  # a ragged set may hold ``5`` beside ``(5,)``
+            with pytest.raises(HashBuildError):
+                CollisionFreeHash(first)
+            return
+        assert_same(built, CollisionFreeHash(first))
+        assert_like(built, first)
+
+    def test_the_first_row_wins(self):
+        h = CollisionFreeHash.from_columns([7, (1, 2), 7, (1, 2)], ["a", "b", "c", "d"])
+        assert len(h) == 2 and h.get(7) == "a" and h.get((1, 2)) == "b"
+        assert h.rebuild_count == 1  # one build, as ``cls(items)`` makes
+
+
 class TestParityAtScale:
     """The hypothesis sets stop at 300 keys; one-key buckets are placed by
     their own loop, whose ``d >= 1`` arm needs a crowded table to run."""

@@ -209,3 +209,52 @@ class TestFeatureCounts:
         t.feature_counts()
         clone = pickle.loads(pickle.dumps(t))
         assert clone.feature_counts() == self.brute(clone)
+
+
+class TestSortKeys:
+    """The store's sort keys hold one int object per distinct priority on
+    every path that writes them. The priorities lie outside CPython's
+    small-int cache, so each ``-priority`` computed anew is a new object."""
+
+    PRIOS = (100, 300, 1000)
+
+    @staticmethod
+    def key_objects(t: FlowTable) -> int:
+        return len({id(k) for k in t._keys})
+
+    def filled(self, n: int = 200) -> FlowTable:
+        t = FlowTable(0)
+        for i in range(n):  # a fresh rule each, tails and middles alike
+            t.add(entry(self.PRIOS[i * 7 % 3], tcp_dst=i))
+        return t
+
+    def test_single_adds_share_their_neighbours_key(self):
+        t = self.filled()
+        assert self.key_objects(t) == len(self.PRIOS)
+        # … and so does a put-back ahead of a same-priority follower.
+        victim = t.entries[1]
+        follower = t.follower(victim)
+        t.remove(victim.match, victim.priority)
+        t.add(victim, before=follower)
+        assert self.key_objects(t) == len(self.PRIOS)
+
+    def test_compaction_shares_keys(self):
+        t = self.filled()
+        t.remove_if(lambda e: e.match.constraint("tcp_dst")[0] % 4)
+        t.compact()
+        assert t.compactions and not t.tombstones
+        assert self.key_objects(t) == len(self.PRIOS)
+
+    def test_an_unpickled_table_shares_keys(self):
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(self.filled()))
+        assert self.key_objects(clone) == len(self.PRIOS)
+        clone.add(entry(self.PRIOS[0], tcp_dst=999))
+        assert self.key_objects(clone) == len(self.PRIOS)
+
+    def test_a_bulk_add_shares_the_tail_s_key(self):
+        t = self.filled()
+        # the lowest priority: appended at the tail, no merge sort
+        t.add_bulk([entry(self.PRIOS[0], tcp_dst=1000 + i) for i in range(10)])
+        assert self.key_objects(t) == len(self.PRIOS)

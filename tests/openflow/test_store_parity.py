@@ -196,26 +196,75 @@ class TestAddBulkParity:
                 assert bulk.find(match) is seq.find(match)
 
 
-ops_st = st.lists(
-    st.one_of(
-        st.tuples(
-            st.just("add"), st.sampled_from(PRIOS), st.sampled_from(PORTS)
-        ),
-        st.tuples(
-            st.just("remove_strict"),
-            st.sampled_from(PRIOS),
-            st.sampled_from(PORTS),
-        ),
-        st.tuples(st.just("remove"), st.just(0), st.sampled_from(PORTS)),
-        st.tuples(st.just("remove_if"), st.sampled_from(PRIOS), st.just(0)),
-        st.tuples(st.just("compact"), st.just(0), st.just(0)),
-        st.tuples(
-            st.just("put_back"), st.sampled_from(PRIOS), st.sampled_from(PORTS)
-        ),
+op_st = st.one_of(
+    st.tuples(
+        st.just("add"), st.sampled_from(PRIOS), st.sampled_from(PORTS)
     ),
-    min_size=0,
-    max_size=60,
+    st.tuples(
+        st.just("remove_strict"),
+        st.sampled_from(PRIOS),
+        st.sampled_from(PORTS),
+    ),
+    st.tuples(st.just("remove"), st.just(0), st.sampled_from(PORTS)),
+    st.tuples(st.just("remove_if"), st.sampled_from(PRIOS), st.just(0)),
+    st.tuples(st.just("compact"), st.just(0), st.just(0)),
+    st.tuples(
+        st.just("put_back"), st.sampled_from(PRIOS), st.sampled_from(PORTS)
+    ),
+    st.tuples(st.just("pickle"), st.just(0), st.just(0)),
 )
+ops_st = st.lists(op_st, min_size=0, max_size=60)
+
+
+def apply_op(store: FlowTable, model: ListModel, op: str, prio: int, port: int) -> int:
+    """One op of ``ops_st`` on both; returns the version bumps it owes.
+    ``pickle`` round-trips the store in place (its entries are copies
+    then, so the model is swapped for the copy's objects too)."""
+    if op == "add":
+        e = mk_entry(prio, port, timed=bool(prio & 1))
+        store.add(e)
+        model.add(e)
+        return 1
+    if op == "remove_strict":
+        got = store.remove(Match(tcp_dst=port), priority=prio)
+        want = model.remove(Match(tcp_dst=port), prio)
+    elif op == "remove":
+        got = store.remove(Match(tcp_dst=port))
+        want = model.remove(Match(tcp_dst=port), None)
+    elif op == "remove_if":
+        got = store.remove_if(lambda e: e.priority == prio)
+        want = model.remove_if(lambda e: e.priority == prio)
+    elif op == "put_back":
+        # The undo of a delete: the same object re-enters ahead of the
+        # follower recorded while it was live, so the model does not
+        # move at all.
+        e = model.find_rule(Match(tcp_dst=port), prio)
+        if e is None:
+            return 0
+        follower = store.follower(e)
+        assert store.remove(e.match, priority=prio) == 1
+        assert store.add(e, before=follower) is e
+        return 2
+    elif op == "pickle":  # the copy's state, objects and all
+        clone, model.entries = pickle.loads(pickle.dumps((store, model.entries)))
+        store.__dict__ = clone.__dict__
+        return 0
+    else:  # compact: invisible, never a version bump
+        store.compact()
+        return 0
+    assert got == want
+    return int(want > 0)
+
+
+def assert_slots(store: FlowTable, gone=()) -> None:
+    """Every live entry's slot is where the store holds it (its hint, or
+    the renumbering a stale one asks for); an entry it does not hold has
+    none."""
+    for entry in store.entries:
+        assert store._entries[store._slot_of(entry)] is entry
+    for entry in gone:
+        with pytest.raises(KeyError):
+            store._slot_of(entry)
 
 
 class TestStoreParity:
@@ -226,40 +275,8 @@ class TestStoreParity:
         model = ListModel()
         for op, prio, port in ops:
             version = store.version
-            if op == "add":
-                e = mk_entry(prio, port, timed=bool(prio & 1))
-                store.add(e)
-                model.add(e)
-                bumps = 1
-            elif op == "remove_strict":
-                got = store.remove(Match(tcp_dst=port), priority=prio)
-                want = model.remove(Match(tcp_dst=port), prio)
-                assert got == want
-                bumps = int(want > 0)
-            elif op == "remove":
-                got = store.remove(Match(tcp_dst=port))
-                want = model.remove(Match(tcp_dst=port), None)
-                assert got == want
-                bumps = int(want > 0)
-            elif op == "remove_if":
-                got = store.remove_if(lambda e: e.priority == prio)
-                want = model.remove_if(lambda e: e.priority == prio)
-                assert got == want
-                bumps = int(want > 0)
-            elif op == "put_back":
-                # The undo of a delete: the same object re-enters ahead
-                # of the follower recorded while it was live, so the model
-                # does not move at all.
-                e = model.find_rule(Match(tcp_dst=port), prio)
-                bumps = 0
-                if e is not None:
-                    follower = store.follower(e)
-                    assert store.remove(e.match, priority=prio) == 1
-                    assert store.add(e, before=follower) is e
-                    bumps = 2
-            else:  # compact: invisible, never a version bump
-                store.compact()
-                bumps = 0
+            before = list(model.entries)
+            bumps = apply_op(store, model, op, prio, port)
             # No-op mods bump nothing; real mods bump exactly once.
             assert store.version == version + bumps
             # Live order — which is also lookup probe order — matches the
@@ -267,10 +284,38 @@ class TestStoreParity:
             assert store.entries == tuple(model.entries)
             assert len(store) == len(model.entries)
             assert_rule_answers(store, model)
+            # after put_back, replace, memmove, compaction and a pickle
+            # round trip alike: no slot answer is stale.
+            live = set(map(id, model.entries))
+            assert_slots(store, [e for e in before if id(e) not in live])
             # The feature multiset is maintained by every path above.
             assert store.feature_counts() == Counter(
                 entry_features(e) for e in model.entries
             )
+
+    @given(pre=entries_st, ops=st.lists(st.tuples(st.integers(0, 1), op_st), max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_entries_held_by_two_tables(self, pre, ops):
+        """One entry object in two tables, at different slots: each
+        table's numbering overwrites the other's hints, so each asks for
+        a renumbering more often — and both answer as their models."""
+        stores, models = (FlowTable(0), FlowTable(1)), (ListModel(), ListModel())
+        for prio, port in pre:  # the second table alone: other slots there
+            e = mk_entry(prio, port)
+            stores[1].add(e)
+            models[1].add(e)
+        for which, (op, prio, port) in ops:
+            if op == "add":  # one object, into both tables
+                e = mk_entry(prio, port)
+                for store, model in zip(stores, models):
+                    store.add(e)
+                    model.add(e)
+            elif op != "pickle":  # a copy would share nothing
+                apply_op(stores[which], models[which], op, prio, port)
+            for store, model in zip(stores, models):
+                assert store.entries == tuple(model.entries)
+                assert_rule_answers(store, model)
+                assert_slots(store)
 
     def test_same_match_at_three_priorities(self):
         """The spelled-out case: one match, three priorities, one index."""
