@@ -10,8 +10,8 @@ Runs an identical (pipeline, traffic, flow-mod schedule) through the
 * ``ovs``         — the OVS model (EMC → megaflow → vswitchd slow path);
 * ``sharded1``, ``sharded4`` — ShardedESwitch at 1 and 4 thread workers
                     (``sharded4`` sits out scenarios with a tight meter);
-* ``sharded1_rings`` — ShardedESwitch, one worker process behind
-                    shared-memory rings (where shared memory maps);
+* ``sharded1_process`` — ShardedESwitch, one worker process over its
+                    pipe: the real process backend as a judge;
 
 against the **reference interpreter** (``Pipeline.process``), asserting:
 
@@ -48,7 +48,7 @@ from repro.core.analysis import CompileConfig
 from repro.fuzz.scenario import Scenario
 from repro.openflow.timeouts import ExpiryManager, PipelineAdapter
 from repro.ovs import OvsSwitch
-from repro.parallel import ShardedESwitch, rings
+from repro.parallel import ShardedESwitch
 from repro.simcpu.platform import XEON_E5_2620
 from repro.simcpu.recorder import CycleMeter
 
@@ -217,14 +217,12 @@ def run_scenario(
         if n > 1 and scenario.tight_meter:
             continue  # replica-local token buckets legitimately diverge
         backends.append(_ShardedBackend(f"sharded{n}", scenario, n, base))
-    # The shipped transport as its own oracle: a real worker process
-    # behind shared-memory rings (the thread shards above carry the same
-    # frames over a queue) — a carrier or supervision bug shows up as a
-    # verdict/counters/cycles divergence.
-    if rings.shared_memory_available():
-        backends.append(_ShardedBackend(
-            "sharded1_rings", scenario, 1, base, backend="process"
-        ))
+    # A real worker process over its pipe (the thread shards above carry
+    # the same frames over a queue): a process-boundary or supervision
+    # bug shows up as a verdict/counters/cycles divergence.
+    backends.append(_ShardedBackend(
+        "sharded1_process", scenario, 1, base, backend="process"
+    ))
 
     dead: set = set()
     # One ExpiryManager per backend plus one over the reference, created
@@ -339,7 +337,7 @@ def run_scenario(
 
         by_name = {b.name: b for b in backends if b.name not in dead}
         fused = by_name.get("fused")
-        for other_name in ("trampoline", "sharded1", "sharded1_rings"):
+        for other_name in ("trampoline", "sharded1", "sharded1_process"):
             other = by_name.get(other_name)
             if fused is None or other is None:
                 continue

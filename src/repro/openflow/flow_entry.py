@@ -10,6 +10,8 @@ from repro.openflow.instructions import ActionTemplate, ApplyActions, Instructio
 from repro.openflow.match import Match
 
 _entry_ids = itertools.count(1)
+#: the timeouts of every permanent entry, shared: most entries never expire.
+_PERMANENT = (0.0, 0.0)
 
 
 class FlowEntry:
@@ -38,8 +40,7 @@ class FlowEntry:
         "packets",
         "bytes",
         "cookie",
-        "idle_timeout",
-        "hard_timeout",
+        "_timeouts",
         "origin",
         "_slot",
     )
@@ -80,10 +81,22 @@ class FlowEntry:
         #: hint that table checks by identity before trusting (None: unset).
         self._slot: "int | None" = None
         self.cookie = cookie
-        #: seconds of inactivity after which the entry expires (0 = never).
-        self.idle_timeout = idle_timeout
-        #: seconds after installation at which the entry expires (0 = never).
-        self.hard_timeout = hard_timeout
+        # One slot for both (set once, read-only after): ten slots keep an
+        # entry in pymalloc's 112-byte block; an eleventh would take 128.
+        self._timeouts = (
+            (idle_timeout, hard_timeout)
+            if idle_timeout or hard_timeout else _PERMANENT
+        )
+
+    @property
+    def idle_timeout(self) -> float:
+        """Seconds of inactivity after which the entry expires (0 = never)."""
+        return self._timeouts[0]
+
+    @property
+    def hard_timeout(self) -> float:
+        """Seconds after installation at which the entry expires (0 = never)."""
+        return self._timeouts[1]
 
     @property
     def template(self) -> ActionTemplate:

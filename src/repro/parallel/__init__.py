@@ -1,12 +1,14 @@
 """Real-parallel sharded execution: N datapath replicas behind one facade.
 
-Everything else in this repo *models* multicore scaling
-(:func:`repro.traffic.measure_multicore` charges an analytic coherence
-term per extra core). This package actually runs packets in parallel:
-:class:`~repro.parallel.engine.ShardedESwitch` spawns worker processes
-(threads as a fallback), each owning a private fused
-:class:`~repro.core.eswitch.ESwitch` replica compiled from the same
-pipeline — the shared-nothing, run-to-completion shape of a DPDK
+The paper's multicore scaling (Fig. 19) is reproduced on the modeled
+axis (:func:`repro.traffic.measure_multicore` charges an analytic
+coherence term per extra core). This package runs packets through real
+replicas for two other reasons: the fault model (a worker dies and is
+respawned from the engine's shadow, unobservably) and the differential
+oracle's sharded backends. :class:`~repro.parallel.engine.ShardedESwitch`
+spawns worker processes (threads as a fallback), each owning a private
+fused :class:`~repro.core.eswitch.ESwitch` replica compiled from the
+same pipeline — the shared-nothing, run-to-completion shape of a DPDK
 per-core datapath (and of OVS's per-PMD-thread datapaths, NSDI'15).
 
 * :mod:`repro.parallel.rss` — the RSS-style 5-tuple hash that scatters
@@ -17,12 +19,9 @@ per-core datapath (and of OVS's per-PMD-thread datapaths, NSDI'15).
   and flow-counter deltas take so they mean the same on any replica;
 * :mod:`repro.parallel.frames` — the packed binary frame (columnar, one
   struct call per section): the only form a burst or its reply takes;
-* :mod:`repro.parallel.rings` — persistent shared-memory SPSC rings
-  (sequence-number cursors, batched acks): the zero-syscall carrier;
-* :mod:`repro.parallel.channel` — the one wire both ends speak: frames
-  on the ring where the platform has one and on the shard's connection
-  where it does not, in order, with backpressure, one wait loop, and
-  every failure typed ``WorkerDied`` / ``WorkerTimeout``;
+* :mod:`repro.parallel.channel` — one connection per shard (a pipe to a
+  process, a queue to a thread), one burst in flight, every failure
+  typed ``WorkerDied`` / ``WorkerTimeout``;
 * :mod:`repro.parallel.worker` — the shard worker loop (one replica,
   one channel, one per-core cycle meter);
 * :mod:`repro.parallel.faults` — deterministic worker fault injection
@@ -34,7 +33,7 @@ per-core datapath (and of OVS's per-PMD-thread datapaths, NSDI'15).
   snapshot, bounded burst retry, graceful degradation).
 """
 
-from repro.parallel import frames, rings
+from repro.parallel import frames
 from repro.parallel.engine import (
     EngineHealth,
     EpochSyncError,
@@ -57,7 +56,6 @@ __all__ = [
     "WorkerDied",
     "WorkerTimeout",
     "frames",
-    "rings",
     "rss_hash",
     "shard_of",
 ]

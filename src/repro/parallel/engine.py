@@ -75,7 +75,6 @@ import os
 import pickle
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,9 +89,8 @@ from repro.openflow.messages import (
 from repro.openflow.pipeline import Pipeline, Verdict
 from repro.openflow.stats import BurstStats
 from repro.packet.packet import Packet
-from repro.parallel import frames, rings
+from repro.parallel import frames
 from repro.parallel.channel import (
-    Busy,
     Channel,
     ShardWorkerError,
     WorkerDied,
@@ -130,9 +128,6 @@ class EngineHealth:
     #: contained compile/fuse failures) — the control-plane half of the
     #: engine's health.
     switch_health: "SwitchHealth | None" = None
-    #: what carries burst frames: ``ring`` (shared memory) or ``pipe``
-    #: (the control connection) — an observation, not a setting.
-    transport: str = "pipe"
 
     @property
     def degraded(self) -> bool:
@@ -154,7 +149,6 @@ class EngineHealth:
             "liveness": list(self.liveness),
             "epoch": self.epoch,
             "worker_errors": self.worker_errors,
-            "transport": self.transport,
             "switch": (
                 self.switch_health.as_dict()
                 if self.switch_health is not None
@@ -170,10 +164,8 @@ class _Shard:
 
     def __init__(self, kind, index, blob, config, costs, platform,
                  start_epoch, injector, generation):
-        self.chan, handle = Channel.open(
-            kind == "process", peer=f"shard {index}"
-        )
-        args = (handle, blob, config, costs, platform,
+        self.chan, far = Channel.open(kind == "process", peer=f"shard {index}")
+        args = (far, blob, config, costs, platform,
                 index, start_epoch, injector, generation)
         how = dict(target=shard_worker_main, args=args,
                    name=f"repro-shard-{index}", daemon=True)
@@ -190,11 +182,7 @@ class _Shard:
             self.chan.close()
             raise
         if kind == "process":
-            handle[0].close()  # the worker's end lives in the worker now
-
-    @property
-    def rings(self):
-        return self.chan.rings
+            far.close()  # the worker's end lives in the worker now
 
     def stop(self) -> None:
         try:
@@ -224,35 +212,6 @@ class _Shard:
             proc.join(timeout=5)
 
 
-class _PendingBurst:
-    """One submitted burst's in-flight state (the double-buffer handle).
-
-    Returned by :meth:`ShardedESwitch.submit_burst`; opaque to callers
-    except as a token for :meth:`ShardedESwitch.collect`. ``active``
-    rows carry the *shard object* each lane shipped to, not just the
-    slot — if supervision replaces the worker before the gather, the
-    stale row is recognized (``slot.shard is not shard``) and the lane
-    goes straight to the retry list instead of waiting on a replacement
-    that never saw the sub-burst.
-    """
-
-    __slots__ = ("pkts", "meter", "mode", "verdicts", "deltas", "epochs",
-                 "failed", "active", "gathered", "result")
-
-    def __init__(self, pkts, meter) -> None:
-        self.pkts = pkts
-        self.meter = meter
-        self.mode = "null"
-        self.verdicts: list = []
-        self.deltas: list = []          #: acked (cycles, packets, llc)
-        self.epochs: list[int] = []     #: the atomicity witness
-        self.failed: list[int] = []     #: input positions lost to faults
-        #: (slot, shard-at-send-time, input positions, seq) per sent lane
-        self.active: list = []
-        self.gathered = False
-        self.result: "list | None" = None
-
-
 class _ShardSlot:
     """Engine-side state of one RSS shard position.
 
@@ -277,11 +236,11 @@ class ShardedESwitch:
     Duck-type compatible with :class:`ESwitch` where the measurement
     harnesses care (``process``, ``process_burst``, ``apply_flow_mod``,
     ``apply_flow_mods``, ``burst_stats``, ``pipeline``, ``table_kinds``)
-    — :func:`repro.traffic.measure` and the wall-clock rig drive it
-    unchanged. Reactive ``packet_in_handler`` callbacks are deliberately
-    unsupported: a controller callback would have to preempt remote
-    replicas mid-burst; punted packets still come back with
-    ``to_controller`` set for the caller to handle at the gather.
+    — :func:`repro.traffic.measure` drives it unchanged. Reactive
+    ``packet_in_handler`` callbacks are deliberately unsupported: a
+    controller callback would have to preempt remote replicas mid-burst;
+    punted packets still come back with ``to_controller`` set for the
+    caller to handle at the gather.
 
     Supervision knobs (see the module docstring for semantics):
 
@@ -298,9 +257,9 @@ class ShardedESwitch:
       FaultInjector` test hook wired into every worker.
 
     Bursts cross to the workers as packed frames
-    (:mod:`repro.parallel.frames`) over a :class:`~repro.parallel.
-    channel.Channel`, which picks the carrier from the platform;
-    ``transport`` reports which one it was (``"ring"`` or ``"pipe"``).
+    (:mod:`repro.parallel.frames`) over each shard's :class:`~repro.
+    parallel.channel.Channel` (a pipe to a process, a queue to a
+    thread), one burst in flight per worker.
     """
 
     def __init__(
@@ -369,23 +328,17 @@ class ShardedESwitch:
             if entry.packets or entry.bytes
         }
         self._slots: list[_ShardSlot] = []
-        #: double-buffering state: bursts scattered but not yet gathered,
-        #: in submission order, plus the engine-global sequence counter
-        #: that pairs replies with their submissions.
-        self._inflight: "deque[_PendingBurst]" = deque()
+        #: the engine-global sequence counter that pairs each reply with
+        #: its request (a reply out of step is a worker fault).
         self._seq = 0
         self._spawn(backend, blob)
-        #: what carries burst frames (observed, see EngineHealth)
-        rings_up = self._slots[0].shard.rings is not None
-        self.transport = "ring" if rings_up else "pipe"
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def _make_shard(self, index, blob, start_epoch, generation) -> _Shard:
-        """Spawn one shard on the resolved backend. Its channel — rings
-        included — is fresh: a replacement never reuses a dead worker's
-        segments, whose cursors are in an unknown state."""
+        """Spawn one shard on the resolved backend, on a fresh channel:
+        a replacement never reads what a dead worker left behind."""
         return _Shard(self.backend, index, blob, self._config, self._costs,
                       self._platform, start_epoch, self.fault_injector,
                       generation)
@@ -421,11 +374,6 @@ class ShardedESwitch:
         if self._closed:
             return
         self._closed = True
-        try:
-            self._drain_inflight()
-        except Exception:  # best effort: close must not raise on a fault
-            pass
-        self._inflight.clear()
         for slot in self._slots:
             if slot.shard is not None:
                 slot.shard.stop()
@@ -461,7 +409,6 @@ class ShardedESwitch:
             epoch=self.epoch,
             worker_errors=self.worker_errors,
             switch_health=self.shadow.health(),
-            transport=self.transport,
         )
 
     def ping(self) -> dict[int, int]:
@@ -471,7 +418,6 @@ class ShardedESwitch:
         (respawn or degrade), so the returned map covers exactly the
         workers that are *proven* responsive right now.
         """
-        self._drain_inflight()
         out: dict[int, int] = {}
         for slot in self._live_slots():
             chan = slot.shard.chan
@@ -525,8 +471,7 @@ class ShardedESwitch:
             except Exception as exc:
                 if shard is not None:
                     shard.reap()
-                if not isinstance(exc, (WorkerDied, WorkerTimeout, OSError,
-                                        rings.RingError)):
+                if not isinstance(exc, (WorkerDied, WorkerTimeout, OSError)):
                     raise
                 # The replacement itself failed to come up: count it and
                 # spend another respawn (or fall through to degradation).
@@ -564,51 +509,16 @@ class ShardedESwitch:
         backoff, and only successfully gathered attempts contribute
         verdicts, cycles, counters, and telemetry.
         """
-        return self.collect(self.submit_burst(pkts, meter))
-
-    def submit_burst(
-        self, pkts: "Sequence[Packet]", meter: Meter = NULL_METER
-    ) -> "_PendingBurst":
-        """Scatter a burst and return without waiting for the verdicts.
-
-        The double-buffering half of the transport: scattering burst N+1
-        while burst N is still computing keeps every shard busy across
-        the gather. Pass the handle to :meth:`collect` for the verdicts;
-        handles must be collected in submission order (``collect``
-        drains any earlier handle first). Control-plane calls
-        (flow-mods, pings) drain all in-flight bursts before touching
-        the workers, preserving the epoch barrier.
-        """
         if self._closed:
             raise RuntimeError("ShardedESwitch is closed")
-        p = _PendingBurst(pkts, meter)
         if not pkts:
-            p.gathered = True
-            p.result = []
-            return p
-        p.mode = "null" if active_meter(meter) is None else "cycle"
-        p.verdicts = [None] * len(pkts)
-        self._scatter(p, range(len(pkts)))
-        self._inflight.append(p)
-        return p
-
-    def collect(self, p: "_PendingBurst") -> list[Verdict]:
-        """Gather a submitted burst's verdicts (in input order).
-
-        Idempotent: collecting an already-collected handle returns the
-        cached verdict list. Earlier in-flight bursts are gathered
-        first — replies are strictly FIFO per worker.
-        """
-        if p.result is not None:
-            return p.result
-        while not p.gathered:  # p is in flight: gather up to and including it
-            self._gather(self._inflight.popleft())
-        return self._finalize(p)
-
-    def _finalize(self, p: "_PendingBurst") -> list[Verdict]:
-        """Retry faulted lanes, enforce the epoch witness, absorb cycles."""
-        pending = p.failed
-        p.failed = []
+            return []
+        mode = "null" if active_meter(meter) is None else "cycle"
+        verdicts: list = [None] * len(pkts)
+        deltas: list = []          #: acked (cycles, packets, llc)
+        epochs: list[int] = []     #: the atomicity witness
+        pending = self._round(pkts, range(len(pkts)), mode, verdicts,
+                              deltas, epochs)
         attempt = 0
         while pending:
             attempt += 1
@@ -620,119 +530,73 @@ class ShardedESwitch:
             self.retries += 1
             if self.retry_backoff:
                 time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-            # Retries are synchronous rounds: nothing else may be in
-            # flight or the re-scattered lanes would queue behind it.
-            self._drain_inflight()
-            self._scatter(p, pending)
-            self._gather(p)
-            pending = p.failed
-            p.failed = []
+            pending = self._round(pkts, pending, mode, verdicts, deltas, epochs)
 
-        self.last_gather_epochs = tuple(p.epochs)
+        self.last_gather_epochs = tuple(epochs)
         epoch = self.epoch
-        if any(e != epoch for e in p.epochs):
+        if any(e != epoch for e in epochs):
             raise EpochSyncError(
-                f"gather saw epochs {p.epochs}, engine at {epoch}"
+                f"gather saw epochs {epochs}, engine at {epoch}"
             )
-        deltas = p.deltas
         total = math.fsum(d for d, _n, _l in deltas) if deltas else 0.0
         if deltas:
             metered_packets = sum(n for _d, n, _l in deltas)
             llc = sum(l for _d, _n, l in deltas)
-            meter = p.meter
             absorb = getattr(meter, "absorb", None)
             if absorb is not None:
                 absorb(total, packets=metered_packets, llc_misses=llc)
             else:  # a plain Meter: cycles arrive pre-factored
                 meter.charge(total)
-        self.burst_stats.record(len(p.pkts), total)
-        p.result = p.verdicts
-        return p.result
+        self.burst_stats.record(len(pkts), total)
+        return verdicts
 
-    def _drain_inflight(self) -> None:
-        """Gather every in-flight burst (without finalizing it).
-
-        Runs before control-plane RPCs (the channels must hold no pending
-        burst replies), before retry rounds, and on close. A drained
-        burst finalizes — retries, meter absorb — when its handle is
-        eventually collected.
-        """
-        while self._inflight:
-            self._gather(self._inflight.popleft())
-
-    def _scatter(self, p: "_PendingBurst", pending) -> None:
-        """Send one round of sub-bursts; extends ``p.active``/``p.failed``."""
-        pkts = p.pkts
+    def _round(self, pkts, positions, mode, verdicts, deltas, epochs) -> list[int]:
+        """One scatter/gather round over ``positions``: fills ``verdicts``
+        and extends ``deltas``/``epochs``; returns the positions lost to
+        faults."""
         shard_for = self._rss.shard_for
         lanes: dict[int, list[int]] = {}
         if len(self._slots) == 1 and not self._slots[0].degraded:
-            lanes[0] = list(pending)
+            lanes[0] = list(positions)
         else:
-            for i in pending:
+            for i in positions:
                 lanes.setdefault(shard_for(pkts[i].data), []).append(i)
         epoch = self.epoch
+        failed: list[int] = []
+        sent = []
         # All sends before any receive: the workers run their sub-bursts
-        # genuinely in parallel.
+        # genuinely in parallel, one burst in flight each.
         for sidx, lane in lanes.items():
             slot = self._slots[sidx]
             seq = self._seq
             self._seq += 1
             frame = frames.request_from_packets(
-                epoch, seq, p.mode, [pkts[i] for i in lane]
+                epoch, seq, mode, [pkts[i] for i in lane]
             )
             try:
-                shard = self._send_frame(slot, frame)
-            except (WorkerDied, WorkerTimeout):
-                self._handle_fault(slot, epoch)
-                shard = None
-            if shard is None:
-                p.failed.extend(lane)
-            else:
-                p.active.append((slot, shard, lane, seq))
-        p.gathered = False
-
-    def _send_frame(self, slot: _ShardSlot, frame: bytes) -> "_Shard | None":
-        """Ship one sub-burst; returns the shard that took it (None when
-        the slot lost its worker for good while waiting).
-
-        A channel that cannot take the frame yet is backpressure, not a
-        fault: the worker's replies are waiting on this end, so the
-        oldest in-flight burst is gathered and the send retried.
-        """
-        while slot.shard is not None:
-            try:
                 slot.shard.chan.send_frame(frame)
-                return slot.shard
-            except Busy:
-                self._gather(self._inflight.popleft())
-        return None
-
-    def _gather(self, p: "_PendingBurst") -> None:
-        """Receive every active lane of one burst; faults feed ``p.failed``."""
-        epoch = self.epoch
-        cache = self._decode_cache
-        for slot, shard, lane, seq in p.active:
-            if slot.shard is not shard:
-                # The worker this lane shipped to was reaped (a fault on
-                # an earlier burst sharing the slot): the lane is lost.
-                p.failed.extend(lane)
+            except WorkerDied:
+                self._handle_fault(slot, epoch)
+                failed.extend(lane)
                 continue
+            sent.append((slot, lane, seq))
+        cache = self._decode_cache
+        for slot, lane, seq in sent:
             try:
                 rep = self._recv_reply(slot, seq)
             except (WorkerDied, WorkerTimeout):
                 self._handle_fault(slot, epoch)
-                p.failed.extend(lane)
+                failed.extend(lane)
                 continue
-            p.epochs.append(rep.epoch)
+            epochs.append(rep.epoch)
             for i, verdict in zip(lane, decode_verdicts(rep.verdicts, cache)):
-                p.verdicts[i] = verdict
+                verdicts[i] = verdict
             self._absorb_counters(rep.deltas)
             cycles = rep.cycles
             slot.stats.record(len(lane), cycles if cycles is not None else 0.0)
             if cycles is not None:
-                p.deltas.append((cycles, rep.packets, rep.llc))
-        p.active = []
-        p.gathered = True
+                deltas.append((cycles, rep.packets, rep.llc))
+        return failed
 
     def _recv_reply(self, slot: _ShardSlot, seq: int) -> frames.BurstReply:
         """One deadline-bounded burst reply, paired to ``seq``.
@@ -802,9 +666,6 @@ class ShardedESwitch:
         mods = list(mods)
         if not mods:
             return 0.0
-        # The barrier must not race an in-flight burst: gather first, so
-        # every worker is idle and tagged with the pre-mod epoch.
-        self._drain_inflight()
         cycles = self.shadow.apply_flow_mods(mods)  # validates; may raise
         self.shadow.warm()
         new_epoch = self.epoch + 1
@@ -884,8 +745,7 @@ class ShardedESwitch:
         and the ledger absorbs only acked sub-bursts, so worker deaths
         and retries cannot skew it). Purely local: no worker RPC, no
         deadline, no fault path — safe to call from an expiry sweep at
-        any time. (In-flight submitted bursts are *not* drained: their
-        counters land when they are collected.)
+        any time.
         """
         ledger = self._counter_ledger
         for table in self.shadow.pipeline:

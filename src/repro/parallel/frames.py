@@ -249,9 +249,9 @@ def _check_header(buf, offset: int, want_type: int):
         raise FrameTruncated(
             f"payload claims {payload_len} bytes, {len(view) - start} present"
         )
-    # One C memcpy out of the (possibly shared-memory) buffer: every
-    # later section decode then reads cheap immutable bytes, and the
-    # caller may release the ring slot as soon as unpack returns.
+    # One C memcpy out of the caller's buffer: every later section
+    # decode then reads cheap immutable bytes, and the caller may reuse
+    # its buffer as soon as unpack returns.
     payload = bytes(view[start:end])
     if mtype & _FLAG_CRC and zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise FrameCorrupt("payload checksum mismatch")

@@ -1,12 +1,9 @@
-"""SPSC shared-memory rings: the shard boundary without syscalls.
+"""An SPSC byte ring: the bench ruler's ``parallel.rings.push_pop_us`` row.
 
-A ``multiprocessing.Pipe`` crossing costs two kernel round-trips (write
-+ read) per message, each copying the whole buffer through the kernel,
-plus a wakeup.  DPDK's answer is the ``rte_ring``: a preallocated
-single-producer / single-consumer ring in shared memory, where
-enqueue/dequeue are a memcpy and two cursor stores, and the consumer
-acknowledges a whole *burst* with one cursor write.  This module is
-that idiom over :mod:`multiprocessing.shared_memory`.
+Kept only for that row of ``bench/layers.py``, which times one frame's
+push and pop over a heap segment of its own; it goes with that row in
+the next change to the benchmark. No shard uses it: a shard's frames
+ride its connection (:mod:`repro.parallel.channel`).
 
 Layout of one ring segment (capacity ``C``)::
 
@@ -15,10 +12,9 @@ Layout of one ring segment (capacity ``C``)::
     [128..128+C)  data, position = cursor % C
 
 Head and tail live 64 bytes apart so the two writers never share a
-cache line (the false-sharing rule every ring paper repeats).  Cursors
-are *monotonic byte counts*: ``head - tail`` is the exact number of
-unread bytes, with no full/empty ambiguity and no modulo until a
-buffer index is needed.
+cache line. Cursors are *monotonic byte counts*: ``head - tail`` is the
+exact number of unread bytes, with no full/empty ambiguity and no
+modulo until a buffer index is needed.
 
 Records are ``u32 length prefix + frame``, always contiguous.  A record
 that would straddle the wrap point is preceded by a **wrap marker**
@@ -27,53 +23,19 @@ next capacity boundary; a tail gap too small for even the marker is
 skipped implicitly (the consumer does the same arithmetic).
 
 Ack coalescing: :meth:`Ring.pop` advances only the consumer's *local*
-cursor; :meth:`Ring.commit_reads` publishes it — one shared-memory
-store per drained burst, not per message.  The producer likewise reads
-the shared tail only when its cached copy suggests the ring is full.
-
-The GIL serializes one process, not two: what the other side sees of a
-cursor is whatever the store instruction sequence leaves in memory.
-``struct.pack_into`` zero-fills its destination before writing, so a
-cursor published that way transiently reads 0 from the peer — and a
-consumer that catches it pops the record one full lap behind, a valid
-old frame with a valid checksum. Both cursors are therefore stored and
-loaded as single aligned native 8-byte items of a ``memoryview`` cast
-to ``"Q"`` (one ``mov`` each way, never torn, never zeroed), and because
-cursors are monotonic both sides treat a value that moved backwards as
-"not yet" rather than trusting it. Record bytes are written before the
-head store that publishes them, in program order on x86's store
-ordering.
-
-Teardown hygiene: the engine *creates* segments and owns their
-lifetime — :meth:`RingPair.destroy` closes **and unlinks** them, and is
-called on engine close and on every worker crash/respawn (a fresh pair
-per worker generation, so a wedged worker can never scribble on its
-successor's ring).  Workers :func:`attach` by name and only ever close
-their mapping; the attach helper also untracks the segment from the
-worker's ``resource_tracker`` so a dying worker cannot reap a segment
-the engine still owns (Python < 3.13 has no ``track=False``).
+cursor; :meth:`Ring.commit_reads` publishes it — one store per drained
+burst, not per message.  The producer likewise reads the shared tail
+only when its cached copy suggests the ring is full. Both cursors are
+stored and loaded as single aligned native 8-byte items of a
+``memoryview`` cast to ``"Q"``, and because cursors are monotonic both
+sides treat a value that moved backwards as "not yet".
 """
 
 from __future__ import annotations
 
-import secrets
 import struct
 
-try:  # pragma: no cover - exercised only where shm is unavailable
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # e.g. stripped-down platforms
-    _shm = None
-
-__all__ = [
-    "RingError",
-    "RingFull",
-    "RingClosed",
-    "Ring",
-    "RingPair",
-    "attach_pair",
-    "shared_memory_available",
-    "DEFAULT_CAPACITY",
-]
+__all__ = ["RingError", "RingFull", "RingClosed", "Ring"]
 
 _DATA_OFF = 128
 #: cursor slots in the header viewed as sixteen native u64 items.
@@ -81,9 +43,6 @@ _HEAD = 0
 _TAIL = 8  # byte 64: its own cache line
 _LEN = struct.Struct("<I")
 _WRAP = 0xFFFFFFFF
-#: Largest frame a ring of capacity C accepts: one record must leave a
-#: byte of slack so head == tail never means both full and empty.
-DEFAULT_CAPACITY = 1 << 20
 
 
 class RingError(RuntimeError):
@@ -98,44 +57,13 @@ class RingClosed(RingError):
     """The segment backing this ring is gone."""
 
 
-def shared_memory_available() -> bool:
-    """Can this platform create + attach a shared-memory segment?"""
-    if _shm is None:
-        return False
-    try:
-        seg = _shm.SharedMemory(create=True, size=16)
-    except (OSError, ValueError):
-        return False
-    try:
-        seg.close()
-        seg.unlink()
-    except OSError:  # pragma: no cover - best-effort probe cleanup
-        pass
-    return True
-
-
-def _untrack(seg) -> None:
-    """Detach ``seg`` from this process's resource tracker.
-
-    An attaching process does not own the segment; without this, the
-    first worker to exit would unlink rings the engine and its sibling
-    workers still use (resource_tracker reaps on process death).
-    """
-    try:  # pragma: no cover - tracker layout is an implementation detail
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # noqa: BLE001 - tracking is best-effort hygiene
-        pass
-
-
 class Ring:
-    """One direction of the transport: a SPSC byte ring.
+    """A SPSC byte ring over one segment: any object with a writable
+    ``buf`` and a ``close()``.
 
-    Exactly one process calls :meth:`push`, exactly one calls
+    Exactly one party calls :meth:`push`, exactly one calls
     :meth:`pop`/:meth:`commit_reads`.  The role is a usage contract,
-    not enforced state — both ends construct a :class:`Ring` over the
-    same segment.
+    not enforced state.
     """
 
     __slots__ = ("_seg", "_buf", "_cursors", "_capacity", "_head", "_tail",
@@ -154,20 +82,8 @@ class Ring:
         self._cached_head = head   # consumer's last view of the head
 
     @property
-    def name(self) -> str:
-        return self._seg.name
-
-    @property
     def capacity(self) -> int:
         return self._capacity
-
-    def fits(self, nbytes: int) -> bool:
-        """Could a frame of ``nbytes`` *ever* fit (ignoring occupancy)?"""
-        # The margin must cover the double-buffered engine's worst case:
-        # two in-flight records, each possibly burning a wrap marker plus
-        # the dead space at the buffer tail — so a quarter each keeps
-        # "fits" a static property that can never deadlock a push.
-        return _LEN.size + nbytes <= self._capacity // 4
 
     # -- producer side ----------------------------------------------------
 
@@ -267,89 +183,3 @@ class Ring:
             except (OSError, BufferError):  # pragma: no cover
                 pass
             self._seg = None
-
-    def unlink(self) -> None:
-        """Remove the segment from the system (owner only)."""
-        if self._seg is not None:
-            try:
-                self._seg.unlink()
-            except (OSError, FileNotFoundError):  # pragma: no cover
-                pass
-
-
-class RingPair:
-    """The engine-side handle: request ring out, reply ring back."""
-
-    __slots__ = ("req", "rep")
-
-    def __init__(self, req: Ring, rep: Ring):
-        self.req = req
-        self.rep = rep
-
-    @classmethod
-    def create(cls, capacity: int = DEFAULT_CAPACITY) -> "RingPair":
-        """Allocate a fresh pair of segments (engine side, owner)."""
-        if _shm is None:
-            raise RingError("multiprocessing.shared_memory unavailable")
-        tag = secrets.token_hex(4)
-        segs = []
-        try:
-            for direction in ("rq", "rp"):
-                segs.append(_shm.SharedMemory(
-                    create=True, size=_DATA_OFF + capacity,
-                    name=f"repro_{direction}_{tag}",
-                ))
-        except (OSError, ValueError) as exc:
-            for seg in segs:
-                try:
-                    seg.close()
-                    seg.unlink()
-                except OSError:  # pragma: no cover
-                    pass
-            raise RingError(f"cannot allocate ring segments: {exc}") from None
-        for seg in segs:
-            seg.buf[:_DATA_OFF] = bytes(_DATA_OFF)
-        return cls(Ring(segs[0]), Ring(segs[1]))
-
-    @property
-    def names(self) -> "tuple[str, str]":
-        """Segment names to hand a worker (its attach credentials)."""
-        return (self.req.name, self.rep.name)
-
-    def destroy(self) -> None:
-        """Close **and unlink** both segments (engine close / respawn)."""
-        for ring in (self.req, self.rep):
-            ring.unlink()
-            ring.close()
-
-    def close(self) -> None:
-        """Close the mappings without unlinking (attached side)."""
-        self.req.close()
-        self.rep.close()
-
-
-def attach_pair(names: "tuple[str, str]", *, untrack: bool = True) -> RingPair:
-    """Worker side: map an existing pair by name, untracked.
-
-    The worker pops requests from ``names[0]`` and pushes replies into
-    ``names[1]`` — the same objects the engine calls ``req``/``rep``.
-    ``untrack=False`` is for same-process attaches (thread backend,
-    tests), where the mapping shares the creator's resource tracking.
-    """
-    if _shm is None:
-        raise RingError("multiprocessing.shared_memory unavailable")
-    segs = []
-    try:
-        for name in names:
-            seg = _shm.SharedMemory(name=name)
-            if untrack:
-                _untrack(seg)
-            segs.append(seg)
-    except (OSError, ValueError) as exc:
-        for seg in segs:
-            try:
-                seg.close()
-            except OSError:  # pragma: no cover
-                pass
-        raise RingError(f"cannot attach ring segments: {exc}") from None
-    return RingPair(Ring(segs[0]), Ring(segs[1]))

@@ -16,7 +16,7 @@ a burst request **frame** (:mod:`repro.parallel.frames`)
     — what makes engine-side flow stats exact across worker deaths).
     It echoes the worker's *applied* epoch so the engine can prove no
     gathered burst mixed pipeline generations, and the engine's ``seq``
-    tag so a double-buffered gather can pair replies with submissions.
+    tag so the gather can pair each reply with its request.
 
 ``("mods", epoch, flow_mods)``
     Apply a flow-mod batch transactionally, then **stand the new
@@ -88,7 +88,7 @@ def _run_burst(switch, meter, cache, shipped, pkts, mode):
 
 
 def shard_worker_main(
-    handle: tuple,
+    conn,
     pipeline_blob: bytes,
     config: CompileConfig,
     costs,
@@ -100,10 +100,11 @@ def shard_worker_main(
 ) -> None:
     """Entry point of one shard worker (process target or thread body).
 
-    ``handle`` is what :meth:`Channel.open` made for this worker.
+    ``conn`` is the connection end :meth:`Channel.open` made for this
+    worker.
     """
     faults = injector.arm(index, generation) if injector is not None else NO_FAULTS
-    chan = Channel.attach(handle)
+    chan = Channel(conn, peer="engine")
     try:
         faults.fire("spawn", "before")
         pipeline = pickle.loads(pipeline_blob)
@@ -159,9 +160,7 @@ def _serve(chan, faults, switch, meter, cache, shipped, epoch):
                     switch, meter, cache, shipped, req.packets(), req.mode
                 )
                 faults.fire("burst", "after")
-                chan.send_frame(
-                    frames.reply_from_wires(epoch, req.seq, *body), block=True
-                )
+                chan.send_frame(frames.reply_from_wires(epoch, req.seq, *body))
                 continue
             cmd = msg[0]
             faults.fire(cmd, "before")

@@ -21,12 +21,6 @@ Protocol: packet copies for every repeat are materialized before the
 clock starts (actions mutate packets in place), a warm-up pass absorbs
 the lazy fuse compile and cache effects, and each point takes the best
 of ``repeats`` timed runs.
-
-A third axis rides on top of those two (``cores``): real-parallel
-scaling of :class:`~repro.parallel.ShardedESwitch`, the simulator's own
-wall-clock throughput when the burst is RSS-scattered over N shard
-replicas running on real cores — the wall-clock counterpart of the
-*modeled* Fig. 19 curves.
 """
 
 from __future__ import annotations
@@ -49,17 +43,6 @@ VARIANTS = ("fused", "trampoline", "ovs")
 #: The acceptance bar the fusion layer must clear (see ISSUE 2): fused
 #: wall-clock pkts/sec on the multi-table gateway, NullMeter mode.
 GATEWAY_SPEEDUP_FLOOR = 1.3
-
-#: The acceptance bar the sharded engine must clear (see ISSUE 3):
-#: ``ShardedESwitch(workers=4)`` vs the single fused path on the gateway,
-#: NullMeter mode — on hardware that actually has the cores (the scatter/
-#: gather tax means a core-starved host shows < 1x, honestly reported).
-SHARDED_SPEEDUP_FLOOR = 2.0
-
-#: The zero-copy transport bar (ISSUE 7): ``workers=2`` over shared-memory
-#: rings vs the single fused path, gateway, NullMeter mode — again only
-#: physically meaningful on a host with the cores (``cpu_count >= 2``).
-SHARDED2_SPEEDUP_FLOOR = 1.5
 
 
 def _stride_sample(items: list, n: int) -> list:
@@ -120,30 +103,11 @@ def _make_switch(variant: str, pipeline) -> object:
 
 
 def _timed_run(switch, pkts: "list", mode: str, burst: int, platform: Platform):
-    """One timed pass; returns (elapsed seconds, modeled pps or None).
-
-    A switch that exposes the sharded engine's ``submit_burst``/
-    ``collect`` pair is driven depth-2 pipelined: burst N+1 is scattered
-    before burst N is gathered, so the workers compute while the engine
-    decodes — the double-buffering half of the zero-copy transport.
-    Verdict order and metering are unchanged (collect is FIFO).
-    """
+    """One timed pass; returns (elapsed seconds, modeled pps or None)."""
     meter = NULL_METER if mode == "null" else CycleMeter(platform)
-    submit = getattr(switch, "submit_burst", None)
     t0 = time.perf_counter()
-    if submit is not None:
-        collect = switch.collect
-        prev = None
-        for start in range(0, len(pkts), burst):
-            handle = submit(pkts[start : start + burst], meter)
-            if prev is not None:
-                collect(prev)
-            prev = handle
-        if prev is not None:
-            collect(prev)
-    else:
-        for start in range(0, len(pkts), burst):
-            switch.process_burst(pkts[start : start + burst], meter)
+    for start in range(0, len(pkts), burst):
+        switch.process_burst(pkts[start : start + burst], meter)
     elapsed = time.perf_counter() - t0
     if mode == "null":
         return elapsed, None
@@ -160,7 +124,6 @@ def run_wallclock(
     repeats: int = 3,
     warmup: int = 512,
     platform: Platform = XEON_E5_2620,
-    cores: Sequence[int] = (),
     control_faults: bool = False,
     traffic_flows: "int | None" = None,
 ) -> dict:
@@ -169,17 +132,6 @@ def run_wallclock(
     ``points`` carries one record per (case, variant, mode); ``speedups``
     pre-computes the ratios the acceptance criteria and CI read
     (``fused_vs_trampoline``, ``fused_vs_ovs``) per case and mode.
-
-    ``cores``, when non-empty, adds the **multicore axis**: for each case
-    and each worker count N, a :class:`~repro.parallel.ShardedESwitch`
-    with N real shard workers is driven in NullMeter mode and its
-    wall-clock pkts/sec lands in ``multicore`` (plus
-    ``sharded{N}_vs_fused`` ratios in ``speedups``). This is the third
-    measurement axis (see EXPERIMENTS.md): not the cycle model's modeled
-    Mpps, not single-core simulator speed, but how the simulator itself
-    scales when packets really run in parallel. ``meta.cpu_count``
-    records how many hardware cores the host actually had — the number
-    that decides whether scaling is physically possible.
 
     The repeats of all variants are interleaved round-robin so a clock or
     load drift hits every variant alike instead of biasing whichever was
@@ -247,12 +199,6 @@ def run_wallclock(
                     ratios[f"fused_vs_{other}"] = fused / baseline
             if ratios:
                 speedups[f"{case}/{mode}"] = ratios
-    multicore: list[dict] = []
-    if cores:
-        multicore = _run_multicore(
-            cases, builders, cores, n_packets, burst, repeats, warmup,
-            speedups,
-        )
     control_plane: list[dict] = []
     if control_faults:
         control_plane = run_control_faults(
@@ -268,18 +214,14 @@ def run_wallclock(
             "warmup": warmup,
             "platform": platform.name,
             "cpu_count": os.cpu_count(),
-            "cores_axis": list(cores),
             "note": (
                 "wall_pps is simulator wall-clock throughput (real pkts/sec "
                 "of the Python datapath); modeled_pps is the cycle model's "
-                "prediction for the simulated hardware — different axes. "
-                "multicore points run ShardedESwitch with real shard "
-                "workers, scatter bursts of burst*workers, NullMeter."
+                "prediction for the simulated hardware — different axes."
             ),
         },
         "points": points,
         "speedups": speedups,
-        "multicore": multicore,
         "control_plane": control_plane,
     }
 
@@ -362,106 +304,4 @@ def run_control_faults(
                 "install_failures": controller.install_failures,
             }
         )
-    return points
-
-
-def _run_multicore(
-    cases: Sequence[str],
-    builders: dict,
-    cores: Sequence[int],
-    n_packets: int,
-    burst: int,
-    repeats: int,
-    warmup: int,
-    speedups: dict,
-) -> list[dict]:
-    """The real-parallel scaling sweep (the ``cores`` axis).
-
-    Per case: one single-process fused baseline plus one
-    :class:`ShardedESwitch` per worker count, every engine fed scatter
-    bursts of ``burst * workers`` so each shard sees roughly ``burst``
-    packets per sub-burst (an N-queue NIC polls N rings of the same
-    depth, not one ring split N ways). Repeats interleave round-robin
-    like the main sweep; engines are torn down afterwards.
-
-    Every sharded point records its resolved ``transport`` and an
-    ``oversubscribed`` flag — True when the host has fewer hardware
-    cores than the engine needs (N workers plus the scatter/gather
-    loop), i.e. when the point *cannot* show real scaling and must not
-    be mixed into cross-host trajectory comparisons.
-    """
-    from repro.parallel import ShardedESwitch
-
-    cpu_count = os.cpu_count() or 1
-    points: list[dict] = []
-    for case in cases:
-        _pipeline, flows = builders[case]()
-        n = len(flows)
-        base = [flows[i % n] for i in range(n_packets)]
-        combos: list[tuple[dict, object, int]] = []
-        engines: list[ShardedESwitch] = []
-        try:
-            combos.append(
-                (
-                    {"case": case, "variant": "fused", "workers": 1,
-                     "backend": "inline"},
-                    _make_switch("fused", builders[case]()[0]),
-                    burst,
-                )
-            )
-            for workers in cores:
-                engine = ShardedESwitch(builders[case]()[0], workers=workers)
-                engines.append(engine)
-                combos.append(
-                    (
-                        {"case": case, "variant": f"sharded{workers}",
-                         "workers": workers, "backend": engine.backend,
-                         "transport": engine.transport,
-                         "oversubscribed": cpu_count < workers + 1},
-                        engine,
-                        burst * workers,
-                    )
-                )
-            warm = base[: min(warmup, len(base))]
-            for _meta, switch, macroburst in combos:
-                _timed_run(
-                    switch, [pkt.copy() for pkt in warm], "null", macroburst,
-                    XEON_E5_2620,
-                )
-            best: dict[int, float] = {}
-            for _ in range(repeats):
-                for key, (_meta, switch, macroburst) in enumerate(combos):
-                    pkts = [pkt.copy() for pkt in base]
-                    elapsed, _ = _timed_run(
-                        switch, pkts, "null", macroburst, XEON_E5_2620
-                    )
-                    best[key] = min(best.get(key, float("inf")), elapsed)
-            # Supervision telemetry must be read before teardown: a
-            # degraded or respawn-heavy run changes how the numbers
-            # should be read, so every sharded point carries it.
-            for meta, switch, _macroburst in combos:
-                if isinstance(switch, ShardedESwitch):
-                    meta["health"] = switch.health().as_dict()
-        finally:
-            for engine in engines:
-                engine.close()
-        case_points = []
-        for key, (meta, _switch, macroburst) in enumerate(combos):
-            point = dict(meta)
-            point.update(
-                wall_pps=n_packets / best[key],
-                usec_per_pkt=best[key] / n_packets * 1e6,
-                burst=macroburst,
-                packets=n_packets,
-                best_of=repeats,
-            )
-            case_points.append(point)
-        points.extend(case_points)
-        baseline = case_points[0]["wall_pps"]
-        ratios = {
-            f"{p['variant']}_vs_fused": p["wall_pps"] / baseline
-            for p in case_points[1:]
-        }
-        if ratios:
-            speedups[f"{case}/multicore"] = ratios
     return points

@@ -1,5 +1,7 @@
 """Tests for idle/hard flow timeouts and the expiry manager."""
 
+import sys
+
 import pytest
 
 from repro.core import ESwitch
@@ -42,6 +44,17 @@ class TestEntryFields:
         mod = FlowMod(FlowModCommand.ADD, 0, Match(), idle_timeout=5, hard_timeout=9)
         entry = mod.to_entry()
         assert entry.idle_timeout == 5 and entry.hard_timeout == 9
+
+    def test_timeouts_are_read_only(self):
+        entry = FlowEntry(Match(), priority=1, actions=[], idle_timeout=5)
+        with pytest.raises(AttributeError):
+            entry.idle_timeout = 7
+        assert (entry.idle_timeout, entry.hard_timeout) == (5, 0)
+
+    def test_entry_fits_a_112_byte_block(self):
+        """A million-rule table holds a million entries: one slot more
+        moves each into pymalloc's next (128-byte) size class."""
+        assert sys.getsizeof(FlowEntry(Match(in_port=1))) <= 112
 
 
 class TestHardTimeout:

@@ -264,3 +264,47 @@ class TestProcessBackend:
             merged = eng.merged_burst_stats()
             assert merged.packets == 2 * len(pkts)
             assert isinstance(merged, BurstStats)
+
+    def test_unfaulted_run_stays_clean(self):
+        """No injector armed: bursts and a flow-mod batch over two real
+        process workers leave the supervisor with nothing to report — a
+        fault, respawn or lost worker here is a transport bug the
+        supervisor papered over."""
+        pipeline, fib = gateway.build(n_ce=2, users_per_ce=8, n_prefixes=16)
+        flows = gateway.traffic(fib, 96, n_ce=2, users_per_ce=8)
+        bursts = [flows[i:i + 16] for i in range(0, len(flows), 16)]
+        seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
+        with ShardedESwitch(pipeline, workers=2, backend="process") as eng:
+            for burst in bursts:
+                sv = seq.process_burst([p.copy() for p in burst])
+                ev = eng.process_burst([p.copy() for p in burst])
+                assert summarize(ev, eng.pipeline) == summarize(sv, seq.pipeline)
+            mods = [add_mod(0, priority=99, port=9, in_port=1),
+                    add_mod(0, priority=98, port=7, in_port=2)]
+            seq.apply_flow_mods(mods)
+            eng.apply_flow_mods(mods)
+            for burst in bursts:
+                sv = seq.process_burst([p.copy() for p in burst])
+                ev = eng.process_burst([p.copy() for p in burst])
+                assert summarize(ev, eng.pipeline) == summarize(sv, seq.pipeline)
+            eng.sync_flow_stats()
+            assert flow_counts(eng.pipeline) == flow_counts(seq.pipeline)
+            health = eng.health()
+            assert health.faults_detected == 0
+            assert health.respawns == 0
+            assert health.live_workers == 2
+
+    def test_workers1_process_cycles_bit_identical(self):
+        """One process worker over its pipe: verdicts and modeled cycles
+        equal a sequential switch's, bit for bit."""
+        pipeline, fib = gateway.build(n_ce=2, users_per_ce=8, n_prefixes=16)
+        flows = gateway.traffic(fib, 96, n_ce=2, users_per_ce=8)
+        seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
+        sm, em = CycleMeter(XEON_E5_2620), CycleMeter(XEON_E5_2620)
+        with ShardedESwitch(pipeline, workers=1, backend="process") as eng:
+            for i in range(0, len(flows), 16):
+                burst = flows[i:i + 16]
+                sv = seq.process_burst([p.copy() for p in burst], sm)
+                ev = eng.process_burst([p.copy() for p in burst], em)
+                assert summarize(ev, eng.pipeline) == summarize(sv, seq.pipeline)
+        assert em.total_cycles == sm.total_cycles
