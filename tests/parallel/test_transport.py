@@ -79,10 +79,43 @@ class TestZeroPickleDatapath:
         pickle, the tap would see it."""
         self._storm(monkeypatch, "thread")
 
-    def test_frames_on_the_connection_never_pickle(self, monkeypatch):
-        """A process shard's frames ride its pipe as bytes, not as
-        pickled objects: the engine half (this process) never pickles."""
+    def test_process_engine_side_never_pickles(self, monkeypatch):
+        """Process backend: the engine half of the pipe conversation
+        (this process) stays pickle-free per burst too."""
         self._storm(monkeypatch, "process")
+
+    def test_frames_on_the_connection_never_pickle(self, monkeypatch):
+        """A process shard's bursts ride its pipe as frames: every
+        message the engine sends or takes during a storm carries the
+        frame magic, none is a pickled object."""
+        from multiprocessing.connection import Connection
+
+        from repro.parallel import frames
+
+        magic = frames.MAGIC.to_bytes(2, "little")
+        seen = []
+
+        def tap(fn, of_result):
+            def wrapped(self, *a, **k):
+                out = fn(self, *a, **k)
+                seen.append(bytes((out if of_result else a[0])[:2]))
+                return out
+            return wrapped
+
+        pipeline, pkts = scenario()
+        with ShardedESwitch(pipeline, workers=2, backend="process") as eng:
+            eng.process_burst([p.copy() for p in pkts[:16]])  # warm lanes
+            monkeypatch.setattr(Connection, "send_bytes",
+                                tap(Connection.send_bytes, False))
+            monkeypatch.setattr(Connection, "recv_bytes",
+                                tap(Connection.recv_bytes, True))
+            for burst in bursts_of(pkts):
+                eng.process_burst([p.copy() for p in burst])
+            monkeypatch.undo()
+        assert seen, "the tap saw no traffic on the connection"
+        assert all(head == magic for head in seen), (
+            f"{sum(h != magic for h in seen)} non-frame message(s) per burst"
+        )
 
 
 class TestThreadByReference:
