@@ -13,8 +13,7 @@ The composition layer of the ROADMAP's "production system" demo:
   scripted session-layer faults (blackout, latency storm, keepalive
   eclipse, controller stall).
 
-The soak workload that drives all three lives in
-:mod:`repro.traffic.fabric_soak`.
+The soak that drives all three is ``tests/fabric/test_fabric_soak_harness.py``.
 """
 
 from repro.fabric.faults import (

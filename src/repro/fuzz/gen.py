@@ -475,7 +475,7 @@ def generate_large(seed: int, n_entries: int = 96) -> Scenario:
     """The large-cardinality scenario class, scaled by argument.
 
     Three chained tables at ``n_entries`` entries each cover the scale
-    rungs the megascale rig exercises, differentially:
+    rungs ``tests/core/test_churn_at_scale.py`` counts at 1e5, differentially:
 
     * **hash** — exact ``eth_dst`` keys (the incremental perfect-hash
       store, grown further by the churn schedule);
@@ -487,7 +487,7 @@ def generate_large(seed: int, n_entries: int = 96) -> Scenario:
     Between bursts, ADD/strict-DELETE batches churn the hash and LPM
     tables — the incremental update paths (hash-store inserts, slot
     recycling, shape-stability skips) run under the oracle, not just
-    under the benchmark. CI keeps ``n_entries`` small; the class scales
+    under the scale tests. CI keeps ``n_entries`` small; the class scales
     to 10⁴–10⁵ by argument, not by new code.
     """
     if n_entries < 40:

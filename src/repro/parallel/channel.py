@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import pickle
 import queue
+from time import monotonic
 
 from repro.parallel import frames
 
@@ -47,34 +48,41 @@ class _QueueEnd:
     What a thread shard has instead of a pipe. Only ``bytes`` cross it
     (frames, pickled control messages), so a thread worker is as
     shared-nothing as a forked one; ``None`` is the EOF a closing end
-    leaves behind.
+    leaves behind. Each message carries the time it was sent, so a
+    deadline is judged by when the message was sent, not by when the
+    waiting thread got the GIL back.
     """
 
     def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
         self._inbox, self._outbox = inbox, outbox
         self._peeked = None
 
-    def send_bytes(self, buf: bytes) -> None:
-        self._outbox.put(buf)
+    def send_bytes(self, buf: "bytes | None") -> None:
+        self._outbox.put((monotonic(), buf))
 
     def poll(self, timeout: "float | None" = 0.0) -> bool:
-        """True when a message (or EOF) is ready within ``timeout``."""
+        """True when a message (or EOF) was sent within ``timeout``.
+
+        One sent after the deadline stays peeked and answers False, as a
+        pipe's ``select`` would, however late the waiting thread woke.
+        """
+        deadline = None if timeout is None else monotonic() + timeout
         if self._peeked is None:
             try:
-                self._peeked = (self._inbox.get(timeout=timeout),)
+                self._peeked = self._inbox.get(timeout=timeout)
             except queue.Empty:
                 return False
-        return True
+        return deadline is None or self._peeked[0] <= deadline
 
     def recv_bytes(self) -> bytes:
         self.poll(None)
-        (buf,), self._peeked = self._peeked, None
+        (_sent, buf), self._peeked = self._peeked, None
         if buf is None:
             raise EOFError
         return buf
 
     def close(self) -> None:
-        self._outbox.put(None)
+        self.send_bytes(None)
 
 
 def queue_pair() -> "tuple[_QueueEnd, _QueueEnd]":

@@ -2,12 +2,13 @@
 shape multiset where it can, and the answer is never anything but what
 ``select_template`` would say.
 
-Million-entry churn (the megascale rig) dies on anything O(entries) per
-flow-mod; ``CompiledTable.holds`` answers "is this table still on my
-rung" in O(shapes) — the hash prerequisite itself, re-read; a proof from
-the shape classes for LPM. These tests pin both directions: steady churn
-takes the skip, and after *any* batch, accepted or rolled back, every
-table sits on the rung a fresh compile of the same pipeline picks.
+Churn at 1e5 entries (``test_churn_at_scale.py``) dies on anything
+O(entries) per flow-mod; ``CompiledTable.holds`` answers "is this table
+still on my rung" in O(shapes) — the hash prerequisite itself, re-read;
+a proof from the shape classes for LPM. These tests pin both
+directions: steady churn takes the skip, and after *any* batch, accepted
+or rolled back, every table sits on the rung a fresh compile of the same
+pipeline picks.
 """
 
 import pickle

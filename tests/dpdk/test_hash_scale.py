@@ -1,13 +1,13 @@
 """Scale behavior of the collision-free hash: amortized growth, no
 rebuild storms under churn, and the typed give-up path.
 
-The megascale rungs only work if incremental insertion stays amortized
-O(1): geometric slot growth means a build-from-empty of n keys pays at
-most O(log n) full rebuilds and moves O(n) keys in total, and steady-state
-churn (insert+remove around a fixed size) must not rebuild at all. These
-tests pin those bounds with the telemetry counters, at sizes small enough
-for CI but large enough that a per-insert rebuild would blow the bound by
-orders of magnitude.
+The hash rung at 1e5 entries only works if incremental insertion stays
+amortized O(1): geometric slot growth means a build-from-empty of n keys
+pays at most O(log n) full rebuilds and moves O(n) keys in total, and
+steady-state churn (insert+remove around a fixed size) must not rebuild
+at all. These tests pin those bounds with the telemetry counters, at
+sizes small enough for CI but large enough that a per-insert rebuild
+would blow the bound by orders of magnitude.
 """
 
 import math

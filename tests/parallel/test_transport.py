@@ -6,12 +6,15 @@
   control messages);
 * shards are shared-nothing whatever carries the frames: caller packets
   are never mutated, and the thread and process backends agree in
-  verdicts and modeled cycles.
+  verdicts and modeled cycles;
+* a deadline means the same on both carriers: a thread's queue end,
+  like a pipe's ``select``, refuses a message sent after it.
 """
 
 import pickle
+import queue
 
-from repro.parallel import ShardedESwitch
+from repro.parallel import ShardedESwitch, channel
 from repro.simcpu.platform import XEON_E5_2620
 from repro.simcpu.recorder import CycleMeter
 from repro.usecases import gateway
@@ -151,3 +154,32 @@ class TestThreadByReference:
             finally:
                 eng.close()
         assert results["thread"] == results["process"]
+
+
+class TestQueueDeadline:
+    def test_a_message_sent_past_the_deadline_is_late(self, monkeypatch):
+        """The waiting thread wakes at t=1.0, long after its 50 ms
+        deadline: the message sent at t=0.01 is on time, the one sent at
+        t=0.5 is late and stays queued for the next poll."""
+        now = [0.0]
+        monkeypatch.setattr(channel, "monotonic", lambda: now[0])
+        sends = iter([(0.01, b"early"), (0.5, b"late")])
+
+        class Starved(queue.Queue):
+            def get(self, block=True, timeout=None):
+                if self.empty():  # the peer sends while this thread sleeps
+                    now[0], buf = next(sends)
+                    far.send_bytes(buf)
+                    now[0] = 1.0
+                return super().get(block, timeout)
+
+        inbox = Starved()
+        near = channel._QueueEnd(inbox, queue.Queue())
+        far = channel._QueueEnd(queue.Queue(), inbox)
+        now[0] = 0.0
+        assert near.poll(0.05)
+        assert near.recv_bytes() == b"early"
+        now[0] = 0.0
+        assert not near.poll(0.05)
+        assert near.poll(0.0)  # at t=1.0 it has long arrived
+        assert near.recv_bytes() == b"late"
