@@ -148,9 +148,11 @@ def _decompose(
                 partitions[constraint] = [_strip(w, p) for w in wildcard_rows]
             partitions[constraint].append(_strip(row, p))
 
+    # Keys of one column are disjoint, so no two keyed rules overlap and
+    # one priority serves them all; the wildcard's 0 puts it last. Any row
+    # count fits OpenFlow's 16-bit priority.
     dispatch = FlowTable(table_id, miss_policy=miss_policy)
-    n = len(keys) + 1
-    for i, key in enumerate(keys):
+    for key in keys:
         value, key_mask = key
         child_rows = partitions[key]
         child_id = next(ids)
@@ -158,7 +160,7 @@ def _decompose(
         dispatch.add(
             FlowEntry(
                 Match.from_pairs({p: (value, key_mask)}),
-                priority=n - i,
+                priority=1,
                 instructions=(GotoTable(actual_child),),
             )
         )
@@ -205,13 +207,17 @@ def _emit_regular(
     rows: list[_Row], table_id: int, miss_policy: TableMissPolicy
 ) -> FlowTable:
     """A leaf: at most one matched column; rows keep their original
-    instructions (actions and external goto_table jumps)."""
+    instructions (actions and external goto_table jumps).
+
+    The reachable rows are disjoint keys of that column, then at most one
+    empty match (a row after it would be unreachable): priority 1 for the
+    keys, 0 for the empty match keeps first-match order at any row count.
+    """
     table = FlowTable(table_id, miss_policy=miss_policy)
-    n = len(rows)
-    for i, row in enumerate(rows):
+    for row in rows:
         leaf = FlowEntry(
             row.match,
-            priority=n - i,
+            priority=1 if row.match.shape else 0,
             instructions=row.original.instructions,
         )
         # The leaf *is* the original rule, restricted to the columns not

@@ -46,11 +46,12 @@ from dataclasses import dataclass
 from repro.core import ESwitch
 from repro.core.analysis import CompileConfig
 from repro.fuzz.scenario import Scenario
-from repro.openflow.timeouts import ExpiryManager, PipelineAdapter
+from repro.openflow.timeouts import ExpiryManager
 from repro.ovs import OvsSwitch
 from repro.parallel import ShardedESwitch
 from repro.simcpu.platform import XEON_E5_2620
 from repro.simcpu.recorder import CycleMeter
+from repro.traffic.nfpa import DirectSwitch
 
 DEFAULT_WORKERS = (1, 4)
 
@@ -89,9 +90,29 @@ def _reply_sig(reply) -> tuple:
     return (bool(reply.accepted), codes)
 
 
-class _EswitchBackend:
-    compares_bytes = True
+class _Backend:
+    """What the oracle reads off any backend: its switch's tables and
+    counters, and (where defined) its meter's cycle total."""
 
+    compares_bytes = True
+    meter = None
+
+    @property
+    def pipeline(self):
+        return self.switch.pipeline
+
+    def flow_counts(self):
+        return _counters(self.switch.pipeline)
+
+    @property
+    def cycles(self):
+        return None if self.meter is None else self.meter.total_cycles
+
+    def close(self):
+        pass
+
+
+class _EswitchBackend(_Backend):
     def __init__(self, name: str, scenario: Scenario, config: CompileConfig):
         self.name = name
         self.switch = ESwitch(scenario.build_pipeline(), config=config)
@@ -102,35 +123,16 @@ class _EswitchBackend:
             self.switch.warm()
             self.switch.datapath.force_fuse_failure("fuzz: forced degradation")
 
-    @property
-    def pipeline(self):
-        return self.switch.pipeline
-
     def burst(self, pkts):
         verdicts = self.switch.process_burst(pkts, self.meter)
         return [v.summary() for v in verdicts], [bytes(p.data) for p in pkts]
 
-    def flow_counts(self):
-        return _counters(self.switch.pipeline)
 
-    @property
-    def cycles(self):
-        return self.meter.total_cycles
-
-    def close(self):
-        pass
-
-
-class _OvsBackend:
-    compares_bytes = True
+class _OvsBackend(_Backend):
     name = "ovs"
 
     def __init__(self, scenario: Scenario):
         self.switch = OvsSwitch(scenario.build_pipeline())
-
-    @property
-    def pipeline(self):
-        return self.switch.pipeline
 
     def burst(self, pkts):
         sums = []
@@ -138,46 +140,25 @@ class _OvsBackend:
             sums.append(self.switch.process(pkt).summary())
         return sums, [bytes(p.data) for p in pkts]
 
-    def flow_counts(self):
-        return _counters(self.switch.pipeline)
 
-    cycles = None
-
-    def close(self):
-        pass
-
-
-class _ShardedBackend:
+class _ShardedBackend(_Backend):
     compares_bytes = False  # the engine never mutates caller packets
 
     def __init__(self, name: str, scenario: Scenario, workers: int,
                  config: CompileConfig, backend: str = "thread"):
         self.name = name
-        self.engine = ShardedESwitch(
+        self.switch = ShardedESwitch(
             scenario.build_pipeline(), workers=workers, backend=backend,
             config=config,
         )
-        self.switch = self.engine  # uniform expiry-manager target
         self.meter = CycleMeter(XEON_E5_2620)
 
-    @property
-    def pipeline(self):
-        return self.engine.pipeline
-
     def burst(self, pkts):
-        verdicts = self.engine.process_burst(pkts, self.meter)
+        verdicts = self.switch.process_burst(pkts, self.meter)
         return [v.summary() for v in verdicts], None
 
-    def flow_counts(self):
-        self.engine.sync_flow_stats()
-        return _counters(self.engine.pipeline)
-
-    @property
-    def cycles(self):
-        return self.meter.total_cycles
-
     def close(self):
-        self.engine.close()
+        self.switch.close()
 
 
 def _diff_counters(got: dict, want: dict) -> str:
@@ -199,7 +180,7 @@ def run_scenario(
     """
     divergences: list[Divergence] = []
     reference = scenario.build_pipeline()
-    ref_switch = PipelineAdapter(reference)
+    ref_switch = DirectSwitch(reference)
 
     base = CompileConfig()
     if scenario.direct_threshold is not None:

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 from repro.openflow.actions import Action
 from repro.openflow.instructions import ActionTemplate, ApplyActions, Instruction
 from repro.openflow.match import Match
 
-_entry_ids = itertools.count(1)
 #: the timeouts of every permanent entry, shared: most entries never expire.
 _PERMANENT = (0.0, 0.0)
 
@@ -30,6 +28,13 @@ class FlowEntry:
 
     ``packets`` / ``bytes`` are the rule's own statistics: every datapath
     adds a hit to the rule its lookup returned.
+
+    ``entry_id`` is the rule id: 0 until a table installs the entry, then
+    the id that table minted for it (:meth:`FlowTable.rule
+    <repro.openflow.flow_table.FlowTable.rule>`), unique within a pipeline.
+    It travels with the entry when the pipeline is pickled, and an undone
+    batch puts the entry back under it, so replicas that apply the same
+    flow-mods in the same order name every rule alike.
     """
 
     __slots__ = (
@@ -61,7 +66,7 @@ class FlowEntry:
             raise ValueError(f"priority out of range: {priority}")
         if idle_timeout < 0 or hard_timeout < 0:
             raise ValueError("timeouts must be non-negative")
-        self.entry_id = next(_entry_ids)
+        self.entry_id = 0
         self.priority = priority
         self.match = match
         if actions is not None:

@@ -22,7 +22,13 @@ steady-state churn pattern) without any memmove at all.
 The rule index and the live-entries tuple are built on first use and
 then maintained by the mutation that bumps ``version``; the bulk doors
 (:meth:`FlowTable.add_bulk`, ``add_columns``), :meth:`FlowTable.clear` and
-unpickling drop both. An entry's slot is kept on the entry, not in a map:
+unpickling drop both. So is the rule-id index (:meth:`FlowTable.rule`):
+every install mints the entry's ``entry_id`` — the table's id in the high
+bits, a per-table sequence number below — so ids are unique within a
+pipeline, and replicas that apply the same flow-mods in the same order
+mint the same ids. An undo puts a rule back under the id it had, and
+sets the table's ``minted`` count back (:class:`~repro.openflow.pipeline.
+BatchUndo`). An entry's slot is kept on the entry, not in a map:
 a slot hint that the single-rule paths write and a renumbering pass
 refreshes, trusted only when the store holds that very entry at that
 slot. The identity check is the whole invalidation contract. A memmove,
@@ -57,6 +63,11 @@ from repro.openflow.flow_entry import FlowEntry
 from repro.openflow.instructions import ActionTemplate
 from repro.openflow.match import Match, keyed_columns
 from repro.packet.parser import ParsedPacket
+
+
+#: A rule id is ``table_id << RULE_SEQ_BITS | n``: the ``n``-th rule the
+#: table minted an id for (n >= 1, so 0 names no rule).
+RULE_SEQ_BITS = 32
 
 
 def _sort_key(entry: "FlowEntry") -> int:
@@ -155,7 +166,7 @@ class FlowTable:
         # entries; a deleted entry's slot holds None (a tombstone).
         self._entries: "list[FlowEntry | None]" = []
         #: bumped on every *logical* modification (cache invalidation for
-        #: compiled tables, fused drivers, wire position maps, …).
+        #: compiled tables, fused drivers, …).
         #: Compaction is not a logical modification and does not bump it.
         self.version = 0
         # Parallel sort keys (-priority), one per slot. A tombstone keeps
@@ -206,6 +217,11 @@ class FlowTable:
         #: first goto target, write-action, metadata write or meter, or
         #: the last one leaving): all a whole-pipeline driver bakes in.
         self.facts_version = 0
+        #: rule ids minted so far; the next install takes ``minted + 1``.
+        self.minted = 0
+        # ``entry_id -> entry`` over the live rules (:meth:`rule`): built on
+        # first use, then maintained by every install and removal.
+        self._by_id: "dict[int, FlowEntry] | None" = None
 
     def _mark_mutated(self) -> None:
         """Version bump + bookkeeping common to every logical mutation."""
@@ -390,12 +406,18 @@ class FlowTable:
     def add(
         self, entry: FlowEntry, before: "FlowEntry | None" = None
     ) -> FlowEntry:
-        """Insert an entry; replaces an existing entry with the same rule.
+        """Insert an entry under a freshly minted rule id; replaces an
+        existing entry with the same rule.
 
         A new rule closes its priority class unless ``before`` names the
         live entry of that priority it must precede — how an undo puts a
         deleted rule back where :meth:`follower` found it.
         """
+        return self._install(entry, before, mint=True)
+
+    def _install(
+        self, entry: FlowEntry, before: "FlowEntry | None", mint: bool
+    ) -> FlowEntry:
         by_match = self._index()
         same_match = by_match.get(entry.match)
         existing = _at_priority(same_match, entry.priority)
@@ -419,20 +441,28 @@ class FlowTable:
                 by_match[entry.match] = entry
             else:
                 same_match[same_match.index(existing)] = entry
-        timed = self._timed
-        if timed is not None:
-            if existing is not None:
+        timed, by_id = self._timed, self._by_id
+        if existing is not None:
+            if timed is not None:
                 timed.pop(existing.entry_id, None)
-            if entry.idle_timeout or entry.hard_timeout:
-                timed[entry.entry_id] = entry
+            if by_id is not None:
+                by_id.pop(existing.entry_id, None)
+        if mint:
+            self.minted += 1
+            entry.entry_id = self.table_id << RULE_SEQ_BITS | self.minted
+        if timed is not None and (entry.idle_timeout or entry.hard_timeout):
+            timed[entry.entry_id] = entry
+        if by_id is not None:
+            by_id[entry.entry_id] = entry
         if existing is not None:
             self._release(existing)
         self._mark_mutated()
         return entry
 
     def put_back(self, entry: FlowEntry, before: "FlowEntry | None") -> FlowEntry:
-        """Reinstall ``entry`` at its rule key, ahead of ``before``,
-        removing whatever holds the key now — an undo step. Its template
+        """Reinstall ``entry`` at its rule key, ahead of ``before``, under
+        the rule id it already carries, removing whatever holds the key
+        now — an undo step. Its template
         and shape are counted before the occupant's are uncounted, as
         :meth:`add` does for a replace: a swap that leaves the fact or
         shape set as it was leaves ``facts_version`` or ``shapes_version``
@@ -440,14 +470,15 @@ class FlowTable:
         self._intern(entry)
         try:
             self.remove(entry.match, entry.priority)
-            return self.add(entry, before=before)
+            return self._install(entry, before, mint=False)
         finally:
             self._release(entry)
 
     def add_bulk(self, entries: "Iterable[FlowEntry]") -> int:
         """Insert many entries in one placement pass instead of n adds.
 
-        Semantically identical to calling :meth:`add` per entry in order —
+        Semantically identical to calling :meth:`add` per entry in order
+        (rule ids are minted in that order) —
         same-rule duplicates replace in place (last wins) and ties within
         a priority keep their relative order (existing entries first).
         The general case of :meth:`add_columns`.
@@ -516,9 +547,11 @@ class FlowTable:
         store = self._entries
         tail = len(store)
         intern, release = self._intern, self._release
+        base, minted = self.table_id << RULE_SEQ_BITS, self.minted
         numbered = False
         n = 0
         for n, entry in enumerate(entries, 1):
+            entry.entry_id = base | minted + n
             intern(entry)
             match = entry.match
             same_match = by_match.get(match)
@@ -546,6 +579,7 @@ class FlowTable:
             release(existing)
         if not n:
             return 0
+        self.minted = minted + n
         store[tail:] = added = sorted(store[tail:], key=_sort_key)  # stable
         if tail and added and store[tail - 1].priority < added[0].priority:
             store.sort(key=_sort_key)
@@ -554,7 +588,7 @@ class FlowTable:
             self._keys += _negated(added, self._keys[-1:])
         self.shapes_version = shapes_version + (self._feats.keys() != shapes)
         self._mark_mutated()
-        self._by_match = self._timed = None  # rebuilt on demand
+        self._by_match = self._timed = self._by_id = None  # rebuilt on demand
         self._index_version = -1
         return n
 
@@ -565,7 +599,7 @@ class FlowTable:
             return 0
         ents = self._entries
         by_match = self._index()
-        timed = self._timed
+        timed, by_id = self._timed, self._by_id
         for entry in victims:
             # The key stays: bisection remains valid.
             ents[self._slot_of(entry)] = None
@@ -578,6 +612,8 @@ class FlowTable:
                     by_match[entry.match] = same_match[0]
             if timed is not None:
                 timed.pop(entry.entry_id, None)
+            if by_id is not None:
+                by_id.pop(entry.entry_id, None)
             self._release(entry)
         self._dead += len(victims)
         self._mark_mutated()
@@ -619,7 +655,7 @@ class FlowTable:
         self._entries = []
         self._keys = []
         self._dead = 0
-        self._by_match = self._timed = None
+        self._by_match = self._timed = self._by_id = None
         self._index_version = -1
         self._live = None
         self._live_version = -1
@@ -641,10 +677,9 @@ class FlowTable:
         """Squeeze tombstones out, preserving live order.
 
         Invisible to every consumer: the live sequence is unchanged, so
-        ``version`` does not move — fused drivers, wire position maps
-        (positions index the *live* order) and the rule index all stay
-        valid. Only slot hints are positional; the moved ones fail their
-        identity check and are renumbered on next use.
+        ``version`` does not move — fused drivers and the rule indexes
+        all stay valid. Only slot hints are positional; the moved ones
+        fail their identity check and are renumbered on next use.
         Amortized O(live) per O(n) deletes via the trigger threshold.
         """
         if not self._dead:
@@ -690,6 +725,20 @@ class FlowTable:
         """The live entry with exactly this rule (match + priority), or
         None — the occupant an ADD of that rule would replace."""
         return _at_priority(self._index().get(match), priority)
+
+    def rule(self, rule_id: int) -> "FlowEntry | None":
+        """The live entry this table holds under ``rule_id``, or None.
+
+        The id index is built by the first call, over the live entries,
+        and kept by every install and removal after it, so a table nobody
+        asks pays nothing for it.
+        """
+        by_id = self._by_id
+        if by_id is None:
+            by_id = self._by_id = {
+                e.entry_id: e for e in self._entries if e is not None
+            }
+        return by_id.get(rule_id)
 
     def has_rule(self, match: Match, priority: int) -> bool:
         """True when an entry with exactly this rule (match + priority)
@@ -802,7 +851,7 @@ class FlowTable:
         state["_entries"] = [e for e in self._entries if e is not None]
         del state["_keys"]
         state["_dead"] = 0
-        state["_by_match"] = state["_timed"] = None
+        state["_by_match"] = state["_timed"] = state["_by_id"] = None
         state["_index_version"] = -1
         state["_live"] = None
         state["_live_version"] = -1

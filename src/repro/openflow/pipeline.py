@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.openflow.actions import Action, Output
 from repro.openflow.flow_entry import FlowEntry
-from repro.openflow.flow_table import FlowTable, TableMissPolicy
+from repro.openflow.flow_table import RULE_SEQ_BITS, FlowTable, TableMissPolicy
 from repro.openflow.instructions import (
     ApplyActions,
     ClearActions,
@@ -76,10 +76,15 @@ class BatchUndo:
             them: the :class:`FlowEntry` that held the key (None: it was
             empty) and the entry that followed it in its priority class.
         created: ids of the tables the batch would create.
+        minted: ``(table_id, minted)`` per existing table the batch names:
+            how many rule ids it had minted, so an undone batch leaves
+            the next id where it was and a replica that never saw the
+            batch mints the same ids after it.
     """
 
     keys: "tuple[tuple[int, Match, int, FlowEntry | None, FlowEntry | None], ...]"
     created: frozenset
+    minted: "tuple[tuple[int, int], ...]" = ()
 
     def wire_mods(self) -> list[FlowMod]:
         """The record as a batch any switch accepts: a strict DELETE per
@@ -199,6 +204,12 @@ class Pipeline:
             raise PipelineError("pipeline has no tables")
         return self._tables[min(self._tables)]
 
+    def rule(self, rule_id: int) -> "FlowEntry | None":
+        """The live entry installed under ``rule_id``, or None: the table
+        its id names answers from its rule-id index."""
+        table = self._tables.get(rule_id >> RULE_SEQ_BITS)
+        return None if table is None else table.rule(rule_id)
+
     def total_entries(self) -> int:
         return sum(len(t) for t in self._tables.values())
 
@@ -289,9 +300,13 @@ class Pipeline:
                     if occupant is not None:
                         follower = table.follower(occupant)
                 keys[key] = (*key, occupant, follower)
+        named = {mod.table_id for mod in mods}
         return BatchUndo(
             keys=tuple(keys.values()),
-            created=frozenset(mod.table_id for mod in mods) - tables.keys(),
+            created=frozenset(named - tables.keys()),
+            minted=tuple(
+                (tid, tables[tid].minted) for tid in sorted(named & tables.keys())
+            ),
         )
 
     def undo_steps(
@@ -305,7 +320,8 @@ class Pipeline:
 
         Last-named key first, so a batch that names each key once is
         walked back through the states it went through. Keys of a table
-        that is gone (a created one, dropped whole) are skipped.
+        that is gone (a created one, dropped whole) are skipped. Once the
+        last write is done, each table's ``minted`` count is set back.
         """
         # A follower the batch displaced too may not be back yet: the
         # rule then goes ahead of that one's follower, and so on.
@@ -323,6 +339,8 @@ class Pipeline:
             ):
                 follower = next_of.get(id(follower))
             yield mod, partial(self._put_back, occupant, follower)
+        for table_id, minted in undo.minted:
+            self._tables[table_id].minted = minted
 
     def _put_back(
         self, entry: FlowEntry, follower: "FlowEntry | None", mod: FlowMod

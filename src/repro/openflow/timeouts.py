@@ -45,9 +45,9 @@ activity observed on a sweep refreshes idleness *before* the idle check,
 so a flow that was busy right up to its hard deadline still expires
 ``"hard"``.
 
-Driving a :class:`~repro.parallel.ShardedESwitch`, the manager calls the
-engine's ``sync_flow_stats()`` before each sweep, so idleness is judged
-on the cross-shard counter totals rather than the shadow's stale view.
+Driving a :class:`~repro.parallel.ShardedESwitch`, the manager reads the
+shadow's rules, onto which every gather adds the shards' counts, so
+idleness is judged on the cross-shard totals like any switch's.
 
 The clock is caller-supplied seconds (floats): simulations advance it
 explicitly, deterministic tests included.
@@ -57,44 +57,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.openflow.flow_entry import FlowEntry
-from repro.openflow.messages import (
-    FlowMod,
-    FlowModCommand,
-    FlowModReply,
-    reply_to_flow_mods,
-)
+from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
 
 _INF = float("inf")
-
-
-class PipelineAdapter:
-    """The switch face of a bare :class:`Pipeline`: no datapath attached.
-
-    Gives a raw pipeline the two things every switch has — the raising
-    primitive ``apply_flow_mod`` (:class:`ExpiryManager` drives it) and
-    the control-plane door ``submit_flow_mods`` — with logical-table
-    semantics only. The differential fuzzer's reference is one: its
-    admission decisions and its tables are what every backend must match.
-    """
-
-    def __init__(self, pipeline: Pipeline):
-        self.pipeline = pipeline
-
-    def apply_flow_mod(self, mod: FlowMod) -> float:
-        return self.apply_flow_mods((mod,))
-
-    def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
-        self.pipeline.apply_flow_mods(mods)
-        return 0.0
-
-    def submit_flow_mods(self, mods: Sequence[FlowMod]) -> FlowModReply:
-        return reply_to_flow_mods(
-            self.pipeline.admit_flow_mods, self.apply_flow_mods, mods
-        )
 
 
 @dataclass
@@ -117,10 +86,8 @@ class ExpiryManager:
 
     Args:
         switch: anything with ``pipeline`` and ``apply_flow_mod`` (ESwitch,
-            OvsSwitch, ShardedESwitch, or a bare Pipeline wrapper). If the
-            switch exposes ``sync_flow_stats()`` (the sharded engine
-            does), it is invoked before every sweep so counters reflect
-            all shards.
+            OvsSwitch, ShardedESwitch, or a bare pipeline in a
+            :class:`~repro.traffic.nfpa.DirectSwitch`).
         on_expired: optional callback ``(table_id, entry, reason)`` with
             reason ``"idle"`` or ``"hard"`` (e.g. to emit flow-removed
             messages to a controller).
@@ -229,9 +196,6 @@ class ExpiryManager:
         """Advance to ``now``; expire and remove due entries."""
         if now < self._now:
             raise ValueError("the clock cannot move backwards")
-        sync = getattr(self.switch, "sync_flow_stats", None)
-        if sync is not None:
-            sync()  # sharded engine: judge idleness on cross-shard totals
         self.observe(now)
         self._now = now
         # Activity pass: counter progress since the last tick proves

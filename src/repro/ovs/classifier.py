@@ -87,9 +87,7 @@ class TssClassifier:
         by_sig: dict[MaskSig, Subtable] = {}
         # Table position resolves priority ties exactly like the linear
         # interpreter's stable scan does.
-        self._order: dict[int, int] = {}
         for position, entry in enumerate(self.table):
-            self._order[entry.entry_id] = position
             sig: MaskSig = entry.match.shape
             sub = by_sig.get(sig)
             if sub is None:

@@ -41,7 +41,7 @@ Supervision (what makes the facade *fault-tolerant*):
   re-scattered through the (possibly remapped) RSS table onto the
   respawned worker or the survivors — so callers still see the
   single-switch contract. Metering stays exact: a failed attempt never
-  shipped its meter delta, so only the successful attempt is absorbed;
+  sent its meter delta, so only the successful attempt is absorbed;
 * after ``max_respawns`` failed resurrections a shard slot **degrades**:
   its RSS slots remap over the survivors
   (:class:`~repro.parallel.rss.RssIndirection`) and the engine keeps
@@ -49,13 +49,12 @@ Supervision (what makes the facade *fault-tolerant*):
 
 Fault-exactness of the numbers (why a kill is unobservable in them):
 
-* **flow counters** — every burst reply carries the per-entry counter
-  deltas the sub-burst earned (:func:`repro.parallel.wire.
-  counter_deltas`); the engine folds them into a ledger keyed by shadow
-  entry. A worker that dies holding an unsent reply takes exactly its
-  unacked deltas with it, and the retry re-earns them — so
-  :meth:`sync_flow_stats` is exact across deaths, needs no RPC, and
-  cannot itself fault;
+* **flow counters** — every burst reply carries, by rule id, the counts
+  the sub-burst earned (:func:`repro.parallel.wire.counter_deltas`), and
+  the gather adds them onto the shadow's rules. A worker that dies
+  holding an unsent reply takes exactly its unacked counts with it, and
+  the retry re-earns them — so the shadow's counters are exact across
+  deaths, read like any switch's, with no RPC and no fault path;
 * **burst telemetry** — the engine records every *acked* sub-burst into
   a per-slot :class:`BurstStats` ledger, so :meth:`merged_burst_stats`
   survives worker loss bit for bit;
@@ -316,17 +315,6 @@ class ShardedESwitch:
         self._config, self._costs, self._platform = config, costs, platform
         self._decode_cache = EntryIndexCache(self.shadow.pipeline)
         self._rss = RssIndirection(workers, seed=rss_seed)
-        #: shadow entry_id -> [packets, bytes]: flow counters earned by
-        #: every *acked* sub-burst (the fault-exact statistics ledger).
-        #: Seeded with the construction-time baseline so a pipeline that
-        #: arrives with history keeps it (workers seed their ``shipped``
-        #: baselines the same way and never re-report it).
-        self._counter_ledger: dict[int, list[int]] = {
-            entry.entry_id: [entry.packets, entry.bytes]
-            for table in self.shadow.pipeline
-            for entry in table.entries
-            if entry.packets or entry.bytes
-        }
         self._slots: list[_ShardSlot] = []
         #: the engine-global sequence counter that pairs each reply with
         #: its request (a reply out of step is a worker fault).
@@ -431,21 +419,6 @@ class ShardedESwitch:
     def _live_slots(self) -> list[_ShardSlot]:
         return [slot for slot in self._slots if slot.shard is not None]
 
-    def _respawn_blob(self) -> bytes:
-        """The shadow pipeline, counters zeroed: what a replacement runs.
-
-        A replacement's flow counters must start from nothing — the
-        engine's ledger already holds everything the dead worker acked,
-        and the replica will re-earn (and re-report) only what it
-        actually processes.
-        """
-        pl = pickle.loads(pickle.dumps(self.shadow.pipeline))
-        for table in pl:
-            for entry in table.entries:
-                entry.packets = 0
-                entry.bytes = 0
-        return pickle.dumps(pl)
-
     def _handle_fault(self, slot: _ShardSlot, epoch: int) -> bool:
         """Reap a faulted worker; respawn it at ``epoch`` or degrade.
 
@@ -461,7 +434,7 @@ class ShardedESwitch:
             slot.respawns += 1
             self.respawns += 1
             if blob is None:
-                blob = self._respawn_blob()
+                blob = pickle.dumps(self.shadow.pipeline)
             shard = None
             try:
                 shard = self._make_shard(slot.index, blob, epoch, slot.respawns)
@@ -621,18 +594,14 @@ class ShardedESwitch:
         return rep
 
     def _absorb_counters(self, wire_deltas) -> None:
-        """Fold one acked sub-burst's counter deltas into the ledger."""
-        if not wire_deltas:
-            return
-        _, entries_by = self._decode_cache.maps()
-        ledger = self._counter_ledger
-        for ltid, idx, d_packets, d_bytes in wire_deltas:
-            entries = entries_by.get(ltid)
-            if entries is None or idx >= len(entries):  # pragma: no cover
-                continue  # entry vanished (cannot happen within an epoch)
-            cell = ledger.setdefault(entries[idx].entry_id, [0, 0])
-            cell[0] += d_packets
-            cell[1] += d_bytes
+        """Add one acked sub-burst's counts onto the shadow's rules."""
+        rules = self._decode_cache.rules
+        for rule_id, d_packets, d_bytes in wire_deltas:
+            entry = rules[rule_id]
+            if entry is None:  # replicas name every rule alike, or none
+                raise EpochSyncError(f"a shard counted unknown rule {rule_id:#x}")
+            entry.packets += d_packets
+            entry.bytes += d_bytes
 
     # -- control plane -----------------------------------------------------
 
@@ -668,6 +637,7 @@ class ShardedESwitch:
             return 0.0
         cycles = self.shadow.apply_flow_mods(mods)  # validates; may raise
         self.shadow.warm()
+        self._decode_cache = EntryIndexCache(self.shadow.pipeline)
         new_epoch = self.epoch + 1
         waiting: list[_ShardSlot] = []
         for slot in self._live_slots():
@@ -735,24 +705,6 @@ class ShardedESwitch:
     def merged_burst_stats(self) -> BurstStats:
         """All shards' burst telemetry, merged order-independently."""
         return BurstStats.merged(self.shard_burst_stats())
-
-    def sync_flow_stats(self) -> None:
-        """Write the counter ledger onto the shadow pipeline's entries.
-
-        After this, ``collect_flow_stats(engine.pipeline)`` reports the
-        cross-shard totals — exactly the counters a sequential run over
-        the same packets would have recorded (counting is commutative,
-        and the ledger absorbs only acked sub-bursts, so worker deaths
-        and retries cannot skew it). Purely local: no worker RPC, no
-        deadline, no fault path — safe to call from an expiry sweep at
-        any time.
-        """
-        ledger = self._counter_ledger
-        for table in self.shadow.pipeline:
-            for entry in table.entries:
-                packets, nbytes = ledger.get(entry.entry_id, (0, 0))
-                entry.packets = packets
-                entry.bytes = nbytes
 
     # -- inspection (delegated to the shadow) ------------------------------
 

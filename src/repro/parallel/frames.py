@@ -3,13 +3,13 @@
 A DPDK datapath ships *descriptors* between cores — fixed-layout arrays
 in preallocated rings — never serialized object graphs.  This module is
 that descriptor layout for the repro: a burst's packets, and a reply's
-position-addressed verdicts and counter deltas
+rule-id-addressed verdicts and counter deltas
 (:mod:`repro.parallel.wire`), packed **columnar** (struct-of-arrays,
 the DPDK ``rte_mbuf`` bulk idiom) into flat buffers with a versioned
 header, carried by the shard channel (:mod:`repro.parallel.channel`)
 and decoded without ever touching ``pickle`` on the per-burst path.
 
-Frame layout (version 1; little-endian, no padding)::
+Frame layout (version 2; little-endian, no padding)::
 
     header     <HBBII>  magic 0x5246 ("RF") | version | msgtype+flags |
                         payload_len | crc32 (checked iff flag 0x80)
@@ -27,9 +27,9 @@ Frame layout (version 1; little-endian, no padding)::
         n_v*u8          ports-per-verdict column
         n_v*u16         hops-per-verdict column
         n_p*u32         output ports, concatenated
-        n_h*i32 ×3      tid column | ltid column | idx column
-        n_d*i32 ×2      delta ltid column | delta idx column
-        n_d*u64 ×2      delta packets column | delta bytes column
+        n_h*i32         hop table id column
+        n_h*u64         hop rule id column (0: a miss or a dispatch entry)
+        n_d*u64 ×3      delta rule id | delta packets | delta bytes columns
 
 A pure-Python codec only competes with C pickle if the *per-packet*
 work happens in C, so the layout is chosen to make every section one
@@ -94,7 +94,7 @@ class FrameVersionMismatch(FrameError):
 
 
 MAGIC = 0x5246  # "RF" little-endian
-VERSION = 1
+VERSION = 2
 
 MSG_BURST_REQ = 0x01
 MSG_BURST_REP = 0x02
@@ -127,8 +127,7 @@ def _blob_fmt(lens: tuple) -> struct.Struct:
 def _rep_cols(shape: tuple) -> struct.Struct:
     n_v, n_p, n_h, n_d = shape
     return struct.Struct(
-        f"<{n_v}B{n_v}B{n_v}H{n_p}I"
-        f"{n_h}i{n_h}i{n_h}i{n_d}i{n_d}i{n_d}Q{n_d}Q"
+        f"<{n_v}B{n_v}B{n_v}H{n_p}I{n_h}i{n_h}Q{n_d}Q{n_d}Q{n_d}Q"
     )
 
 
@@ -303,7 +302,7 @@ def reply_from_wires(
     """Pack one burst reply from wire-dialect tuples.
 
     ``verdicts`` is :func:`repro.parallel.wire.encode_verdicts` output
-    (``(ports, flags, path)`` with ``(tid, ltid, idx)`` hops);
+    (``(ports, flags, path)`` with ``(tid, rule_id)`` hops);
     ``deltas`` that of :func:`~repro.parallel.wire.counter_deltas`.
     """
     try:
@@ -311,23 +310,20 @@ def reply_from_wires(
             port_groups, flags, paths = zip(*verdicts)
             ports = list(chain.from_iterable(port_groups))
             hops = list(chain.from_iterable(paths))
-            tids, ltids, idxs = zip(*hops) if hops else ((), (), ())
+            tids, rids = zip(*hops) if hops else ((), ())
         else:
             port_groups = paths = ()
             flags = ()
-            ports, tids, ltids, idxs = [], (), (), ()
-        if deltas:
-            d_ltids, d_idxs, d_pk, d_by = zip(*deltas)
-        else:
-            d_ltids = d_idxs = d_pk = d_by = ()
-        shape = (len(port_groups), len(ports), len(tids), len(d_ltids))
+            ports, tids, rids = [], (), ()
+        d_rids, d_pk, d_by = zip(*deltas) if deltas else ((), (), ())
+        shape = (len(port_groups), len(ports), len(tids), len(d_rids))
         head = _REP_HEAD.pack(
             epoch, seq, 0 if cycles is None else 1,
             0.0 if cycles is None else cycles, packets, llc, *shape,
         )
         body = _rep_cols(shape).pack(*chain(
             flags, map(len, port_groups), map(len, paths), ports,
-            tids, ltids, idxs, d_ltids, d_idxs, d_pk, d_by,
+            tids, rids, d_rids, d_pk, d_by,
         ))
     except (OverflowError, TypeError, ValueError, struct.error) as exc:
         if isinstance(exc, FrameError):
@@ -347,7 +343,7 @@ class BurstReply:
         self.epoch, self.seq = epoch, seq
         self.cycles, self.packets, self.llc = cycles, packets, llc
         self.verdicts = verdicts  #: list of (ports, flags, path) tuples
-        self.deltas = deltas      #: list of (ltid, idx, d_pkts, d_bytes)
+        self.deltas = deltas      #: list of (rule_id, d_pkts, d_bytes)
 
 
 def unpack_reply(buf, offset: int = 0) -> "tuple[BurstReply, int]":
@@ -369,21 +365,19 @@ def unpack_reply(buf, offset: int = 0) -> "tuple[BurstReply, int]":
     flags, nports, nhops = flat[:n_v], flat[n_v:a], flat[a:b]
     ports = flat[b:b + n_p]
     b += n_p
-    tids, ltids, idxs = (flat[b:b + n_h], flat[b + n_h:b + 2 * n_h],
-                         flat[b + 2 * n_h:b + 3 * n_h])
-    b += 3 * n_h
-    d_ltids, d_idxs = flat[b:b + n_d], flat[b + n_d:b + 2 * n_d]
-    b += 2 * n_d
-    d_pk, d_by = flat[b:b + n_d], flat[b + n_d:]
+    tids, rids = flat[b:b + n_h], flat[b + n_h:b + 2 * n_h]
+    b += 2 * n_h
+    d_rids, d_pk, d_by = (flat[b:b + n_d], flat[b + n_d:b + 2 * n_d],
+                          flat[b + 2 * n_d:])
     if sum(nports) != n_p or sum(nhops) != n_h:
         raise FrameCorrupt("per-verdict counts disagree with section totals")
     p_bounds = list(accumulate(nports, initial=0))
     port_groups = map(ports.__getitem__, map(slice, p_bounds, p_bounds[1:]))
-    trips = tuple(zip(tids, ltids, idxs))
+    hops = tuple(zip(tids, rids))
     h_bounds = list(accumulate(nhops, initial=0))
-    hop_groups = map(trips.__getitem__, map(slice, h_bounds, h_bounds[1:]))
+    hop_groups = map(hops.__getitem__, map(slice, h_bounds, h_bounds[1:]))
     return BurstReply(
         epoch, seq, cycles if has_cycles else None, packets, llc,
         list(zip(port_groups, flags, hop_groups)),
-        list(zip(d_ltids, d_idxs, d_pk, d_by)),
+        list(zip(d_rids, d_pk, d_by)),
     ), end

@@ -10,10 +10,11 @@ a burst request **frame** (:mod:`repro.parallel.frames`)
     (functional, :data:`NULL_METER`) or ``"cycle"`` (the worker's
     persistent per-core :class:`CycleMeter` — private caches, exactly
     the per-core meters :func:`repro.traffic.measure_multicore` models).
-    The reply frame carries the verdicts, the meter deltas (no cycles
-    in null mode) and the flow-counter deltas of every logical entry
-    the burst touched (see :func:`repro.parallel.wire.counter_deltas`
-    — what makes engine-side flow stats exact across worker deaths).
+    The reply frame carries the verdicts, path hops named by rule id,
+    the meter deltas (no cycles in null mode) and the counters of every
+    rule the burst touched, which the worker then zeroes (see
+    :func:`repro.parallel.wire.counter_deltas` — what makes engine-side
+    flow stats exact across worker deaths).
     It echoes the worker's *applied* epoch so the engine can prove no
     gathered burst mixed pipeline generations, and the engine's ``seq``
     tag so the gather can pair each reply with its request.
@@ -34,7 +35,9 @@ Any exception is caught and reported as ``("error", message, traceback)``
 
 Supervision hooks: a worker is spawned with its shard ``index``, a
 ``start_epoch`` (a respawned replacement is forked from the engine's
-shadow snapshot *at the current epoch*, so it never replays history),
+shadow snapshot *at the current epoch*, so it never replays history;
+whichever snapshot it boots from, it zeroes the counters in it, which
+are the shadow's to keep),
 and an optional :class:`~repro.parallel.faults.FaultInjector` whose
 armed plan fires deterministically before/after each command — a
 ``kill`` there ends the worker the way a crash would: process workers
@@ -65,7 +68,13 @@ def _die(chan: Channel) -> None:
     os._exit(13)  # a process worker dies for real: no atexit, no flush
 
 
-def _run_burst(switch, meter, cache, shipped, pkts, mode):
+def _zero_counters(entries) -> None:
+    for entry in entries:
+        if entry is not None:
+            entry.packets = entry.bytes = 0
+
+
+def _run_burst(switch, meter, cache, pkts, mode):
     """Execute one sub-burst; returns the reply frame's body (the
     arguments of :func:`frames.reply_from_wires` after epoch and seq)."""
     if mode == "null":
@@ -78,13 +87,9 @@ def _run_burst(switch, meter, cache, shipped, pkts, mode):
         verdicts = switch.process_burst(pkts, meter)
         cycles = meter.total_cycles - cycles0
         llc = meter.cache.stats.llc_misses - llc0
-    return (
-        cycles,
-        len(pkts),
-        llc,
-        encode_verdicts(verdicts, cache),
-        counter_deltas(verdicts, cache, shipped),
-    )
+    deltas = counter_deltas(verdicts, cache)
+    _zero_counters(entry for v in verdicts for _tid, entry in v.path)
+    return cycles, len(pkts), llc, encode_verdicts(verdicts, cache), deltas
 
 
 def shard_worker_main(
@@ -108,20 +113,13 @@ def shard_worker_main(
     try:
         faults.fire("spawn", "before")
         pipeline = pickle.loads(pipeline_blob)
+        for table in pipeline:
+            _zero_counters(table.entries)
         switch = ESwitch(pipeline, config=config, costs=costs)
         switch.warm()  # replica construction includes the fused driver
         cache = EntryIndexCache(switch.pipeline)
         meter = CycleMeter(platform)
         epoch = start_epoch
-        # id(entry) -> counters already reported. Seeded with the
-        # snapshot's baseline: pre-existing history is the engine
-        # ledger's business, only counts earned HERE ship as deltas.
-        shipped: dict = {
-            id(entry): (entry.packets, entry.bytes)
-            for table in switch.pipeline
-            for entry in table.entries
-            if entry.packets or entry.bytes
-        }
         faults.fire("spawn", "after")
         chan.send(("ready", epoch))
     except WorkerKilled:
@@ -132,12 +130,12 @@ def shard_worker_main(
         return
 
     try:
-        _serve(chan, faults, switch, meter, cache, shipped, epoch)
+        _serve(chan, faults, switch, meter, cache, epoch)
     finally:
         chan.close()
 
 
-def _serve(chan, faults, switch, meter, cache, shipped, epoch):
+def _serve(chan, faults, switch, meter, cache, epoch):
     """The worker's command loop."""
     while True:
         try:
@@ -156,9 +154,7 @@ def _serve(chan, faults, switch, meter, cache, shipped, epoch):
                         "",
                     ))
                     continue
-                body = _run_burst(
-                    switch, meter, cache, shipped, req.packets(), req.mode
-                )
+                body = _run_burst(switch, meter, cache, req.packets(), req.mode)
                 faults.fire("burst", "after")
                 chan.send_frame(frames.reply_from_wires(epoch, req.seq, *body))
                 continue
@@ -170,13 +166,8 @@ def _serve(chan, faults, switch, meter, cache, shipped, epoch):
                 # Swap in the new generation *inside* the barrier: the
                 # ack promises the replica's fused datapath is current.
                 switch.warm()
+                cache = EntryIndexCache(switch.pipeline)
                 epoch = new_epoch
-                # Flow-mods can swap entry objects; prune the shipped
-                # baselines so a recycled id() can't corrupt deltas.
-                live_index, _ = cache.maps()
-                shipped = {
-                    eid: val for eid, val in shipped.items() if eid in live_index
-                }
                 faults.fire(cmd, "after")
                 chan.send(("mods", epoch, cycles))
             elif cmd == "ping":

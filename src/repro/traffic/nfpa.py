@@ -14,8 +14,9 @@ works (ESwitch, OvsSwitch, or a bare pipeline wrapped in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
+from repro.openflow.messages import FlowMod, FlowModReply, reply_to_flow_mods
 from repro.openflow.pipeline import Pipeline, Verdict
 from repro.openflow.stats import BurstStats, collect_burst_stats
 from repro.packet.packet import Packet
@@ -39,12 +40,35 @@ def auto_params(n_flows: int) -> tuple[int, int]:
 
 
 class DirectSwitch:
-    """The reference interpreter wrapped as a switch (a direct datapath)."""
+    """The switch face of a bare :class:`Pipeline`: the reference
+    interpreter as a datapath (a direct datapath, Sec. 2.1), with no
+    compiled state attached.
+
+    Packets go through ``Pipeline.process``; flow-mods through the two
+    doors every switch has — the raising primitive ``apply_flow_mod(s)``
+    (:class:`~repro.openflow.timeouts.ExpiryManager` drives it) and the
+    control-plane ``submit_flow_mods`` — with logical-table semantics
+    only. The differential fuzzer's reference is one: its verdicts, its
+    admission decisions and its tables are what every backend must match.
+    """
 
     def __init__(self, pipeline: Pipeline, costs: CostBook = DEFAULT_COSTS):
         self.pipeline = pipeline
         self.costs = costs
         self.burst_stats = BurstStats()
+
+    def apply_flow_mod(self, mod: FlowMod) -> float:
+        return self.apply_flow_mods((mod,))
+
+    def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
+        """All or nothing (``Pipeline.apply_flow_mods``); no modeled cost."""
+        self.pipeline.apply_flow_mods(mods)
+        return 0.0
+
+    def submit_flow_mods(self, mods: Sequence[FlowMod]) -> FlowModReply:
+        return reply_to_flow_mods(
+            self.pipeline.admit_flow_mods, self.apply_flow_mods, mods
+        )
 
     def process(self, pkt: Packet, meter: Meter = NULL_METER) -> Verdict:
         """Interpret one packet, charging the same IO atoms the compiled

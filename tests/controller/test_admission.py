@@ -341,7 +341,6 @@ class TestBatchInvisibility:
             cv = control.process_burst([p.copy() for p in probe])
             assert [v.summary() for v in ev] == [v.summary() for v in cv]
             assert all(e == epoch_before for e in eng.last_gather_epochs)
-            eng.sync_flow_stats()
             counts = sorted((s.table_id, s.priority, s.packets, s.bytes)
                             for s in collect_flow_stats(eng.pipeline))
             control_counts = sorted(

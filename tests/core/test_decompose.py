@@ -19,7 +19,7 @@ from repro.openflow.instructions import GotoTable
 from repro.openflow.match import Match
 from repro.openflow.pipeline import Pipeline
 from repro.packet import PacketBuilder
-from repro.usecases import acl
+from repro.usecases import acl, l2
 
 
 def e(prio, action_port, **match):
@@ -109,6 +109,22 @@ class TestStructure:
         t.miss_policy = TableMissPolicy.CONTROLLER
         tables = decompose_table(t, 100)
         assert all(x.miss_policy is TableMissPolicy.CONTROLLER for x in tables)
+
+    def test_priorities_fit_16_bits_at_any_row_count(self):
+        """70 000 MACs plus one MAC+port rule: more rows than a 16-bit
+        priority can number one by one. The table still decomposes, with
+        no compile failure, and keeps first-match order."""
+        pipeline, macs = l2.build(70_000)
+        pipeline.table(0).add(
+            e(2, 9, eth_dst=macs[0], in_port=3)
+        )
+        sw = ESwitch(pipeline)
+        sw.warm()
+        assert sw.table_kinds()[0] == "decomposed[3 tables, 70001/70001 rules]"
+        assert sw.health().compile_failures == 0
+        for port, out in ((3, (9,)), (1, (0,))):
+            pkt = PacketBuilder(in_port=port).eth(dst=macs[0]).build()
+            assert sw.process(pkt).output_ports == list(out)
 
 
 class TestSemanticEquivalence:

@@ -30,7 +30,7 @@ from repro.openflow.instructions import ApplyActions, GotoTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
-from repro.openflow.timeouts import PipelineAdapter
+from repro.traffic.nfpa import DirectSwitch
 from repro.packet import PacketBuilder
 from repro.usecases import l2, l3
 
@@ -240,7 +240,7 @@ class TestMemoDiesWithTheCompiledTable:
             return Pipeline([table])
 
         sw = ESwitch.from_pipeline(pipeline())
-        reference = PipelineAdapter(pipeline())
+        reference = DirectSwitch(pipeline())
         # Hazard-free classes (/16@16 under /24@24), proved, rolled back.
         poison = FlowMod(FlowModCommand.ADD, 0, Match(), priority=-1)
         with pytest.raises(ValueError):

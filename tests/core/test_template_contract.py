@@ -38,7 +38,8 @@ from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.meters import MeterInstruction
 from repro.openflow.pipeline import Pipeline
 from repro.openflow.stats import collect_flow_stats
-from repro.openflow.timeouts import ExpiryManager, PipelineAdapter
+from repro.openflow.timeouts import ExpiryManager
+from repro.traffic.nfpa import DirectSwitch
 from repro.packet import PacketBuilder, parser
 from repro.simcpu.recorder import NULL_METER
 from repro.usecases import acl, gateway, l2, l3, loadbalancer
@@ -220,7 +221,7 @@ def test_census_and_generation_track_updates(rung, data):
     config, build = CENSUS_RUNGS[rung]
     sw = ESwitch.from_pipeline(Pipeline([build()]), config=config)
     assert sw.table_kinds()[0].startswith(rung)
-    reference = PipelineAdapter(Pipeline([build()]))
+    reference = DirectSwitch(Pipeline([build()]))
     pkts = data.draw(st.lists(sts.packets(), min_size=1, max_size=6))
     poison = FlowMod(FlowModCommand.ADD, 0, Match(), priority=-1)
     for _ in range(data.draw(st.integers(1, 3))):
@@ -291,7 +292,7 @@ def _guarded(rung):
     miss = builder.ipv4(dst="203.0.113.9", ttl=9).tcp(dst_port=5000).build()
     builder = PacketBuilder(in_port=7).eth(dst=0x0200_0000_0077)
     keyed = builder.ipv4(dst="198.51.100.7", ttl=9).tcp(dst_port=5000).build()
-    return sw, PipelineAdapter(pipeline()), miss, keyed
+    return sw, DirectSwitch(pipeline()), miss, keyed
 
 
 def _keyed(rung, instructions):

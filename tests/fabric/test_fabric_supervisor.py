@@ -31,7 +31,7 @@ from repro.openflow.flow_table import FlowTable
 from repro.openflow.instructions import ApplyActions
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
-from repro.openflow.timeouts import PipelineAdapter
+from repro.traffic.nfpa import DirectSwitch
 from repro.packet import PacketBuilder
 from repro.usecases import gateway
 
@@ -285,7 +285,7 @@ def _rules(pipeline):
 def _apply_then_invert(pipeline, mods):
     """Submit ``mods``, then the wire form of the undo record taken
     beforehand; returns the rule sequences (before, between, after)."""
-    door = PipelineAdapter(pipeline)
+    door = DirectSwitch(pipeline)
     before = _rules(pipeline)
     inverse = pipeline.undo_record(mods).wire_mods()
     assert _rules(pipeline) == before  # taking the record reads only

@@ -20,7 +20,7 @@ from repro.openflow.instructions import ApplyActions, GotoTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand, FlowModFailed
 from repro.openflow.pipeline import MAX_TABLES, Pipeline
-from repro.openflow.timeouts import PipelineAdapter
+from repro.traffic.nfpa import DirectSwitch
 from repro.ovs import OvsSwitch
 from repro.parallel import ShardedESwitch
 
@@ -118,7 +118,7 @@ def _session(pipeline):
 
 #: door name -> factory over a fresh pipeline
 DOORS = {
-    "pipeline": PipelineAdapter,
+    "pipeline": DirectSwitch,
     "eswitch": ESwitch,
     "ovs": OvsSwitch,
     "sharded": lambda p: ShardedESwitch(p, workers=1, backend="thread"),

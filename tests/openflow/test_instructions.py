@@ -76,6 +76,26 @@ class TestFlowEntryAccessors:
         assert not a.same_rule(c)
 
     def test_entry_ids_unique(self):
-        a = FlowEntry(Match(), priority=1, actions=[])
-        b = FlowEntry(Match(), priority=1, actions=[])
-        assert a.entry_id != b.entry_id
+        """Ids are unique within a pipeline after install: every table
+        mints its own, every install (ADD-replace included) a new one,
+        and each id resolves to the live rule that holds it."""
+        from repro.openflow.messages import FlowMod, FlowModCommand
+        from repro.openflow.pipeline import Pipeline
+
+        loose = FlowEntry(Match(), priority=1, actions=[])
+        assert loose.entry_id == 0  # no table has installed it
+        pipeline = Pipeline()
+        mods = [
+            FlowMod(FlowModCommand.ADD, tid, Match(tcp_dst=port), priority=prio)
+            for tid in (0, 1, 3)
+            for port in (80, 443)
+            for prio in (1, 2)
+        ]
+        pipeline.apply_flow_mods(mods)
+        pipeline.apply_flow_mods(mods[:3])  # replaces: fresh ids
+        live = [e for table in pipeline for e in table.entries]
+        ids = [e.entry_id for e in live]
+        assert len(live) == 12 and 0 not in ids
+        assert len(set(ids)) == len(ids)
+        assert all(pipeline.rule(e.entry_id) is e for e in live)
+        assert pipeline.rule(0) is None

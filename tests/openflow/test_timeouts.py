@@ -249,8 +249,8 @@ class TestShardedExpiry:
                             backend="thread") as eng:
             mgr = ExpiryManager(eng)
             mgr.observe(0.0)
-            # All traffic is remote: only the pre-sweep sync_flow_stats
-            # call lets the manager see it as activity.
+            # All traffic is remote: the gather adds each acked count onto
+            # the shadow's rule, which is what the manager reads.
             for tick_at in (5.0, 10.0, 15.0):
                 eng.process_burst([mac_pkt()])
                 assert mgr.tick(tick_at) == [], tick_at

@@ -46,14 +46,13 @@ def engine(pipeline, injector, workers=2, **kw):
                           fault_injector=injector, **kw)
 
 
-def assert_equivalent(eng, seq, bursts, sync=True):
+def assert_equivalent(eng, seq, bursts, counts=True):
     """Drive both switches; the shard/fault structure must not show."""
     for pkts in bursts:
         sv = seq.process_burst([p.copy() for p in pkts])
         ev = eng.process_burst([p.copy() for p in pkts])
         assert summarize(ev, eng.pipeline) == summarize(sv, seq.pipeline)
-    if sync:
-        eng.sync_flow_stats()
+    if counts:
         assert flow_counts(eng.pipeline) == flow_counts(seq.pipeline)
 
 
@@ -108,14 +107,14 @@ class TestKillMidBroadcast:
         inj = FaultInjector(FaultSpec(shard=1, cmd="mods", when=when))
         mods = [add_mod(0, priority=9, port=7, eth_dst=0x02_0000_BEEF)]
         with engine(pipeline, inj) as eng:
-            assert_equivalent(eng, seq, [flows[:24]], sync=False)
+            assert_equivalent(eng, seq, [flows[:24]], counts=False)
             seq.apply_flow_mods(mods)
             eng.apply_flow_mods(mods)
             assert eng.epoch == 1
             # Every surviving AND respawned worker sits at the new epoch
             # with the full batch applied (the acceptance criterion).
             assert eng.ping() == {0: 1, 1: 1}
-            assert_equivalent(eng, seq, [flows[:24]], sync=False)
+            assert_equivalent(eng, seq, [flows[:24]], counts=False)
             assert all(e == 1 for e in eng.last_gather_epochs)
             health = eng.health()
             assert health.faults_detected == 1
@@ -137,7 +136,7 @@ class TestKillMidBroadcast:
             ):
                 seq.apply_flow_mods(mods)
                 eng.apply_flow_mods(mods)
-                assert_equivalent(eng, seq, [flows[:24]], sync=False)
+                assert_equivalent(eng, seq, [flows[:24]], counts=False)
             assert eng.epoch == 2
             assert eng.ping() == {0: 2, 1: 2}
 
@@ -155,7 +154,7 @@ class TestHangsAndDelays:
             FaultSpec(shard=0, cmd="burst", kind="hang", seconds=100.0)
         )
         with engine(pipeline, inj, rpc_deadline=1.0) as eng:
-            assert_equivalent(eng, seq, [flows[:32]], sync=False)
+            assert_equivalent(eng, seq, [flows[:32]], counts=False)
             health = eng.health()
             assert health.faults_detected == 1
             assert health.respawns == 1
@@ -197,7 +196,7 @@ class TestDegradation:
         seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
         inj = FaultInjector(FaultSpec(shard=1, cmd="burst", when="after"))
         with engine(pipeline, inj, workers=3, max_respawns=0) as eng:
-            assert_equivalent(eng, seq, [flows[:24]], sync=False)
+            assert_equivalent(eng, seq, [flows[:24]], counts=False)
             assert eng.health().degraded_shards == (1,)
             mods = [add_mod(0, priority=9, port=7, eth_dst=0x02_0000_BEEF)]
             seq.apply_flow_mods(mods)
@@ -284,7 +283,7 @@ class TestProcessBackend:
                             retry_backoff=0.001, rpc_deadline=30.0) as eng:
             if eng.backend != "process":
                 pytest.skip("platform cannot fork worker processes")
-            assert_equivalent(eng, seq, [flows[:32]], sync=False)
+            assert_equivalent(eng, seq, [flows[:32]], counts=False)
             mods = [add_mod(0, priority=9, port=7, eth_dst=0x02_0000_BEEF)]
             seq.apply_flow_mods(mods)
             eng.apply_flow_mods(mods)

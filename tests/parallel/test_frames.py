@@ -26,8 +26,7 @@ ports_st = st.tuples(*[]) | st.lists(
 
 hop_st = st.tuples(
     st.integers(0, 2**31 - 1),                 # tid
-    st.integers(-1, 2**31 - 1),                # ltid (-1: dispatch entry)
-    st.integers(-1, 2**31 - 1),                # idx
+    st.integers(0, 2**64 - 1),                 # rule id (0: miss/dispatch)
 )
 
 verdict_st = st.tuples(
@@ -37,8 +36,7 @@ verdict_st = st.tuples(
 )
 
 delta_st = st.tuples(
-    st.integers(0, 2**31 - 1),                  # ltid
-    st.integers(0, 2**31 - 1),                  # idx
+    st.integers(1, 2**64 - 1),                  # rule id
     st.integers(0, 2**64 - 1),                  # d_packets
     st.integers(0, 2**64 - 1),                  # d_bytes
 )

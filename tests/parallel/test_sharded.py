@@ -102,7 +102,6 @@ class TestShardSequentialEquivalence:
                 assert summarize(ev, eng.pipeline) == summarize(sv, seq.pipeline)
                 # Each gather is whole: every shard answered at the engine epoch.
                 assert all(e == eng.epoch for e in eng.last_gather_epochs)
-            eng.sync_flow_stats()
             assert flow_counts(eng.pipeline) == flow_counts(seq.pipeline)
             merged = eng.merged_burst_stats()
             assert merged.packets == sum(len(b) for b in bursts)
@@ -259,7 +258,6 @@ class TestProcessBackend:
             assert eng.last_gather_epochs == tuple(
                 eng.epoch for _ in eng.last_gather_epochs
             )
-            eng.sync_flow_stats()
             assert flow_counts(eng.pipeline) == flow_counts(seq.pipeline)
             merged = eng.merged_burst_stats()
             assert merged.packets == 2 * len(pkts)
@@ -287,7 +285,6 @@ class TestProcessBackend:
                 sv = seq.process_burst([p.copy() for p in burst])
                 ev = eng.process_burst([p.copy() for p in burst])
                 assert summarize(ev, eng.pipeline) == summarize(sv, seq.pipeline)
-            eng.sync_flow_stats()
             assert flow_counts(eng.pipeline) == flow_counts(seq.pipeline)
             health = eng.health()
             assert health.faults_detected == 0

@@ -18,7 +18,7 @@ from repro.openflow.instructions import ApplyActions, GotoTable
 from repro.openflow.match import Match
 from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
-from repro.openflow.timeouts import PipelineAdapter
+from repro.traffic.nfpa import DirectSwitch
 from repro.ovs import OvsSwitch
 from repro.packet import PacketBuilder
 from repro.parallel import ShardedESwitch
@@ -52,7 +52,7 @@ SWITCHES = {
     "eswitch-trampoline": lambda p: ESwitch.from_pipeline(
         p, config=CompileConfig(fuse=False)),
     "ovs": OvsSwitch,
-    "adapter": PipelineAdapter,
+    "adapter": DirectSwitch,
     "sharded-thread": lambda p: ShardedESwitch(p, workers=2, backend="thread"),
 }
 
@@ -86,9 +86,6 @@ def test_failed_batch_is_invisible(kind):
     try:
         for each in (switch, untouched):
             verdicts(each)  # traffic on the rules first
-            sync = getattr(each, "sync_flow_stats", None)
-            if sync is not None:
-                sync()
         table = switch.pipeline.table(0)
         entries = table.entries
         state = [(e.entry_id, e.packets, e.bytes)

@@ -232,10 +232,11 @@ class TestChurnScenario:
 
     def _dry_run(self, scenario):
         """The reference leg alone, instrumented."""
-        from repro.openflow.timeouts import ExpiryManager, PipelineAdapter
+        from repro.openflow.timeouts import ExpiryManager
+        from repro.traffic.nfpa import DirectSwitch
 
         pipeline = scenario.build_pipeline()
-        adapter = PipelineAdapter(pipeline)
+        adapter = DirectSwitch(pipeline)
         manager = ExpiryManager(adapter)
         for event in scenario.events:
             if "burst" in event:
