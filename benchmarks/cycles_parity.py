@@ -16,21 +16,12 @@ difference. The points:
   named by megaflow entry ids.
 
 A point's value is a cycle total, not a rate: a one-cycle drift shows.
-
-The OVS EMC slot and its probe lines come from ``hash()`` of a flow key
-that holds ``None`` for absent fields, and CPython 3.11 hashes ``None``
-by its address: under address-space randomization the Fig. 14 points
-past the first hundred flows read a different total on every run, on
-any tree. Each tree therefore runs under ``setarch -R`` (no
-randomization for that process alone) where the host has it.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import platform
-import shutil
 import subprocess
 import sys
 
@@ -111,9 +102,8 @@ def run(root: str) -> dict:
     root = os.path.abspath(root)
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
                PYTHONHASHSEED="0")
-    pinned = ["setarch", platform.machine(), "-R"] if shutil.which("setarch") else []
     done = subprocess.run(
-        [*pinned, sys.executable, os.path.abspath(__file__), "--emit"],
+        [sys.executable, os.path.abspath(__file__), "--emit"],
         cwd=root, env=env, check=True, capture_output=True, text=True,
     )
     return json.loads(done.stdout.splitlines()[-1])

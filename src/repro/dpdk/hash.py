@@ -34,11 +34,12 @@ e.g. ``0`` and ``(0,)``) are detected and rejected with a typed
 :class:`HashBuildError` after a bounded number of seed attempts instead of
 looping forever.
 
-A full build computes the mix and the bucket grouping of every key at once
-(numpy columns), then runs the sequential displacement search over plain
-int lists, converted one chunk of buckets at a time; see DESIGN.md §10 for
-why each key's slot index is pinned. :meth:`CollisionFreeHash.from_columns`
-builds from a key column and a value column, with no key dict.
+A full build computes the mix, the bucket order and most displacements
+of every key at once (numpy columns); Python searches only the buckets
+whose ``d = 0`` slots an earlier bucket may take, over int lists converted
+one chunk of buckets at a time. See DESIGN.md §10 for why each key's slot
+index is pinned. :meth:`CollisionFreeHash.from_columns` builds from a key
+column and a value column, with no key dict or set.
 The slots are two parallel columns (``_slot_keys``, ``_slot_vals``), and
 they are the only place a key and its value live: length, iteration and
 updates read them, and a rebuild takes the resident keys in slot order.
@@ -49,7 +50,8 @@ collector no container of the table's own.
 
 from __future__ import annotations
 
-from itertools import islice
+from bisect import bisect_right
+from heapq import heappop, heappush
 from typing import Iterator
 
 import numpy as np
@@ -96,37 +98,36 @@ _NP_PRIME = np.uint64(_FNV_PRIME)
 _NP_GOLD = np.uint64(_GOLD)
 
 
-def _mix_all(keys: list, seed: int) -> "np.ndarray":
-    """:func:`_mix` of every key, as one ``uint64`` column.
+def _mix_all(keys: list, seed: int) -> "tuple[np.ndarray, int]":
+    """:func:`_mix` of every key, as one ``uint64`` column, and the keys'
+    form: 1 when they are ints, 2 when they are tuples of one arity, 0
+    when that is not known.
 
-    Keys whose components all fit a signed 64-bit column are mixed
+    Keys whose components all fit an unsigned 64-bit column are mixed
     columnwise (``uint64`` arithmetic wraps exactly like ``& _MASK64``;
     such a component has at most two 32-bit chunks, the second skipped
-    where it is zero). Anything numpy cannot hold that way — wider
-    components, ragged or mixed int/tuple key sets — and any negative
-    component goes through the scalar :func:`_mix`, which is the spec.
+    where it is zero). Anything numpy cannot hold that way — components
+    of 2⁶⁴ or more, negative ones, ragged or mixed int/tuple key sets —
+    goes through the scalar :func:`_mix`, which is the spec.
     """
     try:
-        columns = np.array(keys, dtype=np.int64)
-    except (OverflowError, ValueError, TypeError):
+        columns = np.array(keys, dtype=np.uint64)
+    except (OverflowError, ValueError, TypeError):  # ≥ 2⁶⁴ or negative; ragged
         columns = None
     if (
         columns is None
         or columns.ndim != (1 if isinstance(keys[0], int) else 2)
         or not columns.size  # the lone key ``()``: no column to mix
-        or columns.min() < 0
     ):
-        return np.array([_mix(key, seed) for key in keys], dtype=np.uint64)
-    columns = columns.view(np.uint64)
-    h = np.uint64((_FNV_OFFSET ^ seed) & _MASK64)  # broadcasts over the column
+        return np.array([_mix(key, seed) for key in keys], dtype=np.uint64), 0
+    h = (_FNV_OFFSET ^ seed) & _MASK64  # broadcasts over the column
     for part in (columns,) if columns.ndim == 1 else columns.T:
         h = (h ^ (part & _U32)) * _NP_PRIME
         high = part >> _S32
-        wide = high != 0
-        if wide.any():
-            h = np.where(wide, (h ^ high) * _NP_PRIME, h)
+        if high.any():
+            h = np.where(high != 0, (h ^ high) * _NP_PRIME, h)
     h ^= h >> _S33
-    return h
+    return h, columns.ndim
 
 
 class RebuildRequired(RuntimeError):
@@ -152,8 +153,9 @@ class CollisionFreeHash:
     MAX_DISP_TRIES = 256
     MIN_SLOTS = 8
 
-    #: Occupied buckets placed per chunk of a full build: only one
-    #: chunk's slice of each column is held as Python ints at a time.
+    #: Occupied buckets (or, for the slot writes, rows) per chunk of a
+    #: full build: only one chunk's slice of each column is held as
+    #: Python ints at a time.
     CHUNK_BUCKETS = 1 << 10
 
     def __init__(self, items: "dict | None" = None):
@@ -164,11 +166,16 @@ class CollisionFreeHash:
     def from_columns(cls, keys: list, values: list) -> "CollisionFreeHash":
         """The table mapping ``keys[i]`` to ``values[i]``, built from the two
         columns without a key dict: a repeated key keeps its first row.
-        The same table as ``cls(items)`` over those rows."""
-        if len(set(keys)) < len(keys):
-            keys, values = _first_rows(keys, values)
+        The same table as ``cls(items)`` over those rows.
+
+        Rows of one key share a full hash, so the build meets them in a
+        bucket it searches, and stops; only then are the rows deduped
+        and the table built again, from scratch."""
         table = cls.__new__(cls)
-        table._start(keys, values)
+        try:
+            table._start(keys, values)
+        except RebuildRequired:  # "repeat": a key on two rows
+            table._start(*_first_rows(keys, values))
         return table
 
     def _start(self, keys: list, values: list) -> None:
@@ -392,9 +399,11 @@ class CollisionFreeHash:
                 self._count = n
                 return
             except RebuildRequired as exc:
+                if exc.args[0] == "repeat":
+                    raise  # a key on two rows: from_columns dedupes
                 # Growth only helps when keys actually hash apart; a
                 # duplicate full hash needs a different seed, not memory.
-                if exc.args and exc.args[0] == "grow":
+                if exc.args[0] == "grow":
                     slot_bits += 1
         raise HashBuildError(
             f"no collision-free layout for {n} keys after "
@@ -418,122 +427,215 @@ class CollisionFreeHash:
         """``(slot_keys, slot_vals, disp, bucket_keys)`` holding every key
         with its value, or raise :class:`RebuildRequired`.
 
-        Mix, bucket grouping and the bucket order are computed columnwise;
-        the displacement search stays sequential because each bucket's
-        choice depends on the slots every earlier bucket took. Buckets go
-        largest first (classic CHD: they need the most freedom), ties in
-        order of first appearance among ``keys``, and a bucket's keys keep
-        their order there. The one-key buckets therefore close the
-        order (about two thirds of the occupied buckets at load 1/4), and
-        they are placed key by key: the first free slot of
-        ``d = 0, 1, …``, which is the search above with nothing to keep
-        apart. The search walks the order ``CHUNK_BUCKETS`` buckets at a
-        time, so its per-key ints and lists are one chunk's, not the
-        table's; the chunking changes no choice it makes.
+        The layout is CHD's sequential search: buckets largest first, ties
+        in order of first appearance among ``keys`` (a bucket's keys keep
+        their order there), and each bucket takes the first ``d = 0, 1, …``
+        whose slots are distinct and free. Mix, grouping and order are
+        computed columnwise, and so is the answer for most buckets. A row
+        *claims* its ``d = 0`` slot when no row before it in the order
+        wants that slot; a bucket whose rows all hold their claims takes
+        ``d = 0``, unless a bucket before it lands on a claimed slot at
+        ``d ≥ 1`` — no bucket before it takes one at ``d = 0``. Python
+        searches only the rest, in order: the buckets with a row that lost
+        its claim, and each bucket a search lands on (a heap of claimed
+        rows). Bucket members are written a run of equal-size buckets at a
+        time, the slots in one pass at the end. Columns become Python
+        lists ``CHUNK_BUCKETS`` buckets (or rows) at a time.
         """
+        # The lists the table keeps come first: the build's scratch then
+        # sits above them, and once freed leaves room that the rule index
+        # warm() builds next reuses, instead of raising the peak RSS.
         slot_keys: list = [None] * nslots
         slot_vals: list = [None] * nslots
         disp = [0] * nbuckets
         bucket_keys: list = [None] * nbuckets
         if not keys:
             return slot_keys, slot_vals, disp, bucket_keys
-        # ndarray methods and in-place ufuncs rather than the np.diff /
-        # np.append / np.flatnonzero wrappers: a 16-key table pays every
-        # call's fixed cost, and gateway builds six of those in 8 ms.
         n = len(keys)
-        hashes = _mix_all(keys, seed)
-        buckets = hashes & np.uint64(nbuckets - 1)
-        by_bucket = buckets.argsort(kind="stable")
-        grouped = buckets[by_bucket]
-        is_start = np.empty(n, dtype=bool)
-        is_start[0] = True
-        np.not_equal(grouped[1:], grouped[:-1], out=is_start[1:])
-        starts = is_start.nonzero()[0]
-        sizes = np.empty_like(starts)
-        sizes[:-1] = starts[1:]
-        sizes[-1] = n
-        sizes -= starts
-        # Stable grouping: a bucket's first member is its first appearance.
-        ranked = np.lexsort((by_bucket[starts], -sizes))
-        starts, sizes = starts[ranked], sizes[ranked]
-        ends = sizes.cumsum()
-        # Key indexes laid out bucket after bucket, in processing order.
-        layout = by_bucket[(starts - (ends - sizes)).repeat(sizes) + np.arange(n)]
+        hashes, form = _mix_all(keys, seed)
+        layout, order, sizes, rows = _chd_order(hashes, nbuckets)
         hashes = hashes[layout]
-        first_try = (hashes * _NP_GOLD) >> np.uint64(shift)  # d = 0
-        order = grouped[starts]
-        several = int((sizes > 1).sum())  # ranked first: sizes descend
-        occupied = len(order)
-        step = self.CHUNK_BUCKETS
+        slots = ((hashes * _NP_GOLD) >> shift).view(np.int64)  # d = 0
+        ends = sizes.cumsum()
+        heads = ends - sizes  # each bucket's first row in the order
+        # Each slot's claim: the first row whose d = 0 slot it is (n: none;
+        # -1 once a search has placed a row there).
+        claims = np.full(nslots, n, dtype=np.int32)
+        np.minimum.at(claims, slots, rows)
         max_tries = self.MAX_DISP_TRIES
-        probes = 0
-        lo = 0
+        pending = (  # the buckets with a row that lost its claim, by rank
+            np.logical_or.reduceat(claims[slots] != rows, heads).nonzero()[0].tolist()
+            if max_tries else [0]  # no d to try: the first bucket fails
+        )
+        del rows
+        claim = memoryview(claims)
+        occupied = len(order)
+        pending.append(occupied)  # past the last rank
+        step = self.CHUNK_BUCKETS
+        heap: list = []  # claimed rows a search landed on
+        moved: list = []  # the rows the searches placed, and their slots
+        landed: list = []
+        p = searched = probes = lo = 0
+        last = -1  # first row of the bucket searched last
         try:
-            # The buckets in order, a chunk at a time: only the chunk's
-            # slice of each column becomes Python ints and lists. A table
-            # that fits one chunk converts the columns whole.
             for b0 in range(0, occupied, step):
                 b1 = min(b0 + step, occupied)
+                # Only the chunk's slice of each column becomes Python
+                # ints; a table that fits one chunk converts them whole.
                 if occupied <= step:
                     hi = n
-                    mixed, tried, rows = hashes.tolist(), first_try.tolist(), layout.tolist()
-                    ids, counts = order.tolist(), sizes.tolist()
+                    ids, counts, laid = order.tolist(), sizes.tolist(), layout.tolist()
                 else:
                     hi = n if b1 == occupied else int(ends[b1 - 1])
-                    mixed, tried = hashes[lo:hi].tolist(), first_try[lo:hi].tolist()
-                    rows = layout[lo:hi].tolist()
                     ids, counts = order[b0:b1].tolist(), sizes[b0:b1].tolist()
-                laid_keys = [keys[i] for i in rows]
-                laid_vals = [values[i] for i in rows]
-                multi = max(0, min(b1, several) - b0)  # this chunk's several
-                at = 0
-                for bucket, size in zip(islice(ids, multi), counts):
-                    end = at + size
-                    mine = mixed[at:end]
-                    if len(set(mine)) != size:
-                        raise RebuildRequired("dup")  # same hash: reseed, don't grow
-                    indexes = tried[at:end]
-                    for d in range(max_tries):
-                        probes += 1
-                        if d:
-                            indexes = [((h ^ d) * _GOLD & _MASK64) >> shift for h in mine]
-                        if len(set(indexes)) == size:
-                            for i in indexes:
-                                if slot_keys[i] is not None:
-                                    break
-                            else:
-                                break  # every candidate slot is free: take them
+                    laid = layout[lo:hi].tolist()
+                laid_keys = [keys[i] for i in laid]
+                _hold_members(bucket_keys, ids, counts, laid_keys, form)
+                if not (pending[p] < b1 or heap and heap[0] < hi):
+                    lo = hi
+                    continue  # no bucket of this chunk needs a search
+                if occupied <= step:
+                    mixed, tried, firsts = hashes.tolist(), slots.tolist(), heads.tolist()
+                else:
+                    mixed, tried = hashes[lo:hi].tolist(), slots[lo:hi].tolist()
+                    firsts = heads[b0:b1].tolist()
+                # The searches, in order: pending buckets and claimed rows.
+                while True:
+                    rank = pending[p]
+                    at = firsts[rank - b0] if rank < b1 else hi
+                    if heap and heap[0] < at:
+                        k = bisect_right(firsts, heappop(heap)) - 1
+                        at = firsts[k]
+                        if at == last:
+                            continue  # searched already
+                    elif rank < b1:
+                        p += 1
+                        k = rank - b0
                     else:
-                        raise RebuildRequired("grow")
-                    members = tuple(laid_keys[at:end])
-                    for i, key, value in zip(indexes, members, laid_vals[at:end]):
-                        slot_keys[i] = key
-                        slot_vals[i] = value
-                    disp[bucket] = d
-                    bucket_keys[bucket] = members
-                    at = end
-                for bucket, j in zip(islice(ids, multi, None), range(at, hi - lo)):
-                    i = tried[j]
-                    d = 0
-                    probes += 1
-                    if slot_keys[i] is not None:
+                        break
+                    last = at
+                    j = at - lo
+                    size = counts[k]
+                    if size == 1:
+                        # It holds no claim: it lost its slot's, or a
+                        # search took the slot.
                         h = mixed[j]
-                        for d in range(1, max_tries):
-                            probes += 1
-                            i = ((h ^ d) * _GOLD & _MASK64) >> shift
-                            if slot_keys[i] is None:
-                                break
+                        i = tried[j]
+                        for d in range(max_tries):
+                            if d:
+                                i = ((h ^ d) * _GOLD & _MASK64) >> shift
+                            if claim[i] >= at:
+                                break  # neither taken nor claimed before it
                         else:
+                            probes += b0 + k - searched + max_tries
                             raise RebuildRequired("grow")
-                    key = laid_keys[j]
-                    slot_keys[i] = key
-                    slot_vals[i] = laid_vals[j]
-                    disp[bucket] = d
-                    bucket_keys[bucket] = (key,) if isinstance(key, tuple) else key
+                        if claim[i] != n:
+                            heappush(heap, claim[i])  # it cannot keep d = 0
+                        claim[i] = -1
+                        moved.append(at)
+                        landed.append(i)
+                    else:
+                        end = j + size
+                        mine = mixed[j:end]
+                        if len(set(mine)) != size:
+                            # Each bucket before it that no search reached
+                            # took d = 0, one probe.
+                            probes += b0 + k - searched
+                            if len(set(laid_keys[j:end])) != size:
+                                raise RebuildRequired("repeat")  # a key twice
+                            raise RebuildRequired("dup")  # same hash: reseed, don't grow
+                        indexes = tried[j:end]
+                        for row, i in enumerate(indexes, at):
+                            if claim[i] == row:
+                                claim[i] = n  # its claims are void now
+                        for d in range(max_tries):
+                            if d:
+                                indexes = [((h ^ d) * _GOLD & _MASK64) >> shift for h in mine]
+                            if len(set(indexes)) == size:
+                                for i in indexes:
+                                    if claim[i] < at:
+                                        break
+                                else:
+                                    break  # every candidate slot is free: take them
+                        else:
+                            probes += b0 + k - searched + max_tries
+                            raise RebuildRequired("grow")
+                        for i in indexes:
+                            if claim[i] != n:
+                                heappush(heap, claim[i])
+                            claim[i] = -1
+                        moved.extend(range(at, at + size))
+                        landed.extend(indexes)
+                    probes += d + 1
+                    searched += 1
+                    disp[ids[k]] = d
                 lo = hi
+            probes += occupied - searched  # each took d = 0, one probe
         finally:
             self.reseed_probes += probes
+        del claim, claims, hashes
+        if moved:
+            slots[moved] = landed
+        # Rows go in the caller's order: keys and values are read in the
+        # order they were made.
+        placed = np.empty(n, dtype=np.int64)
+        placed[layout] = slots
+        for r0 in range(0, n, step):
+            for i, key, value in zip(
+                placed[r0:r0 + step].tolist(), keys[r0:r0 + step], values[r0:r0 + step]
+            ):
+                slot_keys[i] = key
+                slot_vals[i] = value
         return slot_keys, slot_vals, disp, bucket_keys
+
+
+def _chd_order(hashes: "np.ndarray", nbuckets: int) -> tuple:
+    """CHD's order over the rows mixed to ``hashes``, as ``(layout, order,
+    sizes, rows)``: the row indexes bucket after bucket, each occupied
+    bucket's id and size in that order, and ``arange(n)`` as int32.
+    Buckets go largest first, ties by first appearance, and a bucket's
+    rows keep their order. Every sort key is distinct, so no sort needs
+    to be stable."""
+    # ndarray methods rather than the np.diff / np.unique wrappers: a
+    # 16-key table pays every call's fixed cost, and gateway builds six.
+    n = len(hashes)
+    buckets = (hashes & (nbuckets - 1)).view(np.int64)
+    counts = np.bincount(buckets, minlength=nbuckets)
+    ids = counts.nonzero()[0]
+    rows = np.arange(n, dtype=np.int32)
+    first = np.full(nbuckets, n, dtype=np.int32)
+    np.minimum.at(first, buckets, rows)  # each bucket's first row
+    sizes = counts[ids]
+    ranked = (first[ids] - sizes * n).argsort()
+    order, sizes = ids[ranked], sizes[ranked]
+    counts[order] = np.arange(len(order))  # each bucket's rank
+    return (counts[buckets] * n + rows).argsort(), order, sizes, rows
+
+
+def _hold_members(bucket_keys: list, ids: list, counts: list, laid_keys: list,
+                  form: int) -> None:
+    """Set the entry (see :func:`_bucket_of`) of each bucket ``ids[k]``,
+    whose ``counts[k]`` keys come next in ``laid_keys``. Sizes descend, so
+    each size is one run of buckets, and member ``t`` of every bucket in
+    a run is one stride of it. ``form`` is :func:`_mix_all`'s: 1 when
+    every key is an int, 2 when every key is a tuple."""
+    k = j = 0
+    while k < len(ids):
+        size = counts[k]
+        m = counts.count(size)
+        run = laid_keys[j:j + size * m]
+        if size > 1:
+            held = zip(*[run[t::size] for t in range(size)])
+        elif form == 1:
+            held = run  # lone ints are held bare
+        elif form == 2:
+            held = zip(run)  # a lone tuple key in a one-tuple
+        else:
+            held = [(key,) if isinstance(key, tuple) else key for key in run]
+        for bucket, entry in zip(ids[k:k + m], held):
+            bucket_keys[bucket] = entry
+        k += m
+        j += size * m
 
 
 def _first_rows(keys: list, values: list) -> "tuple[list, list]":

@@ -59,7 +59,7 @@ import enum
 import itertools
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.openflow.flow_entry import FlowEntry
+from repro.openflow.flow_entry import _PERMANENT, FlowEntry
 from repro.openflow.instructions import ActionTemplate
 from repro.openflow.match import Match, keyed_columns
 from repro.packet.parser import ParsedPacket
@@ -246,7 +246,9 @@ class FlowTable:
                     same_match.append(e)
                 else:
                     by_match[e.match] = [same_match, e]
-                if e.idle_timeout or e.hard_timeout:
+                # One slot read, compared by value: an unpickled entry
+                # holds an equal tuple, not the shared one.
+                if e._timeouts != _PERMANENT:
                     timed[e.entry_id] = e
             self._by_match, self._timed = by_match, timed
             self._index_version = self.version

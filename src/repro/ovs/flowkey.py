@@ -41,3 +41,11 @@ def emc_key(view: ParsedPacket, key: "Mapping[str, int | None] | None" = None) -
     if key is None:
         key = extract_key(view)
     return tuple(key[name] for name in KEY_FIELDS) + (_extract_ttl(view),)
+
+
+def line_key(ekey: tuple) -> tuple:
+    """``ekey`` with each absent field (None) as -1: what the cost model
+    names a key's cache lines from. A tuple of ints hashes alike in every
+    process; on CPython before 3.12 ``hash(None)`` is the object's
+    address, which address-space randomisation moves per process."""
+    return tuple([-1 if value is None else value for value in ekey])

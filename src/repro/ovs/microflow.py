@@ -67,7 +67,9 @@ class MicroflowCache:
             self.evictions += 1
 
     def slot_of(self, key: Hashable) -> int:
-        """Abstract slot index for the cache-line model."""
+        """Abstract slot index for the cache-line model. ``key`` must hash
+        alike in every process (a flow key goes through
+        :func:`~repro.ovs.flowkey.line_key` first)."""
         return hash(key) % self.capacity
 
     def invalidate(self) -> None:

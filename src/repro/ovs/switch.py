@@ -31,7 +31,7 @@ from repro.openflow.messages import (
 )
 from repro.openflow.pipeline import Pipeline, Verdict
 from repro.openflow.stats import BurstStats
-from repro.ovs.flowkey import emc_key, extract_key
+from repro.ovs.flowkey import emc_key, extract_key, line_key
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
 from repro.ovs.microflow import MicroflowCache
 from repro.ovs.vswitchd import Vswitchd
@@ -116,7 +116,8 @@ class OvsSwitch:
         ekey = emc_key(view, key)
 
         meter.charge(costs.ovs_emc_probe)
-        slot = self.emc.slot_of(ekey)
+        named = line_key(ekey)  # the same lines in every process
+        slot = self.emc.slot_of(named)
         meter.touch(("emc", slot, 0))
         meter.touch(("emc", slot, 1))
         entry = self.emc.lookup(ekey)
@@ -129,7 +130,7 @@ class OvsSwitch:
         meter.charge(costs.ovs_megaflow_per_subtable * max(probed, 1))
         # Each probed subtable hashes the masked key into its own bucket
         # array: a key-dependent line per subtable.
-        khash = hash(ekey)
+        khash = hash(named)
         for i in range(probed):
             meter.touch(("mft", i, khash & 0xFFF))
         if entry is not None:

@@ -32,7 +32,9 @@ Supervision (what makes the facade *fault-tolerant*):
   (a late reply from a zombie must never poison the stream);
 * a dead or deadline-blown worker is **respawned** from a snapshot of
   the shadow pipeline *at the engine's current epoch* — replacements
-  are born current and never replay history. During a flow-mod
+  are born current and never replay history. A replacement's ready
+  handshake is not a round-trip: like the first spawn's, it waits
+  until the replica is built or its worker dies. During a flow-mod
   broadcast the shadow has already applied the batch, so a worker that
   dies *inside* the barrier is replaced by one born at the new epoch
   with the full batch applied: the barrier cannot wedge and no
@@ -438,9 +440,10 @@ class ShardedESwitch:
             shard = None
             try:
                 shard = self._make_shard(slot.index, blob, epoch, slot.respawns)
-                shard.chan.recv(  # the ready handshake
-                    self.rpc_deadline if self.rpc_deadline is not None else 30.0
-                )
+                # The ready handshake waits as the first spawn's does, until
+                # ready or dead: it covers unpickling, compiling and warming
+                # a whole replica, which no one RPC's deadline bounds.
+                shard.chan.recv(None)
             except Exception as exc:
                 if shard is not None:
                     shard.reap()

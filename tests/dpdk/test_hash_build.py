@@ -265,9 +265,9 @@ def one_key_buckets_displaced(h: CollisionFreeHash) -> int:
 
 
 class TestChunkedPlacement:
-    """The displacement search converts the bucket order a chunk at a
-    time. Chunk edges inside the several-key buckets and across the step
-    to the one-key buckets change no choice: any chunk size lays out the
+    """The build converts its columns a chunk at a time, and a search
+    that lands on a claim in a later chunk leaves it on the heap for that
+    chunk. Chunk edges change no choice: any chunk size lays out the
     spec's table."""
 
     @settings(max_examples=150, deadline=None)
@@ -285,6 +285,45 @@ class TestChunkedPlacement:
         whole = type("Whole", (CollisionFreeHash,), {"CHUNK_BUCKETS": 1 << 20})
         assert_same(chunked(items), whole(items))
         assert_same(chunked(items), ScalarReference(items))
+
+
+class TestSearchedBuckets:
+    """Failed attempts count the probes the spec counts: the buckets
+    before the failing one that no search reached took d = 0, one probe
+    each, and the failing bucket its own."""
+
+    @staticmethod
+    def failed_attempts(cls, keys) -> dict:
+        table = cls.__new__(cls)
+        with pytest.raises(HashBuildError):
+            table._start(keys, [None] * len(keys))
+        return table.telemetry
+
+    def test_equal_hashes_late_in_the_order(self):
+        """``0`` and ``(0,)`` mix alike under every seed; coming last,
+        their bucket fails late in CHD order on every attempt."""
+        import random
+
+        rng = random.Random(3)
+        keys = list({rng.getrandbits(48) | 1 for _ in range(3_000)}) + [0, (0,)]
+        fast = self.failed_attempts(CollisionFreeHash, keys)
+        assert fast == self.failed_attempts(ScalarReference, keys)
+        assert fast["seed_attempts"] == CollisionFreeHash.MAX_SEED_TRIES
+        # Hundreds of buckets go before the pair's on each attempt (about
+        # 700 hold several keys; the pair's is last among its size).
+        assert fast["reseed_probes"] > 200 * CollisionFreeHash.MAX_SEED_TRIES
+
+    @settings(max_examples=100, deadline=None)
+    @given(key_sets, st.integers(1, 3))
+    def test_a_tight_budget_fails_as_the_spec_does(self, keys, tries):
+        """With a displacement budget of a few tries, attempts fail on
+        ``grow`` (and the table grows) as often as they succeed."""
+        fast = type("Tight", (CollisionFreeHash,), {"MAX_DISP_TRIES": tries})
+        spec = type("TightSpec", (ScalarReference,), {"MAX_DISP_TRIES": tries})
+        items = {k: ("v", i) for i, k in enumerate(sorted(keys, key=repr))}
+        built = []
+        if on_both(fast, spec, lambda cls: built.append(cls(items))):
+            assert_same(*built)
 
 
 class TestFromColumns:
@@ -316,10 +355,28 @@ class TestFromColumns:
         assert len(h) == 2 and h.get(7) == "a" and h.get((1, 2)) == "b"
         assert h.rebuild_count == 1  # one build, as ``cls(items)`` makes
 
+    def test_the_first_row_wins_at_scale(self):
+        """Repeats spread over a large column, some of them rows after
+        their first by tens of thousands."""
+        import random
+
+        rng = random.Random(11)
+        keys = list({rng.getrandbits(48) for _ in range(20_000)})
+        rows = [(k, ("v", i)) for i, k in enumerate(keys)]
+        for j in range(500):
+            rows.insert(rng.randrange(len(rows) + 1),
+                        (keys[rng.randrange(len(keys))], ("again", j)))
+        first: dict = {}
+        for key, value in rows:
+            first.setdefault(key, value)
+        built = CollisionFreeHash.from_columns([k for k, _v in rows], [v for _k, v in rows])
+        assert_same(built, ScalarReference(first))
+        assert_like(built, first)
+
 
 class TestParityAtScale:
-    """The hypothesis sets stop at 300 keys; one-key buckets are placed by
-    their own loop, whose ``d >= 1`` arm needs a crowded table to run."""
+    """The hypothesis sets stop at 300 keys; the searches, their ``d >= 1``
+    arms and the claims a search lands on need a crowded table to run."""
 
     N = 20_000
 
@@ -333,6 +390,15 @@ class TestParityAtScale:
 
         _pipeline, macs = l2.build(self.N, seed=3)
         self.check({mac: i for i, mac in enumerate(macs)})
+
+    def test_1e5_random_macs(self):
+        import random
+
+        rng = random.Random(9)
+        items: dict = {}
+        while len(items) < 100_000:
+            items.setdefault(rng.getrandbits(48), len(items))
+        self.check(items)
 
     def test_compound_keys(self):
         import random

@@ -1,5 +1,9 @@
 """Tests for the assembled OVS switch: hierarchy, stats, invalidation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core import ESwitch
@@ -179,3 +183,52 @@ class TestStats:
         sw.process(http_pkt())
         sw.stats.reset()
         assert sw.stats.packets == 0
+
+
+
+#: One process's OVS cache-line names for a TCP packet and an L2-only
+#: packet, both of whose flow keys hold absent fields (None).
+LINE_NAMES = """
+from repro.ovs import OvsSwitch
+from repro.ovs.flowkey import emc_key
+from repro.packet import PacketBuilder, parser
+from repro.simcpu.recorder import NullMeter
+from repro.usecases import firewall
+
+class Lines(NullMeter):
+    __slots__ = ("seen",)
+
+    def __init__(self):
+        self.seen = []
+
+    def touch(self, line):
+        if line[0] in ("emc", "mft", "vsw"):
+            self.seen.append(line)
+
+tcp = (PacketBuilder(in_port=firewall.EXTERNAL).eth()
+       .ipv4(src="198.51.100.9", dst=firewall.SERVER_IP)
+       .tcp(src_port=1000, dst_port=80).build())
+bare = PacketBuilder(in_port=firewall.EXTERNAL).eth().build()
+assert all(None in emc_key(parser.parse(p)) for p in (tcp, bare))
+switch, meter = OvsSwitch(firewall.build_single_stage()), Lines()
+for pkt in (tcp, tcp, bare, bare):
+    switch.process(pkt, meter)
+print(meter.seen)
+"""
+
+
+class TestLineNames:
+    def test_two_processes_name_the_same_lines(self):
+        """The EMC slot and the megaflow/vswitchd lines of a key with
+        absent fields are the same in two fresh interpreters (no
+        ``setarch``): the modeled OVS cycles repeat run to run."""
+        env = {**os.environ, "PYTHONHASHSEED": "0",
+               "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        runs = [
+            subprocess.run([sys.executable, "-c", LINE_NAMES], env=env,
+                           capture_output=True, text=True, timeout=60)
+            for _ in range(2)
+        ]
+        assert all(run.returncode == 0 for run in runs), runs[0].stderr
+        assert "emc" in runs[0].stdout and "mft" in runs[0].stdout
+        assert runs[0].stdout == runs[1].stdout

@@ -222,6 +222,24 @@ class TestDegradation:
             # original death + two stillborn replacements
             assert health.faults_detected == 3
 
+    def test_slow_replacement_is_not_stillborn(self):
+        """A replacement that takes longer to come up than one RPC may
+        take is waited for, as the first spawn is: building a replica is
+        not a round-trip."""
+        pipeline, flows = l2_setup()
+        seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
+        inj = FaultInjector(
+            FaultSpec(shard=0, cmd="burst", when="before"),
+            FaultSpec(shard=0, cmd="spawn", kind="delay", seconds=0.5,
+                      generation="respawn"),
+        )
+        with engine(pipeline, inj, rpc_deadline=0.2) as eng:
+            assert_equivalent(eng, seq, [flows[:32]])
+            health = eng.health()
+            assert health.respawns == 1
+            assert health.faults_detected == 1
+            assert health.degraded_shards == ()
+
     def test_losing_every_worker_raises(self):
         pipeline, flows = l2_setup()
         inj = FaultInjector(FaultSpec(shard=0, cmd="burst", when="before"))
