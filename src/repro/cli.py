@@ -27,8 +27,10 @@ import sys
 from repro.core import CompileConfig, ESwitch
 from repro.core.autoderive import derive_model
 from repro.openflow import serialize
+from repro.openflow.match import Match
 from repro.openflow.pipeline import Pipeline
 from repro.ovs import OvsSwitch
+from repro.packet import headers as hdr
 from repro.packet.builder import PacketBuilder
 from repro.packet.packet import Packet
 from repro.simcpu.platform import XEON_E5_2620
@@ -106,61 +108,94 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def parse_packet_spec(spec: str) -> Packet:
-    """``key=value,key=value`` packet spec -> Packet.
+#: The OXM fields a packet spec may name, by the builder method that
+#: writes their header, mapped to that method's keyword argument.
+_SPEC_HEADERS = {
+    "eth": {"eth_src": "src", "eth_dst": "dst", "eth_type": "ethertype"},
+    "vlan": {"vlan_vid": "vid", "vlan_pcp": "pcp"},
+    "arp": {"arp_op": "op", "arp_sha": "sha", "arp_spa": "spa", "arp_tha": "tha",
+            "arp_tpa": "tpa"},
+    "ipv4": {"ipv4_src": "src", "ipv4_dst": "dst", "ip_dscp": "dscp", "ip_ecn": "ecn"},
+    "ipv6": {"ipv6_src": "src", "ipv6_dst": "dst", "ipv6_flabel": "flow_label"},
+    "tcp": {"tcp_src": "src_port", "tcp_dst": "dst_port"},
+    "udp": {"udp_src": "src_port", "udp_dst": "dst_port"},
+    "icmp": {"icmpv4_type": "type", "icmpv4_code": "code"},
+    "icmpv6": {"icmpv6_type": "type", "icmpv6_code": "code"},
+}
+_L3_OF_ETH_TYPE = {hdr.ETH_TYPE_ARP: "arp", hdr.ETH_TYPE_IPV6: "ipv6",
+                   hdr.ETH_TYPE_IPV4: "ipv4"}
+_L4_OF_IP_PROTO = {hdr.IP_PROTO_TCP: "tcp", hdr.IP_PROTO_UDP: "udp",
+                   hdr.IP_PROTO_ICMP: "icmp", hdr.IP_PROTO_ICMPV6: "icmpv6"}
 
-    Keys: in_port, eth_src, eth_dst, vlan, ipv4_src, ipv4_dst, ipv6_src,
-    ipv6_dst, proto (tcp|udp|icmp|icmpv6), sport, dport, ttl.
+
+def parse_packet_spec(spec: str) -> Packet:
+    """``field=value,field=value`` packet spec -> Packet.
+
+    Keys are OXM field names, and a value reads as it does in
+    ``Match(...)`` and pipeline documents: an integer, a MAC, a dotted
+    quad, or IPv6 text. The keys decide the headers (``ip_proto`` and
+    ``eth_type`` may name them outright): a ``vlan_*`` key adds a tag, an
+    ``arp_*`` key makes an ARP frame, an ``ipv6_*`` or ``icmpv6_*`` key an
+    IPv6 one, any other IP or L4 key an IPv4 one, and an IP frame carries
+    TCP unless its keys name UDP or ICMP. A field left out takes
+    :class:`PacketBuilder`'s default.
     """
-    fields: dict[str, str] = {}
+    values: dict[str, int] = {}
     for part in spec.split(","):
         if not part:
             continue
-        key, _, value = part.partition("=")
-        if not value:
+        key, _, text = part.partition("=")
+        key, text = key.strip(), text.strip()
+        if not text:
             raise SystemExit(f"error: malformed packet spec item {part!r}")
-        fields[key.strip()] = value.strip()
+        try:
+            values[key] = Match(**{key: text}).value_of(key)
+        except KeyError:
+            raise SystemExit(f"error: unknown packet spec key {key!r} "
+                             "(keys are OXM field names)") from None
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"error: bad packet spec item {part!r}: {exc}") from None
 
-    builder = PacketBuilder(in_port=int(fields.pop("in_port", 0)))
-    builder.eth(
-        src=fields.pop("eth_src", "02:00:00:00:00:01"),
-        dst=fields.pop("eth_dst", "02:00:00:00:00:02"),
-    )
-    if "vlan" in fields:
-        builder.vlan(vid=int(fields.pop("vlan")))
-    proto = fields.pop("proto", None)
-    is_v6 = any(k in fields for k in ("ipv6_src", "ipv6_dst")) or proto == "icmpv6"
-    has_l3 = proto or is_v6 or any(
-        k in fields for k in ("ipv4_src", "ipv4_dst", "ttl")
-    )
-    if has_l3:
-        if is_v6:
-            builder.ipv6(
-                src=fields.pop("ipv6_src", "2001:db8::1"),
-                dst=fields.pop("ipv6_dst", "2001:db8::2"),
-                hop_limit=int(fields.pop("ttl", 64)),
-            )
-        else:
-            builder.ipv4(
-                src=fields.pop("ipv4_src", "10.0.0.1"),
-                dst=fields.pop("ipv4_dst", "10.0.0.2"),
-                ttl=int(fields.pop("ttl", 64)),
-            )
-        sport = int(fields.pop("sport", 1024))
-        dport = int(fields.pop("dport", 80))
-        if proto in (None, "tcp"):
-            builder.tcp(src_port=sport, dst_port=dport)
-        elif proto == "udp":
-            builder.udp(src_port=sport, dst_port=dport)
-        elif proto == "icmp":
-            builder.icmp()
-        elif proto == "icmpv6":
-            builder.icmpv6()
-        else:
-            raise SystemExit(f"error: unknown proto {proto!r}")
-    if fields:
-        raise SystemExit(f"error: unknown packet spec keys: {', '.join(fields)}")
-    return builder.build()
+    def named(header: str) -> bool:
+        return any(key in values for key in _SPEC_HEADERS[header])
+
+    def take(header: str) -> dict:
+        return {arg: values.pop(key) for key, arg in _SPEC_HEADERS[header].items()
+                if key in values}
+
+    proto = values.get("ip_proto")
+    if proto is not None and proto not in _L4_OF_IP_PROTO:
+        raise SystemExit(f"error: the packet builder writes no header for ip_proto {proto}")
+    l4 = _L4_OF_IP_PROTO.get(proto) or next(
+        (h for h in ("tcp", "udp", "icmp", "icmpv6") if named(h)), None)
+    l3 = next((h for h in ("arp", "ipv6") if named(h)), None) or _L3_OF_ETH_TYPE.get(
+        values.get("eth_type"))
+    if l3 is None and (l4 or named("ipv4")):
+        l3 = "ipv6" if l4 == "icmpv6" else "ipv4"
+    if l3 is not None and "eth_type" in values and _L3_OF_ETH_TYPE.get(values["eth_type"]) != l3:
+        raise SystemExit(f"error: eth_type {values['eth_type']:#06x} does not carry {l3}")
+
+    builder = PacketBuilder(in_port=values.pop("in_port", 0))
+    builder.eth(**take("eth"))
+    if named("vlan"):
+        builder.vlan(**{"vid": 0, **take("vlan")})
+    if l3 == "ipv6":
+        traffic_class = values.pop("ip_dscp", 0) << 2 | values.pop("ip_ecn", 0)
+        builder.ipv6(traffic_class=traffic_class, **take("ipv6"))
+    elif l3 is not None:
+        getattr(builder, l3)(**take(l3))
+    if l3 in ("ipv4", "ipv6"):
+        values.pop("ip_proto", None)
+        getattr(builder, l4 or "tcp")(**take(l4 or "tcp"))
+    try:
+        pkt = builder.build()
+    except ValueError as exc:  # ICMPv4 after IPv6
+        raise SystemExit(f"error: {exc}") from None
+    pkt.metadata, pkt.tunnel_id = values.pop("metadata", 0), values.pop("tunnel_id", 0)
+    if values:
+        raise SystemExit(f"error: a packet built from this spec has no header for "
+                         f"{', '.join(values)}")
+    return pkt
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -341,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run packets through all datapaths")
     p_run.add_argument("pipeline")
     p_run.add_argument("--pkt", action="append", required=True,
-                       metavar="k=v,k=v", help="packet spec (repeatable)")
+                       metavar="field=v,field=v",
+                       help="packet spec of OXM field=value pairs (repeatable)")
     p_run.add_argument("--no-decompose", action="store_true")
     p_run.set_defaults(fn=cmd_run)
 

@@ -30,7 +30,8 @@ class Match(tuple):
 
     * an ``int`` — exact match;
     * a ``(value, mask)`` tuple — masked match;
-    * a ``"value/prefix_len"`` or dotted-quad string for address fields.
+    * a ``"value/prefix_len"``, MAC, dotted-quad or IPv6 string for
+      address fields.
 
     Every value must lie in its field's range, ``0 <= value <= max_value``.
 
@@ -281,6 +282,10 @@ def _to_int(fdef: FieldDef, value: object) -> int:
     if isinstance(value, int):
         return int(value)  # the caller's own object when it is a plain int
     if isinstance(value, str):
+        if fdef.width == 128 and ":" in value:
+            import ipaddress
+
+            return int(ipaddress.IPv6Address(value))
         if ":" in value or "-" in value:
             from repro.net.addresses import mac_to_int
 

@@ -1,13 +1,7 @@
-"""Packet substrate: header classes, the Packet container, and parsers."""
+"""Packet substrate: wire constants, the Packet container, the builder
+(the one encoder) and the parser (the one decoder)."""
 
 from repro.packet.headers import (
-    ARP,
-    Ethernet,
-    ICMP,
-    IPv4,
-    TCP,
-    UDP,
-    Vlan,
     ETH_TYPE_ARP,
     ETH_TYPE_IPV4,
     ETH_TYPE_VLAN,
@@ -30,13 +24,6 @@ from repro.packet.parser import (
 from repro.packet.builder import PacketBuilder
 
 __all__ = [
-    "ARP",
-    "Ethernet",
-    "ICMP",
-    "IPv4",
-    "TCP",
-    "UDP",
-    "Vlan",
     "ETH_TYPE_ARP",
     "ETH_TYPE_IPV4",
     "ETH_TYPE_VLAN",

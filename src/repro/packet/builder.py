@@ -5,35 +5,61 @@
 ...        .ipv4(src="10.0.0.1", dst="192.0.2.1")
 ...        .tcp(dst_port=80)
 ...        .build())
+
+The builder is the repo's one frame encoder, and it is independent of the
+reader: each method writes its header with its own ``struct`` format,
+never with the layout rows of :mod:`repro.openflow.fields`, so
+``tests/openflow/test_field_layout.py`` can pin every row against what
+the builder wrote.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import struct
 
 from repro.net.addresses import EthAddr, IPv4Addr
-from repro.packet import headers as hdr
+from repro.net.checksum import internet_checksum
+from repro.packet.headers import (
+    ETH_TYPE_ARP,
+    ETH_TYPE_IPV4,
+    ETH_TYPE_IPV6,
+    ETH_TYPE_VLAN,
+    IP_PROTO_ICMP,
+    IP_PROTO_ICMPV6,
+    IP_PROTO_TCP,
+    IP_PROTO_UDP,
+)
 from repro.packet.packet import Packet
 
 
-def _ipv6_int(value: "int | str") -> int:
+def _ipv6_bytes(value: "int | str") -> bytes:
     if isinstance(value, int):
         if not 0 <= value < (1 << 128):
             raise ValueError(f"IPv6 integer out of range: {value:#x}")
-        return value
-    return int(ipaddress.IPv6Address(value))
+        return value.to_bytes(16, "big")
+    return ipaddress.IPv6Address(value).packed
 
 
 class PacketBuilder:
-    """Accumulates headers and emits a padded :class:`Packet`."""
+    """Accumulates headers and emits a padded :class:`Packet`.
+
+    Each method records its header (the last L3 and the last L4 call
+    win); :meth:`build` fills in what only the whole stack decides: the
+    ethertypes, the IP protocol, the IP length fields and the IPv4
+    checksum.
+    """
 
     def __init__(self, in_port: int = 0, pad_to: int = 64):
         self._in_port = in_port
         self._pad_to = pad_to
-        self._eth: hdr.Ethernet | None = None
-        self._vlans: list[hdr.Vlan] = []
-        self._l3: hdr.IPv4 | hdr.ARP | None = None
-        self._l4: hdr.TCP | hdr.UDP | hdr.ICMP | None = None
+        self._macs = bytes(12)  # dst, src
+        self._ethertype = ETH_TYPE_IPV4
+        self._tcis: list[int] = []
+        #: (ethertype, header fields) of the L3 header; ARP's are its bytes.
+        self._l3: "tuple[int | None, object]" = (None, None)
+        #: (IP protocol, header bytes) of the L4 header.
+        self._l4: "tuple[int | None, bytes]" = (None, b"")
         self._payload = b""
 
     def eth(
@@ -42,15 +68,12 @@ class PacketBuilder:
         dst: int | str = "00:00:00:00:00:02",
         ethertype: int | None = None,
     ) -> "PacketBuilder":
-        self._eth = hdr.Ethernet(
-            src=EthAddr(src).value,
-            dst=EthAddr(dst).value,
-            ethertype=ethertype if ethertype is not None else hdr.ETH_TYPE_IPV4,
-        )
+        self._macs = EthAddr(dst).packed() + EthAddr(src).packed()
+        self._ethertype = ethertype if ethertype is not None else ETH_TYPE_IPV4
         return self
 
     def vlan(self, vid: int, pcp: int = 0) -> "PacketBuilder":
-        self._vlans.append(hdr.Vlan(vid=vid, pcp=pcp))
+        self._tcis.append((pcp & 0x7) << 13 | (vid & 0xFFF))
         return self
 
     def ipv4(
@@ -62,14 +85,10 @@ class PacketBuilder:
         dscp: int = 0,
         ecn: int = 0,
     ) -> "PacketBuilder":
-        self._l3 = hdr.IPv4(
-            src=IPv4Addr(src).value,
-            dst=IPv4Addr(dst).value,
-            proto=proto if proto is not None else hdr.IP_PROTO_TCP,
-            ttl=ttl,
-            dscp=dscp,
-            ecn=ecn,
-        )
+        self._l3 = (ETH_TYPE_IPV4, (
+            (dscp << 2) | ecn, ttl, proto if proto is not None else IP_PROTO_TCP,
+            IPv4Addr(src).value, IPv4Addr(dst).value,
+        ))
         return self
 
     def ipv6(
@@ -80,17 +99,12 @@ class PacketBuilder:
         traffic_class: int = 0,
         flow_label: int = 0,
     ) -> "PacketBuilder":
-        self._l3 = hdr.IPv6(
-            src=_ipv6_int(src),
-            dst=_ipv6_int(dst),
-            hop_limit=hop_limit,
-            traffic_class=traffic_class,
-            flow_label=flow_label,
-        )
+        word = (6 << 28) | ((traffic_class & 0xFF) << 20) | (flow_label & 0xFFFFF)
+        self._l3 = (ETH_TYPE_IPV6, (word, hop_limit, _ipv6_bytes(src) + _ipv6_bytes(dst)))
         return self
 
     def icmpv6(self, type: int = 128, code: int = 0) -> "PacketBuilder":
-        self._l4 = hdr.ICMPv6(type=type, code=code)
+        self._l4 = (IP_PROTO_ICMPV6, struct.pack("!BBH", type, code, 0))
         return self
 
     def arp(
@@ -101,25 +115,29 @@ class PacketBuilder:
         tha: int | str = 0,
         tpa: int | str = 0,
     ) -> "PacketBuilder":
-        self._l3 = hdr.ARP(
-            op=op,
-            sha=EthAddr(sha).value if isinstance(sha, str) else sha,
-            spa=IPv4Addr(spa).value if isinstance(spa, str) else spa,
-            tha=EthAddr(tha).value if isinstance(tha, str) else tha,
-            tpa=IPv4Addr(tpa).value if isinstance(tpa, str) else tpa,
-        )
+        sha = EthAddr(sha).value if isinstance(sha, str) else sha
+        spa = IPv4Addr(spa).value if isinstance(spa, str) else spa
+        tha = EthAddr(tha).value if isinstance(tha, str) else tha
+        tpa = IPv4Addr(tpa).value if isinstance(tpa, str) else tpa
+        self._l3 = (ETH_TYPE_ARP, struct.pack("!HHBBH", 1, ETH_TYPE_IPV4, 6, 4, op)
+                    + sha.to_bytes(6, "big") + spa.to_bytes(4, "big")
+                    + tha.to_bytes(6, "big") + tpa.to_bytes(4, "big"))
         return self
 
     def tcp(self, src_port: int = 12345, dst_port: int = 80, flags: int = 0x02) -> "PacketBuilder":
-        self._l4 = hdr.TCP(src_port=src_port, dst_port=dst_port, flags=flags)
+        # seq, ack 0; data offset 5 words; window 65535; checksum and
+        # urgent pointer 0 (not modeled in the fast path).
+        self._l4 = (IP_PROTO_TCP, struct.pack(
+            "!HHIIHHHH", src_port, dst_port, 0, 0, 5 << 12 | (flags & 0x1FF), 65535, 0, 0))
         return self
 
     def udp(self, src_port: int = 12345, dst_port: int = 53) -> "PacketBuilder":
-        self._l4 = hdr.UDP(src_port=src_port, dst_port=dst_port)
+        # The length field covers the UDP header alone; checksum 0.
+        self._l4 = (IP_PROTO_UDP, struct.pack("!HHHH", src_port, dst_port, 8, 0))
         return self
 
     def icmp(self, type: int = 8, code: int = 0) -> "PacketBuilder":
-        self._l4 = hdr.ICMP(type=type, code=code)
+        self._l4 = (IP_PROTO_ICMP, struct.pack("!BBH", type, code, 0))
         return self
 
     def payload(self, data: bytes) -> "PacketBuilder":
@@ -127,59 +145,40 @@ class PacketBuilder:
         return self
 
     def build(self) -> Packet:
-        """Assemble the packet, fixing up ethertypes and IP proto/length."""
-        eth = self._eth or hdr.Ethernet()
-        stack: list[object] = [eth]
+        """Assemble the frame, fixing up ethertypes, the IP protocol,
+        the IP lengths and the IPv4 checksum, and zero-pad it to
+        ``pad_to`` bytes (64, the minimum Ethernet frame of the paper's
+        evaluation, by default)."""
+        kind, l3 = self._l3
+        proto, l4 = self._l4
+        # Each tag carries the next tag's ethertype, the last one the L3's.
+        types = [ETH_TYPE_VLAN] * len(self._tcis) + [kind or ETH_TYPE_IPV4]
+        if not self._tcis and kind is None:
+            types = [self._ethertype]
+        frame = bytearray(self._macs + struct.pack("!H", types[0]))
+        for tci, ethertype in zip(self._tcis, types[1:]):
+            frame += struct.pack("!HH", tci, ethertype)
 
-        inner_type = hdr.ETH_TYPE_IPV4
-        if isinstance(self._l3, hdr.ARP):
-            inner_type = hdr.ETH_TYPE_ARP
-        elif isinstance(self._l3, hdr.IPv6):
-            inner_type = hdr.ETH_TYPE_IPV6
+        if kind == ETH_TYPE_IPV4:
+            tos, ttl, own_proto, src, dst = l3
+            if proto is None or proto == IP_PROTO_ICMPV6:
+                proto = own_proto  # an ICMPv6 header names no IPv4 protocol
+            start = len(frame)
+            frame += struct.pack("!BBHHHBBHII", 0x45, tos, 20 + len(l4) + len(self._payload),
+                                 0, 0, ttl, proto, 0, src, dst)
+            struct.pack_into("!H", frame, start + 10, internet_checksum(frame[start:]))
+            frame += l4
+        elif kind == ETH_TYPE_IPV6:
+            if proto == IP_PROTO_ICMP:
+                raise ValueError("use icmpv6() with an IPv6 packet")
+            word, hop_limit, addrs = l3
+            frame += struct.pack("!IHBB", word, len(l4) + len(self._payload),
+                                 proto if proto is not None else IP_PROTO_TCP, hop_limit)
+            frame += addrs + l4
+        elif kind == ETH_TYPE_ARP:
+            frame += l3
 
-        if self._vlans:
-            eth.ethertype = hdr.ETH_TYPE_VLAN
-            for i, tag in enumerate(self._vlans):
-                tag.ethertype = (
-                    hdr.ETH_TYPE_VLAN if i + 1 < len(self._vlans) else inner_type
-                )
-                stack.append(tag)
-        elif self._l3 is not None:
-            eth.ethertype = inner_type
-
-        if isinstance(self._l3, hdr.IPv4):
-            ip = self._l3
-            if self._l4 is not None:
-                if isinstance(self._l4, hdr.TCP):
-                    ip.proto = hdr.IP_PROTO_TCP
-                elif isinstance(self._l4, hdr.UDP):
-                    ip.proto = hdr.IP_PROTO_UDP
-                elif isinstance(self._l4, hdr.ICMP):
-                    ip.proto = hdr.IP_PROTO_ICMP
-            l4_len = len(self._l4.pack()) if self._l4 is not None else 0
-            ip.total_length = ip.header_len + l4_len + len(self._payload)
-            stack.append(ip)
-            if self._l4 is not None:
-                stack.append(self._l4)
-        elif isinstance(self._l3, hdr.IPv6):
-            ip6 = self._l3
-            if self._l4 is not None:
-                if isinstance(self._l4, hdr.TCP):
-                    ip6.next_header = hdr.IP_PROTO_TCP
-                elif isinstance(self._l4, hdr.UDP):
-                    ip6.next_header = hdr.IP_PROTO_UDP
-                elif isinstance(self._l4, hdr.ICMPv6):
-                    ip6.next_header = hdr.IP_PROTO_ICMPV6
-                elif isinstance(self._l4, hdr.ICMP):
-                    raise ValueError("use icmpv6() with an IPv6 packet")
-            l4_len = len(self._l4.pack()) if self._l4 is not None else 0
-            ip6.payload_length = l4_len + len(self._payload)
-            stack.append(ip6)
-            if self._l4 is not None:
-                stack.append(self._l4)
-        elif isinstance(self._l3, hdr.ARP):
-            stack.append(self._l3)
-
-        if self._payload:
-            stack.append(hdr.Payload(self._payload))
-        return Packet.from_headers(stack, in_port=self._in_port, pad_to=self._pad_to)
+        frame += self._payload
+        if len(frame) < self._pad_to:
+            frame += bytes(self._pad_to - len(frame))
+        return Packet(frame, in_port=self._in_port)

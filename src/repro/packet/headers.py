@@ -1,35 +1,24 @@
-"""Protocol header classes with wire-format pack/unpack.
+"""Wire constants shared by the parser, the VLAN actions and the packet
+builder.
 
-Each header is a small mutable object with integer-valued fields (addresses
-are 48/32-bit integers; see :mod:`repro.net.addresses` for conversions) and
-two methods:
-
-* ``pack() -> bytes`` — serialize to the wire format;
-* ``unpack(data, offset) -> (header, next_offset)`` — parse in place.
-
-The fast paths never touch these classes: they read raw bytes at fixed
-offsets, exactly like the paper's matcher templates. The classes exist for
-building test traffic and for the reference (slow-path) implementation.
+A header is nothing more than its layout, as in P4's parse graph or POF's
+``{offset, length}``: there are no header objects. :mod:`repro.packet.parser`
+is the one decoder (each layer's offset and protocol bit; the layout rows
+of :mod:`repro.openflow.fields` read fields at those offsets), and
+:class:`~repro.packet.builder.PacketBuilder` is the one frame encoder. The
+builder never reads those rows, so it is the independent encoder
+``tests/openflow/test_field_layout.py`` pins every row against.
 """
-
-from __future__ import annotations
-
-import struct
-from dataclasses import dataclass, field
-
-from repro.net.checksum import internet_checksum
 
 ETH_TYPE_IPV4 = 0x0800
 ETH_TYPE_ARP = 0x0806
 ETH_TYPE_VLAN = 0x8100
 ETH_TYPE_IPV6 = 0x86DD
-ETH_TYPE_MPLS = 0x8847
 
 IP_PROTO_ICMP = 1
 IP_PROTO_TCP = 6
 IP_PROTO_UDP = 17
 IP_PROTO_ICMPV6 = 58
-IP_PROTO_SCTP = 132
 
 #: IPv6 extension headers the parser walks through to find L4.
 IPV6_EXT_HEADERS = frozenset({0, 43, 44, 60, 51})
@@ -42,316 +31,3 @@ TCP_MIN_HEADER_LEN = 20
 UDP_HEADER_LEN = 8
 ICMP_HEADER_LEN = 4
 ARP_IPV4_LEN = 28
-
-
-class HeaderError(ValueError):
-    """Raised when a header cannot be parsed from the given bytes."""
-
-
-@dataclass
-class Ethernet:
-    """Ethernet II header. ``dst``/``src`` are 48-bit integers."""
-
-    dst: int = 0
-    src: int = 0
-    ethertype: int = ETH_TYPE_IPV4
-
-    def pack(self) -> bytes:
-        return (
-            self.dst.to_bytes(6, "big")
-            + self.src.to_bytes(6, "big")
-            + struct.pack("!H", self.ethertype)
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int = 0) -> tuple["Ethernet", int]:
-        if len(data) - offset < ETH_HEADER_LEN:
-            raise HeaderError("truncated Ethernet header")
-        dst = int.from_bytes(data[offset : offset + 6], "big")
-        src = int.from_bytes(data[offset + 6 : offset + 12], "big")
-        (ethertype,) = struct.unpack_from("!H", data, offset + 12)
-        return cls(dst=dst, src=src, ethertype=ethertype), offset + ETH_HEADER_LEN
-
-
-@dataclass
-class Vlan:
-    """An 802.1Q tag (follows the Ethernet src/dst, carries inner ethertype)."""
-
-    vid: int = 0
-    pcp: int = 0
-    dei: int = 0
-    ethertype: int = ETH_TYPE_IPV4  # the encapsulated ethertype
-
-    def pack(self) -> bytes:
-        tci = (self.pcp & 0x7) << 13 | (self.dei & 0x1) << 12 | (self.vid & 0xFFF)
-        return struct.pack("!HH", tci, self.ethertype)
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int) -> tuple["Vlan", int]:
-        if len(data) - offset < VLAN_TAG_LEN:
-            raise HeaderError("truncated VLAN tag")
-        tci, ethertype = struct.unpack_from("!HH", data, offset)
-        return (
-            cls(vid=tci & 0xFFF, pcp=tci >> 13, dei=(tci >> 12) & 1, ethertype=ethertype),
-            offset + VLAN_TAG_LEN,
-        )
-
-
-@dataclass
-class IPv4:
-    """IPv4 header (no options in the fast-path model; ihl respected on parse)."""
-
-    src: int = 0
-    dst: int = 0
-    proto: int = IP_PROTO_TCP
-    ttl: int = 64
-    dscp: int = 0
-    ecn: int = 0
-    ident: int = 0
-    flags: int = 0
-    frag_offset: int = 0
-    total_length: int = IPV4_MIN_HEADER_LEN
-    header_len: int = IPV4_MIN_HEADER_LEN
-
-    def pack(self) -> bytes:
-        ver_ihl = (4 << 4) | (self.header_len // 4)
-        tos = (self.dscp << 2) | self.ecn
-        flags_frag = (self.flags << 13) | self.frag_offset
-        head = struct.pack(
-            "!BBHHHBBH4s4s",
-            ver_ihl,
-            tos,
-            self.total_length,
-            self.ident,
-            flags_frag,
-            self.ttl,
-            self.proto,
-            0,
-            self.src.to_bytes(4, "big"),
-            self.dst.to_bytes(4, "big"),
-        )
-        checksum = internet_checksum(head)
-        return head[:10] + struct.pack("!H", checksum) + head[12:]
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int) -> tuple["IPv4", int]:
-        if len(data) - offset < IPV4_MIN_HEADER_LEN:
-            raise HeaderError("truncated IPv4 header")
-        ver_ihl = data[offset]
-        if ver_ihl >> 4 != 4:
-            raise HeaderError(f"not an IPv4 packet (version {ver_ihl >> 4})")
-        header_len = (ver_ihl & 0xF) * 4
-        if header_len < IPV4_MIN_HEADER_LEN or len(data) - offset < header_len:
-            raise HeaderError(f"bad IPv4 header length {header_len}")
-        tos = data[offset + 1]
-        total_length, ident, flags_frag = struct.unpack_from("!HHH", data, offset + 2)
-        ttl = data[offset + 8]
-        proto = data[offset + 9]
-        src = int.from_bytes(data[offset + 12 : offset + 16], "big")
-        dst = int.from_bytes(data[offset + 16 : offset + 20], "big")
-        hdr = cls(
-            src=src,
-            dst=dst,
-            proto=proto,
-            ttl=ttl,
-            dscp=tos >> 2,
-            ecn=tos & 0x3,
-            ident=ident,
-            flags=flags_frag >> 13,
-            frag_offset=flags_frag & 0x1FFF,
-            total_length=total_length,
-            header_len=header_len,
-        )
-        return hdr, offset + header_len
-
-
-@dataclass
-class IPv6:
-    """IPv6 fixed header; ``src``/``dst`` are 128-bit integers."""
-
-    src: int = 0
-    dst: int = 0
-    next_header: int = IP_PROTO_TCP
-    hop_limit: int = 64
-    traffic_class: int = 0
-    flow_label: int = 0
-    payload_length: int = 0
-
-    def pack(self) -> bytes:
-        word = (6 << 28) | ((self.traffic_class & 0xFF) << 20) | (
-            self.flow_label & 0xFFFFF
-        )
-        return (
-            word.to_bytes(4, "big")
-            + struct.pack("!HBB", self.payload_length, self.next_header,
-                          self.hop_limit)
-            + self.src.to_bytes(16, "big")
-            + self.dst.to_bytes(16, "big")
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int) -> tuple["IPv6", int]:
-        if len(data) - offset < IPV6_HEADER_LEN:
-            raise HeaderError("truncated IPv6 header")
-        word = int.from_bytes(data[offset : offset + 4], "big")
-        if word >> 28 != 6:
-            raise HeaderError(f"not an IPv6 packet (version {word >> 28})")
-        payload_length, next_header, hop_limit = struct.unpack_from(
-            "!HBB", data, offset + 4
-        )
-        src = int.from_bytes(data[offset + 8 : offset + 24], "big")
-        dst = int.from_bytes(data[offset + 24 : offset + 40], "big")
-        hdr = cls(
-            src=src,
-            dst=dst,
-            next_header=next_header,
-            hop_limit=hop_limit,
-            traffic_class=(word >> 20) & 0xFF,
-            flow_label=word & 0xFFFFF,
-            payload_length=payload_length,
-        )
-        return hdr, offset + IPV6_HEADER_LEN
-
-
-@dataclass
-class ICMPv6:
-    """ICMPv6 header (type/code only)."""
-
-    type: int = 128  # echo request
-    code: int = 0
-
-    def pack(self) -> bytes:
-        return struct.pack("!BBH", self.type, self.code, 0)
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int) -> tuple["ICMPv6", int]:
-        if len(data) - offset < ICMP_HEADER_LEN:
-            raise HeaderError("truncated ICMPv6 header")
-        return cls(type=data[offset], code=data[offset + 1]), offset + ICMP_HEADER_LEN
-
-
-@dataclass
-class TCP:
-    """TCP header (options ignored; data offset respected on parse)."""
-
-    src_port: int = 0
-    dst_port: int = 0
-    seq: int = 0
-    ack: int = 0
-    flags: int = 0x02  # SYN
-    window: int = 65535
-    data_offset: int = TCP_MIN_HEADER_LEN
-
-    def pack(self) -> bytes:
-        off_flags = ((self.data_offset // 4) << 12) | (self.flags & 0x1FF)
-        return struct.pack(
-            "!HHIIHHHH",
-            self.src_port,
-            self.dst_port,
-            self.seq,
-            self.ack,
-            off_flags,
-            self.window,
-            0,  # checksum (not modeled in the fast path)
-            0,  # urgent pointer
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int) -> tuple["TCP", int]:
-        if len(data) - offset < TCP_MIN_HEADER_LEN:
-            raise HeaderError("truncated TCP header")
-        src_port, dst_port, seq, ack, off_flags, window = struct.unpack_from(
-            "!HHIIHH", data, offset
-        )
-        data_offset = (off_flags >> 12) * 4
-        if data_offset < TCP_MIN_HEADER_LEN:
-            raise HeaderError(f"bad TCP data offset {data_offset}")
-        hdr = cls(
-            src_port=src_port,
-            dst_port=dst_port,
-            seq=seq,
-            ack=ack,
-            flags=off_flags & 0x1FF,
-            window=window,
-            data_offset=data_offset,
-        )
-        return hdr, offset + data_offset
-
-
-@dataclass
-class UDP:
-    """UDP header."""
-
-    src_port: int = 0
-    dst_port: int = 0
-    length: int = UDP_HEADER_LEN
-
-    def pack(self) -> bytes:
-        return struct.pack("!HHHH", self.src_port, self.dst_port, self.length, 0)
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int) -> tuple["UDP", int]:
-        if len(data) - offset < UDP_HEADER_LEN:
-            raise HeaderError("truncated UDP header")
-        src_port, dst_port, length, _checksum = struct.unpack_from("!HHHH", data, offset)
-        return cls(src_port=src_port, dst_port=dst_port, length=length), offset + UDP_HEADER_LEN
-
-
-@dataclass
-class ICMP:
-    """ICMPv4 header (type/code only)."""
-
-    type: int = 8  # echo request
-    code: int = 0
-
-    def pack(self) -> bytes:
-        return struct.pack("!BBH", self.type, self.code, 0)
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int) -> tuple["ICMP", int]:
-        if len(data) - offset < ICMP_HEADER_LEN:
-            raise HeaderError("truncated ICMP header")
-        return cls(type=data[offset], code=data[offset + 1]), offset + ICMP_HEADER_LEN
-
-
-@dataclass
-class ARP:
-    """ARP over Ethernet/IPv4."""
-
-    op: int = 1  # request
-    sha: int = 0
-    spa: int = 0
-    tha: int = 0
-    tpa: int = 0
-
-    def pack(self) -> bytes:
-        return (
-            struct.pack("!HHBBH", 1, ETH_TYPE_IPV4, 6, 4, self.op)
-            + self.sha.to_bytes(6, "big")
-            + self.spa.to_bytes(4, "big")
-            + self.tha.to_bytes(6, "big")
-            + self.tpa.to_bytes(4, "big")
-        )
-
-    @classmethod
-    def unpack(cls, data: bytes, offset: int) -> tuple["ARP", int]:
-        if len(data) - offset < ARP_IPV4_LEN:
-            raise HeaderError("truncated ARP header")
-        htype, ptype, hlen, plen, op = struct.unpack_from("!HHBBH", data, offset)
-        if (htype, ptype, hlen, plen) != (1, ETH_TYPE_IPV4, 6, 4):
-            raise HeaderError("unsupported ARP header format")
-        sha = int.from_bytes(data[offset + 8 : offset + 14], "big")
-        spa = int.from_bytes(data[offset + 14 : offset + 18], "big")
-        tha = int.from_bytes(data[offset + 18 : offset + 24], "big")
-        tpa = int.from_bytes(data[offset + 24 : offset + 28], "big")
-        return cls(op=op, sha=sha, spa=spa, tha=tha, tpa=tpa), offset + ARP_IPV4_LEN
-
-
-@dataclass
-class Payload:
-    """Opaque payload bytes to round out a packet."""
-
-    data: bytes = field(default_factory=bytes)
-
-    def pack(self) -> bytes:
-        return self.data

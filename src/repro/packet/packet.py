@@ -12,10 +12,6 @@ the buffer is a ``bytearray``.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.packet import headers as hdr
-
 
 class Packet:
     """Raw packet bytes plus pipeline metadata."""
@@ -34,20 +30,6 @@ class Packet:
         self.metadata = metadata
         self.tunnel_id = tunnel_id
 
-    @classmethod
-    def from_headers(cls, headers: Iterable[object], in_port: int = 0, pad_to: int = 64) -> "Packet":
-        """Build a packet by concatenating ``pack()``-able headers.
-
-        The frame is zero-padded to ``pad_to`` bytes (64 is the minimum
-        Ethernet frame size used throughout the paper's evaluation).
-        """
-        buf = bytearray()
-        for header in headers:
-            buf += header.pack()
-        if len(buf) < pad_to:
-            buf += bytes(pad_to - len(buf))
-        return cls(buf, in_port=in_port)
-
     def copy(self) -> "Packet":
         clone = Packet(bytes(self.data), self.in_port, self.metadata, self.tunnel_id)
         return clone
@@ -57,45 +39,3 @@ class Packet:
 
     def __repr__(self) -> str:
         return f"Packet(len={len(self.data)}, in_port={self.in_port})"
-
-    # -- header-stack convenience used by tests and examples ---------------
-
-    def headers(self) -> list[object]:
-        """Parse and return the header stack (reference parser, slow)."""
-        stack: list[object] = []
-        eth, offset = hdr.Ethernet.unpack(self.data, 0)
-        stack.append(eth)
-        ethertype = eth.ethertype
-        while ethertype == hdr.ETH_TYPE_VLAN:
-            vlan, offset = hdr.Vlan.unpack(self.data, offset)
-            stack.append(vlan)
-            ethertype = vlan.ethertype
-        if ethertype == hdr.ETH_TYPE_IPV4:
-            ip, offset = hdr.IPv4.unpack(self.data, offset)
-            stack.append(ip)
-            if ip.frag_offset == 0:
-                if ip.proto == hdr.IP_PROTO_TCP:
-                    tcp, offset = hdr.TCP.unpack(self.data, offset)
-                    stack.append(tcp)
-                elif ip.proto == hdr.IP_PROTO_UDP:
-                    udp, offset = hdr.UDP.unpack(self.data, offset)
-                    stack.append(udp)
-                elif ip.proto == hdr.IP_PROTO_ICMP:
-                    icmp, offset = hdr.ICMP.unpack(self.data, offset)
-                    stack.append(icmp)
-        elif ethertype == hdr.ETH_TYPE_IPV6:
-            ip6, offset = hdr.IPv6.unpack(self.data, offset)
-            stack.append(ip6)
-            if ip6.next_header == hdr.IP_PROTO_TCP:
-                tcp, offset = hdr.TCP.unpack(self.data, offset)
-                stack.append(tcp)
-            elif ip6.next_header == hdr.IP_PROTO_UDP:
-                udp, offset = hdr.UDP.unpack(self.data, offset)
-                stack.append(udp)
-            elif ip6.next_header == hdr.IP_PROTO_ICMPV6:
-                icmp6, offset = hdr.ICMPv6.unpack(self.data, offset)
-                stack.append(icmp6)
-        elif ethertype == hdr.ETH_TYPE_ARP:
-            arp, offset = hdr.ARP.unpack(self.data, offset)
-            stack.append(arp)
-        return stack

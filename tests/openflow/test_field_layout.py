@@ -3,8 +3,9 @@
 ``extract``, ``expr`` and ``store`` of a field are all emitted from its
 one layout row, so they cannot disagree with each other — and the
 differential fuzzer can no longer catch a wrong offset. What pins the row
-is the other encoder the repo has: the ``struct`` packers of
-``packet/headers.py``, reached through :class:`PacketBuilder`. Every test
+is the repo's one encoder, :class:`PacketBuilder`, which writes each
+header with its own ``struct`` format and never reads this registry (CI
+keeps ``repro.openflow`` out of ``packet/builder.py``). Every test
 here is parametrised over :data:`FIELDS`, so a new row is pinned (or
 fails for want of a frame that carries it) without touching this file's
 parameter lists.

@@ -1,8 +1,7 @@
 """Tests for IPv6 parsing, fields, and matching."""
 
 import ipaddress
-
-import pytest
+import struct
 
 from repro.openflow.fields import field_by_name
 from repro.openflow.match import Match
@@ -24,27 +23,45 @@ def v6_tcp(dport=80, **kw):
     return PacketBuilder().eth().ipv6(**kw).tcp(dst_port=dport).build()
 
 
+def spliced(pkt, first, ext):
+    """``pkt`` (untagged, from the builder) with the IPv6 extension header
+    bytes ``ext`` spliced in after its IPv6 header, whose next header
+    becomes ``first``; the payload length grows to match."""
+    data = pkt.data
+    data[14 + 6] = first
+    (length,) = struct.unpack_from("!H", data, 14 + 4)
+    struct.pack_into("!H", data, 14 + 4, length + len(ext))
+    data[14 + 40:14 + 40] = ext
+    return pkt
+
+
 class TestHeader:
     def test_roundtrip(self):
-        ip6 = hdr.IPv6(src=V6_SRC, dst=V6_DST, next_header=6, hop_limit=63,
-                       traffic_class=0x2C, flow_label=0x12345, payload_length=20)
-        parsed, offset = hdr.IPv6.unpack(ip6.pack(), 0)
-        assert offset == 40
-        assert parsed == ip6
+        pkt = (PacketBuilder().eth()
+               .ipv6(src=V6_SRC, dst=V6_DST, hop_limit=63, traffic_class=0x2C,
+                     flow_label=0x12345)
+               .tcp().build())
+        assert struct.unpack_from("!IHBB16s16s", pkt.data, 14) == (
+            6 << 28 | 0x2C << 20 | 0x12345, 20, hdr.IP_PROTO_TCP, 63,
+            V6_SRC.to_bytes(16, "big"), V6_DST.to_bytes(16, "big"))
+        view = parse(pkt)
+        assert view.l4 == 14 + 40
+        assert field_by_name("ipv6_flabel").extract(view) == 0x12345
 
     def test_rejects_v4(self):
-        data = bytearray(hdr.IPv6().pack())
-        data[0] = 0x45
-        with pytest.raises(hdr.HeaderError):
-            hdr.IPv6.unpack(bytes(data), 0)
+        pkt = v6_tcp()
+        pkt.data[14] = 0x45
+        view = parse(pkt)
+        assert not view.has(PROTO_IPV6) and view.l3 == -1
 
     def test_truncated(self):
-        with pytest.raises(hdr.HeaderError):
-            hdr.IPv6.unpack(b"\x60" + b"\x00" * 20, 0)
+        eth = v6_tcp().data[:14]
+        view = parse(Packet(eth + b"\x60" + b"\x00" * 20))
+        assert not view.has(PROTO_IPV6)
 
     def test_icmpv6_roundtrip(self):
-        parsed, _ = hdr.ICMPv6.unpack(hdr.ICMPv6(type=135, code=0).pack(), 0)
-        assert parsed.type == 135
+        pkt = PacketBuilder().eth().ipv6().icmpv6(type=135, code=0).build()
+        assert field_by_name("icmpv6_type").extract(parse(pkt)) == 135
 
 
 class TestParsing:
@@ -70,29 +87,25 @@ class TestParsing:
 
     def test_extension_header_chain(self):
         # eth + v6(next=hop-by-hop) + hbh(next=tcp, len 0 -> 8 bytes) + tcp
-        ip6 = hdr.IPv6(src=V6_SRC, dst=V6_DST, next_header=0, payload_length=28)
         hbh = bytes([hdr.IP_PROTO_TCP, 0]) + b"\x00" * 6
-        raw = (hdr.Ethernet(ethertype=hdr.ETH_TYPE_IPV6).pack() + ip6.pack()
-               + hbh + hdr.TCP(dst_port=443).pack())
-        view = parse(Packet(raw))
+        pkt = spliced(v6_tcp(dport=443, src=V6_SRC, dst=V6_DST), 0, hbh)
+        view = parse(pkt)
         assert view.has(PROTO_TCP)
         assert view.l4 == 14 + 40 + 8
         assert view.l4_proto == hdr.IP_PROTO_TCP
         assert field_by_name("tcp_dst").extract(view) == 443
 
     def test_v6_fragment_has_no_l4(self):
-        ip6 = hdr.IPv6(src=V6_SRC, dst=V6_DST, next_header=44, payload_length=28)
         frag = bytes([hdr.IP_PROTO_TCP, 0, 0x01, 0x00, 0, 0, 0, 1])  # offset != 0
-        raw = (hdr.Ethernet(ethertype=hdr.ETH_TYPE_IPV6).pack() + ip6.pack()
-               + frag + hdr.TCP().pack())
-        view = parse(Packet(raw))
+        view = parse(spliced(v6_tcp(src=V6_SRC, dst=V6_DST), 44, frag))
         assert view.has(PROTO_IPV6) and not view.has(PROTO_TCP)
         assert view.l4 == -1
 
     def test_truncated_extension_chain(self):
-        ip6 = hdr.IPv6(next_header=0, payload_length=4)
-        raw = hdr.Ethernet(ethertype=hdr.ETH_TYPE_IPV6).pack() + ip6.pack() + b"\x06"
-        view = parse(Packet(raw, pad_to=0) if False else Packet(raw))
+        pkt = PacketBuilder(pad_to=0).eth().ipv6().build()
+        pkt.data[14 + 6] = 0  # hop-by-hop, of which one byte follows
+        pkt.data += b"\x06"
+        view = parse(pkt)
         assert view.has(PROTO_IPV6)
         assert not view.has(PROTO_TCP)
 

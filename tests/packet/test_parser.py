@@ -63,14 +63,11 @@ class TestCombinedParse:
         assert view.l4 == -1
 
     def test_ipv4_options_shift_l4(self):
-        # Build a 24-byte IPv4 header by hand.
-        from repro.packet import headers as hdr
-
-        ip = hdr.IPv4(src=1, dst=2, proto=hdr.IP_PROTO_TCP, header_len=24,
-                      total_length=24 + 20)
-        raw = hdr.Ethernet(ethertype=hdr.ETH_TYPE_IPV4).pack() + ip.pack() + b"\x00" * 4
-        raw += hdr.TCP(dst_port=80).pack()
-        view = parse(Packet(raw))
+        # A 24-byte IPv4 header: ihl 6, one word of options before TCP.
+        pkt = PacketBuilder().eth().ipv4(src=1, dst=2).tcp(dst_port=80).build()
+        pkt.data[14] = 0x46
+        pkt.data[34:34] = b"\x00" * 4
+        view = parse(pkt)
         assert view.has(PROTO_TCP)
         assert view.l4 == 14 + 24
 

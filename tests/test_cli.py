@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -28,7 +29,7 @@ def lb_file(tmp_path):
 class TestPacketSpec:
     def test_full_spec(self):
         pkt = parse_packet_spec(
-            "in_port=2,ipv4_src=10.0.0.1,ipv4_dst=192.0.2.1,proto=tcp,dport=80"
+            "in_port=2,ipv4_src=10.0.0.1,ipv4_dst=192.0.2.1,ip_proto=6,tcp_dst=80"
         )
         assert pkt.in_port == 2
         from repro.openflow.fields import field_by_name
@@ -45,7 +46,7 @@ class TestPacketSpec:
         assert not parse(pkt).has(PROTO_IPV4)
 
     def test_vlan_and_udp(self):
-        pkt = parse_packet_spec("vlan=100,proto=udp,dport=53")
+        pkt = parse_packet_spec("vlan_vid=100,ip_proto=17,udp_dst=53")
         from repro.openflow.fields import field_by_name
         from repro.packet.parser import parse
 
@@ -59,7 +60,29 @@ class TestPacketSpec:
 
     def test_bad_proto_rejected(self):
         with pytest.raises(SystemExit):
-            parse_packet_spec("proto=sctp")
+            parse_packet_spec("ip_proto=132")
+
+    def test_private_keys_are_gone(self):
+        for spec in ("proto=tcp", "dport=80", "sport=80", "vlan=5", "ttl=3"):
+            with pytest.raises(SystemExit):
+                parse_packet_spec(spec)
+
+    def test_values_read_as_in_a_match(self):
+        from repro.openflow.fields import field_by_name
+        from repro.packet.parser import parse
+
+        view = parse(parse_packet_spec(
+            "eth_src=02:00:00:00:00:0a,arp_op=2,arp_spa=10.0.0.1,arp_tha=0x0a0b"))
+        assert field_by_name("eth_src").extract(view) == 0x02000000000A
+        assert field_by_name("arp_spa").extract(view) == 0x0A000001
+        assert field_by_name("arp_tha").extract(view) == 0x0A0B
+
+    def test_a_key_no_header_carries_is_an_error(self):
+        for spec in ("arp_op=2,tcp_dst=80", "ip_proto=6,udp_dst=53",
+                     "eth_type=0x0800,ipv6_dst=2001:db8::1", "ipv6_dst=::1,icmpv4_type=8",
+                     "sctp_dst=1"):
+            with pytest.raises(SystemExit):
+                parse_packet_spec(spec)
 
 
 class TestCommands:
@@ -88,14 +111,22 @@ class TestCommands:
     def test_run_agreement(self, firewall_file, capsys):
         rc = main([
             "run", firewall_file,
-            "--pkt", "in_port=1,ipv4_dst=192.0.2.1,proto=tcp,dport=80",
-            "--pkt", "in_port=1,ipv4_dst=192.0.2.1,proto=tcp,dport=22",
-            "--pkt", "in_port=2,ipv4_src=192.0.2.1,proto=tcp,sport=80",
+            "--pkt", "in_port=1,ipv4_dst=192.0.2.1,ip_proto=6,tcp_dst=80",
+            "--pkt", "in_port=1,ipv4_dst=192.0.2.1,ip_proto=6,tcp_dst=22",
+            "--pkt", "in_port=2,ipv4_src=192.0.2.1,ip_proto=6,tcp_src=80",
         ])
         assert rc == 0
         out = capsys.readouterr().out
         assert "DISAGREE" not in out
         assert out.count("eswitch:") == 3
+
+    def test_module_docstring_example_runs(self, firewall_file, capsys):
+        import repro.cli
+
+        (spec,) = re.findall(r"--pkt (\S+)", repro.cli.__doc__)
+        assert "tcp_dst=80" in spec
+        assert main(["run", firewall_file, "--pkt", spec]) == 0
+        assert "DISAGREE" not in capsys.readouterr().out
 
     def test_model(self, firewall_file, capsys):
         assert main(["model", firewall_file]) == 0
@@ -151,7 +182,7 @@ class TestIpv6Spec:
         from repro.openflow.fields import field_by_name
         from repro.packet.parser import parse
 
-        pkt = parse_packet_spec("ipv6_dst=2001:db8::7,proto=tcp,dport=443")
+        pkt = parse_packet_spec("ipv6_dst=2001:db8::7,ip_proto=6,tcp_dst=443")
         view = parse(pkt)
         assert field_by_name("ipv6_dst").extract(view) == int(
             ipaddress.IPv6Address("2001:db8::7")
@@ -162,5 +193,5 @@ class TestIpv6Spec:
         from repro.openflow.fields import field_by_name
         from repro.packet.parser import parse
 
-        pkt = parse_packet_spec("proto=icmpv6")
+        pkt = parse_packet_spec("ip_proto=58")
         assert field_by_name("icmpv6_type").extract(parse(pkt)) == 128
