@@ -1,17 +1,16 @@
 """The differential oracle: one scenario, every backend, zero divergence.
 
 Runs an identical (pipeline, traffic, flow-mod schedule) through the
-**backend matrix**, seven executions:
+**backend matrix**, six executions:
 
 * ``fused``       — ESwitch, whole-pipeline fusion (the paper's fast path);
 * ``trampoline``  — ESwitch, per-table templates behind the dispatch loop;
 * ``linked_list`` — ESwitch pinned to the universal linked-list rung
                     (decomposition off): the semantics baseline compiler;
 * ``ovs``         — the OVS model (EMC → megaflow → vswitchd slow path);
-* ``sharded1``, ``sharded4`` — ShardedESwitch at 1 and 4 thread workers
-                    (``sharded4`` sits out scenarios with a tight meter);
-* ``sharded1_process`` — ShardedESwitch, one worker process over its
-                    pipe: the real process backend as a judge;
+* ``sharded1``, ``sharded4`` — ShardedESwitch at 1 and 4 worker processes,
+                    each over its pipe (``sharded4`` sits out scenarios
+                    with a tight meter);
 
 against the **reference interpreter** (``Pipeline.process``), asserting:
 
@@ -145,11 +144,10 @@ class _ShardedBackend(_Backend):
     compares_bytes = False  # the engine never mutates caller packets
 
     def __init__(self, name: str, scenario: Scenario, workers: int,
-                 config: CompileConfig, backend: str = "thread"):
+                 config: CompileConfig):
         self.name = name
         self.switch = ShardedESwitch(
-            scenario.build_pipeline(), workers=workers, backend=backend,
-            config=config,
+            scenario.build_pipeline(), workers=workers, config=config
         )
         self.meter = CycleMeter(XEON_E5_2620)
 
@@ -197,13 +195,9 @@ def run_scenario(
     for n in workers:
         if n > 1 and scenario.tight_meter:
             continue  # replica-local token buckets legitimately diverge
+        # Real worker processes over their pipes: a process-boundary or
+        # supervision bug shows up as a verdict/counters/cycles divergence.
         backends.append(_ShardedBackend(f"sharded{n}", scenario, n, base))
-    # A real worker process over its pipe (the thread shards above carry
-    # the same frames over a queue): a process-boundary or supervision
-    # bug shows up as a verdict/counters/cycles divergence.
-    backends.append(_ShardedBackend(
-        "sharded1_process", scenario, 1, base, backend="process"
-    ))
 
     dead: set = set()
     # One ExpiryManager per backend plus one over the reference, created
@@ -318,11 +312,11 @@ def run_scenario(
 
         by_name = {b.name: b for b in backends if b.name not in dead}
         fused = by_name.get("fused")
-        for other_name in ("trampoline", "sharded1", "sharded1_process"):
+        for other_name in ("trampoline", "sharded1"):
             other = by_name.get(other_name)
             if fused is None or other is None:
                 continue
-            if other_name.startswith("sharded1") and scenario.quarantine:
+            if other_name == "sharded1" and scenario.quarantine:
                 continue  # quarantine shifts unsharded rungs (and costs) only
             if other.cycles != fused.cycles:
                 divergences.append(Divergence(

@@ -132,7 +132,7 @@ class PacketBuilder:
         return self
 
     def udp(self, src_port: int = 12345, dst_port: int = 53) -> "PacketBuilder":
-        # The length field covers the UDP header alone; checksum 0.
+        # build() writes the length (header and payload); checksum 0.
         self._l4 = (IP_PROTO_UDP, struct.pack("!HHHH", src_port, dst_port, 8, 0))
         return self
 
@@ -151,6 +151,8 @@ class PacketBuilder:
         evaluation, by default)."""
         kind, l3 = self._l3
         proto, l4 = self._l4
+        if proto == IP_PROTO_UDP:
+            l4 = l4[:4] + struct.pack("!H", len(l4) + len(self._payload)) + l4[6:]
         # Each tag carries the next tag's ethertype, the last one the L3's.
         types = [ETH_TYPE_VLAN] * len(self._tcis) + [kind or ETH_TYPE_IPV4]
         if not self._tcis and kind is None:

@@ -31,3 +31,5 @@ TCP_MIN_HEADER_LEN = 20
 UDP_HEADER_LEN = 8
 ICMP_HEADER_LEN = 4
 ARP_IPV4_LEN = 28
+#: htype 1, ptype 0x0800, hlen 6, plen 4: the only ARP the parser reads.
+ARP_ETH_IPV4 = bytes((0, 1, 8, 0, 6, 4))

@@ -138,7 +138,10 @@ def parse_l3(pkt: Packet) -> ParsedPacket:
         view.l4_proto = data[view.l3 + 6]  # pre-extension-walk next header
         view.l4 = view.l3 + hdr.IPV6_HEADER_LEN  # provisional
     elif ethertype == hdr.ETH_TYPE_ARP:
-        if len(data) >= view.l3 + hdr.ARP_IPV4_LEN:
+        # Ethernet/IPv4 ARP only, as OVS reads it: any other hardware or
+        # protocol type leaves no arp_* field to match.
+        if (len(data) >= view.l3 + hdr.ARP_IPV4_LEN
+                and data[view.l3:view.l3 + 6] == hdr.ARP_ETH_IPV4):
             view.proto |= PROTO_ARP
         else:
             view.l3 = -1

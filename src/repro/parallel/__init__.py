@@ -6,9 +6,9 @@ coherence term per extra core). This package runs packets through real
 replicas for two other reasons: the fault model (a worker dies and is
 respawned from the engine's shadow, unobservably) and the differential
 oracle's sharded backends. :class:`~repro.parallel.engine.ShardedESwitch`
-spawns worker processes (threads as a fallback), each owning a private
-fused :class:`~repro.core.eswitch.ESwitch` replica compiled from the
-same pipeline — the shared-nothing, run-to-completion shape of a DPDK
+forks worker processes, each owning a private fused
+:class:`~repro.core.eswitch.ESwitch` replica compiled from the same
+pipeline — the shared-nothing, run-to-completion shape of a DPDK
 per-core datapath (and of OVS's per-PMD-thread datapaths, NSDI'15).
 
 * :mod:`repro.parallel.rss` — the RSS-style 5-tuple hash that scatters
@@ -19,9 +19,8 @@ per-core datapath (and of OVS's per-PMD-thread datapaths, NSDI'15).
   and flow-counter deltas take so they mean the same on any replica;
 * :mod:`repro.parallel.frames` — the packed binary frame (columnar, one
   struct call per section): the only form a burst or its reply takes;
-* :mod:`repro.parallel.channel` — one connection per shard (a pipe to a
-  process, a queue to a thread), one burst in flight, every failure
-  typed ``WorkerDied`` / ``WorkerTimeout``;
+* :mod:`repro.parallel.channel` — one pipe per shard, one burst in
+  flight, every failure typed ``WorkerDied`` / ``WorkerTimeout``;
 * :mod:`repro.parallel.worker` — the shard worker loop (one replica,
   one channel, one per-core cycle meter);
 * :mod:`repro.parallel.faults` — deterministic worker fault injection

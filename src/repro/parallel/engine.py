@@ -3,9 +3,9 @@ and a supervision layer that keeps the facade standing when replicas die.
 
 The engine owns:
 
-* **N shard workers** (processes when the platform allows, threads as a
-  degraded-but-correct fallback), each running a private fused
-  :class:`ESwitch` replica (:mod:`repro.parallel.worker`);
+* **N shard worker processes**, each running a private fused
+  :class:`ESwitch` replica (:mod:`repro.parallel.worker`) behind one
+  pipe;
 * a **shadow replica** in the engine's own process — the authoritative
   control-plane state. Flow-mods apply to the shadow *first* (its
   transactional semantics validate the batch before anything is
@@ -74,7 +74,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import threading
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -159,30 +158,26 @@ class EngineHealth:
 
 
 class _Shard:
-    """One worker — a process, or a thread where processes cannot start —
-    plus the engine's end of its channel. The two kinds differ only in
-    how the worker is started and in how it is put down."""
+    """One worker process plus the engine's end of its pipe."""
 
-    def __init__(self, kind, index, blob, config, costs, platform,
+    def __init__(self, index, blob, config, costs, platform,
                  start_epoch, injector, generation):
-        self.chan, far = Channel.open(kind == "process", peer=f"shard {index}")
-        args = (far, blob, config, costs, platform,
-                index, start_epoch, injector, generation)
-        how = dict(target=shard_worker_main, args=args,
-                   name=f"repro-shard-{index}", daemon=True)
-        try:
-            if kind == "process":
-                import multiprocessing as mp
+        import multiprocessing as mp  # only an engine pays the import
 
-                ctx = mp.get_context("fork" if hasattr(os, "fork") else None)
-                self.proc = ctx.Process(**how)
-            else:
-                self.proc = threading.Thread(**how)
+        near, far = mp.Pipe(duplex=True)
+        self.chan = Channel(near, peer=f"shard {index}")
+        ctx = mp.get_context("fork" if hasattr(os, "fork") else None)
+        self.proc = ctx.Process(
+            target=shard_worker_main, name=f"repro-shard-{index}", daemon=True,
+            args=(far, blob, config, costs, platform,
+                  index, start_epoch, injector, generation),
+        )
+        try:
             self.proc.start()
         except BaseException:
             self.chan.close()
             raise
-        if kind == "process":
+        finally:
             far.close()  # the worker's end lives in the worker now
 
     def stop(self) -> None:
@@ -191,23 +186,17 @@ class _Shard:
             self.chan.recv(5.0)
         except ShardWorkerError:
             pass
-        self.chan.close()
-        self.proc.join(timeout=5)
-        self._kill()
+        self.reap(grace=5.0)
 
-    def reap(self) -> None:
-        """Put down a dead or unresponsive worker, no questions asked."""
+    def reap(self, grace: float = 0.0) -> None:
+        """Close the pipe and put the worker down if it has not exited
+        within ``grace`` seconds (none: a dead or unresponsive worker)."""
         self.chan.close()
-        self._kill()
-
-    def _kill(self) -> None:
-        # A thread cannot be killed: its closed channel makes the next
-        # recv raise and the (daemon) thread wind down on its own.
         proc = self.proc
-        if isinstance(proc, threading.Thread) or not proc.is_alive():
-            return
-        proc.terminate()
-        proc.join(timeout=5)
+        proc.join(grace)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5)
         if proc.is_alive():  # pragma: no cover - defensive
             proc.kill()
             proc.join(timeout=5)
@@ -257,10 +246,11 @@ class ShardedESwitch:
     * ``fault_injector`` — a :class:`~repro.parallel.faults.
       FaultInjector` test hook wired into every worker.
 
-    Bursts cross to the workers as packed frames
+    Bursts cross to the worker processes as packed frames
     (:mod:`repro.parallel.frames`) over each shard's :class:`~repro.
-    parallel.channel.Channel` (a pipe to a process, a queue to a
-    thread), one burst in flight per worker.
+    parallel.channel.Channel` (one pipe), one burst in flight per worker.
+    A platform where a worker process cannot start raises
+    :class:`ShardWorkerError` naming the cause.
     """
 
     def __init__(
@@ -271,7 +261,6 @@ class ShardedESwitch:
         config: CompileConfig = DEFAULT_CONFIG,
         costs: CostBook = DEFAULT_COSTS,
         platform: Platform = XEON_E5_2620,
-        backend: str = "auto",
         rss_seed: int = 0,
         rpc_deadline: "float | None" = 30.0,
         max_retries: int = 3,
@@ -283,8 +272,6 @@ class ShardedESwitch:
             workers = max(1, (os.cpu_count() or 2) - 1)
         if workers < 1:
             raise ValueError("need at least one shard worker")
-        if backend not in ("auto", "process", "thread"):
-            raise ValueError(f"unknown backend {backend!r}")
         if rpc_deadline is not None and rpc_deadline <= 0:
             raise ValueError("rpc_deadline must be positive (or None)")
         if max_retries < 0 or max_respawns < 0 or retry_backoff < 0:
@@ -312,7 +299,7 @@ class ShardedESwitch:
         self.shadow = ESwitch(pickle.loads(blob), config=config, costs=costs)
         # Linked before any replica starts: every template the replicas
         # need is then loaded (repro.core.templates), so a forked worker
-        # inherits them and a thread shares them — none compiles.
+        # inherits them and compiles none.
         self.shadow.warm()
         self._config, self._costs, self._platform = config, costs, platform
         self._decode_cache = EntryIndexCache(self.shadow.pipeline)
@@ -321,43 +308,37 @@ class ShardedESwitch:
         #: the engine-global sequence counter that pairs each reply with
         #: its request (a reply out of step is a worker fault).
         self._seq = 0
-        self._spawn(backend, blob)
+        self._spawn(blob)
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def _make_shard(self, index, blob, start_epoch, generation) -> _Shard:
-        """Spawn one shard on the resolved backend, on a fresh channel:
-        a replacement never reads what a dead worker left behind."""
-        return _Shard(self.backend, index, blob, self._config, self._costs,
+        """Spawn one shard on a fresh pipe: a replacement never reads
+        what a dead worker left behind."""
+        return _Shard(index, blob, self._config, self._costs,
                       self._platform, start_epoch, self.fault_injector,
                       generation)
 
-    def _spawn(self, backend, blob) -> None:
-        """Start every shard on the first backend the platform can run;
-        sets ``self.backend`` and ``self._slots``."""
-        kinds = ["process", "thread"] if backend == "auto" else [backend]
-        last_error: "Exception | None" = None
-        for kind in kinds:
-            self.backend = kind
-            shards: list = []
-            try:
-                for i in range(self.workers):
-                    shards.append(self._make_shard(i, blob, 0, 0))
-                for shard in shards:
-                    shard.chan.recv(None)  # the ready handshake
-                self._slots = [_ShardSlot(i, s) for i, s in enumerate(shards)]
-                return
-            except Exception as exc:
-                for shard in shards:
-                    shard.reap()
-                if (isinstance(exc, ShardWorkerError)
-                        and not isinstance(exc, WorkerDied)):
-                    raise  # the replica failed to build: not a backend issue
-                last_error = exc  # this platform cannot run this backend
-        raise ShardWorkerError(
-            f"could not start any shard backend: {last_error!r}"
-        )
+    def _spawn(self, blob) -> None:
+        """Start every shard and take its ready handshake; sets
+        ``self._slots``. A worker that cannot start raises
+        :class:`ShardWorkerError` naming the cause."""
+        shards: list = []
+        try:
+            for i in range(self.workers):
+                shards.append(self._make_shard(i, blob, 0, 0))
+            for shard in shards:
+                shard.chan.recv(None)  # the ready handshake
+        except Exception as exc:
+            for shard in shards:
+                shard.reap()
+            if isinstance(exc, ShardWorkerError):
+                raise
+            raise ShardWorkerError(
+                f"could not start a shard worker process: {exc!r}"
+            ) from exc
+        self._slots = [_ShardSlot(i, s) for i, s in enumerate(shards)]
 
     def close(self) -> None:
         """Stop all shard workers (idempotent)."""
@@ -734,6 +715,6 @@ class ShardedESwitch:
             f", degraded={health.degraded_shards}" if health.degraded else ""
         )
         return (
-            f"ShardedESwitch(workers={self.workers}, backend={self.backend}, "
+            f"ShardedESwitch(workers={self.workers}, "
             f"epoch={self.epoch}, live={health.live_workers}{degraded})"
         )

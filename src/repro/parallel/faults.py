@@ -9,14 +9,14 @@ layer (deadlines, respawn, retry, degradation) must absorb without the
 caller noticing.
 
 A :class:`FaultInjector` is handed to the engine at construction and
-travels to every worker (fork or pickle). Inside the worker loop each
+travels to every worker process (fork or pickle). Inside the worker loop each
 command fires two hook points — ``"before"`` the command executes and
 ``"after"`` it executed but before the reply is sent — and the armed
 plan decides whether this worker, on this command occurrence, suffers a
 
-* ``"kill"`` — the worker dies on the spot (``os._exit`` for a process,
-  channel close + return for a thread), exactly like an OOM kill or
-  segfault: any work done but not yet acked is simply gone;
+* ``"kill"`` — the worker process dies on the spot (``os._exit(13)``:
+  no cleanup, no reply), exactly like an OOM kill or segfault: any work
+  done but not yet acked is simply gone;
 * ``"hang"`` — the worker sleeps ``seconds`` (default far past any sane
   deadline) before carrying on, modeling a live-locked or swapping
   worker the engine must deadline out and abandon;
@@ -42,17 +42,13 @@ nor let a half-acked batch leak into a gather.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 
 _KINDS = ("kill", "hang", "delay")
 _STAGES = ("before", "after")
 _CMDS = ("burst", "mods", "ping", "spawn", "any")
-
-
-class WorkerKilled(BaseException):
-    """Raised inside a worker to make it die (deliberately not Exception:
-    the worker loop's error reporting must not catch its own death)."""
 
 
 @dataclass(frozen=True)
@@ -123,7 +119,7 @@ class ArmedFaults:
         self._counts: dict[str, int] = {}
 
     def fire(self, cmd: str, stage: str) -> None:
-        """Hook point; may sleep or raise :class:`WorkerKilled`."""
+        """Hook point; may sleep, or end this process (``kill``)."""
         if not self._specs:
             return
         if stage == "before":
@@ -135,7 +131,7 @@ class ArmedFaults:
             if spec.cmd != cmd and spec.cmd != "any":
                 continue
             if spec.kind == "kill":
-                raise WorkerKilled()
+                os._exit(13)  # no atexit, no flush, no reply
             time.sleep(spec.seconds)  # hang and delay differ only in size
 
 

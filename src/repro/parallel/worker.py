@@ -1,9 +1,9 @@
 """The shard worker: one datapath replica, one channel.
 
-Each worker owns a **private** fused :class:`ESwitch` replica built from
-a pickled pipeline snapshot — shared-nothing by construction, whether
-the worker is a forked process or (fallback) a thread. The loop serves
-what arrives on its :class:`~repro.parallel.channel.Channel`:
+Each worker is a forked process that owns a **private** fused
+:class:`ESwitch` replica built from a pickled pipeline snapshot —
+shared-nothing by construction. The loop serves what arrives on its
+:class:`~repro.parallel.channel.Channel`:
 
 a burst request **frame** (:mod:`repro.parallel.frames`)
     Run one RSS sub-burst through the replica. ``mode`` is ``"null"``
@@ -40,14 +40,12 @@ whichever snapshot it boots from, it zeroes the counters in it, which
 are the shadow's to keep),
 and an optional :class:`~repro.parallel.faults.FaultInjector` whose
 armed plan fires deterministically before/after each command — a
-``kill`` there ends the worker the way a crash would: process workers
-``os._exit`` (no cleanup, no reply), thread workers close their channel
-and return, and in both cases the engine observes a dead channel.
+``kill`` there ends the worker the way a crash would, ``os._exit`` with
+no cleanup and no reply, and the engine observes a dead channel.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import traceback
 
@@ -55,17 +53,9 @@ from repro.core.analysis import CompileConfig
 from repro.core.eswitch import ESwitch
 from repro.parallel import frames
 from repro.parallel.channel import Channel, ShardWorkerError
-from repro.parallel.faults import NO_FAULTS, WorkerKilled
+from repro.parallel.faults import NO_FAULTS
 from repro.parallel.wire import EntryIndexCache, counter_deltas, encode_verdicts
 from repro.simcpu.recorder import CycleMeter, NULL_METER
-
-
-def _die(chan: Channel) -> None:
-    """End this worker the way a crash would (no reply, dead channel)."""
-    if chan.in_process:
-        chan.close()  # the engine's next recv on its end sees EOF
-        return
-    os._exit(13)  # a process worker dies for real: no atexit, no flush
 
 
 def _zero_counters(entries) -> None:
@@ -103,10 +93,9 @@ def shard_worker_main(
     injector=None,
     generation: int = 0,
 ) -> None:
-    """Entry point of one shard worker (process target or thread body).
+    """Entry point of one shard worker process.
 
-    ``conn`` is the connection end :meth:`Channel.open` made for this
-    worker.
+    ``conn`` is the worker's end of the pipe the engine made for it.
     """
     faults = injector.arm(index, generation) if injector is not None else NO_FAULTS
     chan = Channel(conn, peer="engine")
@@ -122,9 +111,6 @@ def shard_worker_main(
         epoch = start_epoch
         faults.fire("spawn", "after")
         chan.send(("ready", epoch))
-    except WorkerKilled:
-        _die(chan)
-        return
     except Exception as exc:  # pragma: no cover - construction failures
         chan.send(("error", repr(exc), traceback.format_exc()))
         return
@@ -178,9 +164,6 @@ def _serve(chan, faults, switch, meter, cache, epoch):
                 return
             else:
                 chan.send(("error", f"unknown command {cmd!r}", ""))
-        except WorkerKilled:
-            _die(chan)
-            return
         except Exception as exc:
             # A hung worker may wake after the engine reaped its channel;
             # reporting then fails too, and the worker just winds down.

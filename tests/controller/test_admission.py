@@ -321,12 +321,15 @@ class TestBatchInvisibility:
 
     @pytest.mark.parametrize("reason", sorted(BAD_BATCHES))
     def test_sharded_rejected_batch_is_bit_invisible(self, reason):
-        if reason == "table-full":
-            pytest.skip("workers hold replicas; capacity is set post-fork")
         pipeline, macs = l2.build(16)
+        if reason == "table-full":
+            # Set before the engine snapshots the pipeline: the capacity
+            # pickles across to the shadow and to every forked replica.
+            table = pipeline.table(0)
+            table.max_entries = len(table.entries) + 1
         probe = l2.traffic(macs, 24)
         control = ESwitch(pickle.loads(pickle.dumps(pipeline)))
-        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             eng.process_burst([p.copy() for p in probe])
             control.process_burst([p.copy() for p in probe])
             epoch_before = eng.epoch
@@ -350,7 +353,7 @@ class TestBatchInvisibility:
 
     def test_sharded_capacity_reject_leaves_epoch_alone(self):
         pipeline, _ = l2.build(8)
-        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             table = eng.shadow.pipeline.table(0)
             table.max_entries = len(table.entries)
             reply = eng.submit_flow_mods([mod(eth_dst=0xA1)])

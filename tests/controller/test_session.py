@@ -321,8 +321,7 @@ class TestShardedPuntSynthesis:
     punts from gathered verdicts, so reactive control still works."""
 
     def test_learning_through_the_sharded_engine(self):
-        with ShardedESwitch(build_pipeline(), workers=2,
-                            backend="thread") as engine:
+        with ShardedESwitch(build_pipeline(), workers=2) as engine:
             session = ControllerSession(engine, channel=LossyChannel())
             app = LearningSwitch(session)
             session.controller = app
@@ -334,8 +333,7 @@ class TestShardedPuntSynthesis:
             assert verdicts[0].output_ports == [2]
 
     def test_outage_suppresses_synthesized_punts(self):
-        with ShardedESwitch(build_pipeline(), workers=2,
-                            backend="thread") as engine:
+        with ShardedESwitch(build_pipeline(), workers=2) as engine:
             session = ControllerSession(engine, channel=LossyChannel())
             app = LearningSwitch(session)
             session.controller = app

@@ -234,8 +234,8 @@ class TestFuseContainment:
 
 class TestShardedContainment:
     def test_quarantined_compile_is_consistent_across_shards(self, monkeypatch):
-        # Thread workers share the patched module: every replica (and the
-        # shadow) quarantines the same tables the same way, the engine
+        # Workers fork after the patch and inherit it: every replica (and
+        # the shadow) quarantines the same tables the same way, the engine
         # reports it through health(), and the answers stay correct.
         pipeline, macs = l2.build(16)
         blob = pickle.dumps(pipeline)
@@ -244,7 +244,7 @@ class TestShardedContainment:
             raise RuntimeError("synthetic fault")
 
         monkeypatch.setattr(eswitch_mod, "select", boom)
-        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             health = eng.health()
             assert health.degraded
             assert health.switch_health is not None
@@ -257,7 +257,7 @@ class TestShardedContainment:
 
     def test_engine_health_carries_worker_error_counter(self):
         pipeline, _ = l2.build(8)
-        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             health = eng.health()
             assert health.worker_errors == 0
             assert not health.degraded

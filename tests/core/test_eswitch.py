@@ -167,8 +167,7 @@ class TestProcessing:
         sw.process_burst([pkt.copy()])
         assert missed_in >= 256 and sw.logical_table_id(missed_in) == 0
         assert [p.table_id for p in punted] == [0, 0]
-        with ShardedESwitch(build(), workers=1, backend="thread",
-                            config=config) as engine:
+        with ShardedESwitch(build(), workers=1, config=config) as engine:
             session = ControllerSession(engine, channel=LossyChannel())
             session.controller = punted.append
             assert session.process(pkt.copy()).path[-1][0] == missed_in

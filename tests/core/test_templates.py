@@ -39,7 +39,6 @@ from repro.openflow.messages import FlowMod, FlowModCommand
 from repro.openflow.pipeline import Pipeline
 from repro.openflow.timeouts import ExpiryManager
 from repro.packet import PacketBuilder
-from repro.parallel import ShardedESwitch
 from repro.simcpu.recorder import NULL_METER
 from repro.usecases import acl, firewall, gateway, l2, l3, loadbalancer
 
@@ -353,14 +352,6 @@ class TestZeroCompiles:
         second, again = arrivals()
         assert compile_calls() == cold
         assert again == texts
-
-    def test_thread_replicas_stand_up_after_the_shadow_without_compiling(self):
-        templates.clear()
-        before = compile_calls()
-        with ShardedESwitch(small_gateway(), workers=2, backend="thread") as engine:
-            assert compile_calls() == before + len(texts_of(engine.shadow))
-            probe = [mac_pkt(0x0200_0000_0001) for _ in range(8)]
-            assert len(engine.process_burst(probe)) == 8
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_replica_inherits_every_template(self):

@@ -8,9 +8,11 @@ import pytest
 
 from repro.core import CompileConfig, ESwitch
 from repro.openflow import FlowEntry, FlowTable, Match, Output, Pipeline
+from repro.openflow.fields import field_by_name
 from repro.ovs import OvsSwitch
 from repro.packet import PacketBuilder
 from repro.packet.packet import Packet
+from repro.packet.parser import PROTO_ARP, parse
 from repro.usecases import firewall, gateway
 
 
@@ -165,3 +167,22 @@ def test_cut_at_header_boundary(every_backend, kind, cut):
         assert switch.process(pkt.copy()).summary() == expected, name
     if cut < sum(lengths):
         assert expected != every_layer().process(full.copy()).summary()
+
+
+def test_arp_of_another_hardware_type_has_no_arp_fields(every_backend):
+    """ARP is read only as Ethernet/IPv4 (htype 1, ptype 0x0800, hlen 6,
+    plen 4), as OVS reads it: a builder ARP frame edited to htype 99
+    extracts no ``arp_*`` field and misses the ``arp_op`` rule on every
+    backend, landing on the ``eth_dst`` rule instead."""
+    pkt = PacketBuilder(in_port=1).eth().arp(op=2).build()
+    assert every_layer().process(pkt.copy()).output_ports == [4]
+    pkt.data[14:16] = (99).to_bytes(2, "big")
+    view = parse(pkt)
+    assert not view.has(PROTO_ARP)
+    for name in ("arp_op", "arp_spa", "arp_tpa", "arp_sha", "arp_tha"):
+        assert field_by_name(name).extract(view) is None, name
+    assert field_by_name("eth_type").extract(view) == 0x0806
+    expected = every_layer().process(pkt.copy()).summary()
+    assert every_layer().process(pkt.copy()).output_ports == [2]
+    for name, switch in every_backend.items():
+        assert switch.process(pkt.copy()).summary() == expected, name

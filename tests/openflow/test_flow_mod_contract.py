@@ -121,7 +121,7 @@ DOORS = {
     "pipeline": DirectSwitch,
     "eswitch": ESwitch,
     "ovs": OvsSwitch,
-    "sharded": lambda p: ShardedESwitch(p, workers=1, backend="thread"),
+    "sharded": lambda p: ShardedESwitch(p, workers=1),
     "session": _session,
 }
 

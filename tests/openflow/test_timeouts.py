@@ -245,8 +245,7 @@ class TestShardedExpiry:
         t.add(FlowEntry(Match(eth_dst=0xAA), priority=1,
                         actions=[Output(1)], idle_timeout=10))
         t.add(FlowEntry(Match(), priority=0, actions=[]))
-        with ShardedESwitch(Pipeline([t]), workers=2,
-                            backend="thread") as eng:
+        with ShardedESwitch(Pipeline([t]), workers=2) as eng:
             mgr = ExpiryManager(eng)
             mgr.observe(0.0)
             # All traffic is remote: the gather adds each acked count onto
@@ -269,8 +268,7 @@ class TestShardedExpiry:
         t.add(FlowEntry(Match(eth_dst=0xAA), priority=1,
                         actions=[Output(1)], hard_timeout=4))
         t.add(FlowEntry(Match(), priority=0, actions=[]))
-        with ShardedESwitch(Pipeline([t]), workers=2,
-                            backend="thread") as eng:
+        with ShardedESwitch(Pipeline([t]), workers=2) as eng:
             mgr = ExpiryManager(eng)
             mgr.observe(0.0)
             eng.process_burst([mac_pkt()])

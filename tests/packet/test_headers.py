@@ -109,9 +109,15 @@ class TestTcpUdpIcmp:
         assert view.has(PROTO_TCP) and field_by_name("tcp_dst").extract(view) == 80
 
     def test_udp_roundtrip(self):
-        pkt = PacketBuilder().eth().ipv4().udp(src_port=53, dst_port=5353).build()
-        assert struct.unpack_from("!HHHH", pkt.data, 34) == (53, 5353, hdr.UDP_HEADER_LEN, 0)
-        assert (field(pkt, "udp_src"), field(pkt, "udp_dst")) == (53, 5353)
+        # The length field covers the header and its payload.
+        for l3, l4 in (("ipv4", 34), ("ipv6", 54)):
+            for payload in (b"", b"abcd"):
+                builder = getattr(PacketBuilder().eth(), l3)()
+                pkt = builder.udp(src_port=53, dst_port=5353).payload(payload).build()
+                assert struct.unpack_from("!HHHH", pkt.data, l4) == (
+                    53, 5353, hdr.UDP_HEADER_LEN + len(payload), 0)
+                assert pkt.data[l4 + hdr.UDP_HEADER_LEN:][:len(payload)] == payload
+                assert (field(pkt, "udp_src"), field(pkt, "udp_dst")) == (53, 5353)
 
     def test_icmp_roundtrip(self):
         pkt = PacketBuilder().eth().ipv4().icmp(type=3, code=1).build()

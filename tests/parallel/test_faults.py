@@ -6,11 +6,12 @@ engine still returns verdicts, modeled cycles, flow counters, and merged
 burst telemetry identical to a sequential :class:`ESwitch` replay of the
 same bursts — and a worker killed *inside* a flow-mod broadcast leaves
 every surviving and respawned worker on the same epoch with the full
-batch applied. Thread backend does the heavy lifting (cheap, identical
-code path); one integration test exercises real forked processes.
+batch applied. Every worker is a forked process, so an armed ``kill`` is
+a real ``os._exit(13)`` and a ``hang`` a real sleeping process.
 """
 
 import math
+import multiprocessing
 import os
 import pickle
 import signal
@@ -40,7 +41,6 @@ def l2_setup(n_macs=32, n_flows=48):
 
 
 def engine(pipeline, injector, workers=2, **kw):
-    kw.setdefault("backend", "thread")
     kw.setdefault("retry_backoff", 0.001)
     return ShardedESwitch(pipeline, workers=workers,
                           fault_injector=injector, **kw)
@@ -299,8 +299,6 @@ class TestProcessBackend:
         )
         with ShardedESwitch(pipeline, workers=2, fault_injector=inj,
                             retry_backoff=0.001, rpc_deadline=30.0) as eng:
-            if eng.backend != "process":
-                pytest.skip("platform cannot fork worker processes")
             assert_equivalent(eng, seq, [flows[:32]], counts=False)
             mods = [add_mod(0, priority=9, port=7, eth_dst=0x02_0000_BEEF)]
             seq.apply_flow_mods(mods)
@@ -317,8 +315,7 @@ class TestProcessBackend:
         is the first thing to fail, and must be supervised like any
         other fault — not escape as a BrokenPipeError."""
         pipeline, _flows = l2_setup(16, 32)
-        with ShardedESwitch(pipeline, workers=2, backend="process",
-                            retry_backoff=0.001) as eng:
+        with ShardedESwitch(pipeline, workers=2, retry_backoff=0.001) as eng:
             victim = eng._slots[1].shard.proc
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5)
@@ -327,6 +324,50 @@ class TestProcessBackend:
             assert health.faults_detected == 1
             assert health.respawns == 1
             assert eng.ping() == {0: 0, 1: 0}  # the replacement serves
+
+
+def shard_children():
+    return [p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-shard-")]
+
+
+#: case -> (planned fault or None, engine knobs, expected health fields)
+ORPHAN_CASES = {
+    "clean": (None, {}, {"faults_detected": 0, "respawns": 0}),
+    "killed-respawned": (
+        FaultSpec(shard=0, cmd="burst"), {},
+        {"faults_detected": 1, "respawns": 1},
+    ),
+    "hung-past-deadline": (
+        FaultSpec(shard=0, cmd="burst", kind="hang", seconds=100.0),
+        {"rpc_deadline": 1.0},
+        {"faults_detected": 1, "respawns": 1},
+    ),
+    "degraded": (
+        FaultSpec(shard=0, cmd="burst"), {"max_respawns": 0},
+        {"faults_detected": 1, "degraded_shards": (0,)},
+    ),
+}
+
+
+class TestNoOrphans:
+    @pytest.mark.parametrize("case", sorted(ORPHAN_CASES))
+    def test_close_leaves_no_shard_worker(self, case):
+        """Every worker an engine forked — serving, reaped after a kill,
+        put down after a hang, or given up on — is gone once ``close``
+        returns."""
+        spec, knobs, want = ORPHAN_CASES[case]
+        pipeline, flows = l2_setup(16, 32)
+        inj = FaultInjector(spec) if spec is not None else None
+        eng = engine(pipeline, inj, **knobs)
+        try:
+            eng.process_burst([p.copy() for p in flows])
+            health = eng.health()
+            assert {k: getattr(health, k) for k in want} == want
+            assert shard_children()  # the survivors are still serving
+        finally:
+            eng.close()
+        assert shard_children() == []
 
 
 class TestFaultSpecValidation:
@@ -370,7 +411,7 @@ class TestFaultSpecValidation:
 class TestHealthSnapshot:
     def test_healthy_engine_health(self):
         pipeline, flows = l2_setup(8, 8)
-        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             eng.process_burst([p.copy() for p in flows[:8]])
             health = eng.health()
             assert health.workers == 2
@@ -385,8 +426,6 @@ class TestHealthSnapshot:
     def test_supervision_knob_validation(self):
         pipeline, _ = l2_setup(8, 8)
         with pytest.raises(ValueError):
-            ShardedESwitch(pipeline, workers=1, backend="thread",
-                           rpc_deadline=0.0)
+            ShardedESwitch(pipeline, workers=1, rpc_deadline=0.0)
         with pytest.raises(ValueError):
-            ShardedESwitch(pipeline, workers=1, backend="thread",
-                           max_retries=-1)
+            ShardedESwitch(pipeline, workers=1, max_retries=-1)

@@ -8,6 +8,9 @@ counts, and the gather resolves them through the shadow pipeline's rule
 index. Nothing on either side of the channel walks a table per epoch.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.openflow.actions import Output
@@ -32,38 +35,57 @@ def mac_pkt(mac: int):
 
 
 def test_one_mod_epoch_walks_no_entries(monkeypatch):
-    """One ADD epoch and one burst over 1e4 rules, two thread workers:
+    """One ADD epoch and one burst over 1e4 rules, two worker processes:
     neither the shadow, nor a worker, nor the wire between them reads
-    ``FlowTable.entries`` or iterates a table."""
+    ``FlowTable.entries`` or iterates a table.
+
+    The walk hook is installed before the engine forks, so every worker
+    inherits it. Once the shared flag is up, a walk in the engine counts
+    and a walk in a worker raises there: the worker reports it and the
+    engine surfaces it (a burst raises ``ShardWorkerError``; a broadcast
+    counts a worker error, and the replacement's own build walks and
+    raises)."""
     pipeline, macs = l2.build(10_000)
     burst = [mac_pkt(mac) for mac in macs[:24]] + [mac_pkt(NEW_MACS[0])] * 8
-    with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
+    armed = multiprocessing.RawValue("b", 0)  # shared with forked workers
+    engine_pid = os.getpid()
+    walks = {"entries": 0, "iter": 0}
+    entries, iterate = FlowTable.entries.fget, FlowTable.__iter__
+
+    def walked(kind):
+        if not armed.value:
+            return
+        if os.getpid() != engine_pid:
+            raise RuntimeError(f"a worker walked FlowTable.{kind}")
+        walks[kind] += 1
+
+    def counted_entries(table):
+        walked("entries")
+        return entries(table)
+
+    def counted_iter(table):
+        walked("iter")
+        return iterate(table)
+
+    monkeypatch.setattr(FlowTable, "entries", property(counted_entries))
+    monkeypatch.setattr(FlowTable, "__iter__", counted_iter)
+    with ShardedESwitch(pipeline, workers=2) as eng:
         eng.process_burst([p.copy() for p in burst])  # first use: indexes built
-        walks = {"entries": 0, "iter": 0}
-        entries, iterate = FlowTable.entries.fget, FlowTable.__iter__
-
-        def counted_entries(table):
-            walks["entries"] += 1
-            return entries(table)
-
-        def counted_iter(table):
-            walks["iter"] += 1
-            return iterate(table)
-
-        monkeypatch.setattr(FlowTable, "entries", property(counted_entries))
-        monkeypatch.setattr(FlowTable, "__iter__", counted_iter)
+        armed.value = 1
         eng.apply_flow_mod(mac_add(NEW_MACS[0]))
         verdicts = eng.process_burst([p.copy() for p in burst])
+        armed.value = 0
         monkeypatch.undo()
         assert walks == {"entries": 0, "iter": 0}
+        health = eng.health()
+        assert (health.worker_errors, health.respawns) == (0, 0)
         assert all(v.output_ports for v in verdicts)
         new = eng.pipeline.table(0).find_rule(Match(eth_dst=NEW_MACS[0]), 1)
         assert all(v.path[-1][1] is new for v in verdicts[24:])
         assert (new.packets, new.bytes) == (8, 8 * len(burst[-1].data))
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
-def test_rolled_back_batch_keeps_replicas_naming_alike(backend):
+def test_rolled_back_batch_keeps_replicas_naming_alike():
     """A batch that fails partway on the shadow mints ids there and never
     reaches a worker; the undo sets the minting back, so the next ADD is
     named alike everywhere: its hop resolves to the shadow's new entry,
@@ -71,7 +93,7 @@ def test_rolled_back_batch_keeps_replicas_naming_alike(backend):
     pipeline, macs = l2.build(64)
     table = pipeline.table(0)
     table.max_entries = len(table) + 2
-    with ShardedESwitch(pipeline, workers=2, backend=backend) as eng:
+    with ShardedESwitch(pipeline, workers=2) as eng:
         with pytest.raises(FlowModFailed):
             eng.apply_flow_mods([mac_add(NEW_MACS[0]), mac_add(NEW_MACS[1]),
                                  mac_add(NEW_MACS[2])])

@@ -4,10 +4,8 @@ The contract under test (ISSUE 3): for ANY worker count, the sharded
 engine yields bit-identical verdicts, modeled cycles, merged burst
 telemetry, and flow counters versus a single sequential :class:`ESwitch`
 over the same bursts — including when flow-mod broadcasts land between
-bursts on an epoch boundary. Thread backend does the heavy property
-lifting (cheap to spawn, identical code path — channels pickle both
-ways, so thread workers are equally shared-nothing); one integration
-test exercises the real forked-process backend end to end.
+bursts on an epoch boundary. Every worker is a forked process behind
+its pipe, so each property below crosses the real process boundary.
 """
 
 import math
@@ -94,7 +92,7 @@ class TestShardSequentialEquivalence:
             for _ in range(n_bursts)
         ]
         seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
-        with ShardedESwitch(pipeline, workers=workers, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=workers) as eng:
             for pkts in bursts:
                 seq_meter, eng_meter = CycleMeter(XEON_E5_2620), CycleMeter(XEON_E5_2620)
                 sv = seq.process_burst([p.copy() for p in pkts], seq_meter)
@@ -114,7 +112,7 @@ class TestShardSequentialEquivalence:
         seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
         seq_meter, eng_meter = CycleMeter(XEON_E5_2620), CycleMeter(XEON_E5_2620)
         seq.process_burst([p.copy() for p in pkts], seq_meter)
-        with ShardedESwitch(pipeline, workers=1, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=1) as eng:
             eng.process_burst([p.copy() for p in pkts], eng_meter)
         assert eng_meter.total_cycles == seq_meter.total_cycles  # bit-exact
 
@@ -125,7 +123,7 @@ class TestShardSequentialEquivalence:
         bursts = [[flows[i + 16 * b] for i in range(16)] for b in range(3)]
         workers = 3
         eng_meter = CycleMeter(XEON_E5_2620)
-        with ShardedESwitch(pipeline, workers=workers, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=workers) as eng:
             for pkts in bursts:
                 eng.process_burst([p.copy() for p in pkts], eng_meter)
         replicas = [ESwitch(pickle.loads(pickle.dumps(pipeline))) for _ in range(workers)]
@@ -156,7 +154,7 @@ class TestEpochSync:
             [FlowMod(FlowModCommand.DELETE, 0, Match(eth_dst=new_mac), priority=9)],
         ]
         seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
-        with ShardedESwitch(pipeline, workers=workers, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=workers) as eng:
             for round_no, mods in enumerate(mods_between):
                 sv = seq.process_burst([p.copy() for p in pkts])
                 ev = eng.process_burst([p.copy() for p in pkts])
@@ -182,7 +180,7 @@ class TestEpochSync:
             add_mod(0, priority=4, eth_dst=0x02_0000_0042),
             FlowMod(FlowModCommand.ADD, 0, Match(eth_dst=2), priority=-1),
         ]
-        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             with pytest.raises(Exception):
                 seq.apply_flow_mods(list(bad_batch))
             with pytest.raises(Exception):
@@ -199,7 +197,7 @@ class TestEpochSync:
     def test_forced_epoch_desync_is_refused(self):
         pipeline, macs = l2.build(8)
         flows = l2.traffic(macs, 4)
-        with ShardedESwitch(pipeline, workers=1, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=1) as eng:
             eng.epoch += 1  # simulate a burst racing past the barrier
             with pytest.raises(ShardWorkerError, match="epoch desync"):
                 eng.process_burst([flows[0].copy()])
@@ -208,7 +206,7 @@ class TestEpochSync:
 class TestLifecycle:
     def test_closed_engine_refuses_work(self):
         pipeline, macs = l2.build(8)
-        eng = ShardedESwitch(pipeline, workers=1, backend="thread")
+        eng = ShardedESwitch(pipeline, workers=1)
         eng.close()
         eng.close()  # idempotent
         with pytest.raises(RuntimeError):
@@ -219,7 +217,7 @@ class TestLifecycle:
     def test_engine_never_mutates_caller_pipeline(self):
         pipeline, macs = l2.build(8)
         before = [len(t.entries) for t in pipeline]
-        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             eng.apply_flow_mod(add_mod(0, priority=3, eth_dst=0x02_0000_0077))
             flows = l2.traffic(macs, 8)
             eng.process_burst([f.copy() for f in flows])
@@ -228,13 +226,13 @@ class TestLifecycle:
     def test_bad_worker_count(self):
         pipeline, _ = l2.build(8)
         with pytest.raises(ValueError):
-            ShardedESwitch(pipeline, workers=0, backend="thread")
-        with pytest.raises(ValueError):
-            ShardedESwitch(pipeline, workers=2, backend="carrier-pigeon")
+            ShardedESwitch(pipeline, workers=0)
+        with pytest.raises(TypeError):  # one carrier: there is no knob
+            ShardedESwitch(pipeline, workers=2, backend="thread")
 
 
 class TestProcessBackend:
-    """End-to-end over real forked worker processes (the fast path)."""
+    """End-to-end over real forked worker processes on a gateway."""
 
     def test_gateway_equivalence_over_processes(self):
         pipeline, fib = gateway.build(n_ce=2, users_per_ce=8, n_prefixes=16)
@@ -242,8 +240,6 @@ class TestProcessBackend:
         pkts = [flows[i] for i in range(48)]
         seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
         with ShardedESwitch(pipeline, workers=2) as eng:
-            if eng.backend != "process":
-                pytest.skip("platform cannot fork worker processes")
             seq_meter, eng_meter = CycleMeter(XEON_E5_2620), CycleMeter(XEON_E5_2620)
             sv = seq.process_burst([p.copy() for p in pkts], seq_meter)
             ev = eng.process_burst([p.copy() for p in pkts], eng_meter)
@@ -272,7 +268,7 @@ class TestProcessBackend:
         flows = gateway.traffic(fib, 96, n_ce=2, users_per_ce=8)
         bursts = [flows[i:i + 16] for i in range(0, len(flows), 16)]
         seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
-        with ShardedESwitch(pipeline, workers=2, backend="process") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             for burst in bursts:
                 sv = seq.process_burst([p.copy() for p in burst])
                 ev = eng.process_burst([p.copy() for p in burst])
@@ -298,7 +294,7 @@ class TestProcessBackend:
         flows = gateway.traffic(fib, 96, n_ce=2, users_per_ce=8)
         seq = ESwitch(pickle.loads(pickle.dumps(pipeline)))
         sm, em = CycleMeter(XEON_E5_2620), CycleMeter(XEON_E5_2620)
-        with ShardedESwitch(pipeline, workers=1, backend="process") as eng:
+        with ShardedESwitch(pipeline, workers=1) as eng:
             for i in range(0, len(flows), 16):
                 burst = flows[i:i + 16]
                 sv = seq.process_burst([p.copy() for p in burst], sm)

@@ -1,25 +1,17 @@
-"""The transport contract: one wire, zero pickle per burst, either backend.
+"""The transport contract: one wire, zero pickle per burst.
 
-* a storm of bursts crosses the shard boundary with **zero** pickle
-  calls on the datapath, over a thread's queue and a process's pipe
-  (pickle remains only for the one-time snapshot at spawn and rare
-  control messages);
-* shards are shared-nothing whatever carries the frames: caller packets
-  are never mutated, and the thread and process backends agree in
-  verdicts and modeled cycles;
-* a deadline means the same on both carriers: a thread's queue end,
-  like a pipe's ``select``, refuses a message sent after it.
+* a storm of bursts crosses each worker's pipe with **zero** pickle
+  calls on either side of the datapath, and every message on the pipe
+  is a frame (pickle remains only for the one-time snapshot at spawn
+  and rare control messages);
+* shards are shared-nothing: caller packets are never mutated.
 """
 
+import multiprocessing
 import pickle
-import queue
 
-from repro.parallel import ShardedESwitch, channel
-from repro.simcpu.platform import XEON_E5_2620
-from repro.simcpu.recorder import CycleMeter
+from repro.parallel import ShardedESwitch
 from repro.usecases import gateway
-
-from test_sharded import summarize
 
 
 def scenario():
@@ -37,16 +29,22 @@ class _PickleTap:
     stdlib module functions, and ``multiprocessing.reduction.
     ForkingPickler`` — the class ``Connection.send``/``recv`` actually
     ride (its ``dumps``/``loads`` class attributes are looked up at
-    call time, so patching the class intercepts every pipe message)."""
+    call time, so patching the class intercepts every pipe message).
+
+    The count lives in shared memory and runs only while ``armed``: a
+    tap installed before the engine forks counts the calls of every
+    worker too."""
 
     def __init__(self, monkeypatch):
         from multiprocessing import reduction
 
-        self.calls = 0
+        self._calls = multiprocessing.RawValue("i", 0)
+        self._armed = multiprocessing.RawValue("b", 0)
 
         def count(fn):
             def wrapped(*a, **k):
-                self.calls += 1
+                if self._armed.value:
+                    self._calls.value += 1
                 return fn(*a, **k)
             return wrapped
 
@@ -61,13 +59,25 @@ class _PickleTap:
             staticmethod(count(reduction.ForkingPickler.loads)),
         )
 
+    @property
+    def calls(self) -> int:
+        return self._calls.value
+
+    def arm(self) -> None:
+        self._armed.value = 1
+
 
 class TestZeroPickleDatapath:
-    def _storm(self, monkeypatch, backend):
+    def test_burst_storm_never_pickles(self, monkeypatch):
+        """Both halves of the pipe conversation stay pickle-free per
+        burst: the tap is in place before the engine forks, so the
+        scatter and gather in this process and each worker's loop all
+        count into it."""
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend=backend) as eng:
+        tap = _PickleTap(monkeypatch)
+        with ShardedESwitch(pipeline, workers=2) as eng:
             eng.process_burst([p.copy() for p in pkts[:16]])  # warm lanes
-            tap = _PickleTap(monkeypatch)
+            tap.arm()
             for burst in bursts_of(pkts):
                 eng.process_burst([p.copy() for p in burst])
             assert tap.calls == 0, (
@@ -76,16 +86,22 @@ class TestZeroPickleDatapath:
             eng.ping()
             assert tap.calls > 0  # the tap itself works: control pickles
 
-    def test_burst_storm_never_pickles(self, monkeypatch):
-        """The thread backend puts both halves of the conversation in
-        this process: if either the scatter or the gather side touched
-        pickle, the tap would see it."""
-        self._storm(monkeypatch, "thread")
-
     def test_process_engine_side_never_pickles(self, monkeypatch):
-        """Process backend: the engine half of the pipe conversation
-        (this process) stays pickle-free per burst too."""
-        self._storm(monkeypatch, "process")
+        """A tap installed after the fork sees the engine half of the
+        pipe conversation (this process) alone: it stays pickle-free
+        per burst too."""
+        pipeline, pkts = scenario()
+        with ShardedESwitch(pipeline, workers=2) as eng:
+            eng.process_burst([p.copy() for p in pkts[:16]])  # warm lanes
+            tap = _PickleTap(monkeypatch)
+            tap.arm()
+            for burst in bursts_of(pkts):
+                eng.process_burst([p.copy() for p in burst])
+            assert tap.calls == 0, (
+                f"{tap.calls} pickle call(s) on the engine's per-burst path"
+            )
+            eng.ping()
+            assert tap.calls > 0  # the tap itself works: control pickles
 
     def test_frames_on_the_connection_never_pickle(self, monkeypatch):
         """A process shard's bursts ride its pipe as frames: every
@@ -106,7 +122,7 @@ class TestZeroPickleDatapath:
             return wrapped
 
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="process") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             eng.process_burst([p.copy() for p in pkts[:16]])  # warm lanes
             monkeypatch.setattr(Connection, "send_bytes",
                                 tap(Connection.send_bytes, False))
@@ -121,65 +137,13 @@ class TestZeroPickleDatapath:
         )
 
 
-class TestThreadByReference:
+class TestCallerPackets:
     def test_caller_packets_never_mutated(self):
-        """A thread worker shares the caller's address space and runs
-        packets through replicas that rewrite headers — the caller's own
-        packets must come back byte-identical anyway."""
+        """Replicas rewrite headers on their own copies of each packet:
+        the caller's packets come back byte-identical."""
         pipeline, pkts = scenario()
-        with ShardedESwitch(pipeline, workers=2, backend="thread") as eng:
+        with ShardedESwitch(pipeline, workers=2) as eng:
             originals = [bytes(p.data) for p in pkts]
             for burst in bursts_of(pkts):
                 eng.process_burst(burst)   # no defensive copies by caller
             assert [bytes(p.data) for p in pkts] == originals
-
-    def test_thread_matches_process_backend(self):
-        pipeline, pkts = scenario()
-        results = {}
-        for backend in ("thread", "process"):
-            eng = ShardedESwitch(
-                pickle.loads(pickle.dumps(pipeline)), workers=2,
-                backend=backend,
-            )
-            try:
-                meter = CycleMeter(XEON_E5_2620)
-                sums = [
-                    summarize(
-                        eng.process_burst([p.copy() for p in b], meter),
-                        eng.pipeline,
-                    )
-                    for b in bursts_of(pkts)
-                ]
-                results[backend] = (sums, meter.total_cycles)
-            finally:
-                eng.close()
-        assert results["thread"] == results["process"]
-
-
-class TestQueueDeadline:
-    def test_a_message_sent_past_the_deadline_is_late(self, monkeypatch):
-        """The waiting thread wakes at t=1.0, long after its 50 ms
-        deadline: the message sent at t=0.01 is on time, the one sent at
-        t=0.5 is late and stays queued for the next poll."""
-        now = [0.0]
-        monkeypatch.setattr(channel, "monotonic", lambda: now[0])
-        sends = iter([(0.01, b"early"), (0.5, b"late")])
-
-        class Starved(queue.Queue):
-            def get(self, block=True, timeout=None):
-                if self.empty():  # the peer sends while this thread sleeps
-                    now[0], buf = next(sends)
-                    far.send_bytes(buf)
-                    now[0] = 1.0
-                return super().get(block, timeout)
-
-        inbox = Starved()
-        near = channel._QueueEnd(inbox, queue.Queue())
-        far = channel._QueueEnd(queue.Queue(), inbox)
-        now[0] = 0.0
-        assert near.poll(0.05)
-        assert near.recv_bytes() == b"early"
-        now[0] = 0.0
-        assert not near.poll(0.05)
-        assert near.poll(0.0)  # at t=1.0 it has long arrived
-        assert near.recv_bytes() == b"late"

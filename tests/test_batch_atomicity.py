@@ -53,7 +53,7 @@ SWITCHES = {
         p, config=CompileConfig(fuse=False)),
     "ovs": OvsSwitch,
     "adapter": DirectSwitch,
-    "sharded-thread": lambda p: ShardedESwitch(p, workers=2, backend="thread"),
+    "sharded": lambda p: ShardedESwitch(p, workers=2),
 }
 
 
