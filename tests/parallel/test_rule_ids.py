@@ -85,15 +85,20 @@ def test_one_mod_epoch_walks_no_entries(monkeypatch):
         assert (new.packets, new.bytes) == (8, 8 * len(burst[-1].data))
 
 
-def test_rolled_back_batch_keeps_replicas_naming_alike():
+@pytest.mark.parametrize("kind", ["process"])
+def test_rolled_back_batch_keeps_replicas_naming_alike(kind):
     """A batch that fails partway on the shadow mints ids there and never
     reaches a worker; the undo sets the minting back, so the next ADD is
     named alike everywhere: its hop resolves to the shadow's new entry,
-    and its counts land on that entry with no sync call."""
+    and its counts land on that entry with no sync call. Shard workers
+    come in one kind: each is a forked process."""
     pipeline, macs = l2.build(64)
     table = pipeline.table(0)
     table.max_entries = len(table) + 2
     with ShardedESwitch(pipeline, workers=2) as eng:
+        shards = [p for p in multiprocessing.active_children()
+                  if p.name.startswith("repro-shard-")]
+        assert kind == "process" and len(shards) == 2
         with pytest.raises(FlowModFailed):
             eng.apply_flow_mods([mac_add(NEW_MACS[0]), mac_add(NEW_MACS[1]),
                                  mac_add(NEW_MACS[2])])
