@@ -496,6 +496,7 @@ class HashTable(CompiledTable):
             keys = [entry.match[1:] for entry in rules]
         self.hash_store = store = CollisionFreeHash.from_columns(
             keys, [_rule_of(entry) for entry in rules])
+        # ``store.get`` is the store dict's own: the null arm runs no mix.
         super().__init__(
             table, costs,
             {"_MISS": _miss_of(table), "_H": store, "_Hget": store.get},

@@ -6,7 +6,12 @@ time lookups, a key to a robust datapath performance" (Section 3.1), and the
 switch rebuilds it "periodically … to minimize hash collisions"
 (Section 3.4).
 
-Lookups are a single probe: one seeded mix over the key, then
+The table is two things. One dict holds each key with its value; it
+answers ``get``, ``in``, ``len``, iteration and ``items``, and lives as
+long as the table. Beside it, the perfect hash is only a *layout*: the
+slot the model prices for each key (Section 4.4 charges the cache line a
+probe touches, not the instructions that find it). A key's slot is one
+seeded mix over the key, then
 
     bucket = h & bucket_mask
     index  = ((h ^ disp[bucket]) * GOLD mod 2^64) >> shift
@@ -18,9 +23,7 @@ of keys into free slots — instead of re-hashing the whole table. Full
 redistributions happen only on geometric growth (table doubles when the
 load factor crosses 1/OVERSIZE_FACTOR), so a build-from-empty of n keys
 does O(log n) full rebuilds and O(n) total redistributed keys, and the
-whole insert sequence is amortized O(n log n) work. The old implementation
-reseeded the *entire* table on every collision — a rebuild storm at 10⁶
-entries.
+whole insert sequence is amortized O(n log n) work.
 
 Keys are integers or tuples of integers (compound keys: the template "runs
 together relevant header fields into a single key").
@@ -38,21 +41,19 @@ A full build computes the mix, the bucket order and most displacements
 of every key at once (numpy columns); Python searches only the buckets
 whose ``d = 0`` slots an earlier bucket may take, over int lists converted
 one chunk of buckets at a time. See DESIGN.md §10 for why each key's slot
-index is pinned. :meth:`CollisionFreeHash.from_columns` builds from a key
-column and a value column, with no key dict or set.
-The slots are two parallel columns (``_slot_keys``, ``_slot_vals``), and
-they are the only place a key and its value live: length, iteration and
-updates read them, and a rebuild takes the resident keys in slot order.
-Bucket membership is one list indexed by bucket (None, a lone non-tuple
-key held bare, or a tuple of keys), so a stored key costs the cyclic
-collector no container of the table's own.
+index is pinned. The layout keeps what the model prices and what an
+incremental ``insert`` needs: the seed, the displacements, bucket
+membership (one list indexed by bucket: None, a lone non-tuple key held
+bare, or a tuple of keys, so a stored key costs the cyclic collector no
+container of the table's own) and one occupancy byte per slot. A
+rebuild takes the resident keys in slot order, computed from the layout.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from heapq import heappop, heappush
-from typing import Iterator
+from typing import ItemsView, Iterator
 
 import numpy as np
 
@@ -143,7 +144,8 @@ class HashBuildError(RuntimeError):
 
 
 class CollisionFreeHash:
-    """Two-level (bucket-displaced) perfect hash with single-probe lookups."""
+    """A key -> value dict beside its two-level (bucket-displaced)
+    perfect-hash layout."""
 
     #: Slots allocated per key (the memory-for-speed trade).
     OVERSIZE_FACTOR = 4
@@ -153,37 +155,38 @@ class CollisionFreeHash:
     MAX_DISP_TRIES = 256
     MIN_SLOTS = 8
 
-    #: Occupied buckets (or, for the slot writes, rows) per chunk of a
-    #: full build: only one chunk's slice of each column is held as
-    #: Python ints at a time.
+    #: Occupied buckets per chunk of a full build: only one chunk's slice
+    #: of each column is held as Python ints at a time.
     CHUNK_BUCKETS = 1 << 10
 
     def __init__(self, items: "dict | None" = None):
-        items = items or {}
-        self._start(list(items), list(items.values()))
+        items = dict(items or {})
+        self._start(items, list(items))
 
     @classmethod
     def from_columns(cls, keys: list, values: list) -> "CollisionFreeHash":
-        """The table mapping ``keys[i]`` to ``values[i]``, built from the two
-        columns without a key dict: a repeated key keeps its first row.
-        The same table as ``cls(items)`` over those rows.
-
-        Rows of one key share a full hash, so the build meets them in a
-        bucket it searches, and stops; only then are the rows deduped
-        and the table built again, from scratch."""
+        """The table mapping ``keys[i]`` to ``values[i]``: a repeated key
+        keeps its first row. The same table as ``cls(items)`` over those
+        rows."""
+        items = dict(zip(keys, values))
+        if len(items) != len(keys):  # a key on two rows: the first wins
+            items = {}
+            for key, value in zip(keys, values):
+                items.setdefault(key, value)
+            keys = list(items)
         table = cls.__new__(cls)
-        try:
-            table._start(keys, values)
-        except RebuildRequired:  # "repeat": a key on two rows
-            table._start(*_first_rows(keys, values))
+        table._start(items, keys)
         return table
 
-    def _start(self, keys: list, values: list) -> None:
-        self._count = 0
+    def _start(self, items: dict, keys: list) -> None:
+        """Hold ``items`` and lay out its keys, in the order ``keys`` lists."""
+        #: each key and its value, the table's one copy of either
+        self._map = items
+        #: the dict's own lookup: one C call per packet, no mix
+        self.get = items.get
         self._seed = 0
-        #: the slots as two columns: a key (None = empty) and its value
-        self._slot_keys: list = []
-        self._slot_vals: list = []
+        #: one byte per slot, 1 where a key's slot is
+        self._occupied = bytearray()
         self._nslots = 0
         self._shift = 64
         self._bmask = 0
@@ -197,28 +200,14 @@ class CollisionFreeHash:
         self.seed_attempts = 0  # top-level seeds tried across all builds
         self.reseed_probes = 0  # displacement candidates tried, total
         self.rebuild_keys = 0  # keys redistributed by full rebuilds, total
-        self._build(keys, values)
+        self._build(keys)
 
     # -- lookups ----------------------------------------------------------
 
-    def get(self, key: Key, default: object = None) -> object:
-        """Single-probe lookup (the ``_mix`` loop inlined: this runs per
-        packet, and the call frame would cost more than the mix itself)."""
-        h = (_FNV_OFFSET ^ self._seed) & _MASK64
-        for part in (key,) if isinstance(key, int) else key:
-            while True:
-                h = ((h ^ (part & 0xFFFFFFFF)) * _FNV_PRIME) & _MASK64
-                part >>= 32
-                if part <= 0:  # <= : a negative (never stored) key ends too
-                    break
-        h ^= h >> 33
-        index = ((h ^ self._disp[h & self._bmask]) * _GOLD & _MASK64) >> self._shift
-        if self._slot_keys[index] == key:
-            return self._slot_vals[index]
-        return default
-
     def get_traced(self, key: Key, default: object = None) -> tuple[object, int]:
-        """Lookup plus the abstract cache-line id probed (for the cost model)."""
+        """Lookup plus the abstract cache-line id probed (for the cost model):
+        the key's slot under the layout (the ``_mix`` loop inlined), its
+        value from the dict."""
         h = (_FNV_OFFSET ^ self._seed) & _MASK64
         for part in (key,) if isinstance(key, int) else key:
             while True:
@@ -228,24 +217,20 @@ class CollisionFreeHash:
                     break
         h ^= h >> 33
         index = ((h ^ self._disp[h & self._bmask]) * _GOLD & _MASK64) >> self._shift
-        line = index // SLOTS_PER_LINE
-        if self._slot_keys[index] == key:
-            return self._slot_vals[index], line
-        return default, line
+        return self._map.get(key, default), index // SLOTS_PER_LINE
 
     def __contains__(self, key: Key) -> bool:
-        sentinel = object()
-        return self.get(key, sentinel) is not sentinel
+        return key in self._map
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._map)
 
     def __iter__(self) -> Iterator:
-        return (key for key in self._slot_keys if key is not None)
+        return iter(self._map)
 
-    def items(self) -> Iterator[tuple]:
-        """``(key, value)`` pairs, in slot order."""
-        return ((k, v) for k, v in zip(self._slot_keys, self._slot_vals) if k is not None)
+    def items(self) -> ItemsView:
+        """``(key, value)`` pairs, in the order the keys were first stored."""
+        return self._map.items()
 
     @property
     def slot_count(self) -> int:
@@ -266,14 +251,14 @@ class CollisionFreeHash:
     def footprint(self) -> dict:
         """Estimated resident bytes of the lookup structure.
 
-        Slots are the two columns, 16 bytes each (the cost model's entry
-        size); the displacement array and the bucket index 8 bytes per
+        The layout the cost model prices: 16 bytes a slot (its entry
+        size), and the displacement array and the bucket index 8 bytes per
         bucket each. Keys and values are the caller's objects.
         """
         nbuckets = self._bmask + 1
         return {
             "kind": "hash",
-            "entries": self._count,
+            "entries": len(self._map),
             "slots": self._nslots,
             "buckets": nbuckets,
             "bytes": self._nslots * 16 + nbuckets * 16,
@@ -290,34 +275,31 @@ class CollisionFreeHash:
         key is rejected (:class:`HashKeyError`), the table is exactly what
         it was before the call — its telemetry too, for a rejected key,
         which is mixed before anything else. A failed reseed puts back the
-        slots it freed and a failed build assigns nothing, so there is
-        nothing to undo.
+        slots it freed, a failed build assigns nothing, and the dict takes
+        the key last, so there is nothing to undo.
         """
         h = _mix(key, self._seed)
-        bucket = h & self._bmask
-        index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
-        held = self._slot_keys[index]
-        if held == key:  # resident: a value update
-            self._slot_vals[index] = value
-        elif (self._count + 1) * self.OVERSIZE_FACTOR > self._nslots:
-            self._build(*self._laid_out((key, value)))
-        elif held is None:
-            self._slot_keys[index] = key
-            self._slot_vals[index] = value
-            self._bucket_keys[bucket] = _bucket_of(_members(self._bucket_keys[bucket]) + (key,))
-            self._count += 1
-        elif not self._reseed_bucket(bucket, key, value):
-            self._build(*self._laid_out((key, value)))
+        if key not in self._map:  # a newcomer needs a slot first
+            bucket = h & self._bmask
+            index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
+            if (len(self._map) + 1) * self.OVERSIZE_FACTOR > self._nslots:
+                self._build(self._laid_out(key))
+            elif not self._occupied[index]:
+                self._occupied[index] = 1
+                self._bucket_keys[bucket] = _bucket_of(_members(self._bucket_keys[bucket]) + (key,))
+            elif not self._reseed_bucket(bucket, key):
+                self._build(self._laid_out(key))
+        self._map[key] = value
 
     def remove(self, key: Key) -> bool:
         """Remove a key; no rebuild needed (the slot just empties)."""
-        if key not in self:
+        if key not in self._map:
             return False
         h = _mix(key, self._seed)
         bucket = h & self._bmask
         index = ((h ^ self._disp[bucket]) * _GOLD & _MASK64) >> self._shift
-        self._slot_keys[index] = self._slot_vals[index] = None
-        self._count -= 1
+        self._occupied[index] = 0
+        del self._map[key]
         keys = _members(self._bucket_keys[bucket])
         i = keys.index(key)
         self._bucket_keys[bucket] = _bucket_of(keys[:i] + keys[i + 1:])
@@ -325,17 +307,23 @@ class CollisionFreeHash:
 
     def rebuild(self) -> None:
         """Force the periodic rebuild of Section 3.4."""
-        self._build(*self._laid_out())
+        self._build(self._laid_out())
 
     # -- internals -------------------------------------------------------------
 
-    def _laid_out(self, *newcomer: tuple) -> "tuple[list, list]":
+    def _laid_out(self, *newcomer: Key) -> list:
         """What every rebuild after construction lays out: the resident
-        keys and values in slot order, then a newcomer's ``(key, value)``."""
-        pairs = [*self.items(), *newcomer]
-        return [k for k, _v in pairs], [v for _k, v in pairs]
+        keys in slot order, then a newcomer key."""
+        keys = list(self._map)
+        if keys:
+            hashes, _form = _mix_all(keys, self._seed)
+            disp = np.array(self._disp, dtype=np.uint64)
+            disp = disp[(hashes & np.uint64(self._bmask)).view(np.int64)]
+            slots = ((hashes ^ disp) * _NP_GOLD) >> np.uint64(self._shift)
+            keys = [keys[i] for i in slots.argsort().tolist()]
+        return keys + list(newcomer)
 
-    def _reseed_bucket(self, bucket: int, key: Key, value: object) -> bool:
+    def _reseed_bucket(self, bucket: int, key: Key) -> bool:
         """Re-home one bucket's keys and the newcomer ``key`` (which holds
         no slot yet) under a fresh displacement.
 
@@ -348,36 +336,32 @@ class CollisionFreeHash:
         if len(set(hashes)) != len(keys):
             return False  # un-separable within this bucket: escalate
         shift = self._shift
-        slot_keys, slot_vals = self._slot_keys, self._slot_vals
+        occupied = self._occupied
         # Free the old members' slots so they count as candidates.
         old_disp = self._disp[bucket]
         old = [((h ^ old_disp) * _GOLD & _MASK64) >> shift for h in hashes[:-1]]
-        values = [slot_vals[i] for i in old] + [value]
         for i in old:
-            slot_keys[i] = slot_vals[i] = None
+            occupied[i] = 0
         self.bucket_reseeds += 1
         for disp in range(old_disp + 1, old_disp + 1 + self.MAX_DISP_TRIES):
             self.reseed_probes += 1
             indexes = [((h ^ disp) * _GOLD & _MASK64) >> shift for h in hashes]
-            if len(set(indexes)) == len(indexes) and all(
-                slot_keys[i] is None for i in indexes
+            if len(set(indexes)) == len(indexes) and not any(
+                occupied[i] for i in indexes
             ):
-                for k, v, i in zip(keys, values, indexes):
-                    slot_keys[i] = k
-                    slot_vals[i] = v
+                for i in indexes:
+                    occupied[i] = 1
                 self._disp[bucket] = disp
                 self._bucket_keys[bucket] = _bucket_of(keys)
-                self._count += 1
                 self.displaced_keys += len(keys) - 1
                 return True
         # Nothing worked: put the old members back, so the table stays
         # consistent for the full rebuild that follows.
-        for k, v, i in zip(keys, values, old):
-            slot_keys[i] = k
-            slot_vals[i] = v
+        for i in old:
+            occupied[i] = 1
         return False
 
-    def _build(self, keys: list, values: list) -> None:
+    def _build(self, keys: list) -> None:
         """Full redistribution: pick sizes and a seed, place ``keys``.
 
         Geometric sizing (power-of-two slots ≥ OVERSIZE_FACTOR·n) bounds
@@ -395,12 +379,9 @@ class CollisionFreeHash:
             seed = (base_seed + attempt + 1) * _GOLD & _MASK64
             self.seed_attempts += 1
             try:
-                self._try_build(slot_bits, seed, keys, values)
-                self._count = n
+                self._try_build(slot_bits, seed, keys)
                 return
             except RebuildRequired as exc:
-                if exc.args[0] == "repeat":
-                    raise  # a key on two rows: from_columns dedupes
                 # Growth only helps when keys actually hash apart; a
                 # duplicate full hash needs a different seed, not memory.
                 if exc.args[0] == "grow":
@@ -410,22 +391,22 @@ class CollisionFreeHash:
             f"{self.MAX_SEED_TRIES} seeds (adversarial key set?)"
         )
 
-    def _try_build(self, slot_bits: int, seed: int, keys: list, values: list) -> None:
+    def _try_build(self, slot_bits: int, seed: int, keys: list) -> None:
         nslots = 1 << slot_bits
         nbuckets = max(2, nslots // self.OVERSIZE_FACTOR)
         shift = 64 - slot_bits
-        placed = self._place_all(seed, nslots, nbuckets, shift, keys, values)
+        placed = self._place_all(seed, nslots, nbuckets, shift, keys)
         self._seed = seed
-        self._slot_keys, self._slot_vals, self._disp, self._bucket_keys = placed
+        self._occupied, self._disp, self._bucket_keys = placed
         self._nslots = nslots
         self._shift = shift
         self._bmask = nbuckets - 1
 
     def _place_all(
-        self, seed: int, nslots: int, nbuckets: int, shift: int, keys: list, values: list
-    ) -> "tuple[list, list, list, list]":
-        """``(slot_keys, slot_vals, disp, bucket_keys)`` holding every key
-        with its value, or raise :class:`RebuildRequired`.
+        self, seed: int, nslots: int, nbuckets: int, shift: int, keys: list
+    ) -> "tuple[bytearray, list, list]":
+        """``(occupancy, disp, bucket_keys)`` laying out every key, or raise
+        :class:`RebuildRequired`.
 
         The layout is CHD's sequential search: buckets largest first, ties
         in order of first appearance among ``keys`` (a bucket's keys keep
@@ -439,18 +420,17 @@ class CollisionFreeHash:
         searches only the rest, in order: the buckets with a row that lost
         its claim, and each bucket a search lands on (a heap of claimed
         rows). Bucket members are written a run of equal-size buckets at a
-        time, the slots in one pass at the end. Columns become Python
-        lists ``CHUNK_BUCKETS`` buckets (or rows) at a time.
+        time, the occupancy in one scatter at the end. Columns become
+        Python lists ``CHUNK_BUCKETS`` buckets at a time.
         """
-        # The lists the table keeps come first: the build's scratch then
-        # sits above them, and once freed leaves room that the rule index
+        # What the table keeps comes first: the build's scratch then
+        # sits above it, and once freed leaves room that the rule index
         # warm() builds next reuses, instead of raising the peak RSS.
-        slot_keys: list = [None] * nslots
-        slot_vals: list = [None] * nslots
+        occupancy = bytearray(nslots)
         disp = [0] * nbuckets
         bucket_keys: list = [None] * nbuckets
         if not keys:
-            return slot_keys, slot_vals, disp, bucket_keys
+            return occupancy, disp, bucket_keys
         n = len(keys)
         hashes, form = _mix_all(keys, seed)
         layout, order, sizes, rows = _chd_order(hashes, nbuckets)
@@ -541,8 +521,6 @@ class CollisionFreeHash:
                             # Each bucket before it that no search reached
                             # took d = 0, one probe.
                             probes += b0 + k - searched
-                            if len(set(laid_keys[j:end])) != size:
-                                raise RebuildRequired("repeat")  # a key twice
                             raise RebuildRequired("dup")  # same hash: reseed, don't grow
                         indexes = tried[j:end]
                         for row, i in enumerate(indexes, at):
@@ -576,17 +554,8 @@ class CollisionFreeHash:
         del claim, claims, hashes
         if moved:
             slots[moved] = landed
-        # Rows go in the caller's order: keys and values are read in the
-        # order they were made.
-        placed = np.empty(n, dtype=np.int64)
-        placed[layout] = slots
-        for r0 in range(0, n, step):
-            for i, key, value in zip(
-                placed[r0:r0 + step].tolist(), keys[r0:r0 + step], values[r0:r0 + step]
-            ):
-                slot_keys[i] = key
-                slot_vals[i] = value
-        return slot_keys, slot_vals, disp, bucket_keys
+        np.frombuffer(occupancy, dtype=np.uint8)[slots] = 1
+        return occupancy, disp, bucket_keys
 
 
 def _chd_order(hashes: "np.ndarray", nbuckets: int) -> tuple:
@@ -636,15 +605,6 @@ def _hold_members(bucket_keys: list, ids: list, counts: list, laid_keys: list,
             bucket_keys[bucket] = entry
         k += m
         j += size * m
-
-
-def _first_rows(keys: list, values: list) -> "tuple[list, list]":
-    """The key and value columns of each key's first row, in row order
-    (the dict that finds them is gone before anything is placed)."""
-    first: dict = {}
-    for key, value in zip(keys, values):
-        first.setdefault(key, value)
-    return list(first), list(first.values())
 
 
 def _members(held: object) -> tuple:

@@ -117,7 +117,7 @@ class MegaflowEntry:
 
     @dead.setter
     def dead(self, value: bool) -> None:
-        # Individual kills (eviction, revalidation) stay per-entry flags.
+        # Individual kills (eviction) stay per-entry flags.
         self._dead = bool(value)
 
     @property
@@ -254,37 +254,6 @@ class MegaflowCache:
         self._gen_cell[0] += 1
         self._sweep_pending = bool(self._lru)
         self.invalidations += 1
-
-    def invalidate_overlapping(self, match) -> int:
-        """Revalidation-style partial flush: kill only megaflows whose key
-        region intersects ``match`` (a changed rule can only affect those).
-
-        Models the cheaper end of OVS cache maintenance; the paper's
-        critique targets the brute-force default, but revalidators that
-        narrow the damage are the natural comparison point for Fig. 18's
-        update-intensity sweep.
-        """
-        self._sweep()
-        pairs = dict(match.items())
-        killed = 0
-        for (sig, masked_key), entry in list(self._lru.items()):
-            if any(  # some field's common bits differ: disjoint, keep it
-                value is not None and name in pairs
-                and (value ^ pairs[name][0]) & mask & pairs[name][1]
-                for (name, mask), value in zip(sig, masked_key)
-            ):
-                continue
-            entry.dead = True
-            del self._lru[(sig, masked_key)]
-            sub = self._subtables.get(sig)
-            if sub is not None:
-                sub.entries.pop(masked_key, None)
-                if not sub.entries:
-                    del self._subtables[sig]
-            killed += 1
-        if killed:
-            self.invalidations += 1
-        return killed
 
     def entries(self) -> list[MegaflowEntry]:
         self._sweep()

@@ -84,10 +84,7 @@ class OvsSwitch:
         megaflow_capacity: int = 65536,
         costs: CostBook = DEFAULT_COSTS,
         packet_in_handler: "Callable[[PacketIn], None] | None" = None,
-        invalidation: str = "full",
     ):
-        if invalidation not in ("full", "revalidate"):
-            raise ValueError("invalidation must be 'full' or 'revalidate'")
         self.pipeline = pipeline
         self.emc = MicroflowCache(emc_capacity)
         self.megaflow = MegaflowCache(megaflow_capacity)
@@ -97,11 +94,6 @@ class OvsSwitch:
         self.burst_stats = BurstStats()
         self.packet_in_handler = packet_in_handler
         self.flow_mods_applied = 0
-        #: "full" is the paper's documented behavior ("the brute-force
-        #: strategy to invalidate the entire cache after essentially all
-        #: changes"); "revalidate" only kills megaflows overlapping the
-        #: changed rule, modeling a smarter revalidator.
-        self.invalidation = invalidation
 
     # -- datapath ------------------------------------------------------------
 
@@ -250,8 +242,8 @@ class OvsSwitch:
     # -- control plane ------------------------------------------------------------
 
     def apply_flow_mod(self, mod: FlowMod) -> float:
-        """Apply a flow-mod, then invalidate the caches (see
-        ``invalidation``); returns the modeled vswitchd cycles."""
+        """Apply a flow-mod, then invalidate the caches; returns the
+        modeled vswitchd cycles."""
         return self.apply_flow_mods((mod,))
 
     def apply_flow_mods(self, mods: Sequence[FlowMod]) -> float:
@@ -260,8 +252,9 @@ class OvsSwitch:
         The reactive install path replays every rule the controller knows
         through this entry point; per-mod invalidation made that sweep
         O(flows) collapses and kept the 1e6 leg from ever saturating.
-        Since any single mod already kills the whole cache under "full"
-        invalidation, N mods need exactly one generation bump. The raising
+        Any single mod already kills the whole cache (the paper's "brute-
+        force strategy to invalidate the entire cache after essentially all
+        changes"), so N mods need exactly one generation bump. The raising
         primitive: whatever a mod raises propagates with the tables rolled
         back (:meth:`Pipeline.apply_flow_mods`); the caches are dropped
         either way.
@@ -271,11 +264,7 @@ class OvsSwitch:
             self.pipeline.apply_flow_mods(mods)
             self.flow_mods_applied += len(mods)
         finally:
-            if self.invalidation == "revalidate":
-                # Dead megaflows are dropped lazily by EMC lookups.
-                for mod in mods:
-                    self.megaflow.invalidate_overlapping(mod.match)
-            elif mods:
+            if mods:
                 # Brute force is one generation bump (O(1), not a cache
                 # walk); both caches defer their container clears to the
                 # next packet-path touch.

@@ -261,7 +261,6 @@ class ShardedESwitch:
         config: CompileConfig = DEFAULT_CONFIG,
         costs: CostBook = DEFAULT_COSTS,
         platform: Platform = XEON_E5_2620,
-        rss_seed: int = 0,
         rpc_deadline: "float | None" = 30.0,
         max_retries: int = 3,
         retry_backoff: float = 0.05,
@@ -278,7 +277,6 @@ class ShardedESwitch:
             raise ValueError("supervision knobs must be non-negative")
         pipeline.validate()
         self.workers = workers
-        self.rss_seed = rss_seed
         self.rpc_deadline = rpc_deadline
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff
@@ -303,7 +301,7 @@ class ShardedESwitch:
         self.shadow.warm()
         self._config, self._costs, self._platform = config, costs, platform
         self._decode_cache = EntryIndexCache(self.shadow.pipeline)
-        self._rss = RssIndirection(workers, seed=rss_seed)
+        self._rss = RssIndirection(workers)
         self._slots: list[_ShardSlot] = []
         #: the engine-global sequence counter that pairs each reply with
         #: its request (a reply out of step is a worker fault).

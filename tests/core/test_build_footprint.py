@@ -5,16 +5,17 @@ collection, and the number that survive a build decides how many full
 collections land inside the next one. A built hash or LPM table leaves none
 per rule: its store returns the installed rule itself, the ``FlowTable``
 rule index holds a lone rule bare (a list only for same-match duplicates),
-and the hash store keeps each key once, in its slot columns, with bucket
+and the hash store keeps each key once, in one dict, with bucket
 membership one list (a lone int key bare, else a tuple of keys, which the
-collector untracks). What is left is a fixed handful of containers per
-table, whatever the rule count.
+collector untracks) and slot occupancy a ``bytearray``. What is left is a
+fixed handful of containers per table, whatever the rule count.
 
 The pipeline itself holds a couple of hundred bytes per rule and two
 tracked objects, the entry (which keeps its own counts) and its match: a
 match is one key tuple ``(shape, *values)`` over a shape every rule of that
 shape shares, pickled or not. The switch built over it adds the hash
-store's columns and the flow table's lookup indexes, and no key copy.
+store's dict and layout and the flow table's lookup indexes, and no key
+copy.
 """
 
 import gc
@@ -52,18 +53,18 @@ PIPELINE_BYTES_PER_RULE = 290
 #: objects, most of them garbage at once.
 PIPELINE_PEAK_BYTES_PER_RULE = 360
 #: traced bytes ``ESwitch(pipeline).warm()`` may add per rule: the hash
-#: store at load 1/4 (two 8 B slot columns, displacements and the bucket
-#: index over the pipeline's own keys and rules), the flow table's rule
-#: index and each entry's slot hint, which warming numbers: 209 measured
-#: on CPython 3.11, plus 10 % headroom. With an entry -> slot map on the
-#: table beside the hints' place it was 238.
-SWITCH_BYTES_PER_RULE = 230
+#: store (one dict of the pipeline's own keys and rules, and at load 1/4
+#: one occupancy byte per slot, displacements and the bucket index), the
+#: flow table's rule index and each entry's slot hint, which warming
+#: numbers: 140 measured on CPython 3.11, plus 10 % headroom. With an
+#: entry -> slot map on the table beside the hints' place it was 238.
+SWITCH_BYTES_PER_RULE = 154
 #: traced bytes ``ESwitch(pipeline).warm()`` may reach per rule at its
 #: peak: what it holds plus the hash build's scratch, numpy columns and one
-#: chunk of buckets as Python ints: 270 measured on CPython 3.11, plus 15 %
+#: chunk of buckets as Python ints: 205 measured on CPython 3.11, plus 15 %
 #: headroom. 439 when the placement turned every column into a
 #: table-long list and the compile keyed a dict by every rule's key.
-SWITCH_PEAK_BYTES_PER_RULE = 310
+SWITCH_PEAK_BYTES_PER_RULE = 236
 
 
 def tracked_after(build) -> "tuple[int, object]":

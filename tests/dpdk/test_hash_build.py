@@ -8,11 +8,11 @@ size. Every modeled cycle depends on the layout (slot index → cache-line
 id), so parity is bit-for-bit: seed, displacements, each slot's
 ``(key, value)``, per-bucket keys and telemetry, at build time and through
 any insert/update/remove program that follows. Both sides hold their
-slots as two columns and their buckets as one list (lookups, inserts,
-removes and the choice of keys a rebuild lays out are shared code);
-:func:`slots` and :func:`buckets` read them back. The slots are the only
-copy of the table's contents, so after every step the table must also
-answer like a plain dict.
+contents in one dict, their buckets as one list and their slots as an
+occupancy array (lookups, inserts, removes and the choice of keys a
+rebuild lays out are shared code); :func:`slots` reads each key's slot
+from the layout and :func:`buckets` reads the buckets back. After every
+step the table must also answer like a plain dict.
 
 Lookups of keys the table can never hold (negative components) used to
 spin forever; those regressions run the lookup in a subprocess under a
@@ -46,23 +46,22 @@ class ScalarReference(CollisionFreeHash):
     Only the layout search is its own: which keys a build lays out, and in
     what order (the caller's mapping at construction, the resident keys in
     slot order on every later rebuild), reaches it through the same
-    ``_build(keys, values)`` the table uses.
+    ``_build(keys)`` the table uses.
     """
 
-    def _try_build(self, slot_bits: int, seed: int, keys: list, values: list) -> None:
+    def _try_build(self, slot_bits: int, seed: int, keys: list) -> None:
         nslots = 1 << slot_bits
         nbuckets = max(2, nslots // self.OVERSIZE_FACTOR)
         bmask = nbuckets - 1
         shift = 64 - slot_bits
         buckets: dict = {}
-        for key, value in zip(keys, values):
+        for key in keys:
             h = _mix(key, seed)
-            buckets.setdefault(h & bmask, []).append((h, key, value))
+            buckets.setdefault(h & bmask, []).append((h, key))
         slot_keys: list = [None] * nslots
-        slot_vals: list = [None] * nslots
         disp = [0] * nbuckets
         for bucket, members in sorted(buckets.items(), key=lambda kv: -len(kv[1])):
-            hashes = [h for h, _, _ in members]
+            hashes = [h for h, _ in members]
             if len(set(hashes)) != len(hashes):
                 raise RebuildRequired("dup")
             for d in range(self.MAX_DISP_TRIES):
@@ -71,30 +70,39 @@ class ScalarReference(CollisionFreeHash):
                 if len(set(indexes)) == len(indexes) and all(
                     slot_keys[i] is None for i in indexes
                 ):
-                    for (_, k, v), i in zip(members, indexes):
-                        slot_keys[i], slot_vals[i] = k, v
+                    for (_, k), i in zip(members, indexes):
+                        slot_keys[i] = k
                     disp[bucket] = d
                     break
             else:
                 raise RebuildRequired("grow")
         self._seed = seed
-        self._slot_keys, self._slot_vals = slot_keys, slot_vals
+        self._occupied = bytearray(k is not None for k in slot_keys)
         self._nslots = nslots
         self._shift = shift
         self._bmask = bmask
         self._disp = disp
         self._bucket_keys = [None] * nbuckets
         for b, members in buckets.items():
-            self._bucket_keys[b] = _bucket_of(tuple(k for _, k, _ in members))
+            self._bucket_keys[b] = _bucket_of(tuple(k for _, k in members))
+
+
+def slot_of(h: CollisionFreeHash, key) -> int:
+    """``key``'s slot under ``h``'s layout."""
+    m = _mix(key, h._seed)
+    return ((m ^ h._disp[m & h._bmask]) * _GOLD & _MASK64) >> h._shift
 
 
 def slots(h: CollisionFreeHash) -> list:
-    """Each slot as ``(key, value)``, or None where it is empty (and an
-    empty slot keeps no value alive)."""
-    assert all(v is None for k, v in zip(h._slot_keys, h._slot_vals) if k is None)
-    return [
-        None if k is None else (k, v) for k, v in zip(h._slot_keys, h._slot_vals)
-    ]
+    """Each slot as ``(key, value)``, or None where it is empty; the
+    occupancy array marks exactly the slots the keys take."""
+    held: list = [None] * h._nslots
+    for key, value in h.items():
+        i = slot_of(h, key)
+        assert held[i] is None, "two keys in one slot"
+        held[i] = (key, value)
+    assert list(h._occupied) == [int(pair is not None) for pair in held]
+    return held
 
 
 def buckets(h: CollisionFreeHash) -> dict:
@@ -296,7 +304,7 @@ class TestSearchedBuckets:
     def failed_attempts(cls, keys) -> dict:
         table = cls.__new__(cls)
         with pytest.raises(HashBuildError):
-            table._start(keys, [None] * len(keys))
+            table._start(dict.fromkeys(keys), keys)
         return table.telemetry
 
     def test_equal_hashes_late_in_the_order(self):
@@ -505,9 +513,7 @@ class TestInsertIsAtomic:
         h = CollisionFreeHash({i: i for i in range(100)})
         # A fresh key whose slot another key already holds.
         for key in range(1_000, 100_000):
-            m = _mix(key, h._seed)
-            index = ((m ^ h._disp[m & h._bmask]) * _GOLD & _MASK64) >> h._shift
-            if h._slot_keys[index] is not None:
+            if h._occupied[slot_of(h, key)]:
                 break
         before = self.structure(h)
         h.__class__ = Hostile
@@ -516,3 +522,21 @@ class TestInsertIsAtomic:
         assert self.structure(h) == before
         assert len(h) == 100 and key not in h
         assert all(h.get(i) == i for i in range(100))
+
+
+class TestRebuildOrder:
+    """The layout of a rebuild depends on the order its keys come in (CHD
+    breaks ties among equal-size buckets by first appearance), so that
+    order is pinned: the resident keys in slot order, then the newcomer,
+    never the dict's order of first storage."""
+
+    def test_growth_rebuild_lays_out_the_resident_keys_in_slot_order(self):
+        h = CollisionFreeHash({(i * 2654435761) % (1 << 48): i for i in range(32)})
+        assert h.slot_count == 128  # a 33rd key crosses the load factor
+        by_slot = [pair[0] for pair in slots(h) if pair is not None]
+        assert by_slot != list(h)  # the two orders differ here
+        laid: list = []
+        build = h._build
+        h._build = lambda keys: (laid.append(list(keys)), build(keys))
+        h.insert(7, "newcomer")
+        assert laid == [by_slot + [7]]

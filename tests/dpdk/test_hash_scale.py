@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dpdk import hash as hash_mod
-from repro.dpdk.hash import CollisionFreeHash, HashBuildError, _mix
+from repro.dpdk.hash import CollisionFreeHash, HashBuildError, _GOLD, _MASK64, _mix
 
 
 class TestAmortizedGrowth:
@@ -160,8 +160,12 @@ class TestPropertyScale:
         assert len(h) == len(model)
         for key, want in model.items():
             assert h.get(key) == want  # one probe, latest value
-        # Collision-freedom, asserted on the structure itself: every
-        # resident key occupies its own slot, no stale slots remain.
-        resident = [(k, v) for k, v in zip(h._slot_keys, h._slot_vals) if k is not None]
-        assert len(resident) == len(model)
-        assert dict(resident) == model
+        # Collision-freedom, asserted on the layout itself: every resident
+        # key has its own slot, and no stale slot stays marked.
+        taken = set()
+        for key in h:
+            m = _mix(key, h._seed)
+            taken.add(((m ^ h._disp[m & h._bmask]) * _GOLD & _MASK64) >> h._shift)
+        assert len(taken) == len(model)
+        assert [i for i, b in enumerate(h._occupied) if b] == sorted(taken)
+        assert dict(h.items()) == model

@@ -120,6 +120,17 @@ class TestInvalidation:
         )
         assert len(sw.pipeline.table(0)) == before - 1
 
+    def test_unrelated_update_flushes_everything(self):
+        """The paper's brute force: a rule no cached flow overlaps still
+        empties the megaflow cache."""
+        sw = OvsSwitch(firewall.build_single_stage())
+        sw.process(http_pkt())
+        sw.apply_flow_mod(
+            FlowMod(FlowModCommand.ADD, 0, Match(ipv4_dst="203.0.113.7"),
+                    priority=25, instructions=(ApplyActions([Output(9)]),))
+        )
+        assert len(sw.megaflow) == 0
+
 
 class TestInPhyPort:
     """``in_phy_port`` has a flow-key column, so a rule on it forwards as
